@@ -344,6 +344,8 @@ def oracle_sweep(n_max: int, d_set: Iterable[int], check_evaluation: bool = True
     if n_max > 8:
         raise DomainError("sweeps are limited to n_max <= 8")
     d_list = sorted(set(d_set))
+    if d_list and d_list[0] < 1:
+        raise DomainError(f"block counts must be at least 1, got {d_list[0]}")
     cases = 0
     par_agree = 0
     par_bad: list[dict] = []

@@ -367,6 +367,8 @@ def support_and_constants(
     where the constant space is strictly smaller than the member, i.e.
     where the member genuinely varies.
     """
+    if window < 1:
+        raise DomainError(f"the stability window must be at least 1, got {window}")
     it = iter(images)
     try:
         first = next(it)

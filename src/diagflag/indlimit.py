@@ -103,9 +103,6 @@ class GeneralizedFlagType:
             if has_inf != self.has_infinite_quotients:
                 raise DomainError("ordered presentation disagrees on infinite quotients")
 
-    def finite_part_is_finite(self) -> bool:
-        return self.tail is None
-
     def to_json_obj(self) -> dict:
         return {
             "finite_quotients": list(self.finite_quotients),

@@ -1,9 +1,19 @@
 """Exact rational linear algebra: subspaces, flags, and stabilizer oracles.
 
-Everything is computed over the rationals with `fractions.Fraction`; no
-floating point enters anywhere.  Subspaces are stored in canonical reduced
-row-echelon form, so equality of subspaces is equality of representations
-and all values are hashable.
+Values are `fractions.Fraction` at every public boundary; no floating
+point enters anywhere.  Row reduction (`rref`, and through it
+`nullspace`, `matrix_rank`, `solve_unique` and every subspace operation)
+runs on integers internally: each input row is scaled to integers, the
+elimination is fraction-free, and a `Fraction` is built once per output
+entry.  Subspaces are stored in canonical reduced row-echelon form, so
+equality of subspaces is equality of representations and all values are
+hashable.
+
+`RatSubspace(ambient, rows)` and `RatSubspace.from_json_obj` validate
+that the rows are in canonical form; `span` accepts any generating set
+and reduces it.  Subspaces that the module computes itself (`span`, `+`,
+`&`, `annihilator`, `apply`, `block_embed`) come straight from `rref` and
+are not checked again.
 
 The stabilizer oracle at the bottom of the module is the independent
 brute-force route used to cross-check the combinatorial criteria of the
@@ -18,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DomainError, InternalCheckError
@@ -25,10 +36,18 @@ from .errors import DomainError, InternalCheckError
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+# Entry types `rref` reads without `to_fraction`; bool, a subclass of int,
+# is not one of them and is rejected there.
+_EXACT = (Fraction, int)
+
 
 def to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise DomainError(f"cannot interpret {x!r} as an exact rational")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -44,35 +63,73 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(as_vector(r) for r in rows)
 
 
+def _integer_row(row: Iterable, width: int) -> list[int]:
+    """The row scaled to a primitive integer vector (all zeros stays so)."""
+    ratios = [
+        (x if type(x) in _EXACT else to_fraction(x)).as_integer_ratio() for x in row
+    ]
+    if len(ratios) != width:
+        raise DomainError(f"row width {len(ratios)} != ambient {width}")
+    scale = lcm(*[d for _, d in ratios])
+    if scale == 1:
+        ints = [n for n, _ in ratios]
+    else:
+        ints = [n * (scale // d) for n, d in ratios]
+    content = gcd(*ints)
+    return ints if content < 2 else [x // content for x in ints]
+
+
+def _clear(row: list[int], prow: list[int], col: int) -> list[int] | None:
+    """`row` with column `col` cleared against the pivot row `prow`, made
+    primitive again; None when nothing is left."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    content = gcd(*new)
+    if content == 0:
+        return None
+    return new if content == 1 else [x // content for x in new]
+
+
 def rref(rows: Iterable[Iterable], width: int) -> Matrix:
-    """Canonical reduced row-echelon form, zero rows dropped."""
-    work = [list(as_vector(r)) for r in rows]
-    for r in work:
-        if len(r) != width:
-            raise DomainError(f"row width {len(r)} != ambient {width}")
-    col = 0
-    r0 = 0
-    while r0 < len(work) and col < width:
-        pivot = next((i for i in range(r0, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            col += 1
+    """Canonical reduced row-echelon form, zero rows dropped.
+
+    Gauss-Jordan elimination on primitive integer rows.  A row is cleared
+    at a pivot column by cross-multiplying with the two entries reduced by
+    their gcd and is then divided by its content, so at every step it is
+    the smallest integer multiple of the row rational elimination would
+    hold: no fraction-free scheme, Bareiss's included, keeps smaller
+    entries.  Fractions are built only for the output, each entry over its
+    row's pivot.  The reduced form is unique, so the result is that of
+    elimination over the rationals.
+    """
+    rest = [r for r in (_integer_row(row, width) for row in rows) if any(r)]
+    done: list[list[int]] = []
+    for col in range(width):
+        if not rest:
+            break
+        k = next((i for i, r in enumerate(rest) if r[col]), None)
+        if k is None:
             continue
-        work[r0], work[pivot] = work[pivot], work[r0]
-        inv = work[r0][col]
-        work[r0] = [x / inv for x in work[r0]]
-        for i in range(len(work)):
-            if i != r0 and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r0])]
-        r0 += 1
-        col += 1
-    return tuple(tuple(r) for r in work[:r0])
+        prow = rest.pop(k)
+        done = [_clear(r, prow, col) if r[col] else r for r in done]
+        done.append(prow)
+        rest = [r for r in rest if not r[col]] + [
+            c for c in (_clear(r, prow, col) for r in rest if r[col]) if c is not None
+        ]
+    return tuple(_fraction_row(row) for row in done)
+
+
+def _fraction_row(row: list[int]) -> Vector:
+    """A primitive integer row divided by its leading entry."""
+    a = next(x for x in row if x)
+    return tuple(Fraction(x, a) if x else _ZERO for x in row)
 
 
 def pivots(rows: Matrix) -> tuple[int, ...]:
     out = []
     for r in rows:
-        j = next((i for i, x in enumerate(r) if x != 0), None)
+        j = next((i for i, x in enumerate(r) if x), None)
         if j is None:
             raise InternalCheckError("zero row in echelon basis")
         out.append(j)
@@ -100,14 +157,15 @@ def is_rref(rows: Matrix, width: int) -> bool:
 
 def reduce_against(rows: Matrix, vector: Vector) -> Vector:
     """Residual of a vector after elimination against an echelon basis."""
-    residual = list(vector)
-    for r in rows:
-        p = next(i for i, x in enumerate(r) if x != 0)
+    return _residual(zip(pivots(rows), rows), vector)
+
+
+def _residual(basis: Iterable[tuple[int, Vector]], vector: Vector) -> Vector:
+    residual = vector
+    for p, r in basis:
         c = residual[p]
-        if c != 0:
-            for i in range(p, len(residual)):
-                if r[i] != 0:
-                    residual[i] -= c * r[i]
+        if c:
+            residual = [x - c * y if y else x for x, y in zip(residual, r)]
     return tuple(residual)
 
 
@@ -119,8 +177,8 @@ def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
     basis = []
     piv_list = pivots(red)
     for j in free:
-        v = [Fraction(0)] * width
-        v[j] = Fraction(1)
+        v = [_ZERO] * width
+        v[j] = _ONE
         for r, pj in zip(red, piv_list):
             v[pj] = -r[j]
         basis.append(v)
@@ -128,7 +186,8 @@ def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -142,13 +201,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
 
 
 def matrix_rank(rows: Iterable[Iterable], width: int) -> int:
@@ -196,8 +249,18 @@ class RatSubspace:
             raise DomainError("basis is not in canonical reduced row-echelon form")
 
     @classmethod
+    def _from_rref(cls, ambient: int, rows: Matrix) -> "RatSubspace":
+        """A subspace from rows that `rref` produced; no check is repeated."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient", ambient)
+        object.__setattr__(sub, "rows", rows)
+        return sub
+
+    @classmethod
     def span(cls, ambient: int, vectors: Iterable[Iterable]) -> "RatSubspace":
-        return cls(ambient, rref(vectors, ambient))
+        if ambient < 0:
+            raise DomainError("ambient dimension must be >= 0")
+        return cls._from_rref(ambient, rref(vectors, ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
@@ -223,20 +286,36 @@ class RatSubspace:
         return RatSubspace.span(self.ambient, self.rows + other.rows)
 
     def __and__(self, other: "RatSubspace") -> "RatSubspace":
+        """Intersection; one Zassenhaus elimination unless one side
+        contains the other.
+
+        The rows of the reduced form of [[A, A], [B, 0]] whose left half is
+        zero have right halves that are the reduced basis of the
+        intersection.
+        """
         self._check_ambient(other)
-        ann = self.annihilator().rows + other.annihilator().rows
-        return RatSubspace(self.ambient, nullspace(ann, self.ambient))
+        if self <= other:
+            return self
+        if other <= self:
+            return other
+        n = self.ambient
+        pad = (_ZERO,) * n
+        red = rref([v + v for v in self.rows] + [w + pad for w in other.rows], 2 * n)
+        return RatSubspace._from_rref(n, tuple(r[n:] for r in red if not any(r[:n])))
 
     def __le__(self, other: "RatSubspace") -> bool:
         self._check_ambient(other)
-        return all(not any(reduce_against(other.rows, v)) for v in self.rows)
+        if self.dim > other.dim:
+            return False
+        basis = list(zip(pivots(other.rows), other.rows))
+        return all(not any(_residual(basis, v)) for v in self.rows)
 
     def contains_vector(self, v: Iterable) -> bool:
         return not any(reduce_against(self.rows, as_vector(v)))
 
     def annihilator(self) -> "RatSubspace":
         """The subspace {u : <u, v> = 0 for all v here}, in dual coordinates."""
-        return RatSubspace(self.ambient, nullspace(self.rows, self.ambient))
+        return RatSubspace._from_rref(self.ambient, nullspace(self.rows, self.ambient))
 
     def apply(self, m: Matrix) -> "RatSubspace":
         """Image under the linear map with matrix m (columns act on coordinates)."""
@@ -265,7 +344,7 @@ class RatSubspace:
 
     @classmethod
     def from_json_obj(cls, ambient: int, obj: list) -> "RatSubspace":
-        return cls.span(ambient, obj)
+        return cls(ambient, rref(obj, ambient))
 
 
 def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
@@ -279,10 +358,10 @@ def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
     m = sub.ambient
     left = (block - 1) * m
     right = (blocks - block) * m
-    zero_l = (Fraction(0),) * left
-    zero_r = (Fraction(0),) * right
+    zero_l = (_ZERO,) * left
+    zero_r = (_ZERO,) * right
     rows = tuple(zero_l + v + zero_r for v in sub.rows)
-    return RatSubspace(blocks * m, rows)
+    return RatSubspace._from_rref(blocks * m, rows)
 
 
 @dataclass(frozen=True)
@@ -380,24 +459,27 @@ class StabilizerResult:
     is_parabolic: bool
 
 
-def _stabilizer_constraints(flag: Flag, m: int) -> list[Vector]:
+def _stabilizer_constraints(flag: Flag, m: int) -> list[list[int]]:
     """Linear constraints on vec(x) (row-major, m*m unknowns) expressing
-    that diag(x, ..., x) preserves every flag member."""
+    that diag(x, ..., x) preserves every flag member.
+
+    Each member and annihilator row is scaled to integers first; that
+    scales each constraint by a nonzero factor and leaves their span as it
+    is."""
     n = flag.ambient
-    d = n // m
-    rows: list[Vector] = []
+    blocks = range(0, n, m)
+    rows: list[list[int]] = []
     for member in flag.chain:
-        ann = member.annihilator().rows
-        for v in member.rows:
+        ann = [_integer_row(u, n) for u in member.annihilator().rows]
+        for v in (_integer_row(v, n) for v in member.rows):
             for u in ann:
-                coeff = [Fraction(0)] * (m * m)
-                for a in range(m):
-                    for b in range(m):
-                        s = Fraction(0)
-                        for k in range(d):
-                            s += u[k * m + a] * v[k * m + b]
-                        coeff[a * m + b] = s
-                rows.append(tuple(coeff))
+                rows.append(
+                    [
+                        sum(u[k + a] * v[k + b] for k in blocks)
+                        for a in range(m)
+                        for b in range(m)
+                    ]
+                )
     return rows
 
 

@@ -105,6 +105,12 @@ def test_constants(capsys, mixed_graph_file):
     assert doc["support"] == [1, 2, 3]
 
 
+def test_constants_rejects_empty_window(capsys, mixed_graph_file):
+    argv = ["constants", "--graph", mixed_graph_file, "--source-ambient", "3"]
+    assert main(argv + ["--window", "0"]) == 1
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_factor(capsys, tmp_path):
     graph = tmp_path / "level.json"
     graph.write_text(
@@ -127,6 +133,12 @@ def test_oracle_sweep(capsys):
     assert code == 0
     assert doc["verdict"] == "agree"
     assert doc["report"]["parabolic_disagreements"] == []
+
+
+@pytest.mark.parametrize("d", ["0", "2,0", "-1"])
+def test_oracle_rejects_block_counts_below_one(capsys, d):
+    assert main(["oracle", "--n-max", "4", "--d", d]) == 1
+    assert "input error:" in capsys.readouterr().err
 
 
 def test_admissible(capsys, tmp_path):

@@ -16,11 +16,153 @@ from diagflag.ratlin import (
     nilradical_inclusion_oracle,
     nullspace,
     random_invertible,
+    rref,
     solve_unique,
     stabilizer_oracle,
+    to_fraction,
 )
 
 small_entries = st.integers(-4, 4)
+
+
+# -- reference kernel: plain Gauss-Jordan over Fraction ----------------------
+
+
+def reference_rref(rows, width):
+    work = [[Fraction(x) for x in r] for r in rows]
+    col = 0
+    r0 = 0
+    while r0 < len(work) and col < width:
+        pivot = next((i for i in range(r0, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[r0], work[pivot] = work[pivot], work[r0]
+        inv = work[r0][col]
+        work[r0] = [x / inv for x in work[r0]]
+        for i in range(len(work)):
+            if i != r0 and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r0])]
+        r0 += 1
+        col += 1
+    return tuple(tuple(r) for r in work[:r0])
+
+
+def reference_nullspace(rows, width):
+    red = reference_rref(rows, width)
+    piv = [next(j for j, x in enumerate(r) if x != 0) for r in red]
+    basis = []
+    for j in (j for j in range(width) if j not in piv):
+        v = [Fraction(0)] * width
+        v[j] = Fraction(1)
+        for r, pj in zip(red, piv):
+            v[pj] = -r[j]
+        basis.append(v)
+    return reference_rref(basis, width)
+
+
+def reference_intersection(a, b):
+    n = a.ambient
+    ann = reference_nullspace(a.rows, n) + reference_nullspace(b.rows, n)
+    return reference_nullspace(ann, n)
+
+
+fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def generating_sets(draw, widths=st.integers(1, 36), max_rows=8):
+    """Rows of Fractions, with zero rows and repeated or scaled rows."""
+    width = draw(widths)
+    rows = draw(
+        st.lists(st.lists(fractions, min_size=width, max_size=width), max_size=max_rows)
+    )
+    extra = []
+    for r in rows:
+        kind = draw(st.sampled_from(("none", "zero", "repeat", "scaled")))
+        if kind == "zero":
+            extra.append([Fraction(0)] * width)
+        elif kind == "repeat":
+            extra.append(list(r))
+        elif kind == "scaled":
+            c = draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+            extra.append([c * x for x in r])
+    order = draw(st.permutations(rows + extra))
+    return width, order
+
+
+@given(generating_sets())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(case):
+    width, rows = case
+    assert rref(rows, width) == reference_rref(rows, width)
+
+
+def test_rref_accepts_ints_and_strings_like_fractions():
+    rows = [[2, "1/3", 0], [Fraction(4), "2/3", 0], [0, 0, "-7/2"]]
+    assert rref(rows, 3) == reference_rref([[Fraction(x) for x in r] for r in rows], 3)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(a, b) in one of the relations the intersection must handle."""
+    width, rows = draw(generating_sets(st.integers(1, 8), max_rows=6))
+    b = RatSubspace.span(width, rows)
+    kind = draw(
+        st.sampled_from(("contained", "containing", "equal", "zero", "full", "generic"))
+    )
+    if kind in ("contained", "containing"):
+        keep = draw(st.lists(st.sampled_from(range(b.dim)), max_size=b.dim)) if b.dim else []
+        a = RatSubspace.span(width, [b.rows[i] for i in keep])
+        return (a, b) if kind == "contained" else (b, a)
+    if kind == "equal":
+        return b, RatSubspace.span(width, reversed(rows))
+    if kind == "zero":
+        return b, RatSubspace.zero(width)
+    if kind == "full":
+        return RatSubspace.full(width), b
+    _, other = draw(generating_sets(st.just(width), max_rows=6))
+    return b, RatSubspace.span(width, other)
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_intersection_matches_annihilator_reference(pair):
+    a, b = pair
+    expected = reference_intersection(a, b)
+    assert (a & b).rows == expected
+    assert (b & a).rows == expected
+
+
+def test_constructor_validates_rows():
+    half = Fraction(1, 2)
+    RatSubspace(3, ((Fraction(1), Fraction(0), half), (Fraction(0), Fraction(1), half)))
+    bad = [
+        ((Fraction(2), Fraction(0), Fraction(0)),),  # pivot not 1
+        ((Fraction(0), Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0))),
+        ((Fraction(1), Fraction(1), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))),
+        ((Fraction(0), Fraction(0), Fraction(0)),),  # zero row
+        ((Fraction(1), Fraction(0)),),  # wrong width
+    ]
+    for rows in bad:
+        with pytest.raises(DomainError):
+            RatSubspace(3, rows)
+    with pytest.raises(DomainError):
+        RatSubspace(-1, ())
+    with pytest.raises(DomainError):
+        RatSubspace.span(-1, [])
+
+
+def test_bools_are_not_rationals():
+    for value in (True, False):
+        with pytest.raises(DomainError):
+            to_fraction(value)
+    with pytest.raises(DomainError):
+        Flag.from_json_obj({"ambient": 2, "chain": [[[True, 0]]]})
 
 
 def matrices(rows, cols):
