@@ -5,9 +5,10 @@ operation, and prints a single JSON report with a ``verdict`` field.
 Negative mathematical verdicts (a non-parabolic restriction, an
 inadmissible type) exit 0: the tool distinguishes "the math says no"
 from failure.  Exit 1 marks an input or schema error, exit 2 an internal
-consistency failure such as a two-formula disagreement or an oracle
-mismatch.  All randomness flows from --seed, and reports are
-byte-identical given identical inputs and seed.
+consistency failure such as `embed` finding that the closed evaluation
+formula disagrees with the cumulative reference, or an oracle mismatch.
+All randomness flows from --seed, and reports are byte-identical given
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _cmd_restrict(args) -> dict:
 def _cmd_embed(args) -> dict:
     emb = _load_embedding(args)
     flag = Flag.from_json_obj(_load_json(args.flag))
-    image = emb.evaluate(flag)
+    image = diagembed.checked_evaluate(emb, flag)
     return {
         "verdict": "ok",
         "target_type": emb.target_type.to_json_obj(),
@@ -129,19 +130,23 @@ def _cmd_embed(args) -> dict:
 
 
 def _cmd_picard(args) -> dict:
-    emb = _load_embedding_for_graph_ops(args)
-    pullback = diagembed.picard_pullback(emb)
+    if args.graph and not args.source_dims:
+        g = egraph.require_valid(egraph.EGraph.from_json_obj(_load_json(args.graph)))
+    else:
+        g = _load_embedding(args).graph
+    pullback = diagembed.graph_pullback(g)
     return {
         "verdict": "ok",
         "matrix": [list(r) for r in pullback.matrix],
-        "linear": diagembed.is_linear_graph(emb.graph),
-        "standard_extension": diagembed.is_standard_extension_graph(emb.graph),
+        "linear": diagembed.is_linear_graph(g),
+        "standard_extension": diagembed.is_standard_extension_graph(g),
     }
 
 
-def _load_embedding_for_graph_ops(args) -> diagembed.DiagonalEmbedding:
-    """Graph-level operations need no meaningful source dims; supply the
-    smallest placeholder type when only a graph is given."""
+def _load_sampling_embedding(args) -> diagembed.DiagonalEmbedding:
+    """Sampling needs a real source type.  When only a graph is given, use
+    the type with members of every dimension 1..q-1 in Q^max(q, 2), or in
+    Q^(--source-ambient)."""
     if getattr(args, "graph", None) and not getattr(args, "source_dims", None):
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
         ambient = args.source_ambient or max(g.q, 2)
@@ -163,7 +168,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_constants(args) -> dict:
-    emb = _load_embedding_for_graph_ops(args)
+    emb = _load_sampling_embedding(args)
     closed = diagembed.constant_spaces(emb)
     sampled, support = flagcore.support_and_constants(
         flagcore.sample_images(emb.evaluate, emb.source_type, seed=args.seed),
@@ -226,6 +231,8 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_exhaust(args) -> dict:
+    if args.levels < 0:
+        raise DomainError(f"--levels must be at least 0, got {args.levels}")
     sn = supernat.SupernaturalNumber.from_json_obj(_load_json(args.sn))
     spec = supernat.ExhaustionSpec.from_json_obj(_load_json(args.spec))
     report = supernat.validate_exhaustion(spec, sn)

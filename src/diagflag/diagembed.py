@@ -2,21 +2,23 @@
 
 A DiagonalEmbedding pairs a valid EGraph with a source flag type in Q^m
 and evaluates flags into Q^n, n = d*m, by filling each target member with
-block copies of source members as the graph dictates.  Evaluation runs
-two independent formulas (a cumulative sum over right vertices and a
-closed per-colour direct sum) and insists they agree, which continuously
-cross-checks the module's core arithmetic.
+block copies of source members as the graph dictates.  `evaluate` uses the
+closed formula, one direct sum over colours per target member.  The
+cumulative formula (a running sum over right vertices) is kept as the
+independent reference `cumulative_evaluate`; `checked_evaluate` compares
+the two, and the oracle sweep, the CLI `embed` command and the tests run it.
 
-The module also computes the induced matrix on Picard generators, the
-combinatorial linearity and standard-extension criteria, the closed-form
-chain of constant spaces, the unipotent-radical inclusion test, and the
-exhaustive sweeps that compare every combinatorial verdict against the
-exact-linear-algebra oracle.
+The module also computes the induced matrix on Picard generators (from the
+graph alone, `graph_pullback`), the combinatorial linearity and
+standard-extension criteria, the closed-form chain of constant spaces, the
+unipotent-radical inclusion test, and the exhaustive sweeps that compare
+every combinatorial verdict against the exact-linear-algebra oracle.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -28,8 +30,9 @@ from .egraph import (
     SurjectionAlpha,
     build_from_alpha,
     partition_edges,
+    random_restriction,
+    require_valid,
     surjections,
-    validate_egraph,
 )
 from .errors import DomainError, InternalCheckError
 from .flagcore import FlagType, PicardPullback, flag_type_of, random_flag
@@ -52,9 +55,7 @@ class DiagonalEmbedding:
     source_type: FlagType
 
     def __post_init__(self) -> None:
-        report = validate_egraph(self.graph)
-        if not report.ok:
-            raise DomainError(f"invalid graph: {'; '.join(report.violations)}")
+        require_valid(self.graph)
         if self.source_type.length != self.graph.q - 1:
             raise DomainError(
                 f"source type must have {self.graph.q - 1} members, got {self.source_type.length}"
@@ -69,60 +70,31 @@ class DiagonalEmbedding:
         return self.graph.d * self.m
 
     @cached_property
-    def closed_indices(self) -> tuple[tuple[int, ...], ...]:
-        """For each target position j (1..p-1) the tuple over colours of the
-        left endpoint of the last colour edge at or above r_j (0 if none)."""
-        g = self.graph
-        out = []
-        for j in range(1, g.p):
-            row = []
-            for c in range(1, g.d + 1):
-                best = 0
-                for (i, jj) in g.colour_class(c):
-                    if jj <= j:
-                        best = max(best, i)
-                row.append(best)
-            out.append(tuple(row))
-        return tuple(out)
-
-    @cached_property
     def target_type(self) -> FlagType:
         ext = (0, *self.source_type.dims, self.m)
-        dims = tuple(sum(ext[i] for i in row) for row in self.closed_indices)
+        dims = tuple(sum(ext[i] for i in row) for row in self.graph.closed_indices)
         return FlagType(self.n, dims)
 
     def evaluate(self, flag: Flag) -> Flag:
-        """Image flag, computed by both formulas, which must agree."""
+        """Image flag by the closed formula: target member j is the direct
+        sum over colours c of source member `closed_indices[j][c]` in block c.
+
+        The blocks are disjoint coordinate ranges taken in colour order, so
+        the concatenated canonical block bases are already canonical RREF
+        (pivots increase block by block, and each pivot column is zero in
+        the other blocks' rows); no elimination runs.
+        """
         if flag_type_of(flag) != self.source_type:
             raise DomainError("flag does not match the source type")
-        g = self.graph
-        d, m, n = g.d, self.m, self.n
-        at_position: dict[tuple[int, int], int] = {}
-        for (i, j, c) in g.edges:
-            at_position[(j, c)] = i
-        cumulative: list[RatSubspace] = []
-        acc = RatSubspace.zero(n)
-        for j in range(1, g.p):
-            for c in range(1, d + 1):
-                i = at_position.get((j, c), 0)
+        d, n = self.graph.d, self.n
+        members = []
+        for row in self.graph.closed_indices:
+            rows: tuple = ()
+            for c, i in enumerate(row, start=1):
                 if i:
-                    acc = acc + block_embed(flag.member(i), c, d)
-            cumulative.append(acc)
-        closed = [
-            sum(
-                (block_embed(flag.member(i), c + 1, d) for c, i in enumerate(row) if i),
-                RatSubspace.zero(n),
-            )
-            for row in self.closed_indices
-        ]
-        if cumulative != closed:
-            raise InternalCheckError(
-                "cumulative and closed evaluation formulas disagree; graph/type data is inconsistent"
-            )
-        out = Flag(n, tuple(closed))
-        if flag_type_of(out) != self.target_type:
-            raise InternalCheckError("evaluated flag does not have the declared target type")
-        return out
+                    rows += block_embed(flag.member(i), c, d).rows
+            members.append(RatSubspace._from_rref(n, rows))
+        return Flag(n, tuple(members))
 
     def to_json_obj(self) -> dict:
         return {
@@ -143,13 +115,46 @@ class DiagonalEmbedding:
         return cls(graph, source)
 
 
-def embedding_from_alpha(alpha: SurjectionAlpha, m: int) -> DiagonalEmbedding:
-    """The embedding of the restricted flag variety, when it exists."""
+def _parabolic_restriction(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction:
     result = build_from_alpha(alpha, m)
     if isinstance(result, NotParabolic):
         raise DomainError(f"restriction is not parabolic; witness {result.witness}")
+    return result
+
+
+def embedding_from_alpha(alpha: SurjectionAlpha, m: int) -> DiagonalEmbedding:
+    """The embedding of the restricted flag variety, when it exists."""
+    result = _parabolic_restriction(alpha, m)
     source = result.flag_type or FlagType(m, ())
     return DiagonalEmbedding(result.graph, source)
+
+
+def cumulative_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
+    """Reference image by the cumulative formula, the cross-check for
+    `DiagonalEmbedding.evaluate`: walk down the right column adding source
+    member i in block c for each edge (l_i, r_j) of colour c; member j is
+    the running sum after r_j."""
+    g = emb.graph
+    at_position = {(j, c): i for (i, j, c) in g.edges}
+    acc = RatSubspace.zero(emb.n)
+    members = []
+    for j in range(1, g.p):
+        for c in range(1, g.d + 1):
+            i = at_position.get((j, c), 0)
+            if i:
+                acc = acc + block_embed(flag.member(i), c, g.d)
+        members.append(acc)
+    return Flag(emb.n, tuple(members))
+
+
+def checked_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
+    """`emb.evaluate(flag)`, compared against the cumulative reference."""
+    image = emb.evaluate(flag)
+    if cumulative_evaluate(emb, flag) != image:
+        raise InternalCheckError(
+            "cumulative and closed evaluation formulas disagree; graph/type data is inconsistent"
+        )
+    return image
 
 
 def coordinate_flag_of_alpha(alpha: SurjectionAlpha) -> Flag:
@@ -166,23 +171,20 @@ def coordinate_flag_of_alpha(alpha: SurjectionAlpha) -> Flag:
     return Flag(n, tuple(members))
 
 
-def picard_pullback(emb: DiagonalEmbedding) -> PicardPullback:
+def graph_pullback(g: EGraph) -> PicardPullback:
     """Matrix of the induced map on preferred Picard generators.
 
     Row j sums, over colours, the source generator at the left endpoint of
     the last same-colour edge at or above r_j; endpoints 0 and q
-    contribute nothing.
+    contribute nothing.  The graph is trusted to be valid.
     """
-    g = emb.graph
-    k = g.q - 1
-    rows = []
-    for row in emb.closed_indices:
-        out = [0] * k
-        for i in row:
-            if 1 <= i <= k:
-                out[i - 1] += 1
-        rows.append(tuple(out))
-    return PicardPullback(source_rank=k, target_rank=g.p - 1, matrix=tuple(rows))
+    rows = tuple(tuple(row.count(i) for i in range(1, g.q)) for row in g.closed_indices)
+    return PicardPullback(source_rank=g.q - 1, target_rank=g.p - 1, matrix=rows)
+
+
+def picard_pullback(emb: DiagonalEmbedding) -> PicardPullback:
+    """The pullback matrix of the embedding's graph (`graph_pullback`)."""
+    return graph_pullback(emb.graph)
 
 
 def is_linear_graph(g: EGraph) -> bool:
@@ -236,28 +238,13 @@ def unipotent_inclusion(alpha: SurjectionAlpha, m: int) -> bool:
     """Whether the unipotent radical of the restricted stabilizer lands in
     the unipotent radical of the ambient one.
 
-    Holds exactly when distinct block-level tuples differ in every
-    coordinate; equivalently every left vertex of the graph meets exactly
-    one edge of each colour.  Both characterizations are computed and
-    compared.
+    Holds exactly when every left vertex of the graph meets exactly one
+    edge of each colour (equivalently, distinct block-level tuples differ
+    in every coordinate; the tests compare the two characterizations).
     """
-    result = build_from_alpha(alpha, m)
-    if isinstance(result, NotParabolic):
-        raise DomainError(f"restriction is not parabolic; witness {result.witness}")
-    tuples = result.beta_image
-    via_tuples = all(
-        all(x != y for x, y in zip(a, b))
-        for idx, a in enumerate(tuples)
-        for b in tuples[idx + 1 :]
-    )
-    g = result.graph
-    degree: dict[int, int] = {i: 0 for i in range(1, g.q + 1)}
-    for (i, _, _) in g.edges:
-        degree[i] += 1
-    via_graph = all(deg == g.d for deg in degree.values())
-    if via_tuples != via_graph:
-        raise InternalCheckError("tuple and graph characterizations disagree")
-    return via_tuples
+    g = _parabolic_restriction(alpha, m).graph
+    degree = Counter(i for (i, _, _) in g.edges)
+    return all(degree[i] == g.d for i in range(1, g.q + 1))
 
 
 @dataclass(frozen=True)
@@ -292,17 +279,8 @@ def random_embedding(
 ) -> DiagonalEmbedding:
     """Random embedding drawn through random level maps; the source type is
     the restricted flag type the analysis produces."""
-    while True:
-        d = rng.choice(list(d_choices))
-        m = rng.randint(2, max(2, max_n // d))
-        values = [rng.randint(1, max(2, (d * m) // 2)) for _ in range(d * m)]
-        labels = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
-        alpha = SurjectionAlpha.of([labels[v] for v in values])
-        if alpha.p < 2:
-            continue
-        result = build_from_alpha(alpha, m)
-        if isinstance(result, ParabolicRestriction) and result.flag_type is not None:
-            return DiagonalEmbedding(result.graph, result.flag_type)
+    result = random_restriction(rng, max_n, d_choices)
+    return DiagonalEmbedding(result.graph, result.flag_type)
 
 
 @dataclass(frozen=True)
@@ -332,14 +310,15 @@ class SweepReport:
         }
 
 
-def oracle_sweep(n_max: int, d_set: Iterable[int], check_evaluation: bool = True) -> SweepReport:
+def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
     """Exhaustive comparison over every surjective level map with n <= n_max.
 
     For each map and each block count d dividing n, the combinatorial
     parabolicity verdict is compared with the stabilizer oracle; when both
     say parabolic, the unipotent-inclusion criterion is compared with the
-    nilradical oracle, and the evaluated image of the restricted
-    coordinate flag is checked to be the ambient coordinate flag.
+    nilradical oracle, and the image of the restricted coordinate flag is
+    checked to be the ambient coordinate flag, by the closed formula and by
+    the cumulative reference.
     """
     if n_max > 8:
         raise DomainError("sweeps are limited to n_max <= 8")
@@ -376,10 +355,10 @@ def oracle_sweep(n_max: int, d_set: Iterable[int], check_evaluation: bool = True
                     uni_agree += 1
                 else:
                     uni_bad.append({"alpha": list(alpha.values), "m": m})
-                if check_evaluation and result.flag_type is not None:
+                if result.flag_type is not None:
                     emb = DiagonalEmbedding(result.graph, result.flag_type)
                     source = coordinate_flag_of_beta(alpha, m)
-                    if emb.evaluate(source) != flag:
+                    if checked_evaluate(emb, source) != flag:
                         raise InternalCheckError(
                             f"restricted coordinate flag does not map to the ambient one for alpha={alpha.values}"
                         )
@@ -397,9 +376,7 @@ def oracle_sweep(n_max: int, d_set: Iterable[int], check_evaluation: bool = True
 def coordinate_flag_of_beta(alpha: SurjectionAlpha, m: int) -> Flag:
     """The restricted flag: members span the e_r whose block-level tuple
     is at most each image tuple in turn."""
-    result = build_from_alpha(alpha, m)
-    if isinstance(result, NotParabolic):
-        raise DomainError(f"restriction is not parabolic; witness {result.witness}")
+    result = _parabolic_restriction(alpha, m)
     d = alpha.n // m
     beta = [
         tuple(alpha.values[k * m + r] for k in range(d)) for r in range(m)

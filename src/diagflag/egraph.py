@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ValidationReport
@@ -59,6 +60,16 @@ class EGraph:
     def colour_class(self, c: int) -> tuple[tuple[int, int], ...]:
         """Colour-c edges as (left, right) pairs sorted by left index."""
         return tuple(sorted((i, j) for (i, j, cc) in self.edges if cc == c))
+
+    @cached_property
+    def closed_indices(self) -> tuple[tuple[int, ...], ...]:
+        """For each right vertex r_j, j < p, the tuple over colours of the
+        left endpoint of the last colour edge at or above r_j (0 if none)."""
+        classes = [self.colour_class(c) for c in range(1, self.d + 1)]
+        return tuple(
+            tuple(max((i for (i, jj) in cls if jj <= j), default=0) for cls in classes)
+            for j in range(1, self.p)
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -116,11 +127,17 @@ def validate_egraph(g: EGraph) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def partition_edges(g: EGraph) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """(bounding, ordinary): edges through the bottom-left vertex vs the rest."""
+def require_valid(g: EGraph) -> EGraph:
+    """g itself; DomainError listing the violations when g is not valid."""
     report = validate_egraph(g)
     if not report.ok:
         raise DomainError(f"invalid graph: {'; '.join(report.violations)}")
+    return g
+
+
+def partition_edges(g: EGraph) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """(bounding, ordinary): edges through the bottom-left vertex vs the rest."""
+    require_valid(g)
     bounding = frozenset(e for e in g.edges if e[0] == g.q)
     return bounding, frozenset(g.edges - bounding)
 
@@ -262,9 +279,7 @@ def realizing_alpha(g: EGraph) -> SurjectionAlpha:
     colour, so the value always exists), and lay the d block tuples out
     side by side.
     """
-    report = validate_egraph(g)
-    if not report.ok:
-        raise DomainError(f"invalid graph: {'; '.join(report.violations)}")
+    require_valid(g)
     values = [0] * (g.q * g.d)
     for c in range(1, g.d + 1):
         cls = g.colour_class(c)
@@ -274,11 +289,11 @@ def realizing_alpha(g: EGraph) -> SurjectionAlpha:
     return SurjectionAlpha.of(values)
 
 
-def random_egraph(
+def random_restriction(
     rng: random.Random, max_n: int = 8, d_choices: Sequence[int] = (2, 3)
-) -> EGraph:
-    """Random valid graph, drawn by retrying random level maps until the
-    restriction analysis succeeds."""
+) -> ParabolicRestriction:
+    """Random parabolic restriction with a nonempty flag type, drawn by
+    retrying random level maps until the restriction analysis succeeds."""
     while True:
         d = rng.choice(list(d_choices))
         m = rng.randint(2, max(2, max_n // d))
@@ -291,7 +306,14 @@ def random_egraph(
             continue
         result = build_from_alpha(alpha, m)
         if isinstance(result, ParabolicRestriction) and result.flag_type is not None:
-            return result.graph
+            return result
+
+
+def random_egraph(
+    rng: random.Random, max_n: int = 8, d_choices: Sequence[int] = (2, 3)
+) -> EGraph:
+    """The graph of a `random_restriction`."""
+    return random_restriction(rng, max_n, d_choices).graph
 
 
 def enumerate_valid_graphs(q: int, p: int, d: int) -> Iterator[EGraph]:

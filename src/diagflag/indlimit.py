@@ -24,9 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .diagembed import DiagonalEmbedding, is_linear_graph, picard_pullback
+from .diagembed import DiagonalEmbedding, graph_pullback, is_linear_graph
 from .egraph import EGraph, partition_edges, validate_egraph
 from .errors import DomainError, InternalCheckError, ValidationReport
 from .flagcore import FlagType, StandardExtensionData
@@ -595,8 +595,10 @@ def admissible(
     ranges over periodic exhaustions with first term and multipliers
     bounded by `bound`, running the greedy smallest-dimension numbering
     with loop detection; an inconclusive search returns Unknown rather
-    than a verdict.
+    than a verdict.  A bound below 2 admits no multiplier and is rejected.
     """
+    if bound < 2:
+        raise DomainError(f"bound must be at least 2, got {bound}")
     if gft.tail is None:
         cert = AdmissibilityCertificate(
             kind="finite",
@@ -712,24 +714,31 @@ def factor_linear_egraph(g: EGraph) -> list[GraphFactor]:
 def factor_pullback_additivity(g: EGraph) -> bool:
     """Each pullback row of a linear graph is the sum of the corresponding
     factor rows, re-embedded along the factors' vertex maps."""
-    k = g.q - 1
-    ell = g.p - 1
-    base = _graph_pullback_matrix(g)
-    total = [[0] * k for _ in range(ell)]
-    for factor in factor_linear_egraph(g):
-        sub = _graph_pullback_matrix(factor.graph)
-        for r, orig_right in enumerate(factor.right_map[:-1]):
-            if orig_right > ell:
-                continue
-            for col, orig_left in enumerate(factor.left_map[:-1]):
+    return _pullback_is_sum(
+        g, ((f.graph, f.left_map, f.right_map) for f in factor_linear_egraph(g))
+    )
+
+
+def _pullback_is_sum(
+    g: EGraph, parts: Iterable[tuple[EGraph, Sequence[int], Sequence[int]]]
+) -> bool:
+    """Whether the pullback of g equals the sum of the parts' pullbacks,
+    each re-embedded along its (lefts, rights) vertex maps; the last vertex
+    of each map is a column's bottom vertex and carries no generator."""
+    total = [[0] * (g.q - 1) for _ in range(g.p - 1)]
+    for sub_graph, lefts, rights in parts:
+        sub = graph_pullback(sub_graph).matrix
+        for r, orig_right in enumerate(rights[:-1]):
+            for col, orig_left in enumerate(lefts[:-1]):
                 total[orig_right - 1][orig_left - 1] += sub[r][col]
-    return [list(row) for row in base] == total
+    return [list(row) for row in graph_pullback(g).matrix] == total
 
 
-def _graph_pullback_matrix(g: EGraph) -> tuple[tuple[int, ...], ...]:
-    placeholder_dims = tuple(range(1, g.q))
-    emb = DiagonalEmbedding(g, FlagType(max(g.q, 2), placeholder_dims))
-    return picard_pullback(emb).matrix
+def _kept_vertices(g: EGraph, colour: int) -> list[int]:
+    """Left vertices of g carrying ordinary edges of `colour`, plus the
+    bottom vertex: the column a threaded factor keeps."""
+    _, ordinary = partition_edges(g)
+    return sorted({i for (i, _, cc) in ordinary if cc == colour} | {g.q})
 
 
 def decompose_sn_graph(
@@ -764,14 +773,6 @@ def decompose_sn_graph(
         if sorted(row) != list(range(1, d + 1)):
             raise DomainError("each threading row must be a permutation of the colours")
 
-    def kept_lefts(n: int, f: int) -> list[int]:
-        g = sg.level(n)
-        colour = threading[n - 1][f - 1]
-        _, ordinary = partition_edges(g)
-        lefts = {i for (i, _, cc) in ordinary if cc == colour}
-        lefts.add(g.q)
-        return sorted(lefts)
-
     factors: list[SnGraph] = []
     for f in range(1, d + 1):
         level_graphs = []
@@ -779,8 +780,8 @@ def decompose_sn_graph(
             g = sg.level(n)
             colour = threading[n - 1][f - 1]
             bounding, ordinary = partition_edges(g)
-            lefts = kept_lefts(n, f)
-            rights = kept_lefts(n + 1, f)
+            lefts = _kept_vertices(g, colour)
+            rights = _kept_vertices(sg.level(n + 1), threading[n][f - 1])
             lmap = {i: idx + 1 for idx, i in enumerate(lefts)}
             rmap = {j: idx + 1 for idx, j in enumerate(rights)}
             edges: set[tuple[int, int, int]] = set()
@@ -826,20 +827,14 @@ def threaded_pullback_additivity(
     """Level-n pullback of the chain equals the sum of its factors'
     pullbacks re-embedded along the kept-vertex maps."""
     g = sg.level(n)
-    base = _graph_pullback_matrix(g)
-    k, ell = g.q - 1, g.p - 1
-    total = [[0] * k for _ in range(ell)]
-    for f, factor in enumerate(factors, start=1):
-        sub_graph = factor.prefix[n - 1]
-        sub = _graph_pullback_matrix(sub_graph)
-        colour = threading[n - 1][f - 1]
-        _, ordinary = partition_edges(g)
-        lefts = sorted({i for (i, _, cc) in ordinary if cc == colour} | {g.q})
-        next_g = sg.level(n + 1)
-        _, next_ord = partition_edges(next_g)
-        next_colour = threading[n][f - 1]
-        rights = sorted({i for (i, _, cc) in next_ord if cc == next_colour} | {next_g.q})
-        for r, orig_right in enumerate(rights[:-1]):
-            for col, orig_left in enumerate(lefts[:-1]):
-                total[orig_right - 1][orig_left - 1] += sub[r][col]
-    return [list(row) for row in base] == total
+    return _pullback_is_sum(
+        g,
+        (
+            (
+                factor.prefix[n - 1],
+                _kept_vertices(g, threading[n - 1][f]),
+                _kept_vertices(sg.level(n + 1), threading[n][f]),
+            )
+            for f, factor in enumerate(factors)
+        ),
+    )

@@ -12,8 +12,8 @@ hashable.
 `RatSubspace(ambient, rows)` and `RatSubspace.from_json_obj` validate
 that the rows are in canonical form; `span` accepts any generating set
 and reduces it.  Subspaces that the module computes itself (`span`, `+`,
-`&`, `annihilator`, `apply`, `block_embed`) come straight from `rref` and
-are not checked again.
+`&`, `annihilator`, `apply`, `block_embed`) come straight from `rref`, and
+`zero`, `full` and `coordinate` are identity rows; none is checked again.
 
 The stabilizer oracle at the bottom of the module is the independent
 brute-force route used to cross-check the combinatorial criteria of the
@@ -264,18 +264,19 @@ class RatSubspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
-        return cls(ambient, ())
+        return cls.coordinate(ambient, 0)
 
     @classmethod
     def full(cls, ambient: int) -> "RatSubspace":
-        return cls(ambient, identity(ambient))
+        return cls.coordinate(ambient, ambient)
 
     @classmethod
     def coordinate(cls, ambient: int, k: int) -> "RatSubspace":
-        """Span of the first k standard basis vectors."""
+        """Span of the first k standard basis vectors; identity rows are
+        canonical, so no check runs."""
         if not 0 <= k <= ambient:
             raise DomainError("coordinate subspace dimension out of range")
-        return cls(ambient, identity(ambient)[:k])
+        return cls._from_rref(ambient, identity(ambient)[:k] if k else ())
 
     @property
     def dim(self) -> int:

@@ -16,6 +16,7 @@ from diagflag.diagembed import (
     constant_spaces,
     coordinate_flag_of_alpha,
     coordinate_flag_of_beta,
+    cumulative_evaluate,
     equivariance_check,
     is_standard_extension_graph,
     oracle_sweep,
@@ -108,7 +109,7 @@ def test_criterion_03_formula_consistency():
     for _ in range(1000):
         emb = random_embedding(rng, max_n=8)
         flag = random_flag(emb.source_type, rng)
-        emb.evaluate(flag)  # raises InternalCheckError on any disagreement
+        assert emb.evaluate(flag) == cumulative_evaluate(emb, flag)
     checked = 0
     for n in range(2, 7):
         for d in (2, 3):
@@ -120,7 +121,9 @@ def test_criterion_03_formula_consistency():
                 if not isinstance(result, ParabolicRestriction) or result.flag_type is None:
                     continue
                 emb = DiagonalEmbedding(result.graph, result.flag_type)
-                assert emb.evaluate(coordinate_flag_of_beta(alpha, m)) == coordinate_flag_of_alpha(alpha)
+                source = coordinate_flag_of_beta(alpha, m)
+                assert emb.evaluate(source) == coordinate_flag_of_alpha(alpha)
+                assert cumulative_evaluate(emb, source) == coordinate_flag_of_alpha(alpha)
                 checked += 1
     assert checked == 3012
     elapsed = time.monotonic() - started

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from diagflag import diagembed
 from diagflag.cli import main, selftest_digest
 
 MIXED_GRAPH_OBJ = {
@@ -60,6 +61,13 @@ def test_picard_from_graph(capsys, mixed_graph_file):
     assert doc["standard_extension"] is False
 
 
+def test_picard_rejects_invalid_graph(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"q": 2, "p": 1, "d": 1, "edges": [[1, 1, 1]]}))
+    assert main(["picard", "--graph", str(bad)]) == 1
+    assert "input error: invalid graph" in capsys.readouterr().err
+
+
 def test_validate_egraph(capsys, mixed_graph_file, tmp_path):
     code, doc = run_json(capsys, "validate-egraph", "--graph", mixed_graph_file)
     assert code == 0 and doc["verdict"] == "valid"
@@ -79,6 +87,22 @@ def test_embed_and_classify(capsys, tmp_path):
     assert doc["image"]["chain"][0] == [["1", "1", "0", "0"]]
     code, doc = run_json(capsys, "classify", "--alpha", "1,2,2,3", "--m", "2")
     assert code == 0 and doc["verdict"] == "not_se"
+
+
+def test_embed_exits_2_when_the_reference_disagrees(capsys, tmp_path, monkeypatch):
+    flag = tmp_path / "flag.json"
+    flag.write_text(json.dumps({"ambient": 2, "chain": [[["1", "1"]]]}))
+    argv = ["embed", "--alpha", "1,2,2,3", "--m", "2", "--flag", str(flag)]
+    reference = diagembed.cumulative_evaluate
+    monkeypatch.setattr(
+        diagembed, "cumulative_evaluate", lambda emb, f: reference(emb, f).apply(
+            ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
+        )
+    )
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal check failed" in captured.err
 
 
 def test_classify_strict(capsys, tmp_path):
@@ -159,6 +183,36 @@ def test_admissible(capsys, tmp_path):
     assert code == 0
     assert doc["verdict"] == "NotAdmissible"
     assert doc["proof"]["witness_divisor"] == 2
+
+
+@pytest.mark.parametrize("bound", ["-5", "0", "1"])
+def test_admissible_rejects_bound_below_two(capsys, tmp_path, bound):
+    sn = tmp_path / "sn.json"
+    sn.write_text(json.dumps({"factors": {"2": "inf"}}))
+    gft = tmp_path / "gft.json"
+    gft.write_text(
+        json.dumps(
+            {
+                "finite_quotients": [],
+                "tail": {"kind": "geometric", "base": 1, "ratio": 2},
+                "infinite_quotients": True,
+                "ordered": None,
+            }
+        )
+    )
+    argv = ["admissible", "--gft", str(gft), "--sn", str(sn), "--bound", bound]
+    assert main(argv) == 1
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["-3", "-1"])
+def test_exhaust_rejects_negative_levels(capsys, tmp_path, levels):
+    sn = tmp_path / "sn.json"
+    sn.write_text(json.dumps({"factors": {"2": "inf"}}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"s1": 2, "cycle": [2]}))
+    assert main(["exhaust", "--sn", str(sn), "--spec", str(spec), "--levels", levels]) == 1
+    assert "input error:" in capsys.readouterr().err
 
 
 def test_exhaust_with_realization(capsys, tmp_path):

@@ -1,14 +1,24 @@
 
+import itertools
+import random
+
 import pytest
 from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagflag import diagembed
 from diagflag.diagembed import (
     DiagonalEmbedding,
+    checked_evaluate,
     coordinate_flag_of_alpha,
     coordinate_flag_of_beta,
     constant_spaces,
+    cumulative_evaluate,
     embedding_from_alpha,
     equivariance_check,
+    graph_pullback,
     is_linear_graph,
     is_standard_extension_graph,
     oracle_sweep,
@@ -21,9 +31,10 @@ from diagflag.egraph import (
     ParabolicRestriction,
     SurjectionAlpha,
     build_from_alpha,
+    enumerate_valid_graphs,
     surjections,
 )
-from diagflag.errors import DomainError
+from diagflag.errors import DomainError, InternalCheckError
 from diagflag.flagcore import (
     FlagType,
     coordinate_flag,
@@ -32,7 +43,7 @@ from diagflag.flagcore import (
     sample_images,
     support_and_constants,
 )
-from diagflag.ratlin import Flag, RatSubspace, block_embed
+from diagflag.ratlin import Flag, RatSubspace, block_embed, is_rref
 
 
 def test_mixed_graph_target_type():
@@ -217,6 +228,31 @@ def test_constant_spaces_growth_graph_match_chain():
     assert tuple(sampled) == chain
 
 
+def tuple_unipotent_inclusion(alpha, m):
+    """Reference characterization: distinct block-level tuples differ in
+    every coordinate."""
+    tuples = build_from_alpha(alpha, m).beta_image
+    return all(
+        all(x != y for x, y in zip(a, b))
+        for idx, a in enumerate(tuples)
+        for b in tuples[idx + 1 :]
+    )
+
+
+def test_unipotent_inclusion_tuple_and_graph_characterizations_agree():
+    checked = 0
+    for n in range(2, 7):
+        for d in (2, 3):
+            if n % d:
+                continue
+            for alpha in surjections(n):
+                if not isinstance(build_from_alpha(alpha, n // d), ParabolicRestriction):
+                    continue
+                assert unipotent_inclusion(alpha, n // d) == tuple_unipotent_inclusion(alpha, n // d)
+                checked += 1
+    assert checked > 1000
+
+
 def test_unipotent_inclusion():
     assert unipotent_inclusion(SurjectionAlpha.of([1, 2, 2, 3]), 2)
     assert not unipotent_inclusion(SurjectionAlpha.of([1, 2, 2, 2]), 2)
@@ -260,3 +296,81 @@ def test_embedding_json_roundtrip():
     assert DiagonalEmbedding.from_json_obj(emb.to_json_obj()) == emb
     via_alpha = DiagonalEmbedding.from_json_obj({"alpha": [1, 2, 2, 3], "m": 2})
     assert via_alpha == embedding_from_alpha(SurjectionAlpha.of([1, 2, 2, 3]), 2)
+
+
+# -- evaluate against its references ------------------------------------------
+
+
+def plain_sum_evaluate(emb, flag):
+    """Reference members as `+`-sums of block members, reduced by `rref`."""
+    d, n = emb.graph.d, emb.n
+    return tuple(
+        sum(
+            (block_embed(flag.member(i), c, d) for c, i in enumerate(row, start=1) if i),
+            RatSubspace.zero(n),
+        )
+        for row in emb.graph.closed_indices
+    )
+
+
+def assert_evaluate_matches_references(emb, flag):
+    image = emb.evaluate(flag)
+    assert image == cumulative_evaluate(emb, flag)
+    assert image.chain == plain_sum_evaluate(emb, flag)
+    assert all(is_rref(member.rows, emb.n) for member in image.chain)
+    assert image.dims == emb.target_type.dims
+
+
+def test_evaluate_matches_references_on_random_embeddings():
+    rng = random.Random(5)
+    for _ in range(300):
+        emb = random_embedding(rng, max_n=8)
+        assert_evaluate_matches_references(emb, random_flag(emb.source_type, rng))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_references_hypothesis(seed):
+    rng = random.Random(seed)
+    emb = random_embedding(rng, max_n=8)
+    assert_evaluate_matches_references(emb, random_flag(emb.source_type, rng))
+
+
+def test_evaluate_matches_references_on_every_small_graph():
+    """Every valid graph with d*q <= 6, on every source type in Q^m with
+    q <= m and d*m <= 6."""
+    rng = random.Random(6)
+    cases = 0
+    for d in range(1, 7):
+        for m in range(2, 7):
+            if d * m > 6:
+                continue
+            for q in range(1, m + 1):
+                for p in range(1, q * d + 1):
+                    for g in enumerate_valid_graphs(q, p, d):
+                        for dims in itertools.combinations(range(1, m), q - 1):
+                            emb = DiagonalEmbedding(g, FlagType(m, dims))
+                            flag = random_flag(emb.source_type, rng)
+                            assert_evaluate_matches_references(emb, flag)
+                            cases += 1
+    assert cases > 1000
+
+
+def test_checked_evaluate_reports_a_disagreeing_reference(monkeypatch):
+    emb = DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE)
+    flag = coordinate_flag(MIXED_SOURCE)
+    assert checked_evaluate(emb, flag) == emb.evaluate(flag)
+    monkeypatch.setattr(diagembed, "cumulative_evaluate", lambda e, f: coordinate_flag(e.target_type))
+    with pytest.raises(InternalCheckError):
+        checked_evaluate(emb, random_flag(MIXED_SOURCE, random.Random(1)))
+
+
+def test_oracle_sweep_runs_the_cumulative_reference(monkeypatch):
+    monkeypatch.setattr(diagembed, "cumulative_evaluate", lambda e, f: coordinate_flag(e.target_type).dual())
+    with pytest.raises(InternalCheckError):
+        oracle_sweep(4, {2})
+
+
+def test_graph_pullback_is_the_embedding_pullback():
+    assert MIXED_GRAPH.closed_indices == ((1, 0), (1, 2), (2, 3))
+    assert graph_pullback(MIXED_GRAPH) == picard_pullback(DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE))

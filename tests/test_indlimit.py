@@ -258,6 +258,13 @@ def test_admissible_unknown_for_incompatible_ratio():
     assert result.candidates_searched > 0
 
 
+@pytest.mark.parametrize("bound", [-5, 0, 1])
+def test_admissible_rejects_bound_below_two(bound):
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
+    with pytest.raises(DomainError):
+        admissible(gft, SN2, bound=bound)
+
+
 def test_admissible_geometric_with_finite_part():
     gft = GeneralizedFlagType((1,), GeometricTail(2, 2), False)
     result = admissible(gft, SN2)

@@ -387,3 +387,14 @@ def test_subspace_json_roundtrip():
     assert RatSubspace.from_json_obj(3, sub.to_json_obj()) == sub
     flag = Flag(3, (RatSubspace.span(3, [[1, 0, Fraction(3, 2)]]),))
     assert Flag.from_json_obj(flag.to_json_obj()) == flag
+
+
+def test_trusted_constructors_match_the_validating_one():
+    for ambient in range(7):
+        identity_rows = RatSubspace.full(ambient).rows
+        assert RatSubspace.zero(ambient) == RatSubspace(ambient, ())
+        assert RatSubspace.full(ambient) == RatSubspace(ambient, identity_rows)
+        for k in range(ambient + 1):
+            assert RatSubspace.coordinate(ambient, k) == RatSubspace(ambient, identity_rows[:k])
+        with pytest.raises(DomainError):
+            RatSubspace.coordinate(ambient, ambient + 1)
