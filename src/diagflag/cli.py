@@ -258,7 +258,7 @@ def _cmd_exhaust(args) -> dict:
 
 
 def _cmd_dot(args) -> str:
-    g = egraph.EGraph.from_json_obj(_load_json(args.graph))
+    g = egraph.require_valid(egraph.EGraph.from_json_obj(_load_json(args.graph)))
     return egraph.to_dot(g)
 
 

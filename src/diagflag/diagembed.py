@@ -11,8 +11,11 @@ the two, and the oracle sweep, the CLI `embed` command and the tests run it.
 The module also computes the induced matrix on Picard generators (from the
 graph alone, `graph_pullback`), the combinatorial linearity and
 standard-extension criteria, the closed-form chain of constant spaces, the
-unipotent-radical inclusion test, and the exhaustive sweeps that compare
-every combinatorial verdict against the exact-linear-algebra oracle.
+unipotent-radical inclusion test on the graph (`unipotent_inclusion(g)`),
+the coordinate flags `coordinate_flag_of_alpha(alpha)` and
+`coordinate_flag_of_beta(restriction)`, and the exhaustive sweep that
+compares every combinatorial verdict against the exact oracle, with one
+restriction analysis and one stabilizer per case.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .egraph import (
     surjections,
 )
 from .errors import DomainError, InternalCheckError
-from .flagcore import FlagType, PicardPullback, flag_type_of, random_flag
+from .flagcore import FlagType, PicardPullback, flag_type_of, level_flag, random_flag
 from .ratlin import (
     Flag,
     RatSubspace,
@@ -115,16 +118,12 @@ class DiagonalEmbedding:
         return cls(graph, source)
 
 
-def _parabolic_restriction(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction:
+def embedding_from_alpha(alpha: SurjectionAlpha, m: int) -> DiagonalEmbedding:
+    """The embedding of the restricted flag variety; DomainError when the
+    restriction is not parabolic."""
     result = build_from_alpha(alpha, m)
     if isinstance(result, NotParabolic):
         raise DomainError(f"restriction is not parabolic; witness {result.witness}")
-    return result
-
-
-def embedding_from_alpha(alpha: SurjectionAlpha, m: int) -> DiagonalEmbedding:
-    """The embedding of the restricted flag variety, when it exists."""
-    result = _parabolic_restriction(alpha, m)
     source = result.flag_type or FlagType(m, ())
     return DiagonalEmbedding(result.graph, source)
 
@@ -159,16 +158,14 @@ def checked_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
 
 def coordinate_flag_of_alpha(alpha: SurjectionAlpha) -> Flag:
     """The coordinate flag whose stabilizer the level map describes."""
-    n = alpha.n
-    members = []
-    for level in range(1, alpha.p):
-        vectors = [
-            [1 if t == i else 0 for t in range(n)]
-            for i, v in enumerate(alpha.values)
-            if v <= level
-        ]
-        members.append(RatSubspace.span(n, vectors))
-    return Flag(n, tuple(members))
+    return level_flag(alpha.values)
+
+
+def coordinate_flag_of_beta(restriction: ParabolicRestriction) -> Flag:
+    """The restricted flag in Q^m: members span the e_r whose block-level
+    tuple is at most each image tuple but the last in turn.  The image is
+    totally ordered, so tuple order and componentwise order agree on it."""
+    return level_flag(restriction.beta)
 
 
 def graph_pullback(g: EGraph) -> PicardPullback:
@@ -234,15 +231,15 @@ def constant_spaces(emb: DiagonalEmbedding) -> tuple[RatSubspace, ...]:
     return tuple(out)
 
 
-def unipotent_inclusion(alpha: SurjectionAlpha, m: int) -> bool:
-    """Whether the unipotent radical of the restricted stabilizer lands in
-    the unipotent radical of the ambient one.
+def unipotent_inclusion(g: EGraph) -> bool:
+    """Whether, for the parabolic restriction with graph g, the unipotent
+    radical of the restricted stabilizer lands in the unipotent radical of
+    the ambient one.
 
     Holds exactly when every left vertex of the graph meets exactly one
     edge of each colour (equivalently, distinct block-level tuples differ
     in every coordinate; the tests compare the two characterizations).
     """
-    g = _parabolic_restriction(alpha, m).graph
     degree = Counter(i for (i, _, _) in g.edges)
     return all(degree[i] == g.d for i in range(1, g.q + 1))
 
@@ -349,15 +346,15 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                     continue
                 if not combinatorial:
                     continue
-                uni_comb = unipotent_inclusion(alpha, m)
-                uni_oracle = nilradical_inclusion_oracle(flag, m)
+                uni_comb = unipotent_inclusion(result.graph)
+                uni_oracle = nilradical_inclusion_oracle(flag, oracle)
                 if uni_comb == uni_oracle:
                     uni_agree += 1
                 else:
                     uni_bad.append({"alpha": list(alpha.values), "m": m})
                 if result.flag_type is not None:
                     emb = DiagonalEmbedding(result.graph, result.flag_type)
-                    source = coordinate_flag_of_beta(alpha, m)
+                    source = coordinate_flag_of_beta(result)
                     if checked_evaluate(emb, source) != flag:
                         raise InternalCheckError(
                             f"restricted coordinate flag does not map to the ambient one for alpha={alpha.values}"
@@ -371,22 +368,3 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
         unipotent_disagreements=tuple(uni_bad),
         evaluation_checks=eval_checks,
     )
-
-
-def coordinate_flag_of_beta(alpha: SurjectionAlpha, m: int) -> Flag:
-    """The restricted flag: members span the e_r whose block-level tuple
-    is at most each image tuple in turn."""
-    result = _parabolic_restriction(alpha, m)
-    d = alpha.n // m
-    beta = [
-        tuple(alpha.values[k * m + r] for k in range(d)) for r in range(m)
-    ]
-    members = []
-    for bound in result.beta_image[:-1]:
-        vectors = [
-            [1 if t == r else 0 for t in range(m)]
-            for r, b in enumerate(beta)
-            if all(x <= y for x, y in zip(b, bound))
-        ]
-        members.append(RatSubspace.span(m, vectors))
-    return Flag(m, tuple(members))

@@ -71,6 +71,45 @@ class EGraph:
             for j in range(1, self.p)
         )
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """The violated validity clauses, computed once; empty when valid."""
+        violations: list[str] = []
+        left_degree = {i: 0 for i in range(1, self.q + 1)}
+        right_degree = {j: 0 for j in range(1, self.p + 1)}
+        seen_left: set[tuple[int, int]] = set()
+        seen_right: set[tuple[int, int]] = set()
+        for (i, j, c) in self.sorted_edges():
+            left_degree[i] += 1
+            right_degree[j] += 1
+            if (i, c) in seen_left:
+                violations.append(f"vertex l{i} meets two edges of colour {c}")
+            if (j, c) in seen_right:
+                violations.append(f"vertex r{j} meets two edges of colour {c}")
+            seen_left.add((i, c))
+            seen_right.add((j, c))
+        for i, deg in left_degree.items():
+            if deg == 0:
+                violations.append(f"vertex l{i} meets no edge")
+        for j, deg in right_degree.items():
+            if deg == 0:
+                violations.append(f"vertex r{j} meets no edge")
+        bottom = sorted(c for (i, c) in seen_left if i == self.q)
+        if bottom != list(range(1, self.d + 1)):
+            violations.append(
+                f"bottom-left vertex must meet exactly one edge of each of the {self.d} colours; it meets colours {bottom}"
+            )
+        for c in range(1, self.d + 1):
+            cls = self.colour_class(c)
+            for (i1, j1), (i2, j2) in zip(cls, cls[1:]):
+                if i1 == i2 or j1 == j2:
+                    continue  # double-incidence already reported
+                if not j1 < j2:
+                    violations.append(
+                        f"colour-{c} edges ({i1},{j1}) and ({i2},{j2}) cross"
+                    )
+        return tuple(violations)
+
     def to_json_obj(self) -> dict:
         return {
             "q": self.q,
@@ -90,48 +129,13 @@ class EGraph:
 
 def validate_egraph(g: EGraph) -> ValidationReport:
     """Clause-by-clause validity check; violations are reported, not raised."""
-    violations: list[str] = []
-    left_degree = {i: 0 for i in range(1, g.q + 1)}
-    right_degree = {j: 0 for j in range(1, g.p + 1)}
-    seen_left: set[tuple[int, int]] = set()
-    seen_right: set[tuple[int, int]] = set()
-    for (i, j, c) in g.sorted_edges():
-        left_degree[i] += 1
-        right_degree[j] += 1
-        if (i, c) in seen_left:
-            violations.append(f"vertex l{i} meets two edges of colour {c}")
-        if (j, c) in seen_right:
-            violations.append(f"vertex r{j} meets two edges of colour {c}")
-        seen_left.add((i, c))
-        seen_right.add((j, c))
-    for i, deg in left_degree.items():
-        if deg == 0:
-            violations.append(f"vertex l{i} meets no edge")
-    for j, deg in right_degree.items():
-        if deg == 0:
-            violations.append(f"vertex r{j} meets no edge")
-    bottom = sorted(c for (i, c) in seen_left if i == g.q)
-    if bottom != list(range(1, g.d + 1)):
-        violations.append(
-            f"bottom-left vertex must meet exactly one edge of each of the {g.d} colours; it meets colours {bottom}"
-        )
-    for c in range(1, g.d + 1):
-        cls = g.colour_class(c)
-        for (i1, j1), (i2, j2) in zip(cls, cls[1:]):
-            if i1 == i2 or j1 == j2:
-                continue  # double-incidence already reported
-            if not j1 < j2:
-                violations.append(
-                    f"colour-{c} edges ({i1},{j1}) and ({i2},{j2}) cross"
-                )
-    return ValidationReport(tuple(violations))
+    return ValidationReport(g.violations)
 
 
 def require_valid(g: EGraph) -> EGraph:
     """g itself; DomainError listing the violations when g is not valid."""
-    report = validate_egraph(g)
-    if not report.ok:
-        raise DomainError(f"invalid graph: {'; '.join(report.violations)}")
+    if g.violations:
+        raise DomainError(f"invalid graph: {'; '.join(g.violations)}")
     return g
 
 
@@ -167,6 +171,7 @@ class ParabolicRestriction:
     """Positive outcome of the restriction analysis."""
 
     graph: EGraph
+    beta: tuple[tuple[int, ...], ...]  # block-level tuple b(r) of each coordinate r
     beta_image: tuple[tuple[int, ...], ...]  # the tuples b_1 < ... < b_q
     flag_type: FlagType | None  # None when the restricted flag has no members
 
@@ -191,9 +196,9 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
     if m < 1 or n % m != 0:
         raise DomainError(f"block size {m} does not divide {n}")
     d = n // m
-    beta = [
+    beta = tuple(
         tuple(alpha.values[k * m + r] for k in range(d)) for r in range(m)
-    ]
+    )
     image = sorted(set(beta))
     for a in range(len(image)):
         for b in range(a + 1, len(image)):
@@ -212,7 +217,7 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
     counts = [sum(1 for b in beta if b <= tup_) for tup_ in image]
     dims = tuple(counts[:-1])
     flag_type = FlagType(m, dims) if dims else None
-    return ParabolicRestriction(graph=graph, beta_image=tuple(image), flag_type=flag_type)
+    return ParabolicRestriction(graph, beta, tuple(image), flag_type)
 
 
 def to_dot(g: EGraph) -> str:

@@ -78,6 +78,22 @@ def coordinate_flag(ft: FlagType) -> Flag:
     return Flag(ft.ambient, tuple(RatSubspace.coordinate(ft.ambient, d) for d in ft.dims))
 
 
+def level_flag(keys: Sequence) -> Flag:
+    """The coordinate flag of totally ordered keys on the basis vectors: one
+    member per key value but the largest, spanned by the e_i keyed at most
+    that value.
+
+    Identity rows in index order are canonical RREF, so no elimination runs.
+    """
+    n = len(keys)
+    unit = identity(n)
+    members = tuple(
+        RatSubspace._from_rref(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
+        for bound in sorted(set(keys))[:-1]
+    )
+    return Flag(n, members)
+
+
 def random_flag(ft: FlagType, rng: random.Random) -> Flag:
     """Random flag of the given type: a random invertible integer matrix
     applied to the coordinate flag."""

@@ -27,10 +27,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .diagembed import DiagonalEmbedding, graph_pullback, is_linear_graph
-from .egraph import EGraph, partition_edges, validate_egraph
+from .egraph import EGraph, partition_edges
 from .errors import DomainError, InternalCheckError, ValidationReport
-from .flagcore import FlagType, StandardExtensionData
-from .ratlin import Flag, RatSubspace
+from .flagcore import FlagType, StandardExtensionData, level_flag
+from .ratlin import RatSubspace
 from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_ratio, validate_exhaustion
 
 Quotient = int | float  # positive int, or INF
@@ -202,8 +202,7 @@ def validate_sn_graph(sg: SnGraph, upto: int | None = None) -> ValidationReport:
     terms = list(sg.spec.terms(levels + 1))
     for n in range(1, levels + 1):
         g = sg.level(n)
-        report = validate_egraph(g)
-        for v in report.violations:
+        for v in g.violations:
             violations.append(f"level {n}: {v}")
         if g.q > terms[n - 1]:
             violations.append(
@@ -230,16 +229,6 @@ def validate_sn_graph(sg: SnGraph, upto: int | None = None) -> ValidationReport:
 # canonical exhaustions of ind-varieties of generalized flags
 
 
-def _prefix_flag_dims(values: Sequence[int], chain_size: int, n: int) -> list[int]:
-    """Dimensions of the distinct nonzero subspaces spanned by the first n
-    basis vectors at each chain position (the last entry is n itself)."""
-    counts = []
-    for a in range(1, chain_size + 1):
-        counts.append(sum(1 for k in range(n) if values[k] <= a))
-    dims = sorted({c for c in counts if c > 0})
-    return dims
-
-
 def canonical_exhaustion(
     sigma_values: Sequence[int], chain_size: int, n_max: int
 ) -> list[tuple[FlagType, StandardExtensionData]]:
@@ -260,13 +249,16 @@ def canonical_exhaustion(
     if set(values[: n_max + 1]) != set(range(1, chain_size + 1)):
         raise DomainError("sigma is not surjective onto its declared chain within the prefix")
     out: list[tuple[FlagType, StandardExtensionData]] = []
+    flag_n = level_flag(values[:1])
     for n in range(1, n_max + 1):
-        dims_n = _prefix_flag_dims(values, chain_size, n)
-        dims_next = _prefix_flag_dims(values, chain_size, n + 1)
+        # flag_n is the canonical flag in the span of the first n vectors.
+        flag_next = level_flag(values[: n + 1])
+        dims_n = (*flag_n.dims, n)
+        dims_next = (*flag_next.dims, n + 1)
         p_n, p_next = len(dims_n), len(dims_next)
         if p_next not in (p_n, p_n + 1):
             raise InternalCheckError("member count may grow by at most one per step")
-        source = FlagType(n, tuple(dims_n[:-1]))
+        source = FlagType(n, flag_n.dims)
         level = values[n]  # position of e_{n+1}
         entry_dim = sum(1 for k in range(n + 1) if values[k] <= level)
         i0 = dims_next.index(entry_dim) + 1
@@ -282,27 +274,11 @@ def canonical_exhaustion(
         chain = tuple(zero if j < i0 else new_line for j in range(1, ell + 1))
         data = StandardExtensionData(source, eps, chain, kappa)
         # The canonical flags themselves must map to one another.
-        flag_n = _coordinate_flag_of_prefix(values, chain_size, n)
-        flag_next = _coordinate_flag_of_prefix(values, chain_size, n + 1)
         if data.evaluate(flag_n) != flag_next:
             raise InternalCheckError("step data does not map the canonical flag forward")
         out.append((source, data))
+        flag_n = flag_next
     return out
-
-
-def _coordinate_flag_of_prefix(values: Sequence[int], chain_size: int, n: int) -> Flag:
-    members = []
-    seen_dims = set()
-    for a in range(1, chain_size + 1):
-        vectors = [
-            [1 if t == k else 0 for t in range(n)]
-            for k in range(n)
-            if values[k] <= a
-        ]
-        if vectors and len(vectors) < n and len(vectors) not in seen_dims:
-            seen_dims.add(len(vectors))
-            members.append(RatSubspace.span(n, vectors))
-    return Flag(n, tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +344,8 @@ def build_realization_sn_graph(
             quotients[target - 1] += s
             edges.add((t, target, c))
         g = EGraph(t, t, d, frozenset(edges))
-        report = validate_egraph(g)
-        if not report.ok:
-            raise InternalCheckError(f"constructed level graph invalid: {report.violations}")
+        if g.violations:
+            raise InternalCheckError(f"constructed level graph invalid: {g.violations}")
         s *= d
         graphs.append(g)
         types.append(_type_of_quotients(quotients, s))
@@ -699,9 +674,8 @@ def factor_linear_egraph(g: EGraph) -> list[GraphFactor]:
             g.d,
             frozenset((lmap[i], rmap[j], cc) for (i, j, cc) in keep),
         )
-        report = validate_egraph(sub)
-        if not report.ok:
-            raise InternalCheckError(f"factor for colour {c} invalid: {report.violations}")
+        if sub.violations:
+            raise InternalCheckError(f"factor for colour {c} invalid: {sub.violations}")
         ordinary_colours = {cc for (i, _, cc) in sub.edges if i != sub.q}
         if len(ordinary_colours) > 1:
             raise InternalCheckError("factor has mixed ordinary colours")
@@ -800,10 +774,9 @@ def decompose_sn_graph(
                     raise DomainError("inconsistent threading: bounding edge below every kept vertex")
                 edges.add((lmap[i], rmap[target], cc))
             sub = EGraph(len(lefts), len(rights), d, frozenset(edges))
-            report = validate_egraph(sub)
-            if not report.ok:
+            if sub.violations:
                 raise DomainError(
-                    f"inconsistent threading: level {n} factor {f} is invalid ({'; '.join(report.violations)})"
+                    f"inconsistent threading: level {n} factor {f} is invalid ({'; '.join(sub.violations)})"
                 )
             ordinary_colours = {cc for (i, _, cc) in sub.edges if i != sub.q}
             if len(ordinary_colours) > 1:

@@ -17,10 +17,11 @@ and reduces it.  Subspaces that the module computes itself (`span`, `+`,
 
 The stabilizer oracle at the bottom of the module is the independent
 brute-force route used to cross-check the combinatorial criteria of the
-graph modules: it decides, by solving exact linear systems, which matrices
-x have block-diagonal copies diag(x, ..., x) preserving a given flag, and
-whether the resulting subalgebra is parabolic relative to the standard
-diagonal torus.
+graph modules: `stabilizer_oracle(flag, m)` decides, by solving exact
+linear systems, which matrices x have block-diagonal copies diag(x, ..., x)
+preserving a given flag, and whether the resulting subalgebra is parabolic
+relative to the standard diagonal torus.  The nilradical oracle
+`nilradical_inclusion_oracle(flag, stabilizer)` takes that result.
 """
 
 from __future__ import annotations
@@ -450,9 +451,10 @@ class StabilizerResult:
     pairs) contained in the algebra, `contains_torus` records whether all
     diagonal matrices are, and `is_parabolic` is the torus-relative
     criterion: the torus is contained and for every i != j at least one of
-    E_ij, E_ji belongs to the algebra.
+    E_ij, E_ji belongs to the algebra.  `block_size` is m.
     """
 
+    block_size: int
     dimension: int
     basis: tuple[Matrix, ...]
     root_spaces: frozenset[tuple[int, int]]
@@ -495,15 +497,15 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
     if m < 1 or n % m != 0:
         raise DomainError(f"block size {m} does not divide ambient {n}")
     constraints = _stabilizer_constraints(flag, m)
-    reduced = rref(constraints, m * m)
-    basis_vecs = nullspace(reduced, m * m)
+    basis_vecs = nullspace(constraints, m * m)
     basis = tuple(
         tuple(tuple(v[a * m + b] for b in range(m)) for a in range(m))
         for v in basis_vecs
     )
-    # E_ab lies in the nullspace iff column a*m+b of the constraint space is zero.
+    # E_ab lies in the nullspace iff column a*m+b of the constraints is zero;
+    # row reduction keeps a column zero exactly when it was zero.
     nonzero_cols = {
-        j for row in reduced for j in range(m * m) if row[j] != 0
+        j for row in constraints for j in range(m * m) if row[j] != 0
     }
     root_spaces = frozenset(
         (a + 1, b + 1)
@@ -518,6 +520,7 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
         for j in range(i + 1, m + 1)
     )
     return StabilizerResult(
+        block_size=m,
         dimension=len(basis),
         basis=basis,
         root_spaces=root_spaces,
@@ -526,23 +529,25 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
     )
 
 
-def nilradical_inclusion_oracle(flag: Flag, m: int) -> bool:
+def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> bool:
     """Whether the nilradical of the diagonal stabilizer q sits inside the
     nilradical of the full stabilizer p of the flag.
 
-    Requires the stabilizer oracle to report q parabolic; q is then the sum
-    of the torus and its root spaces, and nil(q) is spanned by the E_ij
-    with E_ji absent.  Each generator is embedded block-diagonally and
-    tested against the strict-descent condition x F_t <= F_{t-1}.
+    `stabilizer` is `stabilizer_oracle(flag, m)`, which must report q
+    parabolic; q is then the sum of the torus and its root spaces, and
+    nil(q) is spanned by the E_ij with E_ji absent.  Each generator is
+    embedded block-diagonally and tested against the strict-descent
+    condition x F_t <= F_{t-1}.
     """
-    res = stabilizer_oracle(flag, m)
-    if not res.is_parabolic:
+    m = stabilizer.block_size
+    if not stabilizer.is_parabolic:
         raise DomainError("stabilizer is not parabolic; nilradical comparison undefined")
-    if res.dimension != m + len(res.root_spaces):
+    if stabilizer.dimension != m + len(stabilizer.root_spaces):
         raise InternalCheckError("parabolic stabilizer is not torus-decomposable")
     n = flag.ambient
     d = n // m
-    nil_q = [(i, j) for (i, j) in sorted(res.root_spaces) if (j, i) not in res.root_spaces]
+    roots = stabilizer.root_spaces
+    nil_q = [(i, j) for (i, j) in sorted(roots) if (j, i) not in roots]
     members = [flag.member(t) for t in range(len(flag.chain) + 2)]
     for (i, j) in nil_q:
         a, b = i - 1, j - 1

@@ -53,6 +53,24 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _split(n: int, primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    """The nonzero exponents in n of the given primes, and the rest of n."""
+    exponents: dict[int, int] = {}
+    for p in primes:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            exponents[p] = k
+    return exponents, n
+
+
+def _is_positive_int(x) -> bool:
+    """True for a positive int; floats, strings and bools are not coerced."""
+    return type(x) is int and x >= 1
+
+
 @dataclass(frozen=True)
 class SupernaturalNumber:
     """Finitely supported map prime -> exponent, at least one exponent INF.
@@ -71,7 +89,7 @@ class SupernaturalNumber:
             if p in seen:
                 raise DomainError(f"duplicate prime {p}")
             seen.add(p)
-            if a is not INF and (not isinstance(a, int) or a < 1):
+            if a is not INF and not _is_positive_int(a):
                 raise DomainError(f"exponent of {p} must be a positive integer or INF")
         if tuple(sorted(self.factors)) != self.factors:
             raise DomainError("factor pairs must be sorted by prime")
@@ -125,7 +143,7 @@ class SupernaturalNumber:
         try:
             raw = obj["factors"]
             mapping = {
-                int(p): (INF if a == "inf" else int(a)) for p, a in raw.items()
+                int(p): (INF if a == "inf" else a) for p, a in raw.items()
             }
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DomainError(f"bad supernatural-number document: {exc}") from exc
@@ -133,13 +151,12 @@ class SupernaturalNumber:
 
 
 def divides_sn(s: int, sn: SupernaturalNumber) -> bool:
-    """Whether the positive integer s is a finite divisor of sn."""
+    """Whether the positive integer s is a finite divisor of sn; only the
+    primes of sn are divided out of s."""
     if s < 1:
         raise DomainError("divisor candidates must be >= 1")
-    for p, k in factorize(s).items():
-        if k > sn.exponent(p):
-            return False
-    return True
+    exponents, rest = _split(s, sn.primes)
+    return rest == 1 and all(k <= sn.exponent(p) for p, k in exponents.items())
 
 
 @dataclass(frozen=True)
@@ -156,11 +173,11 @@ class ExhaustionSpec:
     cycle: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.s1 < 1:
+        if not _is_positive_int(self.s1):
             raise DomainError("s1 must be a positive integer")
         if not self.cycle:
             raise DomainError("cycle must be nonempty")
-        if any((not isinstance(c, int)) or c < 1 for c in self.cycle):
+        if not all(_is_positive_int(c) for c in self.cycle):
             raise DomainError("cycle entries must be positive integers")
 
     def term(self, n: int) -> int:
@@ -191,7 +208,7 @@ class ExhaustionSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExhaustionSpec":
         try:
-            return cls(int(obj["s1"]), tuple(int(c) for c in obj["cycle"]))
+            return cls(obj["s1"], tuple(obj["cycle"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad exhaustion document: {exc}") from exc
 
@@ -231,28 +248,32 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
     * membership -- every term must be a finite divisor of sn.  With a
       periodic cycle this means: no prime outside sn occurs in s1 or the
       cycle, no prime of finite exponent occurs in the cycle, and s1 does
-      not exceed any finite exponent.
+      not exceed any finite exponent.  Only the primes of sn are divided
+      out; what is left of s1 or of the cycle product is reported as one
+      factor, without factoring it.
     * cofinality -- every finite divisor of sn must divide some term.
       Symbolically: every infinite-exponent prime divides the cycle
       product, and for each finite exponent a_p the power p^a_p divides
       s1 * (cycle product)^a_p.
     """
     violations: list[str] = []
-    s1_f = factorize(spec.s1)
-    prod_f = factorize(spec.cycle_product)
+    s1_f, s1_rest = _split(spec.s1, sn.primes)
+    prod_f, prod_rest = _split(spec.cycle_product, sn.primes)
 
     for p, k in s1_f.items():
         a = sn.exponent(p)
         if k > a:
             violations.append(f"membership: s1 carries {p}^{k} but the exponent of {p} is {a}")
+    if s1_rest > 1:
+        violations.append(f"membership: s1 carries the factor {s1_rest}, prime to the number")
     for p in prod_f:
         a = sn.exponent(p)
-        if a == 0:
-            violations.append(f"membership: cycle introduces prime {p} which does not divide the number")
-        elif a is not INF:
+        if a is not INF:
             violations.append(
                 f"membership: cycle multiplies by {p} whose exponent {a} is finite, so terms eventually leave the divisor set"
             )
+    if prod_rest > 1:
+        violations.append(f"membership: cycle introduces the factor {prod_rest}, prime to the number")
 
     for p in sn.infinite_primes:
         if p not in prod_f:

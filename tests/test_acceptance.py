@@ -121,7 +121,7 @@ def test_criterion_03_formula_consistency():
                 if not isinstance(result, ParabolicRestriction) or result.flag_type is None:
                     continue
                 emb = DiagonalEmbedding(result.graph, result.flag_type)
-                source = coordinate_flag_of_beta(alpha, m)
+                source = coordinate_flag_of_beta(result)
                 assert emb.evaluate(source) == coordinate_flag_of_alpha(alpha)
                 assert cumulative_evaluate(emb, source) == coordinate_flag_of_alpha(alpha)
                 checked += 1

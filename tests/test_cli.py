@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -262,6 +263,51 @@ def test_dot_output(capsys, mixed_graph_file):
     assert code == 0
     assert out.startswith("graph two_column {")
     assert out.count("--") == 5
+
+
+def test_dot_rejects_invalid_graph(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"q": 2, "p": 1, "d": 1, "edges": [[1, 1, 1]]}))
+    assert main(["dot", "--graph", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: invalid graph" in captured.err
+
+
+def test_exhaust_with_a_large_prime_s1_is_fast(capsys, tmp_path):
+    sn = tmp_path / "sn.json"
+    sn.write_text(json.dumps({"factors": {"2": "inf"}}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"s1": 2**61 - 1, "cycle": [2]}))
+    started = time.monotonic()
+    code, doc = run_json(capsys, "exhaust", "--sn", str(sn), "--spec", str(spec))
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and doc["verdict"] == "invalid"
+    assert doc["violations"] == [
+        f"membership: s1 carries the factor {2**61 - 1}, prime to the number"
+    ]
+
+
+@pytest.mark.parametrize(
+    "sn_doc, spec_doc",
+    [
+        ({"factors": {"2": 1.9, "3": "inf"}}, {"s1": 2, "cycle": [3]}),
+        ({"factors": {"2": True, "3": "inf"}}, {"s1": 2, "cycle": [3]}),
+        ({"factors": {"2": "inf"}}, {"s1": 2.0, "cycle": [2]}),
+        ({"factors": {"2": "inf"}}, {"s1": "2", "cycle": [2]}),
+        ({"factors": {"2": "inf"}}, {"s1": 2, "cycle": [2.5]}),
+        ({"factors": {"2": "inf"}}, {"s1": 2, "cycle": [True]}),
+    ],
+)
+def test_exhaust_rejects_non_integer_numbers(capsys, tmp_path, sn_doc, spec_doc):
+    sn = tmp_path / "sn.json"
+    sn.write_text(json.dumps(sn_doc))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_doc))
+    assert main(["exhaust", "--sn", str(sn), "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error:" in captured.err
 
 
 def test_out_file(tmp_path, capsys, mixed_graph_file):

@@ -1,6 +1,8 @@
 
 import itertools
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph
@@ -8,7 +10,7 @@ from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagflag import diagembed
+from diagflag import diagembed, egraph, ratlin
 from diagflag.diagembed import (
     DiagonalEmbedding,
     checked_evaluate,
@@ -43,7 +45,7 @@ from diagflag.flagcore import (
     sample_images,
     support_and_constants,
 )
-from diagflag.ratlin import Flag, RatSubspace, block_embed, is_rref
+from diagflag.ratlin import Flag, RatSubspace, block_embed, is_rref, stabilizer_oracle
 
 
 def test_mixed_graph_target_type():
@@ -80,7 +82,8 @@ def test_restriction_evaluation_example():
     image = emb.evaluate(line)
     assert image.chain[0] == RatSubspace.span(4, [[1, 1, 0, 0]])
     assert image.chain[1] == RatSubspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
-    assert emb.evaluate(coordinate_flag_of_beta(alpha, 2)) == coordinate_flag_of_alpha(alpha)
+    restriction = build_from_alpha(alpha, 2)
+    assert emb.evaluate(coordinate_flag_of_beta(restriction)) == coordinate_flag_of_alpha(alpha)
 
 
 def test_evaluate_rejects_wrong_type():
@@ -246,19 +249,104 @@ def test_unipotent_inclusion_tuple_and_graph_characterizations_agree():
             if n % d:
                 continue
             for alpha in surjections(n):
-                if not isinstance(build_from_alpha(alpha, n // d), ParabolicRestriction):
+                result = build_from_alpha(alpha, n // d)
+                if not isinstance(result, ParabolicRestriction):
                     continue
-                assert unipotent_inclusion(alpha, n // d) == tuple_unipotent_inclusion(alpha, n // d)
+                assert unipotent_inclusion(result.graph) == tuple_unipotent_inclusion(alpha, n // d)
                 checked += 1
     assert checked > 1000
 
 
 def test_unipotent_inclusion():
-    assert unipotent_inclusion(SurjectionAlpha.of([1, 2, 2, 3]), 2)
-    assert not unipotent_inclusion(SurjectionAlpha.of([1, 2, 2, 2]), 2)
-    assert unipotent_inclusion(SurjectionAlpha.of([1, 2, 2, 3]), 4)  # one block
-    with pytest.raises(DomainError):
-        unipotent_inclusion(SurjectionAlpha.of([1, 2, 2, 1]), 2)
+    def graph(values, m):
+        return build_from_alpha(SurjectionAlpha.of(values), m).graph
+
+    assert unipotent_inclusion(graph([1, 2, 2, 3], 2))
+    assert not unipotent_inclusion(graph([1, 2, 2, 2], 2))
+    assert unipotent_inclusion(graph([1, 2, 2, 3], 4))  # one block
+
+
+def test_embedding_from_alpha_rejects_non_parabolic():
+    with pytest.raises(DomainError, match="not parabolic"):
+        embedding_from_alpha(SurjectionAlpha.of([1, 2, 2, 1]), 2)
+
+
+def reference_alpha_flag(alpha):
+    """The coordinate flag of a level map, as spans of unit vectors."""
+    n = alpha.n
+    members = []
+    for level in range(1, alpha.p):
+        vectors = [[1 if t == i else 0 for t in range(n)] for i, v in enumerate(alpha.values) if v <= level]
+        members.append(RatSubspace.span(n, vectors))
+    return Flag(n, tuple(members))
+
+
+def reference_beta_flag(alpha, m):
+    """The restricted flag, as spans of unit vectors under the
+    componentwise order of block-level tuples."""
+    d = alpha.n // m
+    beta = [tuple(alpha.values[k * m + r] for k in range(d)) for r in range(m)]
+    members = []
+    for bound in build_from_alpha(alpha, m).beta_image[:-1]:
+        vectors = [
+            [1 if t == r else 0 for t in range(m)]
+            for r, b in enumerate(beta)
+            if all(x <= y for x, y in zip(b, bound))
+        ]
+        members.append(RatSubspace.span(m, vectors))
+    return Flag(m, tuple(members))
+
+
+def test_level_flags_match_unit_vector_spans_on_every_surjection():
+    restricted = 0
+    for n in range(1, 7):
+        for alpha in surjections(n):
+            assert coordinate_flag_of_alpha(alpha) == reference_alpha_flag(alpha)
+            for d in (1, 2, 3):
+                if n % d:
+                    continue
+                result = build_from_alpha(alpha, n // d)
+                if isinstance(result, ParabolicRestriction):
+                    assert coordinate_flag_of_beta(result) == reference_beta_flag(alpha, n // d)
+                    restricted += 1
+    assert restricted > 5000
+
+
+def test_oracle_sweep_derives_each_object_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (diagembed, egraph):
+        monkeypatch.setattr(module, "build_from_alpha", counted("build", build_from_alpha))
+    for module in (diagembed, ratlin):
+        monkeypatch.setattr(module, "stabilizer_oracle", counted("stabilizer", stabilizer_oracle))
+    report = oracle_sweep(5, {2, 3})
+    assert report.ok and report.cases == 91
+    assert calls == {"build": report.cases, "stabilizer": report.cases}
+
+
+def test_graph_is_validated_once(monkeypatch):
+    runs = []
+    clauses = EGraph.__dict__["violations"].func
+
+    def counted(g):
+        runs.append(g)
+        return clauses(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(EGraph, "violations")
+    monkeypatch.setattr(EGraph, "violations", prop)
+    g = EGraph(MIXED_GRAPH.q, MIXED_GRAPH.p, MIXED_GRAPH.d, MIXED_GRAPH.edges)
+    emb = DiagonalEmbedding(g, MIXED_SOURCE)
+    constant_spaces(emb)
+    assert not is_linear_graph(g)
+    assert runs == [g]
 
 
 def test_equivariance_reference_graphs():

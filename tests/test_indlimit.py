@@ -8,7 +8,7 @@ from diagflag.diagembed import (
 )
 from diagflag.egraph import EGraph, SurjectionAlpha, build_from_alpha, validate_egraph
 from diagflag.errors import DomainError
-from diagflag.flagcore import FlagType, classify_bruteforce, random_flag
+from diagflag.flagcore import FlagType, classify_bruteforce, level_flag, random_flag
 from diagflag.indlimit import (
     Admissible,
     AdmissibilityCertificate,
@@ -28,6 +28,7 @@ from diagflag.indlimit import (
     verify_certificate,
     verify_refutation,
 )
+from diagflag.ratlin import Flag, RatSubspace
 from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber
 
 SN2 = SupernaturalNumber.from_factors({2: INF})
@@ -135,6 +136,46 @@ def test_canonical_exhaustion_data_is_valid_se(rng):
         flag = random_flag(ft, rng)
         image = data.evaluate(flag)
         assert image.dims == data.target_type.dims
+
+
+def reference_prefix_flag_dims(values, chain_size, n):
+    """Distinct nonzero dimensions spanned by the first n basis vectors at
+    each chain position; the last entry is n itself."""
+    counts = [sum(1 for k in range(n) if values[k] <= a) for a in range(1, chain_size + 1)]
+    return sorted({c for c in counts if c > 0})
+
+
+def reference_prefix_flag(values, chain_size, n):
+    """The canonical flag of the first n vectors, as spans of unit vectors."""
+    members = []
+    seen_dims = set()
+    for a in range(1, chain_size + 1):
+        vectors = [[1 if t == k else 0 for t in range(n)] for k in range(n) if values[k] <= a]
+        if vectors and len(vectors) < n and len(vectors) not in seen_dims:
+            seen_dims.add(len(vectors))
+            members.append(RatSubspace.span(n, vectors))
+    return Flag(n, tuple(members))
+
+
+@pytest.mark.parametrize(
+    "sigma, chain_size, n_max",
+    [
+        (list(range(1, 8)), 7, 6),
+        ([1, 2, 1, 2, 1, 2, 1], 2, 6),
+        ([1] * 7, 1, 6),
+        ([2, 1, 2, 2, 1, 1, 2, 1], 2, 7),
+    ],
+)
+def test_canonical_exhaustion_prefix_flags_match_unit_vector_spans(sigma, chain_size, n_max):
+    for n in range(1, n_max + 2):
+        flag = level_flag(sigma[:n])
+        assert flag == reference_prefix_flag(sigma, chain_size, n)
+        assert [*flag.dims, n] == reference_prefix_flag_dims(sigma, chain_size, n)
+    steps = canonical_exhaustion(sigma, chain_size, n_max)
+    for n, (ft, data) in enumerate(steps, start=1):
+        assert ft == FlagType(n, tuple(reference_prefix_flag_dims(sigma, chain_size, n)[:-1]))
+        source = reference_prefix_flag(sigma, chain_size, n)
+        assert data.evaluate(source) == reference_prefix_flag(sigma, chain_size, n + 1)
 
 
 # --- realization -------------------------------------------------------------

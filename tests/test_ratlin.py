@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagflag.errors import DomainError
+from diagflag.flagcore import level_flag
 from diagflag.ratlin import (
     Flag,
     RatSubspace,
@@ -290,6 +291,7 @@ def test_stabilizer_nested_flag():
         ),
     )
     res = stabilizer_oracle(flag, 2)
+    assert res.block_size == 2
     assert res.is_parabolic
     assert res.dimension == 3
     assert res.root_spaces == frozenset({(1, 2)})
@@ -341,6 +343,34 @@ def test_stabilizer_single_block_matches_level_count():
         assert res.dimension == expected
 
 
+def test_stabilizer_root_spaces_are_the_coordinate_lines_it_contains(rng):
+    """E_ab is a root space exactly when the unit matrix E_ab lies in the
+    span of the returned basis (the oracle reads it off the zero columns
+    of its unreduced constraints instead)."""
+    checked_roots = 0
+    for ambient, m in ((4, 2), (6, 2), (6, 3), (6, 6)):
+        for trial in range(12):
+            keys = [rng.randint(1, 3) for _ in range(ambient)]
+            flag = level_flag(keys)
+            if trial % 3 == 0:
+                # a conjugate by a random diag(g, ..., g): few root spaces
+                flag = flag.apply(block_diagonal(random_invertible(m, rng), ambient // m))
+            res = stabilizer_oracle(flag, m)
+            algebra = RatSubspace.span(m * m, [[x for row in b for x in row] for b in res.basis])
+            assert algebra.dim == res.dimension
+
+            def contains_unit(a, b):
+                return algebra.contains_vector([1 if k == a * m + b else 0 for k in range(m * m)])
+
+            for a in range(m):
+                for b in range(m):
+                    if a != b:
+                        assert ((a + 1, b + 1) in res.root_spaces) == contains_unit(a, b)
+            assert res.contains_torus == all(contains_unit(a, a) for a in range(m))
+            checked_roots += len(res.root_spaces)
+    assert checked_roots > 50
+
+
 def test_nilradical_inclusion_cases():
     nested = Flag(
         4,
@@ -349,15 +379,15 @@ def test_nilradical_inclusion_cases():
             RatSubspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
         ),
     )
-    assert nilradical_inclusion_oracle(nested, 2)
+    assert nilradical_inclusion_oracle(nested, stabilizer_oracle(nested, 2))
     # stabilizer parabolic but nilradical escapes: the line alone
     line_only = Flag(4, (RatSubspace.span(4, [[1, 0, 0, 0]]),))
-    assert not nilradical_inclusion_oracle(line_only, 2)
+    assert not nilradical_inclusion_oracle(line_only, stabilizer_oracle(line_only, 2))
     # one block: trivially included
-    assert nilradical_inclusion_oracle(line_only, 4)
+    assert nilradical_inclusion_oracle(line_only, stabilizer_oracle(line_only, 4))
     split = Flag(4, (RatSubspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),))
     with pytest.raises(DomainError):
-        nilradical_inclusion_oracle(split, 2)
+        nilradical_inclusion_oracle(split, stabilizer_oracle(split, 2))
 
 
 def test_solve_unique_and_nullspace():

@@ -142,3 +142,54 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**k
     assert prod == n
+
+
+@given(st.integers(1, 20000))
+@settings(max_examples=200)
+def test_divides_matches_full_factorization(s):
+    for sn in (SN_2, SN_2_3F, SN_23):
+        expected = all(k <= sn.exponent(p) for p, k in factorize(s).items())
+        assert divides_sn(s, sn) == expected
+
+
+def test_divides_with_a_large_foreign_prime():
+    big = 2**61 - 1  # prime; trial division would take ~10^9 steps
+    assert not divides_sn(big, SN_2)
+    assert not divides_sn(big * 8, SN_23)
+    assert divides_sn(2**61, SN_2)
+
+
+def test_validate_reports_foreign_factors_whole():
+    report = validate_exhaustion(ExhaustionSpec(2 * 5 * 7, (2 * 11,)), SN_2)
+    assert report.violations == (
+        "membership: s1 carries the factor 35, prime to the number",
+        "membership: cycle introduces the factor 11, prime to the number",
+    )
+    report = validate_exhaustion(ExhaustionSpec(2**61 - 1, (2,)), SN_2)
+    assert report.violations == (
+        f"membership: s1 carries the factor {2**61 - 1}, prime to the number",
+    )
+
+
+@pytest.mark.parametrize("exponent", [1.9, 2.0, True, "3", None, [1]])
+def test_supernatural_document_rejects_non_integer_exponents(exponent):
+    with pytest.raises(DomainError):
+        SupernaturalNumber.from_json_obj({"factors": {"2": "inf", "3": exponent}})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"s1": 2.0, "cycle": [2]},
+        {"s1": 1.9, "cycle": [2]},
+        {"s1": True, "cycle": [2]},
+        {"s1": "2", "cycle": [2]},
+        {"s1": 2, "cycle": [2.0]},
+        {"s1": 2, "cycle": [False, 2]},
+        {"s1": 2, "cycle": ["2"]},
+        {"s1": 2, "cycle": "2"},
+    ],
+)
+def test_exhaustion_document_rejects_non_integers(doc):
+    with pytest.raises(DomainError):
+        ExhaustionSpec.from_json_obj(doc)
