@@ -37,7 +37,7 @@ from .egraph import (
     require_valid,
     surjections,
 )
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, strict_int
 from .flagcore import FlagType, PicardPullback, flag_type_of, level_flag, random_flag
 from .ratlin import (
     Flag,
@@ -85,7 +85,9 @@ class DiagonalEmbedding:
         The blocks are disjoint coordinate ranges taken in colour order, so
         the concatenated canonical block bases are already canonical RREF
         (pivots increase block by block, and each pivot column is zero in
-        the other blocks' rows); no elimination runs.
+        the other blocks' rows); no elimination runs.  Each closed index
+        is nondecreasing in j and the source members are nested, so the
+        image members are nested and no containment test runs.
         """
         if flag_type_of(flag) != self.source_type:
             raise DomainError("flag does not match the source type")
@@ -97,7 +99,7 @@ class DiagonalEmbedding:
                 if i:
                     rows += block_embed(flag.member(i), c, d).rows
             members.append(RatSubspace._from_rref(n, rows))
-        return Flag(n, tuple(members))
+        return Flag._from_nested(n, tuple(members))
 
     def to_json_obj(self) -> dict:
         return {
@@ -109,8 +111,9 @@ class DiagonalEmbedding:
     def from_json_obj(cls, obj: dict) -> "DiagonalEmbedding":
         try:
             if "alpha" in obj:
-                alpha = SurjectionAlpha.of([int(v) for v in obj["alpha"]])
-                return embedding_from_alpha(alpha, int(obj["m"]))
+                values = [strict_int(v, "an alpha value") for v in obj["alpha"]]
+                m = strict_int(obj["m"], "m")
+                return embedding_from_alpha(SurjectionAlpha.of(values), m)
             graph = EGraph.from_json_obj(obj["graph"])
             source = FlagType.from_json_obj(obj["source_type"])
         except (KeyError, TypeError, ValueError) as exc:

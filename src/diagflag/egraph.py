@@ -5,7 +5,9 @@ to bottom, and edges carrying one of d colours.  Validity demands that
 every vertex meet at least one edge, no vertex meet two edges of the same
 colour, the bottom-left vertex l_q meet exactly one edge of every colour,
 and edges of equal colour never cross.  Edges through l_q are called
-bounding, all others ordinary.
+bounding, all others ordinary.  The vertex and colour counts are capped at
+`GRAPH_SIZE_LIMIT` (ScaleError above it); validating a graph costs one sort
+of its edges plus time linear in the counts.
 
 `build_from_alpha` performs the restriction analysis: given a surjective
 level map alpha on {1..n} and a block size m dividing n, it groups the
@@ -23,10 +25,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import DomainError, ValidationReport
+from .errors import DomainError, ScaleError, ValidationReport, strict_int
 from .flagcore import FlagType
 
 Edge = tuple[int, int, int]  # (left, right, colour), all 1-based
+
+# Largest q, p and d an EGraph accepts.
+GRAPH_SIZE_LIMIT = 10_000
 
 DOT_PALETTE = (
     "black",
@@ -50,6 +55,11 @@ class EGraph:
     def __post_init__(self) -> None:
         if min(self.q, self.p, self.d) < 1:
             raise DomainError("vertex and colour counts must be positive")
+        if max(self.q, self.p, self.d) > GRAPH_SIZE_LIMIT:
+            raise ScaleError(
+                f"vertex and colour counts are limited to {GRAPH_SIZE_LIMIT}; "
+                f"got q={self.q}, p={self.p}, d={self.d}"
+            )
         for (i, j, c) in self.edges:
             if not (1 <= i <= self.q and 1 <= j <= self.p and 1 <= c <= self.d):
                 raise DomainError(f"edge {(i, j, c)} out of range")
@@ -65,7 +75,9 @@ class EGraph:
     def closed_indices(self) -> tuple[tuple[int, ...], ...]:
         """For each right vertex r_j, j < p, the tuple over colours of the
         left endpoint of the last colour edge at or above r_j (0 if none)."""
-        classes = [self.colour_class(c) for c in range(1, self.d + 1)]
+        classes: list[list[tuple[int, int]]] = [[] for _ in range(self.d)]
+        for (i, j, c) in self.edges:  # one pass, not one per colour
+            classes[c - 1].append((i, j))
         return tuple(
             tuple(max((i for (i, jj) in cls if jj <= j), default=0) for cls in classes)
             for j in range(1, self.p)
@@ -73,12 +85,18 @@ class EGraph:
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
-        """The violated validity clauses, computed once; empty when valid."""
+        """The violated validity clauses, computed once; empty when valid.
+
+        One pass over the edges sorted by colour, then left and right
+        index: consecutive edges of one colour are the neighbours the
+        crossing clause compares."""
         violations: list[str] = []
+        crossings: list[str] = []
         left_degree = {i: 0 for i in range(1, self.q + 1)}
         right_degree = {j: 0 for j in range(1, self.p + 1)}
         seen_left: set[tuple[int, int]] = set()
         seen_right: set[tuple[int, int]] = set()
+        prev = (0, 0, 0)
         for (i, j, c) in self.sorted_edges():
             left_degree[i] += 1
             right_degree[j] += 1
@@ -88,6 +106,11 @@ class EGraph:
                 violations.append(f"vertex r{j} meets two edges of colour {c}")
             seen_left.add((i, c))
             seen_right.add((j, c))
+            i1, j1, c1 = prev
+            # Equal endpoints are a double incidence, reported above.
+            if c1 == c and i1 != i and j1 != j and not j1 < j:
+                crossings.append(f"colour-{c} edges ({i1},{j1}) and ({i},{j}) cross")
+            prev = (i, j, c)
         for i, deg in left_degree.items():
             if deg == 0:
                 violations.append(f"vertex l{i} meets no edge")
@@ -99,16 +122,7 @@ class EGraph:
             violations.append(
                 f"bottom-left vertex must meet exactly one edge of each of the {self.d} colours; it meets colours {bottom}"
             )
-        for c in range(1, self.d + 1):
-            cls = self.colour_class(c)
-            for (i1, j1), (i2, j2) in zip(cls, cls[1:]):
-                if i1 == i2 or j1 == j2:
-                    continue  # double-incidence already reported
-                if not j1 < j2:
-                    violations.append(
-                        f"colour-{c} edges ({i1},{j1}) and ({i2},{j2}) cross"
-                    )
-        return tuple(violations)
+        return tuple(violations + crossings)
 
     def to_json_obj(self) -> dict:
         return {
@@ -121,8 +135,14 @@ class EGraph:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EGraph":
         try:
-            edges = frozenset((int(i), int(j), int(c)) for i, j, c in obj["edges"])
-            return cls(int(obj["q"]), int(obj["p"]), int(obj["d"]), edges)
+            edges = frozenset(
+                tuple(strict_int(x, "an edge entry") for x in (i, j, c))
+                for i, j, c in obj["edges"]
+            )
+            q, p, d = (strict_int(obj[k], k) for k in ("q", "p", "d"))
+            return cls(q, p, d, edges)
+        except ScaleError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad graph document: {exc}") from exc
 

@@ -1,4 +1,5 @@
-"""Exceptions and the violation report type shared across the library."""
+"""Exceptions, the violation report type and the strict integer check
+shared across the library."""
 
 from __future__ import annotations
 
@@ -37,3 +38,17 @@ class ValidationReport:
 
     def to_json_obj(self) -> dict:
         return {"ok": self.ok, "violations": list(self.violations)}
+
+
+def is_int(x, minimum: int | None = None) -> bool:
+    """True for an int (at least `minimum` when given).  JSON documents are
+    read strictly: floats, strings and bools (an int subclass) are not
+    integers and are never coerced."""
+    return type(x) is int and (minimum is None or x >= minimum)
+
+
+def strict_int(x, what: str) -> int:
+    """x itself when `is_int(x)`; DomainError naming `what` otherwise."""
+    if not is_int(x):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return x

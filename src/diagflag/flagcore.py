@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, InternalCheckError, ScaleError
+from .errors import DomainError, InternalCheckError, ScaleError, strict_int
 from .ratlin import (
     Flag,
     Matrix,
@@ -30,7 +30,7 @@ from .ratlin import (
     matmul,
     matrix_rank,
     nullspace,
-    random_invertible,
+    random_invertible_ints,
     solve_unique,
 )
 
@@ -65,7 +65,10 @@ class FlagType:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FlagType":
         try:
-            return cls(int(obj["ambient"]), tuple(int(d) for d in obj["dims"]))
+            return cls(
+                strict_int(obj["ambient"], "ambient"),
+                tuple(strict_int(d, "a member dimension") for d in obj["dims"]),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad flag-type document: {exc}") from exc
 
@@ -75,7 +78,9 @@ def flag_type_of(flag: Flag) -> FlagType:
 
 
 def coordinate_flag(ft: FlagType) -> Flag:
-    return Flag(ft.ambient, tuple(RatSubspace.coordinate(ft.ambient, d) for d in ft.dims))
+    return Flag._from_nested(
+        ft.ambient, tuple(RatSubspace.coordinate(ft.ambient, d) for d in ft.dims)
+    )
 
 
 def level_flag(keys: Sequence) -> Flag:
@@ -83,7 +88,8 @@ def level_flag(keys: Sequence) -> Flag:
     member per key value but the largest, spanned by the e_i keyed at most
     that value.
 
-    Identity rows in index order are canonical RREF, so no elimination runs.
+    Identity rows in index order are canonical RREF, so no elimination runs,
+    and the members grow with the bound, so no containment test runs.
     """
     n = len(keys)
     unit = identity(n)
@@ -91,14 +97,18 @@ def level_flag(keys: Sequence) -> Flag:
         RatSubspace._from_rref(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
         for bound in sorted(set(keys))[:-1]
     )
-    return Flag(n, members)
+    return Flag._from_nested(n, members)
 
 
 def random_flag(ft: FlagType, rng: random.Random) -> Flag:
-    """Random flag of the given type: a random invertible integer matrix
-    applied to the coordinate flag."""
-    g = random_invertible(ft.ambient, rng)
-    return coordinate_flag(ft).apply(g)
+    """Random flag of the given type: the image of the coordinate flag under
+    a random invertible integer matrix g.  The image of the span of
+    e_1..e_d is the span of the first d columns of g, so each member is
+    reduced straight from its column prefix."""
+    cols = tuple(zip(*random_invertible_ints(ft.ambient, rng)))
+    return Flag._from_nested(
+        ft.ambient, tuple(RatSubspace.span(ft.ambient, cols[:d]) for d in ft.dims)
+    )
 
 
 def dual_type(ft: FlagType) -> FlagType:
@@ -234,12 +244,12 @@ class StandardExtensionData:
     def strict_eval(self, flag: Flag) -> Flag:
         if flag_type_of(flag) != self.source_type:
             raise DomainError("flag does not match the source type")
-        nw = self.target_ambient
-        members = []
-        for v, z in zip(self.kappa, self.z_chain):
-            part = flag.member(v).apply(self.epsilon)
-            members.append(part + z)
-        return Flag(nw, tuple(members))
+        # kappa is nondecreasing and the Z_j are nested (both validated), so
+        # the members eps(F_kappa(j)) + Z_j are nested too.
+        members = tuple(
+            flag.member(v).apply(self.epsilon) + z for v, z in zip(self.kappa, self.z_chain)
+        )
+        return Flag._from_nested(self.target_ambient, members)
 
     def evaluate(self, flag: Flag) -> Flag:
         out = self.strict_eval(flag)
@@ -258,11 +268,14 @@ class StandardExtensionData:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "StandardExtensionData":
         try:
-            source = FlagType(int(obj["source_ambient"]), tuple(int(d) for d in obj["source_dims"]))
+            source = FlagType(
+                strict_int(obj["source_ambient"], "source_ambient"),
+                tuple(strict_int(d, "a source dimension") for d in obj["source_dims"]),
+            )
             epsilon = as_matrix(obj["epsilon"])
             nw = len(epsilon)
             chain = tuple(RatSubspace.from_json_obj(nw, z) for z in obj["z_chain"])
-            kappa = tuple(int(v) for v in obj["kappa"])
+            kappa = tuple(strict_int(v, "a kappa value") for v in obj["kappa"])
             dualized = bool(obj.get("dualized", False))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad standard-extension document: {exc}") from exc

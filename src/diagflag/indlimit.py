@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .diagembed import DiagonalEmbedding, graph_pullback, is_linear_graph
-from .egraph import EGraph, partition_edges
-from .errors import DomainError, InternalCheckError, ValidationReport
+from .egraph import GRAPH_SIZE_LIMIT, EGraph, partition_edges
+from .errors import DomainError, InternalCheckError, ScaleError, ValidationReport, strict_int
 from .flagcore import FlagType, StandardExtensionData, level_flag
 from .ratlin import RatSubspace
 from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_ratio, validate_exhaustion
@@ -121,19 +121,23 @@ class GeneralizedFlagType:
             if tail_obj is None:
                 tail = None
             elif tail_obj["kind"] == "geometric":
-                tail = GeometricTail(int(tail_obj["base"]), int(tail_obj["ratio"]))
+                tail = GeometricTail(
+                    strict_int(tail_obj["base"], "base"), strict_int(tail_obj["ratio"], "ratio")
+                )
             elif tail_obj["kind"] == "constant":
-                tail = ConstantTail(int(tail_obj["value"]))
+                tail = ConstantTail(strict_int(tail_obj["value"], "value"))
             else:
                 raise DomainError(f"unknown tail kind {tail_obj['kind']!r}")
             ordered = obj.get("ordered")
             ordered_t = (
                 None
                 if ordered is None
-                else tuple(INF if d == "inf" else int(d) for d in ordered)
+                else tuple(INF if d == "inf" else strict_int(d, "a quotient") for d in ordered)
             )
             return cls(
-                finite_quotients=tuple(int(d) for d in obj["finite_quotients"]),
+                finite_quotients=tuple(
+                    strict_int(d, "a quotient") for d in obj["finite_quotients"]
+                ),
                 tail=tail,
                 has_infinite_quotients=bool(obj["infinite_quotients"]),
                 ordered_presentation=ordered_t,
@@ -189,7 +193,7 @@ class SnGraph:
             period = obj.get("period")
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad chained-graph document: {exc}") from exc
-        return cls(spec, prefix, None if period is None else int(period))
+        return cls(spec, prefix, None if period is None else strict_int(period, "period"))
 
 
 def validate_sn_graph(sg: SnGraph, upto: int | None = None) -> ValidationReport:
@@ -337,6 +341,8 @@ def build_realization_sn_graph(
     all_quotients = [tuple(quotients)]
     for n in range(1, levels + 1):
         d = step_ratio(spec, n)
+        if d > GRAPH_SIZE_LIMIT:  # refused before its d - 1 edges are built
+            raise ScaleError(f"step ratio {d} exceeds the graph colour limit {GRAPH_SIZE_LIMIT}")
         edges = {(i, i, 1) for i in range(1, t + 1)}
         for c in range(2, d + 1):
             target = inf_positions[rr % len(inf_positions)]

@@ -15,6 +15,15 @@ and reduces it.  Subspaces that the module computes itself (`span`, `+`,
 `&`, `annihilator`, `apply`, `block_embed`) come straight from `rref`, and
 `zero`, `full` and `coordinate` are identity rows; none is checked again.
 
+Likewise `Flag(ambient, chain)` and `Flag.from_json_obj` test that each
+member contains the one before, a residual computation in rationals.
+Flags the library builds nested by construction go through the private
+`Flag._from_nested`: `Flag.apply` (a linear image keeps inclusions),
+`Flag.dual` (annihilators reverse them) and the builders in `flagcore` and
+`diagembed`.  It keeps the integer checks on the ambient, on proper nonzero
+members and on strictly increasing dimensions, so a singular matrix that
+collapses the chain is still rejected.
+
 The stabilizer oracle at the bottom of the module is the independent
 brute-force route used to cross-check the combinatorial criteria of the
 graph modules: `stabilizer_oracle(flag, m)` decides, by solving exact
@@ -32,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, strict_int
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -73,11 +82,14 @@ def _integer_row(row: Iterable, width: int) -> list[int]:
         raise DomainError(f"row width {len(ratios)} != ambient {width}")
     scale = lcm(*[d for _, d in ratios])
     if scale == 1:
-        ints = [n for n, _ in ratios]
-    else:
-        ints = [n * (scale // d) for n, d in ratios]
-    content = gcd(*ints)
-    return ints if content < 2 else [x // content for x in ints]
+        return _primitive([n for n, _ in ratios])
+    return _primitive([n * (scale // d) for n, d in ratios])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by its content (all zeros stays so)."""
+    content = gcd(*row)
+    return row if content < 2 else [x // content for x in row]
 
 
 def _clear(row: list[int], prow: list[int], col: int) -> list[int] | None:
@@ -104,7 +116,14 @@ def rref(rows: Iterable[Iterable], width: int) -> Matrix:
     row's pivot.  The reduced form is unique, so the result is that of
     elimination over the rationals.
     """
-    rest = [r for r in (_integer_row(row, width) for row in rows) if any(r)]
+    reduced = _reduce([_integer_row(row, width) for row in rows], width)
+    return tuple(_fraction_row(row) for row in reduced)
+
+
+def _reduce(rows: list[list[int]], width: int) -> list[list[int]]:
+    """The integer elimination of `rref`: reduced primitive integer rows in
+    pivot order, each a multiple of its canonical row."""
+    rest = [r for r in rows if any(r)]
     done: list[list[int]] = []
     for col in range(width):
         if not rest:
@@ -118,7 +137,7 @@ def rref(rows: Iterable[Iterable], width: int) -> Matrix:
         rest = [r for r in rest if not r[col]] + [
             c for c in (_clear(r, prow, col) for r in rest if r[col]) if c is not None
         ]
-    return tuple(_fraction_row(row) for row in done)
+    return done
 
 
 def _fraction_row(row: list[int]) -> Vector:
@@ -171,19 +190,27 @@ def _residual(basis: Iterable[tuple[int, Vector]], vector: Vector) -> Vector:
 
 
 def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
-    """Canonical basis of {v : M v = 0}, echelonized."""
-    red = rref(rows, width)
-    piv = set(pivots(red))
-    free = [j for j in range(width) if j not in piv]
+    """Canonical basis of {v : M v = 0}, echelonized.
+
+    The free-column basis is read off the reduced integer rows: with every
+    row scaled to the common pivot value D, the kernel vector of free
+    column j is D e_j minus the rows' entries in column j at their pivots.
+    It is reduced once more in integers, and a `Fraction` is built only
+    per output entry.
+    """
+    red = _reduce([_integer_row(row, width) for row in rows], width)
+    piv = pivots(red)
+    scale = lcm(*(r[p] for r, p in zip(red, piv)))
+    pivoted = [(p, r, scale // r[p]) for r, p in zip(red, piv)]
     basis = []
-    piv_list = pivots(red)
-    for j in free:
-        v = [_ZERO] * width
-        v[j] = _ONE
-        for r, pj in zip(red, piv_list):
-            v[pj] = -r[j]
-        basis.append(v)
-    return rref(basis, width)
+    for j in sorted(set(range(width)) - set(piv)):
+        v = [0] * width
+        v[j] = scale
+        for p, r, f in pivoted:
+            if r[j]:
+                v[p] = -f * r[j]
+        basis.append(_primitive(v))
+    return tuple(_fraction_row(row) for row in _reduce(basis, width))
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
@@ -227,11 +254,17 @@ def solve_unique(a: Matrix, rhs: Vector) -> Vector:
 
 def random_invertible(dim: int, rng: random.Random, spread: int = 3) -> Matrix:
     """Random invertible integer matrix with entries in [-spread, spread]."""
+    return tuple(
+        tuple(Fraction(x) for x in row) for row in random_invertible_ints(dim, rng, spread)
+    )
+
+
+def random_invertible_ints(
+    dim: int, rng: random.Random, spread: int = 3
+) -> tuple[tuple[int, ...], ...]:
+    """`random_invertible` with int entries: the same draws, no Fractions."""
     while True:
-        m = tuple(
-            tuple(Fraction(rng.randint(-spread, spread)) for _ in range(dim))
-            for _ in range(dim)
-        )
+        m = tuple(tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(dim))
         if matrix_rank(m, dim) == dim:
             return m
 
@@ -376,18 +409,30 @@ class Flag:
     chain: tuple[RatSubspace, ...]
 
     def __post_init__(self) -> None:
-        prev_dim = 0
+        self._check(nested=False)
+
+    @classmethod
+    def _from_nested(cls, ambient: int, chain: tuple[RatSubspace, ...]) -> "Flag":
+        """A flag whose chain is nested by construction (an image, the
+        annihilators, a monotone formula): the integer checks on ambient,
+        properness and strictly increasing dimensions still run, the
+        containment residuals do not."""
+        flag = object.__new__(cls)
+        object.__setattr__(flag, "ambient", ambient)
+        object.__setattr__(flag, "chain", chain)
+        flag._check(nested=True)
+        return flag
+
+    def _check(self, nested: bool) -> None:
         prev = None
         for sub in self.chain:
             if sub.ambient != self.ambient:
                 raise DomainError("flag member has wrong ambient dimension")
             if not 0 < sub.dim < self.ambient:
                 raise DomainError("flag members must be proper and nonzero")
-            if prev is not None and not (prev <= sub and sub.dim > prev_dim):
+            if prev is not None and not (sub.dim > prev.dim and (nested or prev <= sub)):
                 raise DomainError("flag chain must be strictly increasing")
-            prev, prev_dim = sub, sub.dim
-        if prev is not None and prev.dim >= self.ambient:
-            raise DomainError("last flag member must be proper")
+            prev = sub
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -405,11 +450,16 @@ class Flag:
         return self.chain[i - 1]
 
     def apply(self, m: Matrix) -> "Flag":
-        return Flag(len(m), tuple(s.apply(m) for s in self.chain))
+        """Image flag; a linear image keeps inclusions, and a matrix that
+        collapses the chain fails the dimension checks."""
+        return Flag._from_nested(len(m), tuple(s.apply(m) for s in self.chain))
 
     def dual(self) -> "Flag":
-        """The flag of annihilators, in reverse order (duality map)."""
-        return Flag(self.ambient, tuple(s.annihilator() for s in reversed(self.chain)))
+        """The flag of annihilators, in reverse order (duality map);
+        annihilators reverse inclusions."""
+        return Flag._from_nested(
+            self.ambient, tuple(s.annihilator() for s in reversed(self.chain))
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -420,7 +470,7 @@ class Flag:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Flag":
         try:
-            ambient = int(obj["ambient"])
+            ambient = strict_int(obj["ambient"], "ambient")
             chain = tuple(
                 RatSubspace.from_json_obj(ambient, rows) for rows in obj["chain"]
             )

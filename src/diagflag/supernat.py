@@ -15,25 +15,44 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import DomainError, ValidationReport
+from .errors import DomainError, ScaleError, ValidationReport, is_int
 
 INF = math.inf
 
 Exponent = int | float  # positive int, or INF
 
 
+# Deterministic Miller-Rabin with the first thirteen primes as bases is
+# exact below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015; twelve bases would stop at 3.2 * 10^23).
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n below `PRIME_TEST_LIMIT`, in time polynomial
+    in the number of digits; ScaleError at or above the bound."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ScaleError(f"primality of {n} is only decided below {PRIME_TEST_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -66,11 +85,6 @@ def _split(n: int, primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
     return exponents, n
 
 
-def _is_positive_int(x) -> bool:
-    """True for a positive int; floats, strings and bools are not coerced."""
-    return type(x) is int and x >= 1
-
-
 @dataclass(frozen=True)
 class SupernaturalNumber:
     """Finitely supported map prime -> exponent, at least one exponent INF.
@@ -89,7 +103,7 @@ class SupernaturalNumber:
             if p in seen:
                 raise DomainError(f"duplicate prime {p}")
             seen.add(p)
-            if a is not INF and not _is_positive_int(a):
+            if a is not INF and not is_int(a, 1):
                 raise DomainError(f"exponent of {p} must be a positive integer or INF")
         if tuple(sorted(self.factors)) != self.factors:
             raise DomainError("factor pairs must be sorted by prime")
@@ -173,11 +187,11 @@ class ExhaustionSpec:
     cycle: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not _is_positive_int(self.s1):
+        if not is_int(self.s1, 1):
             raise DomainError("s1 must be a positive integer")
         if not self.cycle:
             raise DomainError("cycle must be nonempty")
-        if not all(_is_positive_int(c) for c in self.cycle):
+        if not all(is_int(c, 1) for c in self.cycle):
             raise DomainError("cycle entries must be positive integers")
 
     def term(self, n: int) -> int:

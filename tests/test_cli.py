@@ -324,3 +324,122 @@ def test_reports_byte_identical(capsys, mixed_graph_file):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+GFT_LINE_THEN_REST = {
+    "finite_quotients": [1],
+    "tail": None,
+    "infinite_quotients": True,
+    "ordered": [1, "inf"],
+}
+
+
+def _graph_with(**changes):
+    return {**MIXED_GRAPH_OBJ, **changes}
+
+
+def _admissible(tmp_path, gft):
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
+    return ["admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn]
+
+
+# One argv builder per place a document carries an integer; each puts the
+# given non-integer number there.
+BAD_NUMBER_ARGV = {
+    "graph q (validate-egraph)": lambda t, x: [
+        "validate-egraph", "--graph", write(t, "g.json", _graph_with(q=x))
+    ],
+    "graph p (dot)": lambda t, x: ["dot", "--graph", write(t, "g.json", _graph_with(p=x))],
+    "graph d (picard)": lambda t, x: ["picard", "--graph", write(t, "g.json", _graph_with(d=x))],
+    "graph edge (factor)": lambda t, x: [
+        "factor", "--graph",
+        write(t, "g.json", _graph_with(edges=[[1, 1, x]] + MIXED_GRAPH_OBJ["edges"][1:])),
+    ],
+    "flag-type ambient": lambda t, x: [
+        "classify", "--embedding",
+        write(t, "e.json", {"graph": MIXED_GRAPH_OBJ, "source_type": {"ambient": x, "dims": [1, 2]}}),
+    ],
+    "flag-type dims": lambda t, x: [
+        "classify", "--embedding",
+        write(t, "e.json", {"graph": MIXED_GRAPH_OBJ, "source_type": {"ambient": 3, "dims": [1, x]}}),
+    ],
+    "embedding alpha": lambda t, x: [
+        "classify", "--embedding", write(t, "e.json", {"alpha": [1, 2, x, 3], "m": 2})
+    ],
+    "embedding m": lambda t, x: [
+        "classify", "--embedding", write(t, "e.json", {"alpha": [1, 2, 2, 3], "m": x})
+    ],
+    "flag ambient": lambda t, x: [
+        "embed", "--alpha", "1,2,2,3", "--m", "2",
+        "--flag", write(t, "f.json", {"ambient": x, "chain": [[["1", "1"]]]}),
+    ],
+    "gft finite quotients": lambda t, x: _admissible(
+        t, {**GFT_LINE_THEN_REST, "finite_quotients": [x], "ordered": None}
+    ),
+    "gft ordered": lambda t, x: _admissible(t, {**GFT_LINE_THEN_REST, "ordered": [x, "inf"]}),
+    "gft tail": lambda t, x: _admissible(
+        t,
+        {
+            "finite_quotients": [],
+            "tail": {"kind": "geometric", "base": 1, "ratio": x},
+            "infinite_quotients": False,
+            "ordered": None,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"])
+@pytest.mark.parametrize("kind", list(BAD_NUMBER_ARGV))
+def test_documents_take_json_integers_only(capsys, tmp_path, kind, bad):
+    assert main(BAD_NUMBER_ARGV[kind](tmp_path, bad)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "must be an integer" in captured.err
+
+
+def test_exhaust_with_a_large_prime_key_is_fast(capsys, tmp_path):
+    big = 2**61 - 1
+    sn = write(tmp_path, "sn.json", {"factors": {str(big): "inf"}})
+    spec = write(tmp_path, "spec.json", {"s1": big, "cycle": [big]})
+    started = time.monotonic()
+    code, doc = run_json(capsys, "exhaust", "--sn", sn, "--spec", spec, "--levels", "2")
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and doc["verdict"] == "valid"
+    assert doc["terms"] == [big, big**2, big**3]
+
+
+def test_exhaust_rejects_keys_beyond_the_prime_test_bound(capsys, tmp_path):
+    sn = write(tmp_path, "sn.json", {"factors": {str(2**89 - 1): "inf"}})
+    spec = write(tmp_path, "spec.json", {"s1": 1, "cycle": [2]})
+    assert main(["exhaust", "--sn", sn, "--spec", spec]) == 1
+    assert capsys.readouterr().err.startswith("input error: primality")
+
+
+def test_realization_refuses_a_step_ratio_beyond_the_colour_cap(capsys, tmp_path):
+    big = 2**61 - 1
+    started = time.monotonic()
+    code = main([
+        "exhaust",
+        "--sn", write(tmp_path, "sn.json", {"factors": {str(big): "inf"}}),
+        "--spec", write(tmp_path, "spec.json", {"s1": big, "cycle": [big]}),
+        "--gft", write(tmp_path, "gft.json", GFT_LINE_THEN_REST),
+        "--levels", "2",
+    ])
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert "exceeds the graph colour limit" in capsys.readouterr().err
+
+
+def test_validate_egraph_rejects_a_huge_graph_at_once(capsys, tmp_path):
+    graph = write(tmp_path, "g.json", {"q": 10**8, "p": 1, "d": 1, "edges": [[1, 1, 1]]})
+    started = time.monotonic()
+    assert main(["validate-egraph", "--graph", graph]) == 1
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err.startswith("input error: vertex and colour counts are limited")

@@ -1,9 +1,13 @@
 import random
+import time
 
 import pytest
 from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagflag.egraph import (
+    GRAPH_SIZE_LIMIT,
     EGraph,
     NotParabolic,
     ParabolicRestriction,
@@ -18,7 +22,7 @@ from diagflag.egraph import (
     to_dot,
     validate_egraph,
 )
-from diagflag.errors import DomainError
+from diagflag.errors import DomainError, ScaleError
 from diagflag.flagcore import FlagType
 
 
@@ -203,3 +207,64 @@ def test_every_valid_graph_is_realizable():
                 assert result.graph == g
                 count += 1
     assert count > 300
+
+
+def reference_violations(g):
+    """The validity clauses as first written: degree dicts over all
+    vertices and one edge scan per colour."""
+    violations = []
+    left_degree = {i: 0 for i in range(1, g.q + 1)}
+    right_degree = {j: 0 for j in range(1, g.p + 1)}
+    seen_left, seen_right = set(), set()
+    for (i, j, c) in sorted(g.edges, key=lambda e: (e[2], e[0], e[1])):
+        left_degree[i] += 1
+        right_degree[j] += 1
+        if (i, c) in seen_left:
+            violations.append(f"vertex l{i} meets two edges of colour {c}")
+        if (j, c) in seen_right:
+            violations.append(f"vertex r{j} meets two edges of colour {c}")
+        seen_left.add((i, c))
+        seen_right.add((j, c))
+    violations += [f"vertex l{i} meets no edge" for i, deg in left_degree.items() if deg == 0]
+    violations += [f"vertex r{j} meets no edge" for j, deg in right_degree.items() if deg == 0]
+    bottom = sorted(c for (i, c) in seen_left if i == g.q)
+    if bottom != list(range(1, g.d + 1)):
+        violations.append(
+            f"bottom-left vertex must meet exactly one edge of each of the {g.d} colours; it meets colours {bottom}"
+        )
+    for c in range(1, g.d + 1):
+        cls = sorted((i, j) for (i, j, cc) in g.edges if cc == c)
+        for (i1, j1), (i2, j2) in zip(cls, cls[1:]):
+            if i1 != i2 and j1 != j2 and not j1 < j2:
+                violations.append(f"colour-{c} edges ({i1},{j1}) and ({i2},{j2}) cross")
+    return tuple(violations)
+
+
+@st.composite
+def small_graphs(draw):
+    q, p, d = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    edge = st.tuples(st.integers(1, q), st.integers(1, p), st.integers(1, d))
+    return EGraph(q, p, d, frozenset(draw(st.lists(edge, max_size=10))))
+
+
+@given(small_graphs())
+@settings(max_examples=300, deadline=None)
+def test_violations_match_the_reference_clauses(g):
+    assert g.violations == reference_violations(g)
+
+
+def test_graph_size_is_capped():
+    for q, p, d in ((GRAPH_SIZE_LIMIT + 1, 1, 1), (1, 10**8, 1), (1, 1, GRAPH_SIZE_LIMIT + 1)):
+        with pytest.raises(ScaleError):
+            EGraph(q, p, d, frozenset({(1, 1, 1)}))
+    with pytest.raises(ScaleError):
+        EGraph.from_json_obj({"q": 10**8, "p": 1, "d": 1, "edges": [[1, 1, 1]]})
+
+
+def test_validating_a_graph_at_the_cap_is_fast():
+    n = GRAPH_SIZE_LIMIT
+    g = EGraph(n, n, n, frozenset((i, i, 1 + i % n) for i in range(1, n + 1)))
+    started = time.monotonic()
+    violations = g.violations
+    assert time.monotonic() - started < 2.0
+    assert len(violations) == 1 and violations[0].startswith("bottom-left vertex")

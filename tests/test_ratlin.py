@@ -103,6 +103,22 @@ def test_rref_matches_fraction_gauss_jordan(case):
     assert rref(rows, width) == reference_rref(rows, width)
 
 
+@given(generating_sets())
+@settings(max_examples=80, deadline=None)
+def test_nullspace_matches_reference_kernel(case):
+    width, rows = case
+    assert nullspace(rows, width) == reference_nullspace(rows, width)
+
+
+def test_nullspace_of_integer_rows_and_edge_shapes():
+    assert nullspace([], 3) == reference_nullspace([], 3)
+    assert nullspace([[0, 0, 0]], 3) == reference_nullspace([], 3)
+    assert nullspace([[1, 0], [0, 1]], 2) == ()
+    assert nullspace([], 0) == ()
+    rows = [[2, -4, 6, 0], [3, -6, 9, 1], [-1, 2, 5, 7]]
+    assert nullspace(rows, 4) == reference_nullspace(rows, 4)
+
+
 def test_rref_accepts_ints_and_strings_like_fractions():
     rows = [[2, "1/3", 0], [Fraction(4), "2/3", 0], [0, 0, "-7/2"]]
     assert rref(rows, 3) == reference_rref([[Fraction(x) for x in r] for r in rows], 3)

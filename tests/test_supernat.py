@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagflag.errors import DomainError
+from diagflag.errors import DomainError, ScaleError
 from diagflag.supernat import (
     INF,
+    PRIME_TEST_LIMIT,
     ExhaustionSpec,
     SupernaturalNumber,
     divides_sn,
@@ -193,3 +194,32 @@ def test_supernatural_document_rejects_non_integer_exponents(exponent):
 def test_exhaustion_document_rejects_non_integers(doc):
     with pytest.raises(DomainError):
         ExhaustionSpec.from_json_obj(doc)
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert not any(is_prime(n) for n in range(-3, 2))
+    mismatches = [n for n in range(2, 10**5) if is_prime(n) != (factorize(n) == {n: 1})]
+    assert mismatches == []
+
+
+def test_is_prime_on_large_numbers():
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime(1000003 * (2**61 - 1))
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    # The least strong pseudoprime to the first twelve prime bases: composite,
+    # and caught by the thirteenth base.
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(PRIME_TEST_LIMIT - 1)
+
+
+def test_is_prime_refuses_numbers_beyond_its_bound():
+    with pytest.raises(ScaleError):
+        is_prime(PRIME_TEST_LIMIT)
+    with pytest.raises(ScaleError):
+        SupernaturalNumber.from_factors({2**89 - 1: INF})
+
+
+def test_large_prime_keys_are_accepted():
+    sn = SupernaturalNumber.from_json_obj({"factors": {str(2**61 - 1): "inf"}})
+    assert sn.primes == (2**61 - 1,)
+    assert divides_sn((2**61 - 1) ** 3, sn)
