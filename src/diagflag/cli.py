@@ -57,13 +57,25 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in `path`; every document kind is an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or too deep
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DomainError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -149,7 +161,7 @@ def _load_sampling_embedding(args) -> diagembed.DiagonalEmbedding:
     Q^(--source-ambient)."""
     if getattr(args, "graph", None) and not getattr(args, "source_dims", None):
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
-        ambient = args.source_ambient or max(g.q, 2)
+        ambient = max(g.q, 2) if args.source_ambient is None else args.source_ambient
         return diagembed.DiagonalEmbedding(
             g, flagcore.FlagType(ambient, tuple(range(1, g.q)))
         )
@@ -337,30 +349,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         payload = args.fn(args)
+        exit_code = 0
+        if isinstance(payload, str):  # DOT output is emitted verbatim
+            text = payload
+        else:
+            exit_code = payload.pop("_exit", 0)
+            report = {
+                "schema_version": SCHEMA_VERSION,
+                "selftest_digest": selftest_digest(),
+                "command": args.command,
+                "seed": args.seed,
+                **payload,
+            }
+            text = canonical_json(report)
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except DomainError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
     except InternalCheckError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return 2
-    exit_code = 0
-    if isinstance(payload, str):  # DOT output is emitted verbatim
-        text = payload
-    else:
-        exit_code = payload.pop("_exit", 0)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "selftest_digest": selftest_digest(),
-            "command": args.command,
-            "seed": args.seed,
-            **payload,
-        }
-        text = canonical_json(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return exit_code
 
 

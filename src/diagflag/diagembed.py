@@ -97,8 +97,8 @@ class DiagonalEmbedding:
             rows: tuple = ()
             for c, i in enumerate(row, start=1):
                 if i:
-                    rows += block_embed(flag.member(i), c, d).rows
-            members.append(RatSubspace._from_rref(n, rows))
+                    rows += block_embed(flag.member(i), c, d).int_rows
+            members.append(RatSubspace._from_canonical(n, rows))
         return Flag._from_nested(n, tuple(members))
 
     def to_json_obj(self) -> dict:

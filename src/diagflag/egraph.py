@@ -7,7 +7,9 @@ colour, the bottom-left vertex l_q meet exactly one edge of every colour,
 and edges of equal colour never cross.  Edges through l_q are called
 bounding, all others ordinary.  The vertex and colour counts are capped at
 `GRAPH_SIZE_LIMIT` (ScaleError above it); validating a graph costs one sort
-of its edges plus time linear in the counts.
+of its edges plus time linear in the counts.  The closed-index table,
+(p-1) x d, and the pullback matrix built from it, (p-1) x (q-1), are
+capped together at `CLOSED_INDEX_LIMIT` entries.
 
 `build_from_alpha` performs the restriction analysis: given a surjective
 level map alpha on {1..n} and a block size m dividing n, it groups the
@@ -23,6 +25,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ScaleError, ValidationReport, strict_int
@@ -32,6 +35,9 @@ Edge = tuple[int, int, int]  # (left, right, colour), all 1-based
 
 # Largest q, p and d an EGraph accepts.
 GRAPH_SIZE_LIMIT = 10_000
+# Largest (p-1) * max(d, q-1), the size of the closed-index table and of
+# the pullback matrix, that `closed_indices` accepts.
+CLOSED_INDEX_LIMIT = 10**6
 
 DOT_PALETTE = (
     "black",
@@ -74,14 +80,23 @@ class EGraph:
     @cached_property
     def closed_indices(self) -> tuple[tuple[int, ...], ...]:
         """For each right vertex r_j, j < p, the tuple over colours of the
-        left endpoint of the last colour edge at or above r_j (0 if none)."""
-        classes: list[list[tuple[int, int]]] = [[] for _ in range(self.d)]
-        for (i, j, c) in self.edges:  # one pass, not one per colour
-            classes[c - 1].append((i, j))
-        return tuple(
-            tuple(max((i for (i, jj) in cls if jj <= j), default=0) for cls in classes)
-            for j in range(1, self.p)
-        )
+        left endpoint of the last colour edge at or above r_j (0 if none).
+
+        One sweep down the right column per colour; the table and the
+        pullback matrix read from it have (p-1) x max(d, q-1) entries, at
+        most `CLOSED_INDEX_LIMIT` (ScaleError above it)."""
+        size = (self.p - 1) * max(self.d, self.q - 1)
+        if size > CLOSED_INDEX_LIMIT:
+            raise ScaleError(
+                f"closed indices and pullbacks are limited to {CLOSED_INDEX_LIMIT} entries; "
+                f"(p-1)*max(d, q-1) = {size}"
+            )
+        columns = [[0] * (self.p - 1) for _ in range(self.d)]
+        for (i, j, c) in self.edges:
+            if j < self.p:
+                column = columns[c - 1]
+                column[j - 1] = max(column[j - 1], i)
+        return tuple(zip(*(accumulate(column, max) for column in columns)))
 
     @cached_property
     def violations(self) -> tuple[str, ...]:

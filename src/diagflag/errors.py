@@ -1,5 +1,5 @@
-"""Exceptions, the violation report type and the strict integer check
-shared across the library."""
+"""Exceptions, the violation report type and the strict integer and
+boolean checks shared across the library."""
 
 from __future__ import annotations
 
@@ -51,4 +51,13 @@ def strict_int(x, what: str) -> int:
     """x itself when `is_int(x)`; DomainError naming `what` otherwise."""
     if not is_int(x):
         raise DomainError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def strict_bool(x, what: str) -> bool:
+    """x itself when it is a bool; DomainError naming `what` otherwise.
+    JSON documents are read strictly: `"no"`, `0`, `1` and `null` are not
+    booleans and are never coerced."""
+    if type(x) is not bool:
+        raise DomainError(f"{what} must be a boolean, got {x!r}")
     return x

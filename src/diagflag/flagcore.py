@@ -13,14 +13,13 @@ extensions at small scale by exhaustive recovery of a witness.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, InternalCheckError, ScaleError, strict_int
+from .errors import DomainError, InternalCheckError, ScaleError, strict_bool, strict_int
 from .ratlin import (
     Flag,
     Matrix,
@@ -29,7 +28,6 @@ from .ratlin import (
     identity,
     matmul,
     matrix_rank,
-    nullspace,
     random_invertible_ints,
     solve_unique,
 )
@@ -92,9 +90,9 @@ def level_flag(keys: Sequence) -> Flag:
     and the members grow with the bound, so no containment test runs.
     """
     n = len(keys)
-    unit = identity(n)
+    unit = RatSubspace.full(n).int_rows
     members = tuple(
-        RatSubspace._from_rref(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
+        RatSubspace._from_canonical(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
         for bound in sorted(set(keys))[:-1]
     )
     return Flag._from_nested(n, members)
@@ -276,7 +274,7 @@ class StandardExtensionData:
             nw = len(epsilon)
             chain = tuple(RatSubspace.from_json_obj(nw, z) for z in obj["z_chain"])
             kappa = tuple(strict_int(v, "a kappa value") for v in obj["kappa"])
-            dualized = bool(obj.get("dualized", False))
+            dualized = strict_bool(obj.get("dualized", False), "dualized")
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad standard-extension document: {exc}") from exc
         return cls(source, epsilon, chain, kappa, dualized)
@@ -502,60 +500,34 @@ def _epsilon_solution_space(
 ) -> Matrix:
     """Nullspace basis for the linear constraints eps(F_kappa(j)) <= image_j.
 
-    Constraint rows are folded into an incrementally maintained echelon
-    basis; sampling stops once a few consecutive flags add no new rank.
+    The constraints of each sample are spanned together with those before;
+    sampling stops once a few consecutive flags add no new rank.  They are
+    built from canonical integer rows, each a nonzero multiple of the
+    rational constraint, so their span is the same.
     """
     m = source_type.ambient
     width = nw * m
-    echelon: list[list[Fraction]] = []
-    piv: list[int] = []
-
-    def insert(row: list[Fraction]) -> None:
-        for br, bp in zip(echelon, piv):
-            c = row[bp]
-            if c:
-                for i in range(bp, width):
-                    bv = br[i]
-                    if bv:
-                        row[i] -= c * bv
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            return
-        inv = row[lead]
-        row = [x / inv for x in row]
-        pos = bisect.bisect_left(piv, lead)
-        echelon.insert(pos, row)
-        piv.insert(pos, lead)
-
+    acc = RatSubspace.zero(width)
     stable = 0
     for flag, image in samples:
-        before = len(echelon)
-        for j, v in enumerate(kappa, start=1):
-            if v == 0:
-                continue
-            member = flag.member(v)
-            ann = image.chain[j - 1].annihilator().rows
-            for src in member.rows:
-                for u in ann:
-                    row = [Fraction(0)] * width
-                    for r in range(nw):
-                        ur = u[r]
-                        if ur:
-                            base = r * m
-                            for c in range(m):
-                                sc = src[c]
-                                if sc:
-                                    row[base + c] = ur * sc
-                    insert(row)
-        if len(echelon) == width:
+        rows = [
+            [x * y for x in u for y in src]
+            for j, v in enumerate(kappa, start=1)
+            if v
+            for u in image.chain[j - 1].annihilator().int_rows
+            for src in flag.member(v).int_rows
+        ]
+        grown = RatSubspace.span(width, acc.int_rows + tuple(rows))
+        if grown.dim == width:
             return ()
-        if len(echelon) == before:
+        if grown.dim == acc.dim:
             stable += 1
             if stable >= stable_samples:
                 break
         else:
             stable = 0
-    return nullspace([tuple(r) for r in echelon], width)
+        acc = grown
+    return acc.annihilator().rows
 
 
 def _epsilon_candidates(basis: Matrix, nw: int, m: int, seed: int) -> Iterator[Matrix]:

@@ -28,7 +28,14 @@ from typing import Iterable, Sequence
 
 from .diagembed import DiagonalEmbedding, graph_pullback, is_linear_graph
 from .egraph import GRAPH_SIZE_LIMIT, EGraph, partition_edges
-from .errors import DomainError, InternalCheckError, ScaleError, ValidationReport, strict_int
+from .errors import (
+    DomainError,
+    InternalCheckError,
+    ScaleError,
+    ValidationReport,
+    strict_bool,
+    strict_int,
+)
 from .flagcore import FlagType, StandardExtensionData, level_flag
 from .ratlin import RatSubspace
 from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_ratio, validate_exhaustion
@@ -139,7 +146,7 @@ class GeneralizedFlagType:
                     strict_int(d, "a quotient") for d in obj["finite_quotients"]
                 ),
                 tail=tail,
-                has_infinite_quotients=bool(obj["infinite_quotients"]),
+                has_infinite_quotients=strict_bool(obj["infinite_quotients"], "infinite_quotients"),
                 ordered_presentation=ordered_t,
             )
         except (KeyError, TypeError, ValueError) as exc:

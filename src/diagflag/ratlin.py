@@ -1,28 +1,28 @@
 """Exact rational linear algebra: subspaces, flags, and stabilizer oracles.
 
-Values are `fractions.Fraction` at every public boundary; no floating
-point enters anywhere.  Row reduction (`rref`, and through it
-`nullspace`, `matrix_rank`, `solve_unique` and every subspace operation)
-runs on integers internally: each input row is scaled to integers, the
-elimination is fraction-free, and a `Fraction` is built once per output
-entry.  Subspaces are stored in canonical reduced row-echelon form, so
-equality of subspaces is equality of representations and all values are
-hashable.
+Values are `fractions.Fraction` at every public boundary and integers
+inside; no floating point enters anywhere.  A `RatSubspace` stores its
+canonical reduced row-echelon basis as `int_rows`, each row its unique
+primitive integer multiple with a positive pivot, so equality of
+subspaces is equality of representations and all values are hashable.
+`rows` is the derived `Fraction` view that `to_json_obj` writes.
 
-`RatSubspace(ambient, rows)` and `RatSubspace.from_json_obj` validate
-that the rows are in canonical form; `span` accepts any generating set
-and reduces it.  Subspaces that the module computes itself (`span`, `+`,
-`&`, `annihilator`, `apply`, `block_embed`) come straight from `rref`, and
-`zero`, `full` and `coordinate` are identity rows; none is checked again.
+`_reduce` is the one elimination; `rref`, `nullspace`, `matrix_rank`,
+`span`, `+`, `&`, `annihilator` and `apply` (its matrix scaled to
+integers, which leaves every image span as it is) run through it, and
+`<=` and `contains_vector` read coordinates off the pivots.
+`RatSubspace(ambient, rows)` checks that `Fraction` rows are canonical;
+`span` and `from_json_obj` reduce any generating set of exact rationals;
+what the module computes itself is canonical by construction and is not
+checked again.
 
 Likewise `Flag(ambient, chain)` and `Flag.from_json_obj` test that each
-member contains the one before, a residual computation in rationals.
-Flags the library builds nested by construction go through the private
-`Flag._from_nested`: `Flag.apply` (a linear image keeps inclusions),
-`Flag.dual` (annihilators reverse them) and the builders in `flagcore` and
-`diagembed`.  It keeps the integer checks on the ambient, on proper nonzero
-members and on strictly increasing dimensions, so a singular matrix that
-collapses the chain is still rejected.
+member contains the one before.  Flags nested by construction go through
+the private `Flag._from_nested`: `Flag.apply` (a linear image keeps
+inclusions), `Flag.dual` (annihilators reverse them) and the builders in
+`flagcore` and `diagembed`.  It keeps the checks on the ambient, on proper
+nonzero members and on strictly increasing dimensions, so a singular
+matrix that collapses the chain is still rejected.
 
 The stabilizer oracle at the bottom of the module is the independent
 brute-force route used to cross-check the combinatorial criteria of the
@@ -39,42 +39,38 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalCheckError, strict_int
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+IntRows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# Entry types `rref` reads without `to_fraction`; bool, a subclass of int,
-# is not one of them and is rejected there.
+# Entry types read without `to_fraction`; bool, a subclass of int, is not
+# one of them and is rejected there.
 _EXACT = (Fraction, int)
 
 
 def to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise DomainError(f"cannot interpret {x!r} as an exact rational")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            pass
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 
-def as_vector(entries: Iterable) -> Vector:
-    return tuple(to_fraction(x) for x in entries)
-
-
 def as_matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(as_vector(r) for r in rows)
+    return tuple(tuple(to_fraction(x) for x in r) for r in rows)
 
 
 def _integer_row(row: Iterable, width: int) -> list[int]:
-    """The row scaled to a primitive integer vector (all zeros stays so)."""
+    """The row times the lcm of its denominators."""
     ratios = [
         (x if type(x) in _EXACT else to_fraction(x)).as_integer_ratio() for x in row
     ]
@@ -82,49 +78,40 @@ def _integer_row(row: Iterable, width: int) -> list[int]:
         raise DomainError(f"row width {len(ratios)} != ambient {width}")
     scale = lcm(*[d for _, d in ratios])
     if scale == 1:
-        return _primitive([n for n, _ in ratios])
-    return _primitive([n * (scale // d) for n, d in ratios])
+        return [n for n, _ in ratios]
+    return [n * (scale // d) for n, d in ratios]
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The integer row divided by its content (all zeros stays so)."""
+def _primitive(row: Sequence[int]) -> Sequence[int] | None:
+    """The integer row divided by its content; None for a zero row."""
     content = gcd(*row)
-    return row if content < 2 else [x // content for x in row]
+    if content == 0:
+        return None
+    return row if content == 1 else [x // content for x in row]
 
 
-def _clear(row: list[int], prow: list[int], col: int) -> list[int] | None:
+def _clear(row: Sequence[int], prow: Sequence[int], col: int) -> Sequence[int] | None:
     """`row` with column `col` cleared against the pivot row `prow`, made
     primitive again; None when nothing is left."""
     g = gcd(prow[col], row[col])
     a, b = prow[col] // g, row[col] // g
-    new = [a * x - b * y for x, y in zip(row, prow)]
-    content = gcd(*new)
-    if content == 0:
-        return None
-    return new if content == 1 else [x // content for x in new]
+    return _primitive([a * x - b * y for x, y in zip(row, prow)])
 
 
-def rref(rows: Iterable[Iterable], width: int) -> Matrix:
-    """Canonical reduced row-echelon form, zero rows dropped.
+def _reduce(rows: Iterable[Sequence[int]], width: int) -> IntRows:
+    """The one elimination: the canonical integer rows of the span of
+    integer rows.
 
-    Gauss-Jordan elimination on primitive integer rows.  A row is cleared
-    at a pivot column by cross-multiplying with the two entries reduced by
-    their gcd and is then divided by its content, so at every step it is
-    the smallest integer multiple of the row rational elimination would
-    hold: no fraction-free scheme, Bareiss's included, keeps smaller
-    entries.  Fractions are built only for the output, each entry over its
-    row's pivot.  The reduced form is unique, so the result is that of
-    elimination over the rationals.
+    Gauss-Jordan on primitive integer rows.  A row is cleared at a pivot
+    column by cross-multiplying with the two entries reduced by their gcd
+    and is then divided by its content, so at every step it is the
+    smallest integer multiple of the row rational elimination would hold:
+    no fraction-free scheme, Bareiss's included, keeps smaller entries.
+    Each pivot row is made positive at its pivot, which clearing later
+    columns multiplies by positive entries only.
     """
-    reduced = _reduce([_integer_row(row, width) for row in rows], width)
-    return tuple(_fraction_row(row) for row in reduced)
-
-
-def _reduce(rows: list[list[int]], width: int) -> list[list[int]]:
-    """The integer elimination of `rref`: reduced primitive integer rows in
-    pivot order, each a multiple of its canonical row."""
-    rest = [r for r in rows if any(r)]
-    done: list[list[int]] = []
+    rest = [r for r in map(_primitive, rows) if r is not None]
+    done: list[Sequence[int]] = []
     for col in range(width):
         if not rest:
             break
@@ -132,18 +119,31 @@ def _reduce(rows: list[list[int]], width: int) -> list[list[int]]:
         if k is None:
             continue
         prow = rest.pop(k)
+        if prow[col] < 0:
+            prow = [-x for x in prow]
         done = [_clear(r, prow, col) if r[col] else r for r in done]
         done.append(prow)
         rest = [r for r in rest if not r[col]] + [
             c for c in (_clear(r, prow, col) for r in rest if r[col]) if c is not None
         ]
-    return done
+    return tuple(map(tuple, done))
 
 
-def _fraction_row(row: list[int]) -> Vector:
-    """A primitive integer row divided by its leading entry."""
+def _canonical(rows: Iterable[Iterable], width: int) -> IntRows:
+    """The canonical integer rows of the span of exact rational rows."""
+    return _reduce([_integer_row(row, width) for row in rows], width)
+
+
+def _fraction_row(row: Sequence[int]) -> Vector:
+    """A canonical integer row divided by its (positive) pivot."""
     a = next(x for x in row if x)
     return tuple(Fraction(x, a) if x else _ZERO for x in row)
+
+
+def rref(rows: Iterable[Iterable], width: int) -> Matrix:
+    """Canonical reduced row-echelon form, zero rows dropped: the rows of
+    `_reduce`, each over its pivot."""
+    return tuple(_fraction_row(row) for row in _canonical(rows, width))
 
 
 def pivots(rows: Matrix) -> tuple[int, ...]:
@@ -175,30 +175,13 @@ def is_rref(rows: Matrix, width: int) -> bool:
     return True
 
 
-def reduce_against(rows: Matrix, vector: Vector) -> Vector:
-    """Residual of a vector after elimination against an echelon basis."""
-    return _residual(zip(pivots(rows), rows), vector)
+def _kernel(red: IntRows, width: int) -> IntRows:
+    """Canonical integer rows of {v : M v = 0}, from those of M.
 
-
-def _residual(basis: Iterable[tuple[int, Vector]], vector: Vector) -> Vector:
-    residual = vector
-    for p, r in basis:
-        c = residual[p]
-        if c:
-            residual = [x - c * y if y else x for x, y in zip(residual, r)]
-    return tuple(residual)
-
-
-def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
-    """Canonical basis of {v : M v = 0}, echelonized.
-
-    The free-column basis is read off the reduced integer rows: with every
-    row scaled to the common pivot value D, the kernel vector of free
-    column j is D e_j minus the rows' entries in column j at their pivots.
-    It is reduced once more in integers, and a `Fraction` is built only
-    per output entry.
+    With every row scaled to the common pivot value D, the kernel vector
+    of free column j is D e_j minus the rows' entries in column j at their
+    pivots; the vectors are reduced once more.
     """
-    red = _reduce([_integer_row(row, width) for row in rows], width)
     piv = pivots(red)
     scale = lcm(*(r[p] for r, p in zip(red, piv)))
     pivoted = [(p, r, scale // r[p]) for r, p in zip(red, piv)]
@@ -209,8 +192,13 @@ def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
         for p, r, f in pivoted:
             if r[j]:
                 v[p] = -f * r[j]
-        basis.append(_primitive(v))
-    return tuple(_fraction_row(row) for row in _reduce(basis, width))
+        basis.append(v)
+    return _reduce(basis, width)
+
+
+def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
+    """Canonical basis of {v : M v = 0}, echelonized."""
+    return tuple(_fraction_row(row) for row in _kernel(_canonical(rows, width), width))
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
@@ -233,7 +221,7 @@ def identity(n: int) -> Matrix:
 
 
 def matrix_rank(rows: Iterable[Iterable], width: int) -> int:
-    return len(rref(rows, width))
+    return len(_canonical(rows, width))
 
 
 def solve_unique(a: Matrix, rhs: Vector) -> Vector:
@@ -265,36 +253,42 @@ def random_invertible_ints(
     """`random_invertible` with int entries: the same draws, no Fractions."""
     while True:
         m = tuple(tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(dim))
-        if matrix_rank(m, dim) == dim:
+        if len(_reduce(m, dim)) == dim:
             return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RatSubspace:
-    """A subspace of Q^ambient with a canonical echelon basis (rows)."""
+    """A subspace of Q^ambient, stored as the canonical integer rows of its
+    reduced row-echelon basis (`int_rows`); `rows` is that basis in
+    `Fraction`s."""
 
     ambient: int
-    rows: Matrix
+    int_rows: IntRows
 
-    def __post_init__(self) -> None:
-        if self.ambient < 0:
+    def __init__(self, ambient: int, rows: Matrix) -> None:
+        """The subspace with canonical `Fraction` basis `rows`, checked."""
+        if ambient < 0:
             raise DomainError("ambient dimension must be >= 0")
-        if not is_rref(self.rows, self.ambient):
+        if not is_rref(rows, ambient):
             raise DomainError("basis is not in canonical reduced row-echelon form")
+        object.__setattr__(self, "ambient", ambient)
+        # A row with pivot 1 times the lcm of its denominators is primitive.
+        object.__setattr__(self, "int_rows", tuple(tuple(_integer_row(r, ambient)) for r in rows))
 
     @classmethod
-    def _from_rref(cls, ambient: int, rows: Matrix) -> "RatSubspace":
-        """A subspace from rows that `rref` produced; no check is repeated."""
+    def _from_canonical(cls, ambient: int, int_rows: IntRows) -> "RatSubspace":
+        """A subspace from canonical integer rows; no check is repeated."""
         sub = object.__new__(cls)
         object.__setattr__(sub, "ambient", ambient)
-        object.__setattr__(sub, "rows", rows)
+        object.__setattr__(sub, "int_rows", int_rows)
         return sub
 
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Iterable]) -> "RatSubspace":
         if ambient < 0:
             raise DomainError("ambient dimension must be >= 0")
-        return cls._from_rref(ambient, rref(vectors, ambient))
+        return cls._from_canonical(ambient, _canonical(vectors, ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
@@ -310,15 +304,22 @@ class RatSubspace:
         canonical, so no check runs."""
         if not 0 <= k <= ambient:
             raise DomainError("coordinate subspace dimension out of range")
-        return cls._from_rref(ambient, identity(ambient)[:k] if k else ())
+        unit = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(k))
+        return cls._from_canonical(ambient, unit)
+
+    @property
+    def rows(self) -> Matrix:
+        """The canonical basis in `Fraction`s: each integer row over its pivot."""
+        return tuple(_fraction_row(r) for r in self.int_rows)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     def __add__(self, other: "RatSubspace") -> "RatSubspace":
         self._check_ambient(other)
-        return RatSubspace.span(self.ambient, self.rows + other.rows)
+        n = self.ambient
+        return RatSubspace._from_canonical(n, _reduce(self.int_rows + other.int_rows, n))
 
     def __and__(self, other: "RatSubspace") -> "RatSubspace":
         """Intersection; one Zassenhaus elimination unless one side
@@ -334,39 +335,62 @@ class RatSubspace:
         if other <= self:
             return other
         n = self.ambient
-        pad = (_ZERO,) * n
-        red = rref([v + v for v in self.rows] + [w + pad for w in other.rows], 2 * n)
-        return RatSubspace._from_rref(n, tuple(r[n:] for r in red if not any(r[:n])))
+        pad = (0,) * n
+        red = _reduce([v + v for v in self.int_rows] + [w + pad for w in other.int_rows], 2 * n)
+        return RatSubspace._from_canonical(n, tuple(r[n:] for r in red if not any(r[:n])))
 
     def __le__(self, other: "RatSubspace") -> bool:
         self._check_ambient(other)
-        if self.dim > other.dim:
-            return False
-        basis = list(zip(pivots(other.rows), other.rows))
-        return all(not any(_residual(basis, v)) for v in self.rows)
+        return self.dim <= other.dim and other._spans(self.int_rows)
 
     def contains_vector(self, v: Iterable) -> bool:
-        return not any(reduce_against(self.rows, as_vector(v)))
+        return self._spans([_integer_row(v, self.ambient)])
+
+    def _spans(self, vectors: Iterable[Sequence[int]]) -> bool:
+        """Whether every integer vector lies here: in reduced form its
+        coordinates are its entries at the pivots, so D v must be the sum
+        of v[p] (D / r[p]) r over the rows r with pivot p, D the lcm of the
+        pivots."""
+        basis = list(zip(self.int_rows, pivots(self.int_rows)))
+        scale = lcm(*(r[p] for r, p in basis))
+        for v in vectors:
+            combination = [0] * self.ambient
+            for r, p in basis:
+                if v[p]:
+                    f = v[p] * (scale // r[p])
+                    combination = [a + f * x for a, x in zip(combination, r)]
+            if combination != [scale * x for x in v]:
+                return False
+        return True
 
     def annihilator(self) -> "RatSubspace":
         """The subspace {u : <u, v> = 0 for all v here}, in dual coordinates."""
-        return RatSubspace._from_rref(self.ambient, nullspace(self.rows, self.ambient))
+        return RatSubspace._from_canonical(self.ambient, _kernel(self.int_rows, self.ambient))
 
     def apply(self, m: Matrix) -> "RatSubspace":
-        """Image under the linear map with matrix m (columns act on coordinates)."""
-        new_ambient = len(m)
-        return RatSubspace.span(new_ambient, [matvec(m, v) for v in self.rows])
+        """Image under the linear map with matrix m (columns act on
+        coordinates), computed with all of m scaled to integers by one
+        factor."""
+        n, w = len(m), self.ambient
+        flat = _integer_row([x for row in m for x in row], n * w)
+        images = []
+        for v in self.int_rows:
+            support = [(j, x) for j, x in enumerate(v) if x]
+            images.append([sum(flat[i * w + j] * x for j, x in support) for i in range(n)])
+        return RatSubspace._from_canonical(n, _reduce(images, n))
 
     def coordinate_complement(self, within: "RatSubspace | None" = None) -> "RatSubspace":
         """Deterministic complement spanned by standard basis vectors where
         possible; when `within` is given the complement is taken inside it."""
-        space = within if within is not None else RatSubspace.full(self.ambient)
-        comp_rows: list[Vector] = []
-        current = self
-        for v in space.rows:
-            if not (current + RatSubspace.span(self.ambient, comp_rows)).contains_vector(v):
-                comp_rows.append(v)
-        return RatSubspace.span(self.ambient, comp_rows)
+        n = self.ambient
+        space = within if within is not None else RatSubspace.full(n)
+        covered = self
+        chosen: list[tuple[int, ...]] = []
+        for v in space.int_rows:
+            if not covered._spans([v]):
+                chosen.append(v)
+                covered = RatSubspace._from_canonical(n, _reduce(covered.int_rows + (v,), n))
+        return RatSubspace._from_canonical(n, _reduce(chosen, n))
 
     def _check_ambient(self, other: "RatSubspace") -> None:
         if self.ambient != other.ambient:
@@ -379,7 +403,8 @@ class RatSubspace:
 
     @classmethod
     def from_json_obj(cls, ambient: int, obj: list) -> "RatSubspace":
-        return cls(ambient, rref(obj, ambient))
+        """The span of any generating set of exact rationals."""
+        return cls.span(ambient, obj)
 
 
 def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
@@ -391,12 +416,11 @@ def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
     if not 1 <= block <= blocks:
         raise DomainError(f"block index {block} out of range 1..{blocks}")
     m = sub.ambient
-    left = (block - 1) * m
-    right = (blocks - block) * m
-    zero_l = (_ZERO,) * left
-    zero_r = (_ZERO,) * right
-    rows = tuple(zero_l + v + zero_r for v in sub.rows)
-    return RatSubspace._from_rref(blocks * m, rows)
+    zero_l = (0,) * ((block - 1) * m)
+    zero_r = (0,) * ((blocks - block) * m)
+    return RatSubspace._from_canonical(
+        blocks * m, tuple(zero_l + v + zero_r for v in sub.int_rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -416,7 +440,7 @@ class Flag:
         """A flag whose chain is nested by construction (an image, the
         annihilators, a monotone formula): the integer checks on ambient,
         properness and strictly increasing dimensions still run, the
-        containment residuals do not."""
+        containment tests do not."""
         flag = object.__new__(cls)
         object.__setattr__(flag, "ambient", ambient)
         object.__setattr__(flag, "chain", chain)
@@ -516,15 +540,15 @@ def _stabilizer_constraints(flag: Flag, m: int) -> list[list[int]]:
     """Linear constraints on vec(x) (row-major, m*m unknowns) expressing
     that diag(x, ..., x) preserves every flag member.
 
-    Each member and annihilator row is scaled to integers first; that
-    scales each constraint by a nonzero factor and leaves their span as it
-    is."""
+    They are built from the canonical integer rows of each member and its
+    annihilator, so each is a nonzero multiple of the rational constraint
+    and their span is the same."""
     n = flag.ambient
     blocks = range(0, n, m)
     rows: list[list[int]] = []
     for member in flag.chain:
-        ann = [_integer_row(u, n) for u in member.annihilator().rows]
-        for v in (_integer_row(v, n) for v in member.rows):
+        ann = member.annihilator().int_rows
+        for v in member.int_rows:
             for u in ann:
                 rows.append(
                     [
@@ -603,10 +627,10 @@ def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> boo
         a, b = i - 1, j - 1
         for t in range(1, len(members)):
             target = members[t - 1]
-            for v in members[t].rows:
-                image = [Fraction(0)] * n
+            for v in members[t].int_rows:
+                image = [0] * n
                 for k in range(d):
                     image[k * m + a] = v[k * m + b]
-                if any(image) and not target.contains_vector(image):
+                if not target._spans([image]):
                     return False
     return True

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagflag import diagembed
 from diagflag.cli import main, selftest_digest
@@ -443,3 +447,164 @@ def test_validate_egraph_rejects_a_huge_graph_at_once(capsys, tmp_path):
     assert main(["validate-egraph", "--graph", graph]) == 1
     assert time.monotonic() - started < 1.0
     assert capsys.readouterr().err.startswith("input error: vertex and colour counts are limited")
+
+
+def _one_input_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:"), captured.err
+
+
+def _sn_spec(tmp_path):
+    return [
+        "--sn", write(tmp_path, "sn.json", {"factors": {"2": "inf"}}),
+        "--spec", write(tmp_path, "spec.json", {"s1": 2, "cycle": [2]}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{\x00}", b"[" * 100_000, b'{"q": 1' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+)
+def test_unreadable_documents_are_input_errors(capsys, tmp_path, content):
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    assert main(["validate-egraph", "--graph", str(path)]) == 1
+    _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["admissible", "exhaust"])
+def test_documents_must_be_json_objects(capsys, tmp_path, command):
+    gft = write(tmp_path, "gft.json", [GFT_LINE_THEN_REST])
+    argv = [command, "--gft", gft] + _sn_spec(tmp_path)
+    if command == "admissible":
+        argv = argv[:5]
+    assert main(argv) == 1
+    _one_input_error(capsys)
+
+
+def test_unwritable_out_is_an_input_error(capsys, tmp_path):
+    out = str(tmp_path / "no-such-dir" / "x.json")
+    assert main(["--out", out, "restrict", "--alpha", "1,2,2,3", "--m", "2"]) == 1
+    _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("bad", ["no", 1, "true", None])
+def test_infinite_quotients_must_be_a_boolean(capsys, tmp_path, bad):
+    gft = write(tmp_path, "gft.json", {**GFT_LINE_THEN_REST, "infinite_quotients": bad})
+    assert main(["exhaust", "--gft", gft] + _sn_spec(tmp_path)) == 1
+    _one_input_error(capsys)
+    assert main(["admissible", "--gft", gft] + _sn_spec(tmp_path)[:2]) == 1
+    _one_input_error(capsys)
+
+
+def test_source_ambient_zero_is_not_the_default(capsys, mixed_graph_file):
+    for ambient in ("0", "-1"):
+        assert main(["constants", "--graph", mixed_graph_file, "--source-ambient", ambient]) == 1
+        _one_input_error(capsys)
+
+
+def _star(n):
+    """The valid star graph q = 1, p = d = n with edges (1, c, c)."""
+    return {"q": 1, "p": n, "d": n, "edges": [[1, c, c] for c in range(1, n + 1)]}
+
+
+def test_closed_indices_beyond_the_bound_exit_at_once(capsys, tmp_path):
+    # (p - 1) * d = 1000 * 1001 is just over 10^6
+    graph = write(tmp_path, "g.json", _star(1001))
+    started = time.monotonic()
+    assert main(["picard", "--graph", graph]) == 1
+    assert time.monotonic() - started < 1.0
+    assert "closed indices and pullbacks are limited" in capsys.readouterr().err
+
+
+def test_largest_accepted_star_answers_picard(capsys, tmp_path):
+    graph = write(tmp_path, "g.json", _star(1000))
+    started = time.monotonic()
+    code, doc = run_json(capsys, "picard", "--graph", graph)
+    assert time.monotonic() - started < 2.0
+    assert code == 0 and doc["matrix"] == [[]] * 999
+
+
+# -- fuzzing the document boundary --------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from(["", "1", "-1/2", "1/0", "inf", "x"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["q", "p", "d", "edges", "x"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+REFERENCE_DOCS = {
+    "graph": MIXED_GRAPH_OBJ,
+    "embedding": {"alpha": [1, 2, 2, 3], "m": 2},
+    "flag": {"ambient": 2, "chain": [[["1", "1"]]]},
+    "gft": GFT_LINE_THEN_REST,
+    "sn": {"factors": {"2": "inf"}},
+    "spec": {"s1": 2, "cycle": [2]},
+}
+
+# Every document-reading subcommand with its document options.
+DOCUMENT_COMMANDS = {
+    "validate-egraph": ["graph"],
+    "dot": ["graph"],
+    "factor": ["graph"],
+    "picard": ["graph"],
+    "constants": ["graph"],
+    "classify": ["embedding"],
+    "embed": ["embedding", "flag"],
+    "admissible": ["gft", "sn"],
+    "exhaust": ["sn", "spec", "gft"],
+}
+
+
+@st.composite
+def malformed_documents(draw):
+    """A reference document with one field replaced, dropped or added, any
+    JSON value at all, or bytes that are not JSON."""
+    kind = draw(st.sampled_from(sorted(REFERENCE_DOCS)))
+    shape = draw(st.sampled_from(("mutate", "value", "bytes")))
+    if shape == "bytes":
+        return kind, draw(st.binary(max_size=24))
+    if shape == "value":
+        return kind, json.dumps(draw(json_values)).encode()
+    doc = dict(REFERENCE_DOCS[kind])
+    key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+    if draw(st.booleans()):
+        doc.pop(key, None)
+    else:
+        doc[key] = draw(json_values)
+    return kind, json.dumps(doc).encode()
+
+
+@given(st.sampled_from(sorted(DOCUMENT_COMMANDS)), malformed_documents())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_documents_never_escape_main(tmp_path_factory, command, fuzzed):
+    kind, content = fuzzed
+    folder = tmp_path_factory.mktemp("fuzz")
+    argv = [command]
+    for option in DOCUMENT_COMMANDS[command]:
+        path = folder / f"{option}.json"
+        if option == kind:
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(REFERENCE_DOCS[option]))
+        argv += [f"--{option}", str(path)]
+    if command == "constants":
+        argv += ["--window", "3"]
+    started = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert time.monotonic() - started < 5.0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagflag.egraph import (
+    CLOSED_INDEX_LIMIT,
     GRAPH_SIZE_LIMIT,
     EGraph,
     NotParabolic,
@@ -268,3 +269,32 @@ def test_validating_a_graph_at_the_cap_is_fast():
     violations = g.violations
     assert time.monotonic() - started < 2.0
     assert len(violations) == 1 and violations[0].startswith("bottom-left vertex")
+
+
+@given(small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_closed_indices_match_their_definition(g):
+    """Per right vertex r_j, j < p, and colour: the largest left endpoint
+    among that colour's edges ending at or above r_j; invalid graphs
+    included."""
+    expected = tuple(
+        tuple(
+            max((i for (i, jj, cc) in g.edges if cc == c and jj <= j), default=0)
+            for c in range(1, g.d + 1)
+        )
+        for j in range(1, g.p)
+    )
+    assert g.closed_indices == expected
+
+
+def test_closed_index_table_is_capped():
+    def star(n):
+        return EGraph(1, n, n, frozenset((1, c, c) for c in range(1, n + 1)))
+
+    assert (999 * 1000) <= CLOSED_INDEX_LIMIT < 1000 * 1001
+    assert len(star(1000).closed_indices) == 999
+    with pytest.raises(ScaleError):
+        star(1001).closed_indices
+    straight = EGraph(1002, 1002, 1, frozenset((i, i, 1) for i in range(1, 1003)))
+    with pytest.raises(ScaleError):  # (p - 1) * (q - 1) bounds the pullback
+        straight.closed_indices

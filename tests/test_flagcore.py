@@ -1,3 +1,7 @@
+import bisect
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -20,8 +24,12 @@ from diagflag.flagcore import (
     se_compose,
     se_eval,
     support_and_constants,
+    _epsilon_solution_space,
+    _kappa_candidates,
 )
-from diagflag.ratlin import Flag, RatSubspace
+from diagflag.diagembed import DiagonalEmbedding
+from diagflag.egraph import enumerate_valid_graphs
+from diagflag.ratlin import Flag, RatSubspace, nullspace
 
 
 def inclusion_matrix(nw: int, m: int):
@@ -415,3 +423,81 @@ def test_se_eval_always_produces_target_type(rng):
         flag = random_flag(se.source_type, rng)
         image = se_eval(se, flag)
         assert flag_type_of(image) == se.target_type
+
+
+def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_samples=3):
+    """The incremental Fraction echelon the classifier used to fold its eps
+    constraints into, one sample flag at a time."""
+    m = source_type.ambient
+    width = nw * m
+    echelon, piv = [], []
+
+    def insert(row):
+        for br, bp in zip(echelon, piv):
+            c = row[bp]
+            if c:
+                row = [x - c * y for x, y in zip(row, br)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            return
+        row = [x / row[lead] for x in row]
+        pos = bisect.bisect_left(piv, lead)
+        echelon.insert(pos, row)
+        piv.insert(pos, lead)
+
+    stable = 0
+    for flag, image in samples:
+        before = len(echelon)
+        for j, v in enumerate(kappa, start=1):
+            if v == 0:
+                continue
+            for src in flag.member(v).rows:
+                for u in image.chain[j - 1].annihilator().rows:
+                    insert([u[r] * src[c] for r in range(nw) for c in range(m)])
+        if len(echelon) == width:
+            return ()
+        if len(echelon) == before:
+            stable += 1
+            if stable >= stable_samples:
+                break
+        else:
+            stable = 0
+    return nullspace(echelon, width)
+
+
+def test_epsilon_solution_space_matches_the_fraction_echelon():
+    """On a seeded sample of the criterion-05 embeddings, with the samples
+    and index maps the classifier collects (strict and via the dual), and
+    on random nondecreasing index maps as well."""
+    rng = random.Random(5)
+    instances = [
+        (g, FlagType(m, dims))
+        for d in range(1, 4)
+        for m in range(2, 7)
+        if d * m <= 6
+        for q in range(1, m + 1)
+        for p in range(1, q * d + 1)
+        for g in enumerate_valid_graphs(q, p, d)
+        for dims in itertools.combinations(range(1, m), q - 1)
+    ]
+    compared = 0
+    for g, ft in rng.sample(instances, 30):
+        emb = DiagonalEmbedding(g, ft)
+        for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
+            flags = [coordinate_flag(ft)] + [random_flag(ft, rng) for _ in range(12)]
+            samples = [(f, evaluate(f)) for f in flags]
+            target_dims = samples[0][1].dims
+            constants = [
+                functools.reduce(operator.and_, members)
+                for members in zip(*(img.chain for _, img in samples))
+            ]
+            support = tuple(j for j, c in enumerate(constants, 1) if c.dim < target_dims[j - 1])
+            kappas = _kappa_candidates(ft, target_dims, constants, support)
+            kappas += [
+                tuple(sorted(rng.randint(0, ft.length + 1) for _ in target_dims)) for _ in range(2)
+            ]
+            for kappa in kappas:
+                expected = reference_epsilon_solution_space(samples, ft, kappa, emb.n)
+                assert _epsilon_solution_space(samples, ft, kappa, emb.n) == expected
+                compared += 1
+    assert compared >= 120

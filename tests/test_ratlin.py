@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from diagflag.ratlin import (
     RatSubspace,
     block_diagonal,
     block_embed,
+    is_rref,
     matrix_rank,
     matvec,
     nilradical_inclusion_oracle,
@@ -444,3 +446,107 @@ def test_trusted_constructors_match_the_validating_one():
             assert RatSubspace.coordinate(ambient, k) == RatSubspace(ambient, identity_rows[:k])
         with pytest.raises(DomainError):
             RatSubspace.coordinate(ambient, ambient + 1)
+
+
+def test_zero_denominator_strings_are_rejected():
+    with pytest.raises(DomainError):
+        to_fraction("1/0")
+    with pytest.raises(DomainError):
+        Flag.from_json_obj({"ambient": 2, "chain": [[["1/0", "1"]]]})
+
+
+# -- integer storage ---------------------------------------------------------
+
+
+def assert_canonical(sub):
+    """The stored rows are the reduced echelon basis, each row primitive with
+    a positive pivot, and the validating constructor accepts the view."""
+    seen = []
+    for r in sub.int_rows:
+        assert len(r) == sub.ambient and all(type(x) is int for x in r)
+        p = next(j for j, x in enumerate(r) if x)
+        assert r[p] > 0 and gcd(*r) == 1
+        seen.append(p)
+    assert seen == sorted(set(seen))
+    for r, p in zip(sub.int_rows, seen):
+        assert all(r[q] == 0 for q in seen if q != p)
+    assert is_rref(sub.rows, sub.ambient)
+    assert RatSubspace(sub.ambient, sub.rows) == sub
+
+
+@st.composite
+def rational_matrices(draw, rows, cols):
+    """Fraction matrices, singular ones included (zero rows and columns,
+    repeated rows)."""
+    m = draw(st.lists(st.lists(fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        m[-1] = list(m[0])
+    return tuple(tuple(r) for r in m)
+
+
+@st.composite
+def computed_subspaces(draw):
+    """A subspace from one of the module's constructions, with the same
+    subspace built through the rational reference route."""
+    width, rows = draw(generating_sets(st.integers(1, 7), max_rows=5))
+    a = RatSubspace.span(width, rows)
+    _, other = draw(generating_sets(st.just(width), max_rows=5))
+    b = RatSubspace.span(width, other)
+    kind = draw(st.sampled_from(("span", "sum", "meet", "annihilator", "apply", "block", "coordinate")))
+    if kind == "span":
+        return a, reference_rref(rows, width)
+    if kind == "sum":
+        return a + b, reference_rref(a.rows + b.rows, width)
+    if kind == "meet":
+        return a & b, reference_intersection(a, b)
+    if kind == "annihilator":
+        return a.annihilator(), reference_nullspace(a.rows, width)
+    if kind == "apply":
+        m = draw(rational_matrices(draw(st.integers(1, 7)), width))
+        return a.apply(m), reference_rref([matvec(m, v) for v in a.rows], len(m))
+    if kind == "block":
+        blocks = draw(st.integers(1, 3))
+        block = draw(st.integers(1, blocks))
+        pad = lambda k: (Fraction(0),) * (k * width)
+        shifted = [pad(block - 1) + v + pad(blocks - block) for v in a.rows]
+        return block_embed(a, block, blocks), reference_rref(shifted, blocks * width)
+    k = draw(st.integers(0, width))
+    made = draw(
+        st.sampled_from(
+            (RatSubspace.coordinate(width, k), RatSubspace.zero(width), RatSubspace.full(width))
+        )
+    )
+    return made, reference_rref([[int(i == j) for j in range(width)] for i in range(made.dim)], width)
+
+
+@given(computed_subspaces())
+@settings(max_examples=200, deadline=None)
+def test_computed_subspaces_store_canonical_integer_rows(case):
+    sub, expected_rows = case
+    assert_canonical(sub)
+    assert sub.rows == expected_rows
+
+
+def reference_residual(rows, vector):
+    """Residual of a vector after Fraction elimination against an echelon
+    basis."""
+    residual = tuple(Fraction(x) for x in vector)
+    for r in rows:
+        c = residual[next(j for j, x in enumerate(r) if x)]
+        if c:
+            residual = tuple(x - c * y if y else x for x, y in zip(residual, r))
+    return residual
+
+
+@given(subspace_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_containment_matches_the_fraction_residual(pair, data):
+    a, b = pair
+    n = a.ambient
+    expected = a.dim <= b.dim and all(not any(reference_residual(b.rows, v)) for v in a.rows)
+    assert (a <= b) == expected
+    coeffs = data.draw(st.lists(small_entries, min_size=b.dim, max_size=b.dim))
+    inside = [sum((c * r[i] for c, r in zip(coeffs, b.rows)), Fraction(0)) for i in range(n)]
+    anywhere = data.draw(st.lists(fractions, min_size=n, max_size=n))
+    for v in (inside, anywhere, [Fraction(0)] * n):
+        assert b.contains_vector(v) == (not any(reference_residual(b.rows, v)))
