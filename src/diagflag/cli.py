@@ -369,6 +369,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
+    except ValueError as exc:
+        # An exact result whose integers str() refuses to print.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        sys.stderr.write(f"input error: the report holds an integer beyond {limit} digits\n")
+        return 1
     except InternalCheckError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return 2

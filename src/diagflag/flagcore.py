@@ -9,25 +9,30 @@ replaces each member by the annihilator of its mirror.  This module
 evaluates and composes such data, computes constant spaces of arbitrary
 evaluable embeddings by stabilized sampling, and recognizes standard
 extensions at small scale by exhaustive recovery of a witness.
+
+eps is stored as integer rows over one denominator, like the bases of
+`RatSubspace`: evaluation, composition and the classifier's candidate
+search run on integers, and `Fraction`s appear only in the `epsilon` view
+that `to_json_obj` writes and in the duality conjugation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError, ScaleError, strict_bool, strict_int
 from .ratlin import (
     Flag,
+    IntRows,
     Matrix,
     RatSubspace,
     as_matrix,
-    identity,
-    matmul,
-    matrix_rank,
+    integer_matrix,
     random_invertible_ints,
     solve_unique,
 )
@@ -156,31 +161,89 @@ def is_linear(pullback: PicardPullback) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StandardExtensionData:
     """Witness (eps, Z-chain, kappa, dualized) for a standard extension.
 
-    `epsilon` is the matrix of an injective map from the source space into
-    the target space (columns act on source coordinates), `z_chain` lists
-    Z_1 <= ... <= Z_l in the target, `kappa` is the nondecreasing member
-    map with values in 0..k+1, and `dualized` composes the evaluation with
-    the duality map.  `source_dims` fixes k and the source member
-    dimensions, which the other fields do not determine.
+    eps is the matrix of an injective map from the source space into the
+    target space (columns act on source coordinates), stored once, as
+    `int_epsilon` over the positive `denominator` in lowest terms, so that
+    `==` and hashing are equality of the rational matrix; `epsilon` is the
+    derived `Fraction` view.  `z_chain` lists Z_1 <= ... <= Z_l in the
+    target, `kappa` is the nondecreasing member map with values in 0..k+1,
+    and `dualized` composes the evaluation with the duality map.
+    `source_type` fixes k and the source member dimensions, which the other
+    fields do not determine.
+
+    `StandardExtensionData(source_type, epsilon, ...)`, `from_integer_epsilon`
+    and `from_json_obj` check every condition above; `with_dualized` and
+    `se_compose`, whose results are valid by construction, do not.
     """
 
     source_type: FlagType
-    epsilon: Matrix
+    int_epsilon: IntRows
+    denominator: int
     z_chain: tuple[RatSubspace, ...]
     kappa: tuple[int, ...]
     dualized: bool = False
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        source_type: FlagType,
+        epsilon: Matrix,
+        z_chain: tuple[RatSubspace, ...],
+        kappa: tuple[int, ...],
+        dualized: bool = False,
+    ) -> None:
+        m = source_type.ambient
+        if any(len(row) != m for row in epsilon):
+            raise DomainError("epsilon must have one column per source coordinate")
+        rows, den = integer_matrix(epsilon, m)
+        self._assign(source_type, rows, den, z_chain, kappa, dualized)
+        self._check()
+
+    @classmethod
+    def from_integer_epsilon(
+        cls,
+        source_type: FlagType,
+        int_epsilon: IntRows,
+        denominator: int,
+        z_chain: tuple[RatSubspace, ...],
+        kappa: tuple[int, ...],
+        dualized: bool = False,
+    ) -> "StandardExtensionData":
+        """Data with eps = int_epsilon / denominator (a positive int),
+        checked as the constructor checks."""
+        if any(len(row) != source_type.ambient for row in int_epsilon):
+            raise DomainError("epsilon must have one column per source coordinate")
+        if denominator < 1:
+            raise DomainError(f"the denominator of epsilon must be positive, got {denominator}")
+        data = cls._trusted(source_type, int_epsilon, denominator, z_chain, kappa, dualized)
+        data._check()
+        return data
+
+    @classmethod
+    def _trusted(cls, source_type, int_epsilon, denominator, z_chain, kappa, dualized):
+        """`from_integer_epsilon` without the checks: only the lowest terms
+        are restored."""
+        g = gcd(denominator, *(x for row in int_epsilon for x in row)) if denominator > 1 else 1
+        if g > 1:
+            int_epsilon = tuple(tuple(x // g for x in row) for row in int_epsilon)
+            denominator //= g
+        data = object.__new__(cls)
+        data._assign(source_type, int_epsilon, denominator, z_chain, kappa, dualized)
+        return data
+
+    def _assign(self, *values) -> None:
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    def _check(self) -> None:
         m = self.source_type.ambient
         k = self.source_type.length
-        if any(len(row) != m for row in self.epsilon):
-            raise DomainError("epsilon must have one column per source coordinate")
-        nw = len(self.epsilon)
-        if matrix_rank(self.epsilon, m) != m:
+        nw = self.target_ambient
+        image = self.image_of_epsilon()
+        if image.dim != m:
             raise DomainError("epsilon must be injective")
         if len(self.kappa) != len(self.z_chain):
             raise DomainError("kappa and z_chain must have equal length")
@@ -191,7 +254,6 @@ class StandardExtensionData:
             if prev is not None and not prev <= z:
                 raise DomainError("z_chain must be nested")
             prev = z
-        image = self.image_of_epsilon()
         if self.z_chain and (image & self.z_chain[-1]).dim != 0:
             raise DomainError("z_chain must meet the image of epsilon trivially")
         prev_v = 0
@@ -213,13 +275,25 @@ class StandardExtensionData:
             if v == k + 1 and m + z.dim >= nw:
                 raise DomainError("member (k+1, Z) would be the whole space")
 
+    def with_dualized(self, dualized: bool) -> "StandardExtensionData":
+        """The same data with `dualized` set; no condition depends on it."""
+        return StandardExtensionData._trusted(
+            self.source_type, self.int_epsilon, self.denominator, self.z_chain, self.kappa, dualized
+        )
+
+    @property
+    def epsilon(self) -> Matrix:
+        """eps in `Fraction`s."""
+        den = self.denominator
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.int_epsilon)
+
     @property
     def target_ambient(self) -> int:
-        return len(self.epsilon)
+        return len(self.int_epsilon)
 
     def image_of_epsilon(self) -> RatSubspace:
-        cols = tuple(zip(*self.epsilon))
-        return RatSubspace.span(self.target_ambient, cols)
+        """The span of the columns; scaling eps does not move it."""
+        return RatSubspace.span_ints(self.target_ambient, zip(*self.int_epsilon))
 
     def full_complement(self) -> RatSubspace:
         """Deterministic complement Z of the image containing the chain."""
@@ -243,9 +317,10 @@ class StandardExtensionData:
         if flag_type_of(flag) != self.source_type:
             raise DomainError("flag does not match the source type")
         # kappa is nondecreasing and the Z_j are nested (both validated), so
-        # the members eps(F_kappa(j)) + Z_j are nested too.
+        # the members eps(F_kappa(j)) + Z_j are nested too.  The integer
+        # rows of eps span the same images as eps.
         members = tuple(
-            flag.member(v).apply(self.epsilon) + z for v, z in zip(self.kappa, self.z_chain)
+            flag.member(v).apply_ints(self.int_epsilon) + z for v, z in zip(self.kappa, self.z_chain)
         )
         return Flag._from_nested(self.target_ambient, members)
 
@@ -278,16 +353,6 @@ class StandardExtensionData:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad standard-extension document: {exc}") from exc
         return cls(source, epsilon, chain, kappa, dualized)
-
-
-def identity_extension(ft: FlagType) -> StandardExtensionData:
-    zero = RatSubspace.zero(ft.ambient)
-    return StandardExtensionData(
-        source_type=ft,
-        epsilon=identity(ft.ambient),
-        z_chain=(zero,) * ft.length,
-        kappa=tuple(range(1, ft.length + 1)),
-    )
 
 
 def se_eval(se: StandardExtensionData, flag: Flag) -> Flag:
@@ -331,46 +396,40 @@ def _dual_conjugate(s: StandardExtensionData) -> StandardExtensionData:
     )
 
 
-def _strict_compose(a: StandardExtensionData, b: StandardExtensionData) -> StandardExtensionData:
-    """Strict composition b . a of strict data."""
-    ka = a.source_type.length
+def _strict_compose(
+    a: StandardExtensionData, b: StandardExtensionData, dualized: bool
+) -> StandardExtensionData:
+    """The strict parts composed, b . a, with `dualized` set as given: eps is
+    the integer product over the product of the denominators."""
     la = len(a.kappa)
-    za_full = a.full_complement()
-
-    def kappa_a_ext(v: int) -> int:
-        if v == 0:
-            return 0
-        if v == la + 1:
-            return ka + 1
-        return a.kappa[v - 1]
-
-    def z_a_ext(v: int) -> RatSubspace:
-        if v == 0:
-            return RatSubspace.zero(a.target_ambient)
-        if v == la + 1:
-            return za_full
-        return a.z_chain[v - 1]
-
-    epsilon = matmul(b.epsilon, a.epsilon)
-    kappa = tuple(kappa_a_ext(v) for v in b.kappa)
-    chain = tuple(
-        z_a_ext(v).apply(b.epsilon) + z for v, z in zip(b.kappa, b.z_chain)
+    kappa_ext = (0, *a.kappa, a.source_type.length + 1)
+    z_ext = (
+        RatSubspace.zero(a.target_ambient),
+        *a.z_chain,
+        a.full_complement() if la + 1 in b.kappa else None,
     )
-    return StandardExtensionData(a.source_type, epsilon, chain, kappa)
+    cols = tuple(zip(*a.int_epsilon))
+    product = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in b.int_epsilon
+    )
+    kappa = tuple(kappa_ext[v] for v in b.kappa)
+    chain = tuple(z_ext[v].apply_ints(b.int_epsilon) + z for v, z in zip(b.kappa, b.z_chain))
+    return StandardExtensionData._trusted(
+        a.source_type, product, a.denominator * b.denominator, chain, kappa, dualized
+    )
 
 
 def se_compose(a: StandardExtensionData, b: StandardExtensionData) -> StandardExtensionData:
-    """Data evaluating to se_eval(b) . se_eval(a)."""
+    """Data evaluating to se_eval(b) . se_eval(a).
+
+    When a is dualized, strict(b) . duality = duality . conj(b), with
+    conj(b) = duality . strict(b) . duality the strict data of
+    `_dual_conjugate`, so the duality moves to the end."""
     if a.target_type != b.source_type:
         raise DomainError("target type of the first map must equal the source type of the second")
-    if not a.dualized and not b.dualized:
-        return _strict_compose(a, b)
-    if not a.dualized and b.dualized:
-        return replace(_strict_compose(a, replace(b, dualized=False)), dualized=True)
-    a_strict = replace(a, dualized=False)
-    conj_b = _dual_conjugate(replace(b, dualized=False))
-    composed = _strict_compose(a_strict, conj_b)
-    return replace(composed, dualized=not b.dualized)
+    if not a.dualized:
+        return _strict_compose(a, b, b.dualized)
+    return _strict_compose(a, _dual_conjugate(b.with_dualized(False)), not b.dualized)
 
 
 def sample_images(
@@ -497,8 +556,9 @@ def _epsilon_solution_space(
     kappa: tuple[int, ...],
     nw: int,
     stable_samples: int = 3,
-) -> Matrix:
-    """Nullspace basis for the linear constraints eps(F_kappa(j)) <= image_j.
+) -> RatSubspace:
+    """The solutions of the linear constraints eps(F_kappa(j)) <= image_j,
+    eps flattened row by row.
 
     The constraints of each sample are spanned together with those before;
     sampling stops once a few consecutive flags add no new rank.  They are
@@ -517,9 +577,9 @@ def _epsilon_solution_space(
             for u in image.chain[j - 1].annihilator().int_rows
             for src in flag.member(v).int_rows
         ]
-        grown = RatSubspace.span(width, acc.int_rows + tuple(rows))
+        grown = RatSubspace.span_ints(width, acc.int_rows + tuple(rows))
         if grown.dim == width:
-            return ()
+            return RatSubspace.zero(width)
         if grown.dim == acc.dim:
             stable += 1
             if stable >= stable_samples:
@@ -527,31 +587,37 @@ def _epsilon_solution_space(
         else:
             stable = 0
         acc = grown
-    return acc.annihilator().rows
+    return acc.annihilator()
 
 
-def _epsilon_candidates(basis: Matrix, nw: int, m: int, seed: int) -> Iterator[Matrix]:
-    """Deterministic stream of candidate eps matrices from a nullspace basis:
-    single basis vectors, signed pairs, then seeded random combinations."""
+def _epsilon_candidates(
+    solutions: RatSubspace, nw: int, m: int, seed: int
+) -> Iterator[tuple[IntRows, int]]:
+    """Deterministic stream of candidate eps matrices, each as integer rows
+    over a denominator: the echelon basis vectors of the solution space,
+    signed pairs of them, then seeded random combinations.
 
-    def unflatten(vec: Sequence[Fraction]) -> Matrix:
-        return tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(nw))
+    Each basis vector is its canonical integer row over its pivot; all are
+    brought to the lcm of the pivots, so sums run on integers."""
+    rows = solutions.int_rows
+    leads = [next(x for x in r if x) for r in rows]
+    den = lcm(*leads)
+    basis = [[x * (den // a) for x in r] for r, a in zip(rows, leads)]
+
+    def unflatten(vec: Sequence[int]) -> tuple[IntRows, int]:
+        return tuple(tuple(vec[r * m : (r + 1) * m]) for r in range(nw)), den
 
     for v in basis:
         yield unflatten(v)
-    for (i, vi), (j, vj) in itertools.combinations(enumerate(basis), 2):
+    for vi, vj in itertools.combinations(basis, 2):
         for sign in (1, -1):
             yield unflatten([a + sign * b for a, b in zip(vi, vj)])
     rng = random.Random(f"diagflag-epsilon-{seed}")
     for _ in range(60):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
+        coeffs = [rng.randint(-3, 3) for _ in basis]
         if not any(coeffs):
             continue
-        vec = [
-            sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
-            for i in range(nw * m)
-        ]
-        yield unflatten(vec)
+        yield unflatten([sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(nw * m)])
 
 
 def _build_z_chain(
@@ -629,25 +695,24 @@ def _recover_strict(
         # is a point too (kappa must attain every member index).
         if m > nw or k > 0:
             return None
-        eps = tuple(identity(nw)[r][:m] for r in range(nw))
-        return StandardExtensionData(source_type, eps, (), ())
+        eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
+        return StandardExtensionData.from_integer_epsilon(source_type, eps, 1, (), ())
     for kappa in _kappa_candidates(source_type, target_dims, constants, support):
-        basis = _epsilon_solution_space(samples, source_type, kappa, nw)
-        if not basis:
+        solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
+        if not solutions.dim:
             continue
         z_last_support = constants[max(support) - 1] if support else None
-        for eps in _epsilon_candidates(basis, nw, m, seed):
-            if matrix_rank(eps, m) != m:
+        for eps, den in _epsilon_candidates(solutions, nw, m, seed):
+            image = RatSubspace.span_ints(nw, zip(*eps))
+            if image.dim != m:
                 continue
-            cols = tuple(zip(*eps))
-            image = RatSubspace.span(nw, cols)
             if z_last_support is not None and (image & z_last_support).dim != 0:
                 continue
             chain = _build_z_chain(kappa, constants, image, k)
             if chain is None:
                 continue
             try:
-                data = StandardExtensionData(source_type, eps, chain, kappa)
+                data = StandardExtensionData.from_integer_epsilon(source_type, eps, den, chain, kappa)
             except DomainError:
                 continue
             if _verify_witness(data, evaluate, samples, source_type, seed):
@@ -686,5 +751,5 @@ def classify_bruteforce(
 
     via_dual = _recover_strict(dual_evaluate, source_type, seed + 1, window)
     if via_dual is not None:
-        return Classification("se_via_dual", replace(via_dual, dualized=True))
+        return Classification("se_via_dual", via_dual.with_dualized(True))
     return Classification("not_se", None)

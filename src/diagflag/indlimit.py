@@ -275,15 +275,16 @@ def canonical_exhaustion(
         i0 = dims_next.index(entry_dim) + 1
         k = p_n - 1
         ell = k if p_next == p_n else k + 1
-        new_line = RatSubspace.span(n + 1, [[0] * n + [1]])
+        # The unit rows below are canonical, so nothing is eliminated.
+        new_line = RatSubspace._from_canonical(n + 1, ((0,) * n + (1,),))
         zero = RatSubspace.zero(n + 1)
-        eps = tuple(tuple(Fraction(1 if r == c else 0) for c in range(n)) for r in range(n + 1))
+        unit = tuple(tuple(int(r == c) for c in range(n)) for r in range(n + 1))
         if p_next == p_n:
             kappa = tuple(range(1, k + 1))
         else:
             kappa = tuple(j if j < i0 else j - 1 for j in range(1, ell + 1))
         chain = tuple(zero if j < i0 else new_line for j in range(1, ell + 1))
-        data = StandardExtensionData(source, eps, chain, kappa)
+        data = StandardExtensionData.from_integer_epsilon(source, unit, 1, chain, kappa)
         # The canonical flags themselves must map to one another.
         if data.evaluate(flag_n) != flag_next:
             raise InternalCheckError("step data does not map the canonical flag forward")

@@ -14,7 +14,13 @@ integers, which leaves every image span as it is) run through it, and
 `RatSubspace(ambient, rows)` checks that `Fraction` rows are canonical;
 `span` and `from_json_obj` reduce any generating set of exact rationals;
 what the module computes itself is canonical by construction and is not
-checked again.
+checked again.  `to_fraction` refuses exponent notation, whose expansion
+no input size bounds.
+
+The scaling rule lives here alone: `integer_matrix` turns a rational
+matrix into integer rows over one positive denominator in lowest terms,
+and callers that already hold integers use `RatSubspace.span_ints` and
+`RatSubspace.apply_ints`, which take integer rows as they are.
 
 Likewise `Flag(ambient, chain)` and `Flag.from_json_obj` test that each
 member contains the one before.  Flags nested by construction go through
@@ -48,15 +54,20 @@ Matrix = tuple[Vector, ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 # Entry types read without `to_fraction`; bool, a subclass of int, is not
 # one of them and is rejected there.
 _EXACT = (Fraction, int)
 
 
 def to_fraction(x) -> Fraction:
+    """An int, a Fraction or a decimal or `p/q` string as a Fraction.
+
+    Exponent notation is refused: `Fraction("1e3000000")` builds 10**3000000
+    before anything can bound it."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise DomainError(f"exponent notation is not accepted: {x[:40]!r}")
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
@@ -69,17 +80,35 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(to_fraction(x) for x in r) for r in rows)
 
 
-def _integer_row(row: Iterable, width: int) -> list[int]:
-    """The row times the lcm of its denominators."""
-    ratios = [
-        (x if type(x) in _EXACT else to_fraction(x)).as_integer_ratio() for x in row
-    ]
-    if len(ratios) != width:
-        raise DomainError(f"row width {len(ratios)} != ambient {width}")
+def _scaled(entries: Iterable) -> tuple[list[int], int]:
+    """Exact rational entries times the lcm of their denominators, and that
+    lcm: the one scaling rule.  The result is in lowest terms, since some
+    entry carries the full power of each prime dividing the lcm."""
+    ratios = [(x if type(x) in _EXACT else to_fraction(x)).as_integer_ratio() for x in entries]
     scale = lcm(*[d for _, d in ratios])
     if scale == 1:
-        return [n for n, _ in ratios]
-    return [n * (scale // d) for n, d in ratios]
+        return [n for n, _ in ratios], 1
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _integer_row(row: Iterable, width: int) -> list[int]:
+    """The row times the lcm of its denominators."""
+    ints, _ = _scaled(row)
+    if len(ints) != width:
+        raise DomainError(f"row width {len(ints)} != ambient {width}")
+    return ints
+
+
+def integer_matrix(rows: Iterable[Iterable], width: int) -> tuple[IntRows, int]:
+    """An exact rational matrix as integer rows over one positive
+    denominator, in lowest terms (the gcd of all entries and the
+    denominator is 1), so equal matrices give equal pairs."""
+    rows = [tuple(r) for r in rows]
+    for r in rows:
+        if len(r) != width:
+            raise DomainError(f"row width {len(r)} != ambient {width}")
+    flat, den = _scaled(x for r in rows for x in r)
+    return tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(len(rows))), den
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int] | None:
@@ -206,20 +235,6 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise DomainError("matrix shape mismatch")
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a
-    )
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-
-
 def matrix_rank(rows: Iterable[Iterable], width: int) -> int:
     return len(_canonical(rows, width))
 
@@ -289,6 +304,12 @@ class RatSubspace:
         if ambient < 0:
             raise DomainError("ambient dimension must be >= 0")
         return cls._from_canonical(ambient, _canonical(vectors, ambient))
+
+    @classmethod
+    def span_ints(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "RatSubspace":
+        """`span` of integer vectors of width `ambient`, reduced as they are:
+        no scaling and no width check."""
+        return cls._from_canonical(ambient, _reduce(vectors, ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
@@ -370,14 +391,16 @@ class RatSubspace:
     def apply(self, m: Matrix) -> "RatSubspace":
         """Image under the linear map with matrix m (columns act on
         coordinates), computed with all of m scaled to integers by one
-        factor."""
-        n, w = len(m), self.ambient
-        flat = _integer_row([x for row in m for x in row], n * w)
+        factor, which leaves the image as it is."""
+        return self.apply_ints(integer_matrix(m, self.ambient)[0])
+
+    def apply_ints(self, m: IntRows) -> "RatSubspace":
+        """`apply` for an integer matrix with `ambient` columns, not checked."""
         images = []
         for v in self.int_rows:
             support = [(j, x) for j, x in enumerate(v) if x]
-            images.append([sum(flat[i * w + j] * x for j, x in support) for i in range(n)])
-        return RatSubspace._from_canonical(n, _reduce(images, n))
+            images.append([sum(row[j] * x for j, x in support) for row in m])
+        return RatSubspace._from_canonical(len(m), _reduce(images, len(m)))
 
     def coordinate_complement(self, within: "RatSubspace | None" = None) -> "RatSubspace":
         """Deterministic complement spanned by standard basis vectors where
@@ -474,9 +497,11 @@ class Flag:
         return self.chain[i - 1]
 
     def apply(self, m: Matrix) -> "Flag":
-        """Image flag; a linear image keeps inclusions, and a matrix that
-        collapses the chain fails the dimension checks."""
-        return Flag._from_nested(len(m), tuple(s.apply(m) for s in self.chain))
+        """Image flag, with m scaled to integers once; a linear image keeps
+        inclusions, and a matrix that collapses the chain fails the
+        dimension checks."""
+        ints = integer_matrix(m, self.ambient)[0]
+        return Flag._from_nested(len(m), tuple(s.apply_ints(ints) for s in self.chain))
 
     def dual(self) -> "Flag":
         """The flag of annihilators, in reverse order (duality map);
@@ -571,7 +596,8 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
     if m < 1 or n % m != 0:
         raise DomainError(f"block size {m} does not divide ambient {n}")
     constraints = _stabilizer_constraints(flag, m)
-    basis_vecs = nullspace(constraints, m * m)
+    kernel = _kernel(_reduce(constraints, m * m), m * m)
+    basis_vecs = [_fraction_row(v) for v in kernel]
     basis = tuple(
         tuple(tuple(v[a * m + b] for b in range(m)) for a in range(m))
         for v in basis_vecs

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
@@ -506,6 +507,28 @@ def test_source_ambient_zero_is_not_the_default(capsys, mixed_graph_file):
         _one_input_error(capsys)
 
 
+@pytest.mark.parametrize("entry", ["1e3000000", "1E5", "2.5e-3"])
+def test_exponent_notation_is_an_input_error(capsys, tmp_path, entry):
+    # Fraction("1e3000000") would build 10**3000000 before any bound applies.
+    flag = write(tmp_path, "flag.json", {"ambient": 2, "chain": [[[entry, "1"]]]})
+    started = time.monotonic()
+    assert main(["embed", "--alpha", "1,2,2,3", "--m", "2", "--flag", flag]) == 1
+    assert time.monotonic() - started < 1.0
+    _one_input_error(capsys)
+
+
+def test_a_result_beyond_the_printing_limit_is_an_input_error(capsys, tmp_path):
+    """A valid flag whose reduced basis has integers that str() refuses."""
+    rng = random.Random(7)
+    big = lambda: str(rng.randrange(10**2999, 10**3000))
+    member = [[big(), big(), "0"], ["0", big(), big()]]
+    flag = write(tmp_path, "flag.json", {"ambient": 3, "chain": [member]})
+    started = time.monotonic()
+    assert main(["embed", "--alpha", "1,1,2,1,1,2", "--m", "3", "--flag", flag]) == 1
+    assert time.monotonic() - started < 1.0
+    _one_input_error(capsys)
+
+
 def _star(n):
     """The valid star graph q = 1, p = d = n with edges (1, c, c)."""
     return {"q": 1, "p": n, "d": n, "edges": [[1, c, c] for c in range(1, n + 1)]}
@@ -535,7 +558,7 @@ json_scalars = st.one_of(
     st.booleans(),
     st.integers(-3, 12),
     st.floats(allow_nan=False, allow_infinity=False, width=16),
-    st.sampled_from(["", "1", "-1/2", "1/0", "inf", "x"]),
+    st.sampled_from(["", "1", "-1/2", "1/0", "inf", "x", "1e3000000", "-2E5", "1.5e-7"]),
 )
 json_values = st.recursive(
     json_scalars,

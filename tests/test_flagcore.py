@@ -1,11 +1,16 @@
 import bisect
 import functools
+import hashlib
 import itertools
+import json
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diagflag.errors import DomainError, ScaleError
 from diagflag.flagcore import (
@@ -17,19 +22,30 @@ from diagflag.flagcore import (
     dual_type,
     duality,
     flag_type_of,
-    identity_extension,
     is_linear,
     random_flag,
     sample_images,
     se_compose,
     se_eval,
     support_and_constants,
+    _dual_conjugate,
+    _epsilon_candidates,
     _epsilon_solution_space,
     _kappa_candidates,
 )
 from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import enumerate_valid_graphs
-from diagflag.ratlin import Flag, RatSubspace, nullspace
+from diagflag.ratlin import Flag, RatSubspace, nullspace, random_invertible
+
+
+def identity_extension(ft: FlagType) -> StandardExtensionData:
+    zero = RatSubspace.zero(ft.ambient)
+    return StandardExtensionData(
+        source_type=ft,
+        epsilon=inclusion_matrix(ft.ambient, ft.ambient),
+        z_chain=(zero,) * ft.length,
+        kappa=tuple(range(1, ft.length + 1)),
+    )
 
 
 def inclusion_matrix(nw: int, m: int):
@@ -190,6 +206,15 @@ def test_data_invariants_rejected():
     bad_eps = ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
     with pytest.raises(DomainError):
         StandardExtensionData(FlagType(2, (1,)), bad_eps, (z,), (1,))
+    # the integer constructor checks the same conditions, its denominator
+    # and its widths
+    with pytest.raises(DomainError):
+        StandardExtensionData.from_integer_epsilon(FlagType(2, (1,)), ((1, 1), (1, 1), (0, 0)), 1, (z,), (1,))
+    for den in (0, -2):
+        with pytest.raises(DomainError):
+            StandardExtensionData.from_integer_epsilon(FlagType(2, (1,)), ((1, 0), (0, 1), (0, 0)), den, (z,), (1,))
+    with pytest.raises(DomainError):
+        StandardExtensionData.from_integer_epsilon(FlagType(2, (1,)), ((1,), (0,), (0,)), 1, (z,), (1,))
 
 
 def test_compose_identity_neutral(rng):
@@ -222,11 +247,9 @@ def test_compose_matches_pointwise(rng):
 
 
 def test_compose_with_duality_flags(rng):
-    from dataclasses import replace
-
     for _ in range(10):
         a = random_se(rng)
-        a_dual = replace(a, dualized=True)
+        a_dual = a.with_dualized(True)
         mid = a_dual.target_type
         b = absorbing_extension(mid.dims, mid.ambient, 1, 1)
         comp = se_compose(a_dual, b)
@@ -234,7 +257,7 @@ def test_compose_with_duality_flags(rng):
         for _ in range(4):
             flag = random_flag(a.source_type, rng)
             assert se_eval(comp, flag) == se_eval(b, se_eval(a_dual, flag))
-        b_dual = replace(b, dualized=True)
+        b_dual = b.with_dualized(True)
         comp2 = se_compose(a_dual, b_dual)
         assert not comp2.dualized
         for _ in range(4):
@@ -243,22 +266,146 @@ def test_compose_with_duality_flags(rng):
 
 
 def test_compose_all_dual_combinations(rng):
-    from dataclasses import replace
-
     for a_dual in (False, True):
         for b_dual in (False, True):
             for _ in range(8):
-                a = replace(random_se(rng), dualized=a_dual)
+                a = random_se(rng).with_dualized(a_dual)
                 mid = a.target_type
                 k0 = rng.randint(1, mid.length + 1)
                 builder = absorbing_extension if rng.random() < 0.5 else inserting_extension
-                b = replace(builder(mid.dims, mid.ambient, rng.randint(1, 2), k0), dualized=b_dual)
+                b = builder(mid.dims, mid.ambient, rng.randint(1, 2), k0).with_dualized(b_dual)
                 comp = se_compose(a, b)
                 assert comp.dualized == (a_dual != b_dual)
                 assert comp.target_type == b.target_type
                 for _ in range(3):
                     flag = random_flag(a.source_type, rng)
                     assert se_eval(comp, flag) == se_eval(b, se_eval(a, flag))
+
+
+def reference_matmul(a, b):
+    """The Fraction product the library used to compose eps with."""
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a
+    )
+
+
+def reference_strict_compose(a, b):
+    """Strict composition b . a in Fractions, through the checking constructor."""
+    ka, la = a.source_type.length, len(a.kappa)
+    kappa_ext = (0, *a.kappa, ka + 1)
+    z_ext = (RatSubspace.zero(a.target_ambient), *a.z_chain, a.full_complement())
+    chain = tuple(z_ext[v].apply(b.epsilon) + z for v, z in zip(b.kappa, b.z_chain))
+    kappa = tuple(kappa_ext[v] for v in b.kappa)
+    return StandardExtensionData(a.source_type, reference_matmul(b.epsilon, a.epsilon), chain, kappa)
+
+
+def reference_se_compose(a, b):
+    if not a.dualized:
+        strict = reference_strict_compose(a, b.with_dualized(False))
+        dualized = b.dualized
+    else:
+        strict = reference_strict_compose(
+            a.with_dualized(False), _dual_conjugate(b.with_dualized(False))
+        )
+        dualized = not b.dualized
+    return StandardExtensionData(
+        strict.source_type, strict.epsilon, strict.z_chain, strict.kappa, dualized
+    )
+
+
+def moved(se, rng):
+    """The same extension followed by a random rational automorphism g of
+    the target (an integer matrix with each row over its own denominator):
+    eps becomes g eps and each Z_j becomes g Z_j."""
+    nw = se.target_ambient
+    g = tuple(
+        tuple(x / rng.choice((-5, -3, -2, 1, 2, 4, 6)) for x in row)
+        for row in random_invertible(nw, rng)
+    )
+    return StandardExtensionData(
+        se.source_type,
+        reference_matmul(g, se.epsilon),
+        tuple(z.apply(g) for z in se.z_chain),
+        se.kappa,
+        se.dualized,
+    )
+
+
+def test_compose_matches_the_fraction_reference(rng):
+    """All four strict/dualized combinations, on chains of two and three
+    steps with rational eps."""
+    denominators = set()
+    for a_dual in (False, True):
+        for b_dual in (False, True):
+            for _ in range(6):
+                a = moved(random_se(rng), rng).with_dualized(a_dual)
+                steps = [a]
+                for dualized in (b_dual, rng.random() < 0.5):
+                    mid = steps[-1].target_type
+                    builder = absorbing_extension if rng.random() < 0.5 else inserting_extension
+                    step = builder(mid.dims, mid.ambient, rng.randint(1, 2), rng.randint(1, mid.length + 1))
+                    steps.append(moved(step, rng).with_dualized(dualized))
+                composed, expected = steps[0], steps[0]
+                for step in steps[1:]:
+                    composed = se_compose(composed, step)
+                    expected = reference_se_compose(expected, step)
+                    assert composed == expected and hash(composed) == hash(expected)
+                    denominators.add(composed.denominator)
+    assert len(denominators) > 3
+
+
+def test_strict_eval_matches_the_fraction_image(rng):
+    for _ in range(20):
+        se = moved(random_se(rng), rng)
+        for _ in range(3):
+            flag = random_flag(se.source_type, rng)
+            expected = tuple(
+                flag.member(v).apply(se.epsilon) + z for v, z in zip(se.kappa, se.z_chain)
+            )
+            assert se.strict_eval(flag).chain == expected
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def injective_epsilons(draw):
+    """An injective rational eps, sometimes with a scaled duplicate row."""
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[rationals] * m), min_size=m, max_size=m + 2))
+    if draw(st.booleans()):
+        c = draw(rationals.filter(bool))
+        rows.append(tuple(c * x for x in draw(st.sampled_from(rows))))
+    assume(RatSubspace.span(len(rows), zip(*rows)).dim == m)
+    return m, tuple(rows)
+
+
+@given(injective_epsilons(), st.integers(2, 30))
+@settings(max_examples=150, deadline=None)
+def test_epsilon_is_stored_as_integers_in_lowest_terms(case, scale):
+    m, eps = case
+    ft = FlagType(m, ())
+    data = StandardExtensionData(ft, eps, (), ())
+    assert data.epsilon == eps
+    assert data.denominator > 0
+    assert gcd(data.denominator, *(x for row in data.int_epsilon for x in row)) == 1
+    assert data.to_json_obj()["epsilon"] == [[str(x) for x in row] for row in eps]
+    same = (
+        StandardExtensionData(ft, tuple(tuple(str(x) for x in row) for row in eps), (), ()),
+        StandardExtensionData.from_integer_epsilon(
+            ft,
+            tuple(tuple(scale * x for x in row) for row in data.int_epsilon),
+            scale * data.denominator,
+            (),
+            (),
+        ),
+        StandardExtensionData.from_json_obj(data.to_json_obj()),
+    )
+    for other in same:
+        assert other == data and hash(other) == hash(data)
+    doubled = StandardExtensionData(ft, tuple(tuple(2 * x for x in row) for row in eps), (), ())
+    assert doubled != data
 
 
 def test_compose_associative_pointwise(rng):
@@ -355,8 +502,6 @@ def test_classify_rejects_large_targets():
 def test_classify_recovers_conjugated_extension(rng):
     """A known extension conjugated by a random target change of basis has
     non-coordinate witness data; recovery must still succeed and agree."""
-    from diagflag.ratlin import random_invertible
-
     for _ in range(6):
         se = random_se(rng, max_ambient=3, max_extra=2)
         if se.target_ambient > 5 or se.source_type.ambient < 2:
@@ -465,12 +610,10 @@ def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_sam
     return nullspace(echelon, width)
 
 
-def test_epsilon_solution_space_matches_the_fraction_echelon():
-    """On a seeded sample of the criterion-05 embeddings, with the samples
-    and index maps the classifier collects (strict and via the dual), and
-    on random nondecreasing index maps as well."""
-    rng = random.Random(5)
-    instances = [
+def criterion_05_instances():
+    """The criterion-05 set in its order: every valid graph with d*m <= 6
+    times every source type."""
+    return [
         (g, FlagType(m, dims))
         for d in range(1, 4)
         for m in range(2, 7)
@@ -480,8 +623,14 @@ def test_epsilon_solution_space_matches_the_fraction_echelon():
         for g in enumerate_valid_graphs(q, p, d)
         for dims in itertools.combinations(range(1, m), q - 1)
     ]
-    compared = 0
-    for g, ft in rng.sample(instances, 30):
+
+
+def classifier_systems(rng, count):
+    """(samples, source type, kappa, target ambient) for `count` seeded
+    criterion-05 embeddings, with the samples and index maps the classifier
+    collects (strict and via the dual) and random nondecreasing index maps
+    as well."""
+    for g, ft in rng.sample(criterion_05_instances(), count):
         emb = DiagonalEmbedding(g, ft)
         for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
             flags = [coordinate_flag(ft)] + [random_flag(ft, rng) for _ in range(12)]
@@ -497,7 +646,69 @@ def test_epsilon_solution_space_matches_the_fraction_echelon():
                 tuple(sorted(rng.randint(0, ft.length + 1) for _ in target_dims)) for _ in range(2)
             ]
             for kappa in kappas:
-                expected = reference_epsilon_solution_space(samples, ft, kappa, emb.n)
-                assert _epsilon_solution_space(samples, ft, kappa, emb.n) == expected
-                compared += 1
+                yield samples, ft, kappa, emb.n
+
+
+def test_epsilon_solution_space_matches_the_fraction_echelon():
+    """On a seeded sample of the criterion-05 embeddings (see
+    `classifier_systems`)."""
+    compared = 0
+    for samples, ft, kappa, nw in classifier_systems(random.Random(5), 30):
+        expected = reference_epsilon_solution_space(samples, ft, kappa, nw)
+        assert _epsilon_solution_space(samples, ft, kappa, nw).rows == expected
+        compared += 1
     assert compared >= 120
+
+
+def reference_epsilon_candidates(basis, nw, m, seed):
+    """The Fraction candidate stream the classifier used to draw eps from."""
+
+    def unflatten(vec):
+        return tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(nw))
+
+    for v in basis:
+        yield unflatten(v)
+    for (i, vi), (j, vj) in itertools.combinations(enumerate(basis), 2):
+        for sign in (1, -1):
+            yield unflatten([a + sign * b for a, b in zip(vi, vj)])
+    rng = random.Random(f"diagflag-epsilon-{seed}")
+    for _ in range(60):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
+        if not any(coeffs):
+            continue
+        vec = [
+            sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
+            for i in range(nw * m)
+        ]
+        yield unflatten(vec)
+
+
+def test_epsilon_candidates_match_the_fraction_stream():
+    compared = 0
+    for samples, ft, kappa, nw in classifier_systems(random.Random(6), 15):
+        solutions = _epsilon_solution_space(samples, ft, kappa, nw)
+        for seed in (0, 1):
+            got = [
+                tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+                for rows, den in _epsilon_candidates(solutions, nw, ft.ambient, seed)
+            ]
+            assert got == list(reference_epsilon_candidates(solutions.rows, nw, ft.ambient, seed))
+            compared += bool(got)
+    assert compared >= 40
+
+
+# A fixed one-in-25 subset of the criterion-05 set, classified as it is and
+# composed with duality; the digest of the witness JSON pins the search.
+WITNESS_DIGEST = "a6acd835499ac32f4091961100552ed7f170e538b2366ecd581eb3edc223d81c"
+
+
+def test_witness_json_is_pinned():
+    witnesses = []
+    for g, ft in criterion_05_instances()[::25]:
+        emb = DiagonalEmbedding(g, ft)
+        for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
+            witnesses.append(classify_bruteforce(evaluate, ft, seed=0).to_json_obj())
+    kinds = [w["kind"] for w in witnesses]
+    assert (kinds.count("strict_se"), kinds.count("se_via_dual"), len(kinds)) == (10, 2, 94)
+    text = json.dumps(witnesses, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST
