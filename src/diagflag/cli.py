@@ -214,7 +214,7 @@ def _cmd_admissible(args) -> dict:
 def _cmd_factor(args) -> dict:
     g = egraph.EGraph.from_json_obj(_load_json(args.graph))
     factors = indlimit.factor_linear_egraph(g)
-    if not indlimit.factor_pullback_additivity(g):
+    if not indlimit.factor_pullback_additivity(g, factors):
         raise InternalCheckError("factor pullbacks do not sum to the input pullback")
     return {
         "verdict": "ok",

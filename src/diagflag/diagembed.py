@@ -12,10 +12,10 @@ The module also computes the induced matrix on Picard generators (from the
 graph alone, `graph_pullback`), the combinatorial linearity and
 standard-extension criteria, the closed-form chain of constant spaces, the
 unipotent-radical inclusion test on the graph (`unipotent_inclusion(g)`),
-the coordinate flags `coordinate_flag_of_alpha(alpha)` and
-`coordinate_flag_of_beta(restriction)`, and the exhaustive sweep that
-compares every combinatorial verdict against the exact oracle, with one
-restriction analysis and one stabilizer per case.
+and the exhaustive sweep that compares every combinatorial verdict against
+the exact oracle, with one restriction analysis and one stabilizer per
+case.  The coordinate flags it compares are flagcore's `level_flag` of the
+level values and of the block-level tuples.
 """
 
 from __future__ import annotations
@@ -157,18 +157,6 @@ def checked_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
             "cumulative and closed evaluation formulas disagree; graph/type data is inconsistent"
         )
     return image
-
-
-def coordinate_flag_of_alpha(alpha: SurjectionAlpha) -> Flag:
-    """The coordinate flag whose stabilizer the level map describes."""
-    return level_flag(alpha.values)
-
-
-def coordinate_flag_of_beta(restriction: ParabolicRestriction) -> Flag:
-    """The restricted flag in Q^m: members span the e_r whose block-level
-    tuple is at most each image tuple but the last in turn.  The image is
-    totally ordered, so tuple order and componentwise order agree on it."""
-    return level_flag(restriction.beta)
 
 
 def graph_pullback(g: EGraph) -> PicardPullback:
@@ -340,7 +328,7 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                 cases += 1
                 result = build_from_alpha(alpha, m)
                 combinatorial = isinstance(result, ParabolicRestriction)
-                flag = coordinate_flag_of_alpha(alpha)
+                flag = level_flag(alpha.values)
                 oracle = stabilizer_oracle(flag, m)
                 if combinatorial == oracle.is_parabolic:
                     par_agree += 1
@@ -357,7 +345,9 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                     uni_bad.append({"alpha": list(alpha.values), "m": m})
                 if result.flag_type is not None:
                     emb = DiagonalEmbedding(result.graph, result.flag_type)
-                    source = coordinate_flag_of_beta(result)
+                    # The tuple image is totally ordered, so the coordinate
+                    # flag of beta in tuple order is the restricted flag.
+                    source = level_flag(result.beta)
                     if checked_evaluate(emb, source) != flag:
                         raise InternalCheckError(
                             f"restricted coordinate flag does not map to the ambient one for alpha={alpha.values}"

@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ScaleError, ValidationReport, strict_int
-from .flagcore import FlagType
+from .flagcore import FlagType, level_dims
 
 Edge = tuple[int, int, int]  # (left, right, colour), all 1-based
 
@@ -249,8 +249,9 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
         for j, i in last_with_value.items():
             edges.add((i, j, k + 1))
     graph = EGraph(q, p, d, frozenset(edges))
-    counts = [sum(1 for b in beta if b <= tup_) for tup_ in image]
-    dims = tuple(counts[:-1])
+    # The image is totally ordered, so tuple order and componentwise order
+    # agree on it: the restricted flag is the coordinate flag of beta.
+    dims = level_dims(beta)
     flag_type = FlagType(m, dims) if dims else None
     return ParabolicRestriction(graph, beta, tuple(image), flag_type)
 

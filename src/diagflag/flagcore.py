@@ -11,9 +11,10 @@ evaluable embeddings by stabilized sampling, and recognizes standard
 extensions at small scale by exhaustive recovery of a witness.
 
 eps is stored as integer rows over one denominator, like the bases of
-`RatSubspace`: evaluation, composition and the classifier's candidate
-search run on integers, and `Fraction`s appear only in the `epsilon` view
-that `to_json_obj` writes and in the duality conjugation.
+`RatSubspace`: evaluation, composition, the duality conjugation and the
+classifier's candidate search run on integers, and `Fraction`s appear only
+in the `epsilon` view.  `level_flag` and `level_dims` are the one home of
+the coordinate flag of ordered keys.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .ratlin import (
     as_matrix,
     integer_matrix,
     random_invertible_ints,
-    solve_unique,
 )
 
 CLASSIFY_SCALE_LIMIT = 6
@@ -103,6 +103,12 @@ def level_flag(keys: Sequence) -> Flag:
     return Flag._from_nested(n, members)
 
 
+def level_dims(keys: Sequence) -> tuple[int, ...]:
+    """The member dimensions of `level_flag(keys)`, by counting: for each
+    key value but the largest, the number of keys at most that value."""
+    return tuple(sum(1 for k in keys if k <= bound) for bound in sorted(set(keys))[:-1])
+
+
 def random_flag(ft: FlagType, rng: random.Random) -> Flag:
     """Random flag of the given type: the image of the coordinate flag under
     a random invertible integer matrix g.  The image of the span of
@@ -150,15 +156,6 @@ class PicardPullback:
             "target_rank": self.target_rank,
             "matrix": [list(r) for r in self.matrix],
         }
-
-
-def is_linear(pullback: PicardPullback) -> bool:
-    """Every target generator pulls back to zero or a single source generator."""
-    for row in pullback.matrix:
-        nonzero = [x for x in row if x != 0]
-        if nonzero and nonzero != [1]:
-            return False
-    return True
 
 
 @dataclass(frozen=True, init=False)
@@ -374,25 +371,23 @@ def _dual_conjugate(s: StandardExtensionData) -> StandardExtensionData:
     ell = len(s.kappa)
     nw = s.target_ambient
     image = s.image_of_epsilon()
-    z_full = s.full_complement()
-    # Solve w . epsilon = e_i, w . z = 0 for each source coordinate.
-    eq_rows = tuple(zip(*s.epsilon)) + z_full.rows  # m + (nw - m) equations in w
-    cols = []
-    for i in range(m):
-        rhs = tuple(
-            Fraction(1 if j == i else 0) for j in range(m)
-        ) + (Fraction(0),) * z_full.dim
-        cols.append(solve_unique(eq_rows, rhs))
-    eps_tilde = tuple(tuple(col[r] for col in cols) for r in range(nw))
+    # Column i of eps~ is the w with w . eps = e_i and w . Z = 0: one
+    # elimination of the square, invertible system [eps^T | den I; Z | 0]
+    # leaves row r as a_r e_r followed by a_r times row r of eps~.
+    system = [
+        col + tuple(s.denominator * (c == i) for c in range(m))
+        for i, col in enumerate(zip(*s.int_epsilon))
+    ]
+    system += [z + (0,) * m for z in s.full_complement().int_rows]
+    solved = RatSubspace.span_ints(nw + m, system).int_rows
+    scale = lcm(*(row[r] for r, row in enumerate(solved)))
+    eps_tilde = tuple(tuple(x * (scale // row[r]) for x in row[nw:]) for r, row in enumerate(solved))
     kappa_t = tuple(k + 1 - s.kappa[ell - j] for j in range(1, ell + 1))
     chain_t = tuple(
         (image + s.z_chain[ell - j]).annihilator() for j in range(1, ell + 1)
     )
-    return StandardExtensionData(
-        source_type=dual_type(s.source_type),
-        epsilon=eps_tilde,
-        z_chain=chain_t,
-        kappa=kappa_t,
+    return StandardExtensionData.from_integer_epsilon(
+        dual_type(s.source_type), eps_tilde, scale, chain_t, kappa_t
     )
 
 

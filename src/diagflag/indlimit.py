@@ -9,8 +9,9 @@ exhaustion of the quotient ind-variety.
 Provided here:
 
 * canonical exhaustions of an ind-variety of generalized flags presented
-  by a level function on the basis vectors, with each step returned as
-  explicit standard-extension data;
+  by a level function on the basis vectors, with each step computed by
+  counting the level values and returned as explicit standard-extension
+  data;
 * a constructor realizing any generalized flag type with finitely many
   finite-dimensional quotients over any supernatural number;
 * a three-valued admissibility decision with machine-checkable
@@ -36,7 +37,7 @@ from .errors import (
     strict_bool,
     strict_int,
 )
-from .flagcore import FlagType, StandardExtensionData, level_flag
+from .flagcore import FlagType, StandardExtensionData, level_dims
 from .ratlin import RatSubspace
 from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_ratio, validate_exhaustion
 
@@ -245,14 +246,15 @@ def canonical_exhaustion(
 ) -> list[tuple[FlagType, StandardExtensionData]]:
     """Step data of the canonical exhaustion of a generalized-flag ind-variety.
 
-    `sigma_values` assigns each basis vector its chain position (values on
-    1..n_max+1 are required and must cover 1..chain_size).  For each n the
-    returned pair holds the flag type cut out in the span of the first n
-    vectors and the standard-extension data of the step into n+1: the new
-    basis vector enters at the first member containing it, either growing
-    the members from that point on or inserting a new member.
+    `sigma_values` assigns each basis vector its chain position (integers;
+    values on 1..n_max+1 are required and must cover 1..chain_size).  For
+    each n the returned pair holds the flag type cut out in the span of the
+    first n vectors and the standard-extension data of the step into n+1:
+    the new basis vector enters at the first member containing it, either
+    growing the members from that point on or inserting a new member.
+    Each step is counted off the sigma values; no flag is built.
     """
-    values = [int(v) for v in sigma_values]
+    values = [strict_int(v, "a sigma value") for v in sigma_values]
     if len(values) < n_max + 1:
         raise DomainError("sigma must be given on 1..n_max+1")
     if any(not 1 <= v <= chain_size for v in values[: n_max + 1]):
@@ -260,36 +262,19 @@ def canonical_exhaustion(
     if set(values[: n_max + 1]) != set(range(1, chain_size + 1)):
         raise DomainError("sigma is not surjective onto its declared chain within the prefix")
     out: list[tuple[FlagType, StandardExtensionData]] = []
-    flag_n = level_flag(values[:1])
     for n in range(1, n_max + 1):
-        # flag_n is the canonical flag in the span of the first n vectors.
-        flag_next = level_flag(values[: n + 1])
-        dims_n = (*flag_n.dims, n)
-        dims_next = (*flag_next.dims, n + 1)
-        p_n, p_next = len(dims_n), len(dims_next)
-        if p_next not in (p_n, p_n + 1):
-            raise InternalCheckError("member count may grow by at most one per step")
-        source = FlagType(n, flag_n.dims)
-        level = values[n]  # position of e_{n+1}
-        entry_dim = sum(1 for k in range(n + 1) if values[k] <= level)
-        i0 = dims_next.index(entry_dim) + 1
-        k = p_n - 1
-        ell = k if p_next == p_n else k + 1
-        # The unit rows below are canonical, so nothing is eliminated.
-        new_line = RatSubspace._from_canonical(n + 1, ((0,) * n + (1,),))
-        zero = RatSubspace.zero(n + 1)
+        source = FlagType(n, level_dims(values[:n]))
+        seen = set(values[:n])
+        # e_(n+1) enters at member 1 + (distinct values below its own); a
+        # new value inserts a member there, a known one grows the members.
+        entry = 1 + sum(1 for v in seen if v < values[n])
+        kappa = tuple(range(1, source.length + 1))
+        if values[n] not in seen:
+            kappa = kappa[: entry - 1] + (entry - 1,) + kappa[entry - 1 :]
+        line = RatSubspace.span_ints(n + 1, [(0,) * n + (1,)])
+        chain = (RatSubspace.zero(n + 1),) * (entry - 1) + (line,) * (len(kappa) + 1 - entry)
         unit = tuple(tuple(int(r == c) for c in range(n)) for r in range(n + 1))
-        if p_next == p_n:
-            kappa = tuple(range(1, k + 1))
-        else:
-            kappa = tuple(j if j < i0 else j - 1 for j in range(1, ell + 1))
-        chain = tuple(zero if j < i0 else new_line for j in range(1, ell + 1))
-        data = StandardExtensionData.from_integer_epsilon(source, unit, 1, chain, kappa)
-        # The canonical flags themselves must map to one another.
-        if data.evaluate(flag_n) != flag_next:
-            raise InternalCheckError("step data does not map the canonical flag forward")
-        out.append((source, data))
-        flag_n = flag_next
+        out.append((source, StandardExtensionData.from_integer_epsilon(source, unit, 1, chain, kappa)))
     return out
 
 
@@ -699,12 +684,11 @@ def factor_linear_egraph(g: EGraph) -> list[GraphFactor]:
     return factors
 
 
-def factor_pullback_additivity(g: EGraph) -> bool:
+def factor_pullback_additivity(g: EGraph, factors: Sequence[GraphFactor]) -> bool:
     """Each pullback row of a linear graph is the sum of the corresponding
-    factor rows, re-embedded along the factors' vertex maps."""
-    return _pullback_is_sum(
-        g, ((f.graph, f.left_map, f.right_map) for f in factor_linear_egraph(g))
-    )
+    rows of its factors (`factor_linear_egraph(g)`), re-embedded along the
+    factors' vertex maps."""
+    return _pullback_is_sum(g, ((f.graph, f.left_map, f.right_map) for f in factors))
 
 
 def _pullback_is_sum(

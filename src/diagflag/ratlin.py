@@ -7,10 +7,10 @@ primitive integer multiple with a positive pivot, so equality of
 subspaces is equality of representations and all values are hashable.
 `rows` is the derived `Fraction` view that `to_json_obj` writes.
 
-`_reduce` is the one elimination; `rref`, `nullspace`, `matrix_rank`,
-`span`, `+`, `&`, `annihilator` and `apply` (its matrix scaled to
-integers, which leaves every image span as it is) run through it, and
-`<=` and `contains_vector` read coordinates off the pivots.
+`_reduce` is the one elimination; `rref`, `nullspace`, `span`, `+`, `&`,
+`annihilator` and `apply` (its matrix scaled to integers, which leaves
+every image span as it is) run through it, and `<=` and
+`contains_vector` read coordinates off the pivots.
 `RatSubspace(ambient, rows)` checks that `Fraction` rows are canonical;
 `span` and `from_json_obj` reduce any generating set of exact rationals;
 what the module computes itself is canonical by construction and is not
@@ -233,26 +233,6 @@ def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
 def matvec(m: Matrix, v: Vector) -> Vector:
     support = [(j, x) for j, x in enumerate(v) if x]
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
-
-
-def matrix_rank(rows: Iterable[Iterable], width: int) -> int:
-    return len(_canonical(rows, width))
-
-
-def solve_unique(a: Matrix, rhs: Vector) -> Vector:
-    """Solve a x = rhs when the solution is unique; error otherwise."""
-    n = len(a[0]) if a else 0
-    aug = [list(row) + [val] for row, val in zip(a, rhs)]
-    red = rref(aug, n + 1)
-    piv = pivots(red)
-    if n in piv:
-        raise DomainError("inconsistent linear system")
-    if len(red) != n:
-        raise DomainError("linear system is underdetermined")
-    x = [Fraction(0)] * n
-    for r, pj in zip(red, piv):
-        x[pj] = r[n]
-    return tuple(x)
 
 
 def random_invertible(dim: int, rng: random.Random, spread: int = 3) -> Matrix:

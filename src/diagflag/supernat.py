@@ -56,22 +56,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
-    if n < 1:
-        raise DomainError(f"cannot factorize non-positive integer {n}")
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _split(n: int, primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
     """The nonzero exponents in n of the given primes, and the rest of n."""
     exponents: dict[int, int] = {}
@@ -155,13 +139,19 @@ class SupernaturalNumber:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SupernaturalNumber":
         try:
-            raw = obj["factors"]
             mapping = {
-                int(p): (INF if a == "inf" else a) for p, a in raw.items()
+                _prime_key(p): (INF if a == "inf" else a) for p, a in obj["factors"].items()
             }
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DomainError(f"bad supernatural-number document: {exc}") from exc
         return cls.from_factors(mapping)
+
+
+def _prime_key(text) -> int:
+    """A factor key in canonical ASCII decimal: no two spellings name one prime."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit() and text[0] != "0"):
+        raise DomainError(f"prime keys must be decimal numerals like \"2\", got {text!r}")
+    return int(text)
 
 
 def divides_sn(s: int, sn: SupernaturalNumber) -> bool:

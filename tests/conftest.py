@@ -1,10 +1,13 @@
 """Shared reference objects for the test suite."""
 
+from fractions import Fraction
+
 import pytest
 
 from diagflag.egraph import EGraph
-from diagflag.flagcore import FlagType
-from diagflag.ratlin import RatSubspace
+from diagflag.errors import DomainError
+from diagflag.flagcore import FlagType, PicardPullback
+from diagflag.ratlin import RatSubspace, pivots, rref
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
 # hence neither linear nor a standard extension.  Encodes
@@ -35,6 +38,33 @@ def growth_graph(q: int, i: int) -> EGraph:
 PRODUCT_LEVEL_GRAPH = EGraph(
     3, 3, 2, frozenset({(1, 1, 1), (3, 2, 1), (2, 2, 2), (3, 3, 2)})
 )
+
+
+def is_linear(pullback: PicardPullback) -> bool:
+    """Reference: every target generator pulls back to zero or a single
+    source generator."""
+    for row in pullback.matrix:
+        nonzero = [x for x in row if x != 0]
+        if nonzero and nonzero != [1]:
+            return False
+    return True
+
+
+def solve_unique(a, rhs):
+    """Reference: solve a x = rhs in Fractions when the solution is unique;
+    DomainError otherwise."""
+    n = len(a[0]) if a else 0
+    aug = [list(row) + [val] for row, val in zip(a, rhs)]
+    red = rref(aug, n + 1)
+    piv = pivots(red)
+    if n in piv:
+        raise DomainError("inconsistent linear system")
+    if len(red) != n:
+        raise DomainError("linear system is underdetermined")
+    x = [Fraction(0)] * n
+    for r, pj in zip(red, piv):
+        x[pj] = r[n]
+    return tuple(x)
 
 
 def subspace(ambient, rows):

@@ -14,8 +14,6 @@ from diagflag.cli import main as cli_main
 from diagflag.diagembed import (
     DiagonalEmbedding,
     constant_spaces,
-    coordinate_flag_of_alpha,
-    coordinate_flag_of_beta,
     cumulative_evaluate,
     equivariance_check,
     is_standard_extension_graph,
@@ -34,6 +32,7 @@ from diagflag.egraph import (
 from diagflag.flagcore import (
     FlagType,
     classify_bruteforce,
+    level_flag,
     random_flag,
     sample_images,
     support_and_constants,
@@ -121,9 +120,9 @@ def test_criterion_03_formula_consistency():
                 if not isinstance(result, ParabolicRestriction) or result.flag_type is None:
                     continue
                 emb = DiagonalEmbedding(result.graph, result.flag_type)
-                source = coordinate_flag_of_beta(result)
-                assert emb.evaluate(source) == coordinate_flag_of_alpha(alpha)
-                assert cumulative_evaluate(emb, source) == coordinate_flag_of_alpha(alpha)
+                source = level_flag(result.beta)
+                assert emb.evaluate(source) == level_flag(alpha.values)
+                assert cumulative_evaluate(emb, source) == level_flag(alpha.values)
                 checked += 1
     assert checked == 3012
     elapsed = time.monotonic() - started

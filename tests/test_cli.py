@@ -427,6 +427,18 @@ def test_exhaust_rejects_keys_beyond_the_prime_test_bound(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("input error: primality")
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [{"2": 1, "02": "inf"}, {"0_2": "inf"}, {" 2 ": "inf"}, {"\u0662": "inf"}],
+    ids=["leading-zero-duplicate", "underscore", "spaces", "arabic-indic-digit"],
+)
+def test_exhaust_rejects_non_canonical_prime_keys(capsys, tmp_path, factors):
+    sn = write(tmp_path, "sn.json", {"factors": factors})
+    spec = write(tmp_path, "spec.json", {"s1": 2, "cycle": [2]})
+    assert main(["exhaust", "--sn", sn, "--spec", spec]) == 1
+    _one_input_error(capsys)
+
+
 def test_realization_refuses_a_step_ratio_beyond_the_colour_cap(capsys, tmp_path):
     big = 2**61 - 1
     started = time.monotonic()
@@ -564,7 +576,11 @@ json_values = st.recursive(
     json_scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.dictionaries(st.sampled_from(["q", "p", "d", "edges", "x"]), inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["q", "p", "d", "edges", "x", "factors", "2", "02", "0_2", " 2 ", "\u0662"]),
+            inner,
+            max_size=3,
+        ),
     ),
     max_leaves=12,
 )
@@ -609,6 +625,33 @@ def malformed_documents(draw):
     else:
         doc[key] = draw(json_values)
     return kind, json.dumps(doc).encode()
+
+
+non_canonical_keys = st.one_of(
+    st.sampled_from(["02", "0_2", " 2 ", "\u0662", "+2", "2.0", "0", ""]),
+    st.text(max_size=4).filter(lambda t: not (t[:1] in "123456789" and t.isascii() and t.isdigit())),
+)
+
+
+@given(
+    st.sampled_from(["admissible", "exhaust"]),
+    st.dictionaries(non_canonical_keys, st.sampled_from(["inf", 1, 2]), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_prime_keys_are_one_input_error(tmp_path_factory, command, bad):
+    folder = tmp_path_factory.mktemp("keys")
+    argv = [command]
+    for option in DOCUMENT_COMMANDS[command]:
+        doc = {"factors": {"2": "inf", **bad}} if option == "sn" else REFERENCE_DOCS[option]
+        path = folder / f"{option}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{option}", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 1 and out.getvalue() == ""
+    assert len(lines) == 1 and lines[0].startswith("input error:"), err.getvalue()
 
 
 @given(st.sampled_from(sorted(DOCUMENT_COMMANDS)), malformed_documents())

@@ -5,7 +5,7 @@ from collections import Counter
 from functools import cached_property
 
 import pytest
-from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph
+from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph, is_linear
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +14,6 @@ from diagflag import diagembed, egraph, ratlin
 from diagflag.diagembed import (
     DiagonalEmbedding,
     checked_evaluate,
-    coordinate_flag_of_alpha,
-    coordinate_flag_of_beta,
     constant_spaces,
     cumulative_evaluate,
     embedding_from_alpha,
@@ -40,7 +38,7 @@ from diagflag.errors import DomainError, InternalCheckError
 from diagflag.flagcore import (
     FlagType,
     coordinate_flag,
-    is_linear,
+    level_flag,
     random_flag,
     sample_images,
     support_and_constants,
@@ -83,7 +81,7 @@ def test_restriction_evaluation_example():
     assert image.chain[0] == RatSubspace.span(4, [[1, 1, 0, 0]])
     assert image.chain[1] == RatSubspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
     restriction = build_from_alpha(alpha, 2)
-    assert emb.evaluate(coordinate_flag_of_beta(restriction)) == coordinate_flag_of_alpha(alpha)
+    assert emb.evaluate(level_flag(restriction.beta)) == level_flag(alpha.values)
 
 
 def test_evaluate_rejects_wrong_type():
@@ -301,13 +299,13 @@ def test_level_flags_match_unit_vector_spans_on_every_surjection():
     restricted = 0
     for n in range(1, 7):
         for alpha in surjections(n):
-            assert coordinate_flag_of_alpha(alpha) == reference_alpha_flag(alpha)
+            assert level_flag(alpha.values) == reference_alpha_flag(alpha)
             for d in (1, 2, 3):
                 if n % d:
                     continue
                 result = build_from_alpha(alpha, n // d)
                 if isinstance(result, ParabolicRestriction):
-                    assert coordinate_flag_of_beta(result) == reference_beta_flag(alpha, n // d)
+                    assert level_flag(result.beta) == reference_beta_flag(alpha, n // d)
                     restricted += 1
     assert restricted > 5000
 

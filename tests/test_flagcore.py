@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import is_linear, solve_unique
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,8 @@ from diagflag.flagcore import (
     dual_type,
     duality,
     flag_type_of,
-    is_linear,
+    level_dims,
+    level_flag,
     random_flag,
     sample_images,
     se_compose,
@@ -300,13 +302,33 @@ def reference_strict_compose(a, b):
     return StandardExtensionData(a.source_type, reference_matmul(b.epsilon, a.epsilon), chain, kappa)
 
 
+def reference_dual_conjugate(s):
+    """Duality conjugation in Fractions: eps~ column by column, each solved
+    on its own, through the checking constructor."""
+    m = s.source_type.ambient
+    k = s.source_type.length
+    ell = len(s.kappa)
+    nw = s.target_ambient
+    image = s.image_of_epsilon()
+    z_full = s.full_complement()
+    eq_rows = tuple(zip(*s.epsilon)) + z_full.rows
+    cols = []
+    for i in range(m):
+        rhs = tuple(Fraction(1 if j == i else 0) for j in range(m)) + (Fraction(0),) * z_full.dim
+        cols.append(solve_unique(eq_rows, rhs))
+    eps_tilde = tuple(tuple(col[r] for col in cols) for r in range(nw))
+    kappa_t = tuple(k + 1 - s.kappa[ell - j] for j in range(1, ell + 1))
+    chain_t = tuple((image + s.z_chain[ell - j]).annihilator() for j in range(1, ell + 1))
+    return StandardExtensionData(dual_type(s.source_type), eps_tilde, chain_t, kappa_t)
+
+
 def reference_se_compose(a, b):
     if not a.dualized:
         strict = reference_strict_compose(a, b.with_dualized(False))
         dualized = b.dualized
     else:
         strict = reference_strict_compose(
-            a.with_dualized(False), _dual_conjugate(b.with_dualized(False))
+            a.with_dualized(False), reference_dual_conjugate(b.with_dualized(False))
         )
         dualized = not b.dualized
     return StandardExtensionData(
@@ -320,8 +342,9 @@ def moved(se, rng):
     eps becomes g eps and each Z_j becomes g Z_j."""
     nw = se.target_ambient
     g = tuple(
-        tuple(x / rng.choice((-5, -3, -2, 1, 2, 4, 6)) for x in row)
+        tuple(x / scale for x in row)
         for row in random_invertible(nw, rng)
+        for scale in [rng.choice((-5, -3, -2, 1, 2, 4, 6))]
     )
     return StandardExtensionData(
         se.source_type,
@@ -352,6 +375,19 @@ def test_compose_matches_the_fraction_reference(rng):
                     expected = reference_se_compose(expected, step)
                     assert composed == expected and hash(composed) == hash(expected)
                     denominators.add(composed.denominator)
+    assert len(denominators) > 3
+
+
+def test_dual_conjugate_matches_the_fraction_solves(rng):
+    denominators = set()
+    for _ in range(60):
+        se = moved(random_se(rng), rng)
+        got = _dual_conjugate(se)
+        expected = reference_dual_conjugate(se)
+        assert got == expected and hash(got) == hash(expected)
+        denominators.add(got.denominator)
+        flag = random_flag(se.source_type, rng)
+        assert se_eval(got, duality(flag)) == duality(se_eval(se, flag))
     assert len(denominators) > 3
 
 
@@ -435,6 +471,17 @@ def test_is_linear():
     assert not is_linear(PicardPullback(1, 1, ((2,),)))
     with pytest.raises(DomainError):
         PicardPullback(2, 1, ((1, -1),))
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 5), min_size=1, max_size=9),
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=9),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_level_dims_counts_the_level_flag(keys):
+    assert level_dims(keys) == level_flag(keys).dims
 
 
 def test_support_and_constants_of_strict_extension():

@@ -1,5 +1,11 @@
+import hashlib
+import json
+import random
+
 import pytest
 from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagflag.diagembed import (
     DiagonalEmbedding,
@@ -7,8 +13,14 @@ from diagflag.diagembed import (
     is_standard_extension_graph,
 )
 from diagflag.egraph import EGraph, SurjectionAlpha, build_from_alpha, validate_egraph
-from diagflag.errors import DomainError
-from diagflag.flagcore import FlagType, classify_bruteforce, level_flag, random_flag
+from diagflag.errors import DomainError, InternalCheckError
+from diagflag.flagcore import (
+    FlagType,
+    StandardExtensionData,
+    classify_bruteforce,
+    level_flag,
+    random_flag,
+)
 from diagflag.indlimit import (
     Admissible,
     AdmissibilityCertificate,
@@ -127,6 +139,14 @@ def test_canonical_exhaustion_rejects_bad_sigma():
         canonical_exhaustion([1, 2], 2, 2)  # too short for n_max
 
 
+@pytest.mark.parametrize("bad", [2.7, "2", True, 2.0, None])
+def test_canonical_exhaustion_takes_integer_sigma_values_only(bad):
+    with pytest.raises(DomainError, match="must be an integer"):
+        canonical_exhaustion([1, bad, 2, 1], 2, 3)
+    with pytest.raises(DomainError, match="must be an integer"):
+        canonical_exhaustion([1, 2, 2, 1, bad], 2, 3)  # beyond the prefix too
+
+
 def test_canonical_exhaustion_data_is_valid_se(rng):
     steps = canonical_exhaustion([2, 1, 2, 2, 1, 1, 2, 1], 2, 7)
     for ft, data in steps:
@@ -176,6 +196,95 @@ def test_canonical_exhaustion_prefix_flags_match_unit_vector_spans(sigma, chain_
         assert ft == FlagType(n, tuple(reference_prefix_flag_dims(sigma, chain_size, n)[:-1]))
         source = reference_prefix_flag(sigma, chain_size, n)
         assert data.evaluate(source) == reference_prefix_flag(sigma, chain_size, n + 1)
+
+
+def reference_canonical_exhaustion(values, n_max):
+    """The step data built from the canonical flags themselves: entry
+    position and member count read off the flags, every step checked by
+    evaluating the flag of the first n vectors."""
+    out = []
+    flag_n = level_flag(values[:1])
+    for n in range(1, n_max + 1):
+        flag_next = level_flag(values[: n + 1])
+        dims_n = (*flag_n.dims, n)
+        dims_next = (*flag_next.dims, n + 1)
+        p_n, p_next = len(dims_n), len(dims_next)
+        if p_next not in (p_n, p_n + 1):
+            raise InternalCheckError("member count may grow by at most one per step")
+        source = FlagType(n, flag_n.dims)
+        level = values[n]
+        entry_dim = sum(1 for k in range(n + 1) if values[k] <= level)
+        i0 = dims_next.index(entry_dim) + 1
+        k = p_n - 1
+        ell = k if p_next == p_n else k + 1
+        new_line = RatSubspace.span(n + 1, [(0,) * n + (1,)])
+        zero = RatSubspace.zero(n + 1)
+        unit = tuple(tuple(int(r == c) for c in range(n)) for r in range(n + 1))
+        if p_next == p_n:
+            kappa = tuple(range(1, k + 1))
+        else:
+            kappa = tuple(j if j < i0 else j - 1 for j in range(1, ell + 1))
+        chain = tuple(zero if j < i0 else new_line for j in range(1, ell + 1))
+        data = StandardExtensionData.from_integer_epsilon(source, unit, 1, chain, kappa)
+        if data.evaluate(flag_n) != flag_next:
+            raise InternalCheckError("step data does not map the canonical flag forward")
+        out.append((source, data))
+        flag_n = flag_next
+    return out
+
+
+@st.composite
+def sigmas(draw):
+    """A sigma surjective onto 1..chain on its first n_max + 1 values,
+    sometimes with further values after them."""
+    chain = draw(st.integers(1, 5))
+    n_max = draw(st.integers(max(chain - 1, 1), 8))
+    prefix = draw(st.permutations(range(1, chain + 1)))
+    prefix += draw(st.lists(st.integers(1, chain), min_size=n_max + 1 - chain, max_size=n_max + 1 - chain))
+    order = draw(st.permutations(range(n_max + 1)))
+    tail = draw(st.lists(st.integers(1, chain), max_size=2))
+    return [prefix[i] for i in order] + tail, chain, n_max
+
+
+@given(sigmas())
+@settings(max_examples=150, deadline=None)
+def test_canonical_exhaustion_matches_the_flag_reference(case):
+    sigma, chain_size, n_max = case
+    steps = canonical_exhaustion(sigma, chain_size, n_max)
+    expected = reference_canonical_exhaustion(sigma, n_max)
+    assert steps == expected
+    for n, ((ft, data), (_, ref)) in enumerate(zip(steps, expected), start=1):
+        assert hash(data) == hash(ref)
+        rebuilt = StandardExtensionData(ft, data.epsilon, data.z_chain, data.kappa, data.dualized)
+        assert rebuilt == data and hash(rebuilt) == hash(data)
+        assert data.evaluate(level_flag(sigma[:n])) == level_flag(sigma[: n + 1])
+
+
+def seeded_sigmas(seed, count):
+    """Surjective sigmas with chains up to 6 and n_max up to 9."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        chain = rng.randint(1, 6)
+        n_max = rng.randint(max(chain - 1, 1), 9)
+        sigma = [rng.randint(1, chain) for _ in range(n_max + 1)]
+        if set(sigma) == set(range(1, chain + 1)):
+            out.append((sigma, chain, n_max))
+    return out
+
+
+# The source types and step documents of the canonical exhaustions of a
+# fixed seeded sigma set, hashed; any change in the step data shows here.
+EXHAUSTION_DIGEST = "1c6a0e0890880bff1a7d28e3db8f0cff071393b6a41deb3e2674bf9f53678e20"
+
+
+def test_canonical_exhaustion_output_is_pinned():
+    docs = [
+        [[ft.to_json_obj(), data.to_json_obj()] for ft, data in canonical_exhaustion(*case)]
+        for case in seeded_sigmas(2024, 150)
+    ]
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTION_DIGEST
 
 
 # --- realization -------------------------------------------------------------
@@ -381,7 +490,7 @@ def test_factor_two_colour_linear_graph():
     for f in factors:
         assert validate_egraph(f.graph).ok
         assert is_standard_extension_graph(f.graph)
-    assert factor_pullback_additivity(result.graph)
+    assert factor_pullback_additivity(result.graph, factors)
 
 
 def test_factor_additivity_on_sweep():
@@ -395,7 +504,8 @@ def test_factor_additivity_on_sweep():
             for alpha in surjections(n):
                 result = build_from_alpha(alpha, n // d)
                 if isinstance(result, ParabolicRestriction) and is_linear_graph(result.graph):
-                    assert factor_pullback_additivity(result.graph)
+                    factors = factor_linear_egraph(result.graph)
+                    assert factor_pullback_additivity(result.graph, factors)
                     checked += 1
     assert checked > 50
 

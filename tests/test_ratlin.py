@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import solve_unique
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +15,11 @@ from diagflag.ratlin import (
     block_diagonal,
     block_embed,
     is_rref,
-    matrix_rank,
     matvec,
     nilradical_inclusion_oracle,
     nullspace,
     random_invertible,
     rref,
-    solve_unique,
     stabilizer_oracle,
     to_fraction,
 )
@@ -414,6 +413,10 @@ def test_solve_unique_and_nullspace():
     assert matvec(a, x) == (Fraction(5), Fraction(10))
     ns = nullspace([[1, 1, 0], [0, 0, 1]], 3)
     assert ns == ((Fraction(1), Fraction(-1), Fraction(0)),)
+
+
+def matrix_rank(rows, width):
+    return len(rref(rows, width))
 
 
 def test_random_invertible_has_full_rank():

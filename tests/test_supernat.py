@@ -9,7 +9,6 @@ from diagflag.supernat import (
     ExhaustionSpec,
     SupernaturalNumber,
     divides_sn,
-    factorize,
     is_prime,
     step_ratio,
     validate_exhaustion,
@@ -18,6 +17,22 @@ from diagflag.supernat import (
 SN_2 = SupernaturalNumber.from_factors({2: INF})
 SN_2_3F = SupernaturalNumber.from_factors({2: INF, 3: 1})
 SN_23 = SupernaturalNumber.from_factors({2: INF, 3: INF})
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Reference prime factorization of a positive integer by trial division."""
+    if n < 1:
+        raise DomainError(f"cannot factorize non-positive integer {n}")
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def test_divides_prime_power_below_infinite_exponent():
@@ -200,6 +215,15 @@ def test_is_prime_matches_trial_division_below_10_5():
     assert not any(is_prime(n) for n in range(-3, 2))
     mismatches = [n for n in range(2, 10**5) if is_prime(n) != (factorize(n) == {n: 1})]
     assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [{"2": 1, "02": "inf"}, {"0_2": "inf"}, {" 2 ": "inf"}, {"\u0662": "inf"}, {"+2": "inf"}, {"": "inf"}],
+)
+def test_prime_keys_must_be_canonical_decimals(factors):
+    with pytest.raises(DomainError, match="prime keys"):
+        SupernaturalNumber.from_json_obj({"factors": factors})
 
 
 def test_is_prime_on_large_numbers():
