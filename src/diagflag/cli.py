@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -79,10 +80,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"expected comma-separated integers, got {text!r}") from exc
+    """ASCII decimal tokens only: `int()` would also read Unicode digits,
+    underscores and surrounding spaces."""
+    tokens = text.split(",")
+    if not all(re.fullmatch("-?[0-9]+", x) for x in tokens):
+        raise DomainError(f"expected comma-separated integers, got {text!r}")
+    return tuple(int(x) for x in tokens)
 
 
 def _load_embedding(args) -> diagembed.DiagonalEmbedding:

@@ -111,9 +111,8 @@ class DiagonalEmbedding:
     def from_json_obj(cls, obj: dict) -> "DiagonalEmbedding":
         try:
             if "alpha" in obj:
-                values = [strict_int(v, "an alpha value") for v in obj["alpha"]]
                 m = strict_int(obj["m"], "m")
-                return embedding_from_alpha(SurjectionAlpha.of(values), m)
+                return embedding_from_alpha(SurjectionAlpha.of(obj["alpha"]), m)
             graph = EGraph.from_json_obj(obj["graph"])
             source = FlagType.from_json_obj(obj["source_type"])
         except (KeyError, TypeError, ValueError) as exc:

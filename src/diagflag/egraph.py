@@ -197,7 +197,7 @@ class SurjectionAlpha:
 
     @classmethod
     def of(cls, values: Sequence[int]) -> "SurjectionAlpha":
-        vals = tuple(int(v) for v in values)
+        vals = tuple(strict_int(v, "an alpha value") for v in values)
         return cls(len(vals), max(vals, default=0), vals)
 
 

@@ -13,15 +13,20 @@ extensions at small scale by exhaustive recovery of a witness.
 eps is stored as integer rows over one denominator, like the bases of
 `RatSubspace`: evaluation, composition, the duality conjugation and the
 classifier's candidate search run on integers, and `Fraction`s appear only
-in the `epsilon` view.  `level_flag` and `level_dims` are the one home of
-the coordinate flag of ordered keys.
+in the `epsilon` view.  Data is checked once, at the boundary: the
+constructor trusts its arguments, as the composition, the duality
+conjugation and the point-target witness build valid data by their
+formulas, and `check()` runs on data from outside (`from_epsilon`,
+`from_json_obj`) and on the classifier's guessed eps candidates.
+`level_flag` and `level_dims` are the one home of the coordinate flag of
+ordered keys.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -38,6 +43,12 @@ from .ratlin import (
 )
 
 CLASSIFY_SCALE_LIMIT = 6
+# Constant-space sampling gives up after this many image flags.
+SAMPLE_LIMIT = 500
+# The eps constraints are complete once this many samples add no rank.
+STABLE_SAMPLES = 3
+# Fresh random flags a witness must also map right.
+VERIFY_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,7 @@ def random_flag(ft: FlagType, rng: random.Random) -> Flag:
     reduced straight from its column prefix."""
     cols = tuple(zip(*random_invertible_ints(ft.ambient, rng)))
     return Flag._from_nested(
-        ft.ambient, tuple(RatSubspace.span(ft.ambient, cols[:d]) for d in ft.dims)
+        ft.ambient, tuple(RatSubspace.span_ints(ft.ambient, cols[:d]) for d in ft.dims)
     )
 
 
@@ -158,7 +169,7 @@ class PicardPullback:
         }
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class StandardExtensionData:
     """Witness (eps, Z-chain, kappa, dualized) for a standard extension.
 
@@ -172,9 +183,10 @@ class StandardExtensionData:
     `source_type` fixes k and the source member dimensions, which the other
     fields do not determine.
 
-    `StandardExtensionData(source_type, epsilon, ...)`, `from_integer_epsilon`
-    and `from_json_obj` check every condition above; `with_dualized` and
-    `se_compose`, whose results are valid by construction, do not.
+    The constructor trusts its arguments and only restores lowest terms:
+    the builders here and in `indlimit` produce valid data by their
+    formulas.  `check()` is the one validation; `from_epsilon` (and
+    `from_json_obj` through it) runs it on data from outside.
     """
 
     source_type: FlagType
@@ -184,61 +196,41 @@ class StandardExtensionData:
     kappa: tuple[int, ...]
     dualized: bool = False
 
-    def __init__(
-        self,
+    def __post_init__(self) -> None:
+        den = self.denominator
+        g = gcd(den, *(x for row in self.int_epsilon for x in row)) if den > 1 else 1
+        if g > 1:
+            object.__setattr__(
+                self, "int_epsilon", tuple(tuple(x // g for x in row) for row in self.int_epsilon)
+            )
+            object.__setattr__(self, "denominator", den // g)
+
+    @classmethod
+    def from_epsilon(
+        cls,
         source_type: FlagType,
         epsilon: Matrix,
         z_chain: tuple[RatSubspace, ...],
         kappa: tuple[int, ...],
         dualized: bool = False,
-    ) -> None:
+    ) -> "StandardExtensionData":
+        """Data with eps given in exact rationals, checked."""
         m = source_type.ambient
         if any(len(row) != m for row in epsilon):
             raise DomainError("epsilon must have one column per source coordinate")
         rows, den = integer_matrix(epsilon, m)
-        self._assign(source_type, rows, den, z_chain, kappa, dualized)
-        self._check()
+        return cls(source_type, rows, den, z_chain, kappa, dualized).check()
 
-    @classmethod
-    def from_integer_epsilon(
-        cls,
-        source_type: FlagType,
-        int_epsilon: IntRows,
-        denominator: int,
-        z_chain: tuple[RatSubspace, ...],
-        kappa: tuple[int, ...],
-        dualized: bool = False,
-    ) -> "StandardExtensionData":
-        """Data with eps = int_epsilon / denominator (a positive int),
-        checked as the constructor checks."""
-        if any(len(row) != source_type.ambient for row in int_epsilon):
-            raise DomainError("epsilon must have one column per source coordinate")
-        if denominator < 1:
-            raise DomainError(f"the denominator of epsilon must be positive, got {denominator}")
-        data = cls._trusted(source_type, int_epsilon, denominator, z_chain, kappa, dualized)
-        data._check()
-        return data
-
-    @classmethod
-    def _trusted(cls, source_type, int_epsilon, denominator, z_chain, kappa, dualized):
-        """`from_integer_epsilon` without the checks: only the lowest terms
-        are restored."""
-        g = gcd(denominator, *(x for row in int_epsilon for x in row)) if denominator > 1 else 1
-        if g > 1:
-            int_epsilon = tuple(tuple(x // g for x in row) for row in int_epsilon)
-            denominator //= g
-        data = object.__new__(cls)
-        data._assign(source_type, int_epsilon, denominator, z_chain, kappa, dualized)
-        return data
-
-    def _assign(self, *values) -> None:
-        for f, value in zip(fields(self), values):
-            object.__setattr__(self, f.name, value)
-
-    def _check(self) -> None:
+    def check(self) -> "StandardExtensionData":
+        """self, when every condition of the data holds; DomainError naming
+        the first that fails otherwise."""
         m = self.source_type.ambient
         k = self.source_type.length
         nw = self.target_ambient
+        if any(len(row) != m for row in self.int_epsilon):
+            raise DomainError("epsilon must have one column per source coordinate")
+        if self.denominator < 1:
+            raise DomainError(f"the denominator of epsilon must be positive, got {self.denominator}")
         image = self.image_of_epsilon()
         if image.dim != m:
             raise DomainError("epsilon must be injective")
@@ -271,12 +263,7 @@ class StandardExtensionData:
                 raise DomainError("member (0, 0) would be the zero subspace")
             if v == k + 1 and m + z.dim >= nw:
                 raise DomainError("member (k+1, Z) would be the whole space")
-
-    def with_dualized(self, dualized: bool) -> "StandardExtensionData":
-        """The same data with `dualized` set; no condition depends on it."""
-        return StandardExtensionData._trusted(
-            self.source_type, self.int_epsilon, self.denominator, self.z_chain, self.kappa, dualized
-        )
+        return self
 
     @property
     def epsilon(self) -> Matrix:
@@ -349,7 +336,7 @@ class StandardExtensionData:
             dualized = strict_bool(obj.get("dualized", False), "dualized")
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad standard-extension document: {exc}") from exc
-        return cls(source, epsilon, chain, kappa, dualized)
+        return cls.from_epsilon(source, epsilon, chain, kappa, dualized)
 
 
 def se_eval(se: StandardExtensionData, flag: Flag) -> Flag:
@@ -383,12 +370,8 @@ def _dual_conjugate(s: StandardExtensionData) -> StandardExtensionData:
     scale = lcm(*(row[r] for r, row in enumerate(solved)))
     eps_tilde = tuple(tuple(x * (scale // row[r]) for x in row[nw:]) for r, row in enumerate(solved))
     kappa_t = tuple(k + 1 - s.kappa[ell - j] for j in range(1, ell + 1))
-    chain_t = tuple(
-        (image + s.z_chain[ell - j]).annihilator() for j in range(1, ell + 1)
-    )
-    return StandardExtensionData.from_integer_epsilon(
-        dual_type(s.source_type), eps_tilde, scale, chain_t, kappa_t
-    )
+    chain_t = tuple((image + s.z_chain[ell - j]).annihilator() for j in range(1, ell + 1))
+    return StandardExtensionData(dual_type(s.source_type), eps_tilde, scale, chain_t, kappa_t)
 
 
 def _strict_compose(
@@ -409,7 +392,7 @@ def _strict_compose(
     )
     kappa = tuple(kappa_ext[v] for v in b.kappa)
     chain = tuple(z_ext[v].apply_ints(b.int_epsilon) + z for v, z in zip(b.kappa, b.z_chain))
-    return StandardExtensionData._trusted(
+    return StandardExtensionData(
         a.source_type, product, a.denominator * b.denominator, chain, kappa, dualized
     )
 
@@ -424,7 +407,7 @@ def se_compose(a: StandardExtensionData, b: StandardExtensionData) -> StandardEx
         raise DomainError("target type of the first map must equal the source type of the second")
     if not a.dualized:
         return _strict_compose(a, b, b.dualized)
-    return _strict_compose(a, _dual_conjugate(b.with_dualized(False)), not b.dualized)
+    return _strict_compose(a, _dual_conjugate(replace(b, dualized=False)), not b.dualized)
 
 
 def sample_images(
@@ -439,7 +422,7 @@ def sample_images(
 
 
 def support_and_constants(
-    images: Iterable[Flag], window: int = 25, max_samples: int = 500
+    images: Iterable[Flag], window: int = 25
 ) -> tuple[tuple[RatSubspace, ...], tuple[int, ...]]:
     """Memberwise intersection over sampled image flags, plus its support.
 
@@ -465,7 +448,7 @@ def support_and_constants(
         except StopIteration:
             raise DomainError("sample exhausted before the intersection stabilized") from None
         seen += 1
-        if seen > max_samples:
+        if seen > SAMPLE_LIMIT:
             raise InternalCheckError("constant-space sampling failed to stabilize")
         if flag.dims != target_dims:
             raise DomainError("sampled images have inconsistent flag types")
@@ -546,11 +529,7 @@ def _kappa_candidates(
 
 
 def _epsilon_solution_space(
-    samples: Sequence[tuple[Flag, Flag]],
-    source_type: FlagType,
-    kappa: tuple[int, ...],
-    nw: int,
-    stable_samples: int = 3,
+    samples: Sequence[tuple[Flag, Flag]], source_type: FlagType, kappa: tuple[int, ...], nw: int
 ) -> RatSubspace:
     """The solutions of the linear constraints eps(F_kappa(j)) <= image_j,
     eps flattened row by row.
@@ -577,7 +556,7 @@ def _epsilon_solution_space(
             return RatSubspace.zero(width)
         if grown.dim == acc.dim:
             stable += 1
-            if stable >= stable_samples:
+            if stable >= STABLE_SAMPLES:
                 break
         else:
             stable = 0
@@ -645,13 +624,12 @@ def _verify_witness(
     samples: Sequence[tuple[Flag, Flag]],
     source_type: FlagType,
     seed: int,
-    extra: int = 20,
 ) -> bool:
     for flag, image in samples:
         if data.evaluate(flag) != image:
             return False
     rng = random.Random(f"diagflag-verify-{seed}")
-    for _ in range(extra):
+    for _ in range(VERIFY_SAMPLES):
         flag = random_flag(source_type, rng)
         if data.evaluate(flag) != evaluate(flag):
             return False
@@ -691,7 +669,7 @@ def _recover_strict(
         if m > nw or k > 0:
             return None
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
-        return StandardExtensionData.from_integer_epsilon(source_type, eps, 1, (), ())
+        return StandardExtensionData(source_type, eps, 1, (), ())
     for kappa in _kappa_candidates(source_type, target_dims, constants, support):
         solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
         if not solutions.dim:
@@ -707,7 +685,7 @@ def _recover_strict(
             if chain is None:
                 continue
             try:
-                data = StandardExtensionData.from_integer_epsilon(source_type, eps, den, chain, kappa)
+                data = StandardExtensionData(source_type, eps, den, chain, kappa).check()
             except DomainError:
                 continue
             if _verify_witness(data, evaluate, samples, source_type, seed):
@@ -746,5 +724,5 @@ def classify_bruteforce(
 
     via_dual = _recover_strict(dual_evaluate, source_type, seed + 1, window)
     if via_dual is not None:
-        return Classification("se_via_dual", via_dual.with_dualized(True))
+        return Classification("se_via_dual", replace(via_dual, dualized=True))
     return Classification("not_se", None)

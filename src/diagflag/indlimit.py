@@ -252,7 +252,7 @@ def canonical_exhaustion(
     first n vectors and the standard-extension data of the step into n+1:
     the new basis vector enters at the first member containing it, either
     growing the members from that point on or inserting a new member.
-    Each step is counted off the sigma values; no flag is built.
+    Each step is counted off the sigma values: no flag is built, no check runs.
     """
     values = [strict_int(v, "a sigma value") for v in sigma_values]
     if len(values) < n_max + 1:
@@ -274,7 +274,7 @@ def canonical_exhaustion(
         line = RatSubspace.span_ints(n + 1, [(0,) * n + (1,)])
         chain = (RatSubspace.zero(n + 1),) * (entry - 1) + (line,) * (len(kappa) + 1 - entry)
         unit = tuple(tuple(int(r == c) for c in range(n)) for r in range(n + 1))
-        out.append((source, StandardExtensionData.from_integer_epsilon(source, unit, 1, chain, kappa)))
+        out.append((source, StandardExtensionData(source, unit, 1, chain, kappa)))
     return out
 
 

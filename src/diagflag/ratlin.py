@@ -54,6 +54,8 @@ Matrix = tuple[Vector, ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
+# Entries of random invertible matrices lie in [-SPREAD, SPREAD].
+SPREAD = 3
 # Entry types read without `to_fraction`; bool, a subclass of int, is not
 # one of them and is rejected there.
 _EXACT = (Fraction, int)
@@ -235,19 +237,15 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
-def random_invertible(dim: int, rng: random.Random, spread: int = 3) -> Matrix:
-    """Random invertible integer matrix with entries in [-spread, spread]."""
-    return tuple(
-        tuple(Fraction(x) for x in row) for row in random_invertible_ints(dim, rng, spread)
-    )
+def random_invertible(dim: int, rng: random.Random) -> Matrix:
+    """Random invertible integer matrix with entries in [-SPREAD, SPREAD]."""
+    return tuple(tuple(Fraction(x) for x in row) for row in random_invertible_ints(dim, rng))
 
 
-def random_invertible_ints(
-    dim: int, rng: random.Random, spread: int = 3
-) -> tuple[tuple[int, ...], ...]:
+def random_invertible_ints(dim: int, rng: random.Random) -> IntRows:
     """`random_invertible` with int entries: the same draws, no Fractions."""
     while True:
-        m = tuple(tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(dim))
+        m = tuple(tuple(rng.randint(-SPREAD, SPREAD) for _ in range(dim)) for _ in range(dim))
         if len(_reduce(m, dim)) == dim:
             return m
 
@@ -526,19 +524,24 @@ def block_diagonal(m: Matrix, blocks: int) -> Matrix:
 class StabilizerResult:
     """Lie algebra of matrices x in gl(m) whose diagonal copies preserve a flag.
 
-    `root_spaces` lists the off-diagonal coordinate lines E_ij (1-based
-    pairs) contained in the algebra, `contains_torus` records whether all
-    diagonal matrices are, and `is_parabolic` is the torus-relative
-    criterion: the torus is contained and for every i != j at least one of
-    E_ij, E_ji belongs to the algebra.  `block_size` is m.
+    `algebra` is that subalgebra as a subspace of Q^(m*m), each matrix
+    flattened row by row; `dimension` is its dimension.  `root_spaces`
+    lists the off-diagonal coordinate lines E_ij (1-based pairs) contained
+    in the algebra, `contains_torus` records whether all diagonal matrices
+    are, and `is_parabolic` is the torus-relative criterion: the torus is
+    contained and for every i != j at least one of E_ij, E_ji belongs to
+    the algebra.  `block_size` is m.
     """
 
     block_size: int
-    dimension: int
-    basis: tuple[Matrix, ...]
+    algebra: RatSubspace
     root_spaces: frozenset[tuple[int, int]]
     contains_torus: bool
     is_parabolic: bool
+
+    @property
+    def dimension(self) -> int:
+        return self.algebra.dim
 
 
 def _stabilizer_constraints(flag: Flag, m: int) -> list[list[int]]:
@@ -576,12 +579,7 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
     if m < 1 or n % m != 0:
         raise DomainError(f"block size {m} does not divide ambient {n}")
     constraints = _stabilizer_constraints(flag, m)
-    kernel = _kernel(_reduce(constraints, m * m), m * m)
-    basis_vecs = [_fraction_row(v) for v in kernel]
-    basis = tuple(
-        tuple(tuple(v[a * m + b] for b in range(m)) for a in range(m))
-        for v in basis_vecs
-    )
+    algebra = RatSubspace._from_canonical(m * m, _kernel(_reduce(constraints, m * m), m * m))
     # E_ab lies in the nullspace iff column a*m+b of the constraints is zero;
     # row reduction keeps a column zero exactly when it was zero.
     nonzero_cols = {
@@ -601,8 +599,7 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
     )
     return StabilizerResult(
         block_size=m,
-        dimension=len(basis),
-        basis=basis,
+        algebra=algebra,
         root_spaces=root_spaces,
         contains_torus=contains_torus,
         is_parabolic=is_parabolic,

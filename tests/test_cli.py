@@ -469,6 +469,28 @@ def _one_input_error(capsys):
     assert len(lines) == 1 and lines[0].startswith("input error:"), captured.err
 
 
+# Each spelling reads as 2 under `int()`; put in for the last "2" of a
+# valid value, it must be an input error, not that value.
+NOT_ASCII_TWOS = ["\u0662", "0_2", " 2", "2 ", "+2"]
+
+
+@pytest.mark.parametrize("two", NOT_ASCII_TWOS)
+@pytest.mark.parametrize("option", ["--alpha", "--source-dims", "--d"])
+def test_comma_separated_options_take_ascii_integers_only(capsys, mixed_graph_file, option, two):
+    argv = {
+        "--alpha": ["restrict", "--alpha", "1,2,2,3", "--m", "2"],
+        "--source-dims": ["picard", "--graph", mixed_graph_file, "--source-ambient", "3", "--source-dims", "1,2"],
+        "--d": ["oracle", "--n-max", "3", "--d", "2"],
+    }[option]
+    assert main(argv) == 0
+    capsys.readouterr()
+    at = argv.index(option) + 1
+    value = argv[at]
+    argv[at] = value[: value.rindex("2")] + two + value[value.rindex("2") + 1 :]
+    assert main(argv) == 1
+    _one_input_error(capsys)
+
+
 def _sn_spec(tmp_path):
     return [
         "--sn", write(tmp_path, "sn.json", {"factors": {"2": "inf"}}),

@@ -116,6 +116,12 @@ def test_surjection_validation():
         SurjectionAlpha(2, 2, (1, 2, 2))
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "2"])
+def test_surjection_of_takes_integers_only(bad):
+    with pytest.raises(DomainError, match="must be an integer"):
+        SurjectionAlpha.of([1, bad, 2])
+
+
 def test_built_graphs_always_valid_exhaustively():
     for n in range(2, 7):
         for d in (2, 3):

@@ -5,6 +5,7 @@ import itertools
 import json
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -42,7 +43,7 @@ from diagflag.ratlin import Flag, RatSubspace, nullspace, random_invertible
 
 def identity_extension(ft: FlagType) -> StandardExtensionData:
     zero = RatSubspace.zero(ft.ambient)
-    return StandardExtensionData(
+    return StandardExtensionData.from_epsilon(
         source_type=ft,
         epsilon=inclusion_matrix(ft.ambient, ft.ambient),
         z_chain=(zero,) * ft.length,
@@ -62,7 +63,7 @@ def absorbing_extension(dims, m, zdim, k0):
     z_full = RatSubspace.span(nw, [[0] * m + [1 if c == j else 0 for c in range(zdim)] for j in range(zdim)])
     zero = RatSubspace.zero(nw)
     chain = tuple(zero if j < k0 else z_full for j in range(1, k + 1))
-    return StandardExtensionData(
+    return StandardExtensionData.from_epsilon(
         FlagType(m, tuple(dims)), inclusion_matrix(nw, m), chain, tuple(range(1, k + 1))
     )
 
@@ -76,7 +77,7 @@ def inserting_extension(dims, m, zdim, k0):
     zero = RatSubspace.zero(nw)
     kappa = tuple(j if j < k0 else j - 1 for j in range(1, k + 2))
     chain = tuple(zero if j < k0 else z_full for j in range(1, k + 2))
-    return StandardExtensionData(
+    return StandardExtensionData.from_epsilon(
         FlagType(m, tuple(dims)), inclusion_matrix(nw, m), chain, kappa
     )
 
@@ -97,7 +98,7 @@ def random_se(rng: random.Random, max_ambient: int = 4, max_extra: int = 3) -> S
             for z in zdims
         )
         try:
-            return StandardExtensionData(
+            return StandardExtensionData.from_epsilon(
                 FlagType(m, dims), inclusion_matrix(nw, m), chain, kappa
             )
         except DomainError:
@@ -182,41 +183,35 @@ def test_se_eval_rejects_wrong_type():
 
 
 def test_data_invariants_rejected():
-    eps = inclusion_matrix(3, 2)
+    """Each case fails `check()` with its message, on the plain constructor
+    and, where eps is a rational matrix, through `from_epsilon`."""
+    ft = FlagType(2, (1,))
+    unit = ((1, 0), (0, 1), (0, 0))
     z = RatSubspace.span(3, [[0, 0, 1]])
     zero = RatSubspace.zero(3)
-    # kappa not attaining a member index
-    with pytest.raises(DomainError):
-        StandardExtensionData(FlagType(2, (1,)), eps, (z,), (2,))
-    # decreasing kappa
-    with pytest.raises(DomainError):
-        StandardExtensionData(FlagType(2, (1,)), eps, (z, zero), (1, 0))
-    # duplicate (kappa, Z) pair
-    with pytest.raises(DomainError):
-        StandardExtensionData(FlagType(2, (1,)), eps, (z, z), (1, 1))
-    # zero member
-    with pytest.raises(DomainError):
-        StandardExtensionData(FlagType(2, (1,)), eps, (zero, zero), (0, 1))
-    # full-space member: eps(V) + Z covers everything
-    with pytest.raises(DomainError):
-        StandardExtensionData(FlagType(2, (1,)), eps, (zero, z), (1, 2))
-    # chain meets the image
     bad_z = RatSubspace.span(3, [[1, 0, 0]])
-    with pytest.raises(DomainError):
-        StandardExtensionData(FlagType(2, (1,)), eps, (bad_z,), (1,))
-    # non-injective epsilon
-    bad_eps = ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
-    with pytest.raises(DomainError):
-        StandardExtensionData(FlagType(2, (1,)), bad_eps, (z,), (1,))
-    # the integer constructor checks the same conditions, its denominator
-    # and its widths
-    with pytest.raises(DomainError):
-        StandardExtensionData.from_integer_epsilon(FlagType(2, (1,)), ((1, 1), (1, 1), (0, 0)), 1, (z,), (1,))
-    for den in (0, -2):
-        with pytest.raises(DomainError):
-            StandardExtensionData.from_integer_epsilon(FlagType(2, (1,)), ((1, 0), (0, 1), (0, 0)), den, (z,), (1,))
-    with pytest.raises(DomainError):
-        StandardExtensionData.from_integer_epsilon(FlagType(2, (1,)), ((1,), (0,), (0,)), 1, (z,), (1,))
+    cases = [
+        (unit, 1, (z,), (2,), "attain every source member index"),
+        (unit, 1, (z, zero), (1, 0), "nested"),
+        (unit, 1, (zero, z), (1, 0), "nondecreasing"),
+        (unit, 1, (z, z), (1, 1), "pairwise distinct"),
+        (unit, 1, (zero, zero), (0, 1), "zero subspace"),
+        # eps(V) + Z covers everything
+        (unit, 1, (zero, z), (1, 2), "whole space"),
+        (unit, 1, (bad_z,), (1,), "meet the image of epsilon trivially"),
+        (((1, 1), (1, 1), (0, 0)), 1, (z,), (1,), "injective"),
+        (((1, 1), (1, 1), (0, 0)), 3, (z,), (1,), "injective"),
+        (((1,), (0,), (0,)), 1, (z,), (1,), "one column per source coordinate"),
+        (unit, 0, (z,), (1,), "denominator of epsilon must be positive"),
+        (unit, -2, (z,), (1,), "denominator of epsilon must be positive"),
+    ]
+    for rows, den, chain, kappa, message in cases:
+        with pytest.raises(DomainError, match=message):
+            StandardExtensionData(ft, rows, den, chain, kappa).check()
+        if den > 0:
+            eps = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+            with pytest.raises(DomainError, match=message):
+                StandardExtensionData.from_epsilon(ft, eps, chain, kappa)
 
 
 def test_compose_identity_neutral(rng):
@@ -251,7 +246,7 @@ def test_compose_matches_pointwise(rng):
 def test_compose_with_duality_flags(rng):
     for _ in range(10):
         a = random_se(rng)
-        a_dual = a.with_dualized(True)
+        a_dual = replace(a, dualized=True)
         mid = a_dual.target_type
         b = absorbing_extension(mid.dims, mid.ambient, 1, 1)
         comp = se_compose(a_dual, b)
@@ -259,7 +254,7 @@ def test_compose_with_duality_flags(rng):
         for _ in range(4):
             flag = random_flag(a.source_type, rng)
             assert se_eval(comp, flag) == se_eval(b, se_eval(a_dual, flag))
-        b_dual = b.with_dualized(True)
+        b_dual = replace(b, dualized=True)
         comp2 = se_compose(a_dual, b_dual)
         assert not comp2.dualized
         for _ in range(4):
@@ -271,11 +266,11 @@ def test_compose_all_dual_combinations(rng):
     for a_dual in (False, True):
         for b_dual in (False, True):
             for _ in range(8):
-                a = random_se(rng).with_dualized(a_dual)
+                a = replace(random_se(rng), dualized=a_dual)
                 mid = a.target_type
                 k0 = rng.randint(1, mid.length + 1)
                 builder = absorbing_extension if rng.random() < 0.5 else inserting_extension
-                b = builder(mid.dims, mid.ambient, rng.randint(1, 2), k0).with_dualized(b_dual)
+                b = replace(builder(mid.dims, mid.ambient, rng.randint(1, 2), k0), dualized=b_dual)
                 comp = se_compose(a, b)
                 assert comp.dualized == (a_dual != b_dual)
                 assert comp.target_type == b.target_type
@@ -293,18 +288,18 @@ def reference_matmul(a, b):
 
 
 def reference_strict_compose(a, b):
-    """Strict composition b . a in Fractions, through the checking constructor."""
+    """Strict composition b . a in Fractions, through `from_epsilon`."""
     ka, la = a.source_type.length, len(a.kappa)
     kappa_ext = (0, *a.kappa, ka + 1)
     z_ext = (RatSubspace.zero(a.target_ambient), *a.z_chain, a.full_complement())
     chain = tuple(z_ext[v].apply(b.epsilon) + z for v, z in zip(b.kappa, b.z_chain))
     kappa = tuple(kappa_ext[v] for v in b.kappa)
-    return StandardExtensionData(a.source_type, reference_matmul(b.epsilon, a.epsilon), chain, kappa)
+    return StandardExtensionData.from_epsilon(a.source_type, reference_matmul(b.epsilon, a.epsilon), chain, kappa)
 
 
 def reference_dual_conjugate(s):
     """Duality conjugation in Fractions: eps~ column by column, each solved
-    on its own, through the checking constructor."""
+    on its own, through `from_epsilon`."""
     m = s.source_type.ambient
     k = s.source_type.length
     ell = len(s.kappa)
@@ -319,19 +314,19 @@ def reference_dual_conjugate(s):
     eps_tilde = tuple(tuple(col[r] for col in cols) for r in range(nw))
     kappa_t = tuple(k + 1 - s.kappa[ell - j] for j in range(1, ell + 1))
     chain_t = tuple((image + s.z_chain[ell - j]).annihilator() for j in range(1, ell + 1))
-    return StandardExtensionData(dual_type(s.source_type), eps_tilde, chain_t, kappa_t)
+    return StandardExtensionData.from_epsilon(dual_type(s.source_type), eps_tilde, chain_t, kappa_t)
 
 
 def reference_se_compose(a, b):
     if not a.dualized:
-        strict = reference_strict_compose(a, b.with_dualized(False))
+        strict = reference_strict_compose(a, replace(b, dualized=False))
         dualized = b.dualized
     else:
         strict = reference_strict_compose(
-            a.with_dualized(False), reference_dual_conjugate(b.with_dualized(False))
+            replace(a, dualized=False), reference_dual_conjugate(replace(b, dualized=False))
         )
         dualized = not b.dualized
-    return StandardExtensionData(
+    return StandardExtensionData.from_epsilon(
         strict.source_type, strict.epsilon, strict.z_chain, strict.kappa, dualized
     )
 
@@ -346,7 +341,7 @@ def moved(se, rng):
         for row in random_invertible(nw, rng)
         for scale in [rng.choice((-5, -3, -2, 1, 2, 4, 6))]
     )
-    return StandardExtensionData(
+    return StandardExtensionData.from_epsilon(
         se.source_type,
         reference_matmul(g, se.epsilon),
         tuple(z.apply(g) for z in se.z_chain),
@@ -362,13 +357,13 @@ def test_compose_matches_the_fraction_reference(rng):
     for a_dual in (False, True):
         for b_dual in (False, True):
             for _ in range(6):
-                a = moved(random_se(rng), rng).with_dualized(a_dual)
+                a = replace(moved(random_se(rng), rng), dualized=a_dual)
                 steps = [a]
                 for dualized in (b_dual, rng.random() < 0.5):
                     mid = steps[-1].target_type
                     builder = absorbing_extension if rng.random() < 0.5 else inserting_extension
                     step = builder(mid.dims, mid.ambient, rng.randint(1, 2), rng.randint(1, mid.length + 1))
-                    steps.append(moved(step, rng).with_dualized(dualized))
+                    steps.append(replace(moved(step, rng), dualized=dualized))
                 composed, expected = steps[0], steps[0]
                 for step in steps[1:]:
                     composed = se_compose(composed, step)
@@ -422,26 +417,60 @@ def injective_epsilons(draw):
 def test_epsilon_is_stored_as_integers_in_lowest_terms(case, scale):
     m, eps = case
     ft = FlagType(m, ())
-    data = StandardExtensionData(ft, eps, (), ())
+    data = StandardExtensionData.from_epsilon(ft, eps, (), ())
     assert data.epsilon == eps
     assert data.denominator > 0
     assert gcd(data.denominator, *(x for row in data.int_epsilon for x in row)) == 1
     assert data.to_json_obj()["epsilon"] == [[str(x) for x in row] for row in eps]
     same = (
-        StandardExtensionData(ft, tuple(tuple(str(x) for x in row) for row in eps), (), ()),
-        StandardExtensionData.from_integer_epsilon(
+        StandardExtensionData.from_epsilon(ft, tuple(tuple(str(x) for x in row) for row in eps), (), ()),
+        StandardExtensionData(
             ft,
             tuple(tuple(scale * x for x in row) for row in data.int_epsilon),
             scale * data.denominator,
             (),
             (),
-        ),
+        ).check(),
         StandardExtensionData.from_json_obj(data.to_json_obj()),
     )
     for other in same:
         assert other == data and hash(other) == hash(data)
-    doubled = StandardExtensionData(ft, tuple(tuple(2 * x for x in row) for row in eps), (), ())
+    doubled = StandardExtensionData.from_epsilon(ft, tuple(tuple(2 * x for x in row) for row in eps), (), ())
     assert doubled != data
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_trusted_builders_pass_check(seed):
+    """The data the library builds through the trusting constructor passes
+    `check()`: compositions in all four dualized combinations, the duality
+    conjugation and `replace(dualized=...)`, on data with rational eps."""
+    rng = random.Random(seed)
+    for a_dual in (False, True):
+        for b_dual in (False, True):
+            a = replace(moved(random_se(rng), rng), dualized=a_dual)
+            mid = a.target_type
+            builder = absorbing_extension if rng.random() < 0.5 else inserting_extension
+            b = builder(mid.dims, mid.ambient, rng.randint(1, 2), rng.randint(1, mid.length + 1))
+            b = replace(moved(b, rng), dualized=b_dual)
+            composed = se_compose(a, b)
+            assert composed.check() is composed
+            flipped = replace(composed, dualized=not composed.dualized)
+            assert flipped.check() is flipped and flipped.int_epsilon == composed.int_epsilon
+    conjugate = _dual_conjugate(moved(random_se(rng), rng))
+    assert conjugate.check() is conjugate
+
+
+@given(st.integers(1, 4), st.integers(0, 2))
+@settings(max_examples=15, deadline=None)
+def test_point_target_witness_passes_check(m, extra):
+    """An embedding into flags with no members is witnessed by the
+    inclusion eps, built without checks."""
+    nw = m + extra
+    result = classify_bruteforce(lambda f: Flag(nw, ()), FlagType(m, ()), seed=0)
+    assert result.kind == "strict_se"
+    assert result.data.check() is result.data
+    assert (result.data.target_ambient, result.data.kappa) == (nw, ())
 
 
 def test_compose_associative_pointwise(rng):
@@ -505,7 +534,7 @@ def test_support_with_constant_member():
     # a position carrying eps(V) itself is constant and off the support
     eps = inclusion_matrix(3, 2)
     zero = RatSubspace.zero(3)
-    se = StandardExtensionData(FlagType(2, (1,)), eps, (zero, zero), (1, 2))
+    se = StandardExtensionData.from_epsilon(FlagType(2, (1,)), eps, (zero, zero), (1, 2))
     constants, support = support_and_constants(
         sample_images(se.evaluate, se.source_type, seed=2)
     )

@@ -225,7 +225,7 @@ def reference_canonical_exhaustion(values, n_max):
         else:
             kappa = tuple(j if j < i0 else j - 1 for j in range(1, ell + 1))
         chain = tuple(zero if j < i0 else new_line for j in range(1, ell + 1))
-        data = StandardExtensionData.from_integer_epsilon(source, unit, 1, chain, kappa)
+        data = StandardExtensionData.from_epsilon(source, unit, chain, kappa)
         if data.evaluate(flag_n) != flag_next:
             raise InternalCheckError("step data does not map the canonical flag forward")
         out.append((source, data))
@@ -255,9 +255,17 @@ def test_canonical_exhaustion_matches_the_flag_reference(case):
     assert steps == expected
     for n, ((ft, data), (_, ref)) in enumerate(zip(steps, expected), start=1):
         assert hash(data) == hash(ref)
-        rebuilt = StandardExtensionData(ft, data.epsilon, data.z_chain, data.kappa, data.dualized)
+        rebuilt = StandardExtensionData.from_epsilon(ft, data.epsilon, data.z_chain, data.kappa, data.dualized)
         assert rebuilt == data and hash(rebuilt) == hash(data)
         assert data.evaluate(level_flag(sigma[:n])) == level_flag(sigma[: n + 1])
+
+
+@given(sigmas())
+@settings(max_examples=100, deadline=None)
+def test_canonical_exhaustion_steps_pass_check(case):
+    """The steps are built without checks; every one passes `check()`."""
+    for _, data in canonical_exhaustion(*case):
+        assert data.check() is data
 
 
 def seeded_sigmas(seed, count):

@@ -362,8 +362,9 @@ def test_stabilizer_single_block_matches_level_count():
 
 def test_stabilizer_root_spaces_are_the_coordinate_lines_it_contains(rng):
     """E_ab is a root space exactly when the unit matrix E_ab lies in the
-    span of the returned basis (the oracle reads it off the zero columns
-    of its unreduced constraints instead)."""
+    returned algebra (the oracle reads it off the zero columns of its
+    unreduced constraints instead), and every matrix of the algebra has
+    diagonal copies preserving the flag."""
     checked_roots = 0
     for ambient, m in ((4, 2), (6, 2), (6, 3), (6, 6)):
         for trial in range(12):
@@ -373,8 +374,11 @@ def test_stabilizer_root_spaces_are_the_coordinate_lines_it_contains(rng):
                 # a conjugate by a random diag(g, ..., g): few root spaces
                 flag = flag.apply(block_diagonal(random_invertible(m, rng), ambient // m))
             res = stabilizer_oracle(flag, m)
-            algebra = RatSubspace.span(m * m, [[x for row in b for x in row] for b in res.basis])
-            assert algebra.dim == res.dimension
+            algebra = res.algebra
+            assert algebra.ambient == m * m and algebra.dim == res.dimension
+            for v in algebra.rows:
+                big = block_diagonal(tuple(v[a * m : (a + 1) * m] for a in range(m)), ambient // m)
+                assert all(member.apply(big) <= member for member in flag.chain)
 
             def contains_unit(a, b):
                 return algebra.contains_vector([1 if k == a * m + b else 0 for k in range(m * m)])
