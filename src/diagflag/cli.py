@@ -79,11 +79,21 @@ def _write(path: str, text: str) -> None:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
+# An integer option or token is ASCII decimal: `int()` would also read
+# Unicode digits, underscores and surrounding spaces.
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """The argparse type of the single-integer options."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
-    """ASCII decimal tokens only: `int()` would also read Unicode digits,
-    underscores and surrounding spaces."""
     tokens = text.split(",")
-    if not all(re.fullmatch("-?[0-9]+", x) for x in tokens):
+    if not all(_DECIMAL.fullmatch(x) for x in tokens):
         raise DomainError(f"expected comma-separated integers, got {text!r}")
     return tuple(int(x) for x in tokens)
 
@@ -279,17 +289,17 @@ def _cmd_dot(args) -> str:
 
 def build_parser() -> _CliParser:
     parser = _CliParser(prog="diagflag", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomized checks")
+    parser.add_argument("--seed", type=_parse_int, default=0, help="seed for all randomized checks")
     parser.add_argument("--out", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_embedding_flags(p) -> None:
         p.add_argument("--embedding", help="embedding JSON ({alpha,m} or {graph,source_type})")
         p.add_argument("--alpha", help="comma-separated level map values")
-        p.add_argument("--m", type=int, help="block size")
+        p.add_argument("--m", type=_parse_int, help="block size")
         p.add_argument("--graph", help="graph JSON file")
         p.add_argument("--source-dims", dest="source_dims", help="comma-separated source member dims ('-' for none)")
-        p.add_argument("--source-ambient", dest="source_ambient", type=int, help="source ambient dimension")
+        p.add_argument("--source-ambient", dest="source_ambient", type=_parse_int, help="source ambient dimension")
 
     p = sub.add_parser("validate-egraph", help="check the structural clauses of a graph")
     p.add_argument("--graph", required=True)
@@ -297,7 +307,7 @@ def build_parser() -> _CliParser:
 
     p = sub.add_parser("restrict", help="parabolicity analysis of a diagonal restriction")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
     p.set_defaults(fn=_cmd_restrict)
 
     p = sub.add_parser("embed", help="evaluate an embedding on a flag")
@@ -315,13 +325,13 @@ def build_parser() -> _CliParser:
 
     p = sub.add_parser("constants", help="constant spaces: closed form vs sampling")
     add_embedding_flags(p)
-    p.add_argument("--window", type=int, default=25)
+    p.add_argument("--window", type=_parse_int, default=25)
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("admissible", help="decide realizability of a generalized flag type")
     p.add_argument("--gft", required=True)
     p.add_argument("--sn", required=True)
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_parse_int, default=64)
     p.set_defaults(fn=_cmd_admissible)
 
     p = sub.add_parser("factor", help="split a linear graph into monochromatic factors")
@@ -329,7 +339,7 @@ def build_parser() -> _CliParser:
     p.set_defaults(fn=_cmd_factor)
 
     p = sub.add_parser("oracle", help="sweep combinatorial verdicts against the exact oracle")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--n-max", dest="n_max", type=_parse_int, required=True)
     p.add_argument("--d", required=True, help="comma-separated block counts")
     p.set_defaults(fn=_cmd_oracle)
 
@@ -337,7 +347,7 @@ def build_parser() -> _CliParser:
     p.add_argument("--sn", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--gft")
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=_parse_int, default=6)
     p.set_defaults(fn=_cmd_exhaust)
 
     p = sub.add_parser("dot", help="deterministic DOT rendering of a graph")

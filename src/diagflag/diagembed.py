@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .egraph import (
     EGraph,
@@ -37,7 +36,7 @@ from .egraph import (
     require_valid,
     surjections,
 )
-from .errors import DomainError, InternalCheckError, strict_int
+from .errors import DomainError, InternalCheckError, Record, strict_int
 from .flagcore import FlagType, PicardPullback, flag_type_of, level_flag, random_flag
 from .ratlin import (
     Flag,
@@ -50,8 +49,7 @@ from .ratlin import (
 )
 
 
-@dataclass(frozen=True)
-class DiagonalEmbedding:
+class DiagonalEmbedding(Record):
     """A valid graph together with the source flag type it acts on."""
 
     graph: EGraph
@@ -166,7 +164,7 @@ def graph_pullback(g: EGraph) -> PicardPullback:
     contribute nothing.  The graph is trusted to be valid.
     """
     rows = tuple(tuple(row.count(i) for i in range(1, g.q)) for row in g.closed_indices)
-    return PicardPullback(source_rank=g.q - 1, target_rank=g.p - 1, matrix=rows)
+    return PicardPullback(g.q - 1, g.p - 1, rows)
 
 
 def picard_pullback(emb: DiagonalEmbedding) -> PicardPullback:
@@ -234,8 +232,7 @@ def unipotent_inclusion(g: EGraph) -> bool:
     return all(degree[i] == g.d for i in range(1, g.q + 1))
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
+class EquivarianceReport(Record):
     trials: int
     failures: tuple[int, ...]  # indices of failed trials
 
@@ -261,17 +258,14 @@ def equivariance_check(emb: DiagonalEmbedding, trials: int, seed: int = 0) -> Eq
     return EquivarianceReport(trials=trials, failures=tuple(failures))
 
 
-def random_embedding(
-    rng: random.Random, max_n: int = 8, d_choices: Sequence[int] = (2, 3)
-) -> DiagonalEmbedding:
+def random_embedding(rng: random.Random, max_n: int = 8) -> DiagonalEmbedding:
     """Random embedding drawn through random level maps; the source type is
     the restricted flag type the analysis produces."""
-    result = random_restriction(rng, max_n, d_choices)
+    result = random_restriction(rng, max_n)
     return DiagonalEmbedding(result.graph, result.flag_type)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Outcome of comparing combinatorial verdicts against the oracle."""
 
     cases: int

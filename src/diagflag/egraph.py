@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .errors import DomainError, ScaleError, ValidationReport, strict_int
+from .errors import DomainError, Record, ScaleError, ValidationReport, strict_int
 from .flagcore import FlagType, level_dims
 
 Edge = tuple[int, int, int]  # (left, right, colour), all 1-based
@@ -38,6 +37,8 @@ GRAPH_SIZE_LIMIT = 10_000
 # Largest (p-1) * max(d, q-1), the size of the closed-index table and of
 # the pullback matrix, that `closed_indices` accepts.
 CLOSED_INDEX_LIMIT = 10**6
+# Block counts d that `random_restriction` draws from.
+RANDOM_BLOCK_COUNTS = (2, 3)
 
 DOT_PALETTE = (
     "black",
@@ -51,24 +52,30 @@ DOT_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class EGraph:
+class EGraph(Record):
     q: int
     p: int
     d: int
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        if min(self.q, self.p, self.d) < 1:
+    def __init__(self, q: int, p: int, d: int, edges: frozenset[Edge]) -> None:
+        # Spelled out, not the generic Record constructor: graphs are built
+        # for every restriction and every document.
+        if min(q, p, d) < 1:
             raise DomainError("vertex and colour counts must be positive")
-        if max(self.q, self.p, self.d) > GRAPH_SIZE_LIMIT:
+        if max(q, p, d) > GRAPH_SIZE_LIMIT:
             raise ScaleError(
                 f"vertex and colour counts are limited to {GRAPH_SIZE_LIMIT}; "
-                f"got q={self.q}, p={self.p}, d={self.d}"
+                f"got q={q}, p={p}, d={d}"
             )
-        for (i, j, c) in self.edges:
-            if not (1 <= i <= self.q and 1 <= j <= self.p and 1 <= c <= self.d):
+        for (i, j, c) in edges:
+            if not (1 <= i <= q and 1 <= j <= p and 1 <= c <= d):
                 raise DomainError(f"edge {(i, j, c)} out of range")
+        set_field = object.__setattr__
+        set_field(self, "q", q)
+        set_field(self, "p", p)
+        set_field(self, "d", d)
+        set_field(self, "edges", edges)
 
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges, key=lambda e: (e[2], e[0], e[1])))
@@ -181,8 +188,7 @@ def partition_edges(g: EGraph) -> tuple[frozenset[Edge], frozenset[Edge]]:
     return bounding, frozenset(g.edges - bounding)
 
 
-@dataclass(frozen=True)
-class SurjectionAlpha:
+class SurjectionAlpha(Record):
     """Surjective level map {1..n} -> {1..p} given by its value tuple."""
 
     n: int
@@ -201,8 +207,7 @@ class SurjectionAlpha:
         return cls(len(vals), max(vals, default=0), vals)
 
 
-@dataclass(frozen=True)
-class ParabolicRestriction:
+class ParabolicRestriction(Record):
     """Positive outcome of the restriction analysis."""
 
     graph: EGraph
@@ -211,8 +216,7 @@ class ParabolicRestriction:
     flag_type: FlagType | None  # None when the restricted flag has no members
 
 
-@dataclass(frozen=True)
-class NotParabolic:
+class NotParabolic(Record):
     """Negative outcome: the first incomparable pair of block-level tuples."""
 
     witness: tuple[tuple[int, ...], tuple[int, ...]]
@@ -330,13 +334,12 @@ def realizing_alpha(g: EGraph) -> SurjectionAlpha:
     return SurjectionAlpha.of(values)
 
 
-def random_restriction(
-    rng: random.Random, max_n: int = 8, d_choices: Sequence[int] = (2, 3)
-) -> ParabolicRestriction:
+def random_restriction(rng: random.Random, max_n: int = 8) -> ParabolicRestriction:
     """Random parabolic restriction with a nonempty flag type, drawn by
-    retrying random level maps until the restriction analysis succeeds."""
+    retrying random level maps (d from `RANDOM_BLOCK_COUNTS`) until the
+    restriction analysis succeeds."""
     while True:
-        d = rng.choice(list(d_choices))
+        d = rng.choice(RANDOM_BLOCK_COUNTS)
         m = rng.randint(2, max(2, max_n // d))
         n = d * m
         values = [rng.randint(1, max(2, n // 2)) for _ in range(n)]
@@ -350,11 +353,9 @@ def random_restriction(
             return result
 
 
-def random_egraph(
-    rng: random.Random, max_n: int = 8, d_choices: Sequence[int] = (2, 3)
-) -> EGraph:
+def random_egraph(rng: random.Random, max_n: int = 8) -> EGraph:
     """The graph of a `random_restriction`."""
-    return random_restriction(rng, max_n, d_choices).graph
+    return random_restriction(rng, max_n).graph
 
 
 def enumerate_valid_graphs(q: int, p: int, d: int) -> Iterator[EGraph]:

@@ -1,9 +1,11 @@
-"""Exceptions, the violation report type and the strict integer and
-boolean checks shared across the library."""
+"""Exceptions, the immutable value base `Record`, the violation report
+type and the strict integer and boolean checks shared across the library."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+_set = object.__setattr__
 
 
 class DomainError(ValueError):
@@ -19,8 +21,96 @@ class InternalCheckError(RuntimeError):
     oracle mismatch, or another invariant the library maintains itself)."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class Record:
+    """Base of the library's immutable values.
+
+    A subclass's fields are its own annotations, in order; a class
+    attribute of the same name is the field's default.  Instances are
+    built positionally or by keyword, then `__post_init__` runs (looked
+    up on the class at each call).  Equality holds between
+    instances of the same class with equal field tuples, the hash is the
+    hash of that tuple, `repr` is `Name(field=value, ...)`, and attributes
+    can be neither set nor deleted; `__post_init__` and alternative
+    constructors set fields through `object.__setattr__`.  No method is
+    generated, so defining a record costs nothing at import.
+    """
+
+    _fields: tuple[str, ...]
+    _defaults: dict
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__}
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._key = staticmethod(lambda obj: (get(obj),))
+        else:
+            cls._key = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        i = 0
+        for name in fields:  # faster than zip(fields, args) on a few fields
+            _set(self, name, args[i])
+            i += 1
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords, defaults or a wrong
+        argument count; TypeError naming the first fault."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
+        for name in kwargs:
+            if name in fields[: len(args)]:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        values = list(args)
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs[name])
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(obj: Record, **changes) -> Record:
+    """A copy of `obj` with the given fields changed, built through the
+    constructor, so `__post_init__` runs again."""
+    values = [changes.pop(n) if n in changes else getattr(obj, n) for n in obj._fields]
+    return type(obj)(*values, **changes)
+
+
+class ValidationReport(Record):
     """Outcome of a structural validation: the list of violated clauses.
 
     Violations are data, not failures; an empty report means the object

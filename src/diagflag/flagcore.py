@@ -26,12 +26,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, InternalCheckError, ScaleError, strict_bool, strict_int
+from .errors import (
+    DomainError,
+    InternalCheckError,
+    Record,
+    ScaleError,
+    replace,
+    strict_bool,
+    strict_int,
+)
 from .ratlin import (
     Flag,
     IntRows,
@@ -51,23 +58,26 @@ STABLE_SAMPLES = 3
 VERIFY_SAMPLES = 20
 
 
-@dataclass(frozen=True)
-class FlagType:
+class FlagType(Record):
     """Ambient dimension and the strictly increasing member dimensions."""
 
     ambient: int
     dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.ambient < 1:
+    def __init__(self, ambient: int, dims: tuple[int, ...]) -> None:
+        # Spelled out, not the generic Record constructor: flag types are
+        # built on every evaluation.
+        if ambient < 1:
             raise DomainError("ambient dimension must be positive")
         prev = 0
-        for d in self.dims:
-            if not prev < d < self.ambient:
+        for d in dims:
+            if not prev < d < ambient:
                 raise DomainError(
-                    f"member dimensions must satisfy 0 < d_1 < ... < d_k < {self.ambient}; got {self.dims}"
+                    f"member dimensions must satisfy 0 < d_1 < ... < d_k < {ambient}; got {dims}"
                 )
             prev = d
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "dims", dims)
 
     @property
     def length(self) -> int:
@@ -140,8 +150,7 @@ def duality(flag: Flag) -> Flag:
     return flag.dual()
 
 
-@dataclass(frozen=True)
-class PicardPullback:
+class PicardPullback(Record):
     """Matrix of a pullback on Picard groups in the preferred generators.
 
     Row j expresses the pullback of the j-th target generator as a
@@ -169,8 +178,7 @@ class PicardPullback:
         }
 
 
-@dataclass(frozen=True)
-class StandardExtensionData:
+class StandardExtensionData(Record):
     """Witness (eps, Z-chain, kappa, dualized) for a standard extension.
 
     eps is the matrix of an injective map from the source space into the
@@ -196,14 +204,28 @@ class StandardExtensionData:
     kappa: tuple[int, ...]
     dualized: bool = False
 
-    def __post_init__(self) -> None:
-        den = self.denominator
-        g = gcd(den, *(x for row in self.int_epsilon for x in row)) if den > 1 else 1
+    def __init__(
+        self,
+        source_type: FlagType,
+        int_epsilon: IntRows,
+        denominator: int,
+        z_chain: tuple[RatSubspace, ...],
+        kappa: tuple[int, ...],
+        dualized: bool = False,
+    ) -> None:
+        # Spelled out, not the generic Record constructor: every composition
+        # and exhaustion step builds one.
+        g = gcd(denominator, *(x for row in int_epsilon for x in row)) if denominator > 1 else 1
         if g > 1:
-            object.__setattr__(
-                self, "int_epsilon", tuple(tuple(x // g for x in row) for row in self.int_epsilon)
-            )
-            object.__setattr__(self, "denominator", den // g)
+            int_epsilon = tuple(tuple(x // g for x in row) for row in int_epsilon)
+            denominator //= g
+        set_field = object.__setattr__
+        set_field(self, "source_type", source_type)
+        set_field(self, "int_epsilon", int_epsilon)
+        set_field(self, "denominator", denominator)
+        set_field(self, "z_chain", z_chain)
+        set_field(self, "kappa", kappa)
+        set_field(self, "dualized", dualized)
 
     @classmethod
     def from_epsilon(
@@ -464,8 +486,7 @@ def support_and_constants(
     return tuple(current), support
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Result of the standard-extension recognition search."""
 
     kind: str  # "strict_se" | "se_via_dual" | "not_se"

@@ -23,7 +23,6 @@ Provided here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -32,6 +31,7 @@ from .egraph import GRAPH_SIZE_LIMIT, EGraph, partition_edges
 from .errors import (
     DomainError,
     InternalCheckError,
+    Record,
     ScaleError,
     ValidationReport,
     strict_bool,
@@ -44,8 +44,7 @@ from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_
 Quotient = int | float  # positive int, or INF
 
 
-@dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(Record):
     """Infinitely many finite quotients of dimensions base * ratio^k, k >= 0."""
 
     base: int
@@ -62,8 +61,7 @@ class GeometricTail:
         return {"kind": "geometric", "base": self.base, "ratio": self.ratio}
 
 
-@dataclass(frozen=True)
-class ConstantTail:
+class ConstantTail(Record):
     """Infinitely many finite quotients, all of one dimension."""
 
     value: int
@@ -79,8 +77,7 @@ class ConstantTail:
 Tail = GeometricTail | ConstantTail
 
 
-@dataclass(frozen=True)
-class GeneralizedFlagType:
+class GeneralizedFlagType(Record):
     """Quotient data of a generalized flag.
 
     `finite_quotients` lists the explicitly given finite quotient
@@ -154,8 +151,7 @@ class GeneralizedFlagType:
             raise DomainError(f"bad generalized-flag-type document: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SnGraph:
+class SnGraph(Record):
     """Chained two-column graphs, one per exhaustion step.
 
     `prefix` gives the first level graphs explicitly; when `period` is
@@ -282,8 +278,7 @@ def canonical_exhaustion(
 # realization of generalized flag types with finite A'
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Record):
     """A chained-graph realization together with its per-level flag types."""
 
     sn_graph: SnGraph
@@ -376,8 +371,7 @@ def _detect_period(graphs: Sequence[EGraph]) -> int | None:
 # admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
+class AdmissibilityCertificate(Record):
     """Witness for admissibility: an exhaustion and a quotient numbering.
 
     `numbering_prefix` lists the quotient dimensions picked at steps
@@ -403,8 +397,7 @@ class AdmissibilityCertificate:
         }
 
 
-@dataclass(frozen=True)
-class RefutationProof:
+class RefutationProof(Record):
     """Divisibility obstruction for a constant tail: any exhaustion
     eventually exceeds the constant dimension (cofinality forces the
     witness divisor into the chain), after which the second defining
@@ -423,18 +416,15 @@ class RefutationProof:
         }
 
 
-@dataclass(frozen=True)
-class Admissible:
+class Admissible(Record):
     certificate: AdmissibilityCertificate
 
 
-@dataclass(frozen=True)
-class NotAdmissible:
+class NotAdmissible(Record):
     proof: RefutationProof
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     reason: str
     candidates_searched: int
 
@@ -637,8 +627,7 @@ def admissible(
 # factorization
 
 
-@dataclass(frozen=True)
-class GraphFactor:
+class GraphFactor(Record):
     """One monochromatic-ordinary subgraph of a linear graph.
 
     `left_map` / `right_map` give the original vertex indices the factor's

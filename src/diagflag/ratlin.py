@@ -42,12 +42,11 @@ relative to the standard diagonal torus.  The nilradical oracle
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InternalCheckError, strict_int
+from .errors import DomainError, InternalCheckError, Record, strict_int
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -250,8 +249,7 @@ def random_invertible_ints(dim: int, rng: random.Random) -> IntRows:
             return m
 
 
-@dataclass(frozen=True, init=False)
-class RatSubspace:
+class RatSubspace(Record):
     """A subspace of Q^ambient, stored as the canonical integer rows of its
     reduced row-echelon basis (`int_rows`); `rows` is that basis in
     `Fraction`s."""
@@ -424,8 +422,7 @@ def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
     )
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """A strictly increasing chain of proper nonzero subspaces of Q^ambient.
 
     The chain may be empty (flag variety a single point)."""
@@ -520,8 +517,7 @@ def block_diagonal(m: Matrix, blocks: int) -> Matrix:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
+class StabilizerResult(Record):
     """Lie algebra of matrices x in gl(m) whose diagonal copies preserve a flag.
 
     `algebra` is that subalgebra as a subspace of Q^(m*m), each matrix

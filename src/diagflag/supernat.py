@@ -12,10 +12,9 @@ gives a finite certificate for cofinality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import DomainError, ScaleError, ValidationReport, is_int
+from .errors import DomainError, Record, ScaleError, ValidationReport, is_int
 
 INF = math.inf
 
@@ -69,8 +68,7 @@ def _split(n: int, primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
     return exponents, n
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
+class SupernaturalNumber(Record):
     """Finitely supported map prime -> exponent, at least one exponent INF.
 
     Stored as a sorted tuple of (prime, exponent) pairs so values are
@@ -163,8 +161,7 @@ def divides_sn(s: int, sn: SupernaturalNumber) -> bool:
     return rest == 1 and all(k <= sn.exponent(p) for p, k in exponents.items())
 
 
-@dataclass(frozen=True)
-class ExhaustionSpec:
+class ExhaustionSpec(Record):
     """Chain s_1 | s_2 | ... generated by a periodic multiplier cycle.
 
     s_{n+1} = s_n * cycle[(n-1) mod len(cycle)].  Divisibility of

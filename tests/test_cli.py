@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diagflag
 from diagflag import diagembed
 from diagflag.cli import main, selftest_digest
 
@@ -51,6 +55,18 @@ def test_restrict_not_parabolic_exits_zero(capsys):
     assert code == 0
     assert doc["verdict"] == "NotParabolic"
     assert doc["witness"] == [[1, 2], [2, 1]]
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI process pays for what `import diagflag.cli` loads; the
+    value classes generate no code, so neither module is needed."""
+    src = str(Path(diagflag.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import diagflag.cli; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_input_error_exit_code(capsys):
@@ -489,6 +505,41 @@ def test_comma_separated_options_take_ascii_integers_only(capsys, mixed_graph_fi
     argv[at] = value[: value.rindex("2")] + two + value[value.rindex("2") + 1 :]
     assert main(argv) == 1
     _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("two", NOT_ASCII_TWOS)
+@pytest.mark.parametrize(
+    "option", ["--m", "--n-max", "--source-ambient", "--window", "--bound", "--levels", "--seed"]
+)
+def test_integer_options_take_ascii_integers_only(capsys, tmp_path, mixed_graph_file, option, two):
+    small_graph = write(tmp_path, "small.json", {"q": 2, "p": 2, "d": 1, "edges": [[1, 1, 1], [2, 2, 1]]})
+    gft = write(tmp_path, "gft.json", {
+        "finite_quotients": [],
+        "tail": {"kind": "constant", "value": 1},
+        "infinite_quotients": True,
+        "ordered": None,
+    })
+    argv = {
+        "--m": ["restrict", "--alpha", "1,2,2,3", "--m", "2"],
+        "--n-max": ["oracle", "--n-max", "2", "--d", "2"],
+        "--source-ambient": ["picard", "--graph", small_graph, "--source-dims", "1", "--source-ambient", "2"],
+        "--window": ["constants", "--graph", mixed_graph_file, "--source-ambient", "3", "--window", "2"],
+        "--bound": ["admissible", "--gft", gft, *_sn_spec(tmp_path)[:2], "--bound", "2"],
+        "--levels": ["exhaust", *_sn_spec(tmp_path), "--levels", "2"],
+        "--seed": ["--seed", "2", "restrict", "--alpha", "1,2,2,3", "--m", "2"],
+    }[option]
+    assert main(argv) == 0
+    capsys.readouterr()
+    at = argv.index(option) + 1
+    assert argv[at] == "2"
+    argv[at] = two
+    assert main(argv) == 1
+    _one_input_error(capsys)
+
+
+def test_negative_levels_keep_their_message(capsys, tmp_path):
+    assert main(["exhaust", *_sn_spec(tmp_path), "--levels", "-1"]) == 1
+    assert capsys.readouterr().err == "input error: --levels must be at least 0, got -1\n"
 
 
 def _sn_spec(tmp_path):

@@ -5,7 +5,6 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +13,7 @@ from conftest import is_linear, solve_unique
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diagflag.errors import DomainError, ScaleError
+from diagflag.errors import DomainError, ScaleError, replace
 from diagflag.flagcore import (
     FlagType,
     PicardPullback,
