@@ -25,6 +25,8 @@ from .errors import DomainError, InternalCheckError
 from .ratlin import Flag
 
 SCHEMA_VERSION = "1"
+# The most steps `exhaust --levels` accepts, so the term list is bounded.
+_LEVELS_LIMIT = 1000
 
 
 def canonical_json(obj) -> str:
@@ -102,7 +104,7 @@ def _load_embedding(args) -> diagembed.DiagonalEmbedding:
     if getattr(args, "embedding", None):
         return diagembed.DiagonalEmbedding.from_json_obj(_load_json(args.embedding))
     if getattr(args, "alpha", None):
-        if not getattr(args, "m", None):
+        if getattr(args, "m", None) is None:
             raise DomainError("--alpha requires --m")
         alpha = egraph.SurjectionAlpha.of(_parse_csv_ints(args.alpha))
         return diagembed.embedding_from_alpha(alpha, args.m)
@@ -258,13 +260,19 @@ def _cmd_oracle(args) -> dict:
 def _cmd_exhaust(args) -> dict:
     if args.levels < 0:
         raise DomainError(f"--levels must be at least 0, got {args.levels}")
+    if args.levels > _LEVELS_LIMIT:
+        raise DomainError(f"--levels is limited to {_LEVELS_LIMIT}, got {args.levels}")
     sn = supernat.SupernaturalNumber.from_json_obj(_load_json(args.sn))
     spec = supernat.ExhaustionSpec.from_json_obj(_load_json(args.spec))
     report = supernat.validate_exhaustion(spec, sn)
+    terms = []
+    for term in spec.terms(args.levels + 1):
+        str(term)  # a ValueError past the printing limit, before a larger term is built
+        terms.append(term)
     out = {
         "verdict": "valid" if report.ok else "invalid",
         "violations": list(report.violations),
-        "terms": list(spec.terms(args.levels + 1)),
+        "terms": terms,
     }
     if report.ok and getattr(args, "gft", None):
         gft = indlimit.GeneralizedFlagType.from_json_obj(_load_json(args.gft))

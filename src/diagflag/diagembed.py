@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .egraph import (
     EGraph,
@@ -78,26 +78,14 @@ class DiagonalEmbedding(Record):
 
     def evaluate(self, flag: Flag) -> Flag:
         """Image flag by the closed formula: target member j is the direct
-        sum over colours c of source member `closed_indices[j][c]` in block c.
-
-        The blocks are disjoint coordinate ranges taken in colour order, so
-        the concatenated canonical block bases are already canonical RREF
-        (pivots increase block by block, and each pivot column is zero in
-        the other blocks' rows); no elimination runs.  Each closed index
-        is nondecreasing in j and the source members are nested, so the
-        image members are nested and no containment test runs.
+        sum over colours c of source member `closed_indices[j][c]` in block c
+        (`_block_sums`, which runs no elimination).  Each closed index is
+        nondecreasing in j and the source members are nested, so the image
+        members are nested and no containment test runs.
         """
         if flag_type_of(flag) != self.source_type:
             raise DomainError("flag does not match the source type")
-        d, n = self.graph.d, self.n
-        members = []
-        for row in self.graph.closed_indices:
-            rows: tuple = ()
-            for c, i in enumerate(row, start=1):
-                if i:
-                    rows += block_embed(flag.member(i), c, d).int_rows
-            members.append(RatSubspace._from_canonical(n, rows))
-        return Flag._from_nested(n, tuple(members))
+        return Flag._from_nested(self.n, _block_sums(self.graph, self.m, flag.member))
 
     def to_json_obj(self) -> dict:
         return {
@@ -126,6 +114,28 @@ def embedding_from_alpha(alpha: SurjectionAlpha, m: int) -> DiagonalEmbedding:
         raise DomainError(f"restriction is not parabolic; witness {result.witness}")
     source = result.flag_type or FlagType(m, ())
     return DiagonalEmbedding(result.graph, source)
+
+
+def _block_sums(
+    g: EGraph, m: int, member: Callable[[int], RatSubspace]
+) -> tuple[RatSubspace, ...]:
+    """For each row of `closed_indices`, the direct sum over colours c of
+    `member(i)` in block c, for the row's nonzero entries i.
+
+    The blocks are disjoint coordinate ranges taken in colour order, so the
+    concatenated canonical block bases are already canonical RREF (pivots
+    increase block by block, and each pivot column is zero in the other
+    blocks' rows); no elimination runs.
+    """
+    n = g.d * m
+    members = []
+    for row in g.closed_indices:
+        rows: tuple = ()
+        for c, i in enumerate(row, start=1):
+            if i:
+                rows += block_embed(member(i), c, g.d).int_rows
+        members.append(RatSubspace._from_canonical(n, rows))
+    return tuple(members)
 
 
 def cumulative_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
@@ -199,24 +209,14 @@ def is_standard_extension_graph(g: EGraph) -> bool:
 def constant_spaces(emb: DiagonalEmbedding) -> tuple[RatSubspace, ...]:
     """Closed-form chain of memberwise intersections over all images.
 
-    The intersection at position j is the direct sum of the full blocks
-    whose bounding edge arrives at or above r_j; ordering colours by the
-    right endpoints of their bounding edges makes the chain nested.
+    The intersection at position j is the direct sum of the full blocks c
+    whose closed index is q, i.e. whose bounding edge arrives at or above
+    r_j: the closed formula of `evaluate` on the members full at q and
+    zero below it.
     """
-    g = emb.graph
-    bounding, _ = partition_edges(g)
-    arrival = {c: j for (_, j, c) in bounding}
-    full = RatSubspace.full(emb.m)
-    out = []
-    for j in range(1, g.p):
-        blocks = [c for c in range(1, g.d + 1) if arrival[c] <= j]
-        out.append(
-            sum(
-                (block_embed(full, c, g.d) for c in blocks),
-                RatSubspace.zero(emb.n),
-            )
-        )
-    return tuple(out)
+    q, m = emb.graph.q, emb.m
+    full, zero = RatSubspace.full(m), RatSubspace.zero(m)
+    return _block_sums(emb.graph, m, lambda i: full if i == q else zero)
 
 
 def unipotent_inclusion(g: EGraph) -> bool:

@@ -50,6 +50,9 @@ from .ratlin import (
 )
 
 CLASSIFY_SCALE_LIMIT = 6
+# The classifier's constant spaces are final once this many samples
+# change no member.
+_CLASSIFY_WINDOW = 12
 # Constant-space sampling gives up after this many image flags.
 SAMPLE_LIMIT = 500
 # The eps constraints are complete once this many samples add no rank.
@@ -507,46 +510,24 @@ def _kappa_candidates(
 ) -> list[tuple[int, ...]]:
     """Index maps consistent with the sampled constants.
 
-    On support positions the member dimension q_j - dim C_j identifies the
-    source member uniquely; constant positions must form a prefix mapped
-    to 0 and a suffix mapped to k+1.  Sources of length zero admit several
-    splits, all of which are returned.
+    `support` is increasing.  On support positions the member dimension
+    q_j - dim C_j identifies the source member uniquely; the support must
+    be one run, with constant positions before it mapped to 0 and after it
+    to k+1.  Sources of length zero admit several splits, all of which are
+    returned.
     """
-    m = source_type.ambient
     k = source_type.length
     ell = len(target_dims)
-    dim_to_index = {0: 0, m: k + 1}
-    for i, d in enumerate(source_type.dims, start=1):
-        dim_to_index[d] = i
-    support_set = set(support)
     if k == 0:
         # Every position is constant; any nondecreasing 0/k+1 split works.
-        out = []
-        for split in range(ell + 1):
-            out.append(tuple(0 if j <= split else k + 1 for j in range(1, ell + 1)))
-        return out
-    kappa = [0] * ell
-    if support:
-        lo, hi = min(support), max(support)
-        if any(j not in support_set for j in range(lo, hi + 1)):
-            return []  # constant positions inside the support interval
-    else:
-        return []  # k >= 1 needs every member index attained
-    for j in range(1, ell + 1):
-        if j in support_set:
-            diff = target_dims[j - 1] - constants[j - 1].dim
-            idx = dim_to_index.get(diff)
-            if idx is None or not 1 <= idx <= k:
-                return []
-            kappa[j - 1] = idx
-        elif j < lo:
-            kappa[j - 1] = 0
-        else:
-            kappa[j - 1] = k + 1
-    values = [kappa[j - 1] for j in sorted(support)]
-    if values != sorted(values) or set(range(1, k + 1)) - set(values):
+        return [(0,) * split + (1,) * (ell - split) for split in range(ell + 1)]
+    if not support or support[-1] - support[0] + 1 != len(support):
+        return []  # k >= 1 needs every member index attained, by one run
+    index = {d: i for i, d in enumerate(source_type.dims, start=1)}
+    values = tuple(index.get(target_dims[j - 1] - constants[j - 1].dim) for j in support)
+    if None in values or list(values) != sorted(values) or set(values) != set(range(1, k + 1)):
         return []
-    return [tuple(kappa)]
+    return [(0,) * (support[0] - 1) + values + (k + 1,) * (ell - support[-1])]
 
 
 def _epsilon_solution_space(
@@ -622,17 +603,18 @@ def _build_z_chain(
     k: int,
 ) -> tuple[RatSubspace, ...] | None:
     """Chain from constants: C_j itself except on the k+1 suffix, where Z_j
-    is a deterministic complement of the image inside C_j."""
+    is prev plus a deterministic complement of image + prev inside C_j.
+
+    The constants are memberwise intersections of nested flags, so they
+    and the chain are nested: only the image needs testing."""
     chain: list[RatSubspace] = []
     prev = RatSubspace.zero(image.ambient)
     for v, c in zip(kappa, constants):
         if v <= k:
             z = c
-        else:
-            if not (image <= c) or not (prev <= c):
-                return None
+        elif image <= c:
             z = prev + (image + prev).coordinate_complement(within=c)
-        if not prev <= z:
+        else:
             return None
         chain.append(z)
         prev = z
@@ -661,7 +643,6 @@ def _recover_strict(
     evaluate: Callable[[Flag], Flag],
     source_type: FlagType,
     seed: int,
-    window: int,
 ) -> StandardExtensionData | None:
     m = source_type.ambient
     k = source_type.length
@@ -677,10 +658,8 @@ def _recover_strict(
             flag = random_flag(source_type, rng)
 
     try:
-        constants, support = support_and_constants(image_stream(), window=window)
+        constants, support = support_and_constants(image_stream(), window=_CLASSIFY_WINDOW)
     except DomainError:
-        return None
-    if not samples:
         return None
     target_dims = samples[0][1].dims
     nw = samples[0][1].ambient
@@ -695,7 +674,7 @@ def _recover_strict(
         solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
         if not solutions.dim:
             continue
-        z_last_support = constants[max(support) - 1] if support else None
+        z_last_support = constants[support[-1] - 1] if support else None
         for eps, den in _epsilon_candidates(solutions, nw, m, seed):
             image = RatSubspace.span_ints(nw, zip(*eps))
             if image.dim != m:
@@ -718,8 +697,6 @@ def classify_bruteforce(
     evaluate: Callable[[Flag], Flag],
     source_type: FlagType,
     seed: int = 0,
-    window: int = 12,
-    scale_limit: int = CLASSIFY_SCALE_LIMIT,
 ) -> Classification:
     """Decide whether an evaluable embedding is a standard extension.
 
@@ -729,21 +706,22 @@ def classify_bruteforce(
     agrees with the embedding on every collected and freshly drawn sample.
     The first witness in this documented search order is returned.  When
     the strict search fails, the embedding composed with duality is
-    searched the same way.  Target dimension is capped at `scale_limit`.
+    searched the same way.  Target dimension is capped at
+    `CLASSIFY_SCALE_LIMIT`.
     """
     probe = evaluate(coordinate_flag(source_type))
-    if probe.ambient > scale_limit:
+    if probe.ambient > CLASSIFY_SCALE_LIMIT:
         raise ScaleError(
-            f"classification is limited to target dimension {scale_limit}; got {probe.ambient}"
+            f"classification is limited to target dimension {CLASSIFY_SCALE_LIMIT}; got {probe.ambient}"
         )
-    strict = _recover_strict(evaluate, source_type, seed, window)
+    strict = _recover_strict(evaluate, source_type, seed)
     if strict is not None:
         return Classification("strict_se", strict)
 
     def dual_evaluate(flag: Flag) -> Flag:
         return duality(evaluate(flag))
 
-    via_dual = _recover_strict(dual_evaluate, source_type, seed + 1, window)
+    via_dual = _recover_strict(dual_evaluate, source_type, seed + 1)
     if via_dual is not None:
         return Classification("se_via_dual", replace(via_dual, dualized=True))
     return Classification("not_se", None)

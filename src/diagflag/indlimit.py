@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .diagembed import DiagonalEmbedding, graph_pullback, is_linear_graph
 from .egraph import GRAPH_SIZE_LIMIT, EGraph, partition_edges
@@ -42,6 +42,15 @@ from .ratlin import RatSubspace
 from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_ratio, validate_exhaustion
 
 Quotient = int | float  # positive int, or INF
+
+# Admissibility: certificates and refutations are verified on this many
+# steps, the greedy numbering gives up after `_MAX_STEPS`, and the search
+# tries multiplier cycles up to `_MAX_CYCLE_LEN` long.
+_PREFIX_LEN = 12
+_MAX_STEPS = 200
+_MAX_CYCLE_LEN = 2
+# The most (s1, cycle) pairs one `admissible` call may try: about 3.5 s.
+_SEARCH_LIMIT = 250_000
 
 
 class GeometricTail(Record):
@@ -222,10 +231,7 @@ def validate_sn_graph(sg: SnGraph, upto: int | None = None) -> ValidationReport:
             )
         nxt = n + 1
         if nxt <= levels + extra:
-            try:
-                g2 = sg.level(nxt)
-            except DomainError:
-                continue
+            g2 = sg.level(nxt)
             if g.p != g2.q:
                 violations.append(
                     f"levels {n}/{nxt}: right column size {g.p} does not chain with left column size {g2.q}"
@@ -432,19 +438,15 @@ class Unknown(Record):
 AdmissibilityResult = Admissible | NotAdmissible | Unknown
 
 
-def _greedy_numbering(
-    gft: GeneralizedFlagType,
-    spec: ExhaustionSpec,
-    max_steps: int,
-    min_prefix: int,
-) -> tuple[int, ...] | None:
+def _greedy_numbering(gft: GeneralizedFlagType, spec: ExhaustionSpec) -> tuple[int, ...] | None:
     """Greedy smallest-dimension-first numbering along the exhaustion.
 
-    Returns at least `min_prefix` picked dimensions once the explicit
+    Returns at least `_PREFIX_LEN` picked dimensions once the explicit
     quotients are exhausted and the (cycle position, tail dimension over
     term) state repeats; the repetition certifies that both defining
     clauses hold forever.  None when a clause fails, no pick is available,
-    or no state repeats within `max_steps`.
+    or no state repeats within `_MAX_STEPS`.  The tail is geometric: the
+    other kinds are decided without a search.
     """
     tail = gft.tail
     explicit = sorted(gft.finite_quotients)
@@ -453,33 +455,25 @@ def _greedy_numbering(
     s = spec.s1
     states: set[tuple[int, Fraction]] = set()
     certified = False
-    for n in range(1, max_steps + 1):
-        if certified and len(picked) >= min_prefix:
+    for n in range(1, _MAX_STEPS + 1):
+        if certified and len(picked) >= _PREFIX_LEN:
             return tuple(picked)
         d = step_ratio(spec, n)
-        remaining_min_tail = tail.dim(tail_k) if isinstance(tail, GeometricTail) else None
+        tail_min = tail.dim(tail_k)
         # clause 2: s_n divides every remaining dimension
-        if any(dim % s for dim in explicit):
+        if tail_min % s or any(dim % s for dim in explicit):
             return None
-        if remaining_min_tail is not None and remaining_min_tail % s:
-            return None
-        # pickable: remaining dimensions with ratio in 1..d-1
-        options: list[tuple[int, int]] = []  # (dim, source: 0 explicit / 1 tail)
-        for dim in explicit:
-            if s <= dim < s * d and dim % s == 0:
-                options.append((dim, 0))
-                break
-        if remaining_min_tail is not None and s <= remaining_min_tail < s * d:
-            options.append((remaining_min_tail, 1))
-        if not options:
-            return None
-        dim, source = min(options)
-        picked.append(dim)
-        if source == 0:
-            explicit.remove(dim)
-        else:
+        # Every remaining dimension is now a positive multiple of s_n, so the
+        # pickable ones are those below s_n * d; the smallest is picked, an
+        # explicit one on a tie.
+        if explicit and explicit[0] <= tail_min and explicit[0] < s * d:
+            picked.append(explicit.pop(0))
+        elif tail_min < s * d:
+            picked.append(tail_min)
             tail_k += 1
-        if not explicit and isinstance(tail, GeometricTail):
+        else:
+            return None
+        if not explicit:
             state = ((n % len(spec.cycle)), Fraction(tail.dim(tail_k), s * d))
             if state in states:
                 certified = True
@@ -492,16 +486,16 @@ def verify_certificate(
     gft: GeneralizedFlagType,
     sn: SupernaturalNumber,
     cert: AdmissibilityCertificate,
-    prefix_len: int = 12,
 ) -> bool:
-    """Recompute both defining clauses of admissibility on the prefix."""
+    """Recompute both defining clauses of admissibility on the prefix, which
+    must be at least `_PREFIX_LEN` steps long."""
     if cert.kind == "finite":
         return gft.tail is None
     if cert.exhaustion is None:
         return False
     if not validate_exhaustion(cert.exhaustion, sn).ok:
         return False
-    if len(cert.numbering_prefix) < prefix_len:
+    if len(cert.numbering_prefix) < _PREFIX_LEN:
         return False
     explicit = sorted(gft.finite_quotients)
     tail_k = 0
@@ -547,9 +541,6 @@ def admissible(
     gft: GeneralizedFlagType,
     sn: SupernaturalNumber,
     bound: int = 64,
-    prefix_len: int = 12,
-    max_steps: int = 200,
-    max_cycle_len: int = 2,
 ) -> AdmissibilityResult:
     """Decide whether the generalized flag type can be realized over sn.
 
@@ -557,9 +548,12 @@ def admissible(
     tail is never admissible over an infinite supernatural number, with a
     machine-checkable divisibility proof.  For geometric tails the search
     ranges over periodic exhaustions with first term and multipliers
-    bounded by `bound`, running the greedy smallest-dimension numbering
-    with loop detection; an inconclusive search returns Unknown rather
-    than a verdict.  A bound below 2 admits no multiplier and is rejected.
+    bounded by `bound` and cycles of at most `_MAX_CYCLE_LEN` multipliers,
+    running the greedy smallest-dimension numbering with loop detection; an
+    inconclusive search returns Unknown rather than a verdict.  A bound
+    below 2 admits no multiplier and is rejected.  The search would try
+    |s1 candidates| * (M + M^2) exhaustions for M multipliers; above
+    `_SEARCH_LIMIT` (250,000) it raises ScaleError before it starts.
     """
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
@@ -576,7 +570,7 @@ def admissible(
         c = gft.tail.value
         witness = next(d for d in sn.divisors_up_to(max(bound, 2 * c + 2)) if d > c)
         proof = RefutationProof(
-            constant_value=c, witness_divisor=witness, verified_prefix_length=prefix_len
+            constant_value=c, witness_divisor=witness, verified_prefix_length=_PREFIX_LEN
         )
         if not verify_refutation(gft, sn, proof):
             raise InternalCheckError("constructed refutation failed its own check")
@@ -597,14 +591,19 @@ def admissible(
     s1_candidates = [
         s1 for s1 in sn.divisors_up_to(bound) if s1 % finite_fixed == 0
     ]
+    count = len(s1_candidates) * sum(len(multipliers) ** k for k in range(1, _MAX_CYCLE_LEN + 1))
+    if count > _SEARCH_LIMIT:
+        raise ScaleError(
+            f"bound {bound} gives {count} exhaustions to search; the search is limited to {_SEARCH_LIMIT}"
+        )
     for s1 in s1_candidates:
-        for length in range(1, max_cycle_len + 1):
+        for length in range(1, _MAX_CYCLE_LEN + 1):
             for cycle in itertools.product(multipliers, repeat=length):
                 spec = ExhaustionSpec(s1, cycle)
                 if not validate_exhaustion(spec, sn).ok:
                     continue
                 searched += 1
-                picked = _greedy_numbering(gft, spec, max_steps, prefix_len)
+                picked = _greedy_numbering(gft, spec)
                 if picked is None:
                     continue
                 cert = AdmissibilityCertificate(
@@ -614,7 +613,7 @@ def admissible(
                     tail_rule="remaining tail dimensions in increasing order",
                     verified_prefix_length=len(picked),
                 )
-                if not verify_certificate(gft, sn, cert, prefix_len):
+                if not verify_certificate(gft, sn, cert):
                     raise InternalCheckError("greedy certificate failed independent re-verification")
                 return Admissible(cert)
     return Unknown(
@@ -640,6 +639,36 @@ class GraphFactor(Record):
     right_map: tuple[int, ...]
 
 
+def _factor_graph(g: EGraph, colour: int, rights: Sequence[int], n: int) -> GraphFactor:
+    """The factor of g that keeps the ordinary edges of `colour` and every
+    bounding edge, the latter re-attached to the first of the increasing
+    `rights` at or below its arrival; the left column keeps the vertices of
+    those ordinary edges and the bottom vertex, and both columns are
+    renumbered.  The bottom vertex stays last, so the factor's ordinary
+    edges all carry `colour`.  `n` names the level in errors."""
+    bounding, ordinary = partition_edges(g)
+    lefts = _kept_vertices(g, colour)
+    lmap = {i: idx for idx, i in enumerate(lefts, start=1)}
+    rmap = {j: idx for idx, j in enumerate(rights, start=1)}
+    edges: set[tuple[int, int, int]] = set()
+    for (i, j, cc) in ordinary:
+        if cc != colour:
+            continue
+        if j not in rmap:
+            raise DomainError(
+                f"inconsistent threading: level {n} colour {colour} ordinary edge "
+                f"arrives at a column vertex the factor drops"
+            )
+        edges.add((lmap[i], rmap[j], cc))
+    for (i, j, cc) in bounding:
+        target = next((r for r in rights if r >= j), None)
+        if target is None:
+            raise DomainError("inconsistent threading: bounding edge below every kept vertex")
+        edges.add((lmap[i], rmap[target], cc))
+    sub = EGraph(len(lefts), len(rights), g.d, frozenset(edges))
+    return GraphFactor(colour, sub, lefts, tuple(rights))
+
+
 def factor_linear_egraph(g: EGraph) -> list[GraphFactor]:
     """Split a linear graph into one factor per colour: all bounding edges
     are kept, ordinary edges of other colours are removed, and vertices
@@ -648,58 +677,35 @@ def factor_linear_egraph(g: EGraph) -> list[GraphFactor]:
     strict standard extension."""
     if not is_linear_graph(g):
         raise DomainError("factorization requires a linear graph")
-    bounding, ordinary = partition_edges(g)
     factors = []
     for c in range(1, g.d + 1):
-        keep = set(bounding) | {e for e in ordinary if e[2] == c}
-        lefts = sorted({i for (i, _, _) in keep})
-        rights = sorted({j for (_, j, _) in keep})
-        lmap = {i: idx + 1 for idx, i in enumerate(lefts)}
-        rmap = {j: idx + 1 for idx, j in enumerate(rights)}
-        sub = EGraph(
-            len(lefts),
-            len(rights),
-            g.d,
-            frozenset((lmap[i], rmap[j], cc) for (i, j, cc) in keep),
-        )
-        if sub.violations:
-            raise InternalCheckError(f"factor for colour {c} invalid: {sub.violations}")
-        ordinary_colours = {cc for (i, _, cc) in sub.edges if i != sub.q}
-        if len(ordinary_colours) > 1:
-            raise InternalCheckError("factor has mixed ordinary colours")
-        factors.append(
-            GraphFactor(colour=c, graph=sub, left_map=tuple(lefts), right_map=tuple(rights))
-        )
+        rights = sorted({j for (i, j, cc) in g.edges if cc == c or i == g.q})
+        factor = _factor_graph(g, c, rights, 1)
+        if factor.graph.violations:
+            raise InternalCheckError(f"factor for colour {c} invalid: {factor.graph.violations}")
+        factors.append(factor)
     return factors
 
 
 def factor_pullback_additivity(g: EGraph, factors: Sequence[GraphFactor]) -> bool:
     """Each pullback row of a linear graph is the sum of the corresponding
     rows of its factors (`factor_linear_egraph(g)`), re-embedded along the
-    factors' vertex maps."""
-    return _pullback_is_sum(g, ((f.graph, f.left_map, f.right_map) for f in factors))
-
-
-def _pullback_is_sum(
-    g: EGraph, parts: Iterable[tuple[EGraph, Sequence[int], Sequence[int]]]
-) -> bool:
-    """Whether the pullback of g equals the sum of the parts' pullbacks,
-    each re-embedded along its (lefts, rights) vertex maps; the last vertex
-    of each map is a column's bottom vertex and carries no generator."""
+    factors' vertex maps; the last vertex of each map is a column's bottom
+    vertex and carries no generator."""
     total = [[0] * (g.q - 1) for _ in range(g.p - 1)]
-    for sub_graph, lefts, rights in parts:
-        sub = graph_pullback(sub_graph).matrix
-        for r, orig_right in enumerate(rights[:-1]):
-            for col, orig_left in enumerate(lefts[:-1]):
+    for f in factors:
+        sub = graph_pullback(f.graph).matrix
+        for r, orig_right in enumerate(f.right_map[:-1]):
+            for col, orig_left in enumerate(f.left_map[:-1]):
                 total[orig_right - 1][orig_left - 1] += sub[r][col]
     return [list(row) for row in graph_pullback(g).matrix] == total
 
 
-def _kept_vertices(g: EGraph, colour: int) -> list[int]:
+def _kept_vertices(g: EGraph, colour: int) -> tuple[int, ...]:
     """Left vertices of g carrying ordinary edges of `colour`, plus the
-    bottom vertex: the column a threaded factor keeps."""
+    bottom vertex: the column a factor keeps."""
     _, ordinary = partition_edges(g)
-    return sorted({i for (i, _, cc) in ordinary if cc == colour} | {g.q})
+    return tuple(sorted({i for (i, _, cc) in ordinary if cc == colour} | {g.q}))
 
 
 def decompose_sn_graph(
@@ -734,48 +740,25 @@ def decompose_sn_graph(
         if sorted(row) != list(range(1, d + 1)):
             raise DomainError("each threading row must be a permutation of the colours")
 
-    factors: list[SnGraph] = []
+    per_factor: list[list[GraphFactor]] = []
     for f in range(1, d + 1):
-        level_graphs = []
+        row = []
         for n in range(1, prefix_len + 1):
-            g = sg.level(n)
-            colour = threading[n - 1][f - 1]
-            bounding, ordinary = partition_edges(g)
-            lefts = _kept_vertices(g, colour)
             rights = _kept_vertices(sg.level(n + 1), threading[n][f - 1])
-            lmap = {i: idx + 1 for idx, i in enumerate(lefts)}
-            rmap = {j: idx + 1 for idx, j in enumerate(rights)}
-            edges: set[tuple[int, int, int]] = set()
-            for (i, j, cc) in ordinary:
-                if cc != colour:
-                    continue
-                if j not in rmap:
-                    raise DomainError(
-                        f"inconsistent threading: level {n} colour {colour} ordinary edge "
-                        f"arrives at a column vertex the factor drops"
-                    )
-                edges.add((lmap[i], rmap[j], cc))
-            for (i, j, cc) in bounding:
-                target = min((r for r in rights if r >= j), default=None)
-                if target is None:
-                    raise DomainError("inconsistent threading: bounding edge below every kept vertex")
-                edges.add((lmap[i], rmap[target], cc))
-            sub = EGraph(len(lefts), len(rights), d, frozenset(edges))
-            if sub.violations:
+            factor = _factor_graph(sg.level(n), threading[n - 1][f - 1], rights, n)
+            if factor.graph.violations:
                 raise DomainError(
-                    f"inconsistent threading: level {n} factor {f} is invalid ({'; '.join(sub.violations)})"
+                    f"inconsistent threading: level {n} factor {f} is invalid "
+                    f"({'; '.join(factor.graph.violations)})"
                 )
-            ordinary_colours = {cc for (i, _, cc) in sub.edges if i != sub.q}
-            if len(ordinary_colours) > 1:
-                raise InternalCheckError("threaded factor has mixed ordinary colours")
-            level_graphs.append(sub)
-        factors.append(SnGraph(sg.spec, tuple(level_graphs), None))
-    for n in range(1, prefix_len + 1):
-        if not threaded_pullback_additivity(sg, factors, threading, n):
+            row.append(factor)
+        per_factor.append(row)
+    for n, level in enumerate(zip(*per_factor), start=1):
+        if not factor_pullback_additivity(sg.level(n), level):
             raise DomainError(
                 f"inconsistent threading: level {n} factor pullbacks do not sum to the level pullback"
             )
-    return factors
+    return [SnGraph(sg.spec, tuple(f.graph for f in row), None) for row in per_factor]
 
 
 def threaded_pullback_additivity(
@@ -787,14 +770,15 @@ def threaded_pullback_additivity(
     """Level-n pullback of the chain equals the sum of its factors'
     pullbacks re-embedded along the kept-vertex maps."""
     g = sg.level(n)
-    return _pullback_is_sum(
+    return factor_pullback_additivity(
         g,
-        (
-            (
+        [
+            GraphFactor(
+                threading[n - 1][f],
                 factor.prefix[n - 1],
                 _kept_vertices(g, threading[n - 1][f]),
                 _kept_vertices(sg.level(n + 1), threading[n][f]),
             )
             for f, factor in enumerate(factors)
-        ),
+        ],
     )

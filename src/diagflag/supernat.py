@@ -181,27 +181,11 @@ class ExhaustionSpec(Record):
         if not all(is_int(c, 1) for c in self.cycle):
             raise DomainError("cycle entries must be positive integers")
 
-    def term(self, n: int) -> int:
-        """The n-th term s_n (1-based)."""
-        if n < 1:
-            raise DomainError("term index must be >= 1")
-        s = self.s1
-        for i in range(n - 1):
-            s *= self.cycle[i % len(self.cycle)]
-        return s
-
     def terms(self, count: int) -> Iterator[int]:
         s = self.s1
         for i in range(count):
             yield s
             s *= self.cycle[i % len(self.cycle)]
-
-    @property
-    def cycle_product(self) -> int:
-        out = 1
-        for c in self.cycle:
-            out *= c
-        return out
 
     def to_json_obj(self) -> dict:
         return {"s1": self.s1, "cycle": list(self.cycle)}
@@ -259,7 +243,7 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
     """
     violations: list[str] = []
     s1_f, s1_rest = _split(spec.s1, sn.primes)
-    prod_f, prod_rest = _split(spec.cycle_product, sn.primes)
+    prod_f, prod_rest = _split(math.prod(spec.cycle), sn.primes)
 
     for p, k in s1_f.items():
         a = sn.exponent(p)

@@ -1,10 +1,11 @@
 """Shared reference objects for the test suite."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from diagflag.egraph import EGraph
+from diagflag.egraph import EGraph, enumerate_valid_graphs
 from diagflag.errors import DomainError
 from diagflag.flagcore import FlagType, PicardPullback
 from diagflag.ratlin import RatSubspace, pivots, rref
@@ -38,6 +39,18 @@ def growth_graph(q: int, i: int) -> EGraph:
 PRODUCT_LEVEL_GRAPH = EGraph(
     3, 3, 2, frozenset({(1, 1, 1), (3, 2, 1), (2, 2, 2), (3, 3, 2)})
 )
+
+
+@functools.cache
+def small_graphs() -> tuple[EGraph, ...]:
+    """Every valid graph with d * q <= 6 (6,352 of them), in a fixed order."""
+    return tuple(
+        g
+        for d in range(1, 7)
+        for q in range(1, 6 // d + 1)
+        for p in range(1, q * d + 1)
+        for g in enumerate_valid_graphs(q, p, d)
+    )
 
 
 def is_linear(pullback: PicardPullback) -> bool:

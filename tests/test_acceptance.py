@@ -232,7 +232,7 @@ def test_criterion_08_admissibility_fixtures():
     outcome = admissible(geometric, SN2)
     assert isinstance(outcome, Admissible)
     assert outcome.certificate.verified_prefix_length >= 12
-    assert verify_certificate(geometric, SN2, outcome.certificate, prefix_len=12)
+    assert verify_certificate(geometric, SN2, outcome.certificate)
 
     constant = GeneralizedFlagType((), ConstantTail(1), True)
     refuted = admissible(constant, SN2)

@@ -614,6 +614,48 @@ def test_a_result_beyond_the_printing_limit_is_an_input_error(capsys, tmp_path):
     _one_input_error(capsys)
 
 
+def test_block_size_zero_is_named_by_embed_as_by_restrict(capsys, tmp_path):
+    flag = write(tmp_path, "flag.json", {"ambient": 2, "chain": [[["1", "1"]]]})
+    for argv in (["restrict"], ["embed", "--flag", flag]):
+        assert main([*argv, "--alpha", "1,2,2,3", "--m", "0"]) == 1
+        assert capsys.readouterr().err == "input error: block size 0 does not divide 4\n"
+
+
+def test_admissible_refuses_a_search_beyond_its_limit_at_once(capsys, tmp_path):
+    gft = write(tmp_path, "gft.json", {
+        "finite_quotients": [],
+        "tail": {"kind": "geometric", "base": 1, "ratio": 5},
+        "infinite_quotients": True,
+        "ordered": None,
+    })
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "3": "inf"}})
+    started = time.monotonic()
+    assert main(["admissible", "--gft", gft, "--sn", sn, "--bound", "100000"]) == 1
+    assert time.monotonic() - started < 1.0
+    _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("levels", ["1001", "400000"])
+def test_exhaust_refuses_levels_beyond_the_cap_at_once(capsys, tmp_path, levels):
+    assert main(["exhaust", *_sn_spec(tmp_path), "--levels", "1000"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 1001
+    started = time.monotonic()
+    assert main(["exhaust", *_sn_spec(tmp_path), "--levels", levels]) == 1
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err == f"input error: --levels is limited to 1000, got {levels}\n"
+
+
+def test_exhaust_stops_at_the_first_term_beyond_the_printing_limit(capsys, tmp_path):
+    # The sixth term, 10^5000, is past the limit; the 1000th would hold 10^6 digits.
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "5": "inf"}})
+    spec = write(tmp_path, "spec.json", {"s1": 1, "cycle": [10**1000]})
+    started = time.monotonic()
+    assert main(["exhaust", "--sn", sn, "--spec", spec, "--levels", "1000"]) == 1
+    assert time.monotonic() - started < 1.0
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr() == ("", f"input error: the report holds an integer beyond {limit} digits\n")
+
+
 def _star(n):
     """The valid star graph q = 1, p = d = n with edges (1, c, c)."""
     return {"q": 1, "p": n, "d": n, "edges": [[1, c, c] for c in range(1, n + 1)]}

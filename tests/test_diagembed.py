@@ -5,7 +5,7 @@ from collections import Counter
 from functools import cached_property
 
 import pytest
-from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph, is_linear
+from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph, is_linear, small_graphs
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +227,31 @@ def test_constant_spaces_growth_graph_match_chain():
     assert chain == (RatSubspace.zero(6), vbar)
     sampled, _ = support_and_constants(sample_images(emb.evaluate, emb.source_type, seed=1))
     assert tuple(sampled) == chain
+
+
+def plus_sum_constant_spaces(emb):
+    """Reference: member j is the `+`-sum of the full blocks whose bounding
+    edge arrives at or above r_j."""
+    g = emb.graph
+    arrival = {c: j for (i, j, c) in g.edges if i == g.q}
+    full = RatSubspace.full(emb.m)
+    return tuple(
+        sum(
+            (block_embed(full, c, g.d) for c in range(1, g.d + 1) if arrival[c] <= j),
+            RatSubspace.zero(emb.n),
+        )
+        for j in range(1, g.p)
+    )
+
+
+def test_constant_spaces_match_the_plus_sum_on_every_small_graph():
+    """Every valid graph with d*q <= 6, on a source type in Q^(q+1)."""
+    cases = 0
+    for g in small_graphs():
+        emb = DiagonalEmbedding(g, FlagType(g.q + 1, tuple(range(1, g.q))))
+        assert constant_spaces(emb) == plus_sum_constant_spaces(emb)
+        cases += 1
+    assert cases == 6352
 
 
 def tuple_unipotent_inclusion(alpha, m):

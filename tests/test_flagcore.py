@@ -700,28 +700,101 @@ def criterion_05_instances():
     ]
 
 
+def sampled_systems(g, ft, rng, draws=12):
+    """For the embedding of (g, ft), as it is and composed with duality:
+    the coordinate flag and `draws` seeded random flags with their images,
+    and the target dims, memberwise constants and support of those images."""
+    emb = DiagonalEmbedding(g, ft)
+    for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
+        flags = [coordinate_flag(ft)] + [random_flag(ft, rng) for _ in range(draws)]
+        samples = [(f, evaluate(f)) for f in flags]
+        target_dims = samples[0][1].dims
+        constants = [
+            functools.reduce(operator.and_, members)
+            for members in zip(*(img.chain for _, img in samples))
+        ]
+        support = tuple(j for j, c in enumerate(constants, 1) if c.dim < target_dims[j - 1])
+        yield samples, target_dims, constants, support
+
+
 def classifier_systems(rng, count):
     """(samples, source type, kappa, target ambient) for `count` seeded
     criterion-05 embeddings, with the samples and index maps the classifier
     collects (strict and via the dual) and random nondecreasing index maps
     as well."""
     for g, ft in rng.sample(criterion_05_instances(), count):
-        emb = DiagonalEmbedding(g, ft)
-        for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
-            flags = [coordinate_flag(ft)] + [random_flag(ft, rng) for _ in range(12)]
-            samples = [(f, evaluate(f)) for f in flags]
-            target_dims = samples[0][1].dims
-            constants = [
-                functools.reduce(operator.and_, members)
-                for members in zip(*(img.chain for _, img in samples))
-            ]
-            support = tuple(j for j, c in enumerate(constants, 1) if c.dim < target_dims[j - 1])
+        for samples, target_dims, constants, support in sampled_systems(g, ft, rng):
             kappas = _kappa_candidates(ft, target_dims, constants, support)
             kappas += [
                 tuple(sorted(rng.randint(0, ft.length + 1) for _ in target_dims)) for _ in range(2)
             ]
             for kappa in kappas:
-                yield samples, ft, kappa, emb.n
+                yield samples, ft, kappa, g.d * ft.ambient
+
+
+def reference_kappa_candidates(source_type, target_dims, constants, support):
+    """Reference: fill kappa position by position from a dimension table
+    that also maps 0 to 0 and m to k+1, and test the support positions."""
+    m = source_type.ambient
+    k = source_type.length
+    ell = len(target_dims)
+    dim_to_index = {0: 0, m: k + 1}
+    for i, d in enumerate(source_type.dims, start=1):
+        dim_to_index[d] = i
+    support_set = set(support)
+    if k == 0:
+        return [tuple(0 if j <= split else k + 1 for j in range(1, ell + 1)) for split in range(ell + 1)]
+    if not support:
+        return []
+    lo, hi = min(support), max(support)
+    if any(j not in support_set for j in range(lo, hi + 1)):
+        return []
+    kappa = [0] * ell
+    for j in range(1, ell + 1):
+        if j in support_set:
+            idx = dim_to_index.get(target_dims[j - 1] - constants[j - 1].dim)
+            if idx is None or not 1 <= idx <= k:
+                return []
+            kappa[j - 1] = idx
+        else:
+            kappa[j - 1] = 0 if j < lo else k + 1
+    values = [kappa[j - 1] for j in sorted(support)]
+    if values != sorted(values) or set(range(1, k + 1)) - set(values):
+        return []
+    return [tuple(kappa)]
+
+
+def test_kappa_candidates_match_the_reference_on_every_classifier_system():
+    """Every criterion-05 embedding, as it is and composed with duality, on
+    constants from 5 samples (often not yet stable, so the support takes
+    many shapes)."""
+    rng = random.Random(8)
+    found = compared = 0
+    for g, ft in criterion_05_instances():
+        for _, target_dims, constants, support in sampled_systems(g, ft, rng, draws=4):
+            got = _kappa_candidates(ft, target_dims, constants, support)
+            assert got == reference_kappa_candidates(ft, target_dims, constants, support)
+            found += bool(got)
+            compared += 1
+    assert compared == 2 * 1158 and found > 100
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kappa_candidates_match_the_reference_on_any_support(data):
+    m = data.draw(st.integers(1, 7))
+    dims = tuple(sorted(data.draw(st.sets(st.integers(1, m - 1), max_size=m - 1)))) if m > 1 else ()
+    ell = data.draw(st.integers(0, 6))
+    nw = data.draw(st.integers(ell + 2, 10))
+    target_dims = tuple(sorted(data.draw(st.sets(st.integers(1, nw - 1), min_size=ell, max_size=ell))))
+    constants = tuple(
+        RatSubspace.coordinate(nw, data.draw(st.integers(0, q))) for q in target_dims
+    )
+    support = tuple(sorted(data.draw(st.sets(st.integers(1, ell), max_size=ell)))) if ell else ()
+    ft = FlagType(m, dims)
+    assert _kappa_candidates(ft, target_dims, constants, support) == reference_kappa_candidates(
+        ft, target_dims, constants, support
+    )
 
 
 def test_epsilon_solution_space_matches_the_fraction_echelon():

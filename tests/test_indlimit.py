@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph
+from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +12,9 @@ from diagflag.diagembed import (
     is_linear_graph,
     is_standard_extension_graph,
 )
-from diagflag.egraph import EGraph, SurjectionAlpha, build_from_alpha, validate_egraph
-from diagflag.errors import DomainError, InternalCheckError
+from diagflag import indlimit
+from diagflag.egraph import EGraph, SurjectionAlpha, build_from_alpha, partition_edges, validate_egraph
+from diagflag.errors import DomainError, InternalCheckError, ScaleError
 from diagflag.flagcore import (
     FlagType,
     StandardExtensionData,
@@ -27,6 +28,7 @@ from diagflag.indlimit import (
     ConstantTail,
     GeneralizedFlagType,
     GeometricTail,
+    GraphFactor,
     NotAdmissible,
     SnGraph,
     Unknown,
@@ -398,7 +400,7 @@ def test_admissible_geometric_doubling():
     assert cert.exhaustion == ExhaustionSpec(1, (2,))
     assert cert.numbering_prefix[:5] == (1, 2, 4, 8, 16)
     assert cert.verified_prefix_length >= 12
-    assert verify_certificate(gft, SN2, cert, prefix_len=12)
+    assert verify_certificate(gft, SN2, cert)
 
 
 def test_not_admissible_constant_tail():
@@ -421,6 +423,19 @@ def test_admissible_rejects_bound_below_two(bound):
     gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
     with pytest.raises(DomainError):
         admissible(gft, SN2, bound=bound)
+
+
+def test_admissible_refuses_a_search_beyond_its_limit(monkeypatch):
+    """The search would try |s1 candidates| * (M + M^2) exhaustions: over
+    2^inf 3^inf at bound 64, 17 * (16 + 256) = 4624."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 5), True)
+    with pytest.raises(ScaleError, match="bound 10000 gives 296274 exhaustions"):
+        admissible(gft, SN23, bound=10**4)
+    monkeypatch.setattr(indlimit, "_SEARCH_LIMIT", 4624)
+    assert isinstance(admissible(gft, SN23), Unknown)
+    monkeypatch.setattr(indlimit, "_SEARCH_LIMIT", 4623)
+    with pytest.raises(ScaleError, match="bound 64 gives 4624 exhaustions"):
+        admissible(gft, SN23)
 
 
 def test_admissible_geometric_with_finite_part():
@@ -450,7 +465,7 @@ def test_certificate_verification_rejects_tampering():
         tail_rule=cert.tail_rule,
         verified_prefix_length=3,
     )
-    assert not verify_certificate(gft, SN2, bad, prefix_len=12)
+    assert not verify_certificate(gft, SN2, bad)
     swapped = AdmissibilityCertificate(
         kind=cert.kind,
         exhaustion=ExhaustionSpec(1, (4,)),
@@ -458,7 +473,7 @@ def test_certificate_verification_rejects_tampering():
         tail_rule=cert.tail_rule,
         verified_prefix_length=cert.verified_prefix_length,
     )
-    assert not verify_certificate(gft, SN2, swapped, prefix_len=12)
+    assert not verify_certificate(gft, SN2, swapped)
 
 
 def test_refutation_verification_rejects_bad_witness():
@@ -518,6 +533,39 @@ def test_factor_additivity_on_sweep():
     assert checked > 50
 
 
+def reference_factor_linear_egraph(g):
+    """Reference: per colour, keep the bounding edges and the ordinary edges
+    of that colour, and renumber both columns to the kept edges' endpoints."""
+    if not is_linear_graph(g):
+        raise DomainError("factorization requires a linear graph")
+    bounding, ordinary = partition_edges(g)
+    factors = []
+    for c in range(1, g.d + 1):
+        keep = set(bounding) | {e for e in ordinary if e[2] == c}
+        lefts = sorted({i for (i, _, _) in keep})
+        rights = sorted({j for (_, j, _) in keep})
+        lmap = {i: idx + 1 for idx, i in enumerate(lefts)}
+        rmap = {j: idx + 1 for idx, j in enumerate(rights)}
+        sub = EGraph(
+            len(lefts), len(rights), g.d, frozenset((lmap[i], rmap[j], cc) for (i, j, cc) in keep)
+        )
+        if sub.violations:
+            raise InternalCheckError(f"factor for colour {c} invalid: {sub.violations}")
+        if len({cc for (i, _, cc) in sub.edges if i != sub.q}) > 1:
+            raise InternalCheckError("factor has mixed ordinary colours")
+        factors.append(GraphFactor(c, sub, tuple(lefts), tuple(rights)))
+    return factors
+
+
+def test_factor_linear_egraph_matches_the_reference_on_every_small_linear_graph():
+    compared = 0
+    for g in small_graphs():
+        if is_linear_graph(g):
+            assert factor_linear_egraph(g) == reference_factor_linear_egraph(g)
+            compared += 1
+    assert compared == 5590
+
+
 def test_decompose_single_colour():
     g = EGraph(2, 2, 1, frozenset({(1, 1, 1), (2, 2, 1)}))
     sg = SnGraph(ExhaustionSpec(2, (1,)), (g,), period=1)
@@ -557,8 +605,12 @@ def test_decompose_synthetic_three_levels_with_threading():
             ordinary_colours = {c for (i, _, c) in g.edges if i != g.q}
             assert len(ordinary_colours) <= 1
     # with the identity threading the same chain is inconsistent
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         decompose_sn_graph(sg, prefix_len=3)
+    assert str(exc.value) == (
+        "inconsistent threading: level 1 colour 1 ordinary edge arrives at a column vertex "
+        "the factor drops"
+    )
 
 
 def test_decompose_rejects_merging_chain():
@@ -567,18 +619,27 @@ def test_decompose_rejects_merging_chain():
     r1 = build_from_alpha(SurjectionAlpha.of([1, 2, 2, 3]), 2)
     g2 = EGraph(3, 3, 2, frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (3, 3, 2)}))
     sg = SnGraph(ExhaustionSpec(2, (2,)), (r1.graph, g2, g2), period=1)
-    for threading in (None, [(2, 1), (1, 2), (2, 1), (1, 2)]):
-        with pytest.raises(DomainError):
+    rejections = {
+        None: "inconsistent threading: level 1 colour 2 ordinary edge arrives at a column "
+        "vertex the factor drops",
+        ((2, 1), (1, 2), (2, 1), (1, 2)): "inconsistent threading: level 1 factor 1 is invalid "
+        "(vertex r1 meets no edge)",
+    }
+    for threading, message in rejections.items():
+        with pytest.raises(DomainError) as exc:
             decompose_sn_graph(sg, prefix_len=3, threading=threading)
+        assert str(exc.value) == message
 
 
 def test_decompose_rejects_nonlinear_level():
     sg = SnGraph(ExhaustionSpec(4, (2,)), (MIXED_GRAPH,), period=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         decompose_sn_graph(sg, 2)
+    assert str(exc.value) == "level 1 is not linear"
 
 
 def test_decompose_rejects_bad_threading():
     sg = SnGraph(ExhaustionSpec(4, (2,)), (PRODUCT_LEVEL_GRAPH,), period=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         decompose_sn_graph(sg, prefix_len=2, threading=[(1, 1), (1, 2), (1, 2)])
+    assert str(exc.value) == "each threading row must be a permutation of the colours"
