@@ -51,6 +51,9 @@ _MAX_STEPS = 200
 _MAX_CYCLE_LEN = 2
 # The most (s1, cycle) pairs one `admissible` call may try: about 3.5 s.
 _SEARCH_LIMIT = 250_000
+# The most bounding edges, the sum of d_n - 1 over the levels, that one
+# realization may build: about 0.8 s and 1 MB of report.
+REALIZATION_EDGE_LIMIT = 100_000
 
 
 class GeometricTail(Record):
@@ -306,7 +309,9 @@ def build_realization_sn_graph(
     quotients in round-robin order, so each level graph has straight
     colour-1 edges plus one bounding edge per extra colour: exactly the
     two one-block standard-extension shapes, hence a strict standard
-    extension at every level.
+    extension at every level.  Before any level is built, each d_n is held
+    to `GRAPH_SIZE_LIMIT` and the sum of d_n - 1 to
+    `REALIZATION_EDGE_LIMIT` (ScaleError above either).
     """
     if gft.tail is not None:
         raise DomainError("realization requires finitely many finite quotients (no tail rule)")
@@ -326,6 +331,16 @@ def build_realization_sn_graph(
         raise DomainError(
             f"first exhaustion term {spec.s1} is too small; need at least {needed}"
         )
+    bounding = 0
+    for n in range(1, levels + 1):
+        d = step_ratio(spec, n)
+        if d > GRAPH_SIZE_LIMIT:
+            raise ScaleError(f"step ratio {d} exceeds the graph colour limit {GRAPH_SIZE_LIMIT}")
+        bounding += d - 1
+    if bounding > REALIZATION_EDGE_LIMIT:
+        raise ScaleError(
+            f"{levels} levels need {bounding} bounding edges; realizations are limited to {REALIZATION_EDGE_LIMIT}"
+        )
     quotients = [1 if v is INF else int(v) for v in ordered]
     quotients[inf_positions[-1] - 1] += spec.s1 - needed
     s = spec.s1
@@ -335,8 +350,6 @@ def build_realization_sn_graph(
     all_quotients = [tuple(quotients)]
     for n in range(1, levels + 1):
         d = step_ratio(spec, n)
-        if d > GRAPH_SIZE_LIMIT:  # refused before its d - 1 edges are built
-            raise ScaleError(f"step ratio {d} exceeds the graph colour limit {GRAPH_SIZE_LIMIT}")
         edges = {(i, i, 1) for i in range(1, t + 1)}
         for c in range(2, d + 1):
             target = inf_positions[rr % len(inf_positions)]
@@ -546,7 +559,8 @@ def admissible(
 
     A finite set of finite quotients is always admissible.  A constant
     tail is never admissible over an infinite supernatural number, with a
-    machine-checkable divisibility proof.  For geometric tails the search
+    machine-checkable divisibility proof whose witness is the least finite
+    divisor of sn above the constant.  For geometric tails the search
     ranges over periodic exhaustions with first term and multipliers
     bounded by `bound` and cycles of at most `_MAX_CYCLE_LEN` multipliers,
     running the greedy smallest-dimension numbering with loop detection; an
@@ -568,7 +582,7 @@ def admissible(
         return Admissible(cert)
     if isinstance(gft.tail, ConstantTail):
         c = gft.tail.value
-        witness = next(d for d in sn.divisors_up_to(max(bound, 2 * c + 2)) if d > c)
+        witness = sn.least_divisor_above(c)
         proof = RefutationProof(
             constant_value=c, witness_divisor=witness, verified_prefix_length=_PREFIX_LEN
         )

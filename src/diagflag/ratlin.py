@@ -10,7 +10,10 @@ subspaces is equality of representations and all values are hashable.
 `_reduce` is the one elimination; `rref`, `nullspace`, `span`, `+`, `&`,
 `annihilator` and `apply` (its matrix scaled to integers, which leaves
 every image span as it is) run through it, and `<=` and
-`contains_vector` read coordinates off the pivots.
+`contains_vector` read coordinates off the pivots.  What `_reduce`
+returns is canonical; `_kernel_basis`, the free-column kernel basis, and
+`_stabilizer_constraints` are only spanning sets, and `_kernel` is the
+canonical kernel, `_reduce` of that basis.
 `RatSubspace(ambient, rows)` checks that `Fraction` rows are canonical;
 `span` and `from_json_obj` reduce any generating set of exact rationals;
 what the module computes itself is canonical by construction and is not
@@ -35,8 +38,11 @@ brute-force route used to cross-check the combinatorial criteria of the
 graph modules: `stabilizer_oracle(flag, m)` decides, by solving exact
 linear systems, which matrices x have block-diagonal copies diag(x, ..., x)
 preserving a given flag, and whether the resulting subalgebra is parabolic
-relative to the standard diagonal torus.  The nilradical oracle
-`nilradical_inclusion_oracle(flag, stabilizer)` takes that result.
+relative to the standard diagonal torus.  Its constraints are sparse and
+each distinct one is kept once: the canonical kernel and the set of
+columns that are zero in every constraint depend only on their span.
+The nilradical oracle `nilradical_inclusion_oracle(flag, stabilizer)`
+takes that result.
 """
 
 from __future__ import annotations
@@ -205,12 +211,15 @@ def is_rref(rows: Matrix, width: int) -> bool:
     return True
 
 
-def _kernel(red: IntRows, width: int) -> IntRows:
-    """Canonical integer rows of {v : M v = 0}, from those of M.
+def _kernel_basis(red: IntRows, width: int) -> list[list[int]]:
+    """A basis of {v : M v = 0}, from the canonical integer rows of M: one
+    vector per free column, in column order, not reduced.
 
-    With every row scaled to the common pivot value D, the kernel vector
-    of free column j is D e_j minus the rows' entries in column j at their
-    pivots; the vectors are reduced once more.
+    With every row scaled to the common pivot value D, the vector of free
+    column j is D e_j minus the rows' entries in column j at their pivots.
+    It spans the kernel but is not canonical (its rows need not be
+    primitive or echelon); callers that only need the span, such as the
+    stabilizer constraints, take it as it is.
     """
     piv = pivots(red)
     scale = lcm(*(r[p] for r, p in zip(red, piv)))
@@ -223,7 +232,13 @@ def _kernel(red: IntRows, width: int) -> IntRows:
             if r[j]:
                 v[p] = -f * r[j]
         basis.append(v)
-    return _reduce(basis, width)
+    return basis
+
+
+def _kernel(red: IntRows, width: int) -> IntRows:
+    """Canonical integer rows of {v : M v = 0}, from those of M: the
+    free-column basis of `_kernel_basis`, reduced once more."""
+    return _reduce(_kernel_basis(red, width), width)
 
 
 def nullspace(rows: Iterable[Iterable], width: int) -> Matrix:
@@ -540,28 +555,44 @@ class StabilizerResult(Record):
         return self.algebra.dim
 
 
-def _stabilizer_constraints(flag: Flag, m: int) -> list[list[int]]:
-    """Linear constraints on vec(x) (row-major, m*m unknowns) expressing
-    that diag(x, ..., x) preserves every flag member.
+def _by_block(row: Sequence[int], m: int, step: int) -> dict[int, list[tuple[int, int]]]:
+    """The nonzero entries of a row of width d*m, grouped by block: block k
+    holds (step * (i mod m), row[i]) for its coordinates i."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, x in enumerate(row):
+        if x:
+            groups.setdefault(i // m, []).append((step * (i % m), x))
+    return groups
 
-    They are built from the canonical integer rows of each member and its
-    annihilator, so each is a nonzero multiple of the rational constraint
-    and their span is the same."""
+
+def _stabilizer_constraints(flag: Flag, m: int) -> list[tuple[int, ...]]:
+    """Linear constraints on vec(x) (row-major, m*m unknowns) expressing
+    that diag(x, ..., x) preserves every flag member, each distinct row
+    once, in first-seen order.
+
+    The constraint of a member row v and an annihilator row u is u^T
+    diag(x, ..., x) v = 0; its entry (a, b) is the sum over blocks k of
+    u[k+a] v[k+b], so it is built from the pairs of nonzero entries of u
+    and v in one block.  The rows u are the unreduced free-column basis of
+    the annihilator: only its span matters.  Repeats add nothing to the
+    span or to the set of columns that are nonzero somewhere."""
     n = flag.ambient
-    blocks = range(0, n, m)
-    rows: list[list[int]] = []
+    size = m * m
+    rows: dict[tuple[int, ...], None] = {}
     for member in flag.chain:
-        ann = member.annihilator().int_rows
+        ann = [_by_block(u, m, m) for u in _kernel_basis(member.int_rows, n)]
         for v in member.int_rows:
-            for u in ann:
-                rows.append(
-                    [
-                        sum(u[k + a] * v[k + b] for k in blocks)
-                        for a in range(m)
-                        for b in range(m)
-                    ]
-                )
-    return rows
+            v_blocks = _by_block(v, m, 1)
+            for u_blocks in ann:
+                row = [0] * size
+                for k, us in u_blocks.items():
+                    vs = v_blocks.get(k)
+                    if vs:
+                        for a, x in us:
+                            for b, y in vs:
+                                row[a + b] += x * y
+                rows[tuple(row)] = None
+    return list(rows)
 
 
 def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
@@ -574,13 +605,12 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
     n = flag.ambient
     if m < 1 or n % m != 0:
         raise DomainError(f"block size {m} does not divide ambient {n}")
+    size = m * m
     constraints = _stabilizer_constraints(flag, m)
-    algebra = RatSubspace._from_canonical(m * m, _kernel(_reduce(constraints, m * m), m * m))
+    algebra = RatSubspace._from_canonical(size, _kernel(_reduce(constraints, size), size))
     # E_ab lies in the nullspace iff column a*m+b of the constraints is zero;
-    # row reduction keeps a column zero exactly when it was zero.
-    nonzero_cols = {
-        j for row in constraints for j in range(m * m) if row[j] != 0
-    }
+    # the set of such columns is a property of their span.
+    nonzero_cols = {j for j in range(size) if any(row[j] for row in constraints)}
     root_spaces = frozenset(
         (a + 1, b + 1)
         for a in range(m)
@@ -610,7 +640,8 @@ def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> boo
     parabolic; q is then the sum of the torus and its root spaces, and
     nil(q) is spanned by the E_ij with E_ji absent.  Each generator is
     embedded block-diagonally and tested against the strict-descent
-    condition x F_t <= F_{t-1}.
+    condition x F_t <= F_{t-1}, with one span test per member F_t for the
+    images of its rows under every generator.
     """
     m = stabilizer.block_size
     if not stabilizer.is_parabolic:
@@ -618,18 +649,18 @@ def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> boo
     if stabilizer.dimension != m + len(stabilizer.root_spaces):
         raise InternalCheckError("parabolic stabilizer is not torus-decomposable")
     n = flag.ambient
-    d = n // m
     roots = stabilizer.root_spaces
     nil_q = [(i, j) for (i, j) in sorted(roots) if (j, i) not in roots]
     members = [flag.member(t) for t in range(len(flag.chain) + 2)]
-    for (i, j) in nil_q:
-        a, b = i - 1, j - 1
-        for t in range(1, len(members)):
-            target = members[t - 1]
+    for t in range(1, len(members)):
+        images = []
+        for (i, j) in nil_q:
+            a, b = i - 1, j - 1
             for v in members[t].int_rows:
                 image = [0] * n
-                for k in range(d):
-                    image[k * m + a] = v[k * m + b]
-                if not target._spans([image]):
-                    return False
+                for k in range(0, n, m):
+                    image[k + a] = v[k + b]
+                images.append(image)
+        if not members[t - 1]._spans(images):
+            return False
     return True

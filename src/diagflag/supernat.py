@@ -68,6 +68,23 @@ def _split(n: int, primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
     return exponents, n
 
 
+def _divisors_up_to(factors, bound: int) -> list[int]:
+    """The products of prime powers p^e, e <= a for each (p, a) in
+    `factors`, that are at most bound, ascending."""
+    divs = [1]
+    for p, a in factors:
+        new = []
+        for d in divs:
+            v = d
+            e = 0
+            while v <= bound and (a is INF or e <= a):
+                new.append(v)
+                v *= p
+                e += 1
+        divs = new
+    return sorted(divs)
+
+
 class SupernaturalNumber(Record):
     """Finitely supported map prime -> exponent, at least one exponent INF.
 
@@ -116,18 +133,26 @@ class SupernaturalNumber(Record):
 
     def divisors_up_to(self, bound: int) -> list[int]:
         """All finite divisors <= bound, ascending (integer arithmetic only)."""
-        divs = [1]
-        for p, a in self.factors:
-            new = []
-            for d in divs:
-                v = d
-                e = 0
-                while v <= bound and (a is INF or e <= a):
-                    new.append(v)
-                    v *= p
-                    e += 1
-            divs = new
-        return sorted(divs)
+        return _divisors_up_to(self.factors, bound)
+
+    def least_divisor_above(self, c: int) -> int:
+        """The least finite divisor greater than c >= 1.
+
+        With p the least infinite prime, the least power of p above c is
+        at most p*c, so the answer is e * p^j with e a divisor <= p*c of
+        the part prime to p.  Only those e are listed, ascending, and the
+        power each needs only shrinks as e grows."""
+        p = self.infinite_primes[0]
+        rest = _divisors_up_to(tuple(f for f in self.factors if f[0] != p), p * c)
+        power = 1
+        while power <= c:
+            power *= p
+        best = power
+        for e in rest[1:]:
+            while power > 1 and e * (power // p) > c:
+                power //= p
+            best = min(best, e * power)
+        return best
 
     def to_json_obj(self) -> dict:
         return {

@@ -8,7 +8,7 @@ import pytest
 from diagflag.egraph import EGraph, enumerate_valid_graphs
 from diagflag.errors import DomainError
 from diagflag.flagcore import FlagType, PicardPullback
-from diagflag.ratlin import RatSubspace, pivots, rref
+from diagflag.ratlin import RatSubspace, StabilizerResult, pivots, rref
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
 # hence neither linear nor a standard extension.  Encodes
@@ -78,6 +78,64 @@ def solve_unique(a, rhs):
     for r, pj in zip(red, piv):
         x[pj] = r[n]
     return tuple(x)
+
+
+def reference_stabilizer_constraints(flag, m):
+    """Reference: the dense constraints on vec(x) for diag(x, ..., x) to
+    preserve every member, one per member row and canonical annihilator
+    row, repeats kept; each entry is a sum over every block."""
+    n = flag.ambient
+    blocks = range(0, n, m)
+    rows = []
+    for member in flag.chain:
+        ann = member.annihilator().int_rows
+        for v in member.int_rows:
+            for u in ann:
+                rows.append(
+                    [sum(u[k + a] * v[k + b] for k in blocks) for a in range(m) for b in range(m)]
+                )
+    return rows
+
+
+def reference_stabilizer(flag, m):
+    """Reference: `stabilizer_oracle` from the dense constraints, repeats
+    and all."""
+    rows = reference_stabilizer_constraints(flag, m)
+    size = m * m
+    zero_cols = {j for j in range(size) if all(row[j] == 0 for row in rows)}
+    roots = frozenset(
+        (a + 1, b + 1) for a in range(m) for b in range(m) if a != b and a * m + b in zero_cols
+    )
+    torus = all(a * m + a in zero_cols for a in range(m))
+    return StabilizerResult(
+        block_size=m,
+        algebra=RatSubspace.span_ints(size, rows).annihilator(),
+        root_spaces=roots,
+        contains_torus=torus,
+        is_parabolic=torus
+        and all((i, j) in roots or (j, i) in roots for i in range(1, m + 1) for j in range(i + 1, m + 1)),
+    )
+
+
+def reference_nilradical_inclusion(flag, stabilizer):
+    """Reference: each nilradical generator E_ij of a parabolic diagonal
+    stabilizer, embedded block-diagonally, sends every row of F_t into
+    F_{t-1}; one span test per image vector."""
+    m = stabilizer.block_size
+    n = flag.ambient
+    roots = stabilizer.root_spaces
+    members = [flag.member(t) for t in range(len(flag.chain) + 2)]
+    for (i, j) in sorted(roots):
+        if (j, i) in roots:
+            continue
+        for t in range(1, len(members)):
+            for v in members[t].int_rows:
+                image = [0] * n
+                for k in range(n // m):
+                    image[k * m + i - 1] = v[k * m + j - 1]
+                if not members[t - 1]._spans([image]):
+                    return False
+    return True
 
 
 def subspace(ambient, rows):

@@ -207,6 +207,29 @@ def test_admissible(capsys, tmp_path):
     assert doc["proof"]["witness_divisor"] == 2
 
 
+def test_admissible_constant_tail_beyond_twice_its_value(capsys, tmp_path):
+    # 3^inf has no divisor in (28, 64]; the least above 28 is 81.
+    gft = {"finite_quotients": [], "tail": {"kind": "constant", "value": 28},
+           "infinite_quotients": True, "ordered": None}
+    sn = write(tmp_path, "sn.json", {"factors": {"3": "inf"}})
+    argv = ["admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["verdict"] == "NotAdmissible"
+    assert doc["proof"]["witness_divisor"] == 81
+
+
+def test_admissible_constant_tail_of_three_hundred_digits_at_once(capsys, tmp_path):
+    gft = {"finite_quotients": [], "tail": {"kind": "constant", "value": 10**300},
+           "infinite_quotients": True, "ordered": None}
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "3": "inf"}})
+    started = time.monotonic()
+    code, doc = run_json(capsys, "admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn)
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    assert 10**300 < doc["proof"]["witness_divisor"] <= 2 * 10**300
+
+
 @pytest.mark.parametrize("bound", ["-5", "0", "1"])
 def test_admissible_rejects_bound_below_two(capsys, tmp_path, bound):
     sn = tmp_path / "sn.json"
@@ -468,6 +491,26 @@ def test_realization_refuses_a_step_ratio_beyond_the_colour_cap(capsys, tmp_path
     assert time.monotonic() - started < 1.0
     assert code == 1
     assert "exceeds the graph colour limit" in capsys.readouterr().err
+
+
+def test_realization_refuses_more_bounding_edges_than_its_cap_at_once(capsys, tmp_path):
+    # 20 levels over 9973^inf would build 20 * 9972 = 199,440 bounding edges.
+    argv = [
+        "exhaust",
+        "--sn", write(tmp_path, "sn.json", {"factors": {"9973": "inf"}}),
+        "--spec", write(tmp_path, "spec.json", {"s1": 9973, "cycle": [9973]}),
+        "--gft", write(tmp_path, "gft.json", GFT_LINE_THEN_REST),
+    ]
+    started = time.monotonic()
+    assert main([*argv, "--levels", "20"]) == 1
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr() == (
+        "",
+        "input error: 20 levels need 199440 bounding edges; realizations are limited to 100000\n",
+    )
+    assert main([*argv, "--levels", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["realization"]["sn_graph"]["levels"]) == 1
 
 
 def test_validate_egraph_rejects_a_huge_graph_at_once(capsys, tmp_path):

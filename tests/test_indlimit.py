@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -409,6 +410,23 @@ def test_not_admissible_constant_tail():
     assert isinstance(result, NotAdmissible)
     assert result.proof.witness_divisor == 2
     assert verify_refutation(gft, SN2, result.proof)
+
+
+@pytest.mark.parametrize("prime, beyond", [(3, 111), (5, 213), (7, 122)])
+def test_constant_tail_witness_is_the_least_divisor_above(prime, beyond):
+    """Over p^inf, `beyond` of the values c <= 300 have no divisor in
+    (c, max(64, 2c + 2)]; the witness is still the least divisor above c."""
+    sn = SupernaturalNumber.from_factors({prime: INF})
+    outside = 0
+    for c in range(1, 301):
+        gft = GeneralizedFlagType((), ConstantTail(c), True)
+        result = admissible(gft, sn)
+        assert isinstance(result, NotAdmissible)
+        least = prime ** next(k for k in itertools.count() if prime**k > c)
+        assert result.proof.witness_divisor == least
+        assert verify_refutation(gft, sn, result.proof)
+        outside += least > max(64, 2 * c + 2)
+    assert outside == beyond
 
 
 def test_admissible_unknown_for_incompatible_ratio():

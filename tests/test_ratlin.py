@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import solve_unique
+from conftest import reference_nilradical_inclusion, reference_stabilizer, solve_unique
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagflag.egraph import surjections
 from diagflag.errors import DomainError
 from diagflag.flagcore import level_flag
 from diagflag.ratlin import (
@@ -390,6 +391,47 @@ def test_stabilizer_root_spaces_are_the_coordinate_lines_it_contains(rng):
             assert res.contains_torus == all(contains_unit(a, a) for a in range(m))
             checked_roots += len(res.root_spaces)
     assert checked_roots > 50
+
+
+def assert_oracles_match_references(flag, m):
+    """Both oracles agree with the dense references in `conftest`; returns
+    whether the stabilizer was parabolic."""
+    res = stabilizer_oracle(flag, m)
+    ref = reference_stabilizer(flag, m)
+    assert res == ref
+    if res.is_parabolic:
+        assert nilradical_inclusion_oracle(flag, res) == reference_nilradical_inclusion(flag, ref)
+    return res.is_parabolic
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_oracles_match_dense_references_on_every_level_flag(n):
+    """Every coordinate flag of a surjective level map with n <= 6, at every
+    block count d dividing n."""
+    parabolic = 0
+    for alpha in surjections(n):
+        flag = level_flag(alpha.values)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                parabolic += assert_oracles_match_references(flag, n // d)
+    assert parabolic > 0
+
+
+def test_oracles_match_dense_references_on_conjugated_flags():
+    """Level flags conjugated by a random diag(g, ..., g), with dense
+    annihilators and few root spaces, and by a random invertible matrix of
+    full size, whose members mix the blocks, so that constraint entries sum
+    over several blocks."""
+    rng = random.Random(20261018)
+    parabolic = 0
+    for _ in range(240):
+        n = rng.choice((2, 3, 4, 4, 6, 6, 6))
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        m = n // d
+        flag = level_flag([rng.randint(1, 4) for _ in range(n)])
+        for g in (block_diagonal(random_invertible(m, rng), d), random_invertible(n, rng)):
+            parabolic += assert_oracles_match_references(flag.apply(g), m)
+    assert parabolic > 20
 
 
 def test_nilradical_inclusion_cases():

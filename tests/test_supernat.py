@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +143,34 @@ def test_divisors_up_to():
     sn3 = SupernaturalNumber.from_factors({3: INF})
     assert sn3.divisors_up_to(243)[-1] == 243
     assert sn3.divisors_up_to(2) == [1]
+
+
+# Over 3^inf, 5^inf and 7^inf many values c <= 300 have no divisor in
+# (c, 2c + 2], which the least divisor above c may exceed.
+LEAST_DIVISOR_SNS = (
+    SupernaturalNumber.from_factors({3: INF}),
+    SupernaturalNumber.from_factors({5: INF}),
+    SupernaturalNumber.from_factors({7: INF}),
+    SN_2,
+    SN_23,
+    SupernaturalNumber.from_factors({3: INF, 5: 2}),
+)
+
+
+@pytest.mark.parametrize("sn", LEAST_DIVISOR_SNS, ids=str)
+def test_least_divisor_above_matches_a_scan(sn):
+    for c in range(1, 301):
+        expected = next(s for s in itertools.count(c + 1) if divides_sn(s, sn))
+        assert sn.least_divisor_above(c) == expected
+
+
+def test_least_divisor_above_a_huge_value_lists_few_divisors():
+    c = 10**300
+    started = time.monotonic()
+    witness = SN_23.least_divisor_above(c)
+    assert time.monotonic() - started < 0.5
+    assert c < witness <= 2 * c and divides_sn(witness, SN_23)
+    assert witness == min(3**k * 2 ** (c // 3**k).bit_length() for k in range(630))
 
 
 @given(st.integers(1, 3000))
