@@ -37,7 +37,7 @@ from .egraph import (
     surjections,
 )
 from .errors import DomainError, InternalCheckError, Record, strict_int
-from .flagcore import FlagType, PicardPullback, flag_type_of, level_flag, random_flag
+from .flagcore import FlagType, PicardPullback, check_flag_type, level_flag, random_flag
 from .ratlin import (
     Flag,
     RatSubspace,
@@ -83,8 +83,7 @@ class DiagonalEmbedding(Record):
         nondecreasing in j and the source members are nested, so the image
         members are nested and no containment test runs.
         """
-        if flag_type_of(flag) != self.source_type:
-            raise DomainError("flag does not match the source type")
+        check_flag_type(flag, self.source_type)
         return Flag._from_nested(self.n, _block_sums(self.graph, self.m, flag.member))
 
     def to_json_obj(self) -> dict:
@@ -123,17 +122,23 @@ def _block_sums(
     `member(i)` in block c, for the row's nonzero entries i.
 
     The blocks are disjoint coordinate ranges taken in colour order, so the
-    concatenated canonical block bases are already canonical RREF (pivots
-    increase block by block, and each pivot column is zero in the other
-    blocks' rows); no elimination runs.
+    concatenated canonical block bases, each row zero-padded to its block,
+    are already canonical RREF (pivots increase block by block, and each
+    pivot column is zero in the other blocks' rows); no elimination runs.
+    Each (member, colour) block is padded once.
     """
     n = g.d * m
+    padded: dict[tuple[int, int], tuple] = {}
     members = []
     for row in g.closed_indices:
         rows: tuple = ()
-        for c, i in enumerate(row, start=1):
+        for c, i in enumerate(row):
             if i:
-                rows += block_embed(member(i), c, g.d).int_rows
+                block = padded.get((i, c))
+                if block is None:
+                    left, right = (0,) * (c * m), (0,) * (n - (c + 1) * m)
+                    block = padded[i, c] = tuple(left + v + right for v in member(i).int_rows)
+                rows += block
         members.append(RatSubspace._from_canonical(n, rows))
     return tuple(members)
 

@@ -69,7 +69,7 @@ class FlagType(Record):
 
     def __init__(self, ambient: int, dims: tuple[int, ...]) -> None:
         # Spelled out, not the generic Record constructor: flag types are
-        # built on every evaluation.
+        # built for every restriction and every exhaustion step.
         if ambient < 1:
             raise DomainError("ambient dimension must be positive")
         prev = 0
@@ -102,6 +102,14 @@ class FlagType(Record):
 
 def flag_type_of(flag: Flag) -> FlagType:
     return FlagType(flag.ambient, flag.dims)
+
+
+def check_flag_type(flag: Flag, ft: FlagType) -> None:
+    """DomainError unless `flag` has type `ft`, compared field by field; a
+    flag whose ambient no flag type allows is reported as such."""
+    if flag.ambient != ft.ambient or flag.dims != ft.dims:
+        flag_type_of(flag)
+        raise DomainError("flag does not match the source type")
 
 
 def coordinate_flag(ft: FlagType) -> Flag:
@@ -323,8 +331,7 @@ class StandardExtensionData(Record):
         return dual_type(strict) if self.dualized else strict
 
     def strict_eval(self, flag: Flag) -> Flag:
-        if flag_type_of(flag) != self.source_type:
-            raise DomainError("flag does not match the source type")
+        check_flag_type(flag, self.source_type)
         # kappa is nondecreasing and the Z_j are nested (both validated), so
         # the members eps(F_kappa(j)) + Z_j are nested too.  The integer
         # rows of eps span the same images as eps.

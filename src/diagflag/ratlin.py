@@ -10,15 +10,19 @@ subspaces is equality of representations and all values are hashable.
 `_reduce` is the one elimination; `rref`, `nullspace`, `span`, `+`, `&`,
 `annihilator` and `apply` (its matrix scaled to integers, which leaves
 every image span as it is) run through it, and `<=` and
-`contains_vector` read coordinates off the pivots.  What `_reduce`
-returns is canonical; `_kernel_basis`, the free-column kernel basis, and
+`contains_vector` read coordinates off the pivots.  `_reduce` is one
+loop that clears each column and divides each cleared row by its content
+inline, with no helper call per row.  What `_reduce` returns is
+canonical; `_kernel_basis`, the free-column kernel basis, and
 `_stabilizer_constraints` are only spanning sets, and `_kernel` is the
 canonical kernel, `_reduce` of that basis.
 `RatSubspace(ambient, rows)` checks that `Fraction` rows are canonical;
 `span` and `from_json_obj` reduce any generating set of exact rationals;
 what the module computes itself is canonical by construction and is not
-checked again.  `to_fraction` refuses exponent notation, whose expansion
-no input size bounds.
+checked again.  `zero`, `full` and `coordinate` return one shared
+immutable subspace per (ambient, k), from a cache of bounded size.
+`to_fraction` refuses exponent notation, whose expansion no input size
+bounds.
 
 The scaling rule lives here alone: `integer_matrix` turns a rational
 matrix into integer rows over one positive denominator in lowest terms,
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -64,6 +69,9 @@ SPREAD = 3
 # Entry types read without `to_fraction`; bool, a subclass of int, is not
 # one of them and is rejected there.
 _EXACT = (Fraction, int)
+# The most coordinate subspaces kept, one per (ambient, k); evaluations
+# ask for the same few again and again.
+_COORDINATE_CACHE_SIZE = 1024
 
 
 def to_fraction(x) -> Fraction:
@@ -118,22 +126,6 @@ def integer_matrix(rows: Iterable[Iterable], width: int) -> tuple[IntRows, int]:
     return tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(len(rows))), den
 
 
-def _primitive(row: Sequence[int]) -> Sequence[int] | None:
-    """The integer row divided by its content; None for a zero row."""
-    content = gcd(*row)
-    if content == 0:
-        return None
-    return row if content == 1 else [x // content for x in row]
-
-
-def _clear(row: Sequence[int], prow: Sequence[int], col: int) -> Sequence[int] | None:
-    """`row` with column `col` cleared against the pivot row `prow`, made
-    primitive again; None when nothing is left."""
-    g = gcd(prow[col], row[col])
-    a, b = prow[col] // g, row[col] // g
-    return _primitive([a * x - b * y for x, y in zip(row, prow)])
-
-
 def _reduce(rows: Iterable[Sequence[int]], width: int) -> IntRows:
     """The one elimination: the canonical integer rows of the span of
     integer rows.
@@ -144,25 +136,48 @@ def _reduce(rows: Iterable[Sequence[int]], width: int) -> IntRows:
     smallest integer multiple of the row rational elimination would hold:
     no fraction-free scheme, Bareiss's included, keeps smaller entries.
     Each pivot row is made positive at its pivot, which clearing later
-    columns multiplies by positive entries only.
+    columns multiplies by positive entries only.  The first `rank` rows of
+    the work list are the pivot rows so far; rows cleared to zero leave
+    it.  The clearing is written out in the loop, since on the narrow
+    matrices the library reduces call overhead, not arithmetic, is the
+    cost.
     """
-    rest = [r for r in map(_primitive, rows) if r is not None]
-    done: list[Sequence[int]] = []
+    work = []
+    for r in rows:
+        c = gcd(*r)
+        if c:
+            work.append(r if c == 1 else [x // c for x in r])
+    rank = 0
     for col in range(width):
-        if not rest:
+        if rank == len(work):
             break
-        k = next((i for i, r in enumerate(rest) if r[col]), None)
-        if k is None:
+        for k in range(rank, len(work)):
+            if work[k][col]:
+                break
+        else:
             continue
-        prow = rest.pop(k)
-        if prow[col] < 0:
+        prow = work.pop(k)
+        p = prow[col]
+        if p < 0:
+            p = -p
             prow = [-x for x in prow]
-        done = [_clear(r, prow, col) if r[col] else r for r in done]
-        done.append(prow)
-        rest = [r for r in rest if not r[col]] + [
-            c for c in (_clear(r, prow, col) for r in rest if r[col]) if c is not None
-        ]
-    return tuple(map(tuple, done))
+        out = []
+        for r in work:
+            b = r[col]
+            if b:
+                g = gcd(p, b)
+                a, b = p // g, b // g
+                r = [a * x - b * y for x, y in zip(r, prow)]
+                c = gcd(*r)
+                if not c:
+                    continue
+                if c != 1:
+                    r = [x // c for x in r]
+            out.append(r)
+        out.insert(rank, prow)
+        work = out
+        rank += 1
+    return tuple(map(tuple, work))
 
 
 def _canonical(rows: Iterable[Iterable], width: int) -> IntRows:
@@ -185,10 +200,12 @@ def rref(rows: Iterable[Iterable], width: int) -> Matrix:
 def pivots(rows: Matrix) -> tuple[int, ...]:
     out = []
     for r in rows:
-        j = next((i for i, x in enumerate(r) if x), None)
-        if j is None:
+        for j, x in enumerate(r):
+            if x:
+                out.append(j)
+                break
+        else:
             raise InternalCheckError("zero row in echelon basis")
-        out.append(j)
     return tuple(out)
 
 
@@ -311,9 +328,12 @@ class RatSubspace(Record):
         return cls.coordinate(ambient, ambient)
 
     @classmethod
+    @lru_cache(maxsize=_COORDINATE_CACHE_SIZE)
     def coordinate(cls, ambient: int, k: int) -> "RatSubspace":
         """Span of the first k standard basis vectors; identity rows are
-        canonical, so no check runs."""
+        canonical, so no check runs.  Subspaces are immutable, so one
+        instance per (ambient, k) serves every call; the range check runs
+        whenever one is built."""
         if not 0 <= k <= ambient:
             raise DomainError("coordinate subspace dimension out of range")
         unit = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(k))
@@ -363,14 +383,18 @@ class RatSubspace(Record):
         coordinates are its entries at the pivots, so D v must be the sum
         of v[p] (D / r[p]) r over the rows r with pivot p, D the lcm of the
         pivots."""
-        basis = list(zip(self.int_rows, pivots(self.int_rows)))
-        scale = lcm(*(r[p] for r, p in basis))
+        rows = self.int_rows
+        piv = pivots(rows)
+        scale = lcm(*[r[p] for r, p in zip(rows, piv)])
+        basis = [(p, scale // r[p], r) for r, p in zip(rows, piv)]
+        zero = [0] * self.ambient
         for v in vectors:
-            combination = [0] * self.ambient
-            for r, p in basis:
-                if v[p]:
-                    f = v[p] * (scale // r[p])
-                    combination = [a + f * x for a, x in zip(combination, r)]
+            combination = zero
+            for p, f, r in basis:
+                c = v[p]
+                if c:
+                    c *= f
+                    combination = [a + c * x for a, x in zip(combination, r)]
             if combination != [scale * x for x in v]:
                 return False
         return True

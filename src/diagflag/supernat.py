@@ -26,6 +26,10 @@ Exponent = int | float  # positive int, or INF
 # (Sorenson and Webster, 2015; twelve bases would stop at 3.2 * 10^23).
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The most divisors one listing holds.  Their number grows like a power of
+# the bound's digits, one per prime, so a bound the input boundary accepts
+# could otherwise ask for billions.
+DIVISOR_LIMIT = 250_000
 
 
 def is_prime(n: int) -> bool:
@@ -70,7 +74,8 @@ def _split(n: int, primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
 
 def _divisors_up_to(factors, bound: int) -> list[int]:
     """The products of prime powers p^e, e <= a for each (p, a) in
-    `factors`, that are at most bound, ascending."""
+    `factors`, that are at most bound, ascending; ScaleError as soon as
+    there are more than `DIVISOR_LIMIT` of them."""
     divs = [1]
     for p, a in factors:
         new = []
@@ -81,6 +86,10 @@ def _divisors_up_to(factors, bound: int) -> list[int]:
                 new.append(v)
                 v *= p
                 e += 1
+            if len(new) > DIVISOR_LIMIT:
+                raise ScaleError(
+                    f"more than {DIVISOR_LIMIT} divisors to list; listings are limited to {DIVISOR_LIMIT}"
+                )
         divs = new
     return sorted(divs)
 
@@ -132,7 +141,8 @@ class SupernaturalNumber(Record):
         return tuple((p, a) for p, a in self.factors if a is not INF)
 
     def divisors_up_to(self, bound: int) -> list[int]:
-        """All finite divisors <= bound, ascending (integer arithmetic only)."""
+        """All finite divisors <= bound, ascending (integer arithmetic only);
+        ScaleError when there are more than `DIVISOR_LIMIT`."""
         return _divisors_up_to(self.factors, bound)
 
     def least_divisor_above(self, c: int) -> int:
@@ -141,7 +151,8 @@ class SupernaturalNumber(Record):
         With p the least infinite prime, the least power of p above c is
         at most p*c, so the answer is e * p^j with e a divisor <= p*c of
         the part prime to p.  Only those e are listed, ascending, and the
-        power each needs only shrinks as e grows."""
+        power each needs only shrinks as e grows; ScaleError when they are
+        more than `DIVISOR_LIMIT`."""
         p = self.infinite_primes[0]
         rest = _divisors_up_to(tuple(f for f in self.factors if f[0] != p), p * c)
         power = 1

@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -78,6 +79,46 @@ def solve_unique(a, rhs):
     for r, pj in zip(red, piv):
         x[pj] = r[n]
     return tuple(x)
+
+
+def _reference_primitive(row):
+    """The integer row divided by its content; None for a zero row."""
+    content = gcd(*row)
+    if content == 0:
+        return None
+    return row if content == 1 else [x // content for x in row]
+
+
+def _reference_clear(row, prow, col):
+    """`row` with column `col` cleared against the pivot row `prow`, made
+    primitive again; None when nothing is left."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    return _reference_primitive([a * x - b * y for x, y in zip(row, prow)])
+
+
+def reference_reduce(rows, width):
+    """Reference: Gauss-Jordan on primitive integer rows, as
+    `ratlin._reduce` does it, with the clearing and the division by
+    content as helper calls and the remaining rows kept apart from the
+    pivot rows, cleared ones after the others."""
+    rest = [r for r in map(_reference_primitive, rows) if r is not None]
+    done = []
+    for col in range(width):
+        if not rest:
+            break
+        k = next((i for i, r in enumerate(rest) if r[col]), None)
+        if k is None:
+            continue
+        prow = rest.pop(k)
+        if prow[col] < 0:
+            prow = [-x for x in prow]
+        done = [_reference_clear(r, prow, col) if r[col] else r for r in done]
+        done.append(prow)
+        rest = [r for r in rest if not r[col]] + [
+            c for c in (_reference_clear(r, prow, col) for r in rest if r[col]) if c is not None
+        ]
+    return tuple(map(tuple, done))
 
 
 def reference_stabilizer_constraints(flag, m):

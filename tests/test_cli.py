@@ -230,6 +230,23 @@ def test_admissible_constant_tail_of_three_hundred_digits_at_once(capsys, tmp_pa
     assert 10**300 < doc["proof"]["witness_divisor"] <= 2 * 10**300
 
 
+def test_admissible_refuses_a_constant_tail_with_too_many_divisors_below_it(capsys, tmp_path):
+    """Over 2^inf 3^inf 5^inf 7^inf the witness search lists the 3-, 5-
+    and 7-smooth numbers up to 2c: 136,281 at c = 10^60, about 10^7 at
+    c = 10^300, beyond `DIVISOR_LIMIT`."""
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "3": "inf", "5": "inf", "7": "inf"}})
+    gft = {"finite_quotients": [], "tail": {"kind": "constant", "value": 10**60},
+           "infinite_quotients": True, "ordered": None}
+    code, doc = run_json(capsys, "admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn)
+    assert code == 0 and doc["verdict"] == "NotAdmissible"
+    assert doc["proof"]["witness_divisor"] == 1000006182732750065940640756249558180248787905851869701468750
+    gft["tail"]["value"] = 10**300
+    started = time.monotonic()
+    assert main(["admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn]) == 1
+    assert time.monotonic() - started < 1.0
+    _one_input_error(capsys)
+
+
 @pytest.mark.parametrize("bound", ["-5", "0", "1"])
 def test_admissible_rejects_bound_below_two(capsys, tmp_path, bound):
     sn = tmp_path / "sn.json"
@@ -655,6 +672,21 @@ def test_a_result_beyond_the_printing_limit_is_an_input_error(capsys, tmp_path):
     assert main(["embed", "--alpha", "1,1,2,1,1,2", "--m", "3", "--flag", flag]) == 1
     assert time.monotonic() - started < 1.0
     _one_input_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ({"ambient": 0, "chain": []}, "ambient dimension must be positive"),
+        ({"ambient": 2, "chain": []}, "flag does not match the source type"),
+        ({"ambient": 3, "chain": [[["1", "0", "0"]]]}, "flag does not match the source type"),
+    ],
+)
+def test_embed_names_a_flag_of_the_wrong_type(capsys, tmp_path, flag, message):
+    flag = write(tmp_path, "flag.json", flag)
+    assert main(["embed", "--alpha", "1,2,2,3", "--m", "2", "--flag", flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
 def test_block_size_zero_is_named_by_embed_as_by_restrict(capsys, tmp_path):

@@ -85,9 +85,17 @@ def test_restriction_evaluation_example():
 
 
 def test_evaluate_rejects_wrong_type():
+    """The flag's type is compared field by field; a flag whose ambient no
+    flag type allows is reported as such."""
     emb = DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE)
-    with pytest.raises(DomainError):
-        emb.evaluate(coordinate_flag(FlagType(3, (1,))))
+    for flag, message in [
+        (coordinate_flag(FlagType(3, (1,))), "flag does not match the source type"),
+        (coordinate_flag(FlagType(4, (1, 2))), "flag does not match the source type"),
+        (Flag(0, ()), "ambient dimension must be positive"),
+        (Flag(-1, ()), "ambient dimension must be positive"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            emb.evaluate(flag)
 
 
 def test_pullback_mixed_graph():

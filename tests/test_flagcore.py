@@ -177,8 +177,14 @@ def test_identity_extension_is_identity(rng):
 
 def test_se_eval_rejects_wrong_type():
     se = absorbing_extension((1,), 2, 1, 1)
-    with pytest.raises(DomainError):
-        se_eval(se, coordinate_flag(FlagType(3, (1,))))
+    for flag, message in [
+        (coordinate_flag(FlagType(3, (1,))), "flag does not match the source type"),
+        (coordinate_flag(FlagType(2, ())), "flag does not match the source type"),
+        (Flag(0, ()), "ambient dimension must be positive"),
+    ]:
+        for evaluate in (se.strict_eval, lambda f: se_eval(se, f)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                evaluate(flag)
 
 
 def test_data_invariants_rejected():

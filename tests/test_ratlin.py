@@ -3,7 +3,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import reference_nilradical_inclusion, reference_stabilizer, solve_unique
+from conftest import (
+    reference_nilradical_inclusion,
+    reference_reduce,
+    reference_stabilizer,
+    solve_unique,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +18,7 @@ from diagflag.flagcore import level_flag
 from diagflag.ratlin import (
     Flag,
     RatSubspace,
+    _reduce,
     block_diagonal,
     block_embed,
     is_rref,
@@ -110,6 +116,46 @@ def test_rref_matches_fraction_gauss_jordan(case):
 def test_nullspace_matches_reference_kernel(case):
     width, rows = case
     assert nullspace(rows, width) == reference_nullspace(rows, width)
+
+
+big_entries = st.one_of(st.just(0), small_entries, st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def integer_generating_sets(draw):
+    """Integer rows of width 1-36 with entries up to 10^30 in size, zero,
+    repeated, scaled and negated rows among them, and up to 12 rows on
+    widths up to 8, more than columns."""
+    width = draw(st.integers(1, 36))
+    rows = draw(
+        st.lists(
+            st.lists(big_entries, min_size=width, max_size=width),
+            min_size=1,
+            max_size=12 if width <= 8 else 8,
+        )
+    )
+    extra = []
+    for r in rows:
+        kind = draw(st.sampled_from(("none", "zero", "repeat", "scaled", "negated")))
+        if kind == "zero":
+            extra.append([0] * width)
+        elif kind == "repeat":
+            extra.append(list(r))
+        elif kind == "scaled":
+            c = draw(st.one_of(st.integers(2, 7), st.integers(-(10**30), -2)))
+            extra.append([c * x for x in r])
+        elif kind == "negated":
+            extra.append([-x for x in r])
+    return width, draw(st.permutations(rows + extra))
+
+
+@given(integer_generating_sets())
+@settings(max_examples=300, deadline=None)
+def test_reduce_matches_the_reference_elimination(case):
+    width, rows = case
+    expected = reference_reduce(rows, width)
+    assert _reduce(rows, width) == expected
+    assert _reduce([tuple(r) for r in rows], width) == expected
 
 
 def test_nullspace_of_integer_rows_and_edge_shapes():
@@ -487,14 +533,33 @@ def test_subspace_json_roundtrip():
 
 
 def test_trusted_constructors_match_the_validating_one():
-    for ambient in range(7):
+    for ambient in range(9):
+        identity = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
         identity_rows = RatSubspace.full(ambient).rows
         assert RatSubspace.zero(ambient) == RatSubspace(ambient, ())
         assert RatSubspace.full(ambient) == RatSubspace(ambient, identity_rows)
         for k in range(ambient + 1):
-            assert RatSubspace.coordinate(ambient, k) == RatSubspace(ambient, identity_rows[:k])
+            sub = RatSubspace.coordinate(ambient, k)
+            assert sub == RatSubspace(ambient, identity_rows[:k])
+            assert sub.ambient == ambient and sub.int_rows == identity[:k]
+            assert RatSubspace.coordinate(ambient, k) is sub
+        assert RatSubspace.zero(ambient) is RatSubspace.coordinate(ambient, 0)
+        assert RatSubspace.full(ambient) is RatSubspace.coordinate(ambient, ambient)
         with pytest.raises(DomainError):
             RatSubspace.coordinate(ambient, ambient + 1)
+
+
+@pytest.mark.parametrize("ambient, k", [(3, 4), (3, -1), (0, 1), (-1, 0), (-2, -1)])
+def test_coordinate_range_check_runs_after_the_cache_holds_entries(ambient, k):
+    for a in range(4):
+        for j in range(a + 1):
+            RatSubspace.coordinate(a, j)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^coordinate subspace dimension out of range$"):
+            RatSubspace.coordinate(ambient, k)
+    if k == 0:
+        with pytest.raises(DomainError, match="^coordinate subspace dimension out of range$"):
+            RatSubspace.zero(ambient)
 
 
 def test_zero_denominator_strings_are_rejected():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagflag import supernat
 from diagflag.errors import DomainError, ScaleError
 from diagflag.supernat import (
     INF,
@@ -171,6 +172,22 @@ def test_least_divisor_above_a_huge_value_lists_few_divisors():
     assert time.monotonic() - started < 0.5
     assert c < witness <= 2 * c and divides_sn(witness, SN_23)
     assert witness == min(3**k * 2 ** (c // 3**k).bit_length() for k in range(630))
+
+
+def test_divisor_listings_stop_beyond_the_limit(monkeypatch):
+    """2^inf has 11 divisors up to 2^10; the least divisor of 2^inf 3^inf
+    5^inf above 50 is found among the 10 divisors of 3^inf 5^inf up to
+    100.  A listing of exactly `DIVISOR_LIMIT` divisors is allowed."""
+    sn = SupernaturalNumber.from_factors({2: INF, 3: INF, 5: INF})
+    monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 10)
+    assert sn.least_divisor_above(50) == 54
+    with pytest.raises(ScaleError, match="^more than 10 divisors to list"):
+        SN_2.divisors_up_to(2**10)
+    monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 11)
+    assert len(SN_2.divisors_up_to(2**10)) == 11
+    monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 9)
+    with pytest.raises(ScaleError, match="^more than 9 divisors to list"):
+        sn.least_divisor_above(50)
 
 
 @given(st.integers(1, 3000))
