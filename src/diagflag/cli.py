@@ -21,12 +21,19 @@ import sys
 from typing import Sequence
 
 from . import diagembed, egraph, flagcore, indlimit, supernat
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, ScaleError
 from .ratlin import Flag
 
 SCHEMA_VERSION = "1"
 # The most steps `exhaust --levels` accepts, so the term list is bounded.
 _LEVELS_LIMIT = 1000
+# The most entries, target ambient times the sum of the target member
+# dimensions, of the image `embed` builds: about 1 s and a 4 MB report.
+_IMAGE_ENTRY_LIMIT = 10**6
+# The largest target dimension d*m whose constant spaces `constants`
+# samples: each sample reduces a random m x m matrix and intersects every
+# member in Q^(d*m), and a full flag in Q^16 takes about 0.5 s.
+_SAMPLING_SCALE_LIMIT = 16
 
 
 def canonical_json(obj) -> str:
@@ -42,10 +49,9 @@ def selftest_digest() -> str:
     mixed = egraph.EGraph(
         3, 4, 2, frozenset({(1, 1, 1), (2, 3, 1), (3, 4, 1), (2, 2, 2), (3, 3, 2)})
     )
-    emb = diagembed.DiagonalEmbedding(mixed, flagcore.FlagType(3, (1, 2)))
     battery = {
         "restriction": restriction.graph.to_json_obj(),
-        "pullback": diagembed.picard_pullback(emb).to_json_obj(),
+        "pullback": diagembed.graph_pullback(mixed).to_json_obj(),
         "divides": [
             supernat.divides_sn(8, supernat.SupernaturalNumber.from_factors({2: supernat.INF})),
             supernat.divides_sn(6, supernat.SupernaturalNumber.from_factors({2: supernat.INF})),
@@ -147,6 +153,9 @@ def _cmd_restrict(args) -> dict:
 
 def _cmd_embed(args) -> dict:
     emb = _load_embedding(args)
+    entries = emb.n * sum(emb.target_type.dims)
+    if entries > _IMAGE_ENTRY_LIMIT:
+        raise ScaleError(f"embed is limited to images of {_IMAGE_ENTRY_LIMIT} entries; got {entries}")
     flag = Flag.from_json_obj(_load_json(args.flag))
     image = diagembed.checked_evaluate(emb, flag)
     return {
@@ -185,6 +194,7 @@ def _load_sampling_embedding(args) -> diagembed.DiagonalEmbedding:
 
 def _cmd_classify(args) -> dict:
     emb = _load_embedding(args)
+    flagcore.check_classify_scale(emb.n)
     result = flagcore.classify_bruteforce(emb.evaluate, emb.source_type, seed=args.seed)
     graph_verdict = diagembed.is_standard_extension_graph(emb.graph)
     if graph_verdict != (result.kind == "strict_se"):
@@ -196,6 +206,8 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_constants(args) -> dict:
     emb = _load_sampling_embedding(args)
+    if emb.n > _SAMPLING_SCALE_LIMIT:
+        raise ScaleError(f"constant-space sampling is limited to target dimension {_SAMPLING_SCALE_LIMIT}; got {emb.n}")
     closed = diagembed.constant_spaces(emb)
     sampled, support = flagcore.support_and_constants(
         flagcore.sample_images(emb.evaluate, emb.source_type, seed=args.seed),

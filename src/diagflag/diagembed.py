@@ -32,7 +32,6 @@ from .egraph import (
     SurjectionAlpha,
     build_from_alpha,
     partition_edges,
-    random_restriction,
     require_valid,
     surjections,
 )
@@ -44,7 +43,7 @@ from .ratlin import (
     block_diagonal,
     block_embed,
     nilradical_inclusion_oracle,
-    random_invertible,
+    random_invertible_ints,
     stabilizer_oracle,
 )
 
@@ -139,7 +138,7 @@ def _block_sums(
                     left, right = (0,) * (c * m), (0,) * (n - (c + 1) * m)
                     block = padded[i, c] = tuple(left + v + right for v in member(i).int_rows)
                 rows += block
-        members.append(RatSubspace._from_canonical(n, rows))
+        members.append(RatSubspace(n, rows))
     return tuple(members)
 
 
@@ -251,23 +250,16 @@ class EquivarianceReport(Record):
 
 def equivariance_check(emb: DiagonalEmbedding, trials: int, seed: int = 0) -> EquivarianceReport:
     """Evaluate(g . F) must equal diag(g, ..., g) . evaluate(F) for random
-    invertible g and random flags F."""
+    invertible integer matrices g and random flags F."""
     rng = random.Random(f"diagflag-equivariance-{seed}")
     failures = []
     for t in range(trials):
-        g = random_invertible(emb.m, rng)
+        g = random_invertible_ints(emb.m, rng)
         flag = random_flag(emb.source_type, rng)
         big = block_diagonal(g, emb.graph.d)
         if emb.evaluate(flag.apply(g)) != emb.evaluate(flag).apply(big):
             failures.append(t)
     return EquivarianceReport(trials=trials, failures=tuple(failures))
-
-
-def random_embedding(rng: random.Random, max_n: int = 8) -> DiagonalEmbedding:
-    """Random embedding drawn through random level maps; the source type is
-    the restricted flag type the analysis produces."""
-    result = random_restriction(rng, max_n)
-    return DiagonalEmbedding(result.graph, result.flag_type)
 
 
 class SweepReport(Record):

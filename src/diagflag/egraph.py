@@ -16,15 +16,16 @@ level map alpha on {1..n} and a block size m dividing n, it groups the
 levels of the d blocks into tuples, decides whether the componentwise
 order is total on the tuple set (exactly when the intersected stabilizer
 is parabolic), and in the positive case emits the graph together with the
-restricted flag type.
+restricted flag type.  Its cost is linear in the tuple image after one
+sort, a failing witness included.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from functools import cached_property
 from itertools import accumulate
+from operator import le
 from typing import Iterator, Sequence
 
 from .errors import DomainError, Record, ScaleError, ValidationReport, strict_int
@@ -37,8 +38,6 @@ GRAPH_SIZE_LIMIT = 10_000
 # Largest (p-1) * max(d, q-1), the size of the closed-index table and of
 # the pullback matrix, that `closed_indices` accepts.
 CLOSED_INDEX_LIMIT = 10**6
-# Block counts d that `random_restriction` draws from.
-RANDOM_BLOCK_COUNTS = (2, 3)
 
 DOT_PALETTE = (
     "black",
@@ -239,11 +238,12 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
         tuple(alpha.values[k * m + r] for k in range(d)) for r in range(m)
     )
     image = sorted(set(beta))
-    for a in range(len(image)):
-        for b in range(a + 1, len(image)):
-            x, y = image[a], image[b]
-            if not (all(u <= v for u, v in zip(x, y)) or all(v <= u for u, v in zip(x, y))):
-                return NotParabolic(witness=(x, y))
+    # Distinct tuples in lexicographic order: a later tuple y is comparable
+    # with x exactly when x <= y componentwise, so the order is total when
+    # each tuple is <= the next.
+    for x, y in zip(image, image[1:]):
+        if not all(map(le, x, y)):
+            return NotParabolic(witness=_first_incomparable(image))
     q = len(image)
     edges: set[Edge] = set()
     for k in range(d):
@@ -258,6 +258,16 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
     dims = level_dims(beta)
     flag_type = FlagType(m, dims) if dims else None
     return ParabolicRestriction(graph, beta, tuple(image), flag_type)
+
+
+def _first_incomparable(image: list[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first pair a scan of all pairs of the sorted distinct tuples would
+    report: the first x not <= the componentwise minimum of the tuples after
+    it, then the first later tuple x is not <= ; linear in the image."""
+    # lows[a] is the componentwise minimum of image[a + 1:].
+    lows = list(accumulate(reversed(image[1:]), lambda low, y: tuple(map(min, low, y))))[::-1]
+    a = next(a for a, low in enumerate(lows) if not all(map(le, image[a], low)))
+    return image[a], next(y for y in image[a + 1 :] if not all(map(le, image[a], y)))
 
 
 def to_dot(g: EGraph) -> str:
@@ -313,49 +323,6 @@ def surjections(n: int) -> Iterator[SurjectionAlpha]:
     """All surjective maps with domain {1..n}, over every target size."""
     for p in range(1, n + 1):
         yield from all_surjections(n, p)
-
-
-def realizing_alpha(g: EGraph) -> SurjectionAlpha:
-    """A level map whose restriction analysis reproduces the graph.
-
-    Valid graphs always arise this way with block size q: read off, for
-    each left vertex and colour, the right endpoint of the first edge of
-    that colour at or below it (the bottom vertex carries one edge per
-    colour, so the value always exists), and lay the d block tuples out
-    side by side.
-    """
-    require_valid(g)
-    values = [0] * (g.q * g.d)
-    for c in range(1, g.d + 1):
-        cls = g.colour_class(c)
-        for r in range(1, g.q + 1):
-            j = next(jj for (i, jj) in cls if i >= r)
-            values[(c - 1) * g.q + (r - 1)] = j
-    return SurjectionAlpha.of(values)
-
-
-def random_restriction(rng: random.Random, max_n: int = 8) -> ParabolicRestriction:
-    """Random parabolic restriction with a nonempty flag type, drawn by
-    retrying random level maps (d from `RANDOM_BLOCK_COUNTS`) until the
-    restriction analysis succeeds."""
-    while True:
-        d = rng.choice(RANDOM_BLOCK_COUNTS)
-        m = rng.randint(2, max(2, max_n // d))
-        n = d * m
-        values = [rng.randint(1, max(2, n // 2)) for _ in range(n)]
-        # re-label onto a contiguous range so the map is surjective
-        labels = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
-        alpha = SurjectionAlpha.of([labels[v] for v in values])
-        if alpha.p < 2:
-            continue
-        result = build_from_alpha(alpha, m)
-        if isinstance(result, ParabolicRestriction) and result.flag_type is not None:
-            return result
-
-
-def random_egraph(rng: random.Random, max_n: int = 8) -> EGraph:
-    """The graph of a `random_restriction`."""
-    return random_restriction(rng, max_n).graph
 
 
 def enumerate_valid_graphs(q: int, p: int, d: int) -> Iterator[EGraph]:

@@ -100,15 +100,11 @@ class FlagType(Record):
             raise DomainError(f"bad flag-type document: {exc}") from exc
 
 
-def flag_type_of(flag: Flag) -> FlagType:
-    return FlagType(flag.ambient, flag.dims)
-
-
 def check_flag_type(flag: Flag, ft: FlagType) -> None:
     """DomainError unless `flag` has type `ft`, compared field by field; a
     flag whose ambient no flag type allows is reported as such."""
     if flag.ambient != ft.ambient or flag.dims != ft.dims:
-        flag_type_of(flag)
+        FlagType(flag.ambient, flag.dims)  # DomainError for such an ambient
         raise DomainError("flag does not match the source type")
 
 
@@ -129,16 +125,17 @@ def level_flag(keys: Sequence) -> Flag:
     n = len(keys)
     unit = RatSubspace.full(n).int_rows
     members = tuple(
-        RatSubspace._from_canonical(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
+        RatSubspace(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
         for bound in sorted(set(keys))[:-1]
     )
     return Flag._from_nested(n, members)
 
 
 def level_dims(keys: Sequence) -> tuple[int, ...]:
-    """The member dimensions of `level_flag(keys)`, by counting: for each
-    key value but the largest, the number of keys at most that value."""
-    return tuple(sum(1 for k in keys if k <= bound) for bound in sorted(set(keys))[:-1])
+    """The member dimensions of `level_flag(keys)`: for each key value but the
+    largest, the number of keys at most it, where the sorted keys step up."""
+    ordered = sorted(keys)
+    return tuple(i for i in range(1, len(ordered)) if ordered[i - 1] != ordered[i])
 
 
 def random_flag(ft: FlagType, rng: random.Random) -> Flag:
@@ -700,6 +697,12 @@ def _recover_strict(
     return None
 
 
+def check_classify_scale(target_ambient: int) -> None:
+    """ScaleError when the target is too large for `classify_bruteforce`."""
+    if target_ambient > CLASSIFY_SCALE_LIMIT:
+        raise ScaleError(f"classification is limited to target dimension {CLASSIFY_SCALE_LIMIT}; got {target_ambient}")
+
+
 def classify_bruteforce(
     evaluate: Callable[[Flag], Flag],
     source_type: FlagType,
@@ -716,11 +719,7 @@ def classify_bruteforce(
     searched the same way.  Target dimension is capped at
     `CLASSIFY_SCALE_LIMIT`.
     """
-    probe = evaluate(coordinate_flag(source_type))
-    if probe.ambient > CLASSIFY_SCALE_LIMIT:
-        raise ScaleError(
-            f"classification is limited to target dimension {CLASSIFY_SCALE_LIMIT}; got {probe.ambient}"
-        )
+    check_classify_scale(evaluate(coordinate_flag(source_type)).ambient)
     strict = _recover_strict(evaluate, source_type, seed)
     if strict is not None:
         return Classification("strict_se", strict)

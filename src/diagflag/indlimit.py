@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .diagembed import DiagonalEmbedding, graph_pullback, is_linear_graph
-from .egraph import GRAPH_SIZE_LIMIT, EGraph, partition_edges
+from .egraph import CLOSED_INDEX_LIMIT, GRAPH_SIZE_LIMIT, EGraph, partition_edges
 from .errors import (
     DomainError,
     InternalCheckError,
@@ -688,7 +688,11 @@ def factor_linear_egraph(g: EGraph) -> list[GraphFactor]:
     are kept, ordinary edges of other colours are removed, and vertices
     left bare are dropped with their columns renumbered.  Every factor is
     a valid graph whose ordinary edges are monochromatic, hence encodes a
-    strict standard extension."""
+    strict standard extension.  The d factors' pullbacks, each of up to
+    (p-1) x max(d, q-1) entries, are capped in all at `CLOSED_INDEX_LIMIT`."""
+    size = g.d * (g.p - 1) * max(g.d, g.q - 1)
+    if size > CLOSED_INDEX_LIMIT:
+        raise ScaleError(f"factors are limited to {CLOSED_INDEX_LIMIT} pullback entries; d*(p-1)*max(d, q-1) = {size}")
     if not is_linear_graph(g):
         raise DomainError("factorization requires a linear graph")
     factors = []
@@ -773,26 +777,3 @@ def decompose_sn_graph(
                 f"inconsistent threading: level {n} factor pullbacks do not sum to the level pullback"
             )
     return [SnGraph(sg.spec, tuple(f.graph for f in row), None) for row in per_factor]
-
-
-def threaded_pullback_additivity(
-    sg: SnGraph,
-    factors: Sequence[SnGraph],
-    threading: Sequence[Sequence[int]],
-    n: int,
-) -> bool:
-    """Level-n pullback of the chain equals the sum of its factors'
-    pullbacks re-embedded along the kept-vertex maps."""
-    g = sg.level(n)
-    return factor_pullback_additivity(
-        g,
-        [
-            GraphFactor(
-                threading[n - 1][f],
-                factor.prefix[n - 1],
-                _kept_vertices(g, threading[n - 1][f]),
-                _kept_vertices(sg.level(n + 1), threading[n][f]),
-            )
-            for f, factor in enumerate(factors)
-        ],
-    )

@@ -9,17 +9,18 @@ subspaces is equality of representations and all values are hashable.
 
 `_reduce` is the one elimination; `rref`, `nullspace`, `span`, `+`, `&`,
 `annihilator` and `apply` (its matrix scaled to integers, which leaves
-every image span as it is) run through it, and `<=` and
-`contains_vector` read coordinates off the pivots.  `_reduce` is one
-loop that clears each column and divides each cleared row by its content
-inline, with no helper call per row.  What `_reduce` returns is
+every image span as it is) run through it, and `<=` reads coordinates
+off the pivots.  `_reduce` is one loop that clears each column and
+divides each cleared row by its content inline, with no helper call per
+row.  What `_reduce` returns is
 canonical; `_kernel_basis`, the free-column kernel basis, and
 `_stabilizer_constraints` are only spanning sets, and `_kernel` is the
 canonical kernel, `_reduce` of that basis.
-`RatSubspace(ambient, rows)` checks that `Fraction` rows are canonical;
-`span` and `from_json_obj` reduce any generating set of exact rationals;
-what the module computes itself is canonical by construction and is not
-checked again.  `zero`, `full` and `coordinate` return one shared
+`RatSubspace(ambient, int_rows)` trusts that its integer rows are
+canonical: what the library computes is canonical by construction and is
+not checked again.  Rows from outside go through `span` (and
+`from_json_obj`, which calls it), which reduces any generating set of
+exact rationals.  `zero`, `full` and `coordinate` return one shared
 immutable subspace per (ambient, k), from a cache of bounded size.
 `to_fraction` refuses exponent notation, whose expansion no input size
 bounds.
@@ -268,13 +269,8 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
-def random_invertible(dim: int, rng: random.Random) -> Matrix:
-    """Random invertible integer matrix with entries in [-SPREAD, SPREAD]."""
-    return tuple(tuple(Fraction(x) for x in row) for row in random_invertible_ints(dim, rng))
-
-
 def random_invertible_ints(dim: int, rng: random.Random) -> IntRows:
-    """`random_invertible` with int entries: the same draws, no Fractions."""
+    """Random invertible integer matrix with entries in [-SPREAD, SPREAD]."""
     while True:
         m = tuple(tuple(rng.randint(-SPREAD, SPREAD) for _ in range(dim)) for _ in range(dim))
         if len(_reduce(m, dim)) == dim:
@@ -289,35 +285,24 @@ class RatSubspace(Record):
     ambient: int
     int_rows: IntRows
 
-    def __init__(self, ambient: int, rows: Matrix) -> None:
-        """The subspace with canonical `Fraction` basis `rows`, checked."""
-        if ambient < 0:
-            raise DomainError("ambient dimension must be >= 0")
-        if not is_rref(rows, ambient):
-            raise DomainError("basis is not in canonical reduced row-echelon form")
+    def __init__(self, ambient: int, int_rows: IntRows) -> None:
+        """The subspace with canonical integer rows `int_rows`, trusted."""
+        # Spelled out, not the generic Record constructor: every kernel
+        # operation builds a subspace.
         object.__setattr__(self, "ambient", ambient)
-        # A row with pivot 1 times the lcm of its denominators is primitive.
-        object.__setattr__(self, "int_rows", tuple(tuple(_integer_row(r, ambient)) for r in rows))
-
-    @classmethod
-    def _from_canonical(cls, ambient: int, int_rows: IntRows) -> "RatSubspace":
-        """A subspace from canonical integer rows; no check is repeated."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "ambient", ambient)
-        object.__setattr__(sub, "int_rows", int_rows)
-        return sub
+        object.__setattr__(self, "int_rows", int_rows)
 
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Iterable]) -> "RatSubspace":
         if ambient < 0:
             raise DomainError("ambient dimension must be >= 0")
-        return cls._from_canonical(ambient, _canonical(vectors, ambient))
+        return cls(ambient, _canonical(vectors, ambient))
 
     @classmethod
     def span_ints(cls, ambient: int, vectors: Iterable[Sequence[int]]) -> "RatSubspace":
         """`span` of integer vectors of width `ambient`, reduced as they are:
         no scaling and no width check."""
-        return cls._from_canonical(ambient, _reduce(vectors, ambient))
+        return cls(ambient, _reduce(vectors, ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
@@ -337,7 +322,7 @@ class RatSubspace(Record):
         if not 0 <= k <= ambient:
             raise DomainError("coordinate subspace dimension out of range")
         unit = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(k))
-        return cls._from_canonical(ambient, unit)
+        return cls(ambient, unit)
 
     @property
     def rows(self) -> Matrix:
@@ -351,7 +336,7 @@ class RatSubspace(Record):
     def __add__(self, other: "RatSubspace") -> "RatSubspace":
         self._check_ambient(other)
         n = self.ambient
-        return RatSubspace._from_canonical(n, _reduce(self.int_rows + other.int_rows, n))
+        return RatSubspace(n, _reduce(self.int_rows + other.int_rows, n))
 
     def __and__(self, other: "RatSubspace") -> "RatSubspace":
         """Intersection; one Zassenhaus elimination unless one side
@@ -369,14 +354,11 @@ class RatSubspace(Record):
         n = self.ambient
         pad = (0,) * n
         red = _reduce([v + v for v in self.int_rows] + [w + pad for w in other.int_rows], 2 * n)
-        return RatSubspace._from_canonical(n, tuple(r[n:] for r in red if not any(r[:n])))
+        return RatSubspace(n, tuple(r[n:] for r in red if not any(r[:n])))
 
     def __le__(self, other: "RatSubspace") -> bool:
         self._check_ambient(other)
         return self.dim <= other.dim and other._spans(self.int_rows)
-
-    def contains_vector(self, v: Iterable) -> bool:
-        return self._spans([_integer_row(v, self.ambient)])
 
     def _spans(self, vectors: Iterable[Sequence[int]]) -> bool:
         """Whether every integer vector lies here: in reduced form its
@@ -401,7 +383,7 @@ class RatSubspace(Record):
 
     def annihilator(self) -> "RatSubspace":
         """The subspace {u : <u, v> = 0 for all v here}, in dual coordinates."""
-        return RatSubspace._from_canonical(self.ambient, _kernel(self.int_rows, self.ambient))
+        return RatSubspace(self.ambient, _kernel(self.int_rows, self.ambient))
 
     def apply(self, m: Matrix) -> "RatSubspace":
         """Image under the linear map with matrix m (columns act on
@@ -415,7 +397,7 @@ class RatSubspace(Record):
         for v in self.int_rows:
             support = [(j, x) for j, x in enumerate(v) if x]
             images.append([sum(row[j] * x for j, x in support) for row in m])
-        return RatSubspace._from_canonical(len(m), _reduce(images, len(m)))
+        return RatSubspace(len(m), _reduce(images, len(m)))
 
     def coordinate_complement(self, within: "RatSubspace | None" = None) -> "RatSubspace":
         """Deterministic complement spanned by standard basis vectors where
@@ -427,8 +409,8 @@ class RatSubspace(Record):
         for v in space.int_rows:
             if not covered._spans([v]):
                 chosen.append(v)
-                covered = RatSubspace._from_canonical(n, _reduce(covered.int_rows + (v,), n))
-        return RatSubspace._from_canonical(n, _reduce(chosen, n))
+                covered = RatSubspace(n, _reduce(covered.int_rows + (v,), n))
+        return RatSubspace(n, _reduce(chosen, n))
 
     def _check_ambient(self, other: "RatSubspace") -> None:
         if self.ambient != other.ambient:
@@ -456,7 +438,7 @@ def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
     m = sub.ambient
     zero_l = (0,) * ((block - 1) * m)
     zero_r = (0,) * ((blocks - block) * m)
-    return RatSubspace._from_canonical(
+    return RatSubspace(
         blocks * m, tuple(zero_l + v + zero_r for v in sub.int_rows)
     )
 
@@ -543,13 +525,13 @@ class Flag(Record):
 
 
 def block_diagonal(m: Matrix, blocks: int) -> Matrix:
-    """diag(m, ..., m) with `blocks` copies."""
+    """diag(m, ..., m) with `blocks` copies; the zeros are int 0."""
     size = len(m)
     n = size * blocks
     rows = []
     for b in range(blocks):
         for i in range(size):
-            row = [Fraction(0)] * n
+            row = [0] * n
             for j in range(size):
                 row[b * size + j] = m[i][j]
             rows.append(tuple(row))
@@ -631,7 +613,7 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
         raise DomainError(f"block size {m} does not divide ambient {n}")
     size = m * m
     constraints = _stabilizer_constraints(flag, m)
-    algebra = RatSubspace._from_canonical(size, _kernel(_reduce(constraints, size), size))
+    algebra = RatSubspace(size, _kernel(_reduce(constraints, size), size))
     # E_ab lies in the nullspace iff column a*m+b of the constraints is zero;
     # the set of such columns is a property of their span.
     nonzero_cols = {j for j in range(size) if any(row[j] for row in constraints)}

@@ -241,26 +241,6 @@ def step_ratio(spec: ExhaustionSpec, n: int) -> int:
     return spec.cycle[(n - 1) % len(spec.cycle)]
 
 
-def default_exhaustion_spec(sn: SupernaturalNumber, min_s1: int = 1) -> ExhaustionSpec:
-    """A canonical valid exhaustion: the full finite part times the smallest
-    power of the infinite-prime product reaching min_s1, cycling by that
-    product."""
-    finite = 1
-    for p, a in sn.finite_factor_pairs:
-        finite *= p**a
-    step = 1
-    for p in sn.infinite_primes:
-        step *= p
-    s1 = finite
-    while s1 < min_s1:
-        s1 *= step
-    spec = ExhaustionSpec(s1, (step,))
-    report = validate_exhaustion(spec, sn)
-    if not report.ok:
-        raise DomainError(f"no canonical exhaustion: {'; '.join(report.violations)}")
-    return spec
-
-
 def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> ValidationReport:
     """Check that the periodic chain is an exhaustion of sn.
 

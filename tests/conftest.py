@@ -1,15 +1,27 @@
 """Shared reference objects for the test suite."""
 
 import functools
+import random
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 import pytest
 
-from diagflag.egraph import EGraph, enumerate_valid_graphs
+from diagflag.diagembed import DiagonalEmbedding
+from diagflag.egraph import (
+    EGraph,
+    ParabolicRestriction,
+    SurjectionAlpha,
+    build_from_alpha,
+    enumerate_valid_graphs,
+    require_valid,
+)
 from diagflag.errors import DomainError
 from diagflag.flagcore import FlagType, PicardPullback
+from diagflag.indlimit import GraphFactor, SnGraph, _kept_vertices, factor_pullback_additivity
 from diagflag.ratlin import RatSubspace, StabilizerResult, pivots, rref
+from diagflag.supernat import ExhaustionSpec, SupernaturalNumber, validate_exhaustion
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
 # hence neither linear nor a standard extension.  Encodes
@@ -183,8 +195,105 @@ def subspace(ambient, rows):
     return RatSubspace.span(ambient, rows)
 
 
+# -- seeded generators and helpers only the tests use ------------------------
+
+# Block counts d that `random_restriction` draws from.
+RANDOM_BLOCK_COUNTS = (2, 3)
+
+
+def realizing_alpha(g: EGraph) -> SurjectionAlpha:
+    """A level map whose restriction analysis reproduces the graph.
+
+    Valid graphs always arise this way with block size q: read off, for
+    each left vertex and colour, the right endpoint of the first edge of
+    that colour at or below it (the bottom vertex carries one edge per
+    colour, so the value always exists), and lay the d block tuples out
+    side by side.
+    """
+    require_valid(g)
+    values = [0] * (g.q * g.d)
+    for c in range(1, g.d + 1):
+        cls = g.colour_class(c)
+        for r in range(1, g.q + 1):
+            j = next(jj for (i, jj) in cls if i >= r)
+            values[(c - 1) * g.q + (r - 1)] = j
+    return SurjectionAlpha.of(values)
+
+
+def random_restriction(rng: random.Random, max_n: int = 8) -> ParabolicRestriction:
+    """Random parabolic restriction with a nonempty flag type, drawn by
+    retrying random level maps (d from `RANDOM_BLOCK_COUNTS`) until the
+    restriction analysis succeeds."""
+    while True:
+        d = rng.choice(RANDOM_BLOCK_COUNTS)
+        m = rng.randint(2, max(2, max_n // d))
+        n = d * m
+        values = [rng.randint(1, max(2, n // 2)) for _ in range(n)]
+        # re-label onto a contiguous range so the map is surjective
+        labels = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
+        alpha = SurjectionAlpha.of([labels[v] for v in values])
+        if alpha.p < 2:
+            continue
+        result = build_from_alpha(alpha, m)
+        if isinstance(result, ParabolicRestriction) and result.flag_type is not None:
+            return result
+
+
+def random_egraph(rng: random.Random, max_n: int = 8) -> EGraph:
+    """The graph of a `random_restriction`."""
+    return random_restriction(rng, max_n).graph
+
+
+def random_embedding(rng: random.Random, max_n: int = 8) -> DiagonalEmbedding:
+    """Random embedding drawn through random level maps; the source type is
+    the restricted flag type the analysis produces."""
+    result = random_restriction(rng, max_n)
+    return DiagonalEmbedding(result.graph, result.flag_type)
+
+
+def default_exhaustion_spec(sn: SupernaturalNumber, min_s1: int = 1) -> ExhaustionSpec:
+    """A canonical valid exhaustion: the full finite part times the smallest
+    power of the infinite-prime product reaching min_s1, cycling by that
+    product."""
+    finite = 1
+    for p, a in sn.finite_factor_pairs:
+        finite *= p**a
+    step = 1
+    for p in sn.infinite_primes:
+        step *= p
+    s1 = finite
+    while s1 < min_s1:
+        s1 *= step
+    spec = ExhaustionSpec(s1, (step,))
+    report = validate_exhaustion(spec, sn)
+    if not report.ok:
+        raise DomainError(f"no canonical exhaustion: {'; '.join(report.violations)}")
+    return spec
+
+
+def threaded_pullback_additivity(
+    sg: SnGraph,
+    factors: Sequence[SnGraph],
+    threading: Sequence[Sequence[int]],
+    n: int,
+) -> bool:
+    """Level-n pullback of the chain equals the sum of its factors'
+    pullbacks re-embedded along the kept-vertex maps."""
+    g = sg.level(n)
+    return factor_pullback_additivity(
+        g,
+        [
+            GraphFactor(
+                threading[n - 1][f],
+                factor.prefix[n - 1],
+                _kept_vertices(g, threading[n - 1][f]),
+                _kept_vertices(sg.level(n + 1), threading[n][f]),
+            )
+            for f, factor in enumerate(factors)
+        ],
+    )
+
+
 @pytest.fixture
 def rng():
-    import random
-
     return random.Random(20240811)

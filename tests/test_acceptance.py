@@ -8,7 +8,15 @@ import itertools
 import json
 import random
 import time
-from conftest import MIXED_GRAPH, MIXED_SOURCE, PRODUCT_LEVEL_GRAPH
+from conftest import (
+    MIXED_GRAPH,
+    MIXED_SOURCE,
+    PRODUCT_LEVEL_GRAPH,
+    default_exhaustion_spec,
+    random_egraph,
+    random_embedding,
+    threaded_pullback_additivity,
+)
 
 from diagflag.cli import main as cli_main
 from diagflag.diagembed import (
@@ -19,13 +27,11 @@ from diagflag.diagembed import (
     is_standard_extension_graph,
     oracle_sweep,
     picard_pullback,
-    random_embedding,
 )
 from diagflag.egraph import (
     ParabolicRestriction,
     build_from_alpha,
     enumerate_valid_graphs,
-    random_egraph,
     surjections,
     validate_egraph,
 )
@@ -47,18 +53,12 @@ from diagflag.indlimit import (
     admissible,
     build_realization_sn_graph,
     decompose_sn_graph,
-    threaded_pullback_additivity,
     validate_sn_graph,
     verify_certificate,
     verify_refutation,
 )
 from diagflag.ratlin import RatSubspace, block_embed
-from diagflag.supernat import (
-    INF,
-    ExhaustionSpec,
-    SupernaturalNumber,
-    default_exhaustion_spec,
-)
+from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber
 
 SN2 = SupernaturalNumber.from_factors({2: INF})
 

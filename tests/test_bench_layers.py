@@ -1,6 +1,11 @@
-"""The traced benchmark run rebinds the library names listed in
-`perfbench/spans.py`; each must still exist where the list says."""
+"""The benchmark reaches into the library: the traced run rebinds the names
+listed in `perfbench/spans.py`, and the workloads in
+`perfbench/workloads.py` call library names through their modules.  Each
+must still exist where the benchmark looks.  These tests only read the
+benchmark's files."""
 
+import ast
+import dis
 import importlib
 import importlib.util
 from pathlib import Path
@@ -23,3 +28,45 @@ def test_every_traced_layer_resolves_in_diagflag():
     for module, cls, attr, _ in spans.LAYER_METHODS:
         owner = getattr(importlib.import_module(f"diagflag.{module}"), cls)
         assert attr in vars(owner), (module, cls, attr)
+
+
+WORKLOADS = SPANS.with_name("workloads.py")
+LIBRARY_MODULES = ("cli", "diagembed", "egraph", "flagcore", "indlimit", "ratlin")
+
+
+def attribute_chains(tree):
+    """Every dotted name `module.a.b...` the source takes from one of the
+    library modules, as (module, (a, b, ...))."""
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id in LIBRARY_MODULES:
+            chains.add((node.id, tuple(reversed(names))))
+    return chains
+
+
+def test_every_library_name_the_workloads_use_resolves():
+    """A deletion that removes a name the benchmark's workloads call fails
+    here, before the benchmark runs."""
+    chains = attribute_chains(ast.parse(WORKLOADS.read_text()))
+    for expected in (("ratlin", ("as_matrix",)), ("ratlin", ("block_diagonal",)), ("ratlin", ("RatSubspace", "span"))):
+        assert expected in chains
+    for module, names in sorted(chains):
+        obj = importlib.import_module(f"diagflag.{module}")
+        for i, name in enumerate(names):
+            assert hasattr(obj, name), f"{module}.{'.'.join(names[: i + 1])}"
+            obj = getattr(obj, name)
+
+
+def test_the_oracle_latency_hook_reaches_the_sweep():
+    """The oracle workload times each case by rebinding
+    `diagembed.surjections`; the sweep must look that name up there."""
+    diagembed = importlib.import_module("diagflag.diagembed")
+    egraph = importlib.import_module("diagflag.egraph")
+    assert diagembed.surjections is egraph.surjections
+    assert diagembed.oracle_sweep.__globals__ is vars(diagembed)
+    loads = {i.argval for i in dis.get_instructions(diagembed.oracle_sweep) if i.opname == "LOAD_GLOBAL"}
+    assert "surjections" in loads

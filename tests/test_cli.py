@@ -720,6 +720,98 @@ def test_exhaust_refuses_levels_beyond_the_cap_at_once(capsys, tmp_path, levels)
     assert capsys.readouterr().err == f"input error: --levels is limited to 1000, got {levels}\n"
 
 
+def test_restrict_runs_a_long_chain_in_linear_time(capsys):
+    """1..10,000 in one block: 10,000 distinct tuples, which a scan over all
+    pairs of them would compare 5*10^7 times."""
+    n = 10_000
+    started = time.monotonic()
+    code, doc = run_json(capsys, "restrict", "--alpha", ",".join(map(str, range(1, n + 1))), "--m", str(n))
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and doc["verdict"] == "Parabolic"
+    assert doc["flag_type"] == {"ambient": n, "dims": list(range(1, n))}
+    assert len(doc["beta_image"]) == n and doc["graph"]["q"] == n
+
+
+# q = 2, p = 3, d = 2: the second target member holds a full source block.
+SPREAD_GRAPH = {"q": 2, "p": 3, "d": 2, "edges": [[1, 1, 1], [2, 3, 1], [2, 2, 2]]}
+# q = p = 2, d = 1: the identity embedding of a line.
+LINE_GRAPH = {"q": 2, "p": 2, "d": 1, "edges": [[1, 1, 1], [2, 2, 1]]}
+
+
+def _refused_at_once(capsys, argv, message):
+    started = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
+def test_embed_refuses_an_image_beyond_its_entry_limit_at_once(capsys, tmp_path):
+    """The image of a unit row in Q^m has target dimensions (1, m + 1) in
+    Q^(2m): 2m(m + 2) entries, 18,012,000 at m = 3000."""
+    graph = write(tmp_path, "graph.json", SPREAD_GRAPH)
+
+    def argv(m):
+        flag = write(tmp_path, f"flag{m}.json", {"ambient": m, "chain": [[[1] + [0] * (m - 1)]]})
+        return ["embed", "--graph", graph, "--source-dims", "1", "--source-ambient", str(m), "--flag", flag]
+
+    _refused_at_once(
+        capsys,
+        argv(3000),
+        "embed is limited to images of 1000000 entries; got 18012000",
+    )
+    assert main(argv(700)) == 0  # 983,200 entries
+    doc = json.loads(capsys.readouterr().out)
+    assert [len(member) for member in doc["image"]["chain"]] == [1, 701]
+
+
+def test_constants_refuses_a_target_beyond_its_sampling_limit_at_once(capsys, tmp_path):
+    graph = write(tmp_path, "graph.json", LINE_GRAPH)
+    for m in ("17", "200", "3000"):
+        _refused_at_once(
+            capsys,
+            ["constants", "--graph", graph, "--source-ambient", m],
+            f"constant-space sampling is limited to target dimension 16; got {m}",
+        )
+    code, doc = run_json(capsys, "constants", "--graph", graph, "--source-ambient", "16")
+    assert code == 0 and doc["dims"] == [0]
+
+
+def test_classify_refuses_a_large_target_before_building_a_flag(capsys, tmp_path):
+    graph = write(tmp_path, "graph.json", LINE_GRAPH)
+    _refused_at_once(
+        capsys,
+        ["classify", "--graph", graph, "--source-ambient", "3000", "--source-dims", "2999"],
+        "classification is limited to target dimension 6; got 3000",
+    )
+    spread = write(tmp_path, "spread.json", SPREAD_GRAPH)
+    _refused_at_once(
+        capsys,
+        ["classify", "--graph", spread, "--source-ambient", "4", "--source-dims", "1"],
+        "classification is limited to target dimension 6; got 8",
+    )
+    # picard needs only the graph and stays uncapped.
+    code, doc = run_json(capsys, "picard", "--graph", graph, "--source-ambient", "3000", "--source-dims", "2999")
+    assert code == 0 and doc["matrix"] == [[1]]
+
+
+def test_factor_refuses_factors_beyond_the_pullback_limit_at_once(capsys, tmp_path):
+    """The linear graph q = 2, p = d = N with edges (2, c, c) and (1, 1, 2):
+    its d factors hold up to d*(p-1)*max(d, q-1) pullback entries."""
+
+    def linear(n):
+        edges = [[2, c, c] for c in range(1, n + 1)] + [[1, 1, 2]]
+        return write(tmp_path, f"linear{n}.json", {"q": 2, "p": n, "d": n, "edges": edges})
+
+    _refused_at_once(
+        capsys,
+        ["factor", "--graph", linear(400)],
+        "factors are limited to 1000000 pullback entries; d*(p-1)*max(d, q-1) = 63840000",
+    )
+    code, doc = run_json(capsys, "factor", "--graph", linear(100))  # 990,000 entries
+    assert code == 0 and len(doc["factors"]) == 100
+
+
 def test_exhaust_stops_at_the_first_term_beyond_the_printing_limit(capsys, tmp_path):
     # The sixth term, 10^5000, is past the limit; the 1000th would hold 10^6 digits.
     sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "5": "inf"}})

@@ -5,7 +5,15 @@ from collections import Counter
 from functools import cached_property
 
 import pytest
-from conftest import MIXED_GRAPH, MIXED_SOURCE, growth_graph, insertion_graph, is_linear, small_graphs
+from conftest import (
+    MIXED_GRAPH,
+    MIXED_SOURCE,
+    growth_graph,
+    insertion_graph,
+    is_linear,
+    random_embedding,
+    small_graphs,
+)
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +31,6 @@ from diagflag.diagembed import (
     is_standard_extension_graph,
     oracle_sweep,
     picard_pullback,
-    random_embedding,
     unipotent_inclusion,
 )
 from diagflag.egraph import (

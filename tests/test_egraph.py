@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph
+from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph, random_egraph, realizing_alpha
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from diagflag.egraph import (
     enumerate_valid_graphs,
     from_dot,
     partition_edges,
-    random_egraph,
     surjections,
     to_dot,
     validate_egraph,
@@ -95,6 +94,55 @@ def test_build_from_alpha_incomparable():
     result = build_from_alpha(SurjectionAlpha.of([1, 2, 2, 1]), 2)
     assert isinstance(result, NotParabolic)
     assert result.witness == ((1, 2), (2, 1))
+
+
+def reference_witness(alpha, m):
+    """Reference: the first incomparable pair of block tuples met by the
+    pairwise scan over the sorted tuple image; None when the order is
+    total."""
+    d = alpha.n // m
+    beta = tuple(tuple(alpha.values[k * m + r] for k in range(d)) for r in range(m))
+    image = sorted(set(beta))
+    for a in range(len(image)):
+        for b in range(a + 1, len(image)):
+            x, y = image[a], image[b]
+            if not (all(u <= v for u, v in zip(x, y)) or all(v <= u for u, v in zip(x, y))):
+                return (x, y)
+    return None
+
+
+def witness_of(alpha, m):
+    result = build_from_alpha(alpha, m)
+    return result.witness if isinstance(result, NotParabolic) else None
+
+
+def test_witness_matches_the_pairwise_scan_on_every_small_level_map():
+    cases = not_parabolic = 0
+    for n in range(1, 7):
+        for alpha in surjections(n):
+            for m in range(1, n + 1):
+                if n % m == 0:
+                    expected = reference_witness(alpha, m)
+                    assert witness_of(alpha, m) == expected, (alpha.values, m)
+                    cases += 1
+                    not_parabolic += expected is not None
+    assert cases == 20_072 and not_parabolic > 1_000
+
+
+def test_witness_matches_the_pairwise_scan_on_random_level_maps():
+    rng = random.Random(20261018)
+    not_parabolic = 0
+    for _ in range(1_500):
+        d, m = rng.randint(1, 6), rng.randint(1, 12)
+        values = [rng.randint(1, rng.randint(1, d * m)) for _ in range(d * m)]
+        if rng.random() < 0.3:
+            values.sort()  # long chains, whose first failure comes late
+        labels = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
+        alpha = SurjectionAlpha.of([labels[v] for v in values])
+        expected = reference_witness(alpha, m)
+        assert witness_of(alpha, m) == expected, (alpha.values, m)
+        not_parabolic += expected is not None
+    assert 300 < not_parabolic < 1_400
 
 
 def test_build_from_alpha_single_block():
@@ -202,7 +250,6 @@ def test_all_surjections_count():
 def test_every_valid_graph_is_realizable():
     """Round trip: any valid graph is the restriction graph of the level
     map read off from it (block size = left column size)."""
-    from diagflag.egraph import realizing_alpha
 
     count = 0
     for q, d in ((1, 1), (2, 1), (3, 1), (1, 3), (2, 2), (3, 2), (2, 3)):

@@ -15,7 +15,7 @@ from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import enumerate_valid_graphs
 from diagflag.errors import DomainError
 from diagflag.flagcore import FlagType, coordinate_flag, level_flag, random_flag
-from diagflag.ratlin import Flag, RatSubspace, block_diagonal, random_invertible
+from diagflag.ratlin import Flag, RatSubspace, block_diagonal, random_invertible_ints
 
 
 def assert_valid(flag: Flag) -> None:
@@ -40,12 +40,12 @@ def test_coordinate_and_level_flags_pass_the_validating_constructor():
 
 
 def test_random_flag_is_the_image_of_the_coordinate_flag():
-    """Same rng draws and the same flag as applying `random_invertible`."""
+    """Same rng draws and the same flag as applying `random_invertible_ints`."""
     for ft in flag_types():
         direct, via_apply = random.Random(7), random.Random(7)
         for _ in range(3):
             flag = random_flag(ft, direct)
-            assert flag == coordinate_flag(ft).apply(random_invertible(ft.ambient, via_apply))
+            assert flag == coordinate_flag(ft).apply(random_invertible_ints(ft.ambient, via_apply))
             assert_valid(flag)
         assert direct.getstate() == via_apply.getstate()
 
@@ -116,7 +116,7 @@ def test_evaluate_dual_and_apply_on_every_small_graph():
                     for g in enumerate_valid_graphs(q, p, d):
                         for dims in itertools.combinations(range(1, m), q - 1):
                             emb = DiagonalEmbedding(g, FlagType(m, dims))
-                            big = block_diagonal(random_invertible(m, rng), d)
+                            big = block_diagonal(random_invertible_ints(m, rng), d)
                             for flag in (
                                 coordinate_flag(emb.source_type),
                                 random_flag(emb.source_type, rng),

@@ -25,7 +25,7 @@ from diagflag.ratlin import (
     matvec,
     nilradical_inclusion_oracle,
     nullspace,
-    random_invertible,
+    random_invertible_ints,
     rref,
     stabilizer_oracle,
     to_fraction,
@@ -204,20 +204,24 @@ def test_intersection_matches_annihilator_reference(pair):
 
 
 def test_constructor_validates_rows():
+    """`span` is the constructor for rows from outside: it reduces any
+    generating set, canonical or not, and rejects a wrong width and a
+    negative ambient."""
     half = Fraction(1, 2)
-    RatSubspace(3, ((Fraction(1), Fraction(0), half), (Fraction(0), Fraction(1), half)))
-    bad = [
+    canonical = ((Fraction(1), Fraction(0), half), (Fraction(0), Fraction(1), half))
+    sub = RatSubspace.span(3, canonical)
+    assert sub.rows == canonical and sub.int_rows == ((2, 0, 1), (0, 2, 1))
+    assert_canonical(sub)
+    not_canonical = [
         ((Fraction(2), Fraction(0), Fraction(0)),),  # pivot not 1
         ((Fraction(0), Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0))),
         ((Fraction(1), Fraction(1), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))),
         ((Fraction(0), Fraction(0), Fraction(0)),),  # zero row
-        ((Fraction(1), Fraction(0)),),  # wrong width
     ]
-    for rows in bad:
-        with pytest.raises(DomainError):
-            RatSubspace(3, rows)
+    for rows in not_canonical:
+        assert_canonical(RatSubspace.span(3, rows))
     with pytest.raises(DomainError):
-        RatSubspace(-1, ())
+        RatSubspace.span(3, [(Fraction(1), Fraction(0))])
     with pytest.raises(DomainError):
         RatSubspace.span(-1, [])
 
@@ -419,7 +423,7 @@ def test_stabilizer_root_spaces_are_the_coordinate_lines_it_contains(rng):
             flag = level_flag(keys)
             if trial % 3 == 0:
                 # a conjugate by a random diag(g, ..., g): few root spaces
-                flag = flag.apply(block_diagonal(random_invertible(m, rng), ambient // m))
+                flag = flag.apply(block_diagonal(random_invertible_ints(m, rng), ambient // m))
             res = stabilizer_oracle(flag, m)
             algebra = res.algebra
             assert algebra.ambient == m * m and algebra.dim == res.dimension
@@ -428,7 +432,8 @@ def test_stabilizer_root_spaces_are_the_coordinate_lines_it_contains(rng):
                 assert all(member.apply(big) <= member for member in flag.chain)
 
             def contains_unit(a, b):
-                return algebra.contains_vector([1 if k == a * m + b else 0 for k in range(m * m)])
+                unit = [1 if k == a * m + b else 0 for k in range(m * m)]
+                return RatSubspace.span(m * m, [unit]) <= algebra
 
             for a in range(m):
                 for b in range(m):
@@ -475,7 +480,7 @@ def test_oracles_match_dense_references_on_conjugated_flags():
         d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
         m = n // d
         flag = level_flag([rng.randint(1, 4) for _ in range(n)])
-        for g in (block_diagonal(random_invertible(m, rng), d), random_invertible(n, rng)):
+        for g in (block_diagonal(random_invertible_ints(m, rng), d), random_invertible_ints(n, rng)):
             parabolic += assert_oracles_match_references(flag.apply(g), m)
     assert parabolic > 20
 
@@ -514,7 +519,7 @@ def matrix_rank(rows, width):
 def test_random_invertible_has_full_rank():
     rng = random.Random(0)
     for _ in range(20):
-        m = random_invertible(4, rng)
+        m = random_invertible_ints(4, rng)
         assert matrix_rank(m, 4) == 4
 
 
@@ -536,11 +541,11 @@ def test_trusted_constructors_match_the_validating_one():
     for ambient in range(9):
         identity = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
         identity_rows = RatSubspace.full(ambient).rows
-        assert RatSubspace.zero(ambient) == RatSubspace(ambient, ())
-        assert RatSubspace.full(ambient) == RatSubspace(ambient, identity_rows)
+        assert RatSubspace.zero(ambient) == RatSubspace.span(ambient, ())
+        assert RatSubspace.full(ambient) == RatSubspace.span(ambient, identity_rows)
         for k in range(ambient + 1):
             sub = RatSubspace.coordinate(ambient, k)
-            assert sub == RatSubspace(ambient, identity_rows[:k])
+            assert sub == RatSubspace.span(ambient, identity_rows[:k])
             assert sub.ambient == ambient and sub.int_rows == identity[:k]
             assert RatSubspace.coordinate(ambient, k) is sub
         assert RatSubspace.zero(ambient) is RatSubspace.coordinate(ambient, 0)
@@ -574,7 +579,8 @@ def test_zero_denominator_strings_are_rejected():
 
 def assert_canonical(sub):
     """The stored rows are the reduced echelon basis, each row primitive with
-    a positive pivot, and the validating constructor accepts the view."""
+    a positive pivot, the `Fraction` view is in reduced row-echelon form,
+    and reducing that view again gives the same subspace."""
     seen = []
     for r in sub.int_rows:
         assert len(r) == sub.ambient and all(type(x) is int for x in r)
@@ -585,7 +591,7 @@ def assert_canonical(sub):
     for r, p in zip(sub.int_rows, seen):
         assert all(r[q] == 0 for q in seen if q != p)
     assert is_rref(sub.rows, sub.ambient)
-    assert RatSubspace(sub.ambient, sub.rows) == sub
+    assert RatSubspace.span(sub.ambient, sub.rows) == sub
 
 
 @st.composite
@@ -663,4 +669,4 @@ def test_containment_matches_the_fraction_residual(pair, data):
     inside = [sum((c * r[i] for c, r in zip(coeffs, b.rows)), Fraction(0)) for i in range(n)]
     anywhere = data.draw(st.lists(fractions, min_size=n, max_size=n))
     for v in (inside, anywhere, [Fraction(0)] * n):
-        assert b.contains_vector(v) == (not any(reference_residual(b.rows, v)))
+        assert (RatSubspace.span(n, [v]) <= b) == (not any(reference_residual(b.rows, v)))
