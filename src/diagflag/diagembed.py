@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cached_property
+from math import comb
 from typing import Callable, Iterable
 
 from .egraph import (
@@ -35,7 +36,7 @@ from .egraph import (
     require_valid,
     surjections,
 )
-from .errors import DomainError, InternalCheckError, Record, strict_int
+from .errors import DomainError, InternalCheckError, Record, ScaleError, strict_int
 from .flagcore import FlagType, PicardPullback, check_flag_type, level_flag, random_flag
 from .ratlin import (
     Flag,
@@ -288,6 +289,25 @@ class SweepReport(Record):
         }
 
 
+# The most work `oracle_sweep` takes on, in the units of `sweep_work`.  It
+# admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about 9 s
+# on a 2-vCPU Xeon VM) and every n = 7 block count but 1 (block counts
+# 2..7: 113,787, about 14 s); n = 7 at d = 1 is 2,500,799 (84 s) and every
+# n = 8 term is at least 545,835.
+SWEEP_WORK_LIMIT = 300_000
+
+
+def sweep_work(n_max: int, d_list: Iterable[int]) -> int:
+    """Work estimate of `oracle_sweep(n_max, d_list)`, for n_max <= 8: the
+    sum, over each n <= n_max and each block count d dividing it, of the
+    number of level maps on n letters (the ordered Bell number) times the
+    (n/d)^2 unknowns of each stabilizer system."""
+    bell = [1]
+    for n in range(1, n_max + 1):
+        bell.append(sum(comb(n, k) * bell[n - k] for k in range(1, n + 1)))
+    return sum(bell[n] * (n // d) ** 2 for n in range(2, n_max + 1) for d in d_list if n % d == 0)
+
+
 def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
     """Exhaustive comparison over every surjective level map with n <= n_max.
 
@@ -296,13 +316,17 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
     say parabolic, the unipotent-inclusion criterion is compared with the
     nilradical oracle, and the image of the restricted coordinate flag is
     checked to be the ambient coordinate flag, by the closed formula and by
-    the cumulative reference.
+    the cumulative reference.  Sweeps are limited to n_max <= 8 and to
+    `SWEEP_WORK_LIMIT` (ScaleError above it, before any case runs).
     """
     if n_max > 8:
         raise DomainError("sweeps are limited to n_max <= 8")
     d_list = sorted(set(d_set))
     if d_list and d_list[0] < 1:
         raise DomainError(f"block counts must be at least 1, got {d_list[0]}")
+    work = sweep_work(n_max, d_list)
+    if work > SWEEP_WORK_LIMIT:
+        raise ScaleError(f"sweeps are limited to {SWEEP_WORK_LIMIT} units of work; got {work}")
     cases = 0
     par_agree = 0
     par_bad: list[dict] = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from operator import le
 from typing import Iterator, Sequence
 
@@ -310,13 +310,31 @@ def from_dot(text: str) -> EGraph:
 
 
 def all_surjections(n: int, p: int) -> Iterator[SurjectionAlpha]:
-    """All surjective maps {1..n} -> {1..p}, in lexicographic value order."""
-    import itertools
+    """All surjective maps {1..n} -> {1..p}, in lexicographic value order.
 
-    target = set(range(1, p + 1))
-    for values in itertools.product(range(1, p + 1), repeat=n):
-        if set(values) == target:
-            yield SurjectionAlpha(n, p, values)
+    Depth first over the positions, smallest value first; a value is
+    placed only when the positions left after it can still take every
+    value the prefix misses, so no dead prefix is extended."""
+    values: list[int] = []
+
+    def extend(taken: int, missing: int) -> Iterator[SurjectionAlpha]:
+        # Bit v of `taken` is set when the prefix takes v; `missing` counts
+        # the values it does not take.
+        left = n - 1 - len(values)
+        for v in range(1, p + 1):
+            new = not taken >> v & 1
+            if missing - new <= left:
+                values.append(v)
+                if left:
+                    yield from extend(taken | 1 << v, missing - new)
+                else:
+                    yield SurjectionAlpha(n, p, tuple(values))
+                values.pop()
+
+    if n > 0:
+        yield from extend(0, p)
+    elif n == p == 0:
+        yield SurjectionAlpha(0, 0, ())
 
 
 def surjections(n: int) -> Iterator[SurjectionAlpha]:
@@ -326,23 +344,33 @@ def surjections(n: int) -> Iterator[SurjectionAlpha]:
 
 
 def enumerate_valid_graphs(q: int, p: int, d: int) -> Iterator[EGraph]:
-    """All valid graphs with the given vertex and colour counts."""
-    import itertools
+    """All valid graphs with the given vertex and colour counts, in the
+    order of the product of per-colour options.
 
-    def colour_options() -> list[frozenset[Edge]]:
-        out = []
-        for size in range(1, min(q, p) + 1):
-            for lefts in itertools.combinations(range(1, q), size - 1):
-                ls = (*lefts, q)
-                for rights in itertools.combinations(range(1, p + 1), size):
-                    out.append(frozenset(zip(ls, rights)))
-        return out
-
-    options = colour_options()
-    for combo in itertools.product(options, repeat=d):
-        edges = frozenset(
-            (i, j, c + 1) for c, cls in enumerate(combo) for (i, j) in cls
-        )
-        g = EGraph(q, p, d, edges)
-        if validate_egraph(g).ok:
-            yield g
+    A colour option is a set of pairs (l_a1, r_b1), ..., (l_as, r_bs) with
+    a1 < ... < as = q and b1 < ... < bs.  By construction no vertex meets
+    two edges of one colour, edges of one colour never cross, and l_q
+    meets exactly one edge of the colour; conversely every colour class of
+    a valid graph has this form.  A choice of one option per colour is
+    therefore valid exactly when every vertex meets some edge: each option
+    carries a mask of the vertices it covers, and a graph is built only
+    when the masks of its colours cover all q + p vertices.
+    """
+    options: list[tuple[int, frozenset[tuple[int, int]]]] = []
+    for size in range(1, min(q, p) + 1):
+        for lefts in combinations(range(1, q), size - 1):
+            ls = (*lefts, q)
+            left_mask = sum(1 << (i - 1) for i in ls)
+            for rights in combinations(range(1, p + 1), size):
+                mask = left_mask | sum(1 << (q + j - 1) for j in rights)
+                options.append((mask, frozenset(zip(ls, rights))))
+    full = (1 << (q + p)) - 1
+    for combo in product(options, repeat=d):
+        cover = 0
+        for mask, _ in combo:
+            cover |= mask
+        if cover == full:
+            edges = frozenset(
+                (i, j, c) for c, (_, pairs) in enumerate(combo, start=1) for (i, j) in pairs
+            )
+            yield EGraph(q, p, d, edges)

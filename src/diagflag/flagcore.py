@@ -55,6 +55,10 @@ CLASSIFY_SCALE_LIMIT = 6
 _CLASSIFY_WINDOW = 12
 # Constant-space sampling gives up after this many image flags.
 SAMPLE_LIMIT = 500
+# The longest stability window sampling accepts: half the samples are
+# left for the intersection to settle before the window starts, so running
+# out of samples still means a failure to stabilize.
+WINDOW_LIMIT = SAMPLE_LIMIT // 2
 # The eps constraints are complete once this many samples add no rank.
 STABLE_SAMPLES = 3
 # Fresh random flags a witness must also map right.
@@ -456,12 +460,13 @@ def support_and_constants(
     """Memberwise intersection over sampled image flags, plus its support.
 
     Intersects until the chain is unchanged for `window` consecutive new
-    samples.  Returns the chain of constant spaces and the 1-based indices
-    where the constant space is strictly smaller than the member, i.e.
-    where the member genuinely varies.
+    samples; the window is at most `WINDOW_LIMIT`.  Returns the chain of
+    constant spaces and the 1-based indices where the constant space is
+    strictly smaller than the member, i.e. where the member genuinely
+    varies.
     """
-    if window < 1:
-        raise DomainError(f"the stability window must be at least 1, got {window}")
+    if not 1 <= window <= WINDOW_LIMIT:
+        raise DomainError(f"the stability window must be between 1 and {WINDOW_LIMIT}, got {window}")
     it = iter(images)
     try:
         first = next(it)

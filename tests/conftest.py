@@ -10,12 +10,14 @@ import pytest
 
 from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import (
+    Edge,
     EGraph,
     ParabolicRestriction,
     SurjectionAlpha,
     build_from_alpha,
     enumerate_valid_graphs,
     require_valid,
+    validate_egraph,
 )
 from diagflag.errors import DomainError
 from diagflag.flagcore import FlagType, PicardPullback
@@ -54,16 +56,56 @@ PRODUCT_LEVEL_GRAPH = EGraph(
 )
 
 
-@functools.cache
-def small_graphs() -> tuple[EGraph, ...]:
-    """Every valid graph with d * q <= 6 (6,352 of them), in a fixed order."""
-    return tuple(
-        g
+def small_graph_sizes():
+    """The (q, p, d) of `small_graphs`, in its order."""
+    return [
+        (q, p, d)
         for d in range(1, 7)
         for q in range(1, 6 // d + 1)
         for p in range(1, q * d + 1)
-        for g in enumerate_valid_graphs(q, p, d)
-    )
+    ]
+
+
+@functools.cache
+def small_graphs() -> tuple[EGraph, ...]:
+    """Every valid graph with d * q <= 6 (6,352 of them), in a fixed order."""
+    return tuple(g for (q, p, d) in small_graph_sizes() for g in enumerate_valid_graphs(q, p, d))
+
+
+def reference_valid_graphs(q: int, p: int, d: int):
+    """Reference: all valid graphs with the given vertex and colour counts,
+    by building the graph of every product of per-colour options and
+    keeping those `validate_egraph` passes."""
+    import itertools
+
+    def colour_options() -> list[frozenset[Edge]]:
+        out = []
+        for size in range(1, min(q, p) + 1):
+            for lefts in itertools.combinations(range(1, q), size - 1):
+                ls = (*lefts, q)
+                for rights in itertools.combinations(range(1, p + 1), size):
+                    out.append(frozenset(zip(ls, rights)))
+        return out
+
+    options = colour_options()
+    for combo in itertools.product(options, repeat=d):
+        edges = frozenset(
+            (i, j, c + 1) for c, cls in enumerate(combo) for (i, j) in cls
+        )
+        g = EGraph(q, p, d, edges)
+        if validate_egraph(g).ok:
+            yield g
+
+
+def reference_surjections(n: int, p: int):
+    """Reference: all surjective maps {1..n} -> {1..p}, by filtering every
+    value tuple in lexicographic order."""
+    import itertools
+
+    target = set(range(1, p + 1))
+    for values in itertools.product(range(1, p + 1), repeat=n):
+        if set(values) == target:
+            yield SurjectionAlpha(n, p, values)
 
 
 def is_linear(pullback: PicardPullback) -> bool:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagflag
-from diagflag import diagembed
+from diagflag import diagembed, flagcore
 from diagflag.cli import main, selftest_digest
 
 MIXED_GRAPH_OBJ = {
@@ -157,6 +157,26 @@ def test_constants_rejects_empty_window(capsys, mixed_graph_file):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_constants_rejects_a_window_beyond_the_limit(capsys, mixed_graph_file):
+    # A window the sample budget cannot fill is an input error, not a
+    # failure to stabilize.
+    argv = ["constants", "--graph", mixed_graph_file, "--source-ambient", "3"]
+    assert main(argv + ["--window", "600"]) == 1
+    _one_input_error(capsys)
+    assert main(argv + ["--window", str(flagcore.WINDOW_LIMIT + 1)]) == 1
+    _one_input_error(capsys)
+
+
+def test_constants_accepts_the_window_limit(capsys, mixed_graph_file):
+    code, doc = run_json(
+        capsys,
+        "constants", "--graph", mixed_graph_file, "--source-ambient", "3",
+        "--window", str(flagcore.WINDOW_LIMIT),
+    )
+    assert code == 0
+    assert doc["dims"] == [0, 0, 3]
+
+
 def test_factor(capsys, tmp_path):
     graph = tmp_path / "level.json"
     graph.write_text(
@@ -185,6 +205,14 @@ def test_oracle_sweep(capsys):
 def test_oracle_rejects_block_counts_below_one(capsys, d):
     assert main(["oracle", "--n-max", "4", "--d", d]) == 1
     assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_max", ["7", "8"])
+def test_oracle_refuses_sweeps_beyond_the_work_limit(capsys, n_max):
+    started = time.monotonic()
+    assert main(["oracle", "--n-max", n_max, "--d", "1"]) == 1
+    assert time.monotonic() - started < 1.0
+    _one_input_error(capsys)
 
 
 def test_admissible(capsys, tmp_path):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from diagflag import diagembed, egraph, ratlin
 from diagflag.diagembed import (
+    SWEEP_WORK_LIMIT,
     DiagonalEmbedding,
     checked_evaluate,
     constant_spaces,
@@ -31,6 +32,7 @@ from diagflag.diagembed import (
     is_standard_extension_graph,
     oracle_sweep,
     picard_pullback,
+    sweep_work,
     unipotent_inclusion,
 )
 from diagflag.egraph import (
@@ -41,7 +43,7 @@ from diagflag.egraph import (
     enumerate_valid_graphs,
     surjections,
 )
-from diagflag.errors import DomainError, InternalCheckError
+from diagflag.errors import DomainError, InternalCheckError, ScaleError
 from diagflag.flagcore import (
     FlagType,
     coordinate_flag,
@@ -407,6 +409,17 @@ def test_oracle_sweep_small():
     assert report.cases == 78  # surjections on 2 and 4 letters
     assert report.parabolic_agreements == 78
     assert report.evaluation_checks > 0
+
+
+def test_sweep_work_counts_level_maps_times_stabilizer_unknowns():
+    # Ordered Bell numbers 3, 13, 75, 541, 4683 for n = 2..6.
+    assert sweep_work(4, [2]) == 3 * 1 + 75 * 4
+    assert sweep_work(6, [2, 3]) == 61_195
+    assert sweep_work(6, range(1, 7)) == 249_936 <= SWEEP_WORK_LIMIT
+    assert sweep_work(7, [1]) == 2_500_799 > SWEEP_WORK_LIMIT
+    assert sweep_work(8, [8]) == 545_835 > SWEEP_WORK_LIMIT
+    with pytest.raises(ScaleError, match="units of work"):
+        oracle_sweep(7, {1})
 
 
 def test_random_embedding_evaluates(rng):

@@ -1,8 +1,18 @@
 import random
 import time
+from math import comb
 
 import pytest
-from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph, random_egraph, realizing_alpha
+from conftest import (
+    MIXED_GRAPH,
+    PRODUCT_LEVEL_GRAPH,
+    insertion_graph,
+    random_egraph,
+    realizing_alpha,
+    reference_surjections,
+    reference_valid_graphs,
+    small_graph_sizes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -245,6 +255,47 @@ def test_enumerate_valid_graphs_small():
 def test_all_surjections_count():
     # 2! * S(4,2) = 14 surjections onto two values
     assert sum(1 for _ in all_surjections(4, 2)) == 14
+
+
+def classify_sizes(dm_values):
+    """The (d, m, q, p) of the criterion-05 instance set, in its order,
+    with the target dimension d * m restricted to `dm_values`."""
+    return [
+        (d, m, q, p)
+        for d in range(1, 9)
+        for m in range(2, 9)
+        if d * m in dm_values
+        for q in range(1, m + 1)
+        for p in range(1, q * d + 1)
+    ]
+
+
+def test_enumerate_valid_graphs_matches_the_build_and_validate_reference():
+    sizes = small_graph_sizes()
+    # The criterion-05 strata have q <= m, so d * q <= 6 and they are covered.
+    assert {(q, p, d) for (d, m, q, p) in classify_sizes(range(1, 7))} <= set(sizes)
+    total = 0
+    for (q, p, d) in sizes:
+        graphs = list(enumerate_valid_graphs(q, p, d))
+        assert graphs == list(reference_valid_graphs(q, p, d)), (q, p, d)
+        total += len(graphs)
+    assert total == 6_352
+
+
+def test_embedding_counts_at_target_dimensions_seven_and_eight():
+    """Graphs times source flag types of the classifier's instance set one
+    step beyond criterion 05, d * m in {7, 8}."""
+    counts = dict.fromkeys(((4, 2), (2, 4), (1, 7), (1, 8)), 0)
+    for (d, m, q, p) in classify_sizes({7, 8}):
+        graphs = sum(1 for _ in enumerate_valid_graphs(q, p, d))
+        counts[d, m] += graphs * comb(m - 1, q - 1)
+    assert counts == {(4, 2): 47_834, (2, 4): 2_568, (1, 7): 64, (1, 8): 128}
+
+
+def test_all_surjections_match_the_product_filter():
+    for n in range(8):
+        for p in range(min(n + 2, 8)):
+            assert list(all_surjections(n, p)) == list(reference_surjections(n, p)), (n, p)
 
 
 def test_every_valid_graph_is_realizable():
