@@ -20,6 +20,10 @@ formulas, and `check()` runs on data from outside (`from_epsilon`,
 `from_json_obj`) and on the classifier's guessed eps candidates.
 `level_flag` and `level_dims` are the one home of the coordinate flag of
 ordered keys.
+
+The classifier's duality pass samples the embedding's own images and
+keeps one running sum per member: the intersection of the dual images'
+members is the annihilator of that sum, taken once at the end.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .ratlin import (
     RatSubspace,
     as_matrix,
     integer_matrix,
-    random_invertible_ints,
+    random_entries,
 )
 
 CLASSIFY_SCALE_LIMIT = 6
@@ -144,13 +148,25 @@ def level_dims(keys: Sequence) -> tuple[int, ...]:
 
 def random_flag(ft: FlagType, rng: random.Random) -> Flag:
     """Random flag of the given type: the image of the coordinate flag under
-    a random invertible integer matrix g.  The image of the span of
-    e_1..e_d is the span of the first d columns of g, so each member is
-    reduced straight from its column prefix."""
-    cols = tuple(zip(*random_invertible_ints(ft.ambient, rng)))
-    return Flag._from_nested(
-        ft.ambient, tuple(RatSubspace.span_ints(ft.ambient, cols[:d]) for d in ft.dims)
-    )
+    a random invertible integer matrix g, drawn as `random_invertible_ints`
+    draws it.  The image of the span of e_1..e_d is the span of the first d
+    columns of g, so each member is reduced from the rows of the one before
+    and its new columns; the whole space, reduced last, is the
+    invertibility test, and a g whose columns lose rank is drawn again."""
+    n = ft.ambient
+    while True:
+        entries = random_entries(n * n, rng)
+        members = []
+        sub = RatSubspace.zero(n)
+        done = 0
+        for d in (*ft.dims, n):
+            sub = RatSubspace.span_ints(n, sub.int_rows + tuple(entries[j::n] for j in range(done, d)))
+            if sub.dim < d:
+                break
+            members.append(sub)
+            done = d
+        else:
+            return Flag._from_nested(n, tuple(members[:-1]))
 
 
 def dual_type(ft: FlagType) -> FlagType:
@@ -454,19 +470,12 @@ def sample_images(
         yield evaluate(random_flag(source_type, rng))
 
 
-def support_and_constants(
-    images: Iterable[Flag], window: int = 25
-) -> tuple[tuple[RatSubspace, ...], tuple[int, ...]]:
-    """Memberwise intersection over sampled image flags, plus its support.
-
-    Intersects until the chain is unchanged for `window` consecutive new
-    samples; the window is at most `WINDOW_LIMIT`.  Returns the chain of
-    constant spaces and the 1-based indices where the constant space is
-    strictly smaller than the member, i.e. where the member genuinely
-    varies.
-    """
-    if not 1 <= window <= WINDOW_LIMIT:
-        raise DomainError(f"the stability window must be between 1 and {WINDOW_LIMIT}, got {window}")
+def _settle(
+    images: Iterable[Flag], window: int, merge: Callable[[RatSubspace, RatSubspace], RatSubspace]
+) -> tuple[list[RatSubspace], tuple[int, ...]]:
+    """The members of the first image, each folded with the same member of
+    every next image by `merge`, until `window` consecutive images change
+    none of them; returned with the images' member dimensions."""
     it = iter(images)
     try:
         first = next(it)
@@ -486,16 +495,54 @@ def support_and_constants(
             raise InternalCheckError("constant-space sampling failed to stabilize")
         if flag.dims != target_dims:
             raise DomainError("sampled images have inconsistent flag types")
-        updated = [c & s for c, s in zip(current, flag.chain)]
+        updated = [merge(c, s) for c, s in zip(current, flag.chain)]
         if updated == current:
             stable += 1
         else:
             current = updated
             stable = 0
-    support = tuple(
-        j + 1 for j, (c, q) in enumerate(zip(current, target_dims)) if c.dim < q
-    )
-    return tuple(current), support
+    return current, target_dims
+
+
+def _support(constants: Sequence[RatSubspace], target_dims: Sequence[int]) -> tuple[int, ...]:
+    """The 1-based indices where the constant space is strictly smaller than
+    the member."""
+    return tuple(j + 1 for j, (c, q) in enumerate(zip(constants, target_dims)) if c.dim < q)
+
+
+def support_and_constants(
+    images: Iterable[Flag], window: int = 25
+) -> tuple[tuple[RatSubspace, ...], tuple[int, ...]]:
+    """Memberwise intersection over sampled image flags, plus its support.
+
+    Intersects until the chain is unchanged for `window` consecutive new
+    samples; the window is at most `WINDOW_LIMIT`.  Returns the chain of
+    constant spaces and the 1-based indices where the constant space is
+    strictly smaller than the member, i.e. where the member genuinely
+    varies.
+    """
+    if not 1 <= window <= WINDOW_LIMIT:
+        raise DomainError(f"the stability window must be between 1 and {WINDOW_LIMIT}, got {window}")
+    current, target_dims = _settle(images, window, RatSubspace.__and__)
+    return tuple(current), _support(current, target_dims)
+
+
+def _sum_into(total: RatSubspace, member: RatSubspace) -> RatSubspace:
+    return total if member <= total else total + member
+
+
+def _dual_support_and_constants(
+    images: Iterable[Flag], window: int
+) -> tuple[tuple[RatSubspace, ...], tuple[int, ...], tuple[int, ...]]:
+    """`support_and_constants` of the images composed with duality, and the
+    dual member dimensions, from the images themselves: member j of a dual
+    image is the annihilator of member l + 1 - j, and an intersection of
+    annihilators is the annihilator of the sum, which changes exactly when
+    the sum does, so the running sums settle after the same images."""
+    sums, dims = _settle(images, window, _sum_into)
+    constants = tuple(s.annihilator() for s in reversed(sums))
+    dual_dims = tuple(c.ambient - d for c, d in zip(constants, reversed(dims)))
+    return constants, _support(constants, dual_dims), dual_dims
 
 
 class Classification(Record):
@@ -652,26 +699,36 @@ def _recover_strict(
     evaluate: Callable[[Flag], Flag],
     source_type: FlagType,
     seed: int,
+    first: Flag,
+    dualized: bool = False,
 ) -> StandardExtensionData | None:
+    """A strict witness for `evaluate`, or with `dualized` for duality .
+    `evaluate`, from samples of `evaluate` starting at `first`, the image
+    of the coordinate flag; they are dualized only for a candidate kappa."""
     m = source_type.ambient
     k = source_type.length
     samples: list[tuple[Flag, Flag]] = []
 
     def image_stream() -> Iterator[Flag]:
         rng = random.Random(f"diagflag-classify-{seed}")
-        flag = coordinate_flag(source_type)
+        flag, image = coordinate_flag(source_type), first
         while True:
-            image = evaluate(flag)
             samples.append((flag, image))
             yield image
             flag = random_flag(source_type, rng)
+            image = evaluate(flag)
 
     try:
-        constants, support = support_and_constants(image_stream(), window=_CLASSIFY_WINDOW)
+        if dualized:
+            constants, support, target_dims = _dual_support_and_constants(
+                image_stream(), _CLASSIFY_WINDOW
+            )
+        else:
+            constants, support = support_and_constants(image_stream(), window=_CLASSIFY_WINDOW)
+            target_dims = first.dims
     except DomainError:
         return None
-    target_dims = samples[0][1].dims
-    nw = samples[0][1].ambient
+    nw = first.ambient
     if len(target_dims) == 0:
         # Point target: witnessed by any injective eps, provided the source
         # is a point too (kappa must attain every member index).
@@ -679,7 +736,15 @@ def _recover_strict(
             return None
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
         return StandardExtensionData(source_type, eps, 1, (), ())
-    for kappa in _kappa_candidates(source_type, target_dims, constants, support):
+    kappas = _kappa_candidates(source_type, target_dims, constants, support)
+    target = evaluate
+    if dualized and kappas:
+        samples[:] = [(flag, duality(image)) for flag, image in samples]
+
+        def target(flag: Flag) -> Flag:
+            return duality(evaluate(flag))
+
+    for kappa in kappas:
         solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
         if not solutions.dim:
             continue
@@ -697,7 +762,7 @@ def _recover_strict(
                 data = StandardExtensionData(source_type, eps, den, chain, kappa).check()
             except DomainError:
                 continue
-            if _verify_witness(data, evaluate, samples, source_type, seed):
+            if _verify_witness(data, target, samples, source_type, seed):
                 return data
     return None
 
@@ -721,18 +786,17 @@ def classify_bruteforce(
     agrees with the embedding on every collected and freshly drawn sample.
     The first witness in this documented search order is returned.  When
     the strict search fails, the embedding composed with duality is
-    searched the same way.  Target dimension is capped at
-    `CLASSIFY_SCALE_LIMIT`.
+    searched the same way, with its constants taken as the annihilators of
+    running sums of the embedding's own image members.  The coordinate
+    image serves the scale check and both passes.  Target dimension is
+    capped at `CLASSIFY_SCALE_LIMIT`.
     """
-    check_classify_scale(evaluate(coordinate_flag(source_type)).ambient)
-    strict = _recover_strict(evaluate, source_type, seed)
+    first = evaluate(coordinate_flag(source_type))
+    check_classify_scale(first.ambient)
+    strict = _recover_strict(evaluate, source_type, seed, first)
     if strict is not None:
         return Classification("strict_se", strict)
-
-    def dual_evaluate(flag: Flag) -> Flag:
-        return duality(evaluate(flag))
-
-    via_dual = _recover_strict(dual_evaluate, source_type, seed + 1)
+    via_dual = _recover_strict(evaluate, source_type, seed + 1, first, dualized=True)
     if via_dual is not None:
         return Classification("se_via_dual", replace(via_dual, dualized=True))
     return Classification("not_se", None)

@@ -501,7 +501,8 @@ def verify_certificate(
     cert: AdmissibilityCertificate,
 ) -> bool:
     """Recompute both defining clauses of admissibility on the prefix, which
-    must be at least `_PREFIX_LEN` steps long."""
+    must be at least `_PREFIX_LEN` steps long and place every explicit
+    quotient: one left over would fall to a step beyond what is checked."""
     if cert.kind == "finite":
         return gft.tail is None
     if cert.exhaustion is None:
@@ -530,7 +531,7 @@ def verify_certificate(
         if isinstance(gft.tail, GeometricTail) and gft.tail.dim(tail_k) % s:
             return False
         s *= d
-    return True
+    return not explicit
 
 
 def verify_refutation(

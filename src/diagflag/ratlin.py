@@ -10,10 +10,10 @@ subspaces is equality of representations and all values are hashable.
 `_reduce` is the one elimination; `rref`, `nullspace`, `span`, `+`, `&`,
 `annihilator` and `apply` (its matrix scaled to integers, which leaves
 every image span as it is) run through it, and `<=` reads coordinates
-off the pivots.  `_reduce` is one loop that clears each column and
-divides each cleared row by its content inline, with no helper call per
-row.  What `_reduce` returns is
-canonical; `_kernel_basis`, the free-column kernel basis, and
+off the pivots, unless the left side is zero or the right side full.
+`_reduce` is one loop that clears each column and divides each cleared
+row by its content inline, with no helper call per row.  What `_reduce`
+returns is canonical; `_kernel_basis`, the free-column kernel basis, and
 `_stabilizer_constraints` are only spanning sets, and `_kernel` is the
 canonical kernel, `_reduce` of that basis.
 `RatSubspace(ambient, int_rows)` trusts that its integer rows are
@@ -65,7 +65,8 @@ Matrix = tuple[Vector, ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
-# Entries of random invertible matrices lie in [-SPREAD, SPREAD].
+# Entries of random invertible matrices lie in [-SPREAD, SPREAD]; each is
+# one `random_entries` draw.
 SPREAD = 3
 # Entry types read without `to_fraction`; bool, a subclass of int, is not
 # one of them and is rejected there.
@@ -269,10 +270,28 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
+def random_entries(count: int, rng: random.Random) -> list[int]:
+    """`count` draws of `rng.randint(-SPREAD, SPREAD)`, taken from the
+    generator as CPython's `randint` takes them: `getrandbits` of the bit
+    length of the 2 SPREAD + 1 values, redrawn while beyond them."""
+    width = 2 * SPREAD + 1
+    bits = width.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = draw(bits)
+        while r >= width:
+            r = draw(bits)
+        out.append(r - SPREAD)
+    return out
+
+
 def random_invertible_ints(dim: int, rng: random.Random) -> IntRows:
-    """Random invertible integer matrix with entries in [-SPREAD, SPREAD]."""
+    """Random invertible integer matrix with entries in [-SPREAD, SPREAD],
+    drawn row by row."""
     while True:
-        m = tuple(tuple(rng.randint(-SPREAD, SPREAD) for _ in range(dim)) for _ in range(dim))
+        entries = random_entries(dim * dim, rng)
+        m = tuple(tuple(entries[i : i + dim]) for i in range(0, dim * dim, dim))
         if len(_reduce(m, dim)) == dim:
             return m
 
@@ -357,7 +376,11 @@ class RatSubspace(Record):
         return RatSubspace(n, tuple(r[n:] for r in red if not any(r[:n])))
 
     def __le__(self, other: "RatSubspace") -> bool:
+        """Containment; the zero subspace and the full space answer without
+        a span test."""
         self._check_ambient(other)
+        if not self.int_rows or len(other.int_rows) == other.ambient:
+            return True
         return self.dim <= other.dim and other._spans(self.int_rows)
 
     def _spans(self, vectors: Iterable[Sequence[int]]) -> bool:

@@ -20,9 +20,17 @@ from diagflag.egraph import (
     validate_egraph,
 )
 from diagflag.errors import DomainError
-from diagflag.flagcore import FlagType, PicardPullback
+from diagflag.flagcore import (
+    _CLASSIFY_WINDOW,
+    FlagType,
+    PicardPullback,
+    coordinate_flag,
+    duality,
+    random_flag,
+    support_and_constants,
+)
 from diagflag.indlimit import GraphFactor, SnGraph, _kept_vertices, factor_pullback_additivity
-from diagflag.ratlin import RatSubspace, StabilizerResult, pivots, rref
+from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, pivots, rref
 from diagflag.supernat import ExhaustionSpec, SupernaturalNumber, validate_exhaustion
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
@@ -231,6 +239,43 @@ def reference_nilradical_inclusion(flag, stabilizer):
                 if not members[t - 1]._spans([image]):
                     return False
     return True
+
+
+def reference_random_invertible_ints(dim, rng):
+    """Reference: a random invertible integer matrix, each entry drawn by
+    `rng.randint(-SPREAD, SPREAD)`, row by row, until one has full rank."""
+    while True:
+        m = tuple(tuple(rng.randint(-SPREAD, SPREAD) for _ in range(dim)) for _ in range(dim))
+        if RatSubspace.span_ints(dim, m).dim == dim:
+            return m
+
+
+def reference_random_flag(ft, rng):
+    """Reference: the image of the coordinate flag under
+    `reference_random_invertible_ints`, each member reduced from its whole
+    column prefix."""
+    cols = tuple(zip(*reference_random_invertible_ints(ft.ambient, rng)))
+    return Flag(ft.ambient, tuple(RatSubspace.span_ints(ft.ambient, cols[:d]) for d in ft.dims))
+
+
+def reference_dual_sampling(evaluate, source_type, seed):
+    """Reference: the classifier's duality-pass sampling as intersections of
+    dual images, `support_and_constants` over duality . `evaluate` on the
+    coordinate flag and the seeded random flags; the constants, the support
+    and the number of images drawn."""
+    drawn = 0
+
+    def images():
+        nonlocal drawn
+        rng = random.Random(f"diagflag-classify-{seed}")
+        flag = coordinate_flag(source_type)
+        while True:
+            drawn += 1
+            yield duality(evaluate(flag))
+            flag = random_flag(source_type, rng)
+
+    constants, support = support_and_constants(images(), window=_CLASSIFY_WINDOW)
+    return constants, support, drawn
 
 
 def subspace(ambient, rows):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import is_linear, solve_unique
+from conftest import is_linear, reference_dual_sampling, reference_random_flag, solve_unique
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,9 @@ from diagflag.flagcore import (
     se_compose,
     se_eval,
     support_and_constants,
+    _CLASSIFY_WINDOW,
     _dual_conjugate,
+    _dual_support_and_constants,
     _epsilon_candidates,
     _epsilon_solution_space,
     _kappa_candidates,
@@ -124,6 +126,17 @@ def test_coordinate_and_random_flags(rng):
     assert type_of(flag) == ft
     for _ in range(20):
         assert type_of(random_flag(ft, rng)) == ft
+
+
+def test_random_flag_matches_the_reference():
+    """Same flags and the same generator state as the whole-prefix
+    reduction of a randint-drawn matrix, on every type up to ambient 5."""
+    types = [FlagType(n, dims) for n in range(1, 6) for k in range(n) for dims in itertools.combinations(range(1, n), k)]
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for ft in types:
+            assert random_flag(ft, rng) == reference_random_flag(ft, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_dual_type_and_duality(rng):
@@ -804,6 +817,28 @@ def test_kappa_candidates_match_the_reference_on_any_support(data):
     assert _kappa_candidates(ft, target_dims, constants, support) == reference_kappa_candidates(
         ft, target_dims, constants, support
     )
+
+
+def test_dual_sums_match_the_intersections_of_dual_images():
+    """On every criterion-05 embedding: the running sums of the images give
+    the constants and support of the dual images' intersections, after the
+    same number of images."""
+    for g, ft in criterion_05_instances():
+        evaluate = DiagonalEmbedding(g, ft).evaluate
+        expected = reference_dual_sampling(evaluate, ft, 1)
+        drawn = 0
+
+        def images():
+            nonlocal drawn
+            rng = random.Random("diagflag-classify-1")
+            flag = coordinate_flag(ft)
+            while True:
+                drawn += 1
+                yield evaluate(flag)
+                flag = random_flag(ft, rng)
+
+        constants, support, _ = _dual_support_and_constants(images(), _CLASSIFY_WINDOW)
+        assert (constants, support, drawn) == expected
 
 
 def test_epsilon_solution_space_matches_the_fraction_echelon():

@@ -494,6 +494,33 @@ def test_certificate_verification_rejects_tampering():
     assert not verify_certificate(gft, SN2, swapped)
 
 
+def test_certificate_verification_rejects_an_unplaced_explicit_quotient():
+    """{2^20} plus tail(1, 2) over 2^inf: the prefix 1, 2, ..., 2^11 along
+    s1 = 1, cycle (2) meets both clauses at every step shown, but leaves
+    2^20 unplaced; at step 21 both 2^20's fall into one window."""
+    gft = GeneralizedFlagType((2**20,), GeometricTail(1, 2), True)
+    cert = AdmissibilityCertificate(
+        kind="numbered",
+        exhaustion=ExhaustionSpec(1, (2,)),
+        numbering_prefix=tuple(2**i for i in range(12)),
+        tail_rule="remaining tail dimensions in increasing order",
+        verified_prefix_length=12,
+    )
+    assert isinstance(admissible(gft, SN2), Unknown)
+    assert not verify_certificate(gft, SN2, cert)
+
+
+def test_certificate_verification_rejects_an_explicit_quotient_beyond_the_prefix():
+    gft = GeneralizedFlagType((1,), GeometricTail(2, 2), False)
+    cert = admissible(gft, SN2).certificate
+    assert verify_certificate(gft, SN2, cert)
+    # A power of 2 beyond every term of the prefix passes clause 2 at each
+    # step, so only the unplaced-quotient check rejects it.
+    beyond = 2 * max(cert.numbering_prefix)
+    extended = GeneralizedFlagType((1, beyond), GeometricTail(2, 2), False)
+    assert not verify_certificate(extended, SN2, cert)
+
+
 def test_refutation_verification_rejects_bad_witness():
     gft = GeneralizedFlagType((), ConstantTail(4), True)
     from diagflag.indlimit import RefutationProof

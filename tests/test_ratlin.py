@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from conftest import (
     reference_nilradical_inclusion,
+    reference_random_invertible_ints,
     reference_reduce,
     reference_stabilizer,
     solve_unique,
@@ -16,6 +17,7 @@ from diagflag.egraph import surjections
 from diagflag.errors import DomainError
 from diagflag.flagcore import level_flag
 from diagflag.ratlin import (
+    SPREAD,
     Flag,
     RatSubspace,
     _reduce,
@@ -25,6 +27,7 @@ from diagflag.ratlin import (
     matvec,
     nilradical_inclusion_oracle,
     nullspace,
+    random_entries,
     random_invertible_ints,
     rref,
     stabilizer_oracle,
@@ -267,6 +270,27 @@ def test_sum_and_intersect_examples():
 def test_sum_rejects_ambient_mismatch():
     with pytest.raises(DomainError):
         RatSubspace.span(3, [[1, 0, 0]]) + RatSubspace.span(4, [[1, 0, 0, 0]])
+
+
+def test_containment_of_zero_and_in_the_full_space():
+    line = RatSubspace.span(3, [[1, 2, 0]])
+    assert RatSubspace.zero(3) <= line and line <= RatSubspace.full(3)
+    assert not RatSubspace.full(3) <= line and not line <= RatSubspace.zero(3)
+    assert RatSubspace.zero(0) <= RatSubspace.full(0)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (RatSubspace.zero(3), RatSubspace.span(4, [[1, 0, 0, 0]])),
+        (RatSubspace.zero(3), RatSubspace.full(4)),
+        (RatSubspace.span(3, [[1, 0, 0]]), RatSubspace.full(4)),
+        (RatSubspace.full(4), RatSubspace.full(3)),
+    ],
+)
+def test_containment_fast_paths_reject_ambient_mismatch(left, right):
+    with pytest.raises(DomainError):
+        left <= right
 
 
 def test_modular_law_on_random_pairs():
@@ -521,6 +545,23 @@ def test_random_invertible_has_full_rank():
     for _ in range(20):
         m = random_invertible_ints(4, rng)
         assert matrix_rank(m, 4) == 4
+
+
+def test_random_entries_reproduce_the_randint_stream():
+    """The draw helper rests on CPython's `randint` taking getrandbits of
+    the range's bit length and redrawing beyond the range."""
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_entries(500, rng) == [ref.randint(-SPREAD, SPREAD) for _ in range(500)]
+        assert rng.getstate() == ref.getstate()
+
+
+def test_random_invertible_matches_the_randint_reference():
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for dim in range(1, 6):
+            assert random_invertible_ints(dim, rng) == reference_random_invertible_ints(dim, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_block_diagonal_shape():
