@@ -23,6 +23,7 @@ Provided here:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,7 +50,7 @@ Quotient = int | float  # positive int, or INF
 _PREFIX_LEN = 12
 _MAX_STEPS = 200
 _MAX_CYCLE_LEN = 2
-# The most (s1, cycle) pairs one `admissible` call may try: about 3.5 s.
+# The most (s1, cycle) pairs one `admissible` call may try: about 0.3 s.
 _SEARCH_LIMIT = 250_000
 # The most bounding edges, the sum of d_n - 1 over the levels, that one
 # realization may build: about 0.8 s and 1 MB of report.
@@ -81,6 +82,9 @@ class ConstantTail(Record):
     def __post_init__(self) -> None:
         if self.value < 1:
             raise DomainError("constant tail dimension must be positive")
+
+    def dim(self, k: int) -> int:
+        return self.value
 
     def to_json_obj(self) -> dict:
         return {"kind": "constant", "value": self.value}
@@ -397,7 +401,7 @@ class AdmissibilityCertificate(Record):
     1..N; `tail_rule` documents how the numbering continues (for tails,
     remaining tail dimensions in increasing order).  The certificate is
     accepted only after both defining clauses are re-verified on the
-    prefix, whose length is recorded.
+    prefix, whose length is recorded, and along the tail rule beyond it.
     """
 
     kind: str  # "finite" | "numbered"
@@ -451,27 +455,26 @@ class Unknown(Record):
 AdmissibilityResult = Admissible | NotAdmissible | Unknown
 
 
-def _greedy_numbering(gft: GeneralizedFlagType, spec: ExhaustionSpec) -> tuple[int, ...] | None:
-    """Greedy smallest-dimension-first numbering along the exhaustion.
-
-    Returns at least `_PREFIX_LEN` picked dimensions once the explicit
-    quotients are exhausted and the (cycle position, tail dimension over
-    term) state repeats; the repetition certifies that both defining
-    clauses hold forever.  None when a clause fails, no pick is available,
-    or no state repeats within `_MAX_STEPS`.  The tail is geometric: the
-    other kinds are decided without a search.
-    """
+def _greedy_numbering(gft: GeneralizedFlagType, s1: int, cycle: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Greedy smallest-dimension-first numbering along the exhaustion (s1,
+    cycle), which the caller has made valid.  Returns at least
+    `_PREFIX_LEN` picked dimensions once the explicit quotients are
+    exhausted and the (cycle position, tail dimension over term) state
+    repeats; the repetition certifies that both defining clauses hold
+    forever.  None when a clause fails, no pick is available, or no state
+    repeats within `_MAX_STEPS`.  The tail is geometric: the other kinds
+    are decided without a search."""
     tail = gft.tail
     explicit = sorted(gft.finite_quotients)
     tail_k = 0
     picked: list[int] = []
-    s = spec.s1
+    s = s1
     states: set[tuple[int, Fraction]] = set()
     certified = False
     for n in range(1, _MAX_STEPS + 1):
         if certified and len(picked) >= _PREFIX_LEN:
             return tuple(picked)
-        d = step_ratio(spec, n)
+        d = cycle[(n - 1) % len(cycle)]
         tail_min = tail.dim(tail_k)
         # clause 2: s_n divides every remaining dimension
         if tail_min % s or any(dim % s for dim in explicit):
@@ -487,7 +490,7 @@ def _greedy_numbering(gft: GeneralizedFlagType, spec: ExhaustionSpec) -> tuple[i
         else:
             return None
         if not explicit:
-            state = ((n % len(spec.cycle)), Fraction(tail.dim(tail_k), s * d))
+            state = (n % len(cycle), Fraction(tail.dim(tail_k), s * d))
             if state in states:
                 certified = True
             states.add(state)
@@ -500,38 +503,68 @@ def verify_certificate(
     sn: SupernaturalNumber,
     cert: AdmissibilityCertificate,
 ) -> bool:
-    """Recompute both defining clauses of admissibility on the prefix, which
-    must be at least `_PREFIX_LEN` steps long and place every explicit
-    quotient: one left over would fall to a step beyond what is checked."""
+    """Recompute both defining clauses of admissibility along the
+    certificate's exhaustion, step by step: the dimension placed at step n
+    is j * s_n with 1 <= j <= d_n - 1, and s_n divides every dimension
+    still to be placed.  Of the tail only the next dimension is asked, as
+    every later one is a multiple of it.  The steps place the prefix, which
+    must be at least `_PREFIX_LEN` long and place every explicit quotient,
+    and then follow the tail rule: each places the next tail dimension.
+    They run until, at the end of the prefix or later, the state (cycle
+    position, next tail dimension / s_(n+1)) repeats; a certificate with no
+    repeat within `_MAX_STEPS` steps is rejected.
+
+    A repeated state repeats forever.  Say the states after steps m < m'
+    agree, and let L = s_(m'+1) / s_(m+1).  Only tail dimensions remain
+    after either step, and the next one after m' is L times the next one
+    after m; as the cycle positions agree, the same multipliers follow, so
+    for every i >= 1 the term at step m' + i and each tail dimension still
+    to come are L times those at step m + i.  Both clauses ask only whether
+    a dimension over a term is an integer and where it lies, and scaling
+    both by L changes neither.  So step m' + i passes exactly when step
+    m + i does and ends in the same state: the steps m + 1 .. m', all
+    checked, repeat forever."""
     if cert.kind == "finite":
         return gft.tail is None
-    if cert.exhaustion is None:
+    spec = cert.exhaustion
+    if spec is None:
         return False
-    if not validate_exhaustion(cert.exhaustion, sn).ok:
+    if not validate_exhaustion(spec, sn).ok:
         return False
-    if len(cert.numbering_prefix) < _PREFIX_LEN:
+    prefix = cert.numbering_prefix
+    if len(prefix) < _PREFIX_LEN:
         return False
+    tail = gft.tail
     explicit = sorted(gft.finite_quotients)
     tail_k = 0
-    s = cert.exhaustion.s1
-    for n, dim in enumerate(cert.numbering_prefix, start=1):
-        d = step_ratio(cert.exhaustion, n)
+    s = spec.s1
+    states: set[tuple[int, Fraction]] = set()
+    for n in range(1, _MAX_STEPS + 1):
+        if n > len(prefix) and (explicit or tail is None):
+            return not explicit
+        d = step_ratio(spec, n)
+        dim = prefix[n - 1] if n <= len(prefix) else tail.dim(tail_k)
         ratio = Fraction(dim, s)
         if ratio.denominator != 1 or not 1 <= ratio <= d - 1:
             return False
         if dim in explicit:
             explicit.remove(dim)
-        elif isinstance(gft.tail, GeometricTail) and dim == gft.tail.dim(tail_k):
+        elif tail is not None and dim == tail.dim(tail_k):
             tail_k += 1
         else:
             return False
         for rem in explicit:
             if rem % s:
                 return False
-        if isinstance(gft.tail, GeometricTail) and gft.tail.dim(tail_k) % s:
+        if tail is not None and tail.dim(tail_k) % s:
             return False
         s *= d
-    return not explicit
+        if tail is not None and not explicit:
+            state = (n % len(spec.cycle), Fraction(tail.dim(tail_k), s))
+            if n >= len(prefix) and state in states:
+                return True
+            states.add(state)
+    return False
 
 
 def verify_refutation(
@@ -562,13 +595,18 @@ def admissible(
     tail is never admissible over an infinite supernatural number, with a
     machine-checkable divisibility proof whose witness is the least finite
     divisor of sn above the constant.  For geometric tails the search
-    ranges over periodic exhaustions with first term and multipliers
-    bounded by `bound` and cycles of at most `_MAX_CYCLE_LEN` multipliers,
-    running the greedy smallest-dimension numbering with loop detection; an
-    inconclusive search returns Unknown rather than a verdict.  A bound
-    below 2 admits no multiplier and is rejected.  The search would try
-    |s1 candidates| * (M + M^2) exhaustions for M multipliers; above
-    `_SEARCH_LIMIT` (250,000) it raises ScaleError before it starts.
+    ranges over periodic exhaustions: a first term is a divisor of sn up
+    to `bound` that carries sn's whole finite part, and a cycle is at most
+    `_MAX_CYCLE_LEN` divisors in [2, bound] of sn's infinite part whose
+    product every infinite prime divides.  Such pairs are valid by
+    construction, so none is checked: the greedy smallest-dimension
+    numbering runs on each in turn, with loop detection, and only the
+    first success is built into a certificate, which `verify_certificate`
+    re-checks.  An inconclusive search returns Unknown rather than a
+    verdict.  A bound below 2 admits no multiplier and is rejected.  The
+    search would try at most |s1 candidates| * (M + M^2) pairs for M
+    multipliers; above `_SEARCH_LIMIT` (250,000) it raises ScaleError
+    before it starts.
     """
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
@@ -591,10 +629,6 @@ def admissible(
             raise InternalCheckError("constructed refutation failed its own check")
         return NotAdmissible(proof)
 
-    searched = 0
-    finite_fixed = 1
-    for p, a in sn.finite_factor_pairs:
-        finite_fixed *= p**a
     inf_primes = sn.infinite_primes
     multipliers = [
         m
@@ -603,6 +637,7 @@ def admissible(
         ).divisors_up_to(bound)
         if m >= 2
     ]
+    finite_fixed = math.prod(p**a for p, a in sn.finite_factor_pairs)
     s1_candidates = [
         s1 for s1 in sn.divisors_up_to(bound) if s1 % finite_fixed == 0
     ]
@@ -611,29 +646,34 @@ def admissible(
         raise ScaleError(
             f"bound {bound} gives {count} exhaustions to search; the search is limited to {_SEARCH_LIMIT}"
         )
+    # Every s1 candidate and multiplier divides sn, and every s1 candidate
+    # carries sn's whole finite part, so of the clauses of
+    # `validate_exhaustion` only one is left to ask: that each infinite
+    # prime divides the cycle product.
+    cycles = [
+        cycle
+        for length in range(1, _MAX_CYCLE_LEN + 1)
+        for cycle in itertools.product(multipliers, repeat=length)
+        if math.prod(cycle) % math.prod(inf_primes) == 0
+    ]
     for s1 in s1_candidates:
-        for length in range(1, _MAX_CYCLE_LEN + 1):
-            for cycle in itertools.product(multipliers, repeat=length):
-                spec = ExhaustionSpec(s1, cycle)
-                if not validate_exhaustion(spec, sn).ok:
-                    continue
-                searched += 1
-                picked = _greedy_numbering(gft, spec)
-                if picked is None:
-                    continue
-                cert = AdmissibilityCertificate(
-                    kind="numbered",
-                    exhaustion=spec,
-                    numbering_prefix=picked,
-                    tail_rule="remaining tail dimensions in increasing order",
-                    verified_prefix_length=len(picked),
-                )
-                if not verify_certificate(gft, sn, cert):
-                    raise InternalCheckError("greedy certificate failed independent re-verification")
-                return Admissible(cert)
+        for cycle in cycles:
+            picked = _greedy_numbering(gft, s1, cycle)
+            if picked is None:
+                continue
+            cert = AdmissibilityCertificate(
+                kind="numbered",
+                exhaustion=ExhaustionSpec(s1, cycle),
+                numbering_prefix=picked,
+                tail_rule="remaining tail dimensions in increasing order",
+                verified_prefix_length=len(picked),
+            )
+            if not verify_certificate(gft, sn, cert):
+                raise InternalCheckError("greedy certificate failed independent re-verification")
+            return Admissible(cert)
     return Unknown(
         reason="bounded search over periodic exhaustions was inconclusive",
-        candidates_searched=searched,
+        candidates_searched=len(s1_candidates) * len(cycles),
     )
 
 

@@ -151,6 +151,29 @@ def test_constants(capsys, mixed_graph_file):
     assert doc["support"] == [1, 2, 3]
 
 
+def test_embedding_options_name_what_is_missing(capsys, mixed_graph_file, tmp_path):
+    flag = write(tmp_path, "flag.json", {"ambient": 2, "chain": [[["1", "1"]]]})
+    for argv, message in [
+        (["embed", "--alpha", "1,2,2,3", "--flag", flag], "--alpha requires --m"),
+        (["classify", "--graph", mixed_graph_file], "--graph requires --source-dims and --source-ambient"),
+        (
+            ["classify", "--graph", mixed_graph_file, "--source-dims", "1,2"],
+            "--graph requires --source-ambient",
+        ),
+        (["classify"], "specify the embedding via --embedding, --alpha/--m, or --graph/--source-*"),
+    ]:
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+def test_constants_takes_a_full_embedding(capsys):
+    code, doc = run_json(capsys, "constants", "--alpha", "1,2,2,3", "--m", "2")
+    assert code == 0
+    assert doc["dims"] == [0, 2]
+    assert doc["support"] == [1, 2]
+    assert doc["constants"] == [[], [["1", "0", "0", "0"], ["0", "1", "0", "0"]]]
+
+
 def test_constants_rejects_empty_window(capsys, mixed_graph_file):
     argv = ["constants", "--graph", mixed_graph_file, "--source-ambient", "3"]
     assert main(argv + ["--window", "0"]) == 1

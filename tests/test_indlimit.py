@@ -15,7 +15,7 @@ from diagflag.diagembed import (
 )
 from diagflag import indlimit
 from diagflag.egraph import EGraph, SurjectionAlpha, build_from_alpha, partition_edges, validate_egraph
-from diagflag.errors import DomainError, InternalCheckError, ScaleError
+from diagflag.errors import DomainError, InternalCheckError, ScaleError, replace
 from diagflag.flagcore import (
     FlagType,
     StandardExtensionData,
@@ -31,6 +31,7 @@ from diagflag.indlimit import (
     GeometricTail,
     GraphFactor,
     NotAdmissible,
+    RefutationProof,
     SnGraph,
     Unknown,
     admissible,
@@ -519,6 +520,123 @@ def test_certificate_verification_rejects_an_explicit_quotient_beyond_the_prefix
     beyond = 2 * max(cert.numbering_prefix)
     extended = GeneralizedFlagType((1, beyond), GeometricTail(2, 2), False)
     assert not verify_certificate(extended, SN2, cert)
+
+
+def _numbered(s1, cycle, prefix):
+    return AdmissibilityCertificate(
+        kind="numbered",
+        exhaustion=ExhaustionSpec(s1, cycle),
+        numbering_prefix=tuple(prefix),
+        tail_rule="remaining tail dimensions in increasing order",
+        verified_prefix_length=len(prefix),
+    )
+
+
+def test_certificate_verification_follows_the_tail_rule_past_the_prefix():
+    """Tail(1, 2) over 2^inf along s1 = 1, cycle (2,)*12 + (4,): the prefix
+    1, 2, ..., 2^11 meets both clauses, and so does step 13, which places
+    2^12; at step 14 the term 2^14 does not divide the next tail dimension
+    2^13."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
+    cert = _numbered(1, (2,) * 12 + (4,), [2**i for i in range(12)])
+    assert not verify_certificate(gft, SN2, cert)
+    assert verify_certificate(gft, SN2, _numbered(1, (2,), [2**i for i in range(12)]))
+
+
+def test_certificate_verification_gives_up_without_a_repeated_state():
+    """A cycle of 250 doublings returns to its first position only after
+    `_MAX_STEPS`, so no state repeats in time, although the certificate
+    holds; the verifier rejects what it cannot settle."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
+    assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 250, [2**i for i in range(12)]))
+
+
+def test_certificate_verification_checks_a_constant_tail():
+    """Explicit quotients 1, 2, ..., 2^11 with a constant tail of 1 over
+    2^inf: the prefix places the explicit quotients along s1 = 1, cycle
+    (2,), but the term 2 of step 2 does not divide the tail dimension 1.
+    The type is refuted, and only the refutation verifies."""
+    gft = GeneralizedFlagType(tuple(2**i for i in range(12)), ConstantTail(1), True)
+    cert = _numbered(1, (2,), [2**i for i in range(12)])
+    assert not verify_certificate(gft, SN2, cert)
+    result = admissible(gft, SN2)
+    assert isinstance(result, NotAdmissible)
+    assert verify_refutation(gft, SN2, result.proof)
+
+
+def test_certificate_verification_rejects_a_numbered_certificate_without_an_exhaustion():
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
+    cert = admissible(gft, SN2).certificate
+    assert not verify_certificate(gft, SN2, replace(cert, exhaustion=None))
+
+
+def test_certificate_verification_rejects_an_exhaustion_of_another_number():
+    """s1 = 1, cycle (2,) exhausts 2^inf but not 2^inf 3^inf: no term is a
+    multiple of 3."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
+    cert = admissible(gft, SN2).certificate
+    assert verify_certificate(gft, SN2, cert)
+    assert not verify_certificate(gft, SN23, cert)
+
+
+def test_certificate_verification_rejects_a_pick_outside_the_type():
+    """Tail(1, 4) over 2^inf is certified along s1 = 1, cycle (4,).  At
+    step 1 the pick 2 is 2 * s_1 with 2 <= d_1 - 1, but it is neither an
+    explicit quotient nor the next tail dimension 1."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 4), False)
+    cert = admissible(gft, SN2).certificate
+    assert cert.exhaustion == ExhaustionSpec(1, (4,))
+    assert verify_certificate(gft, SN2, cert)
+    assert not verify_certificate(gft, SN2, _numbered(1, (4,), (2,) + cert.numbering_prefix[1:]))
+
+
+def test_certificate_verification_rejects_an_explicit_quotient_the_term_does_not_divide():
+    """The doubling certificate of tail(1, 2), for the type with one more
+    quotient 3: steps 1 and 2 place 1 and 2, and s_2 = 2 does not divide
+    the remaining 3."""
+    cert = admissible(GeneralizedFlagType((), GeometricTail(1, 2), False), SN2).certificate
+    gft = GeneralizedFlagType((3,), GeometricTail(1, 2), False)
+    assert not verify_certificate(gft, SN2, cert)
+
+
+def test_certificate_verification_rejects_a_tail_dimension_the_term_does_not_divide():
+    """Along s1 = 4, cycle (2,), step 1 places the explicit 4, and s_1 = 4
+    does not divide the first tail dimension 2."""
+    gft = GeneralizedFlagType((4,), GeometricTail(2, 2), False)
+    cert = _numbered(4, (2,), [4 * 2**i for i in range(12)])
+    assert not verify_certificate(gft, SN2, cert)
+
+
+def test_refutation_verification_rejects_a_geometric_tail():
+    gft = GeneralizedFlagType((), GeometricTail(4, 2), True)
+    assert not verify_refutation(gft, SN2, RefutationProof(4, 8, 12))
+
+
+# The ROADMAP grid of geometric tails: sn, tail base, tail ratio, finite part.
+GRID_SNS = [{2: INF}, {3: INF}, {2: INF, 3: INF}, {2: INF, 3: 1}, {2: INF, 3: INF, 5: 1}]
+GRID_FINITE_PARTS = [(), (1,), (2,), (3,), (1, 2)]
+
+
+def test_admissibility_grid_is_pinned():
+    """3,300 types at the default bound: the verdict counts and a digest of
+    every certificate and search count.  `admissible` re-verifies each
+    certificate it returns."""
+    results = []
+    counts = {"Admissible": 0, "NotAdmissible": 0, "Unknown": 0}
+    for factors in GRID_SNS:
+        sn = SupernaturalNumber.from_factors(factors)
+        for base, ratio, finite in itertools.product(range(1, 13), range(2, 13), GRID_FINITE_PARTS):
+            result = admissible(GeneralizedFlagType(finite, GeometricTail(base, ratio), True), sn)
+            counts[type(result).__name__] += 1
+            if isinstance(result, Admissible):
+                results.append(result.certificate.to_json_obj())
+            elif isinstance(result, Unknown):
+                results.append([result.reason, result.candidates_searched])
+            else:
+                results.append(result.proof.to_json_obj())
+    assert counts == {"Admissible": 107, "NotAdmissible": 0, "Unknown": 3193}
+    text = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4f2b917f9d37dcf6"
 
 
 def test_refutation_verification_rejects_bad_witness():
