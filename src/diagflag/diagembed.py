@@ -290,10 +290,10 @@ class SweepReport(Record):
 
 
 # The most work `oracle_sweep` takes on, in the units of `sweep_work`.  It
-# admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about 9 s
+# admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about 6 s
 # on a 2-vCPU Xeon VM) and every n = 7 block count but 1 (block counts
-# 2..7: 113,787, about 14 s); n = 7 at d = 1 is 2,500,799 (84 s) and every
-# n = 8 term is at least 545,835.
+# 2..7: 113,787, about 6 s); n = 7 at d = 1 is 2,500,799 (about 62 s)
+# and every n = 8 term is at least 545,835.
 SWEEP_WORK_LIMIT = 300_000
 
 
@@ -333,6 +333,8 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
     uni_agree = 0
     uni_bad: list[dict] = []
     eval_checks = 0
+    # One memo per sweep: cases share members and whole constraint systems.
+    memo: dict = {}
     for n in range(2, n_max + 1):
         for d in d_list:
             if n % d != 0:
@@ -343,7 +345,7 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                 result = build_from_alpha(alpha, m)
                 combinatorial = isinstance(result, ParabolicRestriction)
                 flag = level_flag(alpha.values)
-                oracle = stabilizer_oracle(flag, m)
+                oracle = stabilizer_oracle(flag, m, memo)
                 if combinatorial == oracle.is_parabolic:
                     par_agree += 1
                 else:

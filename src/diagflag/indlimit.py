@@ -44,12 +44,20 @@ from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_
 
 Quotient = int | float  # positive int, or INF
 
-# Admissibility: certificates and refutations are verified on this many
-# steps, the greedy numbering gives up after `_MAX_STEPS`, and the search
-# tries multiplier cycles up to `_MAX_CYCLE_LEN` long.
+# Admissibility: a certificate lists a prefix of at least `_PREFIX_LEN`
+# steps, which is also the length a refutation records; the greedy
+# numbering gives up after `_MAX_STEPS` steps (`verify_certificate` walks
+# its own exact bound instead), and the search tries multiplier cycles up
+# to `_MAX_CYCLE_LEN` long.
 _PREFIX_LEN = 12
 _MAX_STEPS = 200
 _MAX_CYCLE_LEN = 2
+# The most steps `verify_certificate` walks, the prefix length plus the
+# cycle length.  A doubling cycle of 988 steps after a prefix of 12 takes
+# about 7 ms; the cost grows with the size of the multipliers too, and 988
+# multipliers of 2^60 take about 1.1 s, most of it in `validate_exhaustion`
+# factoring the cycle product.
+CERTIFICATE_STEP_LIMIT = 1_000
 # The most (s1, cycle) pairs one `admissible` call may try: about 0.3 s.
 _SEARCH_LIMIT = 250_000
 # The most bounding edges, the sum of d_n - 1 over the levels, that one
@@ -510,57 +518,78 @@ def verify_certificate(
     every later one is a multiple of it.  The steps place the prefix, which
     must be at least `_PREFIX_LEN` long and place every explicit quotient,
     and then follow the tail rule: each places the next tail dimension.
-    They run until, at the end of the prefix or later, the state (cycle
-    position, next tail dimension / s_(n+1)) repeats; a certificate with no
-    repeat within `_MAX_STEPS` steps is rejected.
+    The certificate is accepted when, at the end of the prefix or later,
+    the state (cycle position, next tail dimension / s_(n+1)) repeats.
+    The walk stops after P + L steps, P the prefix length and L the cycle
+    length; above `CERTIFICATE_STEP_LIMIT` steps it raises ScaleError
+    before it starts.
 
     A repeated state repeats forever.  Say the states after steps m < m'
-    agree, and let L = s_(m'+1) / s_(m+1).  Only tail dimensions remain
-    after either step, and the next one after m' is L times the next one
+    agree, and let Q = s_(m'+1) / s_(m+1).  Only tail dimensions remain
+    after either step, and the next one after m' is Q times the next one
     after m; as the cycle positions agree, the same multipliers follow, so
     for every i >= 1 the term at step m' + i and each tail dimension still
-    to come are L times those at step m + i.  Both clauses ask only whether
+    to come are Q times those at step m + i.  Both clauses ask only whether
     a dimension over a term is an integer and where it lies, and scaling
-    both by L changes neither.  So step m' + i passes exactly when step
+    both by Q changes neither.  So step m' + i passes exactly when step
     m + i does and ends in the same state: the steps m + 1 .. m', all
-    checked, repeat forever."""
+    checked, repeat forever.
+
+    P + L steps decide.  After step P only tail dimensions remain (step
+    P + 1 rejects otherwise), so each later step places the next tail
+    dimension t at term s and leaves t r / (s d) as the state's ratio,
+    where r is the tail's ratio (1 for a constant tail) and d the step's
+    multiplier.  One period of L steps keeps the cycle position and
+    multiplies the ratio by c = r^L / (d_1 ... d_L).  If c = 1, the state
+    after step P + L is the one after step P, so a certificate whose steps
+    all pass is accepted by then.  If c != 1, the ratios at one cycle
+    position grow or shrink geometrically, so no state ever repeats and
+    the clause 1 <= t / s <= d - 1 fails at some later step: the
+    certificate is false, and rejecting it after P + L steps is right."""
     if cert.kind == "finite":
         return gft.tail is None
     spec = cert.exhaustion
     if spec is None:
         return False
-    if not validate_exhaustion(spec, sn).ok:
-        return False
     prefix = cert.numbering_prefix
     if len(prefix) < _PREFIX_LEN:
+        return False
+    steps = len(prefix) + len(spec.cycle)
+    if steps > CERTIFICATE_STEP_LIMIT:
+        raise ScaleError(
+            f"a certificate with {steps} prefix and cycle steps; verification is limited to {CERTIFICATE_STEP_LIMIT}"
+        )
+    if not validate_exhaustion(spec, sn).ok:
         return False
     tail = gft.tail
     explicit = sorted(gft.finite_quotients)
     tail_k = 0
+    next_tail = None if tail is None else tail.dim(0)
     s = spec.s1
     states: set[tuple[int, Fraction]] = set()
-    for n in range(1, _MAX_STEPS + 1):
+    for n in range(1, steps + 1):
         if n > len(prefix) and (explicit or tail is None):
             return not explicit
         d = step_ratio(spec, n)
-        dim = prefix[n - 1] if n <= len(prefix) else tail.dim(tail_k)
-        ratio = Fraction(dim, s)
-        if ratio.denominator != 1 or not 1 <= ratio <= d - 1:
+        dim = prefix[n - 1] if n <= len(prefix) else next_tail
+        j, rest = divmod(dim, s)
+        if rest or not 1 <= j <= d - 1:
             return False
         if dim in explicit:
             explicit.remove(dim)
-        elif tail is not None and dim == tail.dim(tail_k):
+        elif dim == next_tail:
             tail_k += 1
+            next_tail = tail.dim(tail_k)
         else:
             return False
         for rem in explicit:
             if rem % s:
                 return False
-        if tail is not None and tail.dim(tail_k) % s:
+        if next_tail is not None and next_tail % s:
             return False
         s *= d
-        if tail is not None and not explicit:
-            state = (n % len(spec.cycle), Fraction(tail.dim(tail_k), s))
+        if next_tail is not None and not explicit:
+            state = (n % len(spec.cycle), Fraction(next_tail, s))
             if n >= len(prefix) and state in states:
                 return True
             states.add(state)

@@ -14,7 +14,7 @@ off the pivots, unless the left side is zero or the right side full.
 `_reduce` is one loop that clears each column and divides each cleared
 row by its content inline, with no helper call per row.  What `_reduce`
 returns is canonical; `_kernel_basis`, the free-column kernel basis, and
-`_stabilizer_constraints` are only spanning sets, and `_kernel` is the
+`_member_constraints` are only spanning sets, and `_kernel` is the
 canonical kernel, `_reduce` of that basis.
 `RatSubspace(ambient, int_rows)` trusts that its integer rows are
 canonical: what the library computes is canonical by construction and is
@@ -46,6 +46,11 @@ preserving a given flag, and whether the resulting subalgebra is parabolic
 relative to the standard diagonal torus.  Its constraints are sparse and
 each distinct one is kept once: the canonical kernel and the set of
 columns that are zero in every constraint depend only on their span.
+`stabilizer_oracle(flag, m, memo)` takes an optional dict that the
+caller owns, which keeps each member's rows (`_member_constraints`) and
+each solved system (`_solve_stabilizer`), so that a sweep, whose cases
+share few members and fewer systems, builds and solves each once;
+nothing is cached at module level, and no result changes.
 The nilradical oracle `nilradical_inclusion_oracle(flag, stabilizer)`
 takes that result.
 """
@@ -594,10 +599,10 @@ def _by_block(row: Sequence[int], m: int, step: int) -> dict[int, list[tuple[int
     return groups
 
 
-def _stabilizer_constraints(flag: Flag, m: int) -> list[tuple[int, ...]]:
+def _member_constraints(rows: IntRows, m: int) -> IntRows:
     """Linear constraints on vec(x) (row-major, m*m unknowns) expressing
-    that diag(x, ..., x) preserves every flag member, each distinct row
-    once, in first-seen order.
+    that diag(x, ..., x) preserves the member with canonical rows `rows`,
+    each distinct row once, in first-seen order.
 
     The constraint of a member row v and an annihilator row u is u^T
     diag(x, ..., x) v = 0; its entry (a, b) is the sum over blocks k of
@@ -605,37 +610,27 @@ def _stabilizer_constraints(flag: Flag, m: int) -> list[tuple[int, ...]]:
     and v in one block.  The rows u are the unreduced free-column basis of
     the annihilator: only its span matters.  Repeats add nothing to the
     span or to the set of columns that are nonzero somewhere."""
-    n = flag.ambient
     size = m * m
-    rows: dict[tuple[int, ...], None] = {}
-    for member in flag.chain:
-        ann = [_by_block(u, m, m) for u in _kernel_basis(member.int_rows, n)]
-        for v in member.int_rows:
-            v_blocks = _by_block(v, m, 1)
-            for u_blocks in ann:
-                row = [0] * size
-                for k, us in u_blocks.items():
-                    vs = v_blocks.get(k)
-                    if vs:
-                        for a, x in us:
-                            for b, y in vs:
-                                row[a + b] += x * y
-                rows[tuple(row)] = None
-    return list(rows)
+    ann = [_by_block(u, m, m) for u in _kernel_basis(rows, len(rows[0]))]
+    out: dict[tuple[int, ...], None] = {}
+    for v in rows:
+        v_blocks = _by_block(v, m, 1)
+        for u_blocks in ann:
+            row = [0] * size
+            for k, us in u_blocks.items():
+                vs = v_blocks.get(k)
+                if vs:
+                    for a, x in us:
+                        for b, y in vs:
+                            row[a + b] += x * y
+            out[tuple(row)] = None
+    return tuple(out)
 
 
-def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
-    """Compute q = {x in gl(m) : diag(x,...,x) preserves the flag} exactly.
-
-    The parabolicity verdict is relative to the standard diagonal torus:
-    it asks that q contain all diagonal matrices and, for each off-diagonal
-    pair, at least one of the two coordinate lines E_ij, E_ji.
-    """
-    n = flag.ambient
-    if m < 1 or n % m != 0:
-        raise DomainError(f"block size {m} does not divide ambient {n}")
+def _solve_stabilizer(constraints: IntRows, m: int) -> StabilizerResult:
+    """The stabilizer algebra cut out of gl(m) by `constraints`, with its
+    root spaces, torus and parabolicity verdict."""
     size = m * m
-    constraints = _stabilizer_constraints(flag, m)
     algebra = RatSubspace(size, _kernel(_reduce(constraints, size), size))
     # E_ab lies in the nullspace iff column a*m+b of the constraints is zero;
     # the set of such columns is a property of their span.
@@ -659,6 +654,44 @@ def stabilizer_oracle(flag: Flag, m: int) -> StabilizerResult:
         contains_torus=contains_torus,
         is_parabolic=is_parabolic,
     )
+
+
+def stabilizer_oracle(flag: Flag, m: int, memo: dict | None = None) -> StabilizerResult:
+    """Compute q = {x in gl(m) : diag(x,...,x) preserves the flag} exactly.
+
+    The parabolicity verdict is relative to the standard diagonal torus:
+    it asks that q contain all diagonal matrices and, for each off-diagonal
+    pair, at least one of the two coordinate lines E_ij, E_ji.
+
+    The constraints are the union of each member's distinct constraint
+    rows, in first-seen order.  `memo`, a dict the caller owns, keeps the
+    work of earlier calls: each member's rows under ("member", m, its
+    integer rows) and each result under ("system", m, the constraint
+    tuple).  The tags keep the two apart, as a member of Q^(m*m) and a
+    system can be the same tuple, and m is in both keys because the empty
+    chain has the empty system at every block size.  A result is a
+    function of its key alone, and the union of the members' rows in chain
+    order is the first-seen order of the rows built afresh, so a memo
+    changes no result.  Without one, a fresh dict serves the one call.
+    """
+    n = flag.ambient
+    if m < 1 or n % m != 0:
+        raise DomainError(f"block size {m} does not divide ambient {n}")
+    if memo is None:
+        memo = {}
+    rows: dict[tuple[int, ...], None] = {}
+    for member in flag.chain:
+        key = ("member", m, member.int_rows)
+        member_rows = memo.get(key)
+        if member_rows is None:
+            member_rows = memo[key] = _member_constraints(member.int_rows, m)
+        rows.update(dict.fromkeys(member_rows))
+    constraints = tuple(rows)
+    key = ("system", m, constraints)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _solve_stabilizer(constraints, m)
+    return result
 
 
 def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> bool:

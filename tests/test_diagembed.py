@@ -371,6 +371,29 @@ def test_oracle_sweep_derives_each_object_once(monkeypatch):
     assert calls == {"build": report.cases, "stabilizer": report.cases}
 
 
+def test_oracle_sweep_memo_lives_for_one_sweep(monkeypatch):
+    """Two sweeps in a row do the same stabilizer work: the memo of the
+    first is gone when the second starts, and within one sweep the cases
+    share it."""
+    calls = Counter()
+    for name in ("_member_constraints", "_solve_stabilizer"):
+        fn = getattr(ratlin, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(ratlin, name, counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        report = oracle_sweep(5, {2, 3})
+        counts.append(dict(calls))
+        assert 0 < calls["_member_constraints"] < report.cases
+        assert 0 < calls["_solve_stabilizer"] < report.cases
+    assert counts[0] == counts[1]
+
+
 def test_graph_is_validated_once(monkeypatch):
     runs = []
     clauses = EGraph.__dict__["violations"].func

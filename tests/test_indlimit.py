@@ -24,6 +24,7 @@ from diagflag.flagcore import (
     random_flag,
 )
 from diagflag.indlimit import (
+    CERTIFICATE_STEP_LIMIT,
     Admissible,
     AdmissibilityCertificate,
     ConstantTail,
@@ -543,12 +544,41 @@ def test_certificate_verification_follows_the_tail_rule_past_the_prefix():
     assert verify_certificate(gft, SN2, _numbered(1, (2,), [2**i for i in range(12)]))
 
 
-def test_certificate_verification_gives_up_without_a_repeated_state():
-    """A cycle of 250 doublings returns to its first position only after
-    `_MAX_STEPS`, so no state repeats in time, although the certificate
-    holds; the verifier rejects what it cannot settle."""
+def test_certificate_verification_accepts_a_long_cycle():
+    """A cycle of 250 doublings is the doubling chain, so the certificate
+    holds although its state first repeats after 262 steps, past the
+    greedy's `_MAX_STEPS`; the walk runs its own bound of prefix plus
+    cycle length.  Ending the cycle with a 4 instead breaks it past that
+    cap: step 250 places 2^249 at term 2^249 and leaves the term 2^251,
+    which exceeds the next tail dimension 2^250 at step 251."""
     gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
-    assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 250, [2**i for i in range(12)]))
+    prefix = [2**i for i in range(12)]
+    assert verify_certificate(gft, SN2, _numbered(1, (2,) * 250, prefix))
+    assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 249 + (4,), prefix))
+    # With the prefix's dimensions explicit and the tail from 2^12 on, no
+    # state is recorded before step 12, so the first repeat is at step
+    # 12 + 250, the last one the walk takes.
+    explicit = GeneralizedFlagType(tuple(prefix), GeometricTail(2**12, 2), True)
+    assert verify_certificate(explicit, SN2, _numbered(1, (2,) * 250, prefix))
+
+
+def test_certificate_verification_walks_steps_not_multipliers():
+    """At bound 2^50, tail(1, 2^50) over 2^inf is certified along s1 = 1,
+    cycle (2^50,).  The walk takes the prefix plus one step; a bound that
+    counted the states a multiplier allows would have 2^50 of them."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 2**50), True)
+    result = admissible(gft, SN2, bound=2**50)
+    assert result.certificate.exhaustion == ExhaustionSpec(1, (2**50,))
+    assert verify_certificate(gft, SN2, result.certificate)
+
+
+def test_certificate_verification_refuses_a_walk_beyond_its_limit():
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
+    prefix = [2**i for i in range(12)]
+    longest = CERTIFICATE_STEP_LIMIT - len(prefix)
+    assert verify_certificate(gft, SN2, _numbered(1, (2,) * longest, prefix))
+    with pytest.raises(ScaleError, match="verification is limited"):
+        verify_certificate(gft, SN2, _numbered(1, (2,) * (longest + 1), prefix))
 
 
 def test_certificate_verification_checks_a_constant_tail():

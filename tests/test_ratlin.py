@@ -509,6 +509,34 @@ def test_oracles_match_dense_references_on_conjugated_flags():
     assert parabolic > 20
 
 
+def test_a_shared_memo_changes_no_stabilizer():
+    """One memo across every level flag with n <= 6 at every block size,
+    seeded conjugated flags, and the empty chain at three block sizes:
+    each result equals a fresh call, and a sample equals the dense
+    reference.  The empty chain has the empty system at every m, so a key
+    without m would hand back the m = 2 algebra at m = 3."""
+    rng = random.Random(20261019)
+    cases = []
+    for n in range(2, 7):
+        for alpha in surjections(n):
+            flag = level_flag(alpha.values)
+            cases += [(flag, n // d) for d in range(1, n + 1) if n % d == 0]
+    for _ in range(200):
+        n = rng.choice((2, 3, 4, 4, 6, 6, 6))
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        flag = level_flag([rng.randint(1, 4) for _ in range(n)])
+        cases.append((flag.apply(block_diagonal(random_invertible_ints(n // d, rng), d)), n // d))
+    cases += [(Flag(6, ()), m) for m in (2, 3, 6)]
+    memo = {}
+    for i, (flag, m) in enumerate(cases):
+        res = stabilizer_oracle(flag, m, memo)
+        assert res == stabilizer_oracle(flag, m)
+        if i % 50 == 0 or flag.chain == ():
+            assert res == reference_stabilizer(flag, m)
+    assert len(memo) < len(cases)
+    assert [stabilizer_oracle(Flag(6, ()), m, memo).dimension for m in (2, 3, 6)] == [4, 9, 36]
+
+
 def test_nilradical_inclusion_cases():
     nested = Flag(
         4,
