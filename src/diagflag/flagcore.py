@@ -24,12 +24,24 @@ ordered keys.
 The classifier's duality pass samples the embedding's own images and
 keeps one running sum per member: the intersection of the dual images'
 members is the annihilator of that sum, taken once at the end.
+
+The classifier's sample flags depend only on the source type and the
+seed, never on the embedding, so they are drawn once per process: a
+bounded memo keeps, per (source type, seed), the flags drawn so far and
+the generator that draws the next, and every classification reads them
+by index.  Every embedding-specific step (evaluation, the merges, the eps
+solve and the verification) still runs per call.  The verification's own
+random flags are drawn per call: they are drawn only for candidates that
+pass every collected sample, and memoizing them too would more than
+double what the memo holds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -67,6 +79,13 @@ WINDOW_LIMIT = SAMPLE_LIMIT // 2
 STABLE_SAMPLES = 3
 # Fresh random flags a witness must also map right.
 VERIFY_SAMPLES = 20
+# The classifier's sampling streams kept in memory: every source type of
+# ambient at most CLASSIFY_SCALE_LIMIT (one per subset of the possible
+# member dimensions), at the strict pass's seed and the dual pass's.
+_SAMPLE_STREAMS = 2 * (2**CLASSIFY_SCALE_LIMIT - 1)
+# Serializes the draws: a draw appends to a stream that every caller
+# in the process reads.
+_SAMPLE_LOCK = threading.Lock()
 
 
 class FlagType(Record):
@@ -695,6 +714,33 @@ def _verify_witness(
     return True
 
 
+# typed: the seeds 1 and True are equal keys but name different streams.
+@functools.lru_cache(maxsize=_SAMPLE_STREAMS, typed=True)
+def _sample_stream(source_type: FlagType, seed: int) -> tuple[list[Flag], random.Random]:
+    """The classifier's sampling stream for (source type, seed): the flags
+    drawn so far, and the generator that draws the next."""
+    return [], random.Random(f"diagflag-classify-{seed}")
+
+
+def _sample_flags(source_type: FlagType, seed: int) -> Iterator[Flag]:
+    """The `random_flag` draws of `Random(f"diagflag-classify-{seed}")`, in
+    order, each drawn once while its stream is kept and then read from it.  A
+    draw that raises restores the generator, so the stream stays as if that
+    draw had never started."""
+    drawn, rng = _sample_stream(source_type, seed)
+    for i in itertools.count():
+        if i == len(drawn):
+            with _SAMPLE_LOCK:
+                if i == len(drawn):
+                    state = rng.getstate()
+                    try:
+                        drawn.append(random_flag(source_type, rng))
+                    except BaseException:
+                        rng.setstate(state)
+                        raise
+        yield drawn[i]
+
+
 def _recover_strict(
     evaluate: Callable[[Flag], Flag],
     source_type: FlagType,
@@ -710,12 +756,12 @@ def _recover_strict(
     samples: list[tuple[Flag, Flag]] = []
 
     def image_stream() -> Iterator[Flag]:
-        rng = random.Random(f"diagflag-classify-{seed}")
+        flags = _sample_flags(source_type, seed)
         flag, image = coordinate_flag(source_type), first
         while True:
             samples.append((flag, image))
             yield image
-            flag = random_flag(source_type, rng)
+            flag = next(flags)
             image = evaluate(flag)
 
     try:
@@ -794,6 +840,14 @@ def classify_bruteforce(
     running sums of the embedding's own image members.  The coordinate
     image serves the scale check and both passes.  Target dimension is
     capped at `CLASSIFY_SCALE_LIMIT`.
+
+    The sample flags of each pass are the seeded draws for (source type,
+    seed), and seed + 1 for the dual pass; they are drawn once per process
+    and kept, at most `_SAMPLE_STREAMS` streams with the least recently
+    used dropped, so the result is the same whatever was classified
+    before.  The memo holds those flags and their generators only; the
+    flags that verify a witness are drawn afresh per call, from their own
+    seeded generator.
     """
     first = evaluate(coordinate_flag(source_type))
     check_classify_scale(first.ambient)

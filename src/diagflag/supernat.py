@@ -60,13 +60,27 @@ def is_prime(n: int) -> bool:
 
 
 def _split(n: int, primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    """The nonzero exponents in n of the given primes, and the rest of n."""
+    """The nonzero exponents in n of the given primes, and the rest of n.
+
+    Each exponent is taken by repeated squaring: n is divided by p, p^2,
+    p^4, ... while each divides what is left, so the exponent left is below
+    that of the first power that failed; then by the same powers from the
+    largest down wherever they still divide, one binary digit of what is
+    left each.  An exponent v costs about 2·log2(v) divisions, not v."""
     exponents: dict[int, int] = {}
     for p in primes:
         k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
+        powers = []
+        q = p
+        while n % q == 0:
+            n //= q
+            k += 1 << len(powers)
+            powers.append(q)
+            q *= q
+        for i in reversed(range(len(powers))):
+            if n % powers[i] == 0:
+                n //= powers[i]
+                k += 1 << i
         if k:
             exponents[p] = k
     return exponents, n

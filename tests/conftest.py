@@ -278,6 +278,28 @@ def reference_dual_sampling(evaluate, source_type, seed):
     return constants, support, drawn
 
 
+def reference_sample_stream(source_type, seed):
+    """Reference: the classifier's sample flags drawn per call, the
+    `random_flag` draws of a fresh `Random(f"diagflag-classify-{seed}")`."""
+    rng = random.Random(f"diagflag-classify-{seed}")
+    while True:
+        yield random_flag(source_type, rng)
+
+
+def reference_split(n, primes):
+    """Reference: the exponents of `primes` in n and the rest of n, each
+    prime divided out one power at a time."""
+    exponents = {}
+    for p in primes:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            exponents[p] = k
+    return exponents, n
+
+
 def subspace(ambient, rows):
     return RatSubspace.span(ambient, rows)
 

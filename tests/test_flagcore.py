@@ -5,16 +5,28 @@ import itertools
 import json
 import operator
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import is_linear, reference_dual_sampling, reference_random_flag, solve_unique
+from conftest import (
+    MIXED_GRAPH,
+    MIXED_SOURCE,
+    is_linear,
+    reference_dual_sampling,
+    reference_random_flag,
+    reference_sample_stream,
+    solve_unique,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diagflag import flagcore
 from diagflag.errors import DomainError, ScaleError, replace
 from diagflag.flagcore import (
+    SAMPLE_LIMIT,
     FlagType,
     PicardPullback,
     StandardExtensionData,
@@ -35,6 +47,9 @@ from diagflag.flagcore import (
     _epsilon_candidates,
     _epsilon_solution_space,
     _kappa_candidates,
+    _SAMPLE_STREAMS,
+    _sample_flags,
+    _sample_stream,
 )
 from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import enumerate_valid_graphs
@@ -904,3 +919,177 @@ def test_witness_json_is_pinned():
     assert (kinds.count("strict_se"), kinds.count("se_via_dual"), len(kinds)) == (10, 2, 94)
     text = json.dumps(witnesses, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST
+
+
+# -- the classifier's sampling memo -------------------------------------------
+
+# Every source type a classification accepts: ambient at most 6, one type
+# per subset of the possible member dimensions.
+SOURCE_TYPES = [
+    FlagType(m, dims)
+    for m in range(1, 7)
+    for q in range(m)
+    for dims in itertools.combinations(range(1, m), q)
+]
+
+
+def test_every_source_type_and_both_seeds_fit_the_memo():
+    assert len(SOURCE_TYPES) == 63 and _SAMPLE_STREAMS == 2 * len(SOURCE_TYPES)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_streams_match_the_per_call_draws(seed):
+    """The first 40 memoized flags of every source type; with three seeds
+    the memo is over-full, so streams drop and are drawn again."""
+    for ft in SOURCE_TYPES:
+        got = list(itertools.islice(_sample_flags(ft, seed), 40))
+        assert got == list(itertools.islice(reference_sample_stream(ft, seed), 40))
+
+
+def test_equal_seeds_of_other_types_keep_their_own_streams():
+    """1, True and 1.0 are equal keys, but their seed strings differ."""
+    ft = FlagType(3, (1,))
+    for seed in (1, True, 1.0):
+        got = list(itertools.islice(_sample_flags(ft, seed), 5))
+        assert got == list(itertools.islice(reference_sample_stream(ft, seed), 5))
+
+
+def test_interleaved_readers_of_one_stream_each_see_the_per_call_draws():
+    ft, seed = FlagType(4, (1, 3)), 1_001
+    _sample_stream.cache_clear()
+    first, second = _sample_flags(ft, seed), _sample_flags(ft, seed)
+    seen = {first: [], second: []}
+    for reader in [first, first, second, first, second, second, second, first] * 3:
+        seen[reader].append(next(reader))
+    expected = list(itertools.islice(reference_sample_stream(ft, seed), 12))
+    assert seen[first] == seen[second] == expected
+    assert len(_sample_stream(ft, seed)[0]) == 12
+
+
+def test_a_draw_that_raises_leaves_the_stream_unchanged(monkeypatch):
+    """The failing draw consumes random entries before it raises; the
+    generator is restored, so the next reader still sees the per-call
+    draws."""
+    ft, seed = FlagType(5, (2, 3)), 1_002
+    real = flagcore.random_entries
+    fail = False
+
+    def random_entries(count, rng):
+        nonlocal fail
+        entries = real(count, rng)
+        if fail:
+            fail = False
+            raise RuntimeError("draw interrupted")
+        return entries
+
+    monkeypatch.setattr(flagcore, "random_entries", random_entries)
+    reader = _sample_flags(ft, seed)
+    before = [next(reader) for _ in range(3)]
+    fail = True
+    with pytest.raises(RuntimeError, match="draw interrupted"):
+        next(reader)
+    assert len(_sample_stream(ft, seed)[0]) == 3
+    got = list(itertools.islice(_sample_flags(ft, seed), 6))
+    assert got[:3] == before
+    assert got == list(itertools.islice(reference_sample_stream(ft, seed), 6))
+
+
+def test_threads_reading_one_stream_each_see_the_per_call_draws():
+    """Six threads on two vCPUs, switching every microsecond, read one
+    fresh stream; a draw lost or made twice would shift some reader's
+    sequence."""
+    ft, seed = FlagType(6, (1, 2, 4)), 1_003
+    expected = list(itertools.islice(reference_sample_stream(ft, seed), 30))
+    _sample_stream.cache_clear()
+    seen = [None] * 6
+
+    def read(i):
+        seen[i] = list(itertools.islice(_sample_flags(ft, seed), 30))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [expected] * 6
+    assert len(_sample_stream(ft, seed)[0]) == 30
+
+
+def test_classifying_twice_draws_no_new_sample_flags(monkeypatch):
+    """A strict extension (one pass, with verification draws) and a mixed
+    graph (both passes); the second classification reads every sample
+    flag from the memo and draws the verification flags afresh."""
+    real = flagcore.random_flag
+    streams = []
+    drawn = []
+
+    def random_flag(ft, rng):
+        drawn.append(any(rng is r for _, r in streams))
+        return real(ft, rng)
+
+    monkeypatch.setattr(flagcore, "random_flag", random_flag)
+    extension = absorbing_extension((1, 2), 3, 2, k0=2)
+    mixed = DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE)
+    cases = ((extension.evaluate, extension.source_type, "strict_se"), (mixed.evaluate, MIXED_SOURCE, "not_se"))
+    for evaluate, source, kind in cases:
+        _sample_stream.cache_clear()
+        streams[:] = [_sample_stream(source, seed) for seed in (0, 1)]
+        counts = []
+        results = []
+        for _ in range(2):
+            drawn.clear()
+            results.append(classify_bruteforce(evaluate, source, seed=0).to_json_obj())
+            counts.append((drawn.count(True), drawn.count(False)))
+        assert results[0] == results[1] and results[0]["kind"] == kind
+        (cold, verify_cold), (warm, verify_warm) = counts
+        assert cold == sum(len(flags) for flags, _ in streams) and warm == 0
+        assert verify_warm == verify_cold
+        assert (kind == "strict_se") == (verify_cold > 0) == (not streams[1][0])
+
+
+@pytest.fixture(scope="module")
+def criterion_05_cold():
+    """The criterion-05 set classified in order from an empty memo: the
+    witness JSON of each, and the memo's size and stream lengths after."""
+    _sample_stream.cache_clear()
+    results = [
+        classify_bruteforce(DiagonalEmbedding(g, ft).evaluate, ft, seed=0).to_json_obj()
+        for g, ft in criterion_05_instances()
+    ]
+    streams = _sample_stream.cache_info().currsize
+    # Reading the lengths through the memo adds an empty stream for each key
+    # not yet used, but drops none: the memo holds only (source type, seed 0
+    # or 1) keys, and there are exactly _SAMPLE_STREAMS of them.
+    lengths = {(ft, seed): len(_sample_stream(ft, seed)[0]) for ft in SOURCE_TYPES for seed in (0, 1)}
+    assert _sample_stream.cache_info().currsize == _SAMPLE_STREAMS
+    return results, streams, lengths
+
+
+def test_classifications_do_not_depend_on_the_memo(criterion_05_cold):
+    """The set again, in reverse order and from the memo the first run
+    left: the same witnesses, and no flag drawn."""
+    results, _, lengths = criterion_05_cold
+    warm = [
+        classify_bruteforce(DiagonalEmbedding(g, ft).evaluate, ft, seed=0).to_json_obj()
+        for g, ft in reversed(criterion_05_instances())
+    ]
+    assert warm[::-1] == results
+    assert {key: len(_sample_stream(*key)[0]) for key in lengths} == lengths
+
+
+def test_the_memo_stays_within_its_bounds_on_the_criterion_05_set(criterion_05_cold):
+    """Counted, not timed: the streams held, the flags each holds and
+    their total, pinned.  Every source type of ambient 2..6 draws at seed
+    0; only four of ambient at most 3 reach the dual pass at seed 1."""
+    _, streams, lengths = criterion_05_cold
+    used = {key: n for key, n in lengths.items() if n}
+    assert streams <= _SAMPLE_STREAMS
+    assert max(used.values()) < SAMPLE_LIMIT
+    assert (streams, len(used), sum(used.values()), max(used.values())) == (66, 66, 965, 17)
+    assert sorted(ft.ambient for ft, seed in used if seed == 1) == [2, 3, 3, 3]

@@ -2,6 +2,7 @@ import itertools
 import time
 
 import pytest
+from conftest import reference_split
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -295,3 +296,37 @@ def test_large_prime_keys_are_accepted():
     sn = SupernaturalNumber.from_json_obj({"factors": {str(2**61 - 1): "inf"}})
     assert sn.primes == (2**61 - 1,)
     assert divides_sn((2**61 - 1) ** 3, sn)
+
+
+@given(
+    st.lists(st.integers(0, 300), min_size=4, max_size=4),
+    st.sampled_from([1, 11, 13 * 17, 2**61 - 1]),
+)
+@settings(max_examples=300)
+def test_split_matches_one_power_at_a_time(exponents, rest):
+    primes = (2, 3, 5, 7)
+    n = rest
+    for p, k in zip(primes, exponents):
+        n *= p**k
+    assert supernat._split(n, primes) == reference_split(n, primes)
+    assert supernat._split(n, primes[::2]) == reference_split(n, primes[::2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 3000, 2**14 - 1, 2**14, 2**14 + 1, 40_000])
+def test_split_matches_one_power_at_a_time_on_huge_exponents(k):
+    """Exponents around powers of two, where the ascent stops one step
+    early or late, and a prime that is not in the number."""
+    for n in (2**k, 2**k * 3**5 * 9973, 3 * 2**k + 3):
+        assert supernat._split(n, (2, 3, 5)) == reference_split(n, (2, 3, 5))
+
+
+def test_validating_a_cycle_of_huge_entries_is_fast():
+    """80 entries 2^3000 make a cycle product 2^240,000; dividing out one
+    power of 2 at a time took about 15 s."""
+    spec = ExhaustionSpec(1, (2**3000,) * 80)
+    started = time.perf_counter()
+    assert validate_exhaustion(spec, SN_2).ok
+    assert validate_exhaustion(spec, SN_2_3F).violations == (
+        "cofinality: 3^1 divides the number but no term reaches exponent 1",
+    )
+    assert time.perf_counter() - started < 1.0
