@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .diagembed import DiagonalEmbedding, graph_pullback, is_linear_graph
@@ -46,19 +45,21 @@ Quotient = int | float  # positive int, or INF
 
 # Admissibility: a certificate lists a prefix of at least `_PREFIX_LEN`
 # steps, which is also the length a refutation records; the greedy
-# numbering gives up after `_MAX_STEPS` steps (`verify_certificate` walks
-# its own exact bound instead), and the search tries multiplier cycles up
-# to `_MAX_CYCLE_LEN` long.
+# numbering certifies only within `_MAX_STEPS` - 1 steps (`verify_certificate`
+# walks its own exact bound instead), and the search tries multiplier cycles
+# up to `_MAX_CYCLE_LEN` long.
 _PREFIX_LEN = 12
 _MAX_STEPS = 200
 _MAX_CYCLE_LEN = 2
 # The most steps `verify_certificate` walks, the prefix length plus the
 # cycle length.  A doubling cycle of 988 steps after a prefix of 12 takes
-# about 7 ms; the cost grows with the size of the multipliers too, and 988
-# multipliers of 2^60 take about 1.1 s, most of it in `validate_exhaustion`
-# factoring the cycle product.
+# about 1 ms; the cost grows with the size of the multipliers too: 988
+# multipliers of 2^60 take about 30 ms, and 988 of 9973^40 about 1.5 s, of
+# which `validate_exhaustion` factoring the cycle product is 0.6 s.
 CERTIFICATE_STEP_LIMIT = 1_000
-# The most (s1, cycle) pairs one `admissible` call may try: about 0.3 s.
+# The most (s1, cycle) pairs one `admissible` call may count: the listing
+# takes a few ms, and the greedy walks only the few cycles periodic for the
+# tail, at most about 0.02 s in all at bound 7,775 over 2^inf 3^inf.
 _SEARCH_LIMIT = 250_000
 # The most bounding edges, the sum of d_n - 1 over the levels, that one
 # realization may build: about 0.8 s and 1 MB of report.
@@ -75,9 +76,6 @@ class GeometricTail(Record):
         if self.base < 1 or self.ratio < 2:
             raise DomainError("geometric tail needs base >= 1 and ratio >= 2")
 
-    def dim(self, k: int) -> int:
-        return self.base * self.ratio**k
-
     def to_json_obj(self) -> dict:
         return {"kind": "geometric", "base": self.base, "ratio": self.ratio}
 
@@ -90,9 +88,6 @@ class ConstantTail(Record):
     def __post_init__(self) -> None:
         if self.value < 1:
             raise DomainError("constant tail dimension must be positive")
-
-    def dim(self, k: int) -> int:
-        return self.value
 
     def to_json_obj(self) -> dict:
         return {"kind": "constant", "value": self.value}
@@ -464,44 +459,41 @@ AdmissibilityResult = Admissible | NotAdmissible | Unknown
 
 
 def _greedy_numbering(gft: GeneralizedFlagType, s1: int, cycle: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Greedy smallest-dimension-first numbering along the exhaustion (s1,
-    cycle), which the caller has made valid.  Returns at least
-    `_PREFIX_LEN` picked dimensions once the explicit quotients are
-    exhausted and the (cycle position, tail dimension over term) state
-    repeats; the repetition certifies that both defining clauses hold
-    forever.  None when a clause fails, no pick is available, or no state
-    repeats within `_MAX_STEPS`.  The tail is geometric: the other kinds
-    are decided without a search."""
-    tail = gft.tail
+    """Greedy smallest-dimension-first numbering of a geometric tail along
+    the exhaustion (s1, cycle), which the caller has made valid and, as no
+    other cycle certifies, periodic: ratio^L = d_1 ... d_L, L = len(cycle).
+    The period rule: from step E on, the first step after which no explicit
+    quotient remains, each step places the next tail dimension, so a period
+    multiplies the state's ratio (next tail dimension over term) by ratio^L
+    / (d_1 ... d_L) = 1 and the state after step E recurs after E + L; by
+    the proof in `verify_certificate` it then repeats forever.  So the walk
+    checks both clauses through step max(`_PREFIX_LEN`, E + L) and returns
+    the picks; None when a clause fails, no pick is available, or that step
+    is not below `_MAX_STEPS`."""
+    next_tail, ratio = gft.tail.base, gft.tail.ratio
     explicit = sorted(gft.finite_quotients)
-    tail_k = 0
     picked: list[int] = []
     s = s1
-    states: set[tuple[int, Fraction]] = set()
-    certified = False
-    for n in range(1, _MAX_STEPS + 1):
-        if certified and len(picked) >= _PREFIX_LEN:
-            return tuple(picked)
+    last = None
+    for n in range(1, _MAX_STEPS):
         d = cycle[(n - 1) % len(cycle)]
-        tail_min = tail.dim(tail_k)
         # clause 2: s_n divides every remaining dimension
-        if tail_min % s or any(dim % s for dim in explicit):
+        if next_tail % s or any(dim % s for dim in explicit):
             return None
         # Every remaining dimension is now a positive multiple of s_n, so the
         # pickable ones are those below s_n * d; the smallest is picked, an
         # explicit one on a tie.
-        if explicit and explicit[0] <= tail_min and explicit[0] < s * d:
+        if explicit and explicit[0] <= next_tail and explicit[0] < s * d:
             picked.append(explicit.pop(0))
-        elif tail_min < s * d:
-            picked.append(tail_min)
-            tail_k += 1
+        elif next_tail < s * d:
+            picked.append(next_tail)
+            next_tail *= ratio
         else:
             return None
-        if not explicit:
-            state = (n % len(cycle), Fraction(tail.dim(tail_k), s * d))
-            if state in states:
-                certified = True
-            states.add(state)
+        if last is None and not explicit:
+            last = max(_PREFIX_LEN, n + len(cycle))
+        if n == last:
+            return tuple(picked)
         s *= d
     return None
 
@@ -522,7 +514,9 @@ def verify_certificate(
     the state (cycle position, next tail dimension / s_(n+1)) repeats.
     The walk stops after P + L steps, P the prefix length and L the cycle
     length; above `CERTIFICATE_STEP_LIMIT` steps it raises ScaleError
-    before it starts.
+    before it starts.  A finite certificate, with no exhaustion or prefix,
+    certifies exactly the tailless types; other kinds, and a recorded prefix
+    length that is not the prefix's, are rejected.
 
     A repeated state repeats forever.  Say the states after steps m < m'
     agree, and let Q = s_(m'+1) / s_(m+1).  Only tail dimensions remain
@@ -546,13 +540,13 @@ def verify_certificate(
     position grow or shrink geometrically, so no state ever repeats and
     the clause 1 <= t / s <= d - 1 fails at some later step: the
     certificate is false, and rejecting it after P + L steps is right."""
-    if cert.kind == "finite":
-        return gft.tail is None
-    spec = cert.exhaustion
-    if spec is None:
-        return False
     prefix = cert.numbering_prefix
-    if len(prefix) < _PREFIX_LEN:
+    if cert.verified_prefix_length != len(prefix):
+        return False
+    if cert.kind == "finite":
+        return gft.tail is None and cert.exhaustion is None and not prefix
+    spec = cert.exhaustion
+    if cert.kind != "numbered" or spec is None or len(prefix) < _PREFIX_LEN:
         return False
     steps = len(prefix) + len(spec.cycle)
     if steps > CERTIFICATE_STEP_LIMIT:
@@ -562,11 +556,13 @@ def verify_certificate(
     if not validate_exhaustion(spec, sn).ok:
         return False
     tail = gft.tail
+    if isinstance(tail, GeometricTail):
+        next_tail, ratio = tail.base, tail.ratio
+    else:
+        next_tail, ratio = (None if tail is None else tail.value), 1
     explicit = sorted(gft.finite_quotients)
-    tail_k = 0
-    next_tail = None if tail is None else tail.dim(0)
     s = spec.s1
-    states: set[tuple[int, Fraction]] = set()
+    states: set[tuple[int, int]] = set()
     for n in range(1, steps + 1):
         if n > len(prefix) and (explicit or tail is None):
             return not explicit
@@ -578,21 +574,23 @@ def verify_certificate(
         if dim in explicit:
             explicit.remove(dim)
         elif dim == next_tail:
-            tail_k += 1
-            next_tail = tail.dim(tail_k)
+            next_tail *= ratio
         else:
             return False
-        for rem in explicit:
-            if rem % s:
-                return False
-        if next_tail is not None and next_tail % s:
+        if any(rem % s for rem in explicit):
             return False
+        if next_tail is not None:
+            quotient, rest = divmod(next_tail, s)
+            if rest:
+                return False
+            # The position fixes d_n, so next tail / s_n names the state
+            # (position, next tail / s_(n+1)) by an integer.
+            if not explicit:
+                state = (n % len(spec.cycle), quotient)
+                if n >= len(prefix) and state in states:
+                    return True
+                states.add(state)
         s *= d
-        if next_tail is not None and not explicit:
-            state = (n % len(spec.cycle), Fraction(next_tail, s))
-            if n >= len(prefix) and state in states:
-                return True
-            states.add(state)
     return False
 
 
@@ -629,13 +627,14 @@ def admissible(
     `_MAX_CYCLE_LEN` divisors in [2, bound] of sn's infinite part whose
     product every infinite prime divides.  Such pairs are valid by
     construction, so none is checked: the greedy smallest-dimension
-    numbering runs on each in turn, with loop detection, and only the
-    first success is built into a certificate, which `verify_certificate`
-    re-checks.  An inconclusive search returns Unknown rather than a
-    verdict.  A bound below 2 admits no multiplier and is rejected.  The
-    search would try at most |s1 candidates| * (M + M^2) pairs for M
-    multipliers; above `_SEARCH_LIMIT` (250,000) it raises ScaleError
-    before it starts.
+    numbering runs in turn on each pair whose cycle product is the tail's
+    ratio^len(cycle), as no other cycle certifies (the period rule), and
+    only the first success is built into a certificate, which
+    `verify_certificate` re-checks.  An inconclusive search returns Unknown
+    rather than a verdict.  A bound below 2 admits no multiplier and is
+    rejected.  The search counts at most |s1 candidates| * (M + M^2) pairs
+    for M multipliers; above `_SEARCH_LIMIT` (250,000) it raises
+    ScaleError before it starts.
     """
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
@@ -685,8 +684,11 @@ def admissible(
         for cycle in itertools.product(multipliers, repeat=length)
         if math.prod(cycle) % math.prod(inf_primes) == 0
     ]
+    # By the period rule (see `_greedy_numbering`), only a cycle whose
+    # product is ratio^len(cycle) can be certified.
+    periodic = [cycle for cycle in cycles if gft.tail.ratio ** len(cycle) == math.prod(cycle)]
     for s1 in s1_candidates:
-        for cycle in cycles:
+        for cycle in periodic:
             picked = _greedy_numbering(gft, s1, cycle)
             if picked is None:
                 continue

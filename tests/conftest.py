@@ -19,7 +19,7 @@ from diagflag.egraph import (
     require_valid,
     validate_egraph,
 )
-from diagflag.errors import DomainError
+from diagflag.errors import DomainError, ScaleError
 from diagflag.flagcore import (
     _CLASSIFY_WINDOW,
     FlagType,
@@ -29,9 +29,18 @@ from diagflag.flagcore import (
     random_flag,
     support_and_constants,
 )
-from diagflag.indlimit import GraphFactor, SnGraph, _kept_vertices, factor_pullback_additivity
+from diagflag.indlimit import (
+    _MAX_STEPS,
+    _PREFIX_LEN,
+    CERTIFICATE_STEP_LIMIT,
+    ConstantTail,
+    GraphFactor,
+    SnGraph,
+    _kept_vertices,
+    factor_pullback_additivity,
+)
 from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, pivots, rref
-from diagflag.supernat import ExhaustionSpec, SupernaturalNumber, validate_exhaustion
+from diagflag.supernat import ExhaustionSpec, SupernaturalNumber, step_ratio, validate_exhaustion
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
 # hence neither linear nor a standard extension.  Encodes
@@ -298,6 +307,102 @@ def reference_split(n, primes):
         if k:
             exponents[p] = k
     return exponents, n
+
+
+def _reference_tail_dim(tail, k):
+    if isinstance(tail, ConstantTail):
+        return tail.value
+    return tail.base * tail.ratio**k
+
+
+def reference_greedy_numbering(gft, s1, cycle):
+    """Reference: the admissibility search's greedy numbering detecting
+    certification by hashing (cycle position, Fraction(tail, s_(n+1)))
+    states, for any cycle.  Returns the picked dimensions once the
+    explicit quotients are placed, a state has repeated and at least
+    `_PREFIX_LEN` steps are taken; None when a clause fails, no pick is
+    available, or no state repeats within `_MAX_STEPS`."""
+    tail = gft.tail
+    explicit = sorted(gft.finite_quotients)
+    tail_k = 0
+    picked = []
+    s = s1
+    states = set()
+    certified = False
+    for n in range(1, _MAX_STEPS + 1):
+        if certified and len(picked) >= _PREFIX_LEN:
+            return tuple(picked)
+        d = cycle[(n - 1) % len(cycle)]
+        tail_min = _reference_tail_dim(tail, tail_k)
+        if tail_min % s or any(dim % s for dim in explicit):
+            return None
+        if explicit and explicit[0] <= tail_min and explicit[0] < s * d:
+            picked.append(explicit.pop(0))
+        elif tail_min < s * d:
+            picked.append(tail_min)
+            tail_k += 1
+        else:
+            return None
+        if not explicit:
+            state = (n % len(cycle), Fraction(_reference_tail_dim(tail, tail_k), s * d))
+            if state in states:
+                certified = True
+            states.add(state)
+        s *= d
+    return None
+
+
+def reference_verify_certificate(gft, sn, cert):
+    """Reference: certificate verification keyed on Fraction states, each
+    tail dimension recomputed from its index, and no check of the
+    certificate's kind, of a finite certificate's exhaustion and prefix, or
+    of its recorded prefix length."""
+    if cert.kind == "finite":
+        return gft.tail is None
+    spec = cert.exhaustion
+    if spec is None:
+        return False
+    prefix = cert.numbering_prefix
+    if len(prefix) < _PREFIX_LEN:
+        return False
+    steps = len(prefix) + len(spec.cycle)
+    if steps > CERTIFICATE_STEP_LIMIT:
+        raise ScaleError(f"verification is limited to {CERTIFICATE_STEP_LIMIT}")
+    if not validate_exhaustion(spec, sn).ok:
+        return False
+    tail = gft.tail
+    explicit = sorted(gft.finite_quotients)
+    tail_k = 0
+    next_tail = None if tail is None else _reference_tail_dim(tail, 0)
+    s = spec.s1
+    states = set()
+    for n in range(1, steps + 1):
+        if n > len(prefix) and (explicit or tail is None):
+            return not explicit
+        d = step_ratio(spec, n)
+        dim = prefix[n - 1] if n <= len(prefix) else next_tail
+        j, rest = divmod(dim, s)
+        if rest or not 1 <= j <= d - 1:
+            return False
+        if dim in explicit:
+            explicit.remove(dim)
+        elif dim == next_tail:
+            tail_k += 1
+            next_tail = _reference_tail_dim(tail, tail_k)
+        else:
+            return False
+        for rem in explicit:
+            if rem % s:
+                return False
+        if next_tail is not None and next_tail % s:
+            return False
+        s *= d
+        if next_tail is not None and not explicit:
+            state = (n % len(spec.cycle), Fraction(next_tail, s))
+            if n >= len(prefix) and state in states:
+                return True
+            states.add(state)
+    return False
 
 
 def subspace(ambient, rows):

@@ -1,10 +1,19 @@
+import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
-from conftest import MIXED_GRAPH, PRODUCT_LEVEL_GRAPH, insertion_graph, small_graphs
+from conftest import (
+    MIXED_GRAPH,
+    PRODUCT_LEVEL_GRAPH,
+    insertion_graph,
+    reference_greedy_numbering,
+    reference_verify_certificate,
+    small_graphs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -635,6 +644,154 @@ def test_certificate_verification_rejects_a_tail_dimension_the_term_does_not_div
     gft = GeneralizedFlagType((4,), GeometricTail(2, 2), False)
     cert = _numbered(4, (2,), [4 * 2**i for i in range(12)])
     assert not verify_certificate(gft, SN2, cert)
+
+
+def test_certificate_verification_rejects_an_unknown_kind():
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
+    cert = admissible(gft, SN2).certificate
+    assert not verify_certificate(gft, SN2, replace(cert, kind="bogus"))
+    finite = GeneralizedFlagType((5, 7), None, True)
+    bogus = replace(admissible(finite, SN2).certificate, kind="bogus")
+    assert not verify_certificate(finite, SN2, bogus)
+
+
+def test_certificate_verification_rejects_a_finite_certificate_with_an_exhaustion_or_prefix():
+    gft = GeneralizedFlagType((5, 7), None, True)
+    cert = admissible(gft, SN2).certificate
+    assert verify_certificate(gft, SN2, cert)
+    numbered = admissible(GeneralizedFlagType((), GeometricTail(1, 2), False), SN2).certificate
+    assert not verify_certificate(gft, SN2, replace(numbered, kind="finite"))
+    assert not verify_certificate(gft, SN2, replace(cert, exhaustion=ExhaustionSpec(1, (2,))))
+    assert not verify_certificate(gft, SN2, replace(cert, numbering_prefix=(5,), verified_prefix_length=1))
+
+
+def test_certificate_verification_rejects_a_misrecorded_prefix_length():
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
+    cert = admissible(gft, SN2).certificate
+    for length in (0, len(cert.numbering_prefix) - 1, len(cert.numbering_prefix) + 1):
+        assert not verify_certificate(gft, SN2, replace(cert, verified_prefix_length=length))
+    finite = GeneralizedFlagType((5, 7), None, True)
+    cert = admissible(finite, SN2).certificate
+    assert not verify_certificate(finite, SN2, replace(cert, verified_prefix_length=12))
+
+
+@pytest.mark.parametrize("cycle, certified", [((2,), 198), ((2, 2), 197)])
+def test_greedy_numbering_gives_up_at_its_step_limit(cycle, certified):
+    """Explicit quotients 2^0 .. 2^(c-1) and tail(2^c, 2) over 2^inf along
+    s1 = 1: the explicit quotients are placed by step c, and the state
+    after it recurs one cycle later.  The walk certifies when that step is
+    below `_MAX_STEPS` (200)."""
+    for c in (certified, certified + 1):
+        gft = GeneralizedFlagType(tuple(2**i for i in range(c)), GeometricTail(2**c, 2), True)
+        picked = indlimit._greedy_numbering(gft, 1, cycle)
+        assert picked == reference_greedy_numbering(gft, 1, cycle)
+        if c == certified:
+            assert picked == tuple(2**i for i in range(c + len(cycle)))
+        else:
+            assert picked is None
+
+
+@st.composite
+def greedy_inputs(draw):
+    """A type with up to three explicit quotients and a geometric tail, and
+    an exhaustion of s1 and up to three multipliers, periodic for the tail
+    or not; the greedy's arithmetic asks no more of them."""
+    finite = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32]), max_size=3)))
+    tail = GeometricTail(draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12])), draw(st.sampled_from([2, 3, 4, 6, 8, 9])))
+    s1 = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    cycle = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 16]), min_size=1, max_size=3)))
+    return GeneralizedFlagType(finite, tail, True), s1, cycle
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_inputs())
+def test_greedy_numbering_matches_the_reference(inputs):
+    """The reference hashes states for any cycle; the search hands the
+    greedy only cycles with ratio^len(cycle) = cycle product, as no other
+    cycle's state ever repeats."""
+    gft, s1, cycle = inputs
+    periodic = gft.tail.ratio ** len(cycle) == math.prod(cycle)
+    expected = reference_greedy_numbering(gft, s1, cycle)
+    assert expected is None or periodic
+    if periodic:
+        assert indlimit._greedy_numbering(gft, s1, cycle) == expected
+
+
+@functools.cache
+def emitted_certificates():
+    """(type, sn, certificate) for each certificate `admissible` emits on a
+    small grid of tails and finite parts, with two finite types."""
+    out = []
+    for factors in ({2: INF}, {2: INF, 3: INF}, {2: INF, 3: 1}):
+        sn = SupernaturalNumber.from_factors(factors)
+        for base, ratio, finite in itertools.product(range(1, 9), range(2, 9), [(), (1,), (2,), (1, 2)]):
+            gft = GeneralizedFlagType(finite, GeometricTail(base, ratio), True)
+            result = admissible(gft, sn)
+            if isinstance(result, Admissible):
+                out.append((gft, sn, result.certificate))
+        gft = GeneralizedFlagType((3, 5), None, True)
+        out.append((gft, sn, admissible(gft, sn).certificate))
+    return out
+
+
+def _mutated(draw, gft, sn, cert):
+    """One mutation of a certificate, of the type it certifies or of sn."""
+    kind = draw(st.sampled_from(
+        ["none", "kind", "s1", "cycle", "pick", "cut", "extend", "length", "no_exhaustion", "quotient", "tail", "sn"]
+    ))
+    spec, prefix = cert.exhaustion, cert.numbering_prefix
+    factor = draw(st.sampled_from([2, 3, 4]))
+    if kind == "kind":
+        cert = replace(cert, kind=draw(st.sampled_from(["finite", "numbered", "bogus"])))
+    elif kind == "s1" and spec is not None:
+        cert = replace(cert, exhaustion=ExhaustionSpec(spec.s1 * factor, spec.cycle))
+    elif kind == "cycle" and spec is not None:
+        at = draw(st.integers(0, len(spec.cycle)))
+        cert = replace(cert, exhaustion=ExhaustionSpec(spec.s1, spec.cycle[:at] + (factor,) + spec.cycle[at + 1 :]))
+    elif kind == "pick" and prefix:
+        at = draw(st.integers(0, len(prefix) - 1))
+        cert = replace(cert, numbering_prefix=prefix[:at] + (prefix[at] * factor,) + prefix[at + 1 :])
+    elif kind == "cut":
+        cut = prefix[: draw(st.integers(0, len(prefix)))]
+        cert = replace(cert, numbering_prefix=cut, verified_prefix_length=len(cut))
+    elif kind == "extend":
+        longer = prefix + (draw(st.sampled_from(prefix or (1,))) * factor,)
+        cert = replace(cert, numbering_prefix=longer, verified_prefix_length=len(longer))
+    elif kind == "length":
+        cert = replace(cert, verified_prefix_length=cert.verified_prefix_length + draw(st.sampled_from([-1, 1, 5])))
+    elif kind == "no_exhaustion":
+        cert = replace(cert, exhaustion=None)
+    elif kind == "quotient":
+        gft = replace(gft, finite_quotients=gft.finite_quotients + (draw(st.sampled_from(prefix or (1,))) * factor,))
+    elif kind == "tail" and gft.tail is not None:
+        tail = draw(st.sampled_from([GeometricTail(gft.tail.base * factor, gft.tail.ratio),
+                                     GeometricTail(gft.tail.base, gft.tail.ratio * factor),
+                                     ConstantTail(gft.tail.base)]))
+        gft = replace(gft, tail=tail)
+    elif kind == "sn":
+        sn = SupernaturalNumber.from_factors({2: INF, 3: INF, 5: INF})
+    return gft, sn, cert
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_certificate_verification_matches_the_reference(data):
+    """On the certificates `admissible` emits and mutated copies of them,
+    the verifier answers as the reference does, except that it also rejects
+    an unknown kind, a finite certificate with an exhaustion or a prefix,
+    and a recorded prefix length that is not the prefix's."""
+    gft, sn, cert = data.draw(st.sampled_from(emitted_certificates()))
+    gft, sn, cert = _mutated(data.draw, gft, sn, cert)
+    well_formed = cert.verified_prefix_length == len(cert.numbering_prefix) and (
+        cert.kind == "numbered" or (cert.kind == "finite" and cert.exhaustion is None and not cert.numbering_prefix)
+    )
+    assert verify_certificate(gft, sn, cert) == (well_formed and reference_verify_certificate(gft, sn, cert))
+
+
+def test_emitted_certificates_match_the_reference():
+    for gft, sn, cert in emitted_certificates():
+        assert verify_certificate(gft, sn, cert)
+        assert reference_verify_certificate(gft, sn, cert)
 
 
 def test_refutation_verification_rejects_a_geometric_tail():
