@@ -371,9 +371,7 @@ class StandardExtensionData(Record):
         # kappa is nondecreasing and the Z_j are nested (both validated), so
         # the members eps(F_kappa(j)) + Z_j are nested too.  The integer
         # rows of eps span the same images as eps.
-        members = tuple(
-            flag.member(v).apply_ints(self.int_epsilon) + z for v, z in zip(self.kappa, self.z_chain)
-        )
+        members = _extended(flag.member, self.int_epsilon, self.kappa, self.z_chain)
         return Flag._from_nested(self.target_ambient, members)
 
     def evaluate(self, flag: Flag) -> Flag:
@@ -405,6 +403,21 @@ class StandardExtensionData(Record):
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad standard-extension document: {exc}") from exc
         return cls.from_epsilon(source, epsilon, chain, kappa, dualized)
+
+
+def _extended(
+    member: Callable[[int], RatSubspace],
+    eps: IntRows,
+    kappa: tuple[int, ...],
+    z_chain: tuple[RatSubspace, ...],
+) -> tuple[RatSubspace, ...]:
+    """The members eps(member(kappa(j))) + Z_j, with each distinct image
+    computed once: kappa is nondecreasing, so equal values are adjacent."""
+    out = []
+    for v, pairs in itertools.groupby(zip(kappa, z_chain), key=lambda pair: pair[0]):
+        image = member(v).apply_ints(eps)
+        out.extend(image + z for _, z in pairs)
+    return tuple(out)
 
 
 def se_eval(se: StandardExtensionData, flag: Flag) -> Flag:
@@ -459,7 +472,7 @@ def _strict_compose(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in b.int_epsilon
     )
     kappa = tuple(kappa_ext[v] for v in b.kappa)
-    chain = tuple(z_ext[v].apply_ints(b.int_epsilon) + z for v, z in zip(b.kappa, b.z_chain))
+    chain = _extended(z_ext.__getitem__, b.int_epsilon, b.kappa, b.z_chain)
     return StandardExtensionData(
         a.source_type, product, a.denominator * b.denominator, chain, kappa, dualized
     )
@@ -615,29 +628,44 @@ def _epsilon_solution_space(
     sampling stops once a few consecutive flags add no new rank.  They are
     built from canonical integer rows, each a nonzero multiple of the
     rational constraint, so their span is the same.
+
+    Three shortcuts leave the span after every sample as it would be with
+    every constraint, so the stopping sample and the solutions are the
+    same.  Each kappa value is constrained at its first position only: the
+    image members are nested, so the first is the smallest, its
+    annihilator the largest, and its constraints span those of the later
+    positions with the same source member.  A (source member, image
+    member) block that an earlier sample already gave is skipped, as its
+    rows are in the span already.  Rows that lie in the span are dropped
+    before the elimination, which then runs only when some row is new.
     """
     m = source_type.ambient
     width = nw * m
+    first: dict[int, int] = {}
+    for j, v in enumerate(kappa):
+        if v:
+            first.setdefault(v, j)
     acc = RatSubspace.zero(width)
+    spanned: set[tuple[IntRows, IntRows]] = set()
     stable = 0
     for flag, image in samples:
-        rows = [
-            [x * y for x in u for y in src]
-            for j, v in enumerate(kappa, start=1)
-            if v
-            for u in image.chain[j - 1].annihilator().int_rows
-            for src in flag.member(v).int_rows
-        ]
-        grown = RatSubspace.span_ints(width, acc.int_rows + tuple(rows))
-        if grown.dim == width:
-            return RatSubspace.zero(width)
-        if grown.dim == acc.dim:
+        rows = []
+        for v, j in first.items():
+            source, target = flag.member(v).int_rows, image.chain[j]
+            if (source, target.int_rows) in spanned:
+                continue
+            spanned.add((source, target.int_rows))
+            rows += [[x * y for x in u for y in src] for u in target.annihilator().int_rows for src in source]
+        new = tuple(acc.residues(rows))
+        if not new:
             stable += 1
             if stable >= STABLE_SAMPLES:
                 break
-        else:
-            stable = 0
-        acc = grown
+            continue
+        acc = RatSubspace.span_ints(width, acc.int_rows + new)
+        if acc.dim == width:
+            return RatSubspace.zero(width)
+        stable = 0
     return acc.annihilator()
 
 

@@ -57,6 +57,10 @@ _MAX_CYCLE_LEN = 2
 # multipliers of 2^60 take about 30 ms, and 988 of 9973^40 about 1.5 s, of
 # which `validate_exhaustion` factoring the cycle product is 0.6 s.
 CERTIFICATE_STEP_LIMIT = 1_000
+# The tail rule every numbered certificate states, and the only one
+# `verify_certificate` follows: past the prefix, each step places the next
+# tail dimension.  A finite certificate states none.
+NUMBERED_TAIL_RULE = "remaining tail dimensions in increasing order"
 # The most (s1, cycle) pairs one `admissible` call may count: the listing
 # takes a few ms, and the greedy walks only the few cycles periodic for the
 # tail, at most about 0.02 s in all at bound 7,775 over 2^inf 3^inf.
@@ -401,10 +405,11 @@ class AdmissibilityCertificate(Record):
     """Witness for admissibility: an exhaustion and a quotient numbering.
 
     `numbering_prefix` lists the quotient dimensions picked at steps
-    1..N; `tail_rule` documents how the numbering continues (for tails,
-    remaining tail dimensions in increasing order).  The certificate is
-    accepted only after both defining clauses are re-verified on the
-    prefix, whose length is recorded, and along the tail rule beyond it.
+    1..N; `tail_rule` states how the numbering continues:
+    `NUMBERED_TAIL_RULE` for tails, None for a finite certificate.  The
+    certificate is accepted only after both defining clauses are
+    re-verified on the prefix, whose length is recorded, and along the
+    tail rule beyond it.
     """
 
     kind: str  # "finite" | "numbered"
@@ -514,9 +519,10 @@ def verify_certificate(
     the state (cycle position, next tail dimension / s_(n+1)) repeats.
     The walk stops after P + L steps, P the prefix length and L the cycle
     length; above `CERTIFICATE_STEP_LIMIT` steps it raises ScaleError
-    before it starts.  A finite certificate, with no exhaustion or prefix,
-    certifies exactly the tailless types; other kinds, and a recorded prefix
-    length that is not the prefix's, are rejected.
+    before it starts.  A finite certificate, with no exhaustion, prefix or
+    tail rule, certifies exactly the tailless types.  Other kinds, a
+    numbered certificate whose tail rule is not `NUMBERED_TAIL_RULE`, and
+    a recorded prefix length that is not the prefix's are rejected.
 
     A repeated state repeats forever.  Say the states after steps m < m'
     agree, and let Q = s_(m'+1) / s_(m+1).  Only tail dimensions remain
@@ -544,9 +550,11 @@ def verify_certificate(
     if cert.verified_prefix_length != len(prefix):
         return False
     if cert.kind == "finite":
-        return gft.tail is None and cert.exhaustion is None and not prefix
+        return gft.tail is None and cert.exhaustion is None and not prefix and cert.tail_rule is None
     spec = cert.exhaustion
-    if cert.kind != "numbered" or spec is None or len(prefix) < _PREFIX_LEN:
+    if cert.kind != "numbered" or cert.tail_rule != NUMBERED_TAIL_RULE:
+        return False
+    if spec is None or len(prefix) < _PREFIX_LEN:
         return False
     steps = len(prefix) + len(spec.cycle)
     if steps > CERTIFICATE_STEP_LIMIT:
@@ -696,7 +704,7 @@ def admissible(
                 kind="numbered",
                 exhaustion=ExhaustionSpec(s1, cycle),
                 numbering_prefix=picked,
-                tail_rule="remaining tail dimensions in increasing order",
+                tail_rule=NUMBERED_TAIL_RULE,
                 verified_prefix_length=len(picked),
             )
             if not verify_certificate(gft, sn, cert):

@@ -9,8 +9,12 @@ subspaces is equality of representations and all values are hashable.
 
 `_reduce` is the one elimination; `rref`, `nullspace`, `span`, `+`, `&`,
 `annihilator` and `apply` (its matrix scaled to integers, which leaves
-every image span as it is) run through it, and `<=` reads coordinates
-off the pivots, unless the left side is zero or the right side full.
+every image span as it is) run through it; `+` skips it when a side is
+zero.  Containment needs no elimination: `residues` clears each vector
+at the pivots of the reduced rows, one cross-multiplication per pivot,
+and a vector lies in the span exactly when nothing is left.  `<=` runs it
+unless the left side is zero or the right side full, and `&` runs it
+both ways before it eliminates.
 `_reduce` is one loop that clears each column and divides each cleared
 row by its content inline, with no helper call per row.  What `_reduce`
 returns is canonical; `_kernel_basis`, the free-column kernel basis, and
@@ -61,7 +65,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError, Record, strict_int
 
@@ -358,7 +362,12 @@ class RatSubspace(Record):
         return len(self.int_rows)
 
     def __add__(self, other: "RatSubspace") -> "RatSubspace":
+        """Sum; a zero side returns the other side, with no elimination."""
         self._check_ambient(other)
+        if not other.int_rows:
+            return self
+        if not self.int_rows:
+            return other
         n = self.ambient
         return RatSubspace(n, _reduce(self.int_rows + other.int_rows, n))
 
@@ -389,25 +398,38 @@ class RatSubspace(Record):
         return self.dim <= other.dim and other._spans(self.int_rows)
 
     def _spans(self, vectors: Iterable[Sequence[int]]) -> bool:
-        """Whether every integer vector lies here: in reduced form its
-        coordinates are its entries at the pivots, so D v must be the sum
-        of v[p] (D / r[p]) r over the rows r with pivot p, D the lcm of the
-        pivots."""
-        rows = self.int_rows
-        piv = pivots(rows)
-        scale = lcm(*[r[p] for r, p in zip(rows, piv)])
-        basis = [(p, scale // r[p], r) for r, p in zip(rows, piv)]
-        zero = [0] * self.ambient
+        """Whether every integer vector lies here (see `residues`)."""
+        return next(self.residues(vectors), None) is None
+
+    def residues(self, vectors: Iterable[Sequence[int]]) -> Iterator[Sequence[int]]:
+        """What is left of each integer vector, in order, once it is cleared
+        at the pivots, for the vectors that do not lie here.
+
+        A vector v is cleared at each pivot p by cross-multiplying with the
+        row r of that pivot, r[p] v - v[p] r, both coefficients divided by
+        their gcd.  The rows are in reduced form, so r is zero at every
+        other pivot, and clearing p leaves the entries at the other pivots
+        as they were up to a nonzero factor.  After one pass v is zero at
+        every pivot and is a nonzero multiple of itself minus a combination
+        of the rows; that is zero exactly when v lies here, since a
+        combination of the rows that vanishes at every pivot is zero.  So v
+        lies here exactly when nothing is left, and what is left spans,
+        with the rows, what v and the rows span.  No lcm of the pivots and
+        no combination list is built."""
+        basis = list(zip(pivots(self.int_rows), self.int_rows))
         for v in vectors:
-            combination = zero
-            for p, f, r in basis:
-                c = v[p]
+            w = v
+            for p, r in basis:
+                c = w[p]
                 if c:
-                    c *= f
-                    combination = [a + c * x for a, x in zip(combination, r)]
-            if combination != [scale * x for x in v]:
-                return False
-        return True
+                    a = r[p]
+                    g = gcd(a, c)
+                    if g != 1:
+                        a //= g
+                        c //= g
+                    w = [a * x - c * y for x, y in zip(w, r)]
+            if any(w):
+                yield w
 
     def annihilator(self) -> "RatSubspace":
         """The subspace {u : <u, v> = 0 for all v here}, in dual coordinates."""

@@ -3,7 +3,7 @@
 import functools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import pytest
@@ -24,6 +24,7 @@ from diagflag.flagcore import (
     _CLASSIFY_WINDOW,
     FlagType,
     PicardPullback,
+    check_flag_type,
     coordinate_flag,
     duality,
     random_flag,
@@ -33,6 +34,7 @@ from diagflag.indlimit import (
     _MAX_STEPS,
     _PREFIX_LEN,
     CERTIFICATE_STEP_LIMIT,
+    NUMBERED_TAIL_RULE,
     ConstantTail,
     GraphFactor,
     SnGraph,
@@ -245,9 +247,42 @@ def reference_nilradical_inclusion(flag, stabilizer):
                 image = [0] * n
                 for k in range(n // m):
                     image[k * m + i - 1] = v[k * m + j - 1]
-                if not members[t - 1]._spans([image]):
+                if not reference_spans(members[t - 1], [image]):
                     return False
     return True
+
+
+def reference_spans(sub, vectors):
+    """Reference: whether every integer vector lies in `sub`, by coordinates
+    read off the pivots: D v must be the sum of v[p] (D / r[p]) r over the
+    rows r with pivot p, D the lcm of the pivots."""
+    rows = sub.int_rows
+    piv = pivots(rows)
+    scale = lcm(*[r[p] for r, p in zip(rows, piv)])
+    basis = [(p, scale // r[p], r) for r, p in zip(rows, piv)]
+    zero = [0] * sub.ambient
+    for v in vectors:
+        combination = zero
+        for p, f, r in basis:
+            c = v[p]
+            if c:
+                c *= f
+                combination = [a + c * x for a, x in zip(combination, r)]
+        if combination != [scale * x for x in v]:
+            return False
+    return True
+
+
+def reference_strict_eval(data, flag):
+    """Reference: strict evaluation member by member, eps applied to
+    F_kappa(j) at every position and each sum eliminated afresh."""
+    check_flag_type(flag, data.source_type)
+    nw = data.target_ambient
+    members = tuple(
+        RatSubspace.span_ints(nw, flag.member(v).apply_ints(data.int_epsilon).int_rows + z.int_rows)
+        for v, z in zip(data.kappa, data.z_chain)
+    )
+    return Flag._from_nested(nw, members)
 
 
 def reference_random_invertible_ints(dim, rng):
@@ -356,11 +391,12 @@ def reference_verify_certificate(gft, sn, cert):
     """Reference: certificate verification keyed on Fraction states, each
     tail dimension recomputed from its index, and no check of the
     certificate's kind, of a finite certificate's exhaustion and prefix, or
-    of its recorded prefix length."""
+    of its recorded prefix length.  The tail rule is checked as the
+    verifier checks it."""
     if cert.kind == "finite":
-        return gft.tail is None
+        return gft.tail is None and cert.tail_rule is None
     spec = cert.exhaustion
-    if spec is None:
+    if spec is None or cert.tail_rule != NUMBERED_TAIL_RULE:
         return False
     prefix = cert.numbering_prefix
     if len(prefix) < _PREFIX_LEN:

@@ -18,6 +18,7 @@ from conftest import (
     reference_dual_sampling,
     reference_random_flag,
     reference_sample_stream,
+    reference_strict_eval,
     solve_unique,
 )
 from hypothesis import assume, given, settings
@@ -433,6 +434,32 @@ def test_strict_eval_matches_the_fraction_image(rng):
             assert se.strict_eval(flag).chain == expected
 
 
+def test_shared_images_match_the_per_member_route(rng):
+    """`strict_eval`, `se_eval` and `se_compose` against
+    `reference_strict_eval`, on moved random data whose draws include
+    repeated kappa values, zero Z_j and k+1 suffixes."""
+    seen = {"repeat": 0, "zero": 0, "suffix": 0}
+    for _ in range(60):
+        se = moved(random_se(rng), rng)
+        seen["repeat"] += any(v == w for v, w in zip(se.kappa, se.kappa[1:]))
+        seen["zero"] += any(z.dim == 0 for z in se.z_chain)
+        seen["suffix"] += se.source_type.length + 1 in se.kappa
+        mid = se.target_type
+        builder = absorbing_extension if rng.random() < 0.5 else inserting_extension
+        step = builder(mid.dims, mid.ambient, rng.randint(1, 2), rng.randint(1, mid.length + 1))
+        step = replace(moved(step, rng), dualized=rng.random() < 0.5)
+        composed = se_compose(se, step)
+        for _ in range(3):
+            flag = random_flag(se.source_type, rng)
+            expected = reference_strict_eval(se, flag)
+            assert se.strict_eval(flag) == expected
+            assert se_eval(se, flag) == expected
+            assert se_eval(replace(se, dualized=True), flag) == duality(expected)
+            after = reference_strict_eval(step, expected)
+            assert se_eval(composed, flag) == (duality(after) if step.dualized else after)
+    assert min(seen.values()) > 5
+
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
@@ -682,9 +709,11 @@ def test_se_eval_always_produces_target_type(rng):
         assert type_of(image) == se.target_type
 
 
-def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_samples=3):
+def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_samples=3, counts=None):
     """The incremental Fraction echelon the classifier used to fold its eps
-    constraints into, one sample flag at a time."""
+    constraints into, one sample flag at a time, every position and every
+    block constrained.  `counts`, when given, counts the samples that have
+    rows, all of which lie in the span of those before."""
     m = source_type.ambient
     width = nw * m
     echelon, piv = [], []
@@ -714,6 +743,8 @@ def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_sam
         if len(echelon) == width:
             return ()
         if len(echelon) == before:
+            if counts is not None and any(kappa):
+                counts["spanned_sample"] += 1
             stable += 1
             if stable >= stable_samples:
                 break
@@ -858,13 +889,20 @@ def test_dual_sums_match_the_intersections_of_dual_images():
 
 def test_epsilon_solution_space_matches_the_fraction_echelon():
     """On a seeded sample of the criterion-05 embeddings (see
-    `classifier_systems`)."""
+    `classifier_systems`).  The systems include a repeated nonzero kappa
+    value and a k+1 suffix, whose later positions and repeated blocks the
+    solve skips, and samples whose rows all lie in the span before them,
+    which it drops before eliminating."""
     compared = 0
+    counts = {"repeated_value": 0, "suffix": 0, "spanned_sample": 0}
     for samples, ft, kappa, nw in classifier_systems(random.Random(5), 30):
-        expected = reference_epsilon_solution_space(samples, ft, kappa, nw)
+        expected = reference_epsilon_solution_space(samples, ft, kappa, nw, counts=counts)
         assert _epsilon_solution_space(samples, ft, kappa, nw).rows == expected
         compared += 1
+        counts["repeated_value"] += any(v == w != 0 for v, w in zip(kappa, kappa[1:]))
+        counts["suffix"] += ft.length + 1 in kappa
     assert compared >= 120
+    assert min(counts.values()) > 10
 
 
 def reference_epsilon_candidates(basis, nw, m, seed):

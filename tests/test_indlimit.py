@@ -34,6 +34,7 @@ from diagflag.flagcore import (
 )
 from diagflag.indlimit import (
     CERTIFICATE_STEP_LIMIT,
+    NUMBERED_TAIL_RULE,
     Admissible,
     AdmissibilityCertificate,
     ConstantTail,
@@ -505,6 +506,23 @@ def test_certificate_verification_rejects_tampering():
     assert not verify_certificate(gft, SN2, swapped)
 
 
+def test_certificate_verification_reads_the_tail_rule():
+    """A numbered certificate must state the numbered tail rule and a finite
+    one none; the verifier and its reference reject both swaps."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
+    cert = admissible(gft, SN2).certificate
+    assert cert.tail_rule == NUMBERED_TAIL_RULE
+    for rule in (None, "explicit dimensions in decreasing order"):
+        assert not verify_certificate(gft, SN2, replace(cert, tail_rule=rule))
+        assert not reference_verify_certificate(gft, SN2, replace(cert, tail_rule=rule))
+    finite = GeneralizedFlagType((1, 2), None, False)
+    cert = admissible(finite, SN2).certificate
+    assert cert.tail_rule is None and verify_certificate(finite, SN2, cert)
+    numbered_rule = replace(cert, tail_rule=NUMBERED_TAIL_RULE)
+    assert not verify_certificate(finite, SN2, numbered_rule)
+    assert not reference_verify_certificate(finite, SN2, numbered_rule)
+
+
 def test_certificate_verification_rejects_an_unplaced_explicit_quotient():
     """{2^20} plus tail(1, 2) over 2^inf: the prefix 1, 2, ..., 2^11 along
     s1 = 1, cycle (2) meets both clauses at every step shown, but leaves
@@ -514,7 +532,7 @@ def test_certificate_verification_rejects_an_unplaced_explicit_quotient():
         kind="numbered",
         exhaustion=ExhaustionSpec(1, (2,)),
         numbering_prefix=tuple(2**i for i in range(12)),
-        tail_rule="remaining tail dimensions in increasing order",
+        tail_rule=NUMBERED_TAIL_RULE,
         verified_prefix_length=12,
     )
     assert isinstance(admissible(gft, SN2), Unknown)
@@ -537,7 +555,7 @@ def _numbered(s1, cycle, prefix):
         kind="numbered",
         exhaustion=ExhaustionSpec(s1, cycle),
         numbering_prefix=tuple(prefix),
-        tail_rule="remaining tail dimensions in increasing order",
+        tail_rule=NUMBERED_TAIL_RULE,
         verified_prefix_length=len(prefix),
     )
 
@@ -737,12 +755,15 @@ def emitted_certificates():
 def _mutated(draw, gft, sn, cert):
     """One mutation of a certificate, of the type it certifies or of sn."""
     kind = draw(st.sampled_from(
-        ["none", "kind", "s1", "cycle", "pick", "cut", "extend", "length", "no_exhaustion", "quotient", "tail", "sn"]
+        ["none", "kind", "rule", "s1", "cycle", "pick", "cut", "extend", "length", "no_exhaustion", "quotient", "tail", "sn"]
     ))
     spec, prefix = cert.exhaustion, cert.numbering_prefix
     factor = draw(st.sampled_from([2, 3, 4]))
     if kind == "kind":
         cert = replace(cert, kind=draw(st.sampled_from(["finite", "numbered", "bogus"])))
+    elif kind == "rule":
+        rules = [None, NUMBERED_TAIL_RULE, "explicit dimensions in decreasing order"]
+        cert = replace(cert, tail_rule=draw(st.sampled_from(rules)))
     elif kind == "s1" and spec is not None:
         cert = replace(cert, exhaustion=ExhaustionSpec(spec.s1 * factor, spec.cycle))
     elif kind == "cycle" and spec is not None:

@@ -7,6 +7,7 @@ from conftest import (
     reference_nilradical_inclusion,
     reference_random_invertible_ints,
     reference_reduce,
+    reference_spans,
     reference_stabilizer,
     solve_unique,
 )
@@ -270,6 +271,17 @@ def test_sum_and_intersect_examples():
 def test_sum_rejects_ambient_mismatch():
     with pytest.raises(DomainError):
         RatSubspace.span(3, [[1, 0, 0]]) + RatSubspace.span(4, [[1, 0, 0, 0]])
+
+
+def test_sum_with_a_zero_side_is_the_other_side():
+    a = RatSubspace.span(3, [[1, 2, 0], [0, 3, 1]])
+    zero = RatSubspace.zero(3)
+    assert a + zero == a and zero + a == a and zero + zero == zero
+    for left, right in ((zero, RatSubspace.span(4, [[1, 0, 0, 0]])), (a, RatSubspace.zero(4))):
+        with pytest.raises(DomainError):
+            left + right
+        with pytest.raises(DomainError):
+            right + left
 
 
 def test_containment_of_zero_and_in_the_full_space():
@@ -739,3 +751,96 @@ def test_containment_matches_the_fraction_residual(pair, data):
     anywhere = data.draw(st.lists(fractions, min_size=n, max_size=n))
     for v in (inside, anywhere, [Fraction(0)] * n):
         assert (RatSubspace.span(n, [v]) <= b) == (not any(reference_residual(b.rows, v)))
+
+
+# -- containment by pivot clearing -------------------------------------------
+
+
+def reference_coordinate_complement(sub, within):
+    """`coordinate_complement` with the reference span test."""
+    n = sub.ambient
+    covered, chosen = sub, []
+    for v in within.int_rows:
+        if not reference_spans(covered, [v]):
+            chosen.append(v)
+            covered = RatSubspace.span_ints(n, covered.int_rows + (v,))
+    return RatSubspace.span_ints(n, chosen)
+
+
+def seeded_vectors(rng, sub, wide):
+    """Vectors to test against `sub`: the zero vector, non-primitive
+    multiples of its rows and of combinations of them, and random vectors
+    with entries up to `wide`."""
+    n = sub.ambient
+    out = [[0] * n]
+    for r in sub.int_rows:
+        out.append([rng.choice((-6, -2, 3, 4)) * x for x in r])
+    if sub.int_rows:
+        coeffs = [rng.randint(-wide, wide) for _ in sub.int_rows]
+        out.append([sum(c * r[i] for c, r in zip(coeffs, sub.int_rows)) * 2 for i in range(n)])
+    out += [[rng.randint(-wide, wide) for _ in range(n)] for _ in range(2)]
+    return out
+
+
+def test_containment_routine_matches_the_reference_spans():
+    """`<=`, `&`, `coordinate_complement` and `residues` against the
+    reference span test, on seeded subspaces of ambient at most 8 (the zero
+    and full spaces among them) and vectors that include the zero vector,
+    non-primitive multiples of member rows and entries beyond SPREAD."""
+    rng = random.Random(21)
+    wide = 12 * SPREAD
+    counts = {"inside": 0, "outside": 0, "zero": 0, "full": 0}
+    for _ in range(300):
+        n = rng.randint(1, 8)
+
+        def subspace():
+            kind = rng.randrange(6)
+            if kind == 0:
+                return RatSubspace.zero(n)
+            if kind == 1:
+                return RatSubspace.full(n)
+            rows = [[rng.randint(-wide, wide) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            return RatSubspace.span_ints(n, rows)
+
+        a, b = subspace(), subspace()
+        if rng.random() < 0.3:
+            b = a + b
+        counts["zero"] += a.dim == 0 or b.dim == 0
+        counts["full"] += a.dim == n or b.dim == n
+        for v in seeded_vectors(rng, b, wide) + [list(r) for r in a.int_rows]:
+            inside = reference_spans(b, [v])
+            counts["inside" if inside else "outside"] += 1
+            assert b._spans([v]) == inside
+            left = list(b.residues([v]))
+            assert len(left) == (not inside)
+            if left:
+                assert RatSubspace.span_ints(n, b.int_rows + (left[0],)) == b + RatSubspace.span_ints(n, [v])
+        assert (a <= b) == reference_spans(b, a.int_rows)
+        assert (b <= a) == reference_spans(a, b.int_rows)
+        meet = a & b
+        assert reference_spans(a, meet.int_rows) and reference_spans(b, meet.int_rows)
+        assert meet.dim == a.dim + b.dim - (a + b).dim
+        assert a.coordinate_complement() == reference_coordinate_complement(a, RatSubspace.full(n))
+        assert a.coordinate_complement(within=a + b) == reference_coordinate_complement(a, a + b)
+    assert min(counts.values()) > 20
+
+
+def test_nilradical_oracle_matches_the_reference_spans():
+    """Level flags of ambient at most 8, some moved by a random
+    diag(g, ..., g): wherever the stabilizer is parabolic, the oracle
+    answers as the reference built on `reference_spans` does, and both
+    answers occur."""
+    rng = random.Random(22)
+    answers = set()
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        m = rng.choice([m for m in range(1, n + 1) if n % m == 0])
+        flag = level_flag([rng.randint(1, 3) for _ in range(n)])
+        if rng.random() < 0.3:
+            flag = flag.apply(block_diagonal(random_invertible_ints(m, rng), n // m))
+        res = stabilizer_oracle(flag, m)
+        if res.is_parabolic:
+            got = nilradical_inclusion_oracle(flag, res)
+            assert got == reference_nilradical_inclusion(flag, res)
+            answers.add(got)
+    assert answers == {True, False}
