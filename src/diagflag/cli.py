@@ -5,8 +5,8 @@ operation, and prints a single JSON report with a ``verdict`` field.
 Negative mathematical verdicts (a non-parabolic restriction, an
 inadmissible type) exit 0: the tool distinguishes "the math says no"
 from failure.  Exit 1 marks an input or schema error, exit 2 an internal
-consistency failure such as `embed` finding that the closed evaluation
-formula disagrees with the cumulative reference, or an oracle mismatch.
+consistency failure such as `classify` finding that the graph criterion
+and the brute-force classification disagree, or an oracle mismatch.
 All randomness flows from --seed, and reports are byte-identical given
 identical inputs and seed.
 """
@@ -28,7 +28,7 @@ SCHEMA_VERSION = "1"
 # The most steps `exhaust --levels` accepts, so the term list is bounded.
 _LEVELS_LIMIT = 1000
 # The most entries, target ambient times the sum of the target member
-# dimensions, of the image `embed` builds: about 1 s and a 4 MB report.
+# dimensions, of the image `embed` builds: about 0.7 s and a 4 MB report.
 _IMAGE_ENTRY_LIMIT = 10**6
 # The largest target dimension d*m whose constant spaces `constants`
 # samples: each sample reduces a random m x m matrix and intersects every
@@ -103,7 +103,12 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
     tokens = text.split(",")
     if not all(_DECIMAL.fullmatch(x) for x in tokens):
         raise DomainError(f"expected comma-separated integers, got {text!r}")
-    return tuple(int(x) for x in tokens)
+    try:
+        return tuple(int(x) for x in tokens)
+    except ValueError:  # the token with the most digits is past the interpreter's limit
+        x = max(tokens, key=lambda t: len(t.lstrip("-")))
+        digits, limit = len(x.lstrip("-")), sys.get_int_max_str_digits()
+        raise DomainError(f"integer {x[:12]}... has {digits} digits, beyond the limit of {limit}") from None
 
 
 def _load_embedding(args) -> diagembed.DiagonalEmbedding:
@@ -157,7 +162,7 @@ def _cmd_embed(args) -> dict:
     if entries > _IMAGE_ENTRY_LIMIT:
         raise ScaleError(f"embed is limited to images of {_IMAGE_ENTRY_LIMIT} entries; got {entries}")
     flag = Flag.from_json_obj(_load_json(args.flag))
-    image = diagembed.checked_evaluate(emb, flag)
+    image = emb.evaluate(flag)
     return {
         "verdict": "ok",
         "target_type": emb.target_type.to_json_obj(),

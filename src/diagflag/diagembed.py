@@ -2,11 +2,11 @@
 
 A DiagonalEmbedding pairs a valid EGraph with a source flag type in Q^m
 and evaluates flags into Q^n, n = d*m, by filling each target member with
-block copies of source members as the graph dictates.  `evaluate` uses the
-closed formula, one direct sum over colours per target member.  The
-cumulative formula (a running sum over right vertices) is kept as the
-independent reference `cumulative_evaluate`; `checked_evaluate` compares
-the two, and the oracle sweep, the CLI `embed` command and the tests run it.
+block copies of source members as the graph dictates.  `evaluate`, the one
+production route, uses the closed formula: one direct sum over colours per
+target member.  The cumulative formula (a running sum over right vertices)
+is kept as `cumulative_evaluate`, the independent reference the tests
+compare `evaluate` against.
 
 The module also computes the induced matrix on Picard generators (from the
 graph alone, `graph_pullback`), the combinatorial linearity and
@@ -144,10 +144,10 @@ def _block_sums(
 
 
 def cumulative_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
-    """Reference image by the cumulative formula, the cross-check for
-    `DiagonalEmbedding.evaluate`: walk down the right column adding source
-    member i in block c for each edge (l_i, r_j) of colour c; member j is
-    the running sum after r_j."""
+    """Reference image by the cumulative formula, which the tests compare
+    `DiagonalEmbedding.evaluate` against: walk down the right column
+    adding source member i in block c for each edge (l_i, r_j) of colour
+    c; member j is the running sum after r_j."""
     g = emb.graph
     at_position = {(j, c): i for (i, j, c) in g.edges}
     acc = RatSubspace.zero(emb.n)
@@ -159,16 +159,6 @@ def cumulative_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
                 acc = acc + block_embed(flag.member(i), c, g.d)
         members.append(acc)
     return Flag(emb.n, tuple(members))
-
-
-def checked_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
-    """`emb.evaluate(flag)`, compared against the cumulative reference."""
-    image = emb.evaluate(flag)
-    if cumulative_evaluate(emb, flag) != image:
-        raise InternalCheckError(
-            "cumulative and closed evaluation formulas disagree; graph/type data is inconsistent"
-        )
-    return image
 
 
 def graph_pullback(g: EGraph) -> PicardPullback:
@@ -290,10 +280,10 @@ class SweepReport(Record):
 
 
 # The most work `oracle_sweep` takes on, in the units of `sweep_work`.  It
-# admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about 6 s
-# on a 2-vCPU Xeon VM) and every n = 7 block count but 1 (block counts
-# 2..7: 113,787, about 6 s); n = 7 at d = 1 is 2,500,799 (about 62 s)
-# and every n = 8 term is at least 545,835.
+# admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about
+# 4.5 s on a 2-vCPU Xeon VM) and every n = 7 block count but 1 (block
+# counts 2..7: 113,787, about 4.5 s); n = 7 at d = 1 is 2,500,799 (about
+# 58 s) and every n = 8 term is at least 545,835.
 SWEEP_WORK_LIMIT = 300_000
 
 
@@ -314,13 +304,13 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
     For each map and each block count d dividing n, the combinatorial
     parabolicity verdict is compared with the stabilizer oracle; when both
     say parabolic, the unipotent-inclusion criterion is compared with the
-    nilradical oracle, and the image of the restricted coordinate flag is
-    checked to be the ambient coordinate flag, by the closed formula and by
-    the cumulative reference.  Sweeps are limited to n_max <= 8 and to
-    `SWEEP_WORK_LIMIT` (ScaleError above it, before any case runs).
+    nilradical oracle, and the closed-formula image of the restricted
+    coordinate flag is checked to be the ambient coordinate flag.  Sweeps
+    run 2 <= n_max <= 8 and are limited to `SWEEP_WORK_LIMIT` (ScaleError
+    above it, before any case runs).
     """
-    if n_max > 8:
-        raise DomainError("sweeps are limited to n_max <= 8")
+    if not 2 <= n_max <= 8:
+        raise DomainError(f"sweeps need 2 <= n_max <= 8, got {n_max}")
     d_list = sorted(set(d_set))
     if d_list and d_list[0] < 1:
         raise DomainError(f"block counts must be at least 1, got {d_list[0]}")
@@ -364,7 +354,7 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                     # The tuple image is totally ordered, so the coordinate
                     # flag of beta in tuple order is the restricted flag.
                     source = level_flag(result.beta)
-                    if checked_evaluate(emb, source) != flag:
+                    if emb.evaluate(source) != flag:
                         raise InternalCheckError(
                             f"restricted coordinate flag does not map to the ambient one for alpha={alpha.values}"
                         )

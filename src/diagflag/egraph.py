@@ -197,7 +197,9 @@ class SurjectionAlpha(Record):
     def __post_init__(self) -> None:
         if len(self.values) != self.n:
             raise DomainError("value tuple length must equal n")
-        if set(self.values) != set(range(1, self.p + 1)):
+        # n values cover at most n targets; testing that first keeps the
+        # set of targets, and the memory, linear in n, whatever p is.
+        if self.p > self.n or set(self.values) != set(range(1, self.p + 1)):
             raise DomainError(f"map must be surjective onto 1..{self.p}")
 
     @classmethod

@@ -324,6 +324,8 @@ def build_realization_sn_graph(
     to `GRAPH_SIZE_LIMIT` and the sum of d_n - 1 to
     `REALIZATION_EDGE_LIMIT` (ScaleError above either).
     """
+    if levels < 1:
+        raise DomainError(f"a realization needs levels >= 1, got {levels}")
     if gft.tail is not None:
         raise DomainError("realization requires finitely many finite quotients (no tail rule)")
     if gft.ordered_presentation is None:

@@ -447,6 +447,13 @@ def subspace(ambient, rows):
 
 # -- seeded generators and helpers only the tests use ------------------------
 
+def reversed_flag(flag: Flag) -> Flag:
+    """The image of `flag` under the reversal of coordinates: a flag of the
+    same type, which differs from a coordinate flag e_1 .. e_k."""
+    n = flag.ambient
+    return flag.apply(tuple(tuple(int(i + j == n - 1) for j in range(n)) for i in range(n)))
+
+
 # Block counts d that `random_restriction` draws from.
 RANDOM_BLOCK_COUNTS = (2, 3)
 

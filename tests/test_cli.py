@@ -8,12 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import reversed_flag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagflag
-from diagflag import diagembed, flagcore
+from diagflag import diagembed, flagcore, indlimit
 from diagflag.cli import main, selftest_digest
+from diagflag.errors import ValidationReport
 
 MIXED_GRAPH_OBJ = {
     "q": 3,
@@ -111,22 +113,6 @@ def test_embed_and_classify(capsys, tmp_path):
     assert code == 0 and doc["verdict"] == "not_se"
 
 
-def test_embed_exits_2_when_the_reference_disagrees(capsys, tmp_path, monkeypatch):
-    flag = tmp_path / "flag.json"
-    flag.write_text(json.dumps({"ambient": 2, "chain": [[["1", "1"]]]}))
-    argv = ["embed", "--alpha", "1,2,2,3", "--m", "2", "--flag", str(flag)]
-    reference = diagembed.cumulative_evaluate
-    monkeypatch.setattr(
-        diagembed, "cumulative_evaluate", lambda emb, f: reference(emb, f).apply(
-            ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
-        )
-    )
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "internal check failed" in captured.err
-
-
 def test_classify_strict(capsys, tmp_path):
     emb = tmp_path / "emb.json"
     emb.write_text(
@@ -200,13 +186,13 @@ def test_constants_accepts_the_window_limit(capsys, mixed_graph_file):
     assert doc["dims"] == [0, 0, 3]
 
 
+# A linear level graph with two monochromatic factors.
+LINEAR_GRAPH = {"q": 3, "p": 3, "d": 2, "edges": [[1, 1, 1], [3, 2, 1], [2, 2, 2], [3, 3, 2]]}
+
+
 def test_factor(capsys, tmp_path):
     graph = tmp_path / "level.json"
-    graph.write_text(
-        json.dumps(
-            {"q": 3, "p": 3, "d": 2, "edges": [[1, 1, 1], [3, 2, 1], [2, 2, 2], [3, 3, 2]]}
-        )
-    )
+    graph.write_text(json.dumps(LINEAR_GRAPH))
     code, doc = run_json(capsys, "factor", "--graph", str(graph))
     assert code == 0
     assert len(doc["factors"]) == 2
@@ -236,6 +222,111 @@ def test_oracle_refuses_sweeps_beyond_the_work_limit(capsys, n_max):
     assert main(["oracle", "--n-max", n_max, "--d", "1"]) == 1
     assert time.monotonic() - started < 1.0
     _one_input_error(capsys)
+
+
+def test_an_oracle_disagreement_exits_2_with_its_report(capsys, monkeypatch):
+    code, doc = run_json(capsys, "oracle", "--n-max", "4", "--d", "2")
+    assert code == 0
+    parabolic = doc["report"]["unipotent_agreements"]
+    inclusion = diagembed.unipotent_inclusion
+    monkeypatch.setattr(diagembed, "unipotent_inclusion", lambda g: not inclusion(g))
+    code, doc = run_json(capsys, "oracle", "--n-max", "4", "--d", "2")
+    assert code == 2 and doc["verdict"] == "disagree"
+    report = doc["report"]
+    assert report["ok"] is False and report["parabolic_disagreements"] == []
+    assert report["unipotent_agreements"] == 0
+    assert len(report["unipotent_disagreements"]) == parabolic > 0
+
+
+def _negated(fn):
+    return lambda *args: not fn(*args)
+
+
+# One argv builder per internal check of the CLI, with the attribute the
+# check compares against and a wrong stand-in built from the original.
+INTERNAL_CHECKS = {
+    "classify": (
+        lambda t: ["classify", "--alpha", "1,2,2,3", "--m", "2"],
+        diagembed, "is_standard_extension_graph", _negated,
+    ),
+    "constants": (
+        lambda t: ["constants", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--source-ambient", "3"],
+        diagembed, "constant_spaces", lambda fn: lambda emb: fn(emb)[::-1],
+    ),
+    "factor": (
+        lambda t: ["factor", "--graph", write(t, "g.json", LINEAR_GRAPH)],
+        indlimit, "factor_pullback_additivity", _negated,
+    ),
+    "exhaust --gft": (
+        lambda t: ["exhaust", *_sn_spec(t), "--gft", write(t, "gft.json", GFT_LINE_THEN_REST)],
+        indlimit, "validate_sn_graph", lambda fn: lambda *args, **kw: ValidationReport(("wrong",)),
+    ),
+    "oracle (closed formula)": (
+        lambda t: ["oracle", "--n-max", "4", "--d", "2"],
+        diagembed.DiagonalEmbedding, "evaluate", lambda fn: lambda emb, f: reversed_flag(fn(emb, f)),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(INTERNAL_CHECKS))
+def test_a_failed_internal_check_exits_2(capsys, tmp_path, monkeypatch, check):
+    argv, owner, name, wrong = INTERNAL_CHECKS[check]
+    argv = argv(tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal check failed:"), captured.err
+
+
+LONG_TOKEN = "1" + "0" * 5000
+TOO_LONG = "has 5001 digits, beyond the limit of"
+# One argv builder per boundary input, with what its message must say.
+BOUNDARY_INPUTS = {
+    "--d beyond the digit limit": (lambda t: ["oracle", "--n-max", "3", "--d", LONG_TOKEN], TOO_LONG),
+    "--alpha beyond the digit limit": (
+        lambda t: ["restrict", "--alpha", f"1,{LONG_TOKEN}", "--m", "1"], TOO_LONG,
+    ),
+    "--source-dims beyond the digit limit": (
+        lambda t: [
+            "picard", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ),
+            "--source-ambient", "3", "--source-dims", f"1,{LONG_TOKEN}",
+        ],
+        TOO_LONG,
+    ),
+    "oracle --n-max below 2": (
+        lambda t: ["oracle", "--n-max", "-5", "--d", "2"], "sweeps need 2 <= n_max <= 8, got -5",
+    ),
+    "exhaust --gft --levels 0": (
+        lambda t: ["exhaust", *_sn_spec(t), "--gft", write(t, "gft.json", GFT_LINE_THEN_REST), "--levels", "0"],
+        "a realization needs levels >= 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_INPUTS))
+def test_boundary_inputs_name_what_is_wrong(capsys, tmp_path, case):
+    argv, message = BOUNDARY_INPUTS[case]
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:") and message in lines[0], captured.err
+
+
+@pytest.mark.parametrize("command", ["restrict", "embed", "classify"])
+def test_a_huge_alpha_value_is_refused_at_once(capsys, tmp_path, command):
+    huge = 10**18
+    argv = {
+        "restrict": ["restrict", "--alpha", f"1,{huge}", "--m", "1"],
+        "embed": ["embed", "--alpha", f"1,{huge}", "--m", "1", "--flag", "unread.json"],
+        "classify": ["classify", "--embedding", write(tmp_path, "emb.json", {"alpha": [1, huge], "m": 1})],
+    }[command]
+    prefix = "bad embedding document: " if command == "classify" else ""
+    _refused_at_once(capsys, argv, f"{prefix}map must be surjective onto 1..{huge}")
 
 
 def test_admissible(capsys, tmp_path):

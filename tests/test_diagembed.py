@@ -12,6 +12,7 @@ from conftest import (
     insertion_graph,
     is_linear,
     random_embedding,
+    reversed_flag,
     small_graphs,
 )
 
@@ -19,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagflag import diagembed, egraph, ratlin
+from diagflag.cli import main
 from diagflag.diagembed import (
     SWEEP_WORK_LIMIT,
     DiagonalEmbedding,
-    checked_evaluate,
     constant_spaces,
     cumulative_evaluate,
     embedding_from_alpha,
@@ -432,6 +433,8 @@ def test_oracle_sweep_small():
     assert report.cases == 78  # surjections on 2 and 4 letters
     assert report.parabolic_agreements == 78
     assert report.evaluation_checks > 0
+    with pytest.raises(DomainError, match="sweeps need 2 <= n_max <= 8, got 1"):
+        oracle_sweep(1, {2})  # the sweep starts at n = 2
 
 
 def test_sweep_work_counts_level_maps_times_stabilizer_unknowns():
@@ -518,19 +521,37 @@ def test_evaluate_matches_references_on_every_small_graph():
     assert cases > 1000
 
 
-def test_checked_evaluate_reports_a_disagreeing_reference(monkeypatch):
-    emb = DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE)
-    flag = coordinate_flag(MIXED_SOURCE)
-    assert checked_evaluate(emb, flag) == emb.evaluate(flag)
-    monkeypatch.setattr(diagembed, "cumulative_evaluate", lambda e, f: coordinate_flag(e.target_type))
-    with pytest.raises(InternalCheckError):
-        checked_evaluate(emb, random_flag(MIXED_SOURCE, random.Random(1)))
-
-
-def test_oracle_sweep_runs_the_cumulative_reference(monkeypatch):
-    monkeypatch.setattr(diagembed, "cumulative_evaluate", lambda e, f: coordinate_flag(e.target_type).dual())
-    with pytest.raises(InternalCheckError):
+def test_oracle_sweep_fails_on_a_wrong_closed_formula(monkeypatch):
+    evaluate = DiagonalEmbedding.evaluate
+    monkeypatch.setattr(DiagonalEmbedding, "evaluate", lambda emb, f: reversed_flag(evaluate(emb, f)))
+    with pytest.raises(InternalCheckError, match="does not map to the ambient one"):
         oracle_sweep(4, {2})
+
+
+def test_the_sweep_and_embed_evaluate_once_by_the_closed_formula(monkeypatch, tmp_path):
+    """The cumulative formula is the tests' reference only: no library
+    route runs it beside `evaluate`."""
+    calls = Counter()
+    evaluate = DiagonalEmbedding.evaluate
+
+    def counted_evaluate(emb, flag):
+        calls["evaluate"] += 1
+        return evaluate(emb, flag)
+
+    def counted_cumulative(emb, flag):
+        calls["cumulative"] += 1
+        return cumulative_evaluate(emb, flag)
+
+    monkeypatch.setattr(DiagonalEmbedding, "evaluate", counted_evaluate)
+    monkeypatch.setattr(diagembed, "cumulative_evaluate", counted_cumulative)
+    report = oracle_sweep(5, {2, 3})
+    assert report.ok and report.evaluation_checks > 0
+    assert calls == {"evaluate": report.evaluation_checks}
+    calls.clear()
+    flag = tmp_path / "flag.json"
+    flag.write_text('{"ambient": 2, "chain": [[["1", "1"]]]}')
+    assert main(["--out", str(tmp_path / "out.json"), "embed", "--alpha", "1,2,2,3", "--m", "2", "--flag", str(flag)]) == 0
+    assert calls == {"evaluate": 1}
 
 
 def test_graph_pullback_is_the_embedding_pullback():
