@@ -96,7 +96,15 @@ def _parse_int(text: str) -> int:
     """The argparse type of the single-integer options."""
     if not _DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise argparse.ArgumentTypeError(_too_many_digits(text)) from None
+
+
+def _too_many_digits(token: str) -> str:
+    digits, limit = len(token.lstrip("-")), sys.get_int_max_str_digits()
+    return f"integer {token[:12]}... has {digits} digits, beyond the limit of {limit}"
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -107,8 +115,7 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in tokens)
     except ValueError:  # the token with the most digits is past the interpreter's limit
         x = max(tokens, key=lambda t: len(t.lstrip("-")))
-        digits, limit = len(x.lstrip("-")), sys.get_int_max_str_digits()
-        raise DomainError(f"integer {x[:12]}... has {digits} digits, beyond the limit of {limit}") from None
+        raise DomainError(_too_many_digits(x)) from None
 
 
 def _load_embedding(args) -> diagembed.DiagonalEmbedding:

@@ -2,7 +2,8 @@
 
 A DiagonalEmbedding pairs a valid EGraph with a source flag type in Q^m
 and evaluates flags into Q^n, n = d*m, by filling each target member with
-block copies of source members as the graph dictates.  `evaluate`, the one
+block copies of source members as the graph dictates (the graphs that
+`build_from_alpha` built go through `_from_valid`, not validated again).  `evaluate`, the one
 production route, uses the closed formula: one direct sum over colours per
 target member.  The cumulative formula (a running sum over right vertices)
 is kept as `cumulative_evaluate`, the independent reference the tests
@@ -21,7 +22,6 @@ level values and of the block-level tuples.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from functools import cached_property
 from math import comb
 from typing import Callable, Iterable
@@ -57,6 +57,18 @@ class DiagonalEmbedding(Record):
 
     def __post_init__(self) -> None:
         require_valid(self.graph)
+        self._check_source()
+
+    @classmethod
+    def _from_valid(cls, graph: EGraph, source_type: FlagType) -> "DiagonalEmbedding":
+        """An embedding of a graph valid by construction: only the source length is checked."""
+        emb = object.__new__(cls)
+        object.__setattr__(emb, "graph", graph)
+        object.__setattr__(emb, "source_type", source_type)
+        emb._check_source()
+        return emb
+
+    def _check_source(self) -> None:
         if self.source_type.length != self.graph.q - 1:
             raise DomainError(
                 f"source type must have {self.graph.q - 1} members, got {self.source_type.length}"
@@ -112,7 +124,7 @@ def embedding_from_alpha(alpha: SurjectionAlpha, m: int) -> DiagonalEmbedding:
     if isinstance(result, NotParabolic):
         raise DomainError(f"restriction is not parabolic; witness {result.witness}")
     source = result.flag_type or FlagType(m, ())
-    return DiagonalEmbedding(result.graph, source)
+    return DiagonalEmbedding._from_valid(result.graph, source)
 
 
 def _block_sums(
@@ -223,8 +235,10 @@ def unipotent_inclusion(g: EGraph) -> bool:
     edge of each colour (equivalently, distinct block-level tuples differ
     in every coordinate; the tests compare the two characterizations).
     """
-    degree = Counter(i for (i, _, _) in g.edges)
-    return all(degree[i] == g.d for i in range(1, g.q + 1))
+    degree = [0] * (g.q + 1)
+    for (i, _, _) in g.edges:
+        degree[i] += 1
+    return degree[1:] == [g.d] * g.q
 
 
 class EquivarianceReport(Record):
@@ -281,9 +295,9 @@ class SweepReport(Record):
 
 # The most work `oracle_sweep` takes on, in the units of `sweep_work`.  It
 # admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about
-# 4.5 s on a 2-vCPU Xeon VM) and every n = 7 block count but 1 (block
-# counts 2..7: 113,787, about 4.5 s); n = 7 at d = 1 is 2,500,799 (about
-# 58 s) and every n = 8 term is at least 545,835.
+# 3.4 s on a 2-vCPU Xeon VM) and every n = 7 block count but 1 (block
+# counts 2..7: 113,787, about 3.9 s); n = 7 at d = 1 is 2,500,799 (about
+# 39 s) and every n = 8 term is at least 545,835.
 SWEEP_WORK_LIMIT = 300_000
 
 
@@ -350,7 +364,7 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                 else:
                     uni_bad.append({"alpha": list(alpha.values), "m": m})
                 if result.flag_type is not None:
-                    emb = DiagonalEmbedding(result.graph, result.flag_type)
+                    emb = DiagonalEmbedding._from_valid(result.graph, result.flag_type)
                     # The tuple image is totally ordered, so the coordinate
                     # flag of beta in tuple order is the restricted flag.
                     source = level_flag(result.beta)

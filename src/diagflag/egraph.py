@@ -203,6 +203,15 @@ class SurjectionAlpha(Record):
             raise DomainError(f"map must be surjective onto 1..{self.p}")
 
     @classmethod
+    def _from_surjective(cls, n: int, p: int, values: tuple[int, ...]) -> "SurjectionAlpha":
+        """A map surjective by construction; no check runs."""
+        alpha = object.__new__(cls)
+        object.__setattr__(alpha, "n", n)
+        object.__setattr__(alpha, "p", p)
+        object.__setattr__(alpha, "values", values)
+        return alpha
+
+    @classmethod
     def of(cls, values: Sequence[int]) -> "SurjectionAlpha":
         vals = tuple(strict_int(v, "an alpha value") for v in values)
         return cls(len(vals), max(vals, default=0), vals)
@@ -236,16 +245,14 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
     if m < 1 or n % m != 0:
         raise DomainError(f"block size {m} does not divide {n}")
     d = n // m
-    beta = tuple(
-        tuple(alpha.values[k * m + r] for k in range(d)) for r in range(m)
-    )
+    beta = tuple(zip(*(alpha.values[k * m : (k + 1) * m] for k in range(d))))
     image = sorted(set(beta))
     # Distinct tuples in lexicographic order: a later tuple y is comparable
     # with x exactly when x <= y componentwise, so the order is total when
     # each tuple is <= the next.
     for x, y in zip(image, image[1:]):
         if not all(map(le, x, y)):
-            return NotParabolic(witness=_first_incomparable(image))
+            return NotParabolic(_first_incomparable(image))
     q = len(image)
     edges: set[Edge] = set()
     for k in range(d):
@@ -316,7 +323,8 @@ def all_surjections(n: int, p: int) -> Iterator[SurjectionAlpha]:
 
     Depth first over the positions, smallest value first; a value is
     placed only when the positions left after it can still take every
-    value the prefix misses, so no dead prefix is extended."""
+    value the prefix misses: no dead prefix is extended, and every full
+    tuple is surjective, so its record is built unchecked."""
     values: list[int] = []
 
     def extend(taken: int, missing: int) -> Iterator[SurjectionAlpha]:
@@ -330,7 +338,7 @@ def all_surjections(n: int, p: int) -> Iterator[SurjectionAlpha]:
                 if left:
                     yield from extend(taken | 1 << v, missing - new)
                 else:
-                    yield SurjectionAlpha(n, p, tuple(values))
+                    yield SurjectionAlpha._from_surjective(n, p, tuple(values))
                 values.pop()
 
     if n > 0:

@@ -40,7 +40,10 @@ the private `Flag._from_nested`: `Flag.apply` (a linear image keeps
 inclusions), `Flag.dual` (annihilators reverse them) and the builders in
 `flagcore` and `diagembed`.  It keeps the checks on the ambient, on proper
 nonzero members and on strictly increasing dimensions, so a singular
-matrix that collapses the chain is still rejected.
+matrix that collapses the chain is still rejected.  Likewise the graphs
+`build_from_alpha` makes valid by construction (the tests check every
+level map with n <= 6) are embedded by `DiagonalEmbedding._from_valid`,
+not validated again, and `all_surjections` emits its records unchecked.
 
 The stabilizer oracle at the bottom of the module is the independent
 brute-force route used to cross-check the combinatorial criteria of the
@@ -56,7 +59,7 @@ each solved system (`_solve_stabilizer`), so that a sweep, whose cases
 share few members and fewer systems, builds and solves each once;
 nothing is cached at module level, and no result changes.
 The nilradical oracle `nilradical_inclusion_oracle(flag, stabilizer)`
-takes that result.
+takes that result and builds only the nonzero generator images.
 """
 
 from __future__ import annotations
@@ -517,15 +520,17 @@ class Flag(Record):
         return flag
 
     def _check(self, nested: bool) -> None:
-        prev = None
+        ambient = self.ambient
+        prev, prev_dim = None, 0
         for sub in self.chain:
-            if sub.ambient != self.ambient:
+            if sub.ambient != ambient:
                 raise DomainError("flag member has wrong ambient dimension")
-            if not 0 < sub.dim < self.ambient:
+            dim = len(sub.int_rows)
+            if not 0 < dim < ambient:
                 raise DomainError("flag members must be proper and nonzero")
-            if prev is not None and not (sub.dim > prev.dim and (nested or prev <= sub)):
+            if prev is not None and not (dim > prev_dim and (nested or prev <= sub)):
                 raise DomainError("flag chain must be strictly increasing")
-            prev = sub
+            prev, prev_dim = sub, dim
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -725,7 +730,7 @@ def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> boo
     nil(q) is spanned by the E_ij with E_ji absent.  Each generator is
     embedded block-diagonally and tested against the strict-descent
     condition x F_t <= F_{t-1}, with one span test per member F_t for the
-    images of its rows under every generator.
+    nonzero images of its rows under every generator.
     """
     m = stabilizer.block_size
     if not stabilizer.is_parabolic:
@@ -737,14 +742,16 @@ def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> boo
     nil_q = [(i, j) for (i, j) in sorted(roots) if (j, i) not in roots]
     members = [flag.member(t) for t in range(len(flag.chain) + 2)]
     for t in range(1, len(members)):
+        # A zero image lies in every span, so only nonzero ones are built.
         images = []
         for (i, j) in nil_q:
             a, b = i - 1, j - 1
             for v in members[t].int_rows:
-                image = [0] * n
-                for k in range(0, n, m):
-                    image[k + a] = v[k + b]
-                images.append(image)
+                column = v[b::m]
+                if any(column):
+                    image = [0] * n
+                    image[a::m] = column
+                    images.append(image)
         if not members[t - 1]._spans(images):
             return False
     return True

@@ -297,6 +297,7 @@ BOUNDARY_INPUTS = {
         ],
         TOO_LONG,
     ),
+    "--m beyond the digit limit": (lambda t: ["restrict", "--alpha", "1,2", "--m", LONG_TOKEN], TOO_LONG),
     "oracle --n-max below 2": (
         lambda t: ["oracle", "--n-max", "-5", "--d", "2"], "sweeps need 2 <= n_max <= 8, got -5",
     ),
@@ -315,6 +316,7 @@ def test_boundary_inputs_name_what_is_wrong(capsys, tmp_path, case):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error:") and message in lines[0], captured.err
+    assert len(lines[0]) < 200 and "_parse_int" not in lines[0]
 
 
 @pytest.mark.parametrize("command", ["restrict", "embed", "classify"])

@@ -413,6 +413,38 @@ def test_graph_is_validated_once(monkeypatch):
     assert runs == [g]
 
 
+def test_built_graphs_are_not_validated_again(monkeypatch):
+    """The sweep and `embedding_from_alpha` trust what `build_from_alpha`
+    built: no validity clause runs."""
+    runs = []
+    clauses = EGraph.__dict__["violations"].func
+
+    def counted(g):
+        runs.append(g)
+        return clauses(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(EGraph, "violations")
+    monkeypatch.setattr(EGraph, "violations", prop)
+    report = oracle_sweep(5, {2, 3})
+    assert report.ok and report.evaluation_checks > 0
+    emb = embedding_from_alpha(SurjectionAlpha.of([1, 2, 2, 3]), 2)
+    assert emb.source_type == FlagType(2, (1,))
+    assert runs == []
+
+
+def test_the_public_constructors_still_validate(capsys, tmp_path):
+    bad = EGraph(2, 1, 1, frozenset({(1, 1, 1)}))  # l2 meets no edge
+    with pytest.raises(DomainError, match="invalid graph"):
+        DiagonalEmbedding(bad, FlagType(2, (1,)))
+    with pytest.raises(DomainError, match="surjective"):
+        SurjectionAlpha(3, 3, (1, 1, 2))
+    flag = tmp_path / "flag.json"
+    flag.write_text('{"ambient": 2, "chain": [[["1", "1"]]]}')
+    assert main(["embed", "--alpha", "1,2,2,1", "--m", "2", "--flag", str(flag)]) == 1
+    assert "not parabolic" in capsys.readouterr().err
+
+
 def test_equivariance_reference_graphs():
     emb = DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE)
     assert equivariance_check(emb, trials=50, seed=0).ok

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import (
     CLOSED_INDEX_LIMIT,
     GRAPH_SIZE_LIMIT,
@@ -180,15 +182,53 @@ def test_surjection_of_takes_integers_only(bad):
         SurjectionAlpha.of([1, bad, 2])
 
 
+def assert_built_restriction_is_valid(alpha: SurjectionAlpha, m: int) -> bool:
+    """What the trusted embeddings of built graphs rest on: the graph is
+    valid, the flag type has q - 1 members, and the trusted embedding is
+    the validated one.  Whether the restriction is parabolic."""
+    result = build_from_alpha(alpha, m)
+    if not isinstance(result, ParabolicRestriction):
+        return False
+    graph = result.graph
+    assert validate_egraph(graph).ok, alpha
+    source = result.flag_type or FlagType(m, ())
+    assert source.length == graph.q - 1, alpha
+    assert DiagonalEmbedding._from_valid(graph, source) == DiagonalEmbedding(graph, source)
+    return True
+
+
 def test_built_graphs_always_valid_exhaustively():
-    for n in range(2, 7):
-        for d in (2, 3):
+    parabolic = Counter()
+    for n in range(1, 7):
+        for d in range(1, n + 1):
             if n % d:
                 continue
             for alpha in surjections(n):
-                result = build_from_alpha(alpha, n // d)
-                if isinstance(result, ParabolicRestriction):
-                    assert validate_egraph(result.graph).ok, alpha
+                parabolic[d] += assert_built_restriction_is_valid(alpha, n // d)
+    assert min(parabolic.values()) > 0 and set(parabolic) == set(range(1, 7))
+
+
+def test_built_graphs_valid_on_a_seeded_sample_up_to_n_12():
+    rng = random.Random(23)
+    several_blocks_of_several = 0  # parabolic cases with 1 < d < n
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        p = rng.randint(1, n)
+        values = [*range(1, p + 1), *(rng.randint(1, p) for _ in range(n - p))]
+        rng.shuffle(values)
+        alpha = SurjectionAlpha.of(values)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                parabolic = assert_built_restriction_is_valid(alpha, n // d)
+                several_blocks_of_several += parabolic and 1 < d < n
+    assert several_blocks_of_several > 100
+
+
+def test_enumerated_surjections_are_the_checked_records():
+    for n in range(0, 7):
+        for p in range(0, n + 1):
+            for alpha in all_surjections(n, p):
+                assert alpha == SurjectionAlpha.of(alpha.values)
 
 
 def test_colour_classes_are_monotone_matchings():
