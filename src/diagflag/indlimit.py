@@ -43,26 +43,20 @@ from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_
 
 Quotient = int | float  # positive int, or INF
 
-# Admissibility: a certificate lists a prefix of at least `_PREFIX_LEN`
-# steps, which is also the length a refutation records; the greedy
-# numbering certifies only within `_MAX_STEPS` - 1 steps (`verify_certificate`
-# walks its own exact bound instead), and the search tries multiplier cycles
-# up to `_MAX_CYCLE_LEN` long.
-_PREFIX_LEN = 12
+# Admissibility: the search certifies within `_MAX_STEPS` - 1 steps
+# (`verify_certificate` walks its own exact bound instead), and tries
+# multiplier cycles up to `_MAX_CYCLE_LEN` long.
 _MAX_STEPS = 200
 _MAX_CYCLE_LEN = 2
-# The most steps `verify_certificate` walks, the prefix length plus the
-# cycle length.  A doubling cycle of 988 steps after a prefix of 12 takes
-# about 1 ms; the cost grows with the size of the multipliers too: 988
-# multipliers of 2^60 take about 30 ms, and 988 of 9973^40 about 1.5 s, of
-# which `validate_exhaustion` factoring the cycle product is 0.6 s.
+# The most steps `verify_certificate` walks, E + L: the step that places the
+# largest explicit quotient plus the cycle length.  A doubling cycle of 999
+# steps takes about 2 ms; the cost grows with the size of the multipliers
+# too: 999 multipliers of 2^60 take about 50 ms, and 999 of 9973^40 about
+# 1.7 s, of which `validate_exhaustion` factoring the cycle product is 0.6 s;
+# 998 explicit quotients take about 0.3 s, as each step rescans those left.
 CERTIFICATE_STEP_LIMIT = 1_000
-# The tail rule every numbered certificate states, and the only one
-# `verify_certificate` follows: past the prefix, each step places the next
-# tail dimension.  A finite certificate states none.
-NUMBERED_TAIL_RULE = "remaining tail dimensions in increasing order"
 # The most (s1, cycle) pairs one `admissible` call may count: the listing
-# takes a few ms, and the greedy walks only the few cycles periodic for the
+# takes a few ms, and the walk follows only the few cycles periodic for the
 # tail, at most about 0.02 s in all at bound 7,775 over 2^inf 3^inf.
 _SEARCH_LIMIT = 250_000
 # The most bounding edges, the sum of d_n - 1 over the levels, that one
@@ -404,29 +398,18 @@ def _detect_period(graphs: Sequence[EGraph]) -> int | None:
 
 
 class AdmissibilityCertificate(Record):
-    """Witness for admissibility: an exhaustion and a quotient numbering.
-
-    `numbering_prefix` lists the quotient dimensions picked at steps
-    1..N; `tail_rule` states how the numbering continues:
-    `NUMBERED_TAIL_RULE` for tails, None for a finite certificate.  The
-    certificate is accepted only after both defining clauses are
-    re-verified on the prefix, whose length is recorded, and along the
-    tail rule beyond it.
-    """
+    """Witness for admissibility: the exhaustion the quotients are numbered
+    along, or none for a type without a tail (kind "finite").  A numbered
+    certificate needs nothing else, as the numbering along an exhaustion is
+    forced (see `verify_certificate`)."""
 
     kind: str  # "finite" | "numbered"
     exhaustion: ExhaustionSpec | None
-    numbering_prefix: tuple[int, ...]
-    tail_rule: str | None
-    verified_prefix_length: int
 
     def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,
             "exhaustion": None if self.exhaustion is None else self.exhaustion.to_json_obj(),
-            "numbering_prefix": list(self.numbering_prefix),
-            "tail_rule": self.tail_rule,
-            "verified_prefix_length": self.verified_prefix_length,
         }
 
 
@@ -438,14 +421,12 @@ class RefutationProof(Record):
 
     constant_value: int
     witness_divisor: int
-    verified_prefix_length: int
 
     def to_json_obj(self) -> dict:
         return {
             "kind": "constant_tail_divisibility",
             "constant_value": self.constant_value,
             "witness_divisor": self.witness_divisor,
-            "verified_prefix_length": self.verified_prefix_length,
         }
 
 
@@ -465,66 +446,70 @@ class Unknown(Record):
 AdmissibilityResult = Admissible | NotAdmissible | Unknown
 
 
-def _greedy_numbering(gft: GeneralizedFlagType, s1: int, cycle: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Greedy smallest-dimension-first numbering of a geometric tail along
-    the exhaustion (s1, cycle), which the caller has made valid and, as no
-    other cycle certifies, periodic: ratio^L = d_1 ... d_L, L = len(cycle).
-    The period rule: from step E on, the first step after which no explicit
-    quotient remains, each step places the next tail dimension, so a period
-    multiplies the state's ratio (next tail dimension over term) by ratio^L
-    / (d_1 ... d_L) = 1 and the state after step E recurs after E + L; by
-    the proof in `verify_certificate` it then repeats forever.  So the walk
-    checks both clauses through step max(`_PREFIX_LEN`, E + L) and returns
-    the picks; None when a clause fails, no pick is available, or that step
-    is not below `_MAX_STEPS`."""
-    next_tail, ratio = gft.tail.base, gft.tail.ratio
+def _walk(gft: GeneralizedFlagType, s1: int, cycle: tuple[int, ...], limit: int) -> bool | None:
+    """Walk the forced order along the exhaustion (s1, cycle): each step
+    places the smallest remaining dimension, an explicit one on a tie, and
+    checks both clauses (it is j * s_n with 1 <= j <= d_n - 1; s_n divides
+    every dimension still to be placed, of the tail only the next).  True
+    when, once no explicit quotient is left, the state (cycle position,
+    next tail / s_(n+1)) repeats; False when a clause fails; None when
+    neither happens within `limit` steps."""
+    tail = gft.tail
+    next_tail, ratio = (tail.base, tail.ratio) if isinstance(tail, GeometricTail) else (tail.value, 1)
     explicit = sorted(gft.finite_quotients)
-    picked: list[int] = []
     s = s1
-    last = None
-    for n in range(1, _MAX_STEPS):
+    states: set[tuple[int, int]] = set()
+    for n in range(1, limit + 1):
         d = cycle[(n - 1) % len(cycle)]
         # clause 2: s_n divides every remaining dimension
         if next_tail % s or any(dim % s for dim in explicit):
-            return None
-        # Every remaining dimension is now a positive multiple of s_n, so the
-        # pickable ones are those below s_n * d; the smallest is picked, an
-        # explicit one on a tie.
-        if explicit and explicit[0] <= next_tail and explicit[0] < s * d:
-            picked.append(explicit.pop(0))
-        elif next_tail < s * d:
-            picked.append(next_tail)
-            next_tail *= ratio
+            return False
+        if explicit and explicit[0] <= next_tail:
+            dim = explicit.pop(0)
         else:
-            return None
-        if last is None and not explicit:
-            last = max(_PREFIX_LEN, n + len(cycle))
-        if n == last:
-            return tuple(picked)
+            dim, next_tail = next_tail, next_tail * ratio
+        # clause 1: dim, now known to be a positive multiple of s_n, is below s_(n+1)
+        if dim >= s * d:
+            return False
+        if not explicit:
+            # The position fixes d_n, so next tail / s_n names the state
+            # (position, next tail / s_(n+1)) by an integer.
+            state = (n % len(cycle), next_tail // s)
+            if state in states:
+                return True
+            states.add(state)
         s *= d
     return None
 
 
+def _explicit_steps(gft: GeneralizedFlagType) -> int | None:
+    """E, the step of the forced order that places the largest explicit
+    quotient (1 when there is none), counted to just past the step limit;
+    None when a constant tail below it comes first forever."""
+    if not gft.finite_quotients:
+        return 1
+    top, tail, steps = max(gft.finite_quotients), gft.tail, len(gft.finite_quotients)
+    if isinstance(tail, ConstantTail):
+        return steps if tail.value >= top else None
+    dim = tail.base
+    while dim < top and steps <= CERTIFICATE_STEP_LIMIT:
+        steps, dim = steps + 1, dim * tail.ratio
+    return steps
+
+
 def verify_certificate(
-    gft: GeneralizedFlagType,
-    sn: SupernaturalNumber,
-    cert: AdmissibilityCertificate,
+    gft: GeneralizedFlagType, sn: SupernaturalNumber, cert: AdmissibilityCertificate
 ) -> bool:
-    """Recompute both defining clauses of admissibility along the
-    certificate's exhaustion, step by step: the dimension placed at step n
-    is j * s_n with 1 <= j <= d_n - 1, and s_n divides every dimension
-    still to be placed.  Of the tail only the next dimension is asked, as
-    every later one is a multiple of it.  The steps place the prefix, which
-    must be at least `_PREFIX_LEN` long and place every explicit quotient,
-    and then follow the tail rule: each places the next tail dimension.
-    The certificate is accepted when, at the end of the prefix or later,
-    the state (cycle position, next tail dimension / s_(n+1)) repeats.
-    The walk stops after P + L steps, P the prefix length and L the cycle
-    length; above `CERTIFICATE_STEP_LIMIT` steps it raises ScaleError
-    before it starts.  A finite certificate, with no exhaustion, prefix or
-    tail rule, certifies exactly the tailless types.  Other kinds, a
-    numbered certificate whose tail rule is not `NUMBERED_TAIL_RULE`, and
-    a recorded prefix length that is not the prefix's are rejected.
+    """Decide a certificate by both defining clauses of admissibility.  A
+    finite certificate, with no exhaustion, certifies exactly the types
+    without a tail; a numbered one, an exhaustion for a type with a tail.
+    The numbering along it is forced: the dimension placed at step n is
+    below s_(n+1), which divides every dimension still to be placed, so
+    they are placed in increasing order.  `_walk` follows that order for
+    E + L steps, E the step that places the largest explicit quotient (1
+    when there is none; read off the type) and L the cycle length, and
+    accepts when a state repeats.  Above `CERTIFICATE_STEP_LIMIT` steps
+    ScaleError is raised before the exhaustion is validated.
 
     A repeated state repeats forever.  Say the states after steps m < m'
     agree, and let Q = s_(m'+1) / s_(m+1).  Only tail dimensions remain
@@ -537,71 +522,31 @@ def verify_certificate(
     m + i does and ends in the same state: the steps m + 1 .. m', all
     checked, repeat forever.
 
-    P + L steps decide.  After step P only tail dimensions remain (step
-    P + 1 rejects otherwise), so each later step places the next tail
-    dimension t at term s and leaves t r / (s d) as the state's ratio,
-    where r is the tail's ratio (1 for a constant tail) and d the step's
-    multiplier.  One period of L steps keeps the cycle position and
-    multiplies the ratio by c = r^L / (d_1 ... d_L).  If c = 1, the state
-    after step P + L is the one after step P, so a certificate whose steps
-    all pass is accepted by then.  If c != 1, the ratios at one cycle
-    position grow or shrink geometrically, so no state ever repeats and
-    the clause 1 <= t / s <= d - 1 fails at some later step: the
-    certificate is false, and rejecting it after P + L steps is right."""
-    prefix = cert.numbering_prefix
-    if cert.verified_prefix_length != len(prefix):
-        return False
-    if cert.kind == "finite":
-        return gft.tail is None and cert.exhaustion is None and not prefix and cert.tail_rule is None
+    E + L steps decide.  After step E only tail dimensions remain, so each
+    later step places the next tail dimension t at term s and leaves
+    t r / (s d) as the state's ratio, where r is the tail's ratio (1 for a
+    constant tail) and d the step's multiplier.  One period of L steps
+    keeps the cycle position and multiplies the ratio by
+    c = r^L / (d_1 ... d_L).  If c = 1, the state after step E + L is the
+    one after step E, so a certificate whose steps all pass is accepted by
+    then.  If c != 1, the ratios at one cycle position grow or shrink
+    geometrically, so no state ever repeats and the clause
+    1 <= t / s <= d - 1 fails at some later step: the certificate is
+    false, and rejecting it after E + L steps is right."""
     spec = cert.exhaustion
-    if cert.kind != "numbered" or cert.tail_rule != NUMBERED_TAIL_RULE:
+    if cert.kind == "finite":
+        return gft.tail is None and spec is None
+    if cert.kind != "numbered" or spec is None or gft.tail is None:
         return False
-    if spec is None or len(prefix) < _PREFIX_LEN:
+    explicit_steps = _explicit_steps(gft)
+    if explicit_steps is None:
         return False
-    steps = len(prefix) + len(spec.cycle)
+    steps = explicit_steps + len(spec.cycle)
     if steps > CERTIFICATE_STEP_LIMIT:
         raise ScaleError(
-            f"a certificate with {steps} prefix and cycle steps; verification is limited to {CERTIFICATE_STEP_LIMIT}"
+            f"a certificate with {steps} explicit and cycle steps; verification is limited to {CERTIFICATE_STEP_LIMIT}"
         )
-    if not validate_exhaustion(spec, sn).ok:
-        return False
-    tail = gft.tail
-    if isinstance(tail, GeometricTail):
-        next_tail, ratio = tail.base, tail.ratio
-    else:
-        next_tail, ratio = (None if tail is None else tail.value), 1
-    explicit = sorted(gft.finite_quotients)
-    s = spec.s1
-    states: set[tuple[int, int]] = set()
-    for n in range(1, steps + 1):
-        if n > len(prefix) and (explicit or tail is None):
-            return not explicit
-        d = step_ratio(spec, n)
-        dim = prefix[n - 1] if n <= len(prefix) else next_tail
-        j, rest = divmod(dim, s)
-        if rest or not 1 <= j <= d - 1:
-            return False
-        if dim in explicit:
-            explicit.remove(dim)
-        elif dim == next_tail:
-            next_tail *= ratio
-        else:
-            return False
-        if any(rem % s for rem in explicit):
-            return False
-        if next_tail is not None:
-            quotient, rest = divmod(next_tail, s)
-            if rest:
-                return False
-            # The position fixes d_n, so next tail / s_n names the state
-            # (position, next tail / s_(n+1)) by an integer.
-            if not explicit:
-                state = (n % len(spec.cycle), quotient)
-                if n >= len(prefix) and state in states:
-                    return True
-                states.add(state)
-        s *= d
-    return False
+    return validate_exhaustion(spec, sn).ok and _walk(gft, spec.s1, spec.cycle, steps) is True
 
 
 def verify_refutation(
@@ -621,11 +566,7 @@ def verify_refutation(
     )
 
 
-def admissible(
-    gft: GeneralizedFlagType,
-    sn: SupernaturalNumber,
-    bound: int = 64,
-) -> AdmissibilityResult:
+def admissible(gft: GeneralizedFlagType, sn: SupernaturalNumber, bound: int = 64) -> AdmissibilityResult:
     """Decide whether the generalized flag type can be realized over sn.
 
     A finite set of finite quotients is always admissible.  A constant
@@ -636,11 +577,11 @@ def admissible(
     to `bound` that carries sn's whole finite part, and a cycle is at most
     `_MAX_CYCLE_LEN` divisors in [2, bound] of sn's infinite part whose
     product every infinite prime divides.  Such pairs are valid by
-    construction, so none is checked: the greedy smallest-dimension
-    numbering runs in turn on each pair whose cycle product is the tail's
-    ratio^len(cycle), as no other cycle certifies (the period rule), and
-    only the first success is built into a certificate, which
-    `verify_certificate` re-checks.  An inconclusive search returns Unknown
+    construction, so none is checked: the forced-order walk of
+    `verify_certificate` runs, for at most `_MAX_STEPS` - 1 steps, on each
+    pair in turn whose cycle product is the tail's ratio^len(cycle), as no
+    other cycle certifies (the period rule), and the first pair it
+    certifies is the certificate.  An inconclusive search returns Unknown
     rather than a verdict.  A bound below 2 admits no multiplier and is
     rejected.  The search counts at most |s1 candidates| * (M + M^2) pairs
     for M multipliers; above `_SEARCH_LIMIT` (250,000) it raises
@@ -649,36 +590,16 @@ def admissible(
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
     if gft.tail is None:
-        cert = AdmissibilityCertificate(
-            kind="finite",
-            exhaustion=None,
-            numbering_prefix=(),
-            tail_rule=None,
-            verified_prefix_length=0,
-        )
-        return Admissible(cert)
+        return Admissible(AdmissibilityCertificate("finite", None))
     if isinstance(gft.tail, ConstantTail):
         c = gft.tail.value
-        witness = sn.least_divisor_above(c)
-        proof = RefutationProof(
-            constant_value=c, witness_divisor=witness, verified_prefix_length=_PREFIX_LEN
-        )
-        if not verify_refutation(gft, sn, proof):
-            raise InternalCheckError("constructed refutation failed its own check")
-        return NotAdmissible(proof)
+        return NotAdmissible(RefutationProof(c, sn.least_divisor_above(c)))
 
     inf_primes = sn.infinite_primes
-    multipliers = [
-        m
-        for m in SupernaturalNumber.from_factors(
-            {p: INF for p in inf_primes}
-        ).divisors_up_to(bound)
-        if m >= 2
-    ]
+    infinite_part = SupernaturalNumber.from_factors({p: INF for p in inf_primes})
+    multipliers = [m for m in infinite_part.divisors_up_to(bound) if m >= 2]
     finite_fixed = math.prod(p**a for p, a in sn.finite_factor_pairs)
-    s1_candidates = [
-        s1 for s1 in sn.divisors_up_to(bound) if s1 % finite_fixed == 0
-    ]
+    s1_candidates = [s1 for s1 in sn.divisors_up_to(bound) if s1 % finite_fixed == 0]
     count = len(s1_candidates) * sum(len(multipliers) ** k for k in range(1, _MAX_CYCLE_LEN + 1))
     if count > _SEARCH_LIMIT:
         raise ScaleError(
@@ -694,24 +615,14 @@ def admissible(
         for cycle in itertools.product(multipliers, repeat=length)
         if math.prod(cycle) % math.prod(inf_primes) == 0
     ]
-    # By the period rule (see `_greedy_numbering`), only a cycle whose
-    # product is ratio^len(cycle) can be certified.
+    # The period rule: one period multiplies the state's ratio by
+    # ratio^L / (d_1 ... d_L), so only when that is 1 does the state after
+    # the last explicit quotient recur (see `verify_certificate`).
     periodic = [cycle for cycle in cycles if gft.tail.ratio ** len(cycle) == math.prod(cycle)]
     for s1 in s1_candidates:
         for cycle in periodic:
-            picked = _greedy_numbering(gft, s1, cycle)
-            if picked is None:
-                continue
-            cert = AdmissibilityCertificate(
-                kind="numbered",
-                exhaustion=ExhaustionSpec(s1, cycle),
-                numbering_prefix=picked,
-                tail_rule=NUMBERED_TAIL_RULE,
-                verified_prefix_length=len(picked),
-            )
-            if not verify_certificate(gft, sn, cert):
-                raise InternalCheckError("greedy certificate failed independent re-verification")
-            return Admissible(cert)
+            if _walk(gft, s1, cycle, _MAX_STEPS - 1):
+                return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle)))
     return Unknown(
         reason="bounded search over periodic exhaustions was inconclusive",
         candidates_searched=len(s1_candidates) * len(cycles),

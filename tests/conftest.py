@@ -1,6 +1,8 @@
 """Shared reference objects for the test suite."""
 
 import functools
+import heapq
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,7 +21,7 @@ from diagflag.egraph import (
     require_valid,
     validate_egraph,
 )
-from diagflag.errors import DomainError, ScaleError
+from diagflag.errors import DomainError
 from diagflag.flagcore import (
     _CLASSIFY_WINDOW,
     FlagType,
@@ -32,9 +34,6 @@ from diagflag.flagcore import (
 )
 from diagflag.indlimit import (
     _MAX_STEPS,
-    _PREFIX_LEN,
-    CERTIFICATE_STEP_LIMIT,
-    NUMBERED_TAIL_RULE,
     ConstantTail,
     GraphFactor,
     SnGraph,
@@ -344,10 +343,52 @@ def reference_split(n, primes):
     return exponents, n
 
 
+# The shortest numbering prefix a certificate listed when it carried one,
+# and the length of prefix the tests hand `reference_verify_certificate`
+# at least.
+_PREFIX_LEN = 12
+
+
 def _reference_tail_dim(tail, k):
     if isinstance(tail, ConstantTail):
         return tail.value
     return tail.base * tail.ratio**k
+
+
+def forced_prefix(gft, k):
+    """The first k quotient dimensions of a type in increasing order, an
+    explicit one before an equal tail dimension: the only numbering both
+    clauses allow along any exhaustion."""
+    explicit = ((dim, 0) for dim in sorted(gft.finite_quotients))
+    tail = () if gft.tail is None else ((_reference_tail_dim(gft.tail, i), 1) for i in itertools.count())
+    return tuple(dim for dim, _ in itertools.islice(heapq.merge(explicit, tail), k))
+
+
+def clause_numberings(pool, divisors, k):
+    """Brute force: every pair of a chain s_1 | ... | s_(k+1) from
+    `divisors` and an injective numbering q_1 .. q_k of positions of
+    `pool` that meets both clauses: at steps n <= k, q_n = j * s_n with
+    1 <= j <= d_n - 1; at steps n <= k + 1, s_n divides every dimension of
+    the pool not placed before step n.  Any numbering of the pool, not
+    only the sorted one, is tried.  A pair is extended one step at a time
+    and dropped as soon as a clause fails, which no extension mends; the
+    numbering comes back as its dimensions."""
+
+    def extend(chain, placed):
+        s = chain[-1]
+        rest = [i for i in range(len(pool)) if i not in placed]
+        if any(pool[i] % s for i in rest):
+            return
+        if len(placed) == k:
+            yield chain, [pool[i] for i in placed]
+            return
+        for i in rest:
+            for t in divisors:
+                if t % s == 0 and pool[i] < t:
+                    yield from extend(chain + (t,), placed + (i,))
+
+    for s1 in divisors:
+        yield from extend((s1,), ())
 
 
 def reference_greedy_numbering(gft, s1, cycle):
@@ -387,24 +428,19 @@ def reference_greedy_numbering(gft, s1, cycle):
     return None
 
 
-def reference_verify_certificate(gft, sn, cert):
-    """Reference: certificate verification keyed on Fraction states, each
-    tail dimension recomputed from its index, and no check of the
-    certificate's kind, of a finite certificate's exhaustion and prefix, or
-    of its recorded prefix length.  The tail rule is checked as the
-    verifier checks it."""
-    if cert.kind == "finite":
-        return gft.tail is None and cert.tail_rule is None
-    spec = cert.exhaustion
-    if spec is None or cert.tail_rule != NUMBERED_TAIL_RULE:
-        return False
-    prefix = cert.numbering_prefix
-    if len(prefix) < _PREFIX_LEN:
-        return False
-    steps = len(prefix) + len(spec.cycle)
-    if steps > CERTIFICATE_STEP_LIMIT:
-        raise ScaleError(f"verification is limited to {CERTIFICATE_STEP_LIMIT}")
-    if not validate_exhaustion(spec, sn).ok:
+def reference_verify_certificate(gft, sn, spec, prefix):
+    """Reference: the verifier of the certificates that listed a numbering
+    prefix, keyed on Fraction states, each tail dimension recomputed from
+    its index.  `spec` None stands for a finite certificate, which needs
+    an empty prefix and a type without a tail.  Otherwise the prefix must
+    be at least `_PREFIX_LEN` long and place every explicit quotient; past
+    it, each step places the next tail dimension.  Both clauses are
+    checked at every step, and the exhaustion is accepted when, at the end
+    of the prefix or later, the state (cycle position, next tail dimension
+    / s_(n+1)) repeats within the prefix length plus the cycle length."""
+    if spec is None:
+        return gft.tail is None and not prefix
+    if len(prefix) < _PREFIX_LEN or not validate_exhaustion(spec, sn).ok:
         return False
     tail = gft.tail
     explicit = sorted(gft.finite_quotients)
@@ -412,7 +448,7 @@ def reference_verify_certificate(gft, sn, cert):
     next_tail = None if tail is None else _reference_tail_dim(tail, 0)
     s = spec.s1
     states = set()
-    for n in range(1, steps + 1):
+    for n in range(1, len(prefix) + len(spec.cycle) + 1):
         if n > len(prefix) and (explicit or tail is None):
             return not explicit
         d = step_ratio(spec, n)

@@ -48,7 +48,7 @@ def test_restrict_parabolic(capsys):
     assert code == 0
     assert doc["verdict"] == "Parabolic"
     assert doc["flag_type"] == {"ambient": 2, "dims": [1]}
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["selftest_digest"] == selftest_digest()
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -9,6 +10,8 @@ import pytest
 from conftest import (
     MIXED_GRAPH,
     PRODUCT_LEVEL_GRAPH,
+    clause_numberings,
+    forced_prefix,
     insertion_graph,
     reference_greedy_numbering,
     reference_verify_certificate,
@@ -34,7 +37,6 @@ from diagflag.flagcore import (
 )
 from diagflag.indlimit import (
     CERTIFICATE_STEP_LIMIT,
-    NUMBERED_TAIL_RULE,
     Admissible,
     AdmissibilityCertificate,
     ConstantTail,
@@ -56,7 +58,7 @@ from diagflag.indlimit import (
     verify_refutation,
 )
 from diagflag.ratlin import Flag, RatSubspace
-from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber
+from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, validate_exhaustion
 
 SN2 = SupernaturalNumber.from_factors({2: INF})
 SN23 = SupernaturalNumber.from_factors({2: INF, 3: INF})
@@ -410,9 +412,9 @@ def test_admissible_geometric_doubling():
     result = admissible(gft, SN2)
     assert isinstance(result, Admissible)
     cert = result.certificate
-    assert cert.exhaustion == ExhaustionSpec(1, (2,))
-    assert cert.numbering_prefix[:5] == (1, 2, 4, 8, 16)
-    assert cert.verified_prefix_length >= 12
+    assert cert == AdmissibilityCertificate("numbered", ExhaustionSpec(1, (2,)))
+    assert forced_prefix(gft, 5) == (1, 2, 4, 8, 16)
+    assert reference_verify_certificate(gft, SN2, cert.exhaustion, forced_prefix(gft, 12))
     assert verify_certificate(gft, SN2, cert)
 
 
@@ -472,7 +474,8 @@ def test_admissible_geometric_with_finite_part():
     gft = GeneralizedFlagType((1,), GeometricTail(2, 2), False)
     result = admissible(gft, SN2)
     assert isinstance(result, Admissible)
-    assert result.certificate.numbering_prefix[0] == 1
+    assert result.certificate.exhaustion == ExhaustionSpec(1, (2,))
+    assert forced_prefix(gft, 3) == (1, 2, 4)
     assert verify_certificate(gft, SN2, result.certificate)
 
 
@@ -484,115 +487,105 @@ def test_admissible_geometric_base3_over_mixed():
     assert result.certificate.exhaustion.s1 == 3
 
 
+# Over these the forced-order lemma is checked by brute force: 2^inf,
+# 2^inf 3^inf and 2^inf 3, with their finite divisors below 100.
+LEMMA_SNS = [{2: INF}, {2: INF, 3: INF}, {2: INF, 3: 1}]
+LEMMA_FINITE_PARTS = [(), *((d,) for d in (1, 2, 3, 4, 6, 8)), *itertools.combinations_with_replacement((1, 2, 3, 4, 6, 8), 2)]
+
+
+def test_the_numbering_along_any_exhaustion_is_forced():
+    """The lemma behind the certificate format: along any chain meeting
+    both clauses, the dimension placed at step n is below s_(n+1), which
+    divides every later one, so the dimensions go in increasing order and
+    none repeats.  For types with at most two explicit quotients and a
+    small geometric tail, every numbering of k <= 5 steps by the k + 2
+    smallest dimensions, along every chain of divisors below 100, that
+    meets both clauses numbers the k smallest in increasing order; 3,339
+    pairs do."""
+    found = 0
+    for factors in LEMMA_SNS:
+        divisors = SupernaturalNumber.from_factors(factors).divisors_up_to(99)
+        for finite in LEMMA_FINITE_PARTS:
+            for base, ratio in itertools.product((1, 2, 3, 4, 6), (2, 3, 4, 6)):
+                for k in range(1, 6):
+                    tail = [base * ratio**i for i in range(k + 2)]
+                    pool = sorted(list(finite) + tail)[: k + 2]
+                    for chain, numbering in clause_numberings(pool, divisors, k):
+                        assert numbering == pool[:k], (finite, base, ratio, chain, numbering)
+                        assert all(a < b for a, b in zip(numbering, numbering[1:]))
+                        found += 1
+    assert found == 3339
+
+
+def _numbered(s1, cycle):
+    return AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle))
+
+
 def test_certificate_verification_rejects_tampering():
-    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
-    result = admissible(gft, SN2)
-    cert = result.certificate
-    bad = AdmissibilityCertificate(
-        kind=cert.kind,
-        exhaustion=cert.exhaustion,
-        numbering_prefix=cert.numbering_prefix[:3],
-        tail_rule=cert.tail_rule,
-        verified_prefix_length=3,
-    )
-    assert not verify_certificate(gft, SN2, bad)
-    swapped = AdmissibilityCertificate(
-        kind=cert.kind,
-        exhaustion=ExhaustionSpec(1, (4,)),
-        numbering_prefix=cert.numbering_prefix,
-        tail_rule=cert.tail_rule,
-        verified_prefix_length=cert.verified_prefix_length,
-    )
-    assert not verify_certificate(gft, SN2, swapped)
-
-
-def test_certificate_verification_reads_the_tail_rule():
-    """A numbered certificate must state the numbered tail rule and a finite
-    one none; the verifier and its reference reject both swaps."""
+    """The doubling exhaustion certifies tail(1, 2) over 2^inf; quadrupling
+    or starting at 2 does not."""
     gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
     cert = admissible(gft, SN2).certificate
-    assert cert.tail_rule == NUMBERED_TAIL_RULE
-    for rule in (None, "explicit dimensions in decreasing order"):
-        assert not verify_certificate(gft, SN2, replace(cert, tail_rule=rule))
-        assert not reference_verify_certificate(gft, SN2, replace(cert, tail_rule=rule))
-    finite = GeneralizedFlagType((1, 2), None, False)
-    cert = admissible(finite, SN2).certificate
-    assert cert.tail_rule is None and verify_certificate(finite, SN2, cert)
-    numbered_rule = replace(cert, tail_rule=NUMBERED_TAIL_RULE)
-    assert not verify_certificate(finite, SN2, numbered_rule)
-    assert not reference_verify_certificate(finite, SN2, numbered_rule)
+    assert verify_certificate(gft, SN2, cert)
+    assert not verify_certificate(gft, SN2, _numbered(1, (4,)))
+    assert not verify_certificate(gft, SN2, _numbered(2, (2,)))
 
 
 def test_certificate_verification_rejects_an_unplaced_explicit_quotient():
-    """{2^20} plus tail(1, 2) over 2^inf: the prefix 1, 2, ..., 2^11 along
-    s1 = 1, cycle (2) meets both clauses at every step shown, but leaves
-    2^20 unplaced; at step 21 both 2^20's fall into one window."""
+    """{2^20} plus tail(1, 2) over 2^inf along s1 = 1, cycle (2): steps 1 to
+    20 place 1, 2, ..., 2^19 and meet both clauses, step 21 places the
+    explicit 2^20, and then s_22 = 2^21 does not divide the tail's 2^20.
+    A prefix of 1, 2, ..., 2^11 met both clauses at every step and left
+    2^20 unplaced."""
     gft = GeneralizedFlagType((2**20,), GeometricTail(1, 2), True)
-    cert = AdmissibilityCertificate(
-        kind="numbered",
-        exhaustion=ExhaustionSpec(1, (2,)),
-        numbering_prefix=tuple(2**i for i in range(12)),
-        tail_rule=NUMBERED_TAIL_RULE,
-        verified_prefix_length=12,
-    )
     assert isinstance(admissible(gft, SN2), Unknown)
-    assert not verify_certificate(gft, SN2, cert)
+    assert not verify_certificate(gft, SN2, _numbered(1, (2,)))
+    assert indlimit._walk(gft, 1, (2,), 22) is False and indlimit._walk(gft, 1, (2,), 21) is None
 
 
 def test_certificate_verification_rejects_an_explicit_quotient_beyond_the_prefix():
+    """The certificate of {1} plus tail(2, 2) fails once 2^12, the first
+    dimension beyond the 12 a prefix listed, is also explicit: it is
+    placed at step 13 and leaves the equal tail dimension below the term."""
     gft = GeneralizedFlagType((1,), GeometricTail(2, 2), False)
     cert = admissible(gft, SN2).certificate
     assert verify_certificate(gft, SN2, cert)
-    # A power of 2 beyond every term of the prefix passes clause 2 at each
-    # step, so only the unplaced-quotient check rejects it.
-    beyond = 2 * max(cert.numbering_prefix)
-    extended = GeneralizedFlagType((1, beyond), GeometricTail(2, 2), False)
+    extended = GeneralizedFlagType((1, 2**12), GeometricTail(2, 2), False)
     assert not verify_certificate(extended, SN2, cert)
 
 
-def _numbered(s1, cycle, prefix):
-    return AdmissibilityCertificate(
-        kind="numbered",
-        exhaustion=ExhaustionSpec(s1, cycle),
-        numbering_prefix=tuple(prefix),
-        tail_rule=NUMBERED_TAIL_RULE,
-        verified_prefix_length=len(prefix),
-    )
-
-
 def test_certificate_verification_follows_the_tail_rule_past_the_prefix():
-    """Tail(1, 2) over 2^inf along s1 = 1, cycle (2,)*12 + (4,): the prefix
-    1, 2, ..., 2^11 meets both clauses, and so does step 13, which places
-    2^12; at step 14 the term 2^14 does not divide the next tail dimension
-    2^13."""
+    """Tail(1, 2) over 2^inf along s1 = 1, cycle (2,)*12 + (4,): steps 1 to
+    13 place 1, 2, ..., 2^12 and meet both clauses (the first 12 were a
+    prefix), but at step 14 the term 2^14 does not divide the next tail
+    dimension 2^13."""
     gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
-    cert = _numbered(1, (2,) * 12 + (4,), [2**i for i in range(12)])
-    assert not verify_certificate(gft, SN2, cert)
-    assert verify_certificate(gft, SN2, _numbered(1, (2,), [2**i for i in range(12)]))
+    assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 12 + (4,)))
+    assert verify_certificate(gft, SN2, _numbered(1, (2,)))
 
 
 def test_certificate_verification_accepts_a_long_cycle():
     """A cycle of 250 doublings is the doubling chain, so the certificate
-    holds although its state first repeats after 262 steps, past the
-    greedy's `_MAX_STEPS`; the walk runs its own bound of prefix plus
-    cycle length.  Ending the cycle with a 4 instead breaks it past that
-    cap: step 250 places 2^249 at term 2^249 and leaves the term 2^251,
-    which exceeds the next tail dimension 2^250 at step 251."""
+    holds although its state first repeats after 251 steps, past the
+    search's `_MAX_STEPS`; the walk runs its own bound of E + L.  Ending
+    the cycle with a 4 instead breaks it within that bound: step 250
+    places 2^249 at term 2^249 and leaves the term 2^251, which exceeds
+    the next tail dimension 2^250 at step 251."""
     gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
-    prefix = [2**i for i in range(12)]
-    assert verify_certificate(gft, SN2, _numbered(1, (2,) * 250, prefix))
-    assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 249 + (4,), prefix))
-    # With the prefix's dimensions explicit and the tail from 2^12 on, no
-    # state is recorded before step 12, so the first repeat is at step
+    assert verify_certificate(gft, SN2, _numbered(1, (2,) * 250))
+    assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 249 + (4,)))
+    # With 1, 2, ..., 2^11 explicit and the tail from 2^12 on, no state is
+    # recorded before step E = 12, so the first repeat is at step
     # 12 + 250, the last one the walk takes.
-    explicit = GeneralizedFlagType(tuple(prefix), GeometricTail(2**12, 2), True)
-    assert verify_certificate(explicit, SN2, _numbered(1, (2,) * 250, prefix))
+    explicit = GeneralizedFlagType(tuple(2**i for i in range(12)), GeometricTail(2**12, 2), True)
+    assert verify_certificate(explicit, SN2, _numbered(1, (2,) * 250))
+    assert indlimit._walk(explicit, 1, (2,) * 250, 261) is None
 
 
 def test_certificate_verification_walks_steps_not_multipliers():
     """At bound 2^50, tail(1, 2^50) over 2^inf is certified along s1 = 1,
-    cycle (2^50,).  The walk takes the prefix plus one step; a bound that
-    counted the states a multiplier allows would have 2^50 of them."""
+    cycle (2^50,).  The walk takes E + L = 2 steps; a bound that counted
+    the states a multiplier allows would have 2^50 of them."""
     gft = GeneralizedFlagType((), GeometricTail(1, 2**50), True)
     result = admissible(gft, SN2, bound=2**50)
     assert result.certificate.exhaustion == ExhaustionSpec(1, (2**50,))
@@ -600,31 +593,57 @@ def test_certificate_verification_walks_steps_not_multipliers():
 
 
 def test_certificate_verification_refuses_a_walk_beyond_its_limit():
+    """E + L steps: a doubling cycle of 999 after E = 1, and the doubling
+    cycle after E = 999, read off an explicit 2^998 that the forced order
+    places after the tail's 1, 2, ..., 2^997.  One step more is refused
+    before the walk; so is an explicit 2^(10^5), counted only to just past
+    the limit."""
     gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
-    prefix = [2**i for i in range(12)]
-    longest = CERTIFICATE_STEP_LIMIT - len(prefix)
-    assert verify_certificate(gft, SN2, _numbered(1, (2,) * longest, prefix))
+    longest = CERTIFICATE_STEP_LIMIT - 1
+    assert verify_certificate(gft, SN2, _numbered(1, (2,) * longest))
     with pytest.raises(ScaleError, match="verification is limited"):
-        verify_certificate(gft, SN2, _numbered(1, (2,) * (longest + 1), prefix))
+        verify_certificate(gft, SN2, _numbered(1, (2,) * (longest + 1)))
+    for exponent, refused in ((998, False), (999, True), (10**5, True)):
+        late = GeneralizedFlagType((2**exponent,), GeometricTail(1, 2), True)
+        if refused:
+            with pytest.raises(ScaleError, match="verification is limited"):
+                verify_certificate(late, SN2, _numbered(1, (2,)))
+        else:
+            assert not verify_certificate(late, SN2, _numbered(1, (2,)))
 
 
 def test_certificate_verification_checks_a_constant_tail():
-    """Explicit quotients 1, 2, ..., 2^11 with a constant tail of 1 over
-    2^inf: the prefix places the explicit quotients along s1 = 1, cycle
-    (2,), but the term 2 of step 2 does not divide the tail dimension 1.
-    The type is refuted, and only the refutation verifies."""
-    gft = GeneralizedFlagType(tuple(2**i for i in range(12)), ConstantTail(1), True)
-    cert = _numbered(1, (2,), [2**i for i in range(12)])
-    assert not verify_certificate(gft, SN2, cert)
-    result = admissible(gft, SN2)
-    assert isinstance(result, NotAdmissible)
-    assert verify_refutation(gft, SN2, result.proof)
+    """A constant tail is walked like a geometric one of ratio 1.  With
+    explicit 1 and constant 3 over 2^inf, along s1 = 1, cycle (2,), step 1
+    places 1 and s_2 = 2 does not divide 3; with explicit 1, 2 and
+    constant 4, every step passes but no state repeats within E + L = 3
+    steps (one period divides the state's ratio by 2).  Explicit 1, 2,
+    ..., 2^11 with constant 1 is rejected before the walk, as the tail's
+    1's come first forever; walked, it fails at step 2 as the first type
+    does.  Each type is refuted, and only the refutation verifies."""
+    for finite, value, outcome in (((1,), 3, False), ((1, 2), 4, None), (tuple(2**i for i in range(12)), 1, False)):
+        gft = GeneralizedFlagType(finite, ConstantTail(value), True)
+        assert not verify_certificate(gft, SN2, _numbered(1, (2,)))
+        assert indlimit._walk(gft, 1, (2,), 3) is outcome
+        result = admissible(gft, SN2)
+        assert isinstance(result, NotAdmissible)
+        assert verify_refutation(gft, SN2, result.proof)
 
 
 def test_certificate_verification_rejects_a_numbered_certificate_without_an_exhaustion():
     gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
     cert = admissible(gft, SN2).certificate
     assert not verify_certificate(gft, SN2, replace(cert, exhaustion=None))
+
+
+def test_certificate_verification_rejects_a_numbered_certificate_of_a_type_without_a_tail():
+    """Explicit 1, 2, ..., 2^11 and no tail: a prefix listing all twelve
+    along the doubling chain was accepted when certificates carried one,
+    as the reference still shows; now only the finite certificate is."""
+    gft = GeneralizedFlagType(tuple(2**i for i in range(12)), None, True)
+    assert reference_verify_certificate(gft, SN2, ExhaustionSpec(1, (2,)), forced_prefix(gft, 12))
+    assert not verify_certificate(gft, SN2, _numbered(1, (2,)))
+    assert verify_certificate(gft, SN2, admissible(gft, SN2).certificate)
 
 
 def test_certificate_verification_rejects_an_exhaustion_of_another_number():
@@ -636,32 +655,20 @@ def test_certificate_verification_rejects_an_exhaustion_of_another_number():
     assert not verify_certificate(gft, SN23, cert)
 
 
-def test_certificate_verification_rejects_a_pick_outside_the_type():
-    """Tail(1, 4) over 2^inf is certified along s1 = 1, cycle (4,).  At
-    step 1 the pick 2 is 2 * s_1 with 2 <= d_1 - 1, but it is neither an
-    explicit quotient nor the next tail dimension 1."""
-    gft = GeneralizedFlagType((), GeometricTail(1, 4), False)
-    cert = admissible(gft, SN2).certificate
-    assert cert.exhaustion == ExhaustionSpec(1, (4,))
-    assert verify_certificate(gft, SN2, cert)
-    assert not verify_certificate(gft, SN2, _numbered(1, (4,), (2,) + cert.numbering_prefix[1:]))
-
-
 def test_certificate_verification_rejects_an_explicit_quotient_the_term_does_not_divide():
     """The doubling certificate of tail(1, 2), for the type with one more
-    quotient 3: steps 1 and 2 place 1 and 2, and s_2 = 2 does not divide
-    the remaining 3."""
+    quotient 3: step 1 places 1, and s_2 = 2 does not divide the
+    remaining 3."""
     cert = admissible(GeneralizedFlagType((), GeometricTail(1, 2), False), SN2).certificate
     gft = GeneralizedFlagType((3,), GeometricTail(1, 2), False)
     assert not verify_certificate(gft, SN2, cert)
 
 
 def test_certificate_verification_rejects_a_tail_dimension_the_term_does_not_divide():
-    """Along s1 = 4, cycle (2,), step 1 places the explicit 4, and s_1 = 4
-    does not divide the first tail dimension 2."""
+    """Explicit 4 and tail(2, 2) along s1 = 4, cycle (2,): s_1 = 4 does not
+    divide the first tail dimension 2."""
     gft = GeneralizedFlagType((4,), GeometricTail(2, 2), False)
-    cert = _numbered(4, (2,), [4 * 2**i for i in range(12)])
-    assert not verify_certificate(gft, SN2, cert)
+    assert not verify_certificate(gft, SN2, _numbered(4, (2,)))
 
 
 def test_certificate_verification_rejects_an_unknown_kind():
@@ -674,46 +681,39 @@ def test_certificate_verification_rejects_an_unknown_kind():
 
 
 def test_certificate_verification_rejects_a_finite_certificate_with_an_exhaustion_or_prefix():
+    """A finite certificate carries no exhaustion (and no longer any
+    prefix to carry)."""
     gft = GeneralizedFlagType((5, 7), None, True)
     cert = admissible(gft, SN2).certificate
     assert verify_certificate(gft, SN2, cert)
     numbered = admissible(GeneralizedFlagType((), GeometricTail(1, 2), False), SN2).certificate
     assert not verify_certificate(gft, SN2, replace(numbered, kind="finite"))
     assert not verify_certificate(gft, SN2, replace(cert, exhaustion=ExhaustionSpec(1, (2,))))
-    assert not verify_certificate(gft, SN2, replace(cert, numbering_prefix=(5,), verified_prefix_length=1))
-
-
-def test_certificate_verification_rejects_a_misrecorded_prefix_length():
-    gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
-    cert = admissible(gft, SN2).certificate
-    for length in (0, len(cert.numbering_prefix) - 1, len(cert.numbering_prefix) + 1):
-        assert not verify_certificate(gft, SN2, replace(cert, verified_prefix_length=length))
-    finite = GeneralizedFlagType((5, 7), None, True)
-    cert = admissible(finite, SN2).certificate
-    assert not verify_certificate(finite, SN2, replace(cert, verified_prefix_length=12))
 
 
 @pytest.mark.parametrize("cycle, certified", [((2,), 198), ((2, 2), 197)])
 def test_greedy_numbering_gives_up_at_its_step_limit(cycle, certified):
     """Explicit quotients 2^0 .. 2^(c-1) and tail(2^c, 2) over 2^inf along
     s1 = 1: the explicit quotients are placed by step c, and the state
-    after it recurs one cycle later.  The walk certifies when that step is
-    below `_MAX_STEPS` (200)."""
+    after it recurs one cycle later.  The search's walk certifies when
+    that step is below `_MAX_STEPS` (200), and so does `admissible`, as
+    (2,) and (2, 2) are its only cycles periodic for the tail."""
     for c in (certified, certified + 1):
         gft = GeneralizedFlagType(tuple(2**i for i in range(c)), GeometricTail(2**c, 2), True)
-        picked = indlimit._greedy_numbering(gft, 1, cycle)
-        assert picked == reference_greedy_numbering(gft, 1, cycle)
+        walked = indlimit._walk(gft, 1, cycle, indlimit._MAX_STEPS - 1)
+        greedy = reference_greedy_numbering(gft, 1, cycle)
         if c == certified:
-            assert picked == tuple(2**i for i in range(c + len(cycle)))
+            assert walked is True and greedy == tuple(2**i for i in range(c + len(cycle)))
         else:
-            assert picked is None
+            assert walked is None and greedy is None
+        assert isinstance(admissible(gft, SN2), Admissible) == (c <= 198)
 
 
 @st.composite
 def greedy_inputs(draw):
     """A type with up to three explicit quotients and a geometric tail, and
     an exhaustion of s1 and up to three multipliers, periodic for the tail
-    or not; the greedy's arithmetic asks no more of them."""
+    or not; the walk's arithmetic asks no more of them."""
     finite = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32]), max_size=3)))
     tail = GeometricTail(draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12])), draw(st.sampled_from([2, 3, 4, 6, 8, 9])))
     s1 = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
@@ -724,15 +724,84 @@ def greedy_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(greedy_inputs())
 def test_greedy_numbering_matches_the_reference(inputs):
-    """The reference hashes states for any cycle; the search hands the
-    greedy only cycles with ratio^len(cycle) = cycle product, as no other
-    cycle's state ever repeats."""
+    """The search's walk certifies exactly when the reference greedy, which
+    hashes Fraction states, finds a repeat within `_MAX_STEPS`; by the
+    period rule only for a cycle with ratio^len(cycle) = cycle product."""
     gft, s1, cycle = inputs
-    periodic = gft.tail.ratio ** len(cycle) == math.prod(cycle)
     expected = reference_greedy_numbering(gft, s1, cycle)
-    assert expected is None or periodic
-    if periodic:
-        assert indlimit._greedy_numbering(gft, s1, cycle) == expected
+    assert expected is None or gft.tail.ratio ** len(cycle) == math.prod(cycle)
+    assert (indlimit._walk(gft, s1, cycle, indlimit._MAX_STEPS - 1) is True) == (expected is not None)
+
+
+def reference_verdict(gft, sn, spec):
+    """The reference verifier on the forced prefix of length max(12, E + L):
+    E the step that places the last explicit quotient (1 when there is
+    none, 12 when none within 500 steps, so that the prefix leaves one
+    unplaced) and L the cycle length."""
+    remaining = collections.Counter(gft.finite_quotients)
+    last = 1
+    for n, dim in enumerate(forced_prefix(gft, 500), start=1):
+        if not +remaining:
+            break
+        if remaining[dim]:
+            remaining[dim] -= 1
+            last = n
+    if +remaining:
+        last = 12
+    return reference_verify_certificate(gft, sn, spec, forced_prefix(gft, max(12, last + len(spec.cycle))))
+
+
+# Per supernatural number, the first terms and tail ratios the draws use:
+# over 2^inf 3 the first term carries the 3, and the cycle cannot.
+NUMBERED_DRAWS = [
+    ({2: INF}, [1, 2, 4], [2, 4, 8]),
+    ({2: INF, 3: INF}, [1, 2, 3, 6], [6, 12, 18]),
+    ({2: INF, 3: 1}, [3, 6, 12], [2, 4, 8]),
+]
+
+
+@st.composite
+def numbered_inputs(draw):
+    """A type with a tail, a supernatural number and an exhaustion, drawn
+    so that more than half of them are certified.  The cycle is mostly
+    periodic for the tail: one to three multipliers whose product is
+    ratio^L.  The type places j_n * s_n at steps 1 .. e + 1, with
+    j_n <= d_n - 1 where d_n >= 2: e explicit quotients, then the tail's
+    base.  One draw in five multiplies one of them by 2 or 3, and one in
+    eight makes the tail constant."""
+    factors, firsts, ratios = draw(st.sampled_from(NUMBERED_DRAWS))
+    s1, ratio = draw(st.sampled_from(firsts)), draw(st.sampled_from(ratios))
+    if draw(st.integers(0, 3)):
+        split = draw(st.sampled_from([a for a in range(2, ratio**2 // 2 + 1) if ratio**2 % a == 0]))
+        cycle = draw(st.sampled_from([(ratio,), (split, ratio**2 // split), (split, ratio**2 // split, ratio)]))
+    else:
+        cycle = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9]), min_size=1, max_size=3)))
+    terms = list(ExhaustionSpec(s1, cycle).terms(4))
+    placed = [terms[n] * min(draw(st.integers(1, 3)), max(1, terms[n + 1] // terms[n] - 1)) for n in range(3)]
+    e = draw(st.integers(0, 2))
+    if not draw(st.integers(0, 4)):
+        placed[draw(st.integers(0, e))] *= draw(st.sampled_from([2, 3]))
+    tail = GeometricTail(placed[e], ratio) if draw(st.integers(0, 7)) else ConstantTail(placed[e])
+    gft = GeneralizedFlagType(tuple(placed[:e]), tail, True)
+    return gft, SupernaturalNumber.from_factors(factors), ExhaustionSpec(s1, cycle)
+
+
+def test_certificate_verification_matches_the_reference():
+    """On drawn exhaustions, periodic for the tail or not, the verifier
+    answers as the reference does on the forced prefix, and accepts at
+    least 200 of them."""
+    verdicts = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(numbered_inputs())
+    def check(inputs):
+        gft, sn, spec = inputs
+        verdict = verify_certificate(gft, sn, _numbered(spec.s1, spec.cycle))
+        assert verdict == reference_verdict(gft, sn, spec)
+        verdicts.append(verdict)
+
+    check()
+    assert sum(verdicts) >= 200
 
 
 @functools.cache
@@ -752,72 +821,18 @@ def emitted_certificates():
     return out
 
 
-def _mutated(draw, gft, sn, cert):
-    """One mutation of a certificate, of the type it certifies or of sn."""
-    kind = draw(st.sampled_from(
-        ["none", "kind", "rule", "s1", "cycle", "pick", "cut", "extend", "length", "no_exhaustion", "quotient", "tail", "sn"]
-    ))
-    spec, prefix = cert.exhaustion, cert.numbering_prefix
-    factor = draw(st.sampled_from([2, 3, 4]))
-    if kind == "kind":
-        cert = replace(cert, kind=draw(st.sampled_from(["finite", "numbered", "bogus"])))
-    elif kind == "rule":
-        rules = [None, NUMBERED_TAIL_RULE, "explicit dimensions in decreasing order"]
-        cert = replace(cert, tail_rule=draw(st.sampled_from(rules)))
-    elif kind == "s1" and spec is not None:
-        cert = replace(cert, exhaustion=ExhaustionSpec(spec.s1 * factor, spec.cycle))
-    elif kind == "cycle" and spec is not None:
-        at = draw(st.integers(0, len(spec.cycle)))
-        cert = replace(cert, exhaustion=ExhaustionSpec(spec.s1, spec.cycle[:at] + (factor,) + spec.cycle[at + 1 :]))
-    elif kind == "pick" and prefix:
-        at = draw(st.integers(0, len(prefix) - 1))
-        cert = replace(cert, numbering_prefix=prefix[:at] + (prefix[at] * factor,) + prefix[at + 1 :])
-    elif kind == "cut":
-        cut = prefix[: draw(st.integers(0, len(prefix)))]
-        cert = replace(cert, numbering_prefix=cut, verified_prefix_length=len(cut))
-    elif kind == "extend":
-        longer = prefix + (draw(st.sampled_from(prefix or (1,))) * factor,)
-        cert = replace(cert, numbering_prefix=longer, verified_prefix_length=len(longer))
-    elif kind == "length":
-        cert = replace(cert, verified_prefix_length=cert.verified_prefix_length + draw(st.sampled_from([-1, 1, 5])))
-    elif kind == "no_exhaustion":
-        cert = replace(cert, exhaustion=None)
-    elif kind == "quotient":
-        gft = replace(gft, finite_quotients=gft.finite_quotients + (draw(st.sampled_from(prefix or (1,))) * factor,))
-    elif kind == "tail" and gft.tail is not None:
-        tail = draw(st.sampled_from([GeometricTail(gft.tail.base * factor, gft.tail.ratio),
-                                     GeometricTail(gft.tail.base, gft.tail.ratio * factor),
-                                     ConstantTail(gft.tail.base)]))
-        gft = replace(gft, tail=tail)
-    elif kind == "sn":
-        sn = SupernaturalNumber.from_factors({2: INF, 3: INF, 5: INF})
-    return gft, sn, cert
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_certificate_verification_matches_the_reference(data):
-    """On the certificates `admissible` emits and mutated copies of them,
-    the verifier answers as the reference does, except that it also rejects
-    an unknown kind, a finite certificate with an exhaustion or a prefix,
-    and a recorded prefix length that is not the prefix's."""
-    gft, sn, cert = data.draw(st.sampled_from(emitted_certificates()))
-    gft, sn, cert = _mutated(data.draw, gft, sn, cert)
-    well_formed = cert.verified_prefix_length == len(cert.numbering_prefix) and (
-        cert.kind == "numbered" or (cert.kind == "finite" and cert.exhaustion is None and not cert.numbering_prefix)
-    )
-    assert verify_certificate(gft, sn, cert) == (well_formed and reference_verify_certificate(gft, sn, cert))
-
-
 def test_emitted_certificates_match_the_reference():
     for gft, sn, cert in emitted_certificates():
         assert verify_certificate(gft, sn, cert)
-        assert reference_verify_certificate(gft, sn, cert)
+        if cert.kind == "finite":
+            assert reference_verify_certificate(gft, sn, None, ())
+        else:
+            assert reference_verdict(gft, sn, cert.exhaustion)
 
 
 def test_refutation_verification_rejects_a_geometric_tail():
     gft = GeneralizedFlagType((), GeometricTail(4, 2), True)
-    assert not verify_refutation(gft, SN2, RefutationProof(4, 8, 12))
+    assert not verify_refutation(gft, SN2, RefutationProof(4, 8))
 
 
 # The ROADMAP grid of geometric tails: sn, tail base, tail ratio, finite part.
@@ -827,16 +842,21 @@ GRID_FINITE_PARTS = [(), (1,), (2,), (3,), (1, 2)]
 
 def test_admissibility_grid_is_pinned():
     """3,300 types at the default bound: the verdict counts and a digest of
-    every certificate and search count.  `admissible` re-verifies each
-    certificate it returns."""
+    every certificate and search count.  Each certificate's exhaustion is
+    valid for its number, and the reference verifier accepts it on the
+    forced prefix."""
     results = []
     counts = {"Admissible": 0, "NotAdmissible": 0, "Unknown": 0}
     for factors in GRID_SNS:
         sn = SupernaturalNumber.from_factors(factors)
         for base, ratio, finite in itertools.product(range(1, 13), range(2, 13), GRID_FINITE_PARTS):
-            result = admissible(GeneralizedFlagType(finite, GeometricTail(base, ratio), True), sn)
+            gft = GeneralizedFlagType(finite, GeometricTail(base, ratio), True)
+            result = admissible(gft, sn)
             counts[type(result).__name__] += 1
             if isinstance(result, Admissible):
+                spec = result.certificate.exhaustion
+                assert validate_exhaustion(spec, sn).ok
+                assert reference_verdict(gft, sn, spec)
                 results.append(result.certificate.to_json_obj())
             elif isinstance(result, Unknown):
                 results.append([result.reason, result.candidates_searched])
@@ -844,16 +864,16 @@ def test_admissibility_grid_is_pinned():
                 results.append(result.proof.to_json_obj())
     assert counts == {"Admissible": 107, "NotAdmissible": 0, "Unknown": 3193}
     text = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4f2b917f9d37dcf6"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "06ce2c359495b1fe"
 
 
 def test_refutation_verification_rejects_bad_witness():
     gft = GeneralizedFlagType((), ConstantTail(4), True)
     from diagflag.indlimit import RefutationProof
 
-    assert not verify_refutation(gft, SN2, RefutationProof(4, 3, 12))
-    assert not verify_refutation(gft, SN2, RefutationProof(4, 6, 12))  # 6 not a divisor
-    assert verify_refutation(gft, SN2, RefutationProof(4, 8, 12))
+    assert not verify_refutation(gft, SN2, RefutationProof(4, 3))
+    assert not verify_refutation(gft, SN2, RefutationProof(4, 6))  # 6 not a divisor
+    assert verify_refutation(gft, SN2, RefutationProof(4, 8))
 
 
 # --- factorization -----------------------------------------------------------
