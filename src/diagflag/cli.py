@@ -24,7 +24,7 @@ from . import diagembed, egraph, flagcore, indlimit, supernat
 from .errors import DomainError, InternalCheckError, ScaleError
 from .ratlin import Flag
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 # The most steps `exhaust --levels` accepts, so the term list is bounded.
 _LEVELS_LIMIT = 1000
 # The most entries, target ambient times the sum of the target member

@@ -15,7 +15,10 @@ Provided here:
 * a constructor realizing any generalized flag type with finitely many
   finite-dimensional quotients over any supernatural number;
 * a three-valued admissibility decision with machine-checkable
-  certificates for the general (infinitely many finite quotients) case;
+  certificates for the general (infinitely many finite quotients) case:
+  a certificate is an exhaustion, checked by walking the forced order
+  of the quotients along it, and a constant tail's refutation is its
+  value;
 * factorization of linear graphs into monochromatic-ordinary subgraphs
   and the threaded decomposition of chained graphs into direct factors.
 """
@@ -34,30 +37,31 @@ from .errors import (
     Record,
     ScaleError,
     ValidationReport,
+    is_int,
     strict_bool,
     strict_int,
 )
 from .flagcore import FlagType, StandardExtensionData, level_dims
 from .ratlin import RatSubspace
-from .supernat import INF, ExhaustionSpec, SupernaturalNumber, divides_sn, step_ratio, validate_exhaustion
+from .supernat import INF, ExhaustionSpec, SupernaturalNumber, step_ratio, validate_exhaustion
 
 Quotient = int | float  # positive int, or INF
 
-# Admissibility: the search certifies within `_MAX_STEPS` - 1 steps
-# (`verify_certificate` walks its own exact bound instead), and tries
-# multiplier cycles up to `_MAX_CYCLE_LEN` long.
-_MAX_STEPS = 200
+# Admissibility: the search tries multiplier cycles up to `_MAX_CYCLE_LEN`
+# long.
 _MAX_CYCLE_LEN = 2
-# The most steps `verify_certificate` walks, E + L: the step that places the
-# largest explicit quotient plus the cycle length.  A doubling cycle of 999
-# steps takes about 2 ms; the cost grows with the size of the multipliers
-# too: 999 multipliers of 2^60 take about 50 ms, and 999 of 9973^40 about
-# 1.7 s, of which `validate_exhaustion` factoring the cycle product is 0.6 s;
-# 998 explicit quotients take about 0.3 s, as each step rescans those left.
+# The most steps a forced-order walk takes, E + L: the step that places the
+# largest explicit quotient plus the cycle length.  `admissible` walks no
+# longer candidate and `verify_certificate` refuses a longer certificate.
+# Each step costs a few integer operations: a doubling cycle of 999 steps
+# verifies in about 1 ms, and so do 998 explicit quotients before the tail.
+# The cost grows with the size of the multipliers: 999 multipliers of 2^60
+# take about 45 ms, and 999 of 9973^40 about 1.5 s, of which
+# `validate_exhaustion` factoring the cycle product is 0.6 s.
 CERTIFICATE_STEP_LIMIT = 1_000
 # The most (s1, cycle) pairs one `admissible` call may count: the listing
 # takes a few ms, and the walk follows only the few cycles periodic for the
-# tail, at most about 0.02 s in all at bound 7,775 over 2^inf 3^inf.
+# tail, at most about 0.01 s in all at bound 7,775 over 2^inf 3^inf.
 _SEARCH_LIMIT = 250_000
 # The most bounding edges, the sum of d_n - 1 over the levels, that one
 # realization may build: about 0.8 s and 1 MB of report.
@@ -71,8 +75,8 @@ class GeometricTail(Record):
     ratio: int
 
     def __post_init__(self) -> None:
-        if self.base < 1 or self.ratio < 2:
-            raise DomainError("geometric tail needs base >= 1 and ratio >= 2")
+        if not (is_int(self.base, 1) and is_int(self.ratio, 2)):
+            raise DomainError("geometric tail needs integers base >= 1 and ratio >= 2")
 
     def to_json_obj(self) -> dict:
         return {"kind": "geometric", "base": self.base, "ratio": self.ratio}
@@ -84,8 +88,8 @@ class ConstantTail(Record):
     value: int
 
     def __post_init__(self) -> None:
-        if self.value < 1:
-            raise DomainError("constant tail dimension must be positive")
+        if not is_int(self.value, 1):
+            raise DomainError("constant tail dimension must be a positive integer")
 
     def to_json_obj(self) -> dict:
         return {"kind": "constant", "value": self.value}
@@ -111,11 +115,15 @@ class GeneralizedFlagType(Record):
     ordered_presentation: tuple[Quotient, ...] | None = None
 
     def __post_init__(self) -> None:
-        if any((not isinstance(d, int)) or d < 1 for d in self.finite_quotients):
+        if not all(is_int(d, 1) for d in self.finite_quotients):
             raise DomainError("finite quotient dimensions must be positive integers")
+        if type(self.has_infinite_quotients) is not bool:
+            raise DomainError("has_infinite_quotients must be a bool")
         if not self.finite_quotients and self.tail is None and not self.has_infinite_quotients:
             raise DomainError("the quotient data must be nonempty")
         if self.ordered_presentation is not None:
+            if not all(d is INF or is_int(d, 1) for d in self.ordered_presentation):
+                raise DomainError("ordered quotients must be positive integers or INF")
             if self.tail is not None:
                 raise DomainError("a finite ordered presentation cannot carry a tail rule")
             finite = sorted(d for d in self.ordered_presentation if d is not INF)
@@ -414,20 +422,16 @@ class AdmissibilityCertificate(Record):
 
 
 class RefutationProof(Record):
-    """Divisibility obstruction for a constant tail: any exhaustion
-    eventually exceeds the constant dimension (cofinality forces the
-    witness divisor into the chain), after which the second defining
-    clause fails for the infinitely many remaining quotients."""
+    """Refutation of a constant tail of dimension c.  Every supernatural
+    number has an infinite prime p, so some power of p is a finite divisor
+    above c, and by cofinality it divides a term of any exhaustion; from
+    that term on, the second defining clause fails for the infinitely many
+    remaining quotients of dimension c, whichever of them a step places."""
 
     constant_value: int
-    witness_divisor: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": "constant_tail_divisibility",
-            "constant_value": self.constant_value,
-            "witness_divisor": self.witness_divisor,
-        }
+        return {"kind": "constant_tail_divisibility", "constant_value": self.constant_value}
 
 
 class Admissible(Record):
@@ -446,55 +450,46 @@ class Unknown(Record):
 AdmissibilityResult = Admissible | NotAdmissible | Unknown
 
 
-def _walk(gft: GeneralizedFlagType, s1: int, cycle: tuple[int, ...], limit: int) -> bool | None:
-    """Walk the forced order along the exhaustion (s1, cycle): each step
-    places the smallest remaining dimension, an explicit one on a tie, and
-    checks both clauses (it is j * s_n with 1 <= j <= d_n - 1; s_n divides
-    every dimension still to be placed, of the tail only the next).  True
-    when, once no explicit quotient is left, the state (cycle position,
-    next tail / s_(n+1)) repeats; False when a clause fails; None when
-    neither happens within `limit` steps."""
-    tail = gft.tail
-    next_tail, ratio = (tail.base, tail.ratio) if isinstance(tail, GeometricTail) else (tail.value, 1)
-    explicit = sorted(gft.finite_quotients)
-    s = s1
-    states: set[tuple[int, int]] = set()
-    for n in range(1, limit + 1):
-        d = cycle[(n - 1) % len(cycle)]
-        # clause 2: s_n divides every remaining dimension
-        if next_tail % s or any(dim % s for dim in explicit):
-            return False
-        if explicit and explicit[0] <= next_tail:
-            dim = explicit.pop(0)
+def _walk(gft: GeneralizedFlagType, s1: int, cycle: tuple[int, ...], steps: int) -> bool:
+    """Walk `steps` steps of the forced order of a type with a geometric
+    tail along the exhaustion (s1, cycle): each step places the smallest
+    remaining dimension, an explicit one on a tie, and checks that it is
+    j * s_n with 1 <= j <= d_n - 1.  Clause 2 (s_n divides every
+    dimension still to be placed) needs no check of its own: a dimension
+    placed at a later step m is checked to be a multiple of s_m, which s_n
+    divides, so when every step of the forced order passes, both clauses
+    hold.  True when the `steps` steps pass."""
+    explicit, ratio = sorted(gft.finite_quotients), gft.tail.ratio
+    next_tail, placed, s = gft.tail.base, 0, s1
+    for n in range(steps):
+        d = cycle[n % len(cycle)]
+        if placed < len(explicit) and explicit[placed] <= next_tail:
+            dim, placed = explicit[placed], placed + 1
         else:
             dim, next_tail = next_tail, next_tail * ratio
-        # clause 1: dim, now known to be a positive multiple of s_n, is below s_(n+1)
-        if dim >= s * d:
+        if dim % s or dim >= s * d:
             return False
-        if not explicit:
-            # The position fixes d_n, so next tail / s_n names the state
-            # (position, next tail / s_(n+1)) by an integer.
-            state = (n % len(cycle), next_tail // s)
-            if state in states:
-                return True
-            states.add(state)
         s *= d
-    return None
+    return True
 
 
-def _explicit_steps(gft: GeneralizedFlagType) -> int | None:
-    """E, the step of the forced order that places the largest explicit
-    quotient (1 when there is none), counted to just past the step limit;
-    None when a constant tail below it comes first forever."""
+def _explicit_steps(gft: GeneralizedFlagType) -> int:
+    """E, the step of the forced order of a type with a geometric tail that
+    places the largest explicit quotient (1 when there is none), counted
+    only to just past the step limit."""
     if not gft.finite_quotients:
         return 1
     top, tail, steps = max(gft.finite_quotients), gft.tail, len(gft.finite_quotients)
-    if isinstance(tail, ConstantTail):
-        return steps if tail.value >= top else None
     dim = tail.base
     while dim < top and steps <= CERTIFICATE_STEP_LIMIT:
         steps, dim = steps + 1, dim * tail.ratio
     return steps
+
+
+def _periodic(tail: GeometricTail, cycle: tuple[int, ...]) -> bool:
+    """The period rule: ratio^L is the cycle product, L the cycle length.
+    Only such a cycle certifies (see `verify_certificate`)."""
+    return tail.ratio ** len(cycle) == math.prod(cycle)
 
 
 def verify_certificate(
@@ -502,98 +497,81 @@ def verify_certificate(
 ) -> bool:
     """Decide a certificate by both defining clauses of admissibility.  A
     finite certificate, with no exhaustion, certifies exactly the types
-    without a tail; a numbered one, an exhaustion for a type with a tail.
-    The numbering along it is forced: the dimension placed at step n is
-    below s_(n+1), which divides every dimension still to be placed, so
-    they are placed in increasing order.  `_walk` follows that order for
-    E + L steps, E the step that places the largest explicit quotient (1
-    when there is none; read off the type) and L the cycle length, and
-    accepts when a state repeats.  Above `CERTIFICATE_STEP_LIMIT` steps
-    ScaleError is raised before the exhaustion is validated.
+    without a tail; a numbered one, an exhaustion for a type with a
+    geometric tail.  A constant tail is never admissible (see
+    `RefutationProof`).  The numbering along an exhaustion is forced: the
+    dimension placed at step n is below s_(n+1), which divides every
+    dimension still to be placed, so they are placed in increasing order.
+    Let E be the step that places the largest explicit quotient (1 when
+    there is none; read off the type) and L the cycle length.  Above
+    `CERTIFICATE_STEP_LIMIT` steps E + L, ScaleError is raised before
+    anything else is checked.  Otherwise the certificate is accepted when
+    the cycle obeys the period rule, the exhaustion is valid for sn and
+    `_walk` passes E + L steps of the forced order.
 
-    A repeated state repeats forever.  Say the states after steps m < m'
-    agree, and let Q = s_(m'+1) / s_(m+1).  Only tail dimensions remain
-    after either step, and the next one after m' is Q times the next one
-    after m; as the cycle positions agree, the same multipliers follow, so
-    for every i >= 1 the term at step m' + i and each tail dimension still
-    to come are Q times those at step m + i.  Both clauses ask only whether
-    a dimension over a term is an integer and where it lies, and scaling
-    both by Q changes neither.  So step m' + i passes exactly when step
-    m + i does and ends in the same state: the steps m + 1 .. m', all
-    checked, repeat forever.
+    After step E only tail dimensions remain, so each later step places
+    the next tail dimension t at term s, and what the step checks,
+    whether t / s is an integer in [1, d - 1], depends only on t / s and
+    the cycle position.  One period of L steps keeps the position,
+    multiplies t by r^L (r the tail's ratio) and s by the cycle product,
+    so it multiplies t / s by c = r^L / (d_1 ... d_L).
 
-    E + L steps decide.  After step E only tail dimensions remain, so each
-    later step places the next tail dimension t at term s and leaves
-    t r / (s d) as the state's ratio, where r is the tail's ratio (1 for a
-    constant tail) and d the step's multiplier.  One period of L steps
-    keeps the cycle position and multiplies the ratio by
-    c = r^L / (d_1 ... d_L).  If c = 1, the state after step E + L is the
-    one after step E, so a certificate whose steps all pass is accepted by
-    then.  If c != 1, the ratios at one cycle position grow or shrink
-    geometrically, so no state ever repeats and the clause
-    1 <= t / s <= d - 1 fails at some later step: the certificate is
-    false, and rejecting it after E + L steps is right."""
+    If c != 1, the ratios t / s at one cycle position grow or shrink
+    geometrically, so 1 <= t / s <= d - 1 fails at some step: the
+    certificate is false, and the period rule rejects it.  If c = 1, step
+    m + L checks exactly what step m checks, for every m > E, so once
+    steps E + 1 .. E + L pass every later step does: E + L steps decide."""
     spec = cert.exhaustion
     if cert.kind == "finite":
         return gft.tail is None and spec is None
-    if cert.kind != "numbered" or spec is None or gft.tail is None:
+    if cert.kind != "numbered" or spec is None or not isinstance(gft.tail, GeometricTail):
         return False
-    explicit_steps = _explicit_steps(gft)
-    if explicit_steps is None:
-        return False
-    steps = explicit_steps + len(spec.cycle)
+    steps = _explicit_steps(gft) + len(spec.cycle)
     if steps > CERTIFICATE_STEP_LIMIT:
         raise ScaleError(
             f"a certificate with {steps} explicit and cycle steps; verification is limited to {CERTIFICATE_STEP_LIMIT}"
         )
-    return validate_exhaustion(spec, sn).ok and _walk(gft, spec.s1, spec.cycle, steps) is True
+    return (
+        _periodic(gft.tail, spec.cycle)
+        and validate_exhaustion(spec, sn).ok
+        and _walk(gft, spec.s1, spec.cycle, steps)
+    )
 
 
 def verify_refutation(
     gft: GeneralizedFlagType, sn: SupernaturalNumber, proof: RefutationProof
 ) -> bool:
-    """Check the constant-tail obstruction: the witness is a finite divisor
-    exceeding the constant dimension, so by cofinality every exhaustion
-    contains a term that cannot divide the infinitely many remaining
-    quotients of that dimension."""
-    if not isinstance(gft.tail, ConstantTail):
-        return False
-    c = gft.tail.value
-    return (
-        proof.constant_value == c
-        and proof.witness_divisor > c
-        and divides_sn(proof.witness_divisor, sn)
-    )
+    """Check a constant-tail refutation: the type's tail is constant, of
+    the proof's value.  No property of sn is needed, as every supernatural
+    number has an infinite prime (see `RefutationProof`)."""
+    return isinstance(gft.tail, ConstantTail) and proof.constant_value == gft.tail.value
 
 
 def admissible(gft: GeneralizedFlagType, sn: SupernaturalNumber, bound: int = 64) -> AdmissibilityResult:
     """Decide whether the generalized flag type can be realized over sn.
 
-    A finite set of finite quotients is always admissible.  A constant
-    tail is never admissible over an infinite supernatural number, with a
-    machine-checkable divisibility proof whose witness is the least finite
-    divisor of sn above the constant.  For geometric tails the search
+    A finite set of finite quotients is always admissible, and a constant
+    tail never is (see `RefutationProof`).  For geometric tails the search
     ranges over periodic exhaustions: a first term is a divisor of sn up
     to `bound` that carries sn's whole finite part, and a cycle is at most
     `_MAX_CYCLE_LEN` divisors in [2, bound] of sn's infinite part whose
     product every infinite prime divides.  Such pairs are valid by
-    construction, so none is checked: the forced-order walk of
-    `verify_certificate` runs, for at most `_MAX_STEPS` - 1 steps, on each
-    pair in turn whose cycle product is the tail's ratio^len(cycle), as no
-    other cycle certifies (the period rule), and the first pair it
-    certifies is the certificate.  An inconclusive search returns Unknown
-    rather than a verdict.  A bound below 2 admits no multiplier and is
-    rejected.  The search counts at most |s1 candidates| * (M + M^2) pairs
-    for M multipliers; above `_SEARCH_LIMIT` (250,000) it raises
-    ScaleError before it starts.
+    construction, so none is checked.  On each pair in turn whose cycle
+    obeys the period rule, as no other certifies, `_walk` follows the
+    forced order for the E + L steps that `verify_certificate` walks,
+    when they are at most `CERTIFICATE_STEP_LIMIT`; the first pair that
+    passes is the certificate, so every certificate verifies.  An
+    inconclusive search returns Unknown rather than a verdict.  A bound
+    below 2 admits no multiplier and is rejected.  The search counts at
+    most |s1 candidates| * (M + M^2) pairs for M multipliers; above
+    `_SEARCH_LIMIT` (250,000) it raises ScaleError before it starts.
     """
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
     if gft.tail is None:
         return Admissible(AdmissibilityCertificate("finite", None))
     if isinstance(gft.tail, ConstantTail):
-        c = gft.tail.value
-        return NotAdmissible(RefutationProof(c, sn.least_divisor_above(c)))
+        return NotAdmissible(RefutationProof(gft.tail.value))
 
     inf_primes = sn.infinite_primes
     infinite_part = SupernaturalNumber.from_factors({p: INF for p in inf_primes})
@@ -615,13 +593,15 @@ def admissible(gft: GeneralizedFlagType, sn: SupernaturalNumber, bound: int = 64
         for cycle in itertools.product(multipliers, repeat=length)
         if math.prod(cycle) % math.prod(inf_primes) == 0
     ]
-    # The period rule: one period multiplies the state's ratio by
-    # ratio^L / (d_1 ... d_L), so only when that is 1 does the state after
-    # the last explicit quotient recur (see `verify_certificate`).
-    periodic = [cycle for cycle in cycles if gft.tail.ratio ** len(cycle) == math.prod(cycle)]
+    explicit_steps = _explicit_steps(gft)
+    periodic = [
+        cycle
+        for cycle in cycles
+        if _periodic(gft.tail, cycle) and explicit_steps + len(cycle) <= CERTIFICATE_STEP_LIMIT
+    ]
     for s1 in s1_candidates:
         for cycle in periodic:
-            if _walk(gft, s1, cycle, _MAX_STEPS - 1):
+            if _walk(gft, s1, cycle, explicit_steps + len(cycle)):
                 return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle)))
     return Unknown(
         reason="bounded search over periodic exhaustions was inconclusive",

@@ -159,26 +159,6 @@ class SupernaturalNumber(Record):
         ScaleError when there are more than `DIVISOR_LIMIT`."""
         return _divisors_up_to(self.factors, bound)
 
-    def least_divisor_above(self, c: int) -> int:
-        """The least finite divisor greater than c >= 1.
-
-        With p the least infinite prime, the least power of p above c is
-        at most p*c, so the answer is e * p^j with e a divisor <= p*c of
-        the part prime to p.  Only those e are listed, ascending, and the
-        power each needs only shrinks as e grows; ScaleError when they are
-        more than `DIVISOR_LIMIT`."""
-        p = self.infinite_primes[0]
-        rest = _divisors_up_to(tuple(f for f in self.factors if f[0] != p), p * c)
-        power = 1
-        while power <= c:
-            power *= p
-        best = power
-        for e in rest[1:]:
-            while power > 1 and e * (power // p) > c:
-                power //= p
-            best = min(best, e * power)
-        return best
-
     def to_json_obj(self) -> dict:
         return {
             "factors": {str(p): ("inf" if a is INF else a) for p, a in self.factors}

@@ -1,5 +1,6 @@
 """Shared reference objects for the test suite."""
 
+import collections
 import functools
 import heapq
 import itertools
@@ -33,7 +34,6 @@ from diagflag.flagcore import (
     support_and_constants,
 )
 from diagflag.indlimit import (
-    _MAX_STEPS,
     ConstantTail,
     GraphFactor,
     SnGraph,
@@ -364,6 +364,33 @@ def forced_prefix(gft, k):
     return tuple(dim for dim, _ in itertools.islice(heapq.merge(explicit, tail), k))
 
 
+def unplaced_after(gft, k):
+    """The dimensions of a type with a geometric tail that the first k
+    steps of the forced order leave unplaced: the explicit ones left and
+    the next tail dimension, which divides all later ones."""
+    explicit = collections.Counter(gft.finite_quotients)
+    explicit.subtract(collections.Counter(forced_prefix(gft, k)))
+    left = list(explicit.elements())
+    tail_placed = k - (len(gft.finite_quotients) - len(left))
+    return [*left, _reference_tail_dim(gft.tail, tail_placed)]
+
+
+def reference_clause_walk(gft, s1, cycle, steps):
+    """Reference: both clauses at each of `steps` steps of the forced order
+    of a type with a geometric tail, clause 2 on every dimension not placed
+    before the step."""
+    s = s1
+    for n, dim in enumerate(forced_prefix(gft, steps)):
+        d = cycle[n % len(cycle)]
+        if any(x % s for x in unplaced_after(gft, n)):
+            return False
+        j, rest = divmod(dim, s)
+        if rest or not 1 <= j <= d - 1:
+            return False
+        s *= d
+    return True
+
+
 def clause_numberings(pool, divisors, k):
     """Brute force: every pair of a chain s_1 | ... | s_(k+1) from
     `divisors` and an injective numbering q_1 .. q_k of positions of
@@ -391,13 +418,18 @@ def clause_numberings(pool, divisors, k):
         yield from extend((s1,), ())
 
 
-def reference_greedy_numbering(gft, s1, cycle):
+# The steps the reference greedy takes unless told otherwise: a state
+# repeating at step 199 or earlier is found.
+_GREEDY_STEPS = 200
+
+
+def reference_greedy_numbering(gft, s1, cycle, limit=_GREEDY_STEPS):
     """Reference: the admissibility search's greedy numbering detecting
     certification by hashing (cycle position, Fraction(tail, s_(n+1)))
     states, for any cycle.  Returns the picked dimensions once the
     explicit quotients are placed, a state has repeated and at least
     `_PREFIX_LEN` steps are taken; None when a clause fails, no pick is
-    available, or no state repeats within `_MAX_STEPS`."""
+    available, or no state repeats before step `limit`."""
     tail = gft.tail
     explicit = sorted(gft.finite_quotients)
     tail_k = 0
@@ -405,7 +437,7 @@ def reference_greedy_numbering(gft, s1, cycle):
     s = s1
     states = set()
     certified = False
-    for n in range(1, _MAX_STEPS + 1):
+    for n in range(1, limit + 1):
         if certified and len(picked) >= _PREFIX_LEN:
             return tuple(picked)
         d = cycle[(n - 1) % len(cycle)]

@@ -48,7 +48,7 @@ def test_restrict_parabolic(capsys):
     assert code == 0
     assert doc["verdict"] == "Parabolic"
     assert doc["flag_type"] == {"ambient": 2, "dims": [1]}
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["selftest_digest"] == selftest_digest()
 
 
@@ -348,11 +348,11 @@ def test_admissible(capsys, tmp_path):
     code, doc = run_json(capsys, "admissible", "--gft", str(gft), "--sn", str(sn))
     assert code == 0
     assert doc["verdict"] == "NotAdmissible"
-    assert doc["proof"]["witness_divisor"] == 2
+    assert doc["proof"] == {"kind": "constant_tail_divisibility", "constant_value": 1}
 
 
 def test_admissible_constant_tail_beyond_twice_its_value(capsys, tmp_path):
-    # 3^inf has no divisor in (28, 64]; the least above 28 is 81.
+    # 3^inf has no divisor in (28, 64]; the refutation names only the 28.
     gft = {"finite_quotients": [], "tail": {"kind": "constant", "value": 28},
            "infinite_quotients": True, "ordered": None}
     sn = write(tmp_path, "sn.json", {"factors": {"3": "inf"}})
@@ -360,7 +360,7 @@ def test_admissible_constant_tail_beyond_twice_its_value(capsys, tmp_path):
     code, doc = run_json(capsys, *argv)
     assert code == 0
     assert doc["verdict"] == "NotAdmissible"
-    assert doc["proof"]["witness_divisor"] == 81
+    assert doc["proof"] == {"kind": "constant_tail_divisibility", "constant_value": 28}
 
 
 def test_admissible_constant_tail_of_three_hundred_digits_at_once(capsys, tmp_path):
@@ -371,24 +371,22 @@ def test_admissible_constant_tail_of_three_hundred_digits_at_once(capsys, tmp_pa
     code, doc = run_json(capsys, "admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn)
     assert time.monotonic() - started < 1.0
     assert code == 0
-    assert 10**300 < doc["proof"]["witness_divisor"] <= 2 * 10**300
+    assert doc["proof"] == {"kind": "constant_tail_divisibility", "constant_value": 10**300}
 
 
 def test_admissible_refuses_a_constant_tail_with_too_many_divisors_below_it(capsys, tmp_path):
-    """Over 2^inf 3^inf 5^inf 7^inf the witness search lists the 3-, 5-
-    and 7-smooth numbers up to 2c: 136,281 at c = 10^60, about 10^7 at
-    c = 10^300, beyond `DIVISOR_LIMIT`."""
+    """Over 2^inf 3^inf 5^inf 7^inf there are about 10^7 divisors below
+    10^300, beyond `DIVISOR_LIMIT`, but a constant tail's refutation lists
+    none: c = 10^60 and c = 10^300 are both refuted at once."""
     sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "3": "inf", "5": "inf", "7": "inf"}})
-    gft = {"finite_quotients": [], "tail": {"kind": "constant", "value": 10**60},
-           "infinite_quotients": True, "ordered": None}
-    code, doc = run_json(capsys, "admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn)
-    assert code == 0 and doc["verdict"] == "NotAdmissible"
-    assert doc["proof"]["witness_divisor"] == 1000006182732750065940640756249558180248787905851869701468750
-    gft["tail"]["value"] = 10**300
-    started = time.monotonic()
-    assert main(["admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn]) == 1
-    assert time.monotonic() - started < 1.0
-    _one_input_error(capsys)
+    for value in (10**60, 10**300):
+        gft = {"finite_quotients": [], "tail": {"kind": "constant", "value": value},
+               "infinite_quotients": True, "ordered": None}
+        started = time.monotonic()
+        code, doc = run_json(capsys, "admissible", "--gft", write(tmp_path, "gft.json", gft), "--sn", sn)
+        assert time.monotonic() - started < 1.0
+        assert code == 0 and doc["verdict"] == "NotAdmissible"
+        assert doc["proof"] == {"kind": "constant_tail_divisibility", "constant_value": value}
 
 
 @pytest.mark.parametrize("bound", ["-5", "0", "1"])

@@ -13,9 +13,11 @@ from conftest import (
     clause_numberings,
     forced_prefix,
     insertion_graph,
+    reference_clause_walk,
     reference_greedy_numbering,
     reference_verify_certificate,
     small_graphs,
+    unplaced_after,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,31 @@ def test_gft_json_roundtrip():
         GeneralizedFlagType((5,), None, True, ordered_presentation=(INF, 5, INF)),
     ):
         assert GeneralizedFlagType.from_json_obj(gft.to_json_obj()) == gft
+
+
+def test_gft_takes_no_bool_for_an_integer():
+    """A bool is an int subclass, but JSON writes it as `true`, which the
+    document reader refuses for an integer; so the constructors refuse it
+    too.  The one bool a type holds, `has_infinite_quotients`, is written
+    as `true` and read back."""
+    for build in (
+        lambda: GeneralizedFlagType((True, 2), GeometricTail(2, 2), True),
+        lambda: GeometricTail(True, 2),
+        lambda: GeometricTail(1, True),
+        lambda: ConstantTail(True),
+        lambda: GeneralizedFlagType((1,), None, 1),
+        lambda: GeneralizedFlagType((1,), None, True, ordered_presentation=(True, INF)),
+    ):
+        with pytest.raises(DomainError):
+            build()
+    with pytest.raises(DomainError, match="base must be an integer, got True"):
+        GeneralizedFlagType.from_json_obj(
+            {"finite_quotients": [], "tail": {"kind": "geometric", "base": True, "ratio": 2},
+             "infinite_quotients": True}
+        )
+    gft = GeneralizedFlagType((1, 2), GeometricTail(1, 2), True)
+    text = json.dumps(gft.to_json_obj())
+    assert "true" in text and GeneralizedFlagType.from_json_obj(json.loads(text)) == gft
 
 
 # --- chained graphs ----------------------------------------------------------
@@ -422,25 +449,23 @@ def test_not_admissible_constant_tail():
     gft = GeneralizedFlagType((), ConstantTail(1), True)
     result = admissible(gft, SN2)
     assert isinstance(result, NotAdmissible)
-    assert result.proof.witness_divisor == 2
+    assert result.proof == RefutationProof(1)
+    assert result.proof.to_json_obj() == {"kind": "constant_tail_divisibility", "constant_value": 1}
     assert verify_refutation(gft, SN2, result.proof)
 
 
-@pytest.mark.parametrize("prime, beyond", [(3, 111), (5, 213), (7, 122)])
-def test_constant_tail_witness_is_the_least_divisor_above(prime, beyond):
-    """Over p^inf, `beyond` of the values c <= 300 have no divisor in
-    (c, max(64, 2c + 2)]; the witness is still the least divisor above c."""
-    sn = SupernaturalNumber.from_factors({prime: INF})
-    outside = 0
-    for c in range(1, 301):
-        gft = GeneralizedFlagType((), ConstantTail(c), True)
-        result = admissible(gft, sn)
-        assert isinstance(result, NotAdmissible)
-        least = prime ** next(k for k in itertools.count() if prime**k > c)
-        assert result.proof.witness_divisor == least
-        assert verify_refutation(gft, sn, result.proof)
-        outside += least > max(64, 2 * c + 2)
-    assert outside == beyond
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_constant_tail_is_refuted_by_its_value(prime):
+    """Over p^inf and p^inf with a finite 2^3, every constant c <= 300,
+    with or without explicit quotients, is refuted by its value alone,
+    whether or not sn has a divisor near c."""
+    for factors in ({prime: INF}, {2: 3, prime: INF}):
+        sn = SupernaturalNumber.from_factors(factors)
+        for c, explicit in itertools.product(range(1, 301), (False, True)):
+            gft = GeneralizedFlagType((1, c) if explicit else (), ConstantTail(c), True)
+            result = admissible(gft, sn)
+            assert result == NotAdmissible(RefutationProof(c))
+            assert verify_refutation(gft, sn, result.proof)
 
 
 def test_admissible_unknown_for_incompatible_ratio():
@@ -517,6 +542,43 @@ def test_the_numbering_along_any_exhaustion_is_forced():
     assert found == 3339
 
 
+@pytest.mark.parametrize("factors", LEMMA_SNS, ids=str)
+def test_the_walk_checks_only_the_placed_dimension(factors):
+    """Clause 2 along the forced order follows from the divisibility of
+    each dimension at its own step, as s_n divides every later term.  So
+    on drawn types and exhaustions, both clauses on every remaining
+    dimension hold for k <= 8 steps exactly when `_walk` passes k steps
+    and s_k divides what is still unplaced after step k.  A cycle off the
+    period rule fails both within 200 steps."""
+    rng = random.Random(f"walk-{factors}")
+    divisors = SupernaturalNumber.from_factors(factors).divisors_up_to(99)
+    multipliers = [d for d in divisors if 2 <= d <= 16]
+    passed = refuted = 0
+    for _ in range(1500):
+        s1 = rng.choice(divisors[:8])
+        cycle = tuple(rng.choice(multipliers) for _ in range(rng.randint(1, 3)))
+        # Half the types place j_n * s_n at steps 1 .. e + 1 (e explicit
+        # quotients, then the tail's base), so that many walks pass.
+        if rng.randint(0, 1):
+            terms = list(ExhaustionSpec(s1, cycle).terms(4))
+            placed = [terms[n] * rng.randint(1, terms[n + 1] // terms[n] - 1) for n in range(3)]
+            e = rng.randint(0, 2)
+            finite, base = tuple(placed[:e]), placed[e]
+        else:
+            finite, base = rng.choice(LEMMA_FINITE_PARTS), rng.choice((1, 2, 3, 4, 6))
+        gft = GeneralizedFlagType(finite, GeometricTail(base, rng.choice((2, 3, 4, 6))), True)
+        for k, s_k in enumerate(ExhaustionSpec(s1, cycle).terms(8), start=1):
+            expected = reference_clause_walk(gft, s1, cycle, k)
+            walked = indlimit._walk(gft, s1, cycle, k) and all(x % s_k == 0 for x in unplaced_after(gft, k))
+            assert walked == expected, (gft, s1, cycle, k)
+            passed += expected
+        if not indlimit._periodic(gft.tail, cycle):
+            assert not reference_clause_walk(gft, s1, cycle, 200)
+            assert not indlimit._walk(gft, s1, cycle, 200)
+            refuted += 1
+    assert passed >= 1500 and refuted >= 1000
+
+
 def _numbered(s1, cycle):
     return AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle))
 
@@ -540,7 +602,7 @@ def test_certificate_verification_rejects_an_unplaced_explicit_quotient():
     gft = GeneralizedFlagType((2**20,), GeometricTail(1, 2), True)
     assert isinstance(admissible(gft, SN2), Unknown)
     assert not verify_certificate(gft, SN2, _numbered(1, (2,)))
-    assert indlimit._walk(gft, 1, (2,), 22) is False and indlimit._walk(gft, 1, (2,), 21) is None
+    assert indlimit._walk(gft, 1, (2,), 22) is False and indlimit._walk(gft, 1, (2,), 21) is True
 
 
 def test_certificate_verification_rejects_an_explicit_quotient_beyond_the_prefix():
@@ -566,20 +628,32 @@ def test_certificate_verification_follows_the_tail_rule_past_the_prefix():
 
 def test_certificate_verification_accepts_a_long_cycle():
     """A cycle of 250 doublings is the doubling chain, so the certificate
-    holds although its state first repeats after 251 steps, past the
-    search's `_MAX_STEPS`; the walk runs its own bound of E + L.  Ending
-    the cycle with a 4 instead breaks it within that bound: step 250
-    places 2^249 at term 2^249 and leaves the term 2^251, which exceeds
-    the next tail dimension 2^250 at step 251."""
+    holds; the walk takes E + L = 251 steps.  Ending the cycle with a 4
+    instead breaks the period rule (the product is 2^251, not 2^250), and
+    the walk fails within E + L steps too: step 250 places 2^249 at term
+    2^249 and leaves the term 2^251, which exceeds the next tail dimension
+    2^250 at step 251."""
     gft = GeneralizedFlagType((), GeometricTail(1, 2), True)
     assert verify_certificate(gft, SN2, _numbered(1, (2,) * 250))
     assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 249 + (4,)))
-    # With 1, 2, ..., 2^11 explicit and the tail from 2^12 on, no state is
-    # recorded before step E = 12, so the first repeat is at step
-    # 12 + 250, the last one the walk takes.
+    broken = (2,) * 249 + (4,)
+    assert indlimit._walk(gft, 1, broken, 250) is True and indlimit._walk(gft, 1, broken, 251) is False
+    # With 1, 2, ..., 2^11 explicit and the tail from 2^12 on, E = 12, and
+    # the walk takes 12 + 250 steps.
     explicit = GeneralizedFlagType(tuple(2**i for i in range(12)), GeometricTail(2**12, 2), True)
     assert verify_certificate(explicit, SN2, _numbered(1, (2,) * 250))
-    assert indlimit._walk(explicit, 1, (2,) * 250, 261) is None
+    assert indlimit._walk(explicit, 1, (2,) * 250, 262) is True
+
+
+def test_certificate_verification_asks_the_period_rule():
+    """Tail(4, 2) over 2^inf along s1 = 1, cycle (8,): E + L = 2 steps pass
+    (4 at term 1, 8 at term 8), but one period multiplies the next tail
+    dimension over the next term by 2 / 8, and step 3 places 16 at term
+    64.  The period rule rejects the certificate without that step."""
+    gft = GeneralizedFlagType((), GeometricTail(4, 2), True)
+    assert indlimit._walk(gft, 1, (8,), 2) is True and indlimit._walk(gft, 1, (8,), 3) is False
+    assert not indlimit._periodic(gft.tail, (8,))
+    assert not verify_certificate(gft, SN2, _numbered(1, (8,)))
 
 
 def test_certificate_verification_walks_steps_not_multipliers():
@@ -613,20 +687,18 @@ def test_certificate_verification_refuses_a_walk_beyond_its_limit():
 
 
 def test_certificate_verification_checks_a_constant_tail():
-    """A constant tail is walked like a geometric one of ratio 1.  With
-    explicit 1 and constant 3 over 2^inf, along s1 = 1, cycle (2,), step 1
-    places 1 and s_2 = 2 does not divide 3; with explicit 1, 2 and
-    constant 4, every step passes but no state repeats within E + L = 3
-    steps (one period divides the state's ratio by 2).  Explicit 1, 2,
-    ..., 2^11 with constant 1 is rejected before the walk, as the tail's
-    1's come first forever; walked, it fails at step 2 as the first type
-    does.  Each type is refuted, and only the refutation verifies."""
-    for finite, value, outcome in (((1,), 3, False), ((1, 2), 4, None), (tuple(2**i for i in range(12)), 1, False)):
+    """A constant tail is never admissible, so a numbered certificate of
+    one is rejected before E is read off the type or the walk is counted:
+    a cycle beyond the step limit raises no ScaleError.  The types are
+    explicit 1 with constant 3, explicit 1, 2 with constant 4, and
+    explicit 1, 2, ..., 2^11 with constant 1.  Each type is refuted, and
+    only the refutation verifies."""
+    for finite, value in (((1,), 3), ((1, 2), 4), (tuple(2**i for i in range(12)), 1)):
         gft = GeneralizedFlagType(finite, ConstantTail(value), True)
         assert not verify_certificate(gft, SN2, _numbered(1, (2,)))
-        assert indlimit._walk(gft, 1, (2,), 3) is outcome
+        assert not verify_certificate(gft, SN2, _numbered(1, (2,) * CERTIFICATE_STEP_LIMIT))
         result = admissible(gft, SN2)
-        assert isinstance(result, NotAdmissible)
+        assert result == NotAdmissible(RefutationProof(value))
         assert verify_refutation(gft, SN2, result.proof)
 
 
@@ -691,22 +763,34 @@ def test_certificate_verification_rejects_a_finite_certificate_with_an_exhaustio
     assert not verify_certificate(gft, SN2, replace(cert, exhaustion=ExhaustionSpec(1, (2,))))
 
 
-@pytest.mark.parametrize("cycle, certified", [((2,), 198), ((2, 2), 197)])
+@pytest.mark.parametrize("cycle, certified", [((2,), 999), ((2, 2), 998)])
 def test_greedy_numbering_gives_up_at_its_step_limit(cycle, certified):
     """Explicit quotients 2^0 .. 2^(c-1) and tail(2^c, 2) over 2^inf along
-    s1 = 1: the explicit quotients are placed by step c, and the state
-    after it recurs one cycle later.  The search's walk certifies when
-    that step is below `_MAX_STEPS` (200), and so does `admissible`, as
-    (2,) and (2, 2) are its only cycles periodic for the tail."""
+    s1 = 1: the explicit quotients are placed by step E = c, and the state
+    after it recurs one cycle later, at step c + L.  The search walks the
+    cycle, and certifies, exactly when c + L is at most
+    `CERTIFICATE_STEP_LIMIT` (1,000), the steps `verify_certificate`
+    walks; so does the reference greedy given that limit.  `admissible`
+    certifies up to c = 999, as (2,) and (2, 2) are its only cycles
+    periodic for the tail, and its certificates verify."""
     for c in (certified, certified + 1):
         gft = GeneralizedFlagType(tuple(2**i for i in range(c)), GeometricTail(2**c, 2), True)
-        walked = indlimit._walk(gft, 1, cycle, indlimit._MAX_STEPS - 1)
-        greedy = reference_greedy_numbering(gft, 1, cycle)
+        greedy = reference_greedy_numbering(gft, 1, cycle, limit=CERTIFICATE_STEP_LIMIT + 1)
         if c == certified:
-            assert walked is True and greedy == tuple(2**i for i in range(c + len(cycle)))
+            assert indlimit._walk(gft, 1, cycle, c + len(cycle)) is True
+            assert greedy == tuple(2**i for i in range(c + len(cycle)))
+            assert verify_certificate(gft, SN2, _numbered(1, cycle))
         else:
-            assert walked is None and greedy is None
-        assert isinstance(admissible(gft, SN2), Admissible) == (c <= 198)
+            assert greedy is None
+            with pytest.raises(ScaleError, match="verification is limited"):
+                verify_certificate(gft, SN2, _numbered(1, cycle))
+        result = admissible(gft, SN2)
+        assert isinstance(result, Admissible) == (c <= 999)
+        if c <= 999:
+            assert result.certificate == _numbered(1, (2,))
+            assert verify_certificate(gft, SN2, result.certificate)
+        else:
+            assert isinstance(result, Unknown)
 
 
 @st.composite
@@ -724,13 +808,16 @@ def greedy_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(greedy_inputs())
 def test_greedy_numbering_matches_the_reference(inputs):
-    """The search's walk certifies exactly when the reference greedy, which
-    hashes Fraction states, finds a repeat within `_MAX_STEPS`; by the
-    period rule only for a cycle with ratio^len(cycle) = cycle product."""
+    """The search certifies, by the period rule and a walk of E + L steps,
+    exactly when the reference greedy, which hashes Fraction states, finds
+    a repeat; by the period rule only for a cycle with ratio^len(cycle) =
+    cycle product."""
     gft, s1, cycle = inputs
     expected = reference_greedy_numbering(gft, s1, cycle)
     assert expected is None or gft.tail.ratio ** len(cycle) == math.prod(cycle)
-    assert (indlimit._walk(gft, s1, cycle, indlimit._MAX_STEPS - 1) is True) == (expected is not None)
+    steps = indlimit._explicit_steps(gft) + len(cycle)
+    certified = indlimit._periodic(gft.tail, cycle) and indlimit._walk(gft, s1, cycle, steps)
+    assert certified == (expected is not None)
 
 
 def reference_verdict(gft, sn, spec):
@@ -830,9 +917,29 @@ def test_emitted_certificates_match_the_reference():
             assert reference_verdict(gft, sn, cert.exhaustion)
 
 
+def test_every_emitted_certificate_verifies_within_the_step_limit():
+    """`admissible` walks only candidates of at most
+    `CERTIFICATE_STEP_LIMIT` steps, the limit `verify_certificate` holds
+    to, so no certificate it emits is refused: explicit parts placed by
+    step c <= 1,000, and the small grid.  Explicit r^0 .. r^(c-1) before
+    tail(r^c, r) is certified along s1 = 1, cycle (r,) up to c = 999, for
+    r = 2 and 4 over 2^inf and r = 6 over 2^inf 3^inf."""
+    emitted = 0
+    for c, ratio, sn in itertools.product((997, 998, 999, 1000), (2, 4, 6), (SN2, SN23)):
+        gft = GeneralizedFlagType(tuple(ratio**i for i in range(c)), GeometricTail(ratio**c, ratio), True)
+        result = admissible(gft, sn)
+        if isinstance(result, Admissible):
+            assert result.certificate == _numbered(1, (ratio,)) and c <= 999
+            assert verify_certificate(gft, sn, result.certificate)
+            emitted += 1
+    assert emitted == 9
+    for gft, sn, cert in emitted_certificates():
+        assert verify_certificate(gft, sn, cert)
+
+
 def test_refutation_verification_rejects_a_geometric_tail():
     gft = GeneralizedFlagType((), GeometricTail(4, 2), True)
-    assert not verify_refutation(gft, SN2, RefutationProof(4, 8))
+    assert not verify_refutation(gft, SN2, RefutationProof(4))
 
 
 # The ROADMAP grid of geometric tails: sn, tail base, tail ratio, finite part.
@@ -868,12 +975,15 @@ def test_admissibility_grid_is_pinned():
 
 
 def test_refutation_verification_rejects_bad_witness():
+    """A refutation names the constant; a wrong value, or a type whose
+    tail is geometric or absent, is rejected."""
     gft = GeneralizedFlagType((), ConstantTail(4), True)
-    from diagflag.indlimit import RefutationProof
-
-    assert not verify_refutation(gft, SN2, RefutationProof(4, 3))
-    assert not verify_refutation(gft, SN2, RefutationProof(4, 6))  # 6 not a divisor
-    assert verify_refutation(gft, SN2, RefutationProof(4, 8))
+    assert verify_refutation(gft, SN2, RefutationProof(4))
+    assert verify_refutation(gft, SN23, RefutationProof(4))
+    assert not verify_refutation(gft, SN2, RefutationProof(3))
+    assert not verify_refutation(gft, SN2, RefutationProof(8))
+    assert not verify_refutation(GeneralizedFlagType((), GeometricTail(4, 4), True), SN2, RefutationProof(4))
+    assert not verify_refutation(GeneralizedFlagType((4,), None, True), SN2, RefutationProof(4))
 
 
 # --- factorization -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """The README's table of resource limits names every module-level limit of
 the library: each `*_LIMIT` and `*_SIZE` constant, and the classifier's
-`_SAMPLE_STREAMS`."""
+`_SAMPLE_STREAMS`, with its value."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -22,11 +23,37 @@ def module_limits() -> set[str]:
     return names
 
 
+def readme_rows() -> dict[str, str]:
+    """The first cell of each row of the limits table, `module.NAME`
+    (value): the value's text by name."""
+    rows = re.findall(r"^\| `(\w+\.\w+)` \(([^)]*)\)", (ROOT / "README.md").read_text(), re.MULTILINE)
+    return dict(rows)
+
+
 def readme_limits() -> set[str]:
-    """The first cell of each row of the limits table: `module.NAME` (value)."""
-    return set(re.findall(r"^\| `(\w+\.\w+)` \(", (ROOT / "README.md").read_text(), re.MULTILINE))
+    return set(readme_rows())
+
+
+def stated_value(text: str) -> int | None:
+    """The value a table cell states exactly: a plain integer, commas
+    allowed, or 10^k; None for an approximation such as "≈ 3.3·10^24"."""
+    if re.fullmatch(r"\d{1,3}(,\d{3})*", text):
+        return int(text.replace(",", ""))
+    power = re.fullmatch(r"10\^(\d+)", text)
+    return 10 ** int(power.group(1)) if power else None
 
 
 def test_the_limits_table_names_every_module_limit():
     assert readme_limits()
     assert readme_limits() == module_limits()
+
+
+def test_the_limits_table_states_each_exact_value():
+    checked = 0
+    for name, text in readme_rows().items():
+        value = stated_value(text)
+        if value is not None:
+            module, constant = name.split(".")
+            assert getattr(importlib.import_module(f"diagflag.{module}"), constant) == value, name
+            checked += 1
+    assert checked == len(readme_rows()) - 1  # all but PRIME_TEST_LIMIT, stated as ≈ 3.3·10^24

@@ -1,4 +1,3 @@
-import itertools
 import time
 
 import pytest
@@ -147,48 +146,19 @@ def test_divisors_up_to():
     assert sn3.divisors_up_to(2) == [1]
 
 
-# Over 3^inf, 5^inf and 7^inf many values c <= 300 have no divisor in
-# (c, 2c + 2], which the least divisor above c may exceed.
-LEAST_DIVISOR_SNS = (
-    SupernaturalNumber.from_factors({3: INF}),
-    SupernaturalNumber.from_factors({5: INF}),
-    SupernaturalNumber.from_factors({7: INF}),
-    SN_2,
-    SN_23,
-    SupernaturalNumber.from_factors({3: INF, 5: 2}),
-)
-
-
-@pytest.mark.parametrize("sn", LEAST_DIVISOR_SNS, ids=str)
-def test_least_divisor_above_matches_a_scan(sn):
-    for c in range(1, 301):
-        expected = next(s for s in itertools.count(c + 1) if divides_sn(s, sn))
-        assert sn.least_divisor_above(c) == expected
-
-
-def test_least_divisor_above_a_huge_value_lists_few_divisors():
-    c = 10**300
-    started = time.monotonic()
-    witness = SN_23.least_divisor_above(c)
-    assert time.monotonic() - started < 0.5
-    assert c < witness <= 2 * c and divides_sn(witness, SN_23)
-    assert witness == min(3**k * 2 ** (c // 3**k).bit_length() for k in range(630))
-
-
 def test_divisor_listings_stop_beyond_the_limit(monkeypatch):
-    """2^inf has 11 divisors up to 2^10; the least divisor of 2^inf 3^inf
-    5^inf above 50 is found among the 10 divisors of 3^inf 5^inf up to
-    100.  A listing of exactly `DIVISOR_LIMIT` divisors is allowed."""
+    """2^inf has 11 divisors up to 2^10, and 2^inf 3^inf 5^inf has 10 up
+    to 12.  A listing of exactly `DIVISOR_LIMIT` divisors is allowed."""
     sn = SupernaturalNumber.from_factors({2: INF, 3: INF, 5: INF})
     monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 10)
-    assert sn.least_divisor_above(50) == 54
+    assert sn.divisors_up_to(12) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
     with pytest.raises(ScaleError, match="^more than 10 divisors to list"):
         SN_2.divisors_up_to(2**10)
     monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 11)
     assert len(SN_2.divisors_up_to(2**10)) == 11
     monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 9)
     with pytest.raises(ScaleError, match="^more than 9 divisors to list"):
-        sn.least_divisor_above(50)
+        sn.divisors_up_to(12)
 
 
 @given(st.integers(1, 3000))
