@@ -146,16 +146,20 @@ def level_flag(keys: Sequence) -> Flag:
     member per key value but the largest, spanned by the e_i keyed at most
     that value.
 
-    Identity rows in index order are canonical RREF, so no elimination runs,
-    and the members grow with the bound, so no containment test runs.
+    The indices are sorted by key once, and a running mask gathers them in
+    that order; where the key value changes, the member is the cached
+    `RatSubspace.basis_span` of the mask so far, so no row is built and no
+    elimination or containment test runs.  The largest value gives none.
     """
     n = len(keys)
-    unit = RatSubspace.full(n).int_rows
-    members = tuple(
-        RatSubspace(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
-        for bound in sorted(set(keys))[:-1]
-    )
-    return Flag._from_nested(n, members)
+    order = sorted(range(n), key=keys.__getitem__)
+    members = []
+    mask = 0
+    for i, j in zip(order, order[1:]):
+        mask |= 1 << i
+        if keys[i] != keys[j]:
+            members.append(RatSubspace.basis_span(n, mask))
+    return Flag._from_nested(n, tuple(members))
 
 
 def level_dims(keys: Sequence) -> tuple[int, ...]:

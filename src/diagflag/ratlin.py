@@ -24,8 +24,10 @@ canonical kernel, `_reduce` of that basis.
 canonical: what the library computes is canonical by construction and is
 not checked again.  Rows from outside go through `span` (and
 `from_json_obj`, which calls it), which reduces any generating set of
-exact rationals.  `zero`, `full` and `coordinate` return one shared
-immutable subspace per (ambient, k), from a cache of bounded size.
+exact rationals.  `basis_span(ambient, mask)` returns one shared
+immutable subspace per (ambient, index set), the span of the e_i whose
+bit i is set in the mask, from one cache of bounded size; `zero`, `full`,
+`coordinate` and the level flags of `flagcore` all take theirs from it.
 `to_fraction` refuses exponent notation, whose expansion no input size
 bounds.
 
@@ -83,8 +85,8 @@ SPREAD = 3
 # Entry types read without `to_fraction`; bool, a subclass of int, is not
 # one of them and is rejected there.
 _EXACT = (Fraction, int)
-# The most coordinate subspaces kept, one per (ambient, k); evaluations
-# ask for the same few again and again.
+# The most coordinate subspaces kept, one per (ambient, index set);
+# evaluations and sweeps ask for the same few again and again.
 _COORDINATE_CACHE_SIZE = 1024
 
 
@@ -344,16 +346,24 @@ class RatSubspace(Record):
         return cls.coordinate(ambient, ambient)
 
     @classmethod
-    @lru_cache(maxsize=_COORDINATE_CACHE_SIZE)
     def coordinate(cls, ambient: int, k: int) -> "RatSubspace":
-        """Span of the first k standard basis vectors; identity rows are
-        canonical, so no check runs.  Subspaces are immutable, so one
-        instance per (ambient, k) serves every call; the range check runs
-        whenever one is built."""
+        """Span of the first k standard basis vectors: `basis_span` of the
+        low k bits, after a range check on every call."""
         if not 0 <= k <= ambient:
             raise DomainError("coordinate subspace dimension out of range")
-        unit = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(k))
-        return cls(ambient, unit)
+        return cls.basis_span(ambient, (1 << k) - 1)
+
+    @classmethod
+    @lru_cache(maxsize=_COORDINATE_CACHE_SIZE)
+    def basis_span(cls, ambient: int, mask: int) -> "RatSubspace":
+        """Span of the e_i whose bit i is set in `mask`, for 0 <= mask <
+        2^ambient, trusted; identity rows in index order are canonical, so
+        no check runs.  Subspaces are immutable, so one instance per
+        (ambient, mask) serves every call."""
+        return cls(
+            ambient,
+            tuple((0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient) if mask >> i & 1),
+        )
 
     @property
     def rows(self) -> Matrix:

@@ -12,6 +12,7 @@ gives a finite certificate for cofinality.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterator, Mapping
 
 from .errors import DomainError, Record, ScaleError, ValidationReport, is_int
@@ -235,6 +236,22 @@ def step_ratio(spec: ExhaustionSpec, n: int) -> int:
     return spec.cycle[(n - 1) % len(spec.cycle)]
 
 
+def _cycle_split(cycle: tuple[int, ...], primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    """`_split` of the cycle product, without forming it: each distinct
+    entry is split once and its exponents count with its multiplicity, in
+    the order of `primes`; the rest is the product of the entries' rests,
+    formed only when one of them exceeds 1."""
+    total = dict.fromkeys(primes, 0)
+    rests = []
+    for c, times in Counter(cycle).items():
+        exponents, rest = _split(c, primes)
+        for p, k in exponents.items():
+            total[p] += k * times
+        if rest > 1:
+            rests.append(rest**times)
+    return {p: k for p, k in total.items() if k}, math.prod(rests)
+
+
 def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> ValidationReport:
     """Check that the periodic chain is an exhaustion of sn.
 
@@ -253,7 +270,7 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
     """
     violations: list[str] = []
     s1_f, s1_rest = _split(spec.s1, sn.primes)
-    prod_f, prod_rest = _split(math.prod(spec.cycle), sn.primes)
+    prod_f, prod_rest = _cycle_split(spec.cycle, sn.primes)
 
     for p, k in s1_f.items():
         a = sn.exponent(p)

@@ -6,7 +6,7 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 import pytest
@@ -41,7 +41,7 @@ from diagflag.indlimit import (
     factor_pullback_additivity,
 )
 from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, pivots, rref
-from diagflag.supernat import ExhaustionSpec, SupernaturalNumber, step_ratio, validate_exhaustion
+from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, step_ratio, validate_exhaustion
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
 # hence neither linear nor a standard extension.  Encodes
@@ -329,6 +329,20 @@ def reference_sample_stream(source_type, seed):
         yield random_flag(source_type, rng)
 
 
+def reference_level_flag(keys):
+    """Reference: `level_flag` by one member per key value but the largest,
+    each built from the identity rows of the indices keyed at most it."""
+    n = len(keys)
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return Flag._from_nested(
+        n,
+        tuple(
+            RatSubspace(n, tuple(unit[i] for i, k in enumerate(keys) if k <= bound))
+            for bound in sorted(set(keys))[:-1]
+        ),
+    )
+
+
 def reference_split(n, primes):
     """Reference: the exponents of `primes` in n and the rest of n, each
     prime divided out one power at a time."""
@@ -341,6 +355,35 @@ def reference_split(n, primes):
         if k:
             exponents[p] = k
     return exponents, n
+
+
+def reference_validate_exhaustion(spec, sn):
+    """Reference: `validate_exhaustion` by the product route, which forms
+    the cycle product and splits it with `reference_split`."""
+    violations = []
+    s1_f, s1_rest = reference_split(spec.s1, sn.primes)
+    prod_f, prod_rest = reference_split(prod(spec.cycle), sn.primes)
+    for p, k in s1_f.items():
+        a = sn.exponent(p)
+        if k > a:
+            violations.append(f"membership: s1 carries {p}^{k} but the exponent of {p} is {a}")
+    if s1_rest > 1:
+        violations.append(f"membership: s1 carries the factor {s1_rest}, prime to the number")
+    for p in prod_f:
+        a = sn.exponent(p)
+        if a is not INF:
+            violations.append(
+                f"membership: cycle multiplies by {p} whose exponent {a} is finite, so terms eventually leave the divisor set"
+            )
+    if prod_rest > 1:
+        violations.append(f"membership: cycle introduces the factor {prod_rest}, prime to the number")
+    for p in sn.infinite_primes:
+        if p not in prod_f:
+            violations.append(f"cofinality: prime {p} has infinite exponent but never appears in the cycle")
+    for p, a in sn.finite_factor_pairs:
+        if s1_f.get(p, 0) + prod_f.get(p, 0) * a < a:
+            violations.append(f"cofinality: {p}^{a} divides the number but no term reaches exponent {a}")
+    return tuple(violations)
 
 
 # The shortest numbering prefix a certificate listed when it carried one,

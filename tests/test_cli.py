@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -616,6 +617,32 @@ def test_exhaust_with_a_large_prime_key_is_fast(capsys, tmp_path):
     assert time.monotonic() - started < 1.0
     assert code == 0 and doc["verdict"] == "valid"
     assert doc["terms"] == [big, big**2, big**3]
+
+
+@pytest.mark.parametrize(
+    "levels, code, stdout, stderr",
+    [
+        ("2", 1, "", "input error: the report holds an integer beyond 4300 digits\n"),
+        ("0", 0, '"terms":[1],"verdict":"valid","violations":[]}', ""),
+    ],
+)
+def test_exhaust_of_many_huge_entries_exits_at_once(tmp_path, levels, code, stdout, stderr):
+    """A cold process on a 1.7 MB spec of 400 entries 10^4299 over
+    2^inf 5^inf ran past a minute while it formed the cycle product."""
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "5": "inf"}})
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"s1": 1, "cycle": [' + ",".join(["1" + "0" * 4299] * 400) + "]}")
+    src = str(Path(diagflag.__file__).resolve().parent.parent)
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "diagflag.cli", "exhaust", "--sn", sn, "--spec", str(spec), "--levels", levels],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert time.monotonic() - started < 5.0
+    assert done.returncode == code and stdout in done.stdout and done.stderr == stderr
 
 
 def test_exhaust_rejects_keys_beyond_the_prime_test_bound(capsys, tmp_path):

@@ -338,19 +338,51 @@ def reference_beta_flag(alpha, m):
     return Flag(m, tuple(members))
 
 
+def assert_members_are_cached(flag):
+    for member in flag.chain:
+        mask = sum(1 << row.index(1) for row in member.int_rows)
+        assert member is RatSubspace.basis_span(flag.ambient, mask)
+
+
 def test_level_flags_match_unit_vector_spans_on_every_surjection():
+    """The sweep's two level flags, of the level values and of the
+    block-level tuples, span their unit vectors, and every member is the
+    instance `RatSubspace.basis_span` caches."""
     restricted = 0
     for n in range(1, 7):
         for alpha in surjections(n):
-            assert level_flag(alpha.values) == reference_alpha_flag(alpha)
+            flag = level_flag(alpha.values)
+            assert flag == reference_alpha_flag(alpha)
+            assert_members_are_cached(flag)
             for d in (1, 2, 3):
                 if n % d:
                     continue
                 result = build_from_alpha(alpha, n // d)
                 if isinstance(result, ParabolicRestriction):
-                    assert level_flag(result.beta) == reference_beta_flag(alpha, n // d)
+                    flag = level_flag(result.beta)
+                    assert flag == reference_beta_flag(alpha, n // d)
+                    assert_members_are_cached(flag)
                     restricted += 1
     assert restricted > 5000
+
+
+@pytest.mark.parametrize("n_max, d_set", [(5, {2, 3}), (4, {1, 2, 4})])
+def test_oracle_sweep_draws_each_case_once(monkeypatch, n_max, d_set):
+    """The oracle benchmark times one case per map drawn from
+    `diagembed.surjections`, and fails a run unless the draws equal the
+    cases: a sweep that drew each map once per n, for all its block
+    counts, would break it."""
+    draws = 0
+
+    def counted(n):
+        nonlocal draws
+        for alpha in surjections(n):
+            draws += 1
+            yield alpha
+
+    monkeypatch.setattr(diagembed, "surjections", counted)
+    report = oracle_sweep(n_max, d_set)
+    assert report.ok and draws == report.cases > 0
 
 
 def test_oracle_sweep_derives_each_object_once(monkeypatch):

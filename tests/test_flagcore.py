@@ -16,6 +16,7 @@ from conftest import (
     MIXED_SOURCE,
     is_linear,
     reference_dual_sampling,
+    reference_level_flag,
     reference_random_flag,
     reference_sample_stream,
     reference_strict_eval,
@@ -565,15 +566,40 @@ def test_is_linear():
         PicardPullback(2, 1, ((1, -1),))
 
 
-@given(
-    st.one_of(
-        st.lists(st.integers(1, 5), min_size=1, max_size=9),
-        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=9),
-    )
+LEVEL_KEYS = st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=9),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=9),
 )
+
+
+@given(LEVEL_KEYS)
 @settings(max_examples=150, deadline=None)
 def test_level_dims_counts_the_level_flag(keys):
     assert level_dims(keys) == level_flag(keys).dims
+
+
+@given(LEVEL_KEYS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_level_flag_matches_the_per_bound_construction(keys):
+    """Ties, tuple keys and repeated values give the members of the
+    per-bound construction, row for row."""
+    assert level_flag(keys) == reference_level_flag(keys)
+
+
+@pytest.mark.parametrize(
+    "keys, dims",
+    [
+        ((7,), ()),  # n = 1
+        ((3, 3, 3, 3), ()),  # one key value: the empty chain
+        ((2, 1, 2, 1, 3), (2, 4)),  # ties out of index order
+        (((1, 2), (1, 1), (2, 1), (1, 2)), (1, 3)),  # tuple keys
+        ((5, 4, 3, 2, 1), (1, 2, 3, 4)),
+    ],
+)
+def test_level_flag_edge_cases_match_the_per_bound_construction(keys, dims):
+    flag = level_flag(keys)
+    assert flag == reference_level_flag(keys)
+    assert flag.ambient == len(keys) and flag.dims == dims
 
 
 def test_support_and_constants_of_strict_extension():

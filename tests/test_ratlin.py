@@ -19,6 +19,7 @@ from diagflag.errors import DomainError
 from diagflag.flagcore import level_flag
 from diagflag.ratlin import (
     SPREAD,
+    _COORDINATE_CACHE_SIZE,
     Flag,
     RatSubspace,
     _reduce,
@@ -633,6 +634,22 @@ def test_trusted_constructors_match_the_validating_one():
         assert RatSubspace.full(ambient) is RatSubspace.coordinate(ambient, ambient)
         with pytest.raises(DomainError):
             RatSubspace.coordinate(ambient, ambient + 1)
+
+
+def test_basis_spans_are_the_unit_vector_spans_from_one_cache():
+    """Every index set of every ambient up to 6 spans its unit vectors, one
+    instance per (ambient, mask); a coordinate subspace is the span of the
+    low k bits, and the cache is the one bounded by
+    `_COORDINATE_CACHE_SIZE`."""
+    assert RatSubspace.basis_span.cache_info().maxsize == _COORDINATE_CACHE_SIZE
+    for ambient in range(7):
+        units = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+        for mask in range(1 << ambient):
+            sub = RatSubspace.basis_span(ambient, mask)
+            assert sub == RatSubspace.span(ambient, [units[i] for i in range(ambient) if mask >> i & 1])
+            assert RatSubspace.basis_span(ambient, mask) is sub
+        for k in range(ambient + 1):
+            assert RatSubspace.coordinate(ambient, k) is RatSubspace.basis_span(ambient, (1 << k) - 1)
 
 
 @pytest.mark.parametrize("ambient, k", [(3, 4), (3, -1), (0, 1), (-1, 0), (-2, -1)])

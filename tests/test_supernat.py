@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from conftest import reference_split
+from conftest import reference_split, reference_validate_exhaustion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -297,6 +297,37 @@ def test_validating_a_cycle_of_huge_entries_is_fast():
     started = time.perf_counter()
     assert validate_exhaustion(spec, SN_2).ok
     assert validate_exhaustion(spec, SN_2_3F).violations == (
+        "cofinality: 3^1 divides the number but no term reaches exponent 1",
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+SN_2_5 = SupernaturalNumber.from_factors({2: INF, 5: INF})
+SN_2_3F_5F = SupernaturalNumber.from_factors({2: INF, 3: 1, 5: 2})
+
+
+@given(
+    st.sampled_from([SN_2, SN_2_3F, SN_23, SN_2_5, SN_2_3F_5F]),
+    st.integers(1, 400),
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 10, 12, 14, 21, 25, 77, 2**40 * 11]), min_size=1, max_size=6),
+)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_validation_by_entry_matches_the_product_route(sn, s1, cycle):
+    """Each distinct entry split once, times its multiplicity, reports what
+    splitting the whole cycle product reports, message for message; the
+    entries repeat, share primes and carry foreign factors."""
+    spec = ExhaustionSpec(s1, tuple(cycle))
+    assert validate_exhaustion(spec, sn).violations == reference_validate_exhaustion(spec, sn)
+
+
+def test_validating_many_huge_entries_is_fast():
+    """400 entries 10^4299 over 2^inf 5^inf: forming the cycle product took
+    over a minute; the one distinct entry is split once."""
+    spec = ExhaustionSpec(1, (10**4299,) * 400)
+    started = time.perf_counter()
+    assert validate_exhaustion(spec, SN_2_5).ok
+    assert validate_exhaustion(spec, SN_2_3F_5F).violations == (
+        "membership: cycle multiplies by 5 whose exponent 2 is finite, so terms eventually leave the divisor set",
         "cofinality: 3^1 divides the number but no term reaches exponent 1",
     )
     assert time.perf_counter() - started < 1.0
