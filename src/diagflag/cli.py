@@ -119,16 +119,16 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _load_embedding(args) -> diagembed.DiagonalEmbedding:
-    if getattr(args, "embedding", None):
+    if args.embedding:
         return diagembed.DiagonalEmbedding.from_json_obj(_load_json(args.embedding))
-    if getattr(args, "alpha", None):
-        if getattr(args, "m", None) is None:
+    if args.alpha:
+        if args.m is None:
             raise DomainError("--alpha requires --m")
         alpha = egraph.SurjectionAlpha.of(_parse_csv_ints(args.alpha))
         return diagembed.embedding_from_alpha(alpha, args.m)
-    if getattr(args, "graph", None):
+    if args.graph:
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
-        if not getattr(args, "source_dims", None):
+        if not args.source_dims:
             raise DomainError("--graph requires --source-dims and --source-ambient")
         dims = _parse_csv_ints(args.source_dims) if args.source_dims != "-" else ()
         ambient = args.source_ambient
@@ -195,7 +195,7 @@ def _load_sampling_embedding(args) -> diagembed.DiagonalEmbedding:
     """Sampling needs a real source type.  When only a graph is given, use
     the type with members of every dimension 1..q-1 in Q^max(q, 2), or in
     Q^(--source-ambient)."""
-    if getattr(args, "graph", None) and not getattr(args, "source_dims", None):
+    if args.graph and not args.source_dims:
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
         ambient = max(g.q, 2) if args.source_ambient is None else args.source_ambient
         return diagembed.DiagonalEmbedding(
@@ -298,7 +298,7 @@ def _cmd_exhaust(args) -> dict:
         "violations": list(report.violations),
         "terms": terms,
     }
-    if report.ok and getattr(args, "gft", None):
+    if report.ok and args.gft:
         gft = indlimit.GeneralizedFlagType.from_json_obj(_load_json(args.gft))
         realization = indlimit.build_realization_sn_graph(gft, sn, spec, levels=args.levels)
         sn_report = indlimit.validate_sn_graph(realization.sn_graph, upto=args.levels)

@@ -43,13 +43,10 @@ from .errors import (
 )
 from .flagcore import FlagType, StandardExtensionData, level_dims
 from .ratlin import RatSubspace
-from .supernat import INF, ExhaustionSpec, SupernaturalNumber, step_ratio, validate_exhaustion
+from .supernat import INF, ExhaustionSpec, SupernaturalNumber, _divisors_up_to, _split, step_ratio, validate_exhaustion
 
 Quotient = int | float  # positive int, or INF
 
-# Admissibility: the search tries multiplier cycles up to `_MAX_CYCLE_LEN`
-# long.
-_MAX_CYCLE_LEN = 2
 # The most steps a forced-order walk takes, E + L: the step that places the
 # largest explicit quotient plus the cycle length.  `admissible` walks no
 # longer candidate and `verify_certificate` refuses a longer certificate.
@@ -60,9 +57,9 @@ _MAX_CYCLE_LEN = 2
 # `validate_exhaustion`, which splits each distinct entry once, takes under
 # 1 ms of it.
 CERTIFICATE_STEP_LIMIT = 1_000
-# The most (s1, cycle) pairs one `admissible` call may count: the listing
-# takes a few ms, and the walk follows only the few cycles periodic for the
-# tail, at most about 0.01 s in all at bound 7,775 over 2^inf 3^inf.
+# The most (s1, cycle) pairs one `admissible` call may walk, counted before
+# the first walk.  Only cycles the period rule allows are counted, and the
+# largest searches tried at this limit take about 0.15 s.
 _SEARCH_LIMIT = 250_000
 # The most bounding edges, the sum of d_n - 1 over the levels, that one
 # realization may build: about 0.8 s and 1 MB of report.
@@ -553,19 +550,21 @@ def admissible(gft: GeneralizedFlagType, sn: SupernaturalNumber, bound: int = 64
 
     A finite set of finite quotients is always admissible, and a constant
     tail never is (see `RefutationProof`).  For geometric tails the search
-    ranges over periodic exhaustions: a first term is a divisor of sn up
-    to `bound` that carries sn's whole finite part, and a cycle is at most
-    `_MAX_CYCLE_LEN` divisors in [2, bound] of sn's infinite part whose
-    product every infinite prime divides.  Such pairs are valid by
-    construction, so none is checked.  On each pair in turn whose cycle
-    obeys the period rule, as no other certifies, `_walk` follows the
+    ranges over periodic exhaustions that obey the period rule, as no
+    other certifies (see `verify_certificate`).  A first term is sn's
+    finite part times a divisor of its infinite part, at most `bound` in
+    all.  A cycle is (r,), or (a, r^2 / a) with both entries in
+    [2, bound], for the tail's ratio r; such cycles exist only when r <=
+    bound and the primes of r are exactly sn's infinite primes.  Every
+    pair is then valid by construction, so none is checked.  On each pair
+    in turn, (r,) before the pairs by increasing a, `_walk` follows the
     forced order for the E + L steps that `verify_certificate` walks,
     when they are at most `CERTIFICATE_STEP_LIMIT`; the first pair that
     passes is the certificate, so every certificate verifies.  An
-    inconclusive search returns Unknown rather than a verdict.  A bound
-    below 2 admits no multiplier and is rejected.  The search counts at
-    most |s1 candidates| * (M + M^2) pairs for M multipliers; above
-    `_SEARCH_LIMIT` (250,000) it raises ScaleError before it starts.
+    inconclusive search returns Unknown with the number of pairs it
+    walked.  That same count, |s1 candidates| * |cycles|, is held to
+    `_SEARCH_LIMIT` (250,000) before any walk: above it, ScaleError.  A
+    bound below 2 admits no multiplier and is rejected.
     """
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
@@ -574,40 +573,29 @@ def admissible(gft: GeneralizedFlagType, sn: SupernaturalNumber, bound: int = 64
     if isinstance(gft.tail, ConstantTail):
         return NotAdmissible(RefutationProof(gft.tail.value))
 
-    inf_primes = sn.infinite_primes
-    infinite_part = SupernaturalNumber.from_factors({p: INF for p in inf_primes})
-    multipliers = [m for m in infinite_part.divisors_up_to(bound) if m >= 2]
-    finite_fixed = math.prod(p**a for p, a in sn.finite_factor_pairs)
-    s1_candidates = [s1 for s1 in sn.divisors_up_to(bound) if s1 % finite_fixed == 0]
-    count = len(s1_candidates) * sum(len(multipliers) ** k for k in range(1, _MAX_CYCLE_LEN + 1))
+    inf_primes, ratio, explicit_steps = sn.infinite_primes, gft.tail.ratio, _explicit_steps(gft)
+    exponents, rest = _split(ratio, inf_primes)
+    cycles = []
+    if ratio <= bound and rest == 1 and len(exponents) == len(inf_primes):
+        square = ratio * ratio
+        cycles = [(ratio,)] + [
+            (a, square // a)
+            for a in _divisors_up_to([(p, 2 * k) for p, k in exponents.items()], bound)
+            if a >= 2 and 2 <= square // a <= bound
+        ]
+    cycles = [cycle for cycle in cycles if explicit_steps + len(cycle) <= CERTIFICATE_STEP_LIMIT]
+    finite_part = math.prod(p**a for p, a in sn.finite_factor_pairs)
+    infinite_divisors = _divisors_up_to([(p, INF) for p in inf_primes], bound // finite_part) if cycles else []
+    count = len(infinite_divisors) * len(cycles)
     if count > _SEARCH_LIMIT:
         raise ScaleError(
             f"bound {bound} gives {count} exhaustions to search; the search is limited to {_SEARCH_LIMIT}"
         )
-    # Every s1 candidate and multiplier divides sn, and every s1 candidate
-    # carries sn's whole finite part, so of the clauses of
-    # `validate_exhaustion` only one is left to ask: that each infinite
-    # prime divides the cycle product.
-    cycles = [
-        cycle
-        for length in range(1, _MAX_CYCLE_LEN + 1)
-        for cycle in itertools.product(multipliers, repeat=length)
-        if math.prod(cycle) % math.prod(inf_primes) == 0
-    ]
-    explicit_steps = _explicit_steps(gft)
-    periodic = [
-        cycle
-        for cycle in cycles
-        if _periodic(gft.tail, cycle) and explicit_steps + len(cycle) <= CERTIFICATE_STEP_LIMIT
-    ]
-    for s1 in s1_candidates:
-        for cycle in periodic:
-            if _walk(gft, s1, cycle, explicit_steps + len(cycle)):
-                return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle)))
-    return Unknown(
-        reason="bounded search over periodic exhaustions was inconclusive",
-        candidates_searched=len(s1_candidates) * len(cycles),
-    )
+    for m in infinite_divisors:
+        for cycle in cycles:
+            if _walk(gft, finite_part * m, cycle, explicit_steps + len(cycle)):
+                return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(finite_part * m, cycle)))
+    return Unknown(reason="bounded search over periodic exhaustions was inconclusive", candidates_searched=count)
 
 
 # ---------------------------------------------------------------------------

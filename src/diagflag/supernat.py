@@ -252,6 +252,15 @@ def _cycle_split(cycle: tuple[int, ...], primes: tuple[int, ...]) -> tuple[dict[
     return {p: k for p, k in total.items() if k}, math.prod(rests)
 
 
+def _factor(n: int) -> str:
+    """A factor as a report names it: by its digits, or by its bit length
+    when it has more digits than the interpreter prints."""
+    try:
+        return f"the factor {n}"
+    except ValueError:
+        return f"a factor of {n.bit_length()} bits"
+
+
 def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> ValidationReport:
     """Check that the periodic chain is an exhaustion of sn.
 
@@ -277,7 +286,7 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
         if k > a:
             violations.append(f"membership: s1 carries {p}^{k} but the exponent of {p} is {a}")
     if s1_rest > 1:
-        violations.append(f"membership: s1 carries the factor {s1_rest}, prime to the number")
+        violations.append(f"membership: s1 carries {_factor(s1_rest)}, prime to the number")
     for p in prod_f:
         a = sn.exponent(p)
         if a is not INF:
@@ -285,7 +294,7 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
                 f"membership: cycle multiplies by {p} whose exponent {a} is finite, so terms eventually leave the divisor set"
             )
     if prod_rest > 1:
-        violations.append(f"membership: cycle introduces the factor {prod_rest}, prime to the number")
+        violations.append(f"membership: cycle introduces {_factor(prod_rest)}, prime to the number")
 
     for p in sn.infinite_primes:
         if p not in prod_f:

@@ -34,10 +34,17 @@ from diagflag.flagcore import (
     support_and_constants,
 )
 from diagflag.indlimit import (
+    CERTIFICATE_STEP_LIMIT,
+    Admissible,
+    AdmissibilityCertificate,
     ConstantTail,
     GraphFactor,
     SnGraph,
+    Unknown,
+    _explicit_steps,
     _kept_vertices,
+    _periodic,
+    _walk,
     factor_pullback_additivity,
 )
 from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, pivots, rref
@@ -501,6 +508,39 @@ def reference_greedy_numbering(gft, s1, cycle, limit=_GREEDY_STEPS):
             states.add(state)
         s *= d
     return None
+
+
+def reference_admissible(gft, sn, bound):
+    """Reference: the admissibility search of a type with a geometric tail
+    by listing, with no limit on its size.  Every s1 up to `bound` that
+    divides sn and carries its whole finite part, and every cycle of one or
+    two multipliers in [2, bound] dividing sn's infinite part whose product
+    every infinite prime divides; of these, the pairs whose cycle obeys the
+    period rule and is walked within `CERTIFICATE_STEP_LIMIT` steps, in
+    that order, through the library's walk.  Unknown counts the listed
+    pairs."""
+    inf_primes = sn.infinite_primes
+    infinite_part = SupernaturalNumber.from_factors({p: INF for p in inf_primes})
+    multipliers = [m for m in infinite_part.divisors_up_to(bound) if m >= 2]
+    finite_part = prod(p**a for p, a in sn.finite_factor_pairs)
+    s1_candidates = [s1 for s1 in sn.divisors_up_to(bound) if s1 % finite_part == 0]
+    cycles = [
+        cycle
+        for length in (1, 2)
+        for cycle in itertools.product(multipliers, repeat=length)
+        if prod(cycle) % prod(inf_primes) == 0
+    ]
+    explicit_steps = _explicit_steps(gft)
+    periodic = [
+        cycle
+        for cycle in cycles
+        if _periodic(gft.tail, cycle) and explicit_steps + len(cycle) <= CERTIFICATE_STEP_LIMIT
+    ]
+    for s1 in s1_candidates:
+        for cycle in periodic:
+            if _walk(gft, s1, cycle, explicit_steps + len(cycle)):
+                return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle)))
+    return Unknown("bounded search over periodic exhaustions was inconclusive", len(s1_candidates) * len(cycles))
 
 
 def reference_verify_certificate(gft, sn, spec, prefix):

@@ -1,27 +1,30 @@
 """The benchmark reaches into the library: the traced run rebinds the names
 listed in `perfbench/spans.py`, and the workloads in
 `perfbench/workloads.py` call library names through their modules.  Each
-must still exist where the benchmark looks.  These tests only read the
-benchmark's files."""
+must still exist where the benchmark looks, and the `cli` workload's
+commands must still pass its checks.  These tests only read the
+benchmark's files, and write only under their temporary directory."""
 
 import ast
 import dis
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_bench(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_layer_resolves_in_diagflag():
-    spans = load_spans()
+    spans = load_bench(SPANS)
     assert spans.LAYER_FUNCTIONS and spans.LAYER_METHODS
     for module, name, _ in spans.LAYER_FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"diagflag.{module}"), name)), (module, name)
@@ -70,3 +73,20 @@ def test_the_oracle_latency_hook_reaches_the_sweep():
     assert diagembed.oracle_sweep.__globals__ is vars(diagembed)
     loads = {i.argval for i in dis.get_instructions(diagembed.oracle_sweep) if i.opname == "LOAD_GLOBAL"}
     assert "surjections" in loads
+
+
+def test_the_cli_workload_commands_pass_their_checks(tmp_path, monkeypatch):
+    """Each of the `cli` workload's 14 commands, for seeds 1 and 2, run
+    in-process and checked by the workload's own check: its exit code and
+    verdict.  A library change that the benchmark's verdict gate would
+    refuse fails here first.  The workload writes its documents under the
+    directory it is given, and names them relative to the working
+    directory."""
+    workloads = load_bench(WORKLOADS)
+    monkeypatch.chdir(tmp_path)
+    for seed in (1, 2):
+        workload = workloads.Cli(seed, tmp_path, True, False)
+        assert len(workload.commands) == 14
+        for k in range(len(workload.commands)):
+            item = workload._inprocess_item(k, k)
+            item.check(item.run())

@@ -462,6 +462,18 @@ def test_exhaust_invalid(capsys, tmp_path):
     assert code == 0 and doc["verdict"] == "invalid"
 
 
+def test_exhaust_reports_a_factor_too_long_to_print(capsys, tmp_path):
+    """Over 2^inf, the cycle (7^4000,) x 3 introduces 7^12000, past the
+    digits the interpreter prints: a report, not an error."""
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
+    spec = write(tmp_path, "spec.json", {"s1": 1, "cycle": [7**4000] * 3})
+    code, doc = run_json(capsys, "exhaust", "--sn", sn, "--spec", spec, "--levels", "0")
+    assert code == 0 and doc["verdict"] == "invalid" and doc["terms"] == [1]
+    assert doc["violations"][0] == (
+        f"membership: cycle introduces a factor of {(7**12000).bit_length()} bits, prime to the number"
+    )
+
+
 def test_dot_output(capsys, mixed_graph_file):
     code, out = run(capsys, "dot", "--graph", mixed_graph_file)
     assert code == 0
@@ -866,6 +878,25 @@ def test_block_size_zero_is_named_by_embed_as_by_restrict(capsys, tmp_path):
 
 
 def test_admissible_refuses_a_search_beyond_its_limit_at_once(capsys, tmp_path):
+    """(5,) and tail(60061, 60060) over 2^inf ... 13^inf at bound 10^6
+    would walk 2,636,052 exhaustions, about 2 s; none is walked."""
+    gft = write(tmp_path, "gft.json", {
+        "finite_quotients": [5],
+        "tail": {"kind": "geometric", "base": 60061, "ratio": 60060},
+        "infinite_quotients": True,
+        "ordered": None,
+    })
+    sn = write(tmp_path, "sn.json", {"factors": {str(p): "inf" for p in (2, 3, 5, 7, 11, 13)}})
+    started = time.monotonic()
+    assert main(["admissible", "--gft", gft, "--sn", sn, "--bound", "1000000"]) == 1
+    assert time.monotonic() - started < 1.0
+    _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("bound", ["10000", "100000"])
+def test_admissible_answers_a_ratio_with_a_prime_the_number_lacks_at_once(capsys, tmp_path, bound):
+    """tail(1, 5) over 2^inf 3^inf: no cycle obeys the period rule, so the
+    search walks nothing at any bound."""
     gft = write(tmp_path, "gft.json", {
         "finite_quotients": [],
         "tail": {"kind": "geometric", "base": 1, "ratio": 5},
@@ -874,9 +905,9 @@ def test_admissible_refuses_a_search_beyond_its_limit_at_once(capsys, tmp_path):
     })
     sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "3": "inf"}})
     started = time.monotonic()
-    assert main(["admissible", "--gft", gft, "--sn", sn, "--bound", "100000"]) == 1
+    code, doc = run_json(capsys, "admissible", "--gft", gft, "--sn", sn, "--bound", bound)
     assert time.monotonic() - started < 1.0
-    _one_input_error(capsys)
+    assert code == 0 and doc["verdict"] == "Unknown" and doc["candidates_searched"] == 0
 
 
 @pytest.mark.parametrize("levels", ["1001", "400000"])

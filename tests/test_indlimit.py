@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 from conftest import (
@@ -13,7 +14,9 @@ from conftest import (
     clause_numberings,
     forced_prefix,
     insertion_graph,
+    reference_admissible,
     reference_clause_walk,
+    reference_split,
     reference_greedy_numbering,
     reference_verify_certificate,
     small_graphs,
@@ -469,10 +472,33 @@ def test_constant_tail_is_refuted_by_its_value(prime):
 
 
 def test_admissible_unknown_for_incompatible_ratio():
+    """3 is not a prime of 2^inf, so no cycle obeys the period rule and
+    nothing is walked."""
     gft = GeneralizedFlagType((), GeometricTail(1, 3), False)
     result = admissible(gft, SN2, bound=16)
     assert isinstance(result, Unknown)
-    assert result.candidates_searched > 0
+    assert result.candidates_searched == 0
+
+
+@pytest.mark.parametrize("bound", [10**4, 10**5])
+def test_admissible_walks_nothing_for_a_ratio_with_a_prime_the_number_lacks(bound):
+    """tail(1, 5) over 2^inf 3^inf: 5 is not a prime of the number, so no
+    cycle is built and the search answers at once at any bound."""
+    started = time.monotonic()
+    result = admissible(GeneralizedFlagType((), GeometricTail(1, 5), True), SN23, bound=bound)
+    assert time.monotonic() - started < 0.1
+    assert result == Unknown("bounded search over periodic exhaustions was inconclusive", 0)
+
+
+def test_admissible_lists_no_first_term_without_a_cycle():
+    """Over 2^inf 3^inf 5^inf 7^inf, more than `DIVISOR_LIMIT` first terms
+    lie below 10^60, but tail(1, 11) has a prime the number lacks, so no
+    cycle is built and no first term is listed."""
+    sn = SupernaturalNumber.from_factors({2: INF, 3: INF, 5: INF, 7: INF})
+    with pytest.raises(ScaleError, match="divisors to list"):
+        sn.divisors_up_to(10**60)
+    result = admissible(GeneralizedFlagType((), GeometricTail(1, 11), True), sn, bound=10**60)
+    assert result == Unknown("bounded search over periodic exhaustions was inconclusive", 0)
 
 
 @pytest.mark.parametrize("bound", [-5, 0, 1])
@@ -483,16 +509,83 @@ def test_admissible_rejects_bound_below_two(bound):
 
 
 def test_admissible_refuses_a_search_beyond_its_limit(monkeypatch):
-    """The search would try |s1 candidates| * (M + M^2) exhaustions: over
-    2^inf 3^inf at bound 64, 17 * (16 + 256) = 4624."""
-    gft = GeneralizedFlagType((), GeometricTail(1, 5), True)
-    with pytest.raises(ScaleError, match="bound 10000 gives 296274 exhaustions"):
-        admissible(gft, SN23, bound=10**4)
-    monkeypatch.setattr(indlimit, "_SEARCH_LIMIT", 4624)
-    assert isinstance(admissible(gft, SN23), Unknown)
-    monkeypatch.setattr(indlimit, "_SEARCH_LIMIT", 4623)
-    with pytest.raises(ScaleError, match="bound 64 gives 4624 exhaustions"):
+    """The search walks |s1 candidates| * |cycles| exhaustions.  For
+    tail(7, 6) over 2^inf 3^inf at bound 64 that is 17 * 8 = 136: the s1
+    candidates are the 17 divisors up to 64, and the cycles are (6,) and
+    (a, 36 / a) for a in 2, 3, 4, 6, 9, 12, 18.  None passes.  Over
+    2^inf ... 13^inf, (5,) and tail(60061, 60060) at bound 10^6 would walk
+    2,636,052."""
+    gft = GeneralizedFlagType((), GeometricTail(7, 6), True)
+    monkeypatch.setattr(indlimit, "_SEARCH_LIMIT", 136)
+    assert admissible(gft, SN23) == Unknown("bounded search over periodic exhaustions was inconclusive", 136)
+    monkeypatch.setattr(indlimit, "_SEARCH_LIMIT", 135)
+    with pytest.raises(ScaleError, match="bound 64 gives 136 exhaustions"):
         admissible(gft, SN23)
+    monkeypatch.undo()
+    sn = SupernaturalNumber.from_factors({p: INF for p in (2, 3, 5, 7, 11, 13)})
+    with pytest.raises(ScaleError, match="bound 1000000 gives 2636052 exhaustions"):
+        admissible(GeneralizedFlagType((5,), GeometricTail(60061, 60060), True), sn, bound=10**6)
+
+
+# Supernatural numbers, with and without finite primes, on which the
+# search is compared with the reference listing.
+REFERENCE_SEARCH_SNS = [
+    {2: INF},
+    {3: INF},
+    {2: INF, 3: INF},
+    {2: INF, 3: 1},
+    {2: 2, 3: INF, 5: INF},
+    {2: INF, 3: INF, 5: 1},
+    {2: INF, 5: INF},
+]
+
+
+def _has_exactly_the_primes(r, primes):
+    exponents, rest = reference_split(r, primes)
+    return rest == 1 and len(exponents) == len(primes)
+
+
+@st.composite
+def search_inputs(draw):
+    """A type with up to two explicit quotients and a geometric tail of
+    ratio at most 30, a supernatural number and a bound, drawn so that
+    about half are certified.  Three ratios r in four have exactly the
+    number's infinite primes, the only ones a cycle is built for.  The type
+    places j_n * s_n at steps 1 .. e + 1 along a first term dividing the
+    number and the cycle (r,) or (a, r^2 / a): e explicit quotients, then
+    the tail's base.  One draw in five multiplies one of them by 2 or 3."""
+    sn = SupernaturalNumber.from_factors(draw(st.sampled_from(REFERENCE_SEARCH_SNS)))
+    matching = [r for r in range(2, 31) if _has_exactly_the_primes(r, sn.infinite_primes)]
+    ratio = draw(st.sampled_from(matching) if draw(st.integers(0, 3)) else st.integers(2, 30))
+    split = draw(st.sampled_from([a for a in range(2, ratio**2 // 2 + 1) if ratio**2 % a == 0]))
+    cycle = draw(st.sampled_from([(ratio,), (split, ratio**2 // split)]))
+    terms = list(ExhaustionSpec(draw(st.sampled_from(sn.divisors_up_to(30))), cycle).terms(4))
+    placed = [terms[n] * draw(st.integers(1, max(1, terms[n + 1] // terms[n] - 1))) for n in range(3)]
+    e = draw(st.integers(0, 2))
+    if not draw(st.integers(0, 4)):
+        placed[draw(st.integers(0, e))] *= draw(st.sampled_from([2, 3]))
+    gft = GeneralizedFlagType(tuple(placed[:e]), GeometricTail(placed[e], ratio), True)
+    return gft, sn, draw(st.sampled_from([2, 3, 16, 64, 1000]))
+
+
+def test_the_search_matches_the_reference_listing():
+    """On drawn types, numbers and bounds, `admissible` answers as the
+    reference listing does, with the same certificate, and certifies at
+    least 100 of the draws."""
+    certified = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(search_inputs())
+    def check(inputs):
+        gft, sn, bound = inputs
+        result, expected = admissible(gft, sn, bound), reference_admissible(gft, sn, bound)
+        assert type(result) is type(expected)
+        if isinstance(result, Admissible):
+            assert result.certificate == expected.certificate
+            certified.append(result)
+
+    check()
+    assert len(certified) >= 100
 
 
 def test_admissible_geometric_with_finite_part():
@@ -743,6 +836,14 @@ def test_certificate_verification_rejects_a_tail_dimension_the_term_does_not_div
     assert not verify_certificate(gft, SN2, _numbered(4, (2,)))
 
 
+def test_certificate_verification_rejects_a_factor_too_long_to_print():
+    """Over 2^inf, the cycle (7^4000,) x 3 obeys the period rule of a tail
+    of ratio 7^4000, and its product carries 7^12000, past the digits the
+    interpreter prints; the certificate is rejected, not raised on."""
+    gft = GeneralizedFlagType((), GeometricTail(1, 7**4000), True)
+    assert not verify_certificate(gft, SN2, _numbered(1, (7**4000,) * 3))
+
+
 def test_certificate_verification_rejects_an_unknown_kind():
     gft = GeneralizedFlagType((), GeometricTail(1, 2), False)
     cert = admissible(gft, SN2).certificate
@@ -948,8 +1049,8 @@ GRID_FINITE_PARTS = [(), (1,), (2,), (3,), (1, 2)]
 
 
 def test_admissibility_grid_is_pinned():
-    """3,300 types at the default bound: the verdict counts and a digest of
-    every certificate and search count.  Each certificate's exhaustion is
+    """3,300 types at the default bound: the verdict counts, a digest of
+    every certificate and search count, and one of the certificates alone.  Each certificate's exhaustion is
     valid for its number, and the reference verifier accepts it on the
     forced prefix."""
     results = []
@@ -971,7 +1072,9 @@ def test_admissibility_grid_is_pinned():
                 results.append(result.proof.to_json_obj())
     assert counts == {"Admissible": 107, "NotAdmissible": 0, "Unknown": 3193}
     text = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "06ce2c359495b1fe"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "59a801561df5fa88"
+    verdicts = ["Unknown" if isinstance(r, list) else r for r in results]
+    assert hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()[:16] == "1965efaa0f292bda"
 
 
 def test_refutation_verification_rejects_bad_witness():

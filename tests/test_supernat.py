@@ -206,6 +206,25 @@ def test_validate_reports_foreign_factors_whole():
     )
 
 
+def test_validate_names_a_factor_too_long_to_print_by_its_bits():
+    """Over 2^inf, (7^4000,) x 3 introduces 7^12000, and s1 = 7^6000 carries
+    it too: 10,141 and 5,071 digits, past the 4,300 the interpreter
+    prints.  Each is named by its bit length; a printable one keeps its
+    digits."""
+    report = validate_exhaustion(ExhaustionSpec(1, (7**4000,) * 3), SN_2)
+    assert not report.ok
+    assert report.violations == (
+        f"membership: cycle introduces a factor of {(7**12000).bit_length()} bits, prime to the number",
+        "cofinality: prime 2 has infinite exponent but never appears in the cycle",
+    )
+    assert validate_exhaustion(ExhaustionSpec(7**6000, (2,)), SN_2).violations == (
+        "membership: s1 carries a factor of 16845 bits, prime to the number",
+    )
+    assert validate_exhaustion(ExhaustionSpec(7**4000, (2,)), SN_2).violations == (
+        f"membership: s1 carries the factor {7**4000}, prime to the number",
+    )
+
+
 @pytest.mark.parametrize("exponent", [1.9, 2.0, True, "3", None, [1]])
 def test_supernatural_document_rejects_non_integer_exponents(exponent):
     with pytest.raises(DomainError):
