@@ -13,11 +13,13 @@ extensions at small scale by exhaustive recovery of a witness.
 eps is stored as integer rows over one denominator, like the bases of
 `RatSubspace`: evaluation, composition, the duality conjugation and the
 classifier's candidate search run on integers, and `Fraction`s appear only
-in the `epsilon` view.  Data is checked once, at the boundary: the
-constructor trusts its arguments, as the composition, the duality
-conjugation and the point-target witness build valid data by their
-formulas, and `check()` runs on data from outside (`from_epsilon`,
-`from_json_obj`) and on the classifier's guessed eps candidates.
+in the `epsilon` view.  Strict evaluation maps the distinct members kappa
+picks, which are nested, by one `_nested_images` pass of `ratlin`.  Data
+is checked once, at the boundary: the constructor trusts its arguments, as
+the composition, the duality conjugation and the point-target witness
+build valid data by their formulas, and `check()` runs on data from
+outside (`from_epsilon`, `from_json_obj`) and on the classifier's guessed
+eps candidates.
 `level_flag` and `level_dims` are the one home of the coordinate flag of
 ordered keys.
 
@@ -60,6 +62,7 @@ from .ratlin import (
     IntRows,
     Matrix,
     RatSubspace,
+    _nested_images,
     as_matrix,
     integer_matrix,
     random_entries,
@@ -375,7 +378,7 @@ class StandardExtensionData(Record):
         # kappa is nondecreasing and the Z_j are nested (both validated), so
         # the members eps(F_kappa(j)) + Z_j are nested too.  The integer
         # rows of eps span the same images as eps.
-        members = _extended(flag.member, self.int_epsilon, self.kappa, self.z_chain)
+        members = _extended(flag.member, self.int_epsilon, flag.ambient, self.kappa, self.z_chain)
         return Flag._from_nested(self.target_ambient, members)
 
     def evaluate(self, flag: Flag) -> Flag:
@@ -412,16 +415,17 @@ class StandardExtensionData(Record):
 def _extended(
     member: Callable[[int], RatSubspace],
     eps: IntRows,
+    width: int,
     kappa: tuple[int, ...],
     z_chain: tuple[RatSubspace, ...],
 ) -> tuple[RatSubspace, ...]:
-    """The members eps(member(kappa(j))) + Z_j, with each distinct image
-    computed once: kappa is nondecreasing, so equal values are adjacent."""
-    out = []
-    for v, pairs in itertools.groupby(zip(kappa, z_chain), key=lambda pair: pair[0]):
-        image = member(v).apply_ints(eps)
-        out.extend(image + z for _, z in pairs)
-    return tuple(out)
+    """The members eps(member(kappa(j))) + Z_j, for eps with `width`
+    columns.  kappa is nondecreasing and the members nested, so the
+    distinct members it picks form a chain, mapped by one `_nested_images`
+    pass."""
+    picked = dict.fromkeys(kappa)
+    images = dict(zip(picked, _nested_images([member(v) for v in picked], eps, width)))
+    return tuple(images[v] + z for v, z in zip(kappa, z_chain))
 
 
 def se_eval(se: StandardExtensionData, flag: Flag) -> Flag:
@@ -476,7 +480,7 @@ def _strict_compose(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in b.int_epsilon
     )
     kappa = tuple(kappa_ext[v] for v in b.kappa)
-    chain = _extended(z_ext.__getitem__, b.int_epsilon, b.kappa, b.z_chain)
+    chain = _extended(z_ext.__getitem__, b.int_epsilon, a.target_ambient, b.kappa, b.z_chain)
     return StandardExtensionData(
         a.source_type, product, a.denominator * b.denominator, chain, kappa, dualized
     )

@@ -8,18 +8,21 @@ subspaces is equality of representations and all values are hashable.
 `rows` is the derived `Fraction` view that `to_json_obj` writes.
 
 `_reduce` is the one elimination; `rref`, `nullspace`, `span`, `+`, `&`,
-`annihilator` and `apply` (its matrix scaled to integers, which leaves
-every image span as it is) run through it; `+` skips it when a side is
+`annihilator` and the images run through it; `+` skips it when a side is
 zero.  Containment needs no elimination: `residues` clears each vector
 at the pivots of the reduced rows, one cross-multiplication per pivot,
 and a vector lies in the span exactly when nothing is left.  `<=` runs it
 unless the left side is zero or the right side full, and `&` runs it
 both ways before it eliminates.
 `_reduce` is one loop that clears each column and divides each cleared
-row by its content inline, with no helper call per row.  What `_reduce`
-returns is canonical; `_kernel_basis`, the free-column kernel basis, and
+row by its content inline, with no helper call per row, and returns at
+once when at most one nonzero row is left.  What `_reduce` returns is
+canonical; `_kernel_basis`, the free-column kernel basis, and
 `_member_constraints` are only spanning sets, and `_kernel` is the
-canonical kernel, `_reduce` of that basis.
+canonical kernel, `_reduce` of that basis.  `_nested_images` maps a
+nested chain in one pass, each member's new pivot rows once, and reduces
+each image from the one before; `Flag.apply`, `RatSubspace.apply` (a
+one-member chain) and the strict evaluations of `flagcore` take it.
 `RatSubspace(ambient, int_rows)` trusts that its integer rows are
 canonical: what the library computes is canonical by construction and is
 not checked again.  Rows from outside go through `span` (and
@@ -31,10 +34,11 @@ bit i is set in the mask, from one cache of bounded size; `zero`, `full`,
 `to_fraction` refuses exponent notation, whose expansion no input size
 bounds.
 
-The scaling rule lives here alone: `integer_matrix` turns a rational
-matrix into integer rows over one positive denominator in lowest terms,
-and callers that already hold integers use `RatSubspace.span_ints` and
-`RatSubspace.apply_ints`, which take integer rows as they are.
+The scaling rule lives here alone, in `_scaled`: `integer_matrix` turns
+a rational matrix into integer rows over one positive denominator in
+lowest terms, and callers that already hold integers use
+`RatSubspace.span_ints` and `_nested_images`, which take integer rows as
+they are.
 
 Likewise `Flag(ambient, chain)` and `Flag.from_json_obj` test that each
 member contains the one before.  Flags nested by construction go through
@@ -82,9 +86,6 @@ _ZERO = Fraction(0)
 # Entries of random invertible matrices lie in [-SPREAD, SPREAD]; each is
 # one `random_entries` draw.
 SPREAD = 3
-# Entry types read without `to_fraction`; bool, a subclass of int, is not
-# one of them and is rejected there.
-_EXACT = (Fraction, int)
 # The most coordinate subspaces kept, one per (ambient, index set);
 # evaluations and sweeps ask for the same few again and again.
 _COORDINATE_CACHE_SIZE = 1024
@@ -95,6 +96,8 @@ def to_fraction(x) -> Fraction:
 
     Exponent notation is refused: `Fraction("1e3000000")` builds 10**3000000
     before anything can bound it."""
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) and ("e" in x or "E" in x):
@@ -114,12 +117,14 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
 def _scaled(entries: Iterable) -> tuple[list[int], int]:
     """Exact rational entries times the lcm of their denominators, and that
     lcm: the one scaling rule.  The result is in lowest terms, since some
-    entry carries the full power of each prime dividing the lcm."""
-    ratios = [(x if type(x) in _EXACT else to_fraction(x)).as_integer_ratio() for x in entries]
-    scale = lcm(*[d for _, d in ratios])
+    entry carries the full power of each prime dividing the lcm.  An int is
+    kept as it is; any other entry, a `Fraction` subclass included, is read
+    as its (numerator, denominator), and only those denominators count."""
+    ratios = [x if type(x) is int else to_fraction(x).as_integer_ratio() for x in entries]
+    scale = lcm(*[r[1] for r in ratios if type(r) is not int])
     if scale == 1:
-        return [n for n, _ in ratios], 1
-    return [n * (scale // d) for n, d in ratios], scale
+        return [r if type(r) is int else r[0] for r in ratios], 1
+    return [r * scale if type(r) is int else r[0] * (scale // r[1]) for r in ratios], scale
 
 
 def _integer_row(row: Iterable, width: int) -> list[int]:
@@ -156,13 +161,17 @@ def _reduce(rows: Iterable[Sequence[int]], width: int) -> IntRows:
     the work list are the pivot rows so far; rows cleared to zero leave
     it.  The clearing is written out in the loop, since on the narrow
     matrices the library reduces call overhead, not arithmetic, is the
-    cost.
+    cost.  One nonzero row needs no clearing, only a positive pivot.
     """
     work = []
     for r in rows:
         c = gcd(*r)
         if c:
             work.append(r if c == 1 else [x // c for x in r])
+    if len(work) < 2:
+        if work and next(x for x in work[0] if x) < 0:
+            return (tuple(-x for x in work[0]),)
+        return tuple(map(tuple, work))
     rank = 0
     for col in range(width):
         if rank == len(work):
@@ -284,6 +293,39 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
+def _nested_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> list["RatSubspace"]:
+    """The images of nested subspaces of Q^width, in order, under the
+    integer matrix m with `width` columns.  Nested subspaces have nested
+    pivot sets, and a member's rows at pivots new to the chain span it with
+    the member before, so only they are mapped, through the nonzero entries
+    of each column of m; each image is `_reduce` of the one before and
+    their images."""
+    size = len(m)
+    columns = [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(width)]
+    seen: set[int] = set()
+    image: IntRows = ()
+    out = []
+    for sub in chain:
+        new = []
+        for v in sub.int_rows:
+            for p, x in enumerate(v):
+                if x:
+                    break
+            if p in seen:
+                continue
+            seen.add(p)
+            w = [0] * size
+            for j, x in enumerate(v):
+                if x:
+                    for i, a in columns[j]:
+                        w[i] += a * x
+            new.append(w)
+        if new:
+            image = _reduce([*image, *new], size)
+        out.append(RatSubspace(size, image))
+    return out
+
+
 def random_entries(count: int, rng: random.Random) -> list[int]:
     """`count` draws of `rng.randint(-SPREAD, SPREAD)`, taken from the
     generator as CPython's `randint` takes them: `getrandbits` of the bit
@@ -339,11 +381,17 @@ class RatSubspace(Record):
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
-        return cls.coordinate(ambient, 0)
+        # `coordinate(ambient, 0)` and its error, one call shorter.
+        if ambient < 0:
+            raise DomainError("coordinate subspace dimension out of range")
+        return cls.basis_span(ambient, 0)
 
     @classmethod
     def full(cls, ambient: int) -> "RatSubspace":
-        return cls.coordinate(ambient, ambient)
+        # `coordinate(ambient, ambient)` and its error, one call shorter.
+        if ambient < 0:
+            raise DomainError("coordinate subspace dimension out of range")
+        return cls.basis_span(ambient, (1 << ambient) - 1)
 
     @classmethod
     def coordinate(cls, ambient: int, k: int) -> "RatSubspace":
@@ -450,17 +498,10 @@ class RatSubspace(Record):
 
     def apply(self, m: Matrix) -> "RatSubspace":
         """Image under the linear map with matrix m (columns act on
-        coordinates), computed with all of m scaled to integers by one
-        factor, which leaves the image as it is."""
-        return self.apply_ints(integer_matrix(m, self.ambient)[0])
-
-    def apply_ints(self, m: IntRows) -> "RatSubspace":
-        """`apply` for an integer matrix with `ambient` columns, not checked."""
-        images = []
-        for v in self.int_rows:
-            support = [(j, x) for j, x in enumerate(v) if x]
-            images.append([sum(row[j] * x for j, x in support) for row in m])
-        return RatSubspace(len(m), _reduce(images, len(m)))
+        coordinates): the one-member chain of `_nested_images`, with all of
+        m scaled to integers by one factor, which leaves the image as it
+        is."""
+        return _nested_images((self,), integer_matrix(m, self.ambient)[0], self.ambient)[0]
 
     def coordinate_complement(self, within: "RatSubspace | None" = None) -> "RatSubspace":
         """Deterministic complement spanned by standard basis vectors where
@@ -558,11 +599,11 @@ class Flag(Record):
         return self.chain[i - 1]
 
     def apply(self, m: Matrix) -> "Flag":
-        """Image flag, with m scaled to integers once; a linear image keeps
-        inclusions, and a matrix that collapses the chain fails the
-        dimension checks."""
+        """Image flag, with m scaled to integers once and the chain mapped
+        by one `_nested_images` pass; a linear image keeps inclusions, and
+        a matrix that collapses the chain fails the dimension checks."""
         ints = integer_matrix(m, self.ambient)[0]
-        return Flag._from_nested(len(m), tuple(s.apply_ints(ints) for s in self.chain))
+        return Flag._from_nested(len(ints), tuple(_nested_images(self.chain, ints, self.ambient)))
 
     def dual(self) -> "Flag":
         """The flag of annihilators, in reverse order (duality map);

@@ -47,7 +47,7 @@ from diagflag.indlimit import (
     _walk,
     factor_pullback_additivity,
 )
-from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, pivots, rref
+from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, matvec, pivots, rref
 from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, step_ratio, validate_exhaustion
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
@@ -168,6 +168,28 @@ def _reference_primitive(row):
     return row if content == 1 else [x // content for x in row]
 
 
+def reference_rref(rows, width):
+    """Reference: plain Gauss-Jordan over `Fraction`, zero rows dropped."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    col = 0
+    r0 = 0
+    while r0 < len(work) and col < width:
+        pivot = next((i for i in range(r0, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[r0], work[pivot] = work[pivot], work[r0]
+        inv = work[r0][col]
+        work[r0] = [x / inv for x in work[r0]]
+        for i in range(len(work)):
+            if i != r0 and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r0])]
+        r0 += 1
+        col += 1
+    return tuple(tuple(r) for r in work[:r0])
+
+
 def _reference_clear(row, prow, col):
     """`row` with column `col` cleared against the pivot row `prow`, made
     primitive again; None when nothing is left."""
@@ -279,14 +301,28 @@ def reference_spans(sub, vectors):
     return True
 
 
+def reference_image(sub, m):
+    """Reference: the image of a subspace on the dense `Fraction` route, each
+    row of `.rows` mapped by `matvec` and the images eliminated afresh by
+    `reference_rref`."""
+    m = tuple(tuple(Fraction(x) for x in row) for row in m)
+    return RatSubspace.span(len(m), reference_rref([matvec(m, v) for v in sub.rows], len(m)))
+
+
+def reference_flag_apply(flag, m):
+    """Reference: `Flag.apply` member by member, each image built afresh by
+    `reference_image` and the chain checked by the validating constructor."""
+    return Flag(len(m), tuple(reference_image(sub, m) for sub in flag.chain))
+
+
 def reference_strict_eval(data, flag):
     """Reference: strict evaluation member by member, eps applied to
-    F_kappa(j) at every position and each sum eliminated afresh."""
+    F_kappa(j) at every position by `reference_image` and each sum with
+    Z_j eliminated afresh."""
     check_flag_type(flag, data.source_type)
     nw = data.target_ambient
     members = tuple(
-        RatSubspace.span_ints(nw, flag.member(v).apply_ints(data.int_epsilon).int_rows + z.int_rows)
-        for v, z in zip(data.kappa, data.z_chain)
+        reference_image(flag.member(v), data.epsilon) + z for v, z in zip(data.kappa, data.z_chain)
     )
     return Flag._from_nested(nw, members)
 

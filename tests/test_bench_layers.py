@@ -90,3 +90,19 @@ def test_the_cli_workload_commands_pass_their_checks(tmp_path, monkeypatch):
         for k in range(len(workload.commands)):
             item = workload._inprocess_item(k, k)
             item.check(item.run())
+
+
+def test_the_flagmaps_workload_items_pass_their_checks(tmp_path):
+    """Each item of one round of the tiny `flagmaps` workload, for seeds 1
+    and 2, run in-process and checked by the workload's own check:
+    equivariance of evaluation, constant spaces inside every image, member
+    dimensions against the pullback, and composed against stepwise
+    evaluation.  A kernel change that breaks any of them fails here before
+    the benchmark runs."""
+    workloads = load_bench(WORKLOADS)
+    for seed in (1, 2):
+        workload = workloads.FlagMaps(seed, tmp_path, True, False)
+        items = next(workload.rounds())
+        assert len(items) == 20
+        for item in items:
+            item.check(item.run())

@@ -461,6 +461,28 @@ def test_shared_images_match_the_per_member_route(rng):
     assert min(seen.values()) > 5
 
 
+KAPPA_SHAPES = {
+    "repeat": lambda se: any(v == w for v, w in zip(se.kappa, se.kappa[1:])),
+    "zero": lambda se: 0 in se.kappa,
+    "suffix": lambda se: se.source_type.length + 1 in se.kappa,
+}
+
+
+@given(st.integers(0, 2**32), st.sampled_from(sorted(KAPPA_SHAPES)))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_strict_eval_matches_the_dense_reference(seed, shape):
+    """`strict_eval` against `reference_strict_eval`, on moved data whose
+    kappa repeats a value, reaches 0 or reaches k + 1, as drawn."""
+    rng = random.Random(seed)
+    se = random_se(rng)
+    while not KAPPA_SHAPES[shape](se):
+        se = random_se(rng)
+    se = moved(se, rng)
+    for _ in range(3):
+        flag = random_flag(se.source_type, rng)
+        assert se.strict_eval(flag) == reference_strict_eval(se, flag)
+
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 

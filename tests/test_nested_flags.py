@@ -5,8 +5,10 @@ compares."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from conftest import reference_flag_apply, reference_image
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_flagcore import random_se
@@ -89,6 +91,81 @@ def test_singular_apply_still_raises():
     kill = ((0, 0, 0), (0, 0, 0), (0, 0, 1))  # line -> 0
     with pytest.raises(DomainError, match="proper and nonzero"):
         flag.apply(kill)
+    # Square, rectangular and block-diagonal maps raise the validating
+    # constructor's message, word for word.
+    flag = Flag(4, (RatSubspace.span(4, [[1, 2, 0, 0]]), RatSubspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]])))
+    for m, message in [
+        (((1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)), "flag chain must be strictly increasing"),
+        (((2, -1, 0, 0), (0, 0, 1, 1)), "flag members must be proper and nonzero"),
+        (((1, 0, 0, 0), (0, 1, 0, 0)), "flag members must be proper and nonzero"),
+        (block_diagonal(((1, 0), (1, 0)), 2), "flag chain must be strictly increasing"),
+    ]:
+        for apply in (flag.apply, lambda m: reference_flag_apply(flag, m)):
+            with pytest.raises(DomainError) as raised:
+                apply(m)
+            assert str(raised.value) == message
+
+
+@st.composite
+def nested_flags(draw, max_ambient=8, max_members=4):
+    """A flag in Q^n, n <= `max_ambient`, with up to `max_members` members,
+    spanned by prefixes of the rows e_pi(i) + sum over j > i of c_ij e_pi(j):
+    a triangular basis in a drawn coordinate order, so the members' pivots
+    come in any pattern, sparse or dense."""
+    n = draw(st.integers(1, max_ambient))
+    count = draw(st.sampled_from(range(min(max_members, n - 1), -1, -1)))
+    dims = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), min_size=count, max_size=count)))
+    order = draw(st.permutations(range(n)))
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[order[i]] = 1
+        for j in range(i + 1, n):
+            row[order[j]] = draw(st.sampled_from((0, 0, 1, -2, 3)))
+        rows.append(row)
+    return Flag(n, tuple(RatSubspace.span(n, rows[:d]) for d in dims))
+
+
+def int_matrices(rows, cols, entries=st.integers(-2, 2)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def flags_with_matrices(draw):
+    """A nested flag and a matrix with one column per coordinate: square,
+    rectangular (another number of rows), diag(g, ..., g), or rational.
+    Small integer entries make singular matrices common."""
+    flag = draw(nested_flags())
+    n = flag.ambient
+    kind = draw(st.sampled_from(("square", "rectangular", "block", "rational")))
+    if kind == "square":
+        return flag, draw(int_matrices(n, n))
+    if kind == "rectangular":
+        return flag, draw(st.integers(1, 9).filter(lambda r: r != n).flatmap(lambda r: int_matrices(r, n)))
+    if kind == "block":
+        d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        return flag, block_diagonal(draw(int_matrices(n // d, n // d)), d)
+    fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    return flag, draw(st.integers(1, 9).flatmap(lambda r: int_matrices(r, n, fractions)))
+
+
+@given(flags_with_matrices())
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+def test_flag_apply_matches_the_dense_reference(case):
+    """`Flag.apply` and `RatSubspace.apply` against each member mapped and
+    eliminated afresh in `Fraction`s; a matrix that collapses the chain
+    raises the reference's `DomainError`, word for word."""
+    flag, m = case
+    for sub in (RatSubspace.zero(flag.ambient), *flag.chain, RatSubspace.full(flag.ambient)):
+        assert sub.apply(m) == reference_image(sub, m)
+    try:
+        expected = reference_flag_apply(flag, m)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as raised:
+            flag.apply(m)
+        assert str(raised.value) == str(exc)
+        return
+    assert flag.apply(m) == expected
 
 
 def test_public_constructor_rejects_a_non_nested_chain():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from conftest import (
     reference_nilradical_inclusion,
     reference_random_invertible_ints,
     reference_reduce,
+    reference_rref,
     reference_spans,
     reference_stabilizer,
     solve_unique,
@@ -23,8 +24,10 @@ from diagflag.ratlin import (
     Flag,
     RatSubspace,
     _reduce,
+    _scaled,
     block_diagonal,
     block_embed,
+    integer_matrix,
     is_rref,
     matvec,
     nilradical_inclusion_oracle,
@@ -37,30 +40,6 @@ from diagflag.ratlin import (
 )
 
 small_entries = st.integers(-4, 4)
-
-
-# -- reference kernel: plain Gauss-Jordan over Fraction ----------------------
-
-
-def reference_rref(rows, width):
-    work = [[Fraction(x) for x in r] for r in rows]
-    col = 0
-    r0 = 0
-    while r0 < len(work) and col < width:
-        pivot = next((i for i in range(r0, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[r0], work[pivot] = work[pivot], work[r0]
-        inv = work[r0][col]
-        work[r0] = [x / inv for x in work[r0]]
-        for i in range(len(work)):
-            if i != r0 and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r0])]
-        r0 += 1
-        col += 1
-    return tuple(tuple(r) for r in work[:r0])
 
 
 def reference_nullspace(rows, width):
@@ -161,6 +140,72 @@ def test_reduce_matches_the_reference_elimination(case):
     expected = reference_reduce(rows, width)
     assert _reduce(rows, width) == expected
     assert _reduce([tuple(r) for r in rows], width) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, width, expected",
+    [
+        ([], 3, ()),
+        ([[0, 0, 0], [0, 0, 0]], 3, ()),
+        ([[0, -2, 3]], 3, ((0, 2, -3),)),
+        ([[0, 4, -6, 8]], 4, ((0, 2, -3, 4),)),
+        ([[0, 0, 0], [0, -4, 6], [0, 0, 0]], 3, ((0, 2, -3),)),
+        ([[1, 2, 3], [2, 4, 6], [-3, -6, -9]], 3, ((1, 2, 3),)),
+        ([[-1, 2], [2, -4], [0, 0]], 2, ((1, -2),)),
+    ],
+    ids=["empty", "all-zero", "negative-pivot", "non-primitive", "one-among-zeros", "cancel-to-one", "negative-cancel"],
+)
+def test_reduce_edge_inputs_match_the_reference(rows, width, expected):
+    """Inputs with fewer than two nonzero rows, before or after clearing."""
+    assert reference_reduce(rows, width) == expected
+    assert _reduce(rows, width) == expected
+    assert _reduce([tuple(r) for r in rows], width) == expected
+
+
+class Exact(Fraction):
+    """A `Fraction` subclass: exact, though its type is not `Fraction`."""
+
+
+def reference_scaled(entries):
+    """Reference: each entry's `Fraction(x).as_integer_ratio()`, times the
+    lcm of every denominator."""
+    ratios = [Fraction(x).as_integer_ratio() for x in entries]
+    scale = lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def test_scaling_matches_the_ratio_route_on_mixed_entries():
+    """`_scaled` and `integer_matrix` keep ints as they are and count every
+    other denominator, a `Fraction` subclass's included."""
+    half = Exact(1, 2)
+    assert type(half) is not Fraction and half.denominator == 2
+    cases = [
+        [3, Fraction(1, 3), half, "5/4", -2, "0", Fraction(-7, 6)],
+        [half, 0, 0],
+        [0, Exact(-3, 1), 2],
+        [2, 4, 6],
+        ["1/2", "-3/2", 1],
+        [Fraction(4), Fraction(-6), 0],
+        [],
+    ]
+    for entries in cases:
+        assert _scaled(entries) == reference_scaled(entries)
+        assert all(type(x) is int for x in _scaled(entries)[0])
+        width = len(entries)
+        flat, scale = reference_scaled(entries + entries[::-1])
+        assert integer_matrix([entries, entries[::-1]], width) == ((tuple(flat[:width]), tuple(flat[width:])), scale)
+    assert to_fraction(half) is half
+    assert type(to_fraction(7)) is Fraction and to_fraction(7) == 7
+
+
+def test_scaling_still_refuses_bools_and_exponent_notation():
+    for bad in (True, False, "1e3", "2E-1"):
+        with pytest.raises(DomainError):
+            to_fraction(bad)
+        with pytest.raises(DomainError):
+            _scaled([1, bad])
+        with pytest.raises(DomainError):
+            integer_matrix([[1, bad]], 2)
 
 
 def test_nullspace_of_integer_rows_and_edge_shapes():
@@ -663,6 +708,9 @@ def test_coordinate_range_check_runs_after_the_cache_holds_entries(ambient, k):
     if k == 0:
         with pytest.raises(DomainError, match="^coordinate subspace dimension out of range$"):
             RatSubspace.zero(ambient)
+    if ambient < 0:
+        with pytest.raises(DomainError, match="^coordinate subspace dimension out of range$"):
+            RatSubspace.full(ambient)
 
 
 def test_zero_denominator_strings_are_rejected():
