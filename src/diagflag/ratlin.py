@@ -36,9 +36,9 @@ bounds.
 
 The scaling rule lives here alone, in `_scaled`: `integer_matrix` turns
 a rational matrix into integer rows over one positive denominator in
-lowest terms, and callers that already hold integers use
-`RatSubspace.span_ints` and `_nested_images`, which take integer rows as
-they are.
+lowest terms (`rref`, `nullspace` and `span` reduce those rows), and
+callers that already hold integers use `RatSubspace.span_ints` and
+`_nested_images`, which take integer rows as they are.
 
 Likewise `Flag(ambient, chain)` and `Flag.from_json_obj` test that each
 member contains the one before.  Flags nested by construction go through
@@ -127,14 +127,6 @@ def _scaled(entries: Iterable) -> tuple[list[int], int]:
     return [r * scale if type(r) is int else r[0] * (scale // r[1]) for r in ratios], scale
 
 
-def _integer_row(row: Iterable, width: int) -> list[int]:
-    """The row times the lcm of its denominators."""
-    ints, _ = _scaled(row)
-    if len(ints) != width:
-        raise DomainError(f"row width {len(ints)} != ambient {width}")
-    return ints
-
-
 def integer_matrix(rows: Iterable[Iterable], width: int) -> tuple[IntRows, int]:
     """An exact rational matrix as integer rows over one positive
     denominator, in lowest terms (the gcd of all entries and the
@@ -206,8 +198,9 @@ def _reduce(rows: Iterable[Sequence[int]], width: int) -> IntRows:
 
 
 def _canonical(rows: Iterable[Iterable], width: int) -> IntRows:
-    """The canonical integer rows of the span of exact rational rows."""
-    return _reduce([_integer_row(row, width) for row in rows], width)
+    """The canonical integer rows of the span of exact rational rows; one
+    scaling serves the whole matrix, as `_reduce` divides each row by its content."""
+    return _reduce(integer_matrix(rows, width)[0], width)
 
 
 def _fraction_row(row: Sequence[int]) -> Vector:

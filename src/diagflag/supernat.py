@@ -236,11 +236,15 @@ def step_ratio(spec: ExhaustionSpec, n: int) -> int:
     return spec.cycle[(n - 1) % len(spec.cycle)]
 
 
-def _cycle_split(cycle: tuple[int, ...], primes: tuple[int, ...]) -> tuple[dict[int, int], int]:
+def _cycle_split(cycle: tuple[int, ...], primes: tuple[int, ...]) -> tuple[dict[int, int], str | None]:
     """`_split` of the cycle product, without forming it: each distinct
     entry is split once and its exponents count with its multiplicity, in
-    the order of `primes`; the rest is the product of the entries' rests,
-    formed only when one of them exceeds 1."""
+    the order of `primes`.  The rest, the product of the entries' rests,
+    is returned as a report names it (None when it is 1).  It is formed,
+    and named by `_factor`, only while the rests' bit lengths, counted
+    with multiplicity, sum to at most 2^16, since the product has no more
+    bits than that sum; past it, the rest is named by a lower bound on its
+    bit length, as a rest of b bits is at least 2^(b - 1)."""
     total = dict.fromkeys(primes, 0)
     rests = []
     for c, times in Counter(cycle).items():
@@ -248,8 +252,13 @@ def _cycle_split(cycle: tuple[int, ...], primes: tuple[int, ...]) -> tuple[dict[
         for p, k in exponents.items():
             total[p] += k * times
         if rest > 1:
-            rests.append(rest**times)
-    return {p: k for p, k in total.items() if k}, math.prod(rests)
+            rests.append((rest, times))
+    exponents = {p: k for p, k in total.items() if k}
+    if not rests:
+        return exponents, None
+    if sum(rest.bit_length() * times for rest, times in rests) <= 1 << 16:
+        return exponents, _factor(math.prod(rest**times for rest, times in rests))
+    return exponents, f"a factor of at least {1 + sum((rest.bit_length() - 1) * times for rest, times in rests)} bits"
 
 
 def _factor(n: int) -> str:
@@ -271,7 +280,8 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
       cycle, no prime of finite exponent occurs in the cycle, and s1 does
       not exceed any finite exponent.  Only the primes of sn are divided
       out; what is left of s1 or of the cycle product is reported as one
-      factor, without factoring it.
+      factor, without factoring it (a cycle's by a lower bound on its bit
+      length when it is too long to form; see `_cycle_split`).
     * cofinality -- every finite divisor of sn must divide some term.
       Symbolically: every infinite-exponent prime divides the cycle
       product, and for each finite exponent a_p the power p^a_p divides
@@ -279,7 +289,7 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
     """
     violations: list[str] = []
     s1_f, s1_rest = _split(spec.s1, sn.primes)
-    prod_f, prod_rest = _cycle_split(spec.cycle, sn.primes)
+    prod_f, foreign = _cycle_split(spec.cycle, sn.primes)
 
     for p, k in s1_f.items():
         a = sn.exponent(p)
@@ -293,8 +303,8 @@ def validate_exhaustion(spec: ExhaustionSpec, sn: SupernaturalNumber) -> Validat
             violations.append(
                 f"membership: cycle multiplies by {p} whose exponent {a} is finite, so terms eventually leave the divisor set"
             )
-    if prod_rest > 1:
-        violations.append(f"membership: cycle introduces {_factor(prod_rest)}, prime to the number")
+    if foreign:
+        violations.append(f"membership: cycle introduces {foreign}, prime to the number")
 
     for p in sn.infinite_primes:
         if p not in prod_f:

@@ -43,7 +43,6 @@ from diagflag.indlimit import (
     Unknown,
     _explicit_steps,
     _kept_vertices,
-    _periodic,
     _walk,
     factor_pullback_additivity,
 )
@@ -546,6 +545,12 @@ def reference_greedy_numbering(gft, s1, cycle, limit=_GREEDY_STEPS):
     return None
 
 
+def reference_periodic(tail, cycle):
+    """Reference: the period rule by the product route, ratio^L against the
+    cycle product, L the cycle length."""
+    return tail.ratio ** len(cycle) == prod(cycle)
+
+
 def reference_admissible(gft, sn, bound):
     """Reference: the admissibility search of a type with a geometric tail
     by listing, with no limit on its size.  Every s1 up to `bound` that
@@ -570,11 +575,11 @@ def reference_admissible(gft, sn, bound):
     periodic = [
         cycle
         for cycle in cycles
-        if _periodic(gft.tail, cycle) and explicit_steps + len(cycle) <= CERTIFICATE_STEP_LIMIT
+        if reference_periodic(gft.tail, cycle) and explicit_steps + len(cycle) <= CERTIFICATE_STEP_LIMIT
     ]
     for s1 in s1_candidates:
         for cycle in periodic:
-            if _walk(gft, s1, cycle, explicit_steps + len(cycle)):
+            if _walk(gft, s1, cycle, explicit_steps + len(cycle)) is not None:
                 return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle)))
     return Unknown("bounded search over periodic exhaustions was inconclusive", len(s1_candidates) * len(cycles))
 

@@ -657,6 +657,31 @@ def test_exhaust_of_many_huge_entries_exits_at_once(tmp_path, levels, code, stdo
     assert done.returncode == code and stdout in done.stdout and done.stderr == stderr
 
 
+def test_exhaust_names_a_long_foreign_factor_without_forming_it(tmp_path):
+    """A cold process on a 2.7 MB spec of 800 distinct entries 7^4000 + 2i
+    over 2^inf: their product, prime to the number, would have about 9
+    million bits and took 36 s to form.  It is named by a lower bound on
+    its bit length, 800 times the 11,229 bits each entry has past its top
+    one, plus 1."""
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
+    spec = write(tmp_path, "spec.json", {"s1": 1, "cycle": [7**4000 + 2 * i for i in range(800)]})
+    src = str(Path(diagflag.__file__).resolve().parent.parent)
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "diagflag.cli", "exhaust", "--sn", sn, "--spec", spec, "--levels", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert time.monotonic() - started < 2.0
+    doc = json.loads(done.stdout)
+    assert done.returncode == 0 and doc["verdict"] == "invalid"
+    assert doc["violations"][0] == (
+        f"membership: cycle introduces a factor of at least {800 * 11229 + 1} bits, prime to the number"
+    )
+
+
 def test_exhaust_rejects_keys_beyond_the_prime_test_bound(capsys, tmp_path):
     sn = write(tmp_path, "sn.json", {"factors": {str(2**89 - 1): "inf"}})
     spec = write(tmp_path, "spec.json", {"s1": 1, "cycle": [2]})

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from conftest import (
@@ -18,6 +19,7 @@ from conftest import (
     reference_clause_walk,
     reference_split,
     reference_greedy_numbering,
+    reference_periodic,
     reference_verify_certificate,
     small_graphs,
     unplaced_after,
@@ -427,6 +429,53 @@ def test_realization_alternating_cycle_round_robin():
         assert is_standard_extension_graph(g)
 
 
+def test_realization_declares_only_a_true_period():
+    """(2, 2, 3) over 2^inf 3^inf from s1 = 2: the first two levels repeat,
+    but level 3 has d = 3, so two levels declare no period."""
+    gft = GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF))
+    real = build_realization_sn_graph(gft, SN23, ExhaustionSpec(2, (2, 2, 3)), levels=2)
+    assert [g.d for g in real.sn_graph.prefix] == [2, 2] and real.sn_graph.period is None
+    assert build_realization_sn_graph(gft, SN23, ExhaustionSpec(2, (2, 2, 3)), levels=6).sn_graph.period == 3
+
+
+# The ordered presentations with k = 1, 2, 3 infinite quotients.
+ROUND_ROBIN_TYPES = [(1, INF), (INF, 1, INF), (INF, INF, 1, INF)]
+
+
+def test_realization_periods_hold_beyond_the_built_levels():
+    """Level n's graph depends only on d_n and the round-robin offset mod
+    k, so the chain repeats every P = L * k / gcd(k, S) levels (S the sum
+    of d - 1 over the cycle).  For every cycle of up to three multipliers
+    from 1, 2, 3, 4, 6 valid over 2^inf 3^inf, k = 1, 2, 3 and 1 .. 8
+    levels, the declared period is the least p <= levels / 2 whose
+    repetition of the last p levels gives, up to level levels + 2P, the
+    graphs a realization of that many levels builds; and where one is
+    declared, the chain validates up to level levels + 2P."""
+    declared = 0
+    for length in (1, 2, 3):
+        for cycle in itertools.product((1, 2, 3, 4, 6), repeat=length):
+            spec = ExhaustionSpec(6, cycle)
+            if not validate_exhaustion(spec, SN23).ok:
+                continue
+            for k, ordered in enumerate(ROUND_ROBIN_TYPES, start=1):
+                gft = GeneralizedFlagType((1,), None, True, ordered_presentation=ordered)
+                horizon = 8 + 2 * length * k // math.gcd(k, sum(d - 1 for d in cycle))
+                truth = build_realization_sn_graph(gft, SN23, spec, levels=horizon).sn_graph.prefix
+                for levels in range(1, 9):
+                    sg = build_realization_sn_graph(gft, SN23, spec, levels=levels).sn_graph
+                    upto = levels + horizon - 8
+                    true = [
+                        p
+                        for p in range(1, levels // 2 + 1)
+                        if all(replace(sg, period=p).level(n) == truth[n - 1] for n in range(1, upto + 1))
+                    ]
+                    assert sg.period == (true[0] if true else None), (cycle, k, levels)
+                    if sg.period is not None:
+                        assert validate_sn_graph(sg, upto=upto).ok
+                        declared += 1
+    assert declared == 639
+
+
 # --- admissibility -----------------------------------------------------------
 
 
@@ -662,12 +711,12 @@ def test_the_walk_checks_only_the_placed_dimension(factors):
         gft = GeneralizedFlagType(finite, GeometricTail(base, rng.choice((2, 3, 4, 6))), True)
         for k, s_k in enumerate(ExhaustionSpec(s1, cycle).terms(8), start=1):
             expected = reference_clause_walk(gft, s1, cycle, k)
-            walked = indlimit._walk(gft, s1, cycle, k) and all(x % s_k == 0 for x in unplaced_after(gft, k))
+            walked = indlimit._walk(gft, s1, cycle, k) is not None and all(x % s_k == 0 for x in unplaced_after(gft, k))
             assert walked == expected, (gft, s1, cycle, k)
             passed += expected
-        if not indlimit._periodic(gft.tail, cycle):
+        if not reference_periodic(gft.tail, cycle):
             assert not reference_clause_walk(gft, s1, cycle, 200)
-            assert not indlimit._walk(gft, s1, cycle, 200)
+            assert indlimit._walk(gft, s1, cycle, 200) is None
             refuted += 1
     assert passed >= 1500 and refuted >= 1000
 
@@ -695,7 +744,7 @@ def test_certificate_verification_rejects_an_unplaced_explicit_quotient():
     gft = GeneralizedFlagType((2**20,), GeometricTail(1, 2), True)
     assert isinstance(admissible(gft, SN2), Unknown)
     assert not verify_certificate(gft, SN2, _numbered(1, (2,)))
-    assert indlimit._walk(gft, 1, (2,), 22) is False and indlimit._walk(gft, 1, (2,), 21) is True
+    assert indlimit._walk(gft, 1, (2,), 22) is None and indlimit._walk(gft, 1, (2,), 21) is not None
 
 
 def test_certificate_verification_rejects_an_explicit_quotient_beyond_the_prefix():
@@ -730,22 +779,24 @@ def test_certificate_verification_accepts_a_long_cycle():
     assert verify_certificate(gft, SN2, _numbered(1, (2,) * 250))
     assert not verify_certificate(gft, SN2, _numbered(1, (2,) * 249 + (4,)))
     broken = (2,) * 249 + (4,)
-    assert indlimit._walk(gft, 1, broken, 250) is True and indlimit._walk(gft, 1, broken, 251) is False
+    assert indlimit._walk(gft, 1, broken, 250) is not None and indlimit._walk(gft, 1, broken, 251) is None
     # With 1, 2, ..., 2^11 explicit and the tail from 2^12 on, E = 12, and
     # the walk takes 12 + 250 steps.
     explicit = GeneralizedFlagType(tuple(2**i for i in range(12)), GeometricTail(2**12, 2), True)
     assert verify_certificate(explicit, SN2, _numbered(1, (2,) * 250))
-    assert indlimit._walk(explicit, 1, (2,) * 250, 262) is True
+    assert indlimit._walk(explicit, 1, (2,) * 250, 262) is not None
 
 
 def test_certificate_verification_asks_the_period_rule():
     """Tail(4, 2) over 2^inf along s1 = 1, cycle (8,): E + L = 2 steps pass
     (4 at term 1, 8 at term 8), but one period multiplies the next tail
     dimension over the next term by 2 / 8, and step 3 places 16 at term
-    64.  The period rule rejects the certificate without that step."""
+    64.  That ratio goes from 8 / 8 after step E = 1 to 2 / 8 after step
+    2, so it does not return, and the certificate is rejected without
+    step 3."""
     gft = GeneralizedFlagType((), GeometricTail(4, 2), True)
-    assert indlimit._walk(gft, 1, (8,), 2) is True and indlimit._walk(gft, 1, (8,), 3) is False
-    assert not indlimit._periodic(gft.tail, (8,))
+    assert indlimit._walk(gft, 1, (8,), 2) == [(1, 1), (1, 4)] and indlimit._walk(gft, 1, (8,), 3) is None
+    assert not reference_periodic(gft.tail, (8,))
     assert not verify_certificate(gft, SN2, _numbered(1, (8,)))
 
 
@@ -878,7 +929,7 @@ def test_greedy_numbering_gives_up_at_its_step_limit(cycle, certified):
         gft = GeneralizedFlagType(tuple(2**i for i in range(c)), GeometricTail(2**c, 2), True)
         greedy = reference_greedy_numbering(gft, 1, cycle, limit=CERTIFICATE_STEP_LIMIT + 1)
         if c == certified:
-            assert indlimit._walk(gft, 1, cycle, c + len(cycle)) is True
+            assert indlimit._walk(gft, 1, cycle, c + len(cycle)) is not None
             assert greedy == tuple(2**i for i in range(c + len(cycle)))
             assert verify_certificate(gft, SN2, _numbered(1, cycle))
         else:
@@ -917,7 +968,7 @@ def test_greedy_numbering_matches_the_reference(inputs):
     expected = reference_greedy_numbering(gft, s1, cycle)
     assert expected is None or gft.tail.ratio ** len(cycle) == math.prod(cycle)
     steps = indlimit._explicit_steps(gft) + len(cycle)
-    certified = indlimit._periodic(gft.tail, cycle) and indlimit._walk(gft, s1, cycle, steps)
+    certified = reference_periodic(gft.tail, cycle) and indlimit._walk(gft, s1, cycle, steps) is not None
     assert certified == (expected is not None)
 
 
@@ -990,6 +1041,77 @@ def test_certificate_verification_matches_the_reference():
 
     check()
     assert sum(verdicts) >= 200
+
+
+@st.composite
+def ratio_walks(draw):
+    """A type with a geometric tail and an exhaustion along which the walk
+    of E + L steps mostly passes, the cycle off the period rule more often
+    than not.  Steps 1 .. e place e <= 2 explicit quotients j_n * s_n and
+    step e + 1 the tail's base, each j_n drawn in [1, d_n - 1].  Each
+    later step, while x = t / s is an integer, gives a cycle position not
+    yet drawn a multiplier d that divides x * ratio and exceeds x, so that
+    the step passes and x stays an integer."""
+    ratio, length = draw(st.sampled_from([2, 3, 4, 6])), draw(st.integers(1, 3))
+    e, s1 = draw(st.integers(0, 2)), draw(st.sampled_from([1, 2, 3]))
+    multipliers = st.sampled_from([2, 3, 4, 6, 8, 9, 12])
+    cycle, placed, s = [None] * length, [], s1
+    for n in range(e + 1):
+        d = cycle[n % length] = cycle[n % length] or draw(multipliers)
+        j = draw(st.integers(1, d - 1))
+        placed.append(j * s)
+        s *= d
+    x = Fraction(j * ratio, d)
+    for n in range(e + 1, max(e, 1) + length):
+        if x.denominator > 1:
+            break
+        top = int(x) * ratio
+        if cycle[n % length] is None:
+            cycle[n % length] = draw(st.sampled_from([d for d in range(int(x) + 1, top + 1) if top % d == 0]))
+        x = x * ratio / cycle[n % length]
+    cycle = tuple(d or draw(multipliers) for d in cycle)
+    return GeneralizedFlagType(tuple(placed[:-1]), GeometricTail(placed[-1], ratio), True), s1, cycle
+
+
+def test_the_ratio_returns_exactly_under_the_period_rule():
+    """On drawn walks of E + L steps that pass, the ratio of the next tail
+    dimension to the next term after step E + L is the one after step E
+    exactly when the cycle obeys the period rule, ratio^L = the cycle
+    product, taken by the product route.  At least 40 passing walks obey
+    the rule and at least 200 do not."""
+    returned = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(ratio_walks())
+    def check(inputs):
+        gft, s1, cycle = inputs
+        ratios = indlimit._walk(gft, s1, cycle, indlimit._explicit_steps(gft) + len(cycle))
+        if ratios is not None:
+            periodic = reference_periodic(gft.tail, cycle)
+            assert (ratios[0] == ratios[-1]) == periodic, inputs
+            returned.append(periodic)
+
+    check()
+    assert sum(returned) >= 40 and len(returned) - sum(returned) >= 200
+
+
+# 10^4299, the largest power of ten the interpreter prints, as a cycle entry
+# over 2^inf 5^inf; its terms would reach 10^(4299 * 999).
+TEN_4299 = 10**4299
+SN25 = SupernaturalNumber.from_factors({2: INF, 5: INF})
+
+
+@pytest.mark.parametrize("last, certified", [(TEN_4299, True), (2 * TEN_4299, False)])
+def test_certificate_verification_keeps_the_walk_in_lowest_terms(last, certified):
+    """Tail(1, 10^4299) along s1 = 1 and 998 multipliers 10^4299, then
+    `last`: the walk keeps the ratio of the next tail dimension to the
+    next term in lowest terms, 1 at every step, so 1,000 steps take well
+    under a second.  Doubling the last multiplier leaves the exhaustion
+    valid but halves the ratio, which then does not return."""
+    gft = GeneralizedFlagType((), GeometricTail(1, TEN_4299), True)
+    started = time.monotonic()
+    assert verify_certificate(gft, SN25, _numbered(1, (TEN_4299,) * 998 + (last,))) is certified
+    assert time.monotonic() - started < 1
 
 
 @functools.cache

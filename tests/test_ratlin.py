@@ -208,6 +208,17 @@ def test_scaling_still_refuses_bools_and_exponent_notation():
             integer_matrix([[1, bad]], 2)
 
 
+def test_a_row_of_the_wrong_width_is_refused_before_its_entries_are_read():
+    """`rref`, `nullspace` and `span` scale the whole matrix at once, after
+    every row's width is checked: a row of the wrong width with an entry
+    that is no rational gets the width error."""
+    for reduce in (rref, nullspace, lambda rows, width: RatSubspace.span(width, rows)):
+        with pytest.raises(DomainError, match=r"^row width 3 != ambient 2$"):
+            reduce([[1, 0], ["1/0", 1, 2]], 2)
+        with pytest.raises(DomainError, match="cannot interpret"):
+            reduce([[1, "1/0"]], 2)
+
+
 def test_nullspace_of_integer_rows_and_edge_shapes():
     assert nullspace([], 3) == reference_nullspace([], 3)
     assert nullspace([[0, 0, 0]], 3) == reference_nullspace([], 3)

@@ -225,6 +225,20 @@ def test_validate_names_a_factor_too_long_to_print_by_its_bits():
     )
 
 
+def test_validate_names_a_foreign_factor_past_2_16_bits_by_a_lower_bound():
+    """7^4000 has 11,230 bits.  Five copies over 2^inf sum to 56,150 bits,
+    at most 2^16, so their product is formed and named by its exact bit
+    length; six sum to 67,380, and the product is named by 6 * 11,229 + 1,
+    a lower bound on its 67,377 bits."""
+    assert validate_exhaustion(ExhaustionSpec(1, (7**4000,) * 5), SN_2).violations[0] == (
+        f"membership: cycle introduces a factor of {(7**20000).bit_length()} bits, prime to the number"
+    )
+    assert (7**24000).bit_length() == 67377
+    assert validate_exhaustion(ExhaustionSpec(1, (7**4000,) * 6), SN_2).violations[0] == (
+        "membership: cycle introduces a factor of at least 67375 bits, prime to the number"
+    )
+
+
 @pytest.mark.parametrize("exponent", [1.9, 2.0, True, "3", None, [1]])
 def test_supernatural_document_rejects_non_integer_exponents(exponent):
     with pytest.raises(DomainError):
