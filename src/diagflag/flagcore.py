@@ -27,6 +27,14 @@ The classifier's duality pass samples the embedding's own images and
 keeps one running sum per member: the intersection of the dual images'
 members is the annihilator of that sum, taken once at the end.
 
+A classifier pass ends early once it can have no index map.  The deficit
+of member j is |dim C_j - q_j|, for C_j its running intersection (or sum)
+and q_j the first image's dimension.  Lemma: no deficit ever decreases.
+Proof: an intersection only shrinks and a sum only grows.  An index map
+for a source of length k >= 1 reads each nonzero settled deficit as a
+source member dimension (the dual pass's deficits are its constants' at
+mirrored positions), so a deficit above d_k rules every one out.
+
 The classifier's sample flags depend only on the source type and the
 seed, never on the embedding, so they are drawn once per process: a
 bounded memo keeps, per (source type, seed), the flags drawn so far and
@@ -511,11 +519,18 @@ def sample_images(
 
 
 def _settle(
-    images: Iterable[Flag], window: int, merge: Callable[[RatSubspace, RatSubspace], RatSubspace]
-) -> tuple[list[RatSubspace], tuple[int, ...]]:
+    images: Iterable[Flag],
+    window: int,
+    merge: Callable[[RatSubspace, RatSubspace], RatSubspace],
+    bound: int | None = None,
+) -> tuple[list[RatSubspace], tuple[int, ...]] | None:
     """The members of the first image, each folded with the same member of
     every next image by `merge`, until `window` consecutive images change
-    none of them; returned with the images' member dimensions."""
+    none of them; returned with the images' member dimensions.  None once
+    a deficit |dim current_j - q_j| exceeds `bound`: it never decreases, as
+    an intersection only shrinks and a sum only grows, so the settled
+    members would exceed it too.  The test runs only when a member changes.
+    """
     it = iter(images)
     try:
         first = next(it)
@@ -541,6 +556,8 @@ def _settle(
         else:
             current = updated
             stable = 0
+            if bound is not None and any(abs(c.dim - q) > bound for c, q in zip(current, target_dims)):
+                return None
     return current, target_dims
 
 
@@ -572,14 +589,18 @@ def _sum_into(total: RatSubspace, member: RatSubspace) -> RatSubspace:
 
 
 def _dual_support_and_constants(
-    images: Iterable[Flag], window: int
-) -> tuple[tuple[RatSubspace, ...], tuple[int, ...], tuple[int, ...]]:
+    images: Iterable[Flag], window: int, bound: int | None = None
+) -> tuple[tuple[RatSubspace, ...], tuple[int, ...], tuple[int, ...]] | None:
     """`support_and_constants` of the images composed with duality, and the
     dual member dimensions, from the images themselves: member j of a dual
     image is the annihilator of member l + 1 - j, and an intersection of
     annihilators is the annihilator of the sum, which changes exactly when
-    the sum does, so the running sums settle after the same images."""
-    sums, dims = _settle(images, window, _sum_into)
+    the sum does, so the running sums settle after the same images.  Dual
+    member l + 1 - j has the deficit of sum j, so `bound` passes through."""
+    settled = _settle(images, window, _sum_into, bound)
+    if settled is None:
+        return None
+    sums, dims = settled
     constants = tuple(s.annihilator() for s in reversed(sums))
     dual_dims = tuple(c.ambient - d for c, d in zip(constants, reversed(dims)))
     return constants, _support(constants, dual_dims), dual_dims
@@ -786,9 +807,13 @@ def _recover_strict(
 ) -> StandardExtensionData | None:
     """A strict witness for `evaluate`, or with `dualized` for duality .
     `evaluate`, from samples of `evaluate` starting at `first`, the image
-    of the coordinate flag; they are dualized only for a candidate kappa."""
+    of the coordinate flag; they are dualized only for a candidate kappa.
+    For k >= 1, None once a deficit exceeds d_k: `_kappa_candidates` reads
+    each nonzero deficit as a source member dimension, and deficits never
+    decrease (see `_settle`)."""
     m = source_type.ambient
     k = source_type.length
+    bound = source_type.dims[-1] if k else None
     samples: list[tuple[Flag, Flag]] = []
 
     def image_stream() -> Iterator[Flag]:
@@ -802,14 +827,18 @@ def _recover_strict(
 
     try:
         if dualized:
-            constants, support, target_dims = _dual_support_and_constants(
-                image_stream(), _CLASSIFY_WINDOW
-            )
+            settled = _dual_support_and_constants(image_stream(), _CLASSIFY_WINDOW, bound)
         else:
-            constants, support = support_and_constants(image_stream(), window=_CLASSIFY_WINDOW)
-            target_dims = first.dims
+            settled = _settle(image_stream(), _CLASSIFY_WINDOW, RatSubspace.__and__, bound)
     except DomainError:
         return None
+    if settled is None:
+        return None
+    if dualized:
+        constants, support, target_dims = settled
+    else:
+        constants, target_dims = tuple(settled[0]), first.dims
+        support = _support(constants, target_dims)
     nw = first.ambient
     if len(target_dims) == 0:
         # Point target: witnessed by any injective eps, provided the source
@@ -876,6 +905,12 @@ def classify_bruteforce(
     running sums of the embedding's own image members.  The coordinate
     image serves the scale check and both passes.  Target dimension is
     capped at `CLASSIFY_SCALE_LIMIT`.
+
+    A pass over a source of length k >= 1 ends with no witness once a
+    constant's deficit |dim C_j - q_j| exceeds d_k.  No deficit decreases
+    (an intersection only shrinks, a sum only grows), and an index map
+    reads each nonzero deficit as a source member dimension, so the
+    result is the one of sampling every window.
 
     The sample flags of each pass are the seeded draws for (source type,
     seed), and seed + 1 for the dual pass; they are drawn once per process

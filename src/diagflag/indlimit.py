@@ -393,12 +393,14 @@ def _type_of_quotients(quotients: Sequence[int], total: int) -> FlagType:
 
 
 def _detect_period(cycle: tuple[int, ...], k: int, levels: int) -> int | None:
-    """Smallest period p <= levels / 2 of the whole chain of level graphs,
-    if any.  Level n's graph shows d_n and, if d_n >= 2, the round-robin
+    """Smallest period p <= levels of the whole chain of level graphs, if
+    any.  Level n's graph shows d_n and, if d_n >= 2, the round-robin
     offset mod k, the sum of d_m - 1 over m < n, and nothing else.  So p
     is a period when the multipliers repeat after p steps, and the sum
-    then added by any p steps is a multiple of k; no graph is built."""
-    for p in range(1, levels // 2 + 1):
+    then added by any p steps is a multiple of k.  No graph is built or
+    compared, so the last p levels need not have repeated within the
+    levels built."""
+    for p in range(1, levels + 1):
         shift = p % len(cycle)
         if cycle[shift:] + cycle[:shift] == cycle and not sum(cycle[i % len(cycle)] - 1 for i in range(p)) % k:
             return p

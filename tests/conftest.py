@@ -22,11 +22,20 @@ from diagflag.egraph import (
     require_valid,
     validate_egraph,
 )
-from diagflag.errors import DomainError
+from diagflag.errors import DomainError, replace
 from diagflag.flagcore import (
     _CLASSIFY_WINDOW,
+    Classification,
     FlagType,
     PicardPullback,
+    StandardExtensionData,
+    _build_z_chain,
+    _dual_support_and_constants,
+    _epsilon_candidates,
+    _epsilon_solution_space,
+    _kappa_candidates,
+    _sample_flags,
+    _verify_witness,
     check_flag_type,
     coordinate_flag,
     duality,
@@ -369,6 +378,70 @@ def reference_sample_stream(source_type, seed):
     rng = random.Random(f"diagflag-classify-{seed}")
     while True:
         yield random_flag(source_type, rng)
+
+
+def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes=None):
+    """Reference: `flagcore._recover_strict` with no deficit bound.  The
+    constants of the memoized sample flags' images settle whatever their
+    deficits, by `support_and_constants` or, for the dual pass, by
+    `_dual_support_and_constants` with no bound; then every index map
+    `_kappa_candidates` finds is searched for a witness, with no shortcut
+    before `check()`.  `passes`, when given, gets each pass's candidates
+    and its largest deficit q_j - dim C_j."""
+    samples = []
+
+    def images():
+        for flag in itertools.chain([coordinate_flag(source_type)], _sample_flags(source_type, seed)):
+            samples.append((flag, evaluate(flag)))
+            yield samples[-1][1]
+
+    if dualized:
+        constants, support, target_dims = _dual_support_and_constants(images(), _CLASSIFY_WINDOW)
+    else:
+        constants, support = support_and_constants(images(), window=_CLASSIFY_WINDOW)
+        target_dims = samples[0][1].dims
+    m, k, nw = source_type.ambient, source_type.length, samples[0][1].ambient
+    kappas = _kappa_candidates(source_type, target_dims, constants, support) if target_dims else []
+    if passes is not None:
+        passes.append((kappas, max((q - c.dim for q, c in zip(target_dims, constants)), default=0)))
+    if not target_dims:
+        if m > nw or k > 0:
+            return None
+        eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
+        return StandardExtensionData(source_type, eps, 1, (), ())
+    target = evaluate
+    if dualized and kappas:
+        samples = [(flag, duality(image)) for flag, image in samples]
+
+        def target(flag):
+            return duality(evaluate(flag))
+
+    for kappa in kappas:
+        solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
+        if not solutions.dim:
+            continue
+        for eps, den in _epsilon_candidates(solutions, nw, m, seed):
+            image = RatSubspace.span_ints(nw, zip(*eps))
+            chain = _build_z_chain(kappa, constants, image, k) if image.dim == m else None
+            if chain is None:
+                continue
+            try:
+                data = StandardExtensionData(source_type, eps, den, chain, kappa).check()
+            except DomainError:
+                continue
+            if _verify_witness(data, target, samples, source_type, seed):
+                return data
+    return None
+
+
+def reference_classify(evaluate, source_type, seed=0, passes=None):
+    """Reference: `classify_bruteforce` by `reference_recover_strict`, the
+    strict pass at `seed`, then the dual pass at seed + 1."""
+    for kind, pass_seed, dualized in (("strict_se", seed, False), ("se_via_dual", seed + 1, True)):
+        data = reference_recover_strict(evaluate, source_type, pass_seed, dualized, passes)
+        if data is not None:
+            return Classification(kind, replace(data, dualized=dualized))
+    return Classification("not_se", None)
 
 
 def reference_level_flag(keys):

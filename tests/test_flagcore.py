@@ -15,6 +15,7 @@ from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
     is_linear,
+    reference_classify,
     reference_dual_sampling,
     reference_level_flag,
     reference_random_flag,
@@ -935,6 +936,66 @@ def test_dual_sums_match_the_intersections_of_dual_images():
         assert (constants, support, drawn) == expected
 
 
+@pytest.mark.parametrize("merge", [RatSubspace.__and__, flagcore._sum_into], ids=["intersection", "sum"])
+def test_no_deficit_decreases_along_the_sampling(merge):
+    """The lemma behind the classifier's early exit, on every third
+    criterion-05 embedding: each merge moves dim current_j one way only,
+    so |dim current_j - q_j| never decreases from one image to the next."""
+    grown = 0
+    for g, ft in criterion_05_instances()[::3]:
+        dims = []
+
+        def recording(current, member):
+            merged = merge(current, member)
+            dims.append(merged.dim)
+            return merged
+
+        _, target_dims = flagcore._settle(
+            sample_images(DiagonalEmbedding(g, ft).evaluate, ft, seed=3), _CLASSIFY_WINDOW, recording
+        )
+        ell = len(target_dims)
+        steps = [target_dims] + [dims[i : i + ell] for i in range(0, len(dims), ell or 1)]
+        deficits = [[abs(d - q) for d, q in zip(step, target_dims)] for step in steps]
+        for before, after in zip(deficits, deficits[1:]):
+            assert all(a <= b for a, b in zip(before, after))
+            grown += before != after
+    assert grown > 300
+
+
+def test_the_deficit_exit_changes_no_classification(monkeypatch):
+    """Every criterion-05 embedding and its duality . evaluate twin: the
+    witness JSON of the reference with no deficit bound.  The exit ends a
+    pass exactly when a settled deficit exceeds d_k (k >= 1), and never a
+    pass whose settled constants yield a kappa."""
+    real = flagcore._settle
+    exits = []
+
+    def settle(*args):
+        settled = real(*args)
+        exits.append(settled is None)
+        return settled
+
+    monkeypatch.setattr(flagcore, "_settle", settle)
+    counts = {"passes": 0, "exits": 0, "with_kappa": 0, "se_via_dual": 0}
+    for g, ft in criterion_05_instances():
+        emb = DiagonalEmbedding(g, ft)
+        for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
+            exits.clear()
+            got = classify_bruteforce(evaluate, ft, seed=0).to_json_obj()
+            ended = exits[:]
+            passes = []
+            assert got == reference_classify(evaluate, ft, 0, passes).to_json_obj()
+            assert len(ended) == len(passes)
+            for exited, (kappas, deficit) in zip(ended, passes):
+                assert exited == (ft.length > 0 and deficit > ft.dims[-1])
+                assert not (exited and kappas)
+                counts["with_kappa"] += bool(kappas)
+            counts["passes"] += len(passes)
+            counts["exits"] += sum(ended)
+            counts["se_via_dual"] += got["kind"] == "se_via_dual"
+    assert counts == {"passes": 4286, "exits": 3090, "with_kappa": 698, "se_via_dual": 90}
+
+
 def test_epsilon_solution_space_matches_the_fraction_echelon():
     """On a seeded sample of the criterion-05 embeddings (see
     `classifier_systems`).  The systems include a repeated nonzero kappa
@@ -1142,10 +1203,21 @@ def test_classifying_twice_draws_no_new_sample_flags(monkeypatch):
 @pytest.fixture(scope="module")
 def criterion_05_cold():
     """The criterion-05 set classified in order from an empty memo: the
-    witness JSON of each, and the memo's size and stream lengths after."""
+    witness JSON of each, the memo's size and stream lengths after, and the
+    number of evaluate calls."""
     _sample_stream.cache_clear()
+    calls = 0
+
+    def counted(evaluate):
+        def counting(flag):
+            nonlocal calls
+            calls += 1
+            return evaluate(flag)
+
+        return counting
+
     results = [
-        classify_bruteforce(DiagonalEmbedding(g, ft).evaluate, ft, seed=0).to_json_obj()
+        classify_bruteforce(counted(DiagonalEmbedding(g, ft).evaluate), ft, seed=0).to_json_obj()
         for g, ft in criterion_05_instances()
     ]
     streams = _sample_stream.cache_info().currsize
@@ -1154,13 +1226,13 @@ def criterion_05_cold():
     # or 1) keys, and there are exactly _SAMPLE_STREAMS of them.
     lengths = {(ft, seed): len(_sample_stream(ft, seed)[0]) for ft in SOURCE_TYPES for seed in (0, 1)}
     assert _sample_stream.cache_info().currsize == _SAMPLE_STREAMS
-    return results, streams, lengths
+    return results, streams, lengths, calls
 
 
 def test_classifications_do_not_depend_on_the_memo(criterion_05_cold):
     """The set again, in reverse order and from the memo the first run
     left: the same witnesses, and no flag drawn."""
-    results, _, lengths = criterion_05_cold
+    results, _, lengths, _ = criterion_05_cold
     warm = [
         classify_bruteforce(DiagonalEmbedding(g, ft).evaluate, ft, seed=0).to_json_obj()
         for g, ft in reversed(criterion_05_instances())
@@ -1173,9 +1245,28 @@ def test_the_memo_stays_within_its_bounds_on_the_criterion_05_set(criterion_05_c
     """Counted, not timed: the streams held, the flags each holds and
     their total, pinned.  Every source type of ambient 2..6 draws at seed
     0; only four of ambient at most 3 reach the dual pass at seed 1."""
-    _, streams, lengths = criterion_05_cold
+    _, streams, lengths, _ = criterion_05_cold
     used = {key: n for key, n in lengths.items() if n}
     assert streams <= _SAMPLE_STREAMS
     assert max(used.values()) < SAMPLE_LIMIT
-    assert (streams, len(used), sum(used.values()), max(used.values())) == (66, 66, 965, 17)
+    assert (streams, len(used), sum(used.values()), max(used.values())) == (66, 66, 953, 17)
     assert sorted(ft.ambient for ft, seed in used if seed == 1) == [2, 3, 3, 3]
+
+
+def test_the_classifier_evaluates_a_pinned_number_of_times(criterion_05_cold):
+    """Counted, not timed: a pass ends once a deficit exceeds d_k, so each
+    pass over the mixed graph ends at its second sample, after the
+    coordinate image both share: 5 evaluations, where sampling every
+    window took 29.  The criterion-05 set takes 14,765, where it took
+    33,146."""
+    calls = 0
+    mixed = DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE).evaluate
+
+    def evaluate(flag):
+        nonlocal calls
+        calls += 1
+        return mixed(flag)
+
+    assert classify_bruteforce(evaluate, MIXED_SOURCE, seed=0).kind == "not_se"
+    assert calls == 5
+    assert criterion_05_cold[3] == 14_765

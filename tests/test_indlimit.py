@@ -444,13 +444,12 @@ ROUND_ROBIN_TYPES = [(1, INF), (INF, 1, INF), (INF, INF, 1, INF)]
 
 def test_realization_periods_hold_beyond_the_built_levels():
     """Level n's graph depends only on d_n and the round-robin offset mod
-    k, so the chain repeats every P = L * k / gcd(k, S) levels (S the sum
-    of d - 1 over the cycle).  For every cycle of up to three multipliers
-    from 1, 2, 3, 4, 6 valid over 2^inf 3^inf, k = 1, 2, 3 and 1 .. 8
-    levels, the declared period is the least p <= levels / 2 whose
-    repetition of the last p levels gives, up to level levels + 2P, the
-    graphs a realization of that many levels builds; and where one is
-    declared, the chain validates up to level levels + 2P."""
+    k.  For every cycle of up to three multipliers from 1, 2, 3, 4, 6
+    valid over 2^inf 3^inf, k = 1, 2, 3 and 1 .. 8 levels, the declared
+    period is the least p <= levels whose repetition of the last p levels
+    gives, up to level levels + 2p, the graphs a 24-level realization
+    builds; and where one is declared, the chain validates up to level
+    levels + 2p and its first 24 levels are those graphs."""
     declared = 0
     for length in (1, 2, 3):
         for cycle in itertools.product((1, 2, 3, 4, 6), repeat=length):
@@ -459,21 +458,29 @@ def test_realization_periods_hold_beyond_the_built_levels():
                 continue
             for k, ordered in enumerate(ROUND_ROBIN_TYPES, start=1):
                 gft = GeneralizedFlagType((1,), None, True, ordered_presentation=ordered)
-                horizon = 8 + 2 * length * k // math.gcd(k, sum(d - 1 for d in cycle))
-                truth = build_realization_sn_graph(gft, SN23, spec, levels=horizon).sn_graph.prefix
+                truth = build_realization_sn_graph(gft, SN23, spec, levels=24).sn_graph.prefix
                 for levels in range(1, 9):
                     sg = build_realization_sn_graph(gft, SN23, spec, levels=levels).sn_graph
-                    upto = levels + horizon - 8
                     true = [
                         p
-                        for p in range(1, levels // 2 + 1)
-                        if all(replace(sg, period=p).level(n) == truth[n - 1] for n in range(1, upto + 1))
+                        for p in range(1, levels + 1)
+                        if all(replace(sg, period=p).level(n) == truth[n - 1] for n in range(1, levels + 2 * p + 1))
                     ]
                     assert sg.period == (true[0] if true else None), (cycle, k, levels)
                     if sg.period is not None:
-                        assert validate_sn_graph(sg, upto=upto).ok
+                        assert validate_sn_graph(sg, upto=levels + 2 * sg.period).ok
+                        assert [sg.level(n) for n in range(1, 25)] == list(truth)
                         declared += 1
-    assert declared == 639
+    assert declared == 1383
+
+
+def test_realization_declares_a_period_no_level_has_repeated():
+    """(1, inf) over 2^inf 3^inf along (6,) from s1 = 6: one level shows
+    d = 6 and the offset mod 1, which every later level repeats."""
+    gft = GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF))
+    sg = build_realization_sn_graph(gft, SN23, ExhaustionSpec(6, (6,)), levels=1).sn_graph
+    assert sg.period == 1
+    assert validate_sn_graph(sg, upto=2).ok
 
 
 # --- admissibility -----------------------------------------------------------
