@@ -6,8 +6,7 @@ block copies of source members as the graph dictates (the graphs that
 `build_from_alpha` built go through `_from_valid`, not validated again).  `evaluate`, the one
 production route, uses the closed formula: one direct sum over colours per
 target member.  The cumulative formula (a running sum over right vertices)
-is kept as `cumulative_evaluate`, the independent reference the tests
-compare `evaluate` against.
+is the independent reference the tests compare `evaluate` against.
 
 The module also computes the induced matrix on Picard generators (from the
 graph alone, `graph_pullback`), the combinatorial linearity and
@@ -42,7 +41,6 @@ from .ratlin import (
     Flag,
     RatSubspace,
     block_diagonal,
-    block_embed,
     nilradical_inclusion_oracle,
     random_invertible_ints,
     stabilizer_oracle,
@@ -153,24 +151,6 @@ def _block_sums(
                 rows += block
         members.append(RatSubspace(n, rows))
     return tuple(members)
-
-
-def cumulative_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
-    """Reference image by the cumulative formula, which the tests compare
-    `DiagonalEmbedding.evaluate` against: walk down the right column
-    adding source member i in block c for each edge (l_i, r_j) of colour
-    c; member j is the running sum after r_j."""
-    g = emb.graph
-    at_position = {(j, c): i for (i, j, c) in g.edges}
-    acc = RatSubspace.zero(emb.n)
-    members = []
-    for j in range(1, g.p):
-        for c in range(1, g.d + 1):
-            i = at_position.get((j, c), 0)
-            if i:
-                acc = acc + block_embed(flag.member(i), c, g.d)
-        members.append(acc)
-    return Flag(emb.n, tuple(members))
 
 
 def graph_pullback(g: EGraph) -> PicardPullback:

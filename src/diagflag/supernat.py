@@ -155,11 +155,6 @@ class SupernaturalNumber(Record):
     def finite_factor_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((p, a) for p, a in self.factors if a is not INF)
 
-    def divisors_up_to(self, bound: int) -> list[int]:
-        """All finite divisors <= bound, ascending (integer arithmetic only);
-        ScaleError when there are more than `DIVISOR_LIMIT`."""
-        return _divisors_up_to(self.factors, bound)
-
     def to_json_obj(self) -> dict:
         return {
             "factors": {str(p): ("inf" if a is INF else a) for p, a in self.factors}

@@ -55,8 +55,8 @@ from diagflag.indlimit import (
     _walk,
     factor_pullback_additivity,
 )
-from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, matvec, pivots, rref
-from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, step_ratio, validate_exhaustion
+from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, block_embed, matvec, pivots, rref
+from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, _divisors_up_to, step_ratio, validate_exhaustion
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
 # hence neither linear nor a standard extension.  Encodes
@@ -635,9 +635,9 @@ def reference_admissible(gft, sn, bound):
     pairs."""
     inf_primes = sn.infinite_primes
     infinite_part = SupernaturalNumber.from_factors({p: INF for p in inf_primes})
-    multipliers = [m for m in infinite_part.divisors_up_to(bound) if m >= 2]
+    multipliers = [m for m in _divisors_up_to(infinite_part.factors, bound) if m >= 2]
     finite_part = prod(p**a for p, a in sn.finite_factor_pairs)
-    s1_candidates = [s1 for s1 in sn.divisors_up_to(bound) if s1 % finite_part == 0]
+    s1_candidates = [s1 for s1 in _divisors_up_to(sn.factors, bound) if s1 % finite_part == 0]
     cycles = [
         cycle
         for length in (1, 2)
@@ -711,6 +711,24 @@ def subspace(ambient, rows):
 
 
 # -- seeded generators and helpers only the tests use ------------------------
+
+def cumulative_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
+    """Reference image by the cumulative formula, which the tests compare
+    `DiagonalEmbedding.evaluate` against: walk down the right column
+    adding source member i in block c for each edge (l_i, r_j) of colour
+    c; member j is the running sum after r_j."""
+    g = emb.graph
+    at_position = {(j, c): i for (i, j, c) in g.edges}
+    acc = RatSubspace.zero(emb.n)
+    members = []
+    for j in range(1, g.p):
+        for c in range(1, g.d + 1):
+            i = at_position.get((j, c), 0)
+            if i:
+                acc = acc + block_embed(flag.member(i), c, g.d)
+        members.append(acc)
+    return Flag(emb.n, tuple(members))
+
 
 def reversed_flag(flag: Flag) -> Flag:
     """The image of `flag` under the reversal of coordinates: a flag of the

@@ -12,6 +12,7 @@ from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
     PRODUCT_LEVEL_GRAPH,
+    cumulative_evaluate,
     default_exhaustion_spec,
     forced_prefix,
     random_egraph,
@@ -24,7 +25,6 @@ from diagflag.cli import main as cli_main
 from diagflag.diagembed import (
     DiagonalEmbedding,
     constant_spaces,
-    cumulative_evaluate,
     equivariance_check,
     is_standard_extension_graph,
     oracle_sweep,

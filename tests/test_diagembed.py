@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
+    cumulative_evaluate,
     growth_graph,
     insertion_graph,
     is_linear,
@@ -25,7 +26,6 @@ from diagflag.diagembed import (
     SWEEP_WORK_LIMIT,
     DiagonalEmbedding,
     constant_spaces,
-    cumulative_evaluate,
     embedding_from_alpha,
     equivariance_check,
     graph_pullback,
@@ -593,8 +593,10 @@ def test_oracle_sweep_fails_on_a_wrong_closed_formula(monkeypatch):
 
 
 def test_the_sweep_and_embed_evaluate_once_by_the_closed_formula(monkeypatch, tmp_path):
-    """The cumulative formula is the tests' reference only: no library
-    route runs it beside `evaluate`."""
+    """The cumulative formula is the tests' reference only: it lives in
+    `conftest`, not in the library, and the sweep and `embed` evaluate
+    each flag once by the closed formula."""
+    assert not hasattr(diagembed, "cumulative_evaluate")
     calls = Counter()
     evaluate = DiagonalEmbedding.evaluate
 
@@ -602,12 +604,7 @@ def test_the_sweep_and_embed_evaluate_once_by_the_closed_formula(monkeypatch, tm
         calls["evaluate"] += 1
         return evaluate(emb, flag)
 
-    def counted_cumulative(emb, flag):
-        calls["cumulative"] += 1
-        return cumulative_evaluate(emb, flag)
-
     monkeypatch.setattr(DiagonalEmbedding, "evaluate", counted_evaluate)
-    monkeypatch.setattr(diagembed, "cumulative_evaluate", counted_cumulative)
     report = oracle_sweep(5, {2, 3})
     assert report.ok and report.evaluation_checks > 0
     assert calls == {"evaluate": report.evaluation_checks}

@@ -65,7 +65,7 @@ from diagflag.indlimit import (
     verify_refutation,
 )
 from diagflag.ratlin import Flag, RatSubspace
-from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, validate_exhaustion
+from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, _divisors_up_to, validate_exhaustion
 
 SN2 = SupernaturalNumber.from_factors({2: INF})
 SN23 = SupernaturalNumber.from_factors({2: INF, 3: INF})
@@ -483,6 +483,76 @@ def test_realization_declares_a_period_no_level_has_repeated():
     assert validate_sn_graph(sg, upto=2).ok
 
 
+def test_realization_levels_follow_the_evaluation_formula():
+    """Each level is built once, by its formula, and the library checks
+    none of it.  Over 2^inf 3^inf from s1 = 36, along (6,), (2, 3) and
+    (4, 6), for every ordered presentation with at most two finite
+    quotients from 1, 2, 3 and one to three infinite ones, in every order
+    (201 presentations, 3,618 levels): each level graph is valid, carries
+    the level type before it to its own, and its quotients sum to its
+    ambient dimension."""
+    presentations = {
+        ordered
+        for finite in range(3)
+        for k in (1, 2, 3)
+        for values in itertools.product((1, 2, 3), repeat=finite)
+        for ordered in itertools.permutations(values + (INF,) * k)
+    }
+    assert len(presentations) == 201
+    checked = 0
+    for cycle in ((6,), (2, 3), (4, 6)):
+        for ordered in presentations:
+            finite = tuple(v for v in ordered if v is not INF)
+            gft = GeneralizedFlagType(finite, None, True, ordered_presentation=ordered)
+            real = build_realization_sn_graph(gft, SN23, ExhaustionSpec(36, cycle), levels=6)
+            types, quotients = real.level_types, real.level_quotients
+            assert sum(quotients[0]) == types[0].ambient
+            for n, g in enumerate(real.sn_graph.prefix, start=1):
+                assert not g.violations, (cycle, ordered, n)
+                assert DiagonalEmbedding(g, types[n - 1]).target_type == types[n], (cycle, ordered, n)
+                assert sum(quotients[n]) == types[n].ambient, (cycle, ordered, n)
+                checked += 1
+    assert checked == 3618
+
+
+def test_realization_limits_are_read_off_the_cycle(monkeypatch):
+    """Along (2, 3, 4), the bounding edges of 1 .. 7 levels, whole cycles
+    and a part, are counted exactly: a limit of that count builds them,
+    one less refuses them and names the count."""
+    gft = GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF))
+    spec = ExhaustionSpec(6, (2, 3, 4))
+    for levels in range(1, 8):
+        edges = sum(spec.cycle[n % 3] - 1 for n in range(levels))
+        monkeypatch.setattr(indlimit, "REALIZATION_EDGE_LIMIT", edges)
+        real = build_realization_sn_graph(gft, SN23, spec, levels=levels)
+        assert sum(g.d - 1 for g in real.sn_graph.prefix) == edges
+        monkeypatch.setattr(indlimit, "REALIZATION_EDGE_LIMIT", edges - 1)
+        with pytest.raises(ScaleError, match=f"^{levels} levels need {edges} bounding edges; "):
+            build_realization_sn_graph(gft, SN23, spec, levels=levels)
+
+
+def test_realization_refuses_a_billion_levels_at_once():
+    gft = GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF))
+    started = time.monotonic()
+    with pytest.raises(ScaleError) as info:
+        build_realization_sn_graph(gft, SN2, ExhaustionSpec(2, (2,)), levels=10**9)
+    assert time.monotonic() - started < 1.0
+    assert str(info.value) == (
+        "1000000000 levels need 1000000000 bounding edges; realizations are limited to 100000"
+    )
+
+
+def test_realization_refuses_only_the_step_ratios_its_levels_reach():
+    """Along (2, 10007) over 2^inf 10007^inf, one level has d = 2; the
+    second has d = 10007, beyond the colour limit."""
+    gft = GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF))
+    sn = SupernaturalNumber.from_factors({2: INF, 10007: INF})
+    spec = ExhaustionSpec(2, (2, 10007))
+    assert [g.d for g in build_realization_sn_graph(gft, sn, spec, levels=1).sn_graph.prefix] == [2]
+    with pytest.raises(ScaleError, match="^step ratio 10007 exceeds the graph colour limit 10000$"):
+        build_realization_sn_graph(gft, sn, spec, levels=2)
+
+
 # --- admissibility -----------------------------------------------------------
 
 
@@ -552,7 +622,7 @@ def test_admissible_lists_no_first_term_without_a_cycle():
     cycle is built and no first term is listed."""
     sn = SupernaturalNumber.from_factors({2: INF, 3: INF, 5: INF, 7: INF})
     with pytest.raises(ScaleError, match="divisors to list"):
-        sn.divisors_up_to(10**60)
+        _divisors_up_to(sn.factors, 10**60)
     result = admissible(GeneralizedFlagType((), GeometricTail(1, 11), True), sn, bound=10**60)
     assert result == Unknown("bounded search over periodic exhaustions was inconclusive", 0)
 
@@ -615,7 +685,7 @@ def search_inputs(draw):
     ratio = draw(st.sampled_from(matching) if draw(st.integers(0, 3)) else st.integers(2, 30))
     split = draw(st.sampled_from([a for a in range(2, ratio**2 // 2 + 1) if ratio**2 % a == 0]))
     cycle = draw(st.sampled_from([(ratio,), (split, ratio**2 // split)]))
-    terms = list(ExhaustionSpec(draw(st.sampled_from(sn.divisors_up_to(30))), cycle).terms(4))
+    terms = list(ExhaustionSpec(draw(st.sampled_from(_divisors_up_to(sn.factors, 30))), cycle).terms(4))
     placed = [terms[n] * draw(st.integers(1, max(1, terms[n + 1] // terms[n] - 1))) for n in range(3)]
     e = draw(st.integers(0, 2))
     if not draw(st.integers(0, 4)):
@@ -678,7 +748,7 @@ def test_the_numbering_along_any_exhaustion_is_forced():
     pairs do."""
     found = 0
     for factors in LEMMA_SNS:
-        divisors = SupernaturalNumber.from_factors(factors).divisors_up_to(99)
+        divisors = _divisors_up_to(SupernaturalNumber.from_factors(factors).factors, 99)
         for finite in LEMMA_FINITE_PARTS:
             for base, ratio in itertools.product((1, 2, 3, 4, 6), (2, 3, 4, 6)):
                 for k in range(1, 6):
@@ -700,7 +770,7 @@ def test_the_walk_checks_only_the_placed_dimension(factors):
     and s_k divides what is still unplaced after step k.  A cycle off the
     period rule fails both within 200 steps."""
     rng = random.Random(f"walk-{factors}")
-    divisors = SupernaturalNumber.from_factors(factors).divisors_up_to(99)
+    divisors = _divisors_up_to(SupernaturalNumber.from_factors(factors).factors, 99)
     multipliers = [d for d in divisors if 2 <= d <= 16]
     passed = refuted = 0
     for _ in range(1500):

@@ -110,7 +110,7 @@ def test_cofinality_unrolled_bound():
     spec = ExhaustionSpec(1, (6,))
     sn = SN_23
     assert validate_exhaustion(spec, sn).ok
-    for s in sn.divisors_up_to(500):
+    for s in supernat._divisors_up_to(sn.factors, 500):
         exps = factorize(s)
         bound = 1 + len(spec.cycle) * max(exps.values(), default=0)
         assert any(t % s == 0 for t in spec.terms(bound + 1)), s
@@ -137,13 +137,13 @@ def test_json_roundtrip():
 
 
 def test_divisors_up_to():
-    assert SN_2.divisors_up_to(20) == [1, 2, 4, 8, 16]
-    assert SN_2_3F.divisors_up_to(13) == [1, 2, 3, 4, 6, 8, 12]
+    assert supernat._divisors_up_to(SN_2.factors, 20) == [1, 2, 4, 8, 16]
+    assert supernat._divisors_up_to(SN_2_3F.factors, 13) == [1, 2, 3, 4, 6, 8, 12]
     # exact prime powers at the bound must not be lost
-    assert SN_2.divisors_up_to(8)[-1] == 8
+    assert supernat._divisors_up_to(SN_2.factors, 8)[-1] == 8
     sn3 = SupernaturalNumber.from_factors({3: INF})
-    assert sn3.divisors_up_to(243)[-1] == 243
-    assert sn3.divisors_up_to(2) == [1]
+    assert supernat._divisors_up_to(sn3.factors, 243)[-1] == 243
+    assert supernat._divisors_up_to(sn3.factors, 2) == [1]
 
 
 def test_divisor_listings_stop_beyond_the_limit(monkeypatch):
@@ -151,20 +151,20 @@ def test_divisor_listings_stop_beyond_the_limit(monkeypatch):
     to 12.  A listing of exactly `DIVISOR_LIMIT` divisors is allowed."""
     sn = SupernaturalNumber.from_factors({2: INF, 3: INF, 5: INF})
     monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 10)
-    assert sn.divisors_up_to(12) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
+    assert supernat._divisors_up_to(sn.factors, 12) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
     with pytest.raises(ScaleError, match="^more than 10 divisors to list"):
-        SN_2.divisors_up_to(2**10)
+        supernat._divisors_up_to(SN_2.factors, 2**10)
     monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 11)
-    assert len(SN_2.divisors_up_to(2**10)) == 11
+    assert len(supernat._divisors_up_to(SN_2.factors, 2**10)) == 11
     monkeypatch.setattr(supernat, "DIVISOR_LIMIT", 9)
     with pytest.raises(ScaleError, match="^more than 9 divisors to list"):
-        sn.divisors_up_to(12)
+        supernat._divisors_up_to(sn.factors, 12)
 
 
 @given(st.integers(1, 3000))
 @settings(max_examples=60)
 def test_divisors_up_to_complete(bound):
-    divs = SN_2_3F.divisors_up_to(bound)
+    divs = supernat._divisors_up_to(SN_2_3F.factors, bound)
     expected = [s for s in range(1, bound + 1) if divides_sn(s, SN_2_3F)]
     assert divs == expected
 
