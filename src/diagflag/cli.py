@@ -8,7 +8,8 @@ from failure.  Exit 1 marks an input or schema error, exit 2 an internal
 consistency failure such as `classify` finding that the graph criterion
 and the brute-force classification disagree, or an oracle mismatch.
 All randomness flows from --seed, and reports are byte-identical given
-identical inputs and seed.
+identical inputs and seed.  `constants` samples with the library's one
+stability window, `flagcore.SAMPLE_WINDOW`; no option sets it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _LEVELS_LIMIT = 1000
 _IMAGE_ENTRY_LIMIT = 10**6
 # The largest target dimension d*m whose constant spaces `constants`
 # samples: each sample reduces a random m x m matrix and intersects every
-# member in Q^(d*m), and a full flag in Q^16 takes about 0.5 s.
+# member in Q^(d*m), and a full flag in Q^16 takes about 0.2 s.
 _SAMPLING_SCALE_LIMIT = 16
 
 
@@ -222,8 +223,7 @@ def _cmd_constants(args) -> dict:
         raise ScaleError(f"constant-space sampling is limited to target dimension {_SAMPLING_SCALE_LIMIT}; got {emb.n}")
     closed = diagembed.constant_spaces(emb)
     sampled, support = flagcore.support_and_constants(
-        flagcore.sample_images(emb.evaluate, emb.source_type, seed=args.seed),
-        window=args.window,
+        flagcore.sample_images(emb.evaluate, emb.source_type, seed=args.seed)
     )
     if tuple(sampled) != tuple(closed):
         raise InternalCheckError("sampled constant spaces differ from the closed form")
@@ -357,7 +357,6 @@ def build_parser() -> _CliParser:
 
     p = sub.add_parser("constants", help="constant spaces: closed form vs sampling")
     add_embedding_flags(p)
-    p.add_argument("--window", type=_parse_int, default=25)
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("admissible", help="decide realizability of a generalized flag type")

@@ -161,7 +161,7 @@ def graph_pullback(g: EGraph) -> PicardPullback:
     contribute nothing.  The graph is trusted to be valid.
     """
     rows = tuple(tuple(row.count(i) for i in range(1, g.q)) for row in g.closed_indices)
-    return PicardPullback(g.q - 1, g.p - 1, rows)
+    return PicardPullback(g.q - 1, rows)
 
 
 def picard_pullback(emb: DiagonalEmbedding) -> PicardPullback:
@@ -248,14 +248,18 @@ def equivariance_check(emb: DiagonalEmbedding, trials: int, seed: int = 0) -> Eq
 
 
 class SweepReport(Record):
-    """Outcome of comparing combinatorial verdicts against the oracle."""
+    """Outcome of comparing combinatorial verdicts against the oracle; each
+    case either agrees on parabolicity or is listed as a disagreement."""
 
-    cases: int
     parabolic_agreements: int
     parabolic_disagreements: tuple[dict, ...]
     unipotent_agreements: int
     unipotent_disagreements: tuple[dict, ...]
     evaluation_checks: int
+
+    @property
+    def cases(self) -> int:
+        return self.parabolic_agreements + len(self.parabolic_disagreements)
 
     @property
     def ok(self) -> bool:
@@ -311,7 +315,6 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
     work = sweep_work(n_max, d_list)
     if work > SWEEP_WORK_LIMIT:
         raise ScaleError(f"sweeps are limited to {SWEEP_WORK_LIMIT} units of work; got {work}")
-    cases = 0
     par_agree = 0
     par_bad: list[dict] = []
     uni_agree = 0
@@ -325,7 +328,6 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                 continue
             m = n // d
             for alpha in surjections(n):
-                cases += 1
                 result = build_from_alpha(alpha, m)
                 combinatorial = isinstance(result, ParabolicRestriction)
                 flag = level_flag(alpha.values)
@@ -354,7 +356,6 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                         )
                     eval_checks += 1
     return SweepReport(
-        cases=cases,
         parabolic_agreements=par_agree,
         parabolic_disagreements=tuple(par_bad),
         unipotent_agreements=uni_agree,

@@ -22,7 +22,6 @@ sort, a failing witness included.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import accumulate, combinations, product
 from operator import le
@@ -188,33 +187,36 @@ def partition_edges(g: EGraph) -> tuple[frozenset[Edge], frozenset[Edge]]:
 
 
 class SurjectionAlpha(Record):
-    """Surjective level map {1..n} -> {1..p} given by its value tuple."""
+    """Surjective level map {1..n} -> {1..p} given by its value tuple: n is
+    its length and p its largest value."""
 
-    n: int
-    p: int
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.n:
-            raise DomainError("value tuple length must equal n")
+        n, p = self.n, self.p
         # n values cover at most n targets; testing that first keeps the
         # set of targets, and the memory, linear in n, whatever p is.
-        if self.p > self.n or set(self.values) != set(range(1, self.p + 1)):
-            raise DomainError(f"map must be surjective onto 1..{self.p}")
+        if p > n or set(self.values) != set(range(1, p + 1)):
+            raise DomainError(f"map must be surjective onto 1..{p}")
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    @property
+    def p(self) -> int:
+        return max(self.values, default=0)
 
     @classmethod
-    def _from_surjective(cls, n: int, p: int, values: tuple[int, ...]) -> "SurjectionAlpha":
+    def _from_surjective(cls, values: tuple[int, ...]) -> "SurjectionAlpha":
         """A map surjective by construction; no check runs."""
         alpha = object.__new__(cls)
-        object.__setattr__(alpha, "n", n)
-        object.__setattr__(alpha, "p", p)
         object.__setattr__(alpha, "values", values)
         return alpha
 
     @classmethod
     def of(cls, values: Sequence[int]) -> "SurjectionAlpha":
-        vals = tuple(strict_int(v, "an alpha value") for v in values)
-        return cls(len(vals), max(vals, default=0), vals)
+        return cls(tuple(strict_int(v, "an alpha value") for v in values))
 
 
 class ParabolicRestriction(Record):
@@ -222,8 +224,20 @@ class ParabolicRestriction(Record):
 
     graph: EGraph
     beta: tuple[tuple[int, ...], ...]  # block-level tuple b(r) of each coordinate r
-    beta_image: tuple[tuple[int, ...], ...]  # the tuples b_1 < ... < b_q
-    flag_type: FlagType | None  # None when the restricted flag has no members
+
+    @property
+    def beta_image(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct tuples b_1 < ... < b_q."""
+        return tuple(sorted(set(self.beta)))
+
+    @cached_property
+    def flag_type(self) -> FlagType | None:
+        """The type of the restricted flag in Q^m, m = len(beta); None when
+        it has no members.  The tuple image is totally ordered, so tuple
+        order and componentwise order agree on it: the restricted flag is
+        the coordinate flag of beta."""
+        dims = level_dims(self.beta)
+        return FlagType(len(self.beta), dims) if dims else None
 
 
 class NotParabolic(Record):
@@ -241,7 +255,7 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
     colour k from l_i to r_j whenever the k-th entry of b_i equals j and i
     is maximal with that entry.
     """
-    n, p = alpha.n, alpha.p
+    n = alpha.n
     if m < 1 or n % m != 0:
         raise DomainError(f"block size {m} does not divide {n}")
     d = n // m
@@ -261,12 +275,7 @@ def build_from_alpha(alpha: SurjectionAlpha, m: int) -> ParabolicRestriction | N
             last_with_value[b[k]] = i
         for j, i in last_with_value.items():
             edges.add((i, j, k + 1))
-    graph = EGraph(q, p, d, frozenset(edges))
-    # The image is totally ordered, so tuple order and componentwise order
-    # agree on it: the restricted flag is the coordinate flag of beta.
-    dims = level_dims(beta)
-    flag_type = FlagType(m, dims) if dims else None
-    return ParabolicRestriction(graph, beta, tuple(image), flag_type)
+    return ParabolicRestriction(EGraph(q, alpha.p, d, frozenset(edges)), beta)
 
 
 def _first_incomparable(image: list[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -302,22 +311,6 @@ def to_dot(g: EGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_HEADER = re.compile(r'label="q=(\d+) p=(\d+) d=(\d+)"')
-_DOT_EDGE = re.compile(r'l(\d+) -- r(\d+) \[color="[^"]*", colourindex="(\d+)"\]')
-
-
-def from_dot(text: str) -> EGraph:
-    """Parse the output of :func:`to_dot` back into a graph."""
-    header = _DOT_HEADER.search(text)
-    if header is None:
-        raise DomainError("missing size header in DOT text")
-    q, p, d = (int(x) for x in header.groups())
-    edges = frozenset(
-        (int(i), int(j), int(c)) for i, j, c in _DOT_EDGE.findall(text)
-    )
-    return EGraph(q, p, d, edges)
-
-
 def all_surjections(n: int, p: int) -> Iterator[SurjectionAlpha]:
     """All surjective maps {1..n} -> {1..p}, in lexicographic value order.
 
@@ -338,13 +331,13 @@ def all_surjections(n: int, p: int) -> Iterator[SurjectionAlpha]:
                 if left:
                     yield from extend(taken | 1 << v, missing - new)
                 else:
-                    yield SurjectionAlpha._from_surjective(n, p, tuple(values))
+                    yield SurjectionAlpha._from_surjective(tuple(values))
                 values.pop()
 
     if n > 0:
         yield from extend(0, p)
     elif n == p == 0:
-        yield SurjectionAlpha(0, 0, ())
+        yield SurjectionAlpha(())
 
 
 def surjections(n: int) -> Iterator[SurjectionAlpha]:

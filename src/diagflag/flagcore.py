@@ -23,9 +23,12 @@ eps candidates.
 `level_flag` and `level_dims` are the one home of the coordinate flag of
 ordered keys.
 
-The classifier's duality pass samples the embedding's own images and
-keeps one running sum per member: the intersection of the dual images'
-members is the annihilator of that sum, taken once at the end.
+All constant-space sampling, `support_and_constants` and both classifier
+passes, settles after one window: `SAMPLE_WINDOW` consecutive samples that
+change no member.  The classifier's duality pass samples the embedding's
+own images and keeps one running sum per member: the intersection of the
+dual images' members is the annihilator of that sum, taken once at the
+end.  A `Classification` stores only its witness; its kind is read off it.
 
 A classifier pass ends early once it can have no index map.  The deficit
 of member j is |dim C_j - q_j|, for C_j its running intersection (or sum)
@@ -77,15 +80,11 @@ from .ratlin import (
 )
 
 CLASSIFY_SCALE_LIMIT = 6
-# The classifier's constant spaces are final once this many samples
-# change no member.
-_CLASSIFY_WINDOW = 12
+# Sampled constant spaces, the classifier's and `support_and_constants`',
+# are final once this many samples change no member.
+SAMPLE_WINDOW = 12
 # Constant-space sampling gives up after this many image flags.
 SAMPLE_LIMIT = 500
-# The longest stability window sampling accepts: half the samples are
-# left for the intersection to settle before the window starts, so running
-# out of samples still means a failure to stabilize.
-WINDOW_LIMIT = SAMPLE_LIMIT // 2
 # The eps constraints are complete once this many samples add no rank.
 STABLE_SAMPLES = 3
 # Fresh random flags a witness must also map right.
@@ -220,17 +219,18 @@ class PicardPullback(Record):
     """
 
     source_rank: int
-    target_rank: int
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.matrix) != self.target_rank:
-            raise DomainError("pullback matrix has wrong number of rows")
         for row in self.matrix:
             if len(row) != self.source_rank:
                 raise DomainError("pullback matrix has wrong number of columns")
             if any(x < 0 for x in row):
                 raise DomainError("pullback entries must be nonnegative")
+
+    @property
+    def target_rank(self) -> int:
+        return len(self.matrix)
 
     def to_json_obj(self) -> dict:
         return {
@@ -520,16 +520,16 @@ def sample_images(
 
 def _settle(
     images: Iterable[Flag],
-    window: int,
     merge: Callable[[RatSubspace, RatSubspace], RatSubspace],
     bound: int | None = None,
 ) -> tuple[list[RatSubspace], tuple[int, ...]] | None:
     """The members of the first image, each folded with the same member of
-    every next image by `merge`, until `window` consecutive images change
-    none of them; returned with the images' member dimensions.  None once
-    a deficit |dim current_j - q_j| exceeds `bound`: it never decreases, as
-    an intersection only shrinks and a sum only grows, so the settled
-    members would exceed it too.  The test runs only when a member changes.
+    every next image by `merge`, until `SAMPLE_WINDOW` consecutive images
+    change none of them; returned with the images' member dimensions.  None
+    once a deficit |dim current_j - q_j| exceeds `bound`: it never
+    decreases, as an intersection only shrinks and a sum only grows, so the
+    settled members would exceed it too.  The test runs only when a member
+    changes.
     """
     it = iter(images)
     try:
@@ -540,7 +540,7 @@ def _settle(
     current = list(first.chain)
     stable = 0
     seen = 1
-    while stable < window:
+    while stable < SAMPLE_WINDOW:
         try:
             flag = next(it)
         except StopIteration:
@@ -567,20 +567,15 @@ def _support(constants: Sequence[RatSubspace], target_dims: Sequence[int]) -> tu
     return tuple(j + 1 for j, (c, q) in enumerate(zip(constants, target_dims)) if c.dim < q)
 
 
-def support_and_constants(
-    images: Iterable[Flag], window: int = 25
-) -> tuple[tuple[RatSubspace, ...], tuple[int, ...]]:
+def support_and_constants(images: Iterable[Flag]) -> tuple[tuple[RatSubspace, ...], tuple[int, ...]]:
     """Memberwise intersection over sampled image flags, plus its support.
 
-    Intersects until the chain is unchanged for `window` consecutive new
-    samples; the window is at most `WINDOW_LIMIT`.  Returns the chain of
-    constant spaces and the 1-based indices where the constant space is
-    strictly smaller than the member, i.e. where the member genuinely
-    varies.
+    Intersects until the chain is unchanged for `SAMPLE_WINDOW` consecutive
+    new samples, the classifier's window.  Returns the chain of constant
+    spaces and the 1-based indices where the constant space is strictly
+    smaller than the member, i.e. where the member genuinely varies.
     """
-    if not 1 <= window <= WINDOW_LIMIT:
-        raise DomainError(f"the stability window must be between 1 and {WINDOW_LIMIT}, got {window}")
-    current, target_dims = _settle(images, window, RatSubspace.__and__)
+    current, target_dims = _settle(images, RatSubspace.__and__)
     return tuple(current), _support(current, target_dims)
 
 
@@ -589,7 +584,7 @@ def _sum_into(total: RatSubspace, member: RatSubspace) -> RatSubspace:
 
 
 def _dual_support_and_constants(
-    images: Iterable[Flag], window: int, bound: int | None = None
+    images: Iterable[Flag], bound: int | None = None
 ) -> tuple[tuple[RatSubspace, ...], tuple[int, ...], tuple[int, ...]] | None:
     """`support_and_constants` of the images composed with duality, and the
     dual member dimensions, from the images themselves: member j of a dual
@@ -597,7 +592,7 @@ def _dual_support_and_constants(
     annihilators is the annihilator of the sum, which changes exactly when
     the sum does, so the running sums settle after the same images.  Dual
     member l + 1 - j has the deficit of sum j, so `bound` passes through."""
-    settled = _settle(images, window, _sum_into, bound)
+    settled = _settle(images, _sum_into, bound)
     if settled is None:
         return None
     sums, dims = settled
@@ -607,10 +602,18 @@ def _dual_support_and_constants(
 
 
 class Classification(Record):
-    """Result of the standard-extension recognition search."""
+    """Result of the standard-extension recognition search: the witness, or
+    None when the embedding is not a standard extension."""
 
-    kind: str  # "strict_se" | "se_via_dual" | "not_se"
     data: StandardExtensionData | None
+
+    @property
+    def kind(self) -> str:
+        """"not_se" without a witness, "se_via_dual" for a dualized one,
+        "strict_se" otherwise."""
+        if self.data is None:
+            return "not_se"
+        return "se_via_dual" if self.data.dualized else "strict_se"
 
     def to_json_obj(self) -> dict:
         return {
@@ -827,9 +830,9 @@ def _recover_strict(
 
     try:
         if dualized:
-            settled = _dual_support_and_constants(image_stream(), _CLASSIFY_WINDOW, bound)
+            settled = _dual_support_and_constants(image_stream(), bound)
         else:
-            settled = _settle(image_stream(), _CLASSIFY_WINDOW, RatSubspace.__and__, bound)
+            settled = _settle(image_stream(), RatSubspace.__and__, bound)
     except DomainError:
         return None
     if settled is None:
@@ -924,8 +927,8 @@ def classify_bruteforce(
     check_classify_scale(first.ambient)
     strict = _recover_strict(evaluate, source_type, seed, first)
     if strict is not None:
-        return Classification("strict_se", strict)
+        return Classification(strict)
     via_dual = _recover_strict(evaluate, source_type, seed + 1, first, dualized=True)
     if via_dual is not None:
-        return Classification("se_via_dual", replace(via_dual, dualized=True))
-    return Classification("not_se", None)
+        return Classification(replace(via_dual, dualized=True))
+    return Classification(None)

@@ -301,11 +301,17 @@ def canonical_exhaustion(
 
 
 class Realization(Record):
-    """A chained-graph realization together with its per-level flag types."""
+    """A chained-graph realization together with its per-level quotients,
+    which fix the per-level flag types."""
 
     sn_graph: SnGraph
-    level_types: tuple[FlagType, ...]  # types of X_1 .. X_{levels+1}
-    level_quotients: tuple[tuple[int, ...], ...]
+    level_quotients: tuple[tuple[int, ...], ...]  # quotients of X_1 .. X_{levels+1}
+
+    @property
+    def level_types(self) -> tuple[FlagType, ...]:
+        """Level n's type has ambient s_n and members at the partial sums of its quotients."""
+        terms = self.sn_graph.spec.terms(len(self.level_quotients))
+        return tuple(FlagType(s, tuple(itertools.accumulate(q[:-1]))) for s, q in zip(terms, self.level_quotients))
 
 
 def build_realization_sn_graph(
@@ -377,12 +383,8 @@ def build_realization_sn_graph(
         s *= d
         graphs.append(EGraph(t, t, d, frozenset(edges)))
         all_quotients.append(tuple(quotients))
-    types = tuple(
-        FlagType(ambient, tuple(itertools.accumulate(q[:-1])))
-        for ambient, q in zip(spec.terms(levels + 1), all_quotients)
-    )
     sg = SnGraph(spec, tuple(graphs), _detect_period(cycle, len(inf_positions), levels))
-    return Realization(sg, types, tuple(all_quotients))
+    return Realization(sg, tuple(all_quotients))
 
 
 def _detect_period(cycle: tuple[int, ...], k: int, levels: int) -> int | None:
@@ -406,12 +408,15 @@ def _detect_period(cycle: tuple[int, ...], k: int, levels: int) -> int | None:
 
 class AdmissibilityCertificate(Record):
     """Witness for admissibility: the exhaustion the quotients are numbered
-    along, or none for a type without a tail (kind "finite").  A numbered
-    certificate needs nothing else, as the numbering along an exhaustion is
-    forced (see `verify_certificate`)."""
+    along (kind "numbered"), or none for a type without a tail (kind
+    "finite").  A numbered certificate needs nothing else, as the numbering
+    along an exhaustion is forced (see `verify_certificate`)."""
 
-    kind: str  # "finite" | "numbered"
     exhaustion: ExhaustionSpec | None
+
+    @property
+    def kind(self) -> str:
+        return "finite" if self.exhaustion is None else "numbered"
 
     def to_json_obj(self) -> dict:
         return {
@@ -442,7 +447,8 @@ class NotAdmissible(Record):
 
 
 class Unknown(Record):
-    reason: str
+    reason = "bounded search over periodic exhaustions was inconclusive"
+
     candidates_searched: int
 
 
@@ -516,9 +522,9 @@ def verify_certificate(
     grows or shrinks geometrically and leaves [1, d - 1]: the certificate
     is false, and x does not return."""
     spec = cert.exhaustion
-    if cert.kind == "finite":
-        return gft.tail is None and spec is None
-    if cert.kind != "numbered" or spec is None or not isinstance(gft.tail, GeometricTail):
+    if spec is None:
+        return gft.tail is None
+    if not isinstance(gft.tail, GeometricTail):
         return False
     steps = _explicit_steps(gft) + len(spec.cycle)
     if steps > CERTIFICATE_STEP_LIMIT:
@@ -563,7 +569,7 @@ def admissible(gft: GeneralizedFlagType, sn: SupernaturalNumber, bound: int = 64
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
     if gft.tail is None:
-        return Admissible(AdmissibilityCertificate("finite", None))
+        return Admissible(AdmissibilityCertificate(None))
     if isinstance(gft.tail, ConstantTail):
         return NotAdmissible(RefutationProof(gft.tail.value))
 
@@ -588,8 +594,8 @@ def admissible(gft: GeneralizedFlagType, sn: SupernaturalNumber, bound: int = 64
     for m in infinite_divisors:
         for cycle in cycles:
             if _walk(gft, finite_part * m, cycle, explicit_steps + len(cycle)) is not None:
-                return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(finite_part * m, cycle)))
-    return Unknown(reason="bounded search over periodic exhaustions was inconclusive", candidates_searched=count)
+                return Admissible(AdmissibilityCertificate(ExhaustionSpec(finite_part * m, cycle)))
+    return Unknown(count)
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError, Record, strict_int
@@ -524,22 +524,6 @@ class RatSubspace(Record):
         return cls.span(ambient, obj)
 
 
-def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
-    """Shift a subspace of Q^m into block `block` of Q^(blocks*m).
-
-    Block indices are 1-based; block i occupies coordinates
-    (i-1)*m .. i*m - 1.
-    """
-    if not 1 <= block <= blocks:
-        raise DomainError(f"block index {block} out of range 1..{blocks}")
-    m = sub.ambient
-    zero_l = (0,) * ((block - 1) * m)
-    zero_r = (0,) * ((blocks - block) * m)
-    return RatSubspace(
-        blocks * m, tuple(zero_l + v + zero_r for v in sub.int_rows)
-    )
-
-
 class Flag(Record):
     """A strictly increasing chain of proper nonzero subspaces of Q^ambient.
 
@@ -641,23 +625,33 @@ class StabilizerResult(Record):
     """Lie algebra of matrices x in gl(m) whose diagonal copies preserve a flag.
 
     `algebra` is that subalgebra as a subspace of Q^(m*m), each matrix
-    flattened row by row; `dimension` is its dimension.  `root_spaces`
-    lists the off-diagonal coordinate lines E_ij (1-based pairs) contained
-    in the algebra, `contains_torus` records whether all diagonal matrices
-    are, and `is_parabolic` is the torus-relative criterion: the torus is
-    contained and for every i != j at least one of E_ij, E_ji belongs to
-    the algebra.  `block_size` is m.
+    flattened row by row; `dimension` is its dimension and `block_size`
+    is m.  `root_spaces` lists the off-diagonal coordinate lines E_ij
+    (1-based pairs) contained in the algebra, `contains_torus` records
+    whether all diagonal matrices are, and `is_parabolic` is the
+    torus-relative criterion read off those two: the torus is contained
+    and for every i != j at least one of E_ij, E_ji belongs to the
+    algebra.  A memoized result computes it once.
     """
 
-    block_size: int
     algebra: RatSubspace
     root_spaces: frozenset[tuple[int, int]]
     contains_torus: bool
-    is_parabolic: bool
 
     @property
     def dimension(self) -> int:
         return self.algebra.dim
+
+    @property
+    def block_size(self) -> int:
+        return isqrt(self.algebra.ambient)
+
+    @cached_property
+    def is_parabolic(self) -> bool:
+        roots, m = self.root_spaces, self.block_size
+        return self.contains_torus and all(
+            (i, j) in roots or (j, i) in roots for i in range(1, m + 1) for j in range(i + 1, m + 1)
+        )
 
 
 def _by_block(row: Sequence[int], m: int, step: int) -> dict[int, list[tuple[int, int]]]:
@@ -700,7 +694,7 @@ def _member_constraints(rows: IntRows, m: int) -> IntRows:
 
 def _solve_stabilizer(constraints: IntRows, m: int) -> StabilizerResult:
     """The stabilizer algebra cut out of gl(m) by `constraints`, with its
-    root spaces, torus and parabolicity verdict."""
+    root spaces and torus."""
     size = m * m
     algebra = RatSubspace(size, _kernel(_reduce(constraints, size), size))
     # E_ab lies in the nullspace iff column a*m+b of the constraints is zero;
@@ -713,18 +707,7 @@ def _solve_stabilizer(constraints: IntRows, m: int) -> StabilizerResult:
         if a != b and (a * m + b) not in nonzero_cols
     )
     contains_torus = all((a * m + a) not in nonzero_cols for a in range(m))
-    is_parabolic = contains_torus and all(
-        (i, j) in root_spaces or (j, i) in root_spaces
-        for i in range(1, m + 1)
-        for j in range(i + 1, m + 1)
-    )
-    return StabilizerResult(
-        block_size=m,
-        algebra=algebra,
-        root_spaces=root_spaces,
-        contains_torus=contains_torus,
-        is_parabolic=is_parabolic,
-    )
+    return StabilizerResult(algebra, root_spaces, contains_torus)
 
 
 def stabilizer_oracle(flag: Flag, m: int, memo: dict | None = None) -> StabilizerResult:

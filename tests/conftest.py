@@ -24,7 +24,6 @@ from diagflag.egraph import (
 )
 from diagflag.errors import DomainError, replace
 from diagflag.flagcore import (
-    _CLASSIFY_WINDOW,
     Classification,
     FlagType,
     PicardPullback,
@@ -55,7 +54,7 @@ from diagflag.indlimit import (
     _walk,
     factor_pullback_additivity,
 )
-from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, block_embed, matvec, pivots, rref
+from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, matvec, pivots, rref
 from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, _divisors_up_to, step_ratio, validate_exhaustion
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
@@ -138,7 +137,7 @@ def reference_surjections(n: int, p: int):
     target = set(range(1, p + 1))
     for values in itertools.product(range(1, p + 1), repeat=n):
         if set(values) == target:
-            yield SurjectionAlpha(n, p, values)
+            yield SurjectionAlpha(values)
 
 
 def is_linear(pullback: PicardPullback) -> bool:
@@ -249,7 +248,9 @@ def reference_stabilizer_constraints(flag, m):
 
 def reference_stabilizer(flag, m):
     """Reference: `stabilizer_oracle` from the dense constraints, repeats
-    and all."""
+    and all, with its own parabolicity verdict read off the dense zero
+    columns and the block size m: (record, verdict, m).  The record derives
+    both; the tests compare them with the reference's."""
     rows = reference_stabilizer_constraints(flag, m)
     size = m * m
     zero_cols = {j for j in range(size) if all(row[j] == 0 for row in rows)}
@@ -257,14 +258,15 @@ def reference_stabilizer(flag, m):
         (a + 1, b + 1) for a in range(m) for b in range(m) if a != b and a * m + b in zero_cols
     )
     torus = all(a * m + a in zero_cols for a in range(m))
-    return StabilizerResult(
-        block_size=m,
+    parabolic = torus and all(
+        a * m + b in zero_cols or b * m + a in zero_cols for a in range(m) for b in range(a + 1, m)
+    )
+    record = StabilizerResult(
         algebra=RatSubspace.span_ints(size, rows).annihilator(),
         root_spaces=roots,
         contains_torus=torus,
-        is_parabolic=torus
-        and all((i, j) in roots or (j, i) in roots for i in range(1, m + 1) for j in range(i + 1, m + 1)),
     )
+    return record, parabolic, m
 
 
 def reference_nilradical_inclusion(flag, stabilizer):
@@ -368,7 +370,7 @@ def reference_dual_sampling(evaluate, source_type, seed):
             yield duality(evaluate(flag))
             flag = random_flag(source_type, rng)
 
-    constants, support = support_and_constants(images(), window=_CLASSIFY_WINDOW)
+    constants, support = support_and_constants(images())
     return constants, support, drawn
 
 
@@ -396,9 +398,9 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
             yield samples[-1][1]
 
     if dualized:
-        constants, support, target_dims = _dual_support_and_constants(images(), _CLASSIFY_WINDOW)
+        constants, support, target_dims = _dual_support_and_constants(images())
     else:
-        constants, support = support_and_constants(images(), window=_CLASSIFY_WINDOW)
+        constants, support = support_and_constants(images())
         target_dims = samples[0][1].dims
     m, k, nw = source_type.ambient, source_type.length, samples[0][1].ambient
     kappas = _kappa_candidates(source_type, target_dims, constants, support) if target_dims else []
@@ -437,11 +439,11 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
 def reference_classify(evaluate, source_type, seed=0, passes=None):
     """Reference: `classify_bruteforce` by `reference_recover_strict`, the
     strict pass at `seed`, then the dual pass at seed + 1."""
-    for kind, pass_seed, dualized in (("strict_se", seed, False), ("se_via_dual", seed + 1, True)):
+    for pass_seed, dualized in ((seed, False), (seed + 1, True)):
         data = reference_recover_strict(evaluate, source_type, pass_seed, dualized, passes)
         if data is not None:
-            return Classification(kind, replace(data, dualized=dualized))
-    return Classification("not_se", None)
+            return Classification(replace(data, dualized=dualized))
+    return Classification(None)
 
 
 def reference_level_flag(keys):
@@ -653,8 +655,8 @@ def reference_admissible(gft, sn, bound):
     for s1 in s1_candidates:
         for cycle in periodic:
             if _walk(gft, s1, cycle, explicit_steps + len(cycle)) is not None:
-                return Admissible(AdmissibilityCertificate("numbered", ExhaustionSpec(s1, cycle)))
-    return Unknown("bounded search over periodic exhaustions was inconclusive", len(s1_candidates) * len(cycles))
+                return Admissible(AdmissibilityCertificate(ExhaustionSpec(s1, cycle)))
+    return Unknown(len(s1_candidates) * len(cycles))
 
 
 def reference_verify_certificate(gft, sn, spec, prefix):
@@ -711,6 +713,22 @@ def subspace(ambient, rows):
 
 
 # -- seeded generators and helpers only the tests use ------------------------
+
+def block_embed(sub: RatSubspace, block: int, blocks: int) -> RatSubspace:
+    """Shift a subspace of Q^m into block `block` of Q^(blocks*m).
+
+    Block indices are 1-based; block i occupies coordinates
+    (i-1)*m .. i*m - 1.
+    """
+    if not 1 <= block <= blocks:
+        raise DomainError(f"block index {block} out of range 1..{blocks}")
+    m = sub.ambient
+    zero_l = (0,) * ((block - 1) * m)
+    zero_r = (0,) * ((blocks - block) * m)
+    return RatSubspace(
+        blocks * m, tuple(zero_l + v + zero_r for v in sub.int_rows)
+    )
+
 
 def cumulative_evaluate(emb: DiagonalEmbedding, flag: Flag) -> Flag:
     """Reference image by the cumulative formula, which the tests compare

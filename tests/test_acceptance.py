@@ -12,6 +12,7 @@ from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
     PRODUCT_LEVEL_GRAPH,
+    block_embed,
     cumulative_evaluate,
     default_exhaustion_spec,
     forced_prefix,
@@ -59,7 +60,7 @@ from diagflag.indlimit import (
     verify_certificate,
     verify_refutation,
 )
-from diagflag.ratlin import RatSubspace, block_embed
+from diagflag.ratlin import RatSubspace
 from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber
 
 SN2 = SupernaturalNumber.from_factors({2: INF})
@@ -184,14 +185,12 @@ def test_criterion_06_constant_spaces_sampled_vs_closed():
         dims = tuple(range(1, g.q))
         emb = DiagonalEmbedding(g, FlagType(max(g.q, 2), dims))
         closed = constant_spaces(emb)
-        sampled, support = support_and_constants(
-            sample_images(emb.evaluate, emb.source_type, seed=17), window=25
-        )
+        sampled, support = support_and_constants(sample_images(emb.evaluate, emb.source_type, seed=17))
         assert tuple(sampled) == tuple(closed)
         for j in support:
             assert closed[j - 1].dim < emb.target_type.dims[j - 1]
     elapsed = time.monotonic() - started
-    report(6, "constant spaces: sampling window 25 meets closed form, 50 graphs", elapsed)
+    report(6, "constant spaces: sampling window 12 meets closed form, 50 graphs", elapsed)
 
 
 def test_criterion_07_realization_constructor():

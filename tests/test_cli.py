@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagflag
-from diagflag import diagembed, flagcore, indlimit
+from diagflag import diagembed, indlimit
 from diagflag.cli import main, selftest_digest
 from diagflag.errors import ValidationReport
 
@@ -159,32 +159,6 @@ def test_constants_takes_a_full_embedding(capsys):
     assert doc["dims"] == [0, 2]
     assert doc["support"] == [1, 2]
     assert doc["constants"] == [[], [["1", "0", "0", "0"], ["0", "1", "0", "0"]]]
-
-
-def test_constants_rejects_empty_window(capsys, mixed_graph_file):
-    argv = ["constants", "--graph", mixed_graph_file, "--source-ambient", "3"]
-    assert main(argv + ["--window", "0"]) == 1
-    assert "input error:" in capsys.readouterr().err
-
-
-def test_constants_rejects_a_window_beyond_the_limit(capsys, mixed_graph_file):
-    # A window the sample budget cannot fill is an input error, not a
-    # failure to stabilize.
-    argv = ["constants", "--graph", mixed_graph_file, "--source-ambient", "3"]
-    assert main(argv + ["--window", "600"]) == 1
-    _one_input_error(capsys)
-    assert main(argv + ["--window", str(flagcore.WINDOW_LIMIT + 1)]) == 1
-    _one_input_error(capsys)
-
-
-def test_constants_accepts_the_window_limit(capsys, mixed_graph_file):
-    code, doc = run_json(
-        capsys,
-        "constants", "--graph", mixed_graph_file, "--source-ambient", "3",
-        "--window", str(flagcore.WINDOW_LIMIT),
-    )
-    assert code == 0
-    assert doc["dims"] == [0, 0, 3]
 
 
 # A linear level graph with two monochromatic factors.
@@ -775,9 +749,9 @@ def test_comma_separated_options_take_ascii_integers_only(capsys, mixed_graph_fi
 
 @pytest.mark.parametrize("two", NOT_ASCII_TWOS)
 @pytest.mark.parametrize(
-    "option", ["--m", "--n-max", "--source-ambient", "--window", "--bound", "--levels", "--seed"]
+    "option", ["--m", "--n-max", "--source-ambient", "--bound", "--levels", "--seed"]
 )
-def test_integer_options_take_ascii_integers_only(capsys, tmp_path, mixed_graph_file, option, two):
+def test_integer_options_take_ascii_integers_only(capsys, tmp_path, option, two):
     small_graph = write(tmp_path, "small.json", {"q": 2, "p": 2, "d": 1, "edges": [[1, 1, 1], [2, 2, 1]]})
     gft = write(tmp_path, "gft.json", {
         "finite_quotients": [],
@@ -789,7 +763,6 @@ def test_integer_options_take_ascii_integers_only(capsys, tmp_path, mixed_graph_
         "--m": ["restrict", "--alpha", "1,2,2,3", "--m", "2"],
         "--n-max": ["oracle", "--n-max", "2", "--d", "2"],
         "--source-ambient": ["picard", "--graph", small_graph, "--source-dims", "1", "--source-ambient", "2"],
-        "--window": ["constants", "--graph", mixed_graph_file, "--source-ambient", "3", "--window", "2"],
         "--bound": ["admissible", "--gft", gft, *_sn_spec(tmp_path)[:2], "--bound", "2"],
         "--levels": ["exhaust", *_sn_spec(tmp_path), "--levels", "2"],
         "--seed": ["--seed", "2", "restrict", "--alpha", "1,2,2,3", "--m", "2"],
@@ -1174,8 +1147,6 @@ def test_fuzzed_documents_never_escape_main(tmp_path_factory, command, fuzzed):
         else:
             path.write_text(json.dumps(REFERENCE_DOCS[option]))
         argv += [f"--{option}", str(path)]
-    if command == "constants":
-        argv += ["--window", "3"]
     started = time.monotonic()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

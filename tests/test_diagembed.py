@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
+    block_embed,
     cumulative_evaluate,
     growth_graph,
     insertion_graph,
@@ -53,7 +54,7 @@ from diagflag.flagcore import (
     sample_images,
     support_and_constants,
 )
-from diagflag.ratlin import Flag, RatSubspace, block_embed, is_rref, stabilizer_oracle
+from diagflag.ratlin import Flag, RatSubspace, is_rref, stabilizer_oracle
 
 
 def test_mixed_graph_target_type():
@@ -470,7 +471,7 @@ def test_the_public_constructors_still_validate(capsys, tmp_path):
     with pytest.raises(DomainError, match="invalid graph"):
         DiagonalEmbedding(bad, FlagType(2, (1,)))
     with pytest.raises(DomainError, match="surjective"):
-        SurjectionAlpha(3, 3, (1, 1, 2))
+        SurjectionAlpha((1, 1, 3))
     flag = tmp_path / "flag.json"
     flag.write_text('{"ambient": 2, "chain": [[["1", "1"]]]}')
     assert main(["embed", "--alpha", "1,2,2,1", "--m", "2", "--flag", str(flag)]) == 1

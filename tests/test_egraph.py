@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from math import comb
@@ -28,7 +29,6 @@ from diagflag.egraph import (
     all_surjections,
     build_from_alpha,
     enumerate_valid_graphs,
-    from_dot,
     partition_edges,
     surjections,
     to_dot,
@@ -171,9 +171,9 @@ def test_build_rejects_bad_block_size():
 
 def test_surjection_validation():
     with pytest.raises(DomainError):
-        SurjectionAlpha(3, 2, (1, 1, 1))
-    with pytest.raises(DomainError):
-        SurjectionAlpha(2, 2, (1, 2, 2))
+        SurjectionAlpha((1, 1, 3))
+    alpha = SurjectionAlpha((1, 2, 2))
+    assert (alpha.n, alpha.p) == (3, 2)
 
 
 @pytest.mark.parametrize("bad", [2.7, True, "2"])
@@ -247,6 +247,22 @@ def test_bottom_right_vertex_carries_bounding_edge():
         g = random_egraph(rng)
         bounding, _ = partition_edges(g)
         assert any(j == g.p for (_, j, _) in bounding)
+
+
+_DOT_HEADER = re.compile(r'label="q=(\d+) p=(\d+) d=(\d+)"')
+_DOT_EDGE = re.compile(r'l(\d+) -- r(\d+) \[color="[^"]*", colourindex="(\d+)"\]')
+
+
+def from_dot(text: str) -> EGraph:
+    """Parse the output of :func:`to_dot` back into a graph."""
+    header = _DOT_HEADER.search(text)
+    if header is None:
+        raise DomainError("missing size header in DOT text")
+    q, p, d = (int(x) for x in header.groups())
+    edges = frozenset(
+        (int(i), int(j), int(c)) for i, j, c in _DOT_EDGE.findall(text)
+    )
+    return EGraph(q, p, d, edges)
 
 
 def test_dot_deterministic_and_roundtrip():

@@ -44,7 +44,6 @@ from diagflag.flagcore import (
     se_compose,
     se_eval,
     support_and_constants,
-    _CLASSIFY_WINDOW,
     _dual_conjugate,
     _dual_support_and_constants,
     _epsilon_candidates,
@@ -581,12 +580,15 @@ def test_compose_rejects_type_mismatch():
 
 
 def test_is_linear():
-    assert is_linear(PicardPullback(2, 2, ((1, 0), (0, 1))))
-    assert is_linear(PicardPullback(2, 3, ((1, 0), (0, 0), (0, 1))))
-    assert not is_linear(PicardPullback(2, 3, ((1, 0), (1, 1), (0, 1))))
-    assert not is_linear(PicardPullback(1, 1, ((2,),)))
+    assert is_linear(PicardPullback(2, ((1, 0), (0, 1))))
+    assert is_linear(PicardPullback(2, ((1, 0), (0, 0), (0, 1))))
+    assert not is_linear(PicardPullback(2, ((1, 0), (1, 1), (0, 1))))
+    assert not is_linear(PicardPullback(1, ((2,),)))
     with pytest.raises(DomainError):
-        PicardPullback(2, 1, ((1, -1),))
+        PicardPullback(2, ((1, -1),))
+    with pytest.raises(DomainError, match="columns"):
+        PicardPullback(2, ((1, 0), (1,)))
+    assert PicardPullback(2, ((1, 0), (0, 0), (0, 1))).target_rank == 3
 
 
 LEVEL_KEYS = st.one_of(
@@ -932,7 +934,7 @@ def test_dual_sums_match_the_intersections_of_dual_images():
                 yield evaluate(flag)
                 flag = random_flag(ft, rng)
 
-        constants, support, _ = _dual_support_and_constants(images(), _CLASSIFY_WINDOW)
+        constants, support, _ = _dual_support_and_constants(images())
         assert (constants, support, drawn) == expected
 
 
@@ -950,9 +952,7 @@ def test_no_deficit_decreases_along_the_sampling(merge):
             dims.append(merged.dim)
             return merged
 
-        _, target_dims = flagcore._settle(
-            sample_images(DiagonalEmbedding(g, ft).evaluate, ft, seed=3), _CLASSIFY_WINDOW, recording
-        )
+        _, target_dims = flagcore._settle(sample_images(DiagonalEmbedding(g, ft).evaluate, ft, seed=3), recording)
         ell = len(target_dims)
         steps = [target_dims] + [dims[i : i + ell] for i in range(0, len(dims), ell or 1)]
         deficits = [[abs(d - q) for d, q in zip(step, target_dims)] for step in steps]

@@ -8,6 +8,11 @@ alias; docstrings and comments do not count), `__all__` exports it,
 that overrides one of a standard-library base (`_CliParser.error`) counts
 as used.
 
+An exported name closes no loophole: the exports that nothing in `src/`
+or `perfbench/` references must be exactly the three library operations
+offered only to users, `decompose_sn_graph`, `equivariance_check` and
+`verify_refutation`.
+
 The names that pass only because `perfbench` names them are `ratlin.rref`,
 `nullspace`, `is_rref` and `matvec`, which the benchmark's tracer rebinds,
 so they move to `tests/conftest.py` only with a change to the benchmark,
@@ -86,6 +91,28 @@ def unused_definitions() -> list[str]:
             continue
         unused.append(label)
     return unused
+
+
+def exports_nothing_calls() -> set[str]:
+    """The names `__all__` exports that no module of `src/` but the package
+    init references (outside their own definitions) and no `perfbench/*.py`
+    file names."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    exported = _exported(trees.pop("__init__"))
+    references = sum((_referenced(tree) for tree in trees.values()), collections.Counter())
+    for _, name, node, _, cls in definitions(trees):
+        if cls is None:
+            references[name] -= _referenced(node)[name]
+    bench = "".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
+    return {name for name in exported if references[name] <= 0} - set(re.findall(r"\w+", bench))
+
+
+def test_exports_nothing_calls_are_library_operations():
+    """An export with no caller in the program must be an operation the
+    library offers its users: the equivariance cross-check, the paper's
+    direct-product decomposition and the refutation checker.  Anything
+    else exported and uncalled is test-only code and lives in the tests."""
+    assert exports_nothing_calls() == {"decompose_sn_graph", "equivariance_check", "verify_refutation"}
 
 
 def test_no_code_in_src_is_used_only_by_the_tests():

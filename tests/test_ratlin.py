@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 from conftest import (
+    block_embed,
     reference_nilradical_inclusion,
     reference_random_invertible_ints,
     reference_reduce,
@@ -26,7 +27,6 @@ from diagflag.ratlin import (
     _reduce,
     _scaled,
     block_diagonal,
-    block_embed,
     integer_matrix,
     is_rref,
     matvec,
@@ -541,8 +541,9 @@ def assert_oracles_match_references(flag, m):
     """Both oracles agree with the dense references in `conftest`; returns
     whether the stabilizer was parabolic."""
     res = stabilizer_oracle(flag, m)
-    ref = reference_stabilizer(flag, m)
+    ref, parabolic, block_size = reference_stabilizer(flag, m)
     assert res == ref
+    assert (res.is_parabolic, res.block_size) == (parabolic, block_size)
     if res.is_parabolic:
         assert nilradical_inclusion_oracle(flag, res) == reference_nilradical_inclusion(flag, ref)
     return res.is_parabolic
@@ -601,7 +602,9 @@ def test_a_shared_memo_changes_no_stabilizer():
         res = stabilizer_oracle(flag, m, memo)
         assert res == stabilizer_oracle(flag, m)
         if i % 50 == 0 or flag.chain == ():
-            assert res == reference_stabilizer(flag, m)
+            ref, parabolic, block_size = reference_stabilizer(flag, m)
+            assert res == ref
+            assert (res.is_parabolic, res.block_size) == (parabolic, block_size)
     assert len(memo) < len(cases)
     assert [stabilizer_oracle(Flag(6, ()), m, memo).dimension for m in (2, 3, 6)] == [4, 9, 36]
 

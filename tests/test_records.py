@@ -66,8 +66,8 @@ def samples() -> list:
         picard_pullback(DiagonalEmbedding(LEVEL, FlagType(3, (1, 2)))),
         steps[1][1],
         replace(steps[1][1], dualized=True),
-        Classification("not_se", None),
-        Classification("strict_se", steps[0][1]),
+        Classification(None),
+        Classification(steps[0][1]),
         MIXED,
         LEVEL,
         SurjectionAlpha.of([1, 2, 2, 3]),
@@ -94,8 +94,8 @@ def samples() -> list:
         *admitted,
         *(r.proof for r in refuted),
         *refuted,
-        Unknown("search exhausted", 3),
-        Unknown("search exhausted", 4),
+        Unknown(3),
+        Unknown(4),
         *factor_linear_egraph(LEVEL),
         SN2,
         SupernaturalNumber.from_factors({3: INF}),
