@@ -171,14 +171,18 @@ def picard_pullback(emb: DiagonalEmbedding) -> PicardPullback:
 
 def is_linear_graph(g: EGraph) -> bool:
     """Between consecutive right endpoints of any one colour, every ordinary
-    edge must carry that colour."""
+    edge must carry that colour.  One pass over the edges groups the right
+    endpoints by colour."""
     _, ordinary = partition_edges(g)
     ordinary_colour: dict[int, set[int]] = {}
     for (i, j, c) in ordinary:
         ordinary_colour.setdefault(j, set()).add(c)
-    for c in range(1, g.d + 1):
-        endpoints = sorted(j for (_, j) in g.colour_class(c))
-        for j1, j2 in zip(endpoints, endpoints[1:]):
+    right_ends: dict[int, list[int]] = {}
+    for (_, j, c) in g.edges:
+        right_ends.setdefault(c, []).append(j)
+    for c, ends in right_ends.items():
+        ends.sort()
+        for j1, j2 in zip(ends, ends[1:]):
             for j in range(j1, j2):
                 if ordinary_colour.get(j, set()) - {c}:
                     return False

@@ -78,10 +78,6 @@ class EGraph(Record):
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges, key=lambda e: (e[2], e[0], e[1])))
 
-    def colour_class(self, c: int) -> tuple[tuple[int, int], ...]:
-        """Colour-c edges as (left, right) pairs sorted by left index."""
-        return tuple(sorted((i, j) for (i, j, cc) in self.edges if cc == c))
-
     @cached_property
     def closed_indices(self) -> tuple[tuple[int, ...], ...]:
         """For each right vertex r_j, j < p, the tuple over colours of the

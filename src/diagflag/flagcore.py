@@ -25,10 +25,12 @@ ordered keys.
 
 All constant-space sampling, `support_and_constants` and both classifier
 passes, settles after one window: `SAMPLE_WINDOW` consecutive samples that
-change no member.  The classifier's duality pass samples the embedding's
-own images and keeps one running sum per member: the intersection of the
-dual images' members is the annihilator of that sum, taken once at the
-end.  A `Classification` stores only its witness; its kind is read off it.
+change no member.  Both classifier passes run one routine; the duality
+pass differs only in its seed, its merge (running sums of the embedding's
+own image members, see `_recover_strict`) and its witness's `dualized`.
+Each candidate witness is built in its final form, so the witness
+returned is the object verified.  A `Classification` stores only its
+witness; its kind is read off it.
 
 A classifier pass ends early once it can have no index map.  The deficit
 of member j is |dim C_j - q_j|, for C_j its running intersection (or sum)
@@ -583,24 +585,6 @@ def _sum_into(total: RatSubspace, member: RatSubspace) -> RatSubspace:
     return total if member <= total else total + member
 
 
-def _dual_support_and_constants(
-    images: Iterable[Flag], bound: int | None = None
-) -> tuple[tuple[RatSubspace, ...], tuple[int, ...], tuple[int, ...]] | None:
-    """`support_and_constants` of the images composed with duality, and the
-    dual member dimensions, from the images themselves: member j of a dual
-    image is the annihilator of member l + 1 - j, and an intersection of
-    annihilators is the annihilator of the sum, which changes exactly when
-    the sum does, so the running sums settle after the same images.  Dual
-    member l + 1 - j has the deficit of sum j, so `bound` passes through."""
-    settled = _settle(images, _sum_into, bound)
-    if settled is None:
-        return None
-    sums, dims = settled
-    constants = tuple(s.annihilator() for s in reversed(sums))
-    dual_dims = tuple(c.ambient - d for c, d in zip(constants, reversed(dims)))
-    return constants, _support(constants, dual_dims), dual_dims
-
-
 class Classification(Record):
     """Result of the standard-extension recognition search: the witness, or
     None when the embedding is not a standard extension."""
@@ -808,12 +792,21 @@ def _recover_strict(
     first: Flag,
     dualized: bool = False,
 ) -> StandardExtensionData | None:
-    """A strict witness for `evaluate`, or with `dualized` for duality .
-    `evaluate`, from samples of `evaluate` starting at `first`, the image
-    of the coordinate flag; they are dualized only for a candidate kappa.
-    For k >= 1, None once a deficit exceeds d_k: `_kappa_candidates` reads
-    each nonzero deficit as a source member dimension, and deficits never
-    decrease (see `_settle`)."""
+    """A witness for `evaluate` with the given `dualized`, from samples of
+    `evaluate` starting at `first`, the image of the coordinate flag.  Each
+    candidate is built as the witness it would be and verified against
+    `evaluate` itself.
+
+    The strict pass intersects the images' members.  The dual pass keeps
+    running sums instead: member j of a dual image is the annihilator of
+    member l + 1 - j, and an intersection of annihilators is the
+    annihilator of the sum, which changes exactly when the sum does.  So
+    the annihilators of the settled sums, reversed, are the dual images'
+    constants, and sum j carries the deficit of dual member l + 1 - j.
+    The dual images themselves are formed only for the eps solve, when a
+    kappa is a candidate.  For k >= 1, None once a deficit exceeds d_k:
+    `_kappa_candidates` reads each nonzero deficit as a source member
+    dimension, and deficits never decrease (see `_settle`)."""
     m = source_type.ambient
     k = source_type.length
     bound = source_type.dims[-1] if k else None
@@ -829,37 +822,32 @@ def _recover_strict(
             image = evaluate(flag)
 
     try:
-        if dualized:
-            settled = _dual_support_and_constants(image_stream(), bound)
-        else:
-            settled = _settle(image_stream(), RatSubspace.__and__, bound)
+        settled = _settle(image_stream(), _sum_into if dualized else RatSubspace.__and__, bound)
     except DomainError:
         return None
     if settled is None:
         return None
+    constants, target_dims = settled
     if dualized:
-        constants, support, target_dims = settled
-    else:
-        constants, target_dims = tuple(settled[0]), first.dims
-        support = _support(constants, target_dims)
+        constants = [s.annihilator() for s in reversed(constants)]
+        target_dims = tuple(c.ambient - d for c, d in zip(constants, reversed(target_dims)))
+    support = _support(constants, target_dims)
     nw = first.ambient
     if len(target_dims) == 0:
         # Point target: witnessed by any injective eps, provided the source
-        # is a point too (kappa must attain every member index).
+        # is a point too (kappa must attain every member index).  The
+        # strict pass decides a point target by the same test first, so
+        # the dual pass never returns a witness here.
         if m > nw or k > 0:
             return None
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
-        return StandardExtensionData(source_type, eps, 1, (), ())
+        return StandardExtensionData(source_type, eps, 1, (), (), dualized)
     kappas = _kappa_candidates(source_type, target_dims, constants, support)
-    target = evaluate
+    strict_samples = samples
     if dualized and kappas:
-        samples[:] = [(flag, duality(image)) for flag, image in samples]
-
-        def target(flag: Flag) -> Flag:
-            return duality(evaluate(flag))
-
+        strict_samples = [(flag, duality(image)) for flag, image in samples]
     for kappa in kappas:
-        solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
+        solutions = _epsilon_solution_space(strict_samples, source_type, kappa, nw)
         if not solutions.dim:
             continue
         z_last_support = constants[support[-1] - 1] if support else None
@@ -877,10 +865,10 @@ def _recover_strict(
             if chain is None:
                 continue
             try:
-                data = StandardExtensionData(source_type, eps, den, chain, kappa).check()
+                data = StandardExtensionData(source_type, eps, den, chain, kappa, dualized).check()
             except DomainError:
                 continue
-            if _verify_witness(data, target, samples, source_type, seed):
+            if _verify_witness(data, evaluate, samples, source_type, seed):
                 return data
     return None
 
@@ -900,35 +888,25 @@ def classify_bruteforce(
 
     The search recovers the candidate Z-chain from sampled constant
     spaces, the index map from dimension bookkeeping, and eps from an
-    exact linear system; a witness is accepted only after re-evaluation
-    agrees with the embedding on every collected and freshly drawn sample.
-    The first witness in this documented search order is returned.  When
-    the strict search fails, the embedding composed with duality is
-    searched the same way, with its constants taken as the annihilators of
-    running sums of the embedding's own image members.  The coordinate
-    image serves the scale check and both passes.  Target dimension is
-    capped at `CLASSIFY_SCALE_LIMIT`.
+    exact linear system; a witness is returned only after its own
+    evaluation agrees with the embedding on every collected and freshly
+    drawn sample.  The first witness in this documented search order is
+    returned: the strict pass at `seed`, then, when it finds none, the
+    pass for duality . embedding at seed + 1.  Target dimension is capped
+    at `CLASSIFY_SCALE_LIMIT`.
 
     A pass over a source of length k >= 1 ends with no witness once a
-    constant's deficit |dim C_j - q_j| exceeds d_k.  No deficit decreases
-    (an intersection only shrinks, a sum only grows), and an index map
-    reads each nonzero deficit as a source member dimension, so the
-    result is the one of sampling every window.
+    constant's deficit |dim C_j - q_j| exceeds d_k; as no deficit
+    decreases, the result is the one of sampling every window.
 
-    The sample flags of each pass are the seeded draws for (source type,
-    seed), and seed + 1 for the dual pass; they are drawn once per process
-    and kept, at most `_SAMPLE_STREAMS` streams with the least recently
-    used dropped, so the result is the same whatever was classified
-    before.  The memo holds those flags and their generators only; the
-    flags that verify a witness are drawn afresh per call, from their own
-    seeded generator.
+    The sample flags of each pass are drawn once per process and kept, at
+    most `_SAMPLE_STREAMS` streams with the least recently used dropped,
+    so the result is the same whatever was classified before.  The flags
+    that verify a witness are drawn afresh per call.
     """
     first = evaluate(coordinate_flag(source_type))
     check_classify_scale(first.ambient)
     strict = _recover_strict(evaluate, source_type, seed, first)
     if strict is not None:
         return Classification(strict)
-    via_dual = _recover_strict(evaluate, source_type, seed + 1, first, dualized=True)
-    if via_dual is not None:
-        return Classification(replace(via_dual, dualized=True))
-    return Classification(None)
+    return Classification(_recover_strict(evaluate, source_type, seed + 1, first, dualized=True))

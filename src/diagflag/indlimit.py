@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Sequence
 
 from .diagembed import graph_pullback, is_linear_graph
@@ -132,6 +133,12 @@ class GeneralizedFlagType(Record):
             has_inf = any(d is INF for d in self.ordered_presentation)
             if has_inf != self.has_infinite_quotients:
                 raise DomainError("ordered presentation disagrees on infinite quotients")
+
+    @cached_property
+    def sorted_finite_quotients(self) -> tuple[int, ...]:
+        """The explicit finite quotients in increasing order, sorted once
+        for every walk of the admissibility search."""
+        return tuple(sorted(self.finite_quotients))
 
     def to_json_obj(self) -> dict:
         return {
@@ -394,12 +401,20 @@ def _detect_period(cycle: tuple[int, ...], k: int, levels: int) -> int | None:
     is a period when the multipliers repeat after p steps, and the sum
     then added by any p steps is a multiple of k.  No graph is built or
     compared, so the last p levels need not have repeated within the
-    levels built."""
-    for p in range(1, levels + 1):
-        shift = p % len(cycle)
-        if cycle[shift:] + cycle[:shift] == cycle and not sum(cycle[i % len(cycle)] - 1 for i in range(p)) % k:
-            return p
-    return None
+    levels built.
+
+    The closed form.  The shifts that rotate the cycle (length L) onto
+    itself are the multiples of its least rotation period c, a divisor of
+    L.  For p = c * j the first p multipliers are j copies of the first c,
+    so their sum of d - 1 is j * s, with s the sum over those c; k divides
+    it exactly when k / gcd(k, s) divides j.  So the least period is
+    c * k / gcd(k, s).  It exceeds levels when c does, so c is sought
+    among the divisors up to levels, and is taken as L when none of them
+    rotates the cycle onto itself."""
+    n = len(cycle)
+    c = next((c for c in range(1, min(levels, n) + 1) if not n % c and cycle[c:] == cycle[:-c]), n)
+    p = c * k // math.gcd(k, sum(d - 1 for d in cycle[:c]))
+    return p if p <= levels else None
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +479,7 @@ def _walk(gft: GeneralizedFlagType, s1: int, cycle: tuple[int, ...], steps: int)
     against a later term).  None when a step fails; otherwise the ratio x
     of the next tail dimension to the next term in lowest terms, a pair,
     after each step from step E (placing the last explicit one) on."""
-    explicit, r = sorted(gft.finite_quotients), gft.tail.ratio
+    explicit, r = gft.sorted_finite_quotients, gft.tail.ratio
     t, placed, s = gft.tail.base, 0, s1
     ratios = []
     for n in range(steps):

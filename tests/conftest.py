@@ -29,7 +29,6 @@ from diagflag.flagcore import (
     PicardPullback,
     StandardExtensionData,
     _build_z_chain,
-    _dual_support_and_constants,
     _epsilon_candidates,
     _epsilon_solution_space,
     _kappa_candidates,
@@ -374,6 +373,17 @@ def reference_dual_sampling(evaluate, source_type, seed):
     return constants, support, drawn
 
 
+def reference_detect_period(cycle, k, levels):
+    """Reference: `indlimit._detect_period` by trying every p <= levels,
+    comparing the cycle rotated by p with itself and summing d - 1 over the
+    first p multipliers."""
+    for p in range(1, levels + 1):
+        shift = p % len(cycle)
+        if cycle[shift:] + cycle[:shift] == cycle and not sum(cycle[i % len(cycle)] - 1 for i in range(p)) % k:
+            return p
+    return None
+
+
 def reference_sample_stream(source_type, seed):
     """Reference: the classifier's sample flags drawn per call, the
     `random_flag` draws of a fresh `Random(f"diagflag-classify-{seed}")`."""
@@ -384,24 +394,25 @@ def reference_sample_stream(source_type, seed):
 
 def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes=None):
     """Reference: `flagcore._recover_strict` with no deficit bound.  The
-    constants of the memoized sample flags' images settle whatever their
-    deficits, by `support_and_constants` or, for the dual pass, by
-    `_dual_support_and_constants` with no bound; then every index map
-    `_kappa_candidates` finds is searched for a witness, with no shortcut
-    before `check()`.  `passes`, when given, gets each pass's candidates
-    and its largest deficit q_j - dim C_j."""
+    pass's images are those of `evaluate` on the memoized sample flags,
+    composed with duality for the dual pass; their constants settle
+    whatever their deficits, by `support_and_constants`; then every index
+    map `_kappa_candidates` finds is searched for a strict witness of those
+    images, with no shortcut before `check()`.  `passes`, when given, gets
+    each pass's candidates and its largest deficit q_j - dim C_j."""
     samples = []
+
+    def target(flag):
+        image = evaluate(flag)
+        return duality(image) if dualized else image
 
     def images():
         for flag in itertools.chain([coordinate_flag(source_type)], _sample_flags(source_type, seed)):
-            samples.append((flag, evaluate(flag)))
+            samples.append((flag, target(flag)))
             yield samples[-1][1]
 
-    if dualized:
-        constants, support, target_dims = _dual_support_and_constants(images())
-    else:
-        constants, support = support_and_constants(images())
-        target_dims = samples[0][1].dims
+    constants, support = support_and_constants(images())
+    target_dims = samples[0][1].dims
     m, k, nw = source_type.ambient, source_type.length, samples[0][1].ambient
     kappas = _kappa_candidates(source_type, target_dims, constants, support) if target_dims else []
     if passes is not None:
@@ -411,13 +422,6 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
             return None
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
         return StandardExtensionData(source_type, eps, 1, (), ())
-    target = evaluate
-    if dualized and kappas:
-        samples = [(flag, duality(image)) for flag, image in samples]
-
-        def target(flag):
-            return duality(evaluate(flag))
-
     for kappa in kappas:
         solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
         if not solutions.dim:
@@ -759,6 +763,12 @@ def reversed_flag(flag: Flag) -> Flag:
 RANDOM_BLOCK_COUNTS = (2, 3)
 
 
+def colour_class(g: EGraph, c: int) -> tuple[tuple[int, int], ...]:
+    """The colour-c edges of `g` as (left, right) pairs sorted by left
+    index."""
+    return tuple(sorted((i, j) for (i, j, cc) in g.edges if cc == c))
+
+
 def realizing_alpha(g: EGraph) -> SurjectionAlpha:
     """A level map whose restriction analysis reproduces the graph.
 
@@ -771,7 +781,7 @@ def realizing_alpha(g: EGraph) -> SurjectionAlpha:
     require_valid(g)
     values = [0] * (g.q * g.d)
     for c in range(1, g.d + 1):
-        cls = g.colour_class(c)
+        cls = colour_class(g, c)
         for r in range(1, g.q + 1):
             j = next(jj for (i, jj) in cls if i >= r)
             values[(c - 1) * g.q + (r - 1)] = j

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import diagflag
 from diagflag import diagembed, indlimit
 from diagflag.cli import main, selftest_digest
+from diagflag.egraph import GRAPH_SIZE_LIMIT
 from diagflag.errors import ValidationReport
 
 MIXED_GRAPH_OBJ = {
@@ -605,6 +606,21 @@ def test_exhaust_with_a_large_prime_key_is_fast(capsys, tmp_path):
     assert doc["terms"] == [big, big**2, big**3]
 
 
+def run_cold(*argv):
+    """`diagflag.cli` with `argv` in a fresh interpreter that imports this
+    checkout's package: the finished process and its wall seconds."""
+    src = str(Path(diagflag.__file__).resolve().parent.parent)
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "diagflag.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return done, time.monotonic() - started
+
+
 @pytest.mark.parametrize(
     "levels, code, stdout, stderr",
     [
@@ -618,17 +634,25 @@ def test_exhaust_of_many_huge_entries_exits_at_once(tmp_path, levels, code, stdo
     sn = write(tmp_path, "sn.json", {"factors": {"2": "inf", "5": "inf"}})
     spec = tmp_path / "spec.json"
     spec.write_text('{"s1": 1, "cycle": [' + ",".join(["1" + "0" * 4299] * 400) + "]}")
-    src = str(Path(diagflag.__file__).resolve().parent.parent)
-    started = time.monotonic()
-    done = subprocess.run(
-        [sys.executable, "-m", "diagflag.cli", "exhaust", "--sn", sn, "--spec", str(spec), "--levels", levels],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert time.monotonic() - started < 5.0
+    done, seconds = run_cold("exhaust", "--sn", sn, "--spec", str(spec), "--levels", levels)
+    assert seconds < 5.0
     assert done.returncode == code and stdout in done.stdout and done.stderr == stderr
+
+
+def test_realization_of_a_long_cycle_finds_no_period_at_once(tmp_path):
+    """A cold process on a 3.0 MB spec of 999,999 entries 2 then one 4 over
+    2^inf, realizing (1, inf) at 1,000 levels: trying every period against
+    a rotated copy of the whole cycle took 11.3 s of its 11.9 s."""
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
+    gft = write(tmp_path, "gft.json", GFT_LINE_THEN_REST)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"s1": 2, "cycle": [' + ", ".join(["2"] * 999_999 + ["4"]) + "]}")
+    done, seconds = run_cold("exhaust", "--sn", sn, "--spec", str(spec), "--gft", gft, "--levels", "1000")
+    assert seconds < 5.0
+    assert done.returncode == 0 and done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert doc["verdict"] == "valid" and doc["realization"]["sn_graph"]["period"] is None
+    assert len(doc["realization"]["level_quotients"]) == 1001
 
 
 def test_exhaust_names_a_long_foreign_factor_without_forming_it(tmp_path):
@@ -639,16 +663,8 @@ def test_exhaust_names_a_long_foreign_factor_without_forming_it(tmp_path):
     one, plus 1."""
     sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
     spec = write(tmp_path, "spec.json", {"s1": 1, "cycle": [7**4000 + 2 * i for i in range(800)]})
-    src = str(Path(diagflag.__file__).resolve().parent.parent)
-    started = time.monotonic()
-    done = subprocess.run(
-        [sys.executable, "-m", "diagflag.cli", "exhaust", "--sn", sn, "--spec", spec, "--levels", "0"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert time.monotonic() - started < 2.0
+    done, seconds = run_cold("exhaust", "--sn", sn, "--spec", spec, "--levels", "0")
+    assert seconds < 2.0
     doc = json.loads(done.stdout)
     assert done.returncode == 0 and doc["verdict"] == "invalid"
     assert doc["violations"][0] == (
@@ -1041,6 +1057,19 @@ def test_largest_accepted_star_answers_picard(capsys, tmp_path):
     code, doc = run_json(capsys, "picard", "--graph", graph)
     assert time.monotonic() - started < 2.0
     assert code == 0 and doc["matrix"] == [[]] * 999
+
+
+def test_picard_of_the_most_colours_answers_at_once(tmp_path):
+    """A cold process on a 139 KB graph, q = p = 2 with 10,000 colours and
+    edges (1, 1, 1) and (2, 2, c) for every c: finding each colour's edges
+    by a scan of every edge took about 5 s."""
+    d = GRAPH_SIZE_LIMIT
+    graph = write(tmp_path, "g.json", {"q": 2, "p": 2, "d": d, "edges": [[1, 1, 1]] + [[2, 2, c] for c in range(1, d + 1)]})
+    done, seconds = run_cold("picard", "--graph", graph)
+    assert seconds < 2.0
+    assert done.returncode == 0 and done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert (doc["linear"], doc["standard_extension"], doc["matrix"]) == (True, True, [[1]])
 
 
 # -- fuzzing the document boundary --------------------------------------------

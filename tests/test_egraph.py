@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     MIXED_GRAPH,
     PRODUCT_LEVEL_GRAPH,
+    colour_class,
     insertion_graph,
     random_egraph,
     realizing_alpha,
@@ -236,7 +237,7 @@ def test_colour_classes_are_monotone_matchings():
     for _ in range(50):
         g = random_egraph(rng)
         for c in range(1, g.d + 1):
-            cls = g.colour_class(c)
+            cls = colour_class(g, c)
             for (i1, j1), (i2, j2) in zip(cls, cls[1:]):
                 assert i1 < i2 and j1 < j2
 

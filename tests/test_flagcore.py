@@ -45,7 +45,6 @@ from diagflag.flagcore import (
     se_eval,
     support_and_constants,
     _dual_conjugate,
-    _dual_support_and_constants,
     _epsilon_candidates,
     _epsilon_solution_space,
     _kappa_candidates,
@@ -934,8 +933,10 @@ def test_dual_sums_match_the_intersections_of_dual_images():
                 yield evaluate(flag)
                 flag = random_flag(ft, rng)
 
-        constants, support, _ = _dual_support_and_constants(images())
-        assert (constants, support, drawn) == expected
+        sums, dims = flagcore._settle(images(), flagcore._sum_into)
+        constants = tuple(s.annihilator() for s in reversed(sums))
+        dual_dims = tuple(c.ambient - d for c, d in zip(constants, reversed(dims)))
+        assert (constants, flagcore._support(constants, dual_dims), drawn) == expected
 
 
 @pytest.mark.parametrize("merge", [RatSubspace.__and__, flagcore._sum_into], ids=["intersection", "sum"])
@@ -994,6 +995,36 @@ def test_the_deficit_exit_changes_no_classification(monkeypatch):
             counts["exits"] += sum(ended)
             counts["se_via_dual"] += got["kind"] == "se_via_dual"
     assert counts == {"passes": 4286, "exits": 3090, "with_kappa": 698, "se_via_dual": 90}
+
+
+def test_the_classifier_returns_the_witness_it_verified(monkeypatch):
+    """Every criterion-05 duality . evaluate twin, and every fifth
+    embedding as it is: a witness is the very object `_verify_witness`
+    accepted last, dualized or not.  A point target's witness has nothing
+    to be verified on; the strict pass returns it."""
+    real = flagcore._verify_witness
+    accepted = []
+
+    def verify(data, *args):
+        ok = real(data, *args)
+        if ok:
+            accepted.append(data)
+        return ok
+
+    monkeypatch.setattr(flagcore, "_verify_witness", verify)
+    counts = {"strict_se": 0, "se_via_dual": 0, "not_se": 0}
+    for i, (g, ft) in enumerate(criterion_05_instances()):
+        emb = DiagonalEmbedding(g, ft)
+        evaluates = [lambda f: duality(emb.evaluate(f))] + [emb.evaluate] * (i % 5 == 0)
+        for evaluate in evaluates:
+            accepted.clear()
+            result = classify_bruteforce(evaluate, ft, seed=0)
+            counts[result.kind] += 1
+            if result.data is not None and not result.data.kappa:
+                assert accepted == [] and result.kind == "strict_se"
+            elif result.data is not None:
+                assert result.data is accepted[-1]
+    assert counts == {"strict_se": 177, "se_via_dual": 90, "not_se": 1123}
 
 
 def test_epsilon_solution_space_matches_the_fraction_echelon():

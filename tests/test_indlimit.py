@@ -17,6 +17,7 @@ from conftest import (
     insertion_graph,
     reference_admissible,
     reference_clause_walk,
+    reference_detect_period,
     reference_split,
     reference_greedy_numbering,
     reference_periodic,
@@ -474,6 +475,34 @@ def test_realization_periods_hold_beyond_the_built_levels():
     assert declared == 1383
 
 
+def test_detect_period_matches_the_reference_loop():
+    """The closed form against trying every p: on the cycles, k and levels
+    of `test_realization_periods_hold_beyond_the_built_levels`, and on
+    seeded cycles of up to eight multipliers, half of them a block
+    repeated, for k = 1 .. 4 and 1 .. 20 levels."""
+    cases = [
+        (cycle, k, levels)
+        for length in (1, 2, 3)
+        for cycle in itertools.product((1, 2, 3, 4, 6), repeat=length)
+        for k in (1, 2, 3)
+        for levels in range(1, 9)
+    ]
+    rng = random.Random(34)
+    for i in range(400):
+        if i % 2:
+            block = tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(1, 4)))
+            cycle = block * rng.randint(1, 8 // len(block))
+        else:
+            cycle = tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(1, 8)))
+        cases += [(cycle, k, levels) for k in range(1, 5) for levels in range(1, 21)]
+    declared = 0
+    for cycle, k, levels in cases:
+        expected = reference_detect_period(cycle, k, levels)
+        assert indlimit._detect_period(cycle, k, levels) == expected, (cycle, k, levels)
+        declared += expected is not None
+    assert declared > len(cases) // 2
+
+
 def test_realization_declares_a_period_no_level_has_repeated():
     """(1, inf) over 2^inf 3^inf along (6,) from s1 = 6: one level shows
     d = 6 and the offset mod 1, which every later level repeats."""
@@ -615,6 +644,17 @@ def test_admissible_walks_nothing_for_a_ratio_with_a_prime_the_number_lacks(boun
     result = admissible(GeneralizedFlagType((), GeometricTail(1, 5), True), SN23, bound=bound)
     assert time.monotonic() - started < 0.1
     assert result == Unknown(0)
+
+
+def test_admissible_sorts_the_explicit_quotients_once():
+    """tail(7, 6) and 997 explicit quotients 1 over 2^inf 3^inf at bound
+    10^94: 248,120 walks, which took 2.3-3.5 s when each walk sorted the
+    explicit quotients again, against 0.12-0.29 s with none of them."""
+    gft = GeneralizedFlagType((1,) * 997, GeometricTail(7, 6), True)
+    started = time.monotonic()
+    result = admissible(gft, SN23, bound=10**94)
+    assert time.monotonic() - started < 1.5
+    assert result == Unknown(248_120)
 
 
 def test_admissible_lists_no_first_term_without_a_cycle():
