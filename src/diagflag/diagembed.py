@@ -2,8 +2,8 @@
 
 A DiagonalEmbedding pairs a valid EGraph with a source flag type in Q^m
 and evaluates flags into Q^n, n = d*m, by filling each target member with
-block copies of source members as the graph dictates (the graphs that
-`build_from_alpha` built go through `_from_valid`, not validated again).  `evaluate`, the one
+block copies of source members as the graph dictates; `_from_valid`
+embeds `build_from_alpha`'s graphs unchecked.  `evaluate`, the one
 production route, uses the closed formula: one direct sum over colours per
 target member.  The cumulative formula (a running sum over right vertices)
 is the independent reference the tests compare `evaluate` against.
@@ -55,22 +55,19 @@ class DiagonalEmbedding(Record):
 
     def __post_init__(self) -> None:
         require_valid(self.graph)
-        self._check_source()
-
-    @classmethod
-    def _from_valid(cls, graph: EGraph, source_type: FlagType) -> "DiagonalEmbedding":
-        """An embedding of a graph valid by construction: only the source length is checked."""
-        emb = object.__new__(cls)
-        object.__setattr__(emb, "graph", graph)
-        object.__setattr__(emb, "source_type", source_type)
-        emb._check_source()
-        return emb
-
-    def _check_source(self) -> None:
         if self.source_type.length != self.graph.q - 1:
             raise DomainError(
                 f"source type must have {self.graph.q - 1} members, got {self.source_type.length}"
             )
+
+    @classmethod
+    def _from_valid(cls, graph: EGraph, source_type: FlagType) -> "DiagonalEmbedding":
+        """`build_from_alpha`'s graph and its flag type (FlagType(m, ()) when
+        q = 1), valid together by construction: nothing is checked."""
+        emb = object.__new__(cls)
+        object.__setattr__(emb, "graph", graph)
+        object.__setattr__(emb, "source_type", source_type)
+        return emb
 
     @property
     def m(self) -> int:

@@ -103,13 +103,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def replace(obj: Record, **changes) -> Record:
-    """A copy of `obj` with the given fields changed, built through the
-    constructor, so `__post_init__` runs again."""
-    values = [changes.pop(n) if n in changes else getattr(obj, n) for n in obj._fields]
-    return type(obj)(*values, **changes)
-
-
 class ValidationReport(Record):
     """Outcome of a structural validation: the list of violated clauses.
 

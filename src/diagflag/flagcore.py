@@ -66,7 +66,6 @@ from .errors import (
     InternalCheckError,
     Record,
     ScaleError,
-    replace,
     strict_bool,
     strict_int,
 )
@@ -217,18 +216,12 @@ class PicardPullback(Record):
     """Matrix of a pullback on Picard groups in the preferred generators.
 
     Row j expresses the pullback of the j-th target generator as a
-    nonnegative integer combination of the source generators.
+    nonnegative integer combination of the source generators.  Only
+    `diagembed.graph_pullback` builds one, by counting, so none is checked.
     """
 
     source_rank: int
     matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        for row in self.matrix:
-            if len(row) != self.source_rank:
-                raise DomainError("pullback matrix has wrong number of columns")
-            if any(x < 0 for x in row):
-                raise DomainError("pullback entries must be nonnegative")
 
     @property
     def target_rank(self) -> int:
@@ -443,15 +436,13 @@ def se_eval(se: StandardExtensionData, flag: Flag) -> Flag:
 
 
 def _dual_conjugate(s: StandardExtensionData) -> StandardExtensionData:
-    """Data of duality . s . duality, again a strict standard extension.
+    """Strict data of duality . strict(s) . duality; `s.dualized` is unread.
 
     Writing W = V' + Z with V' the image of eps, the conjugated map uses
     eps~(f) = the functional vanishing on Z and equal to f . eps^{-1} on
     V', the chain Z~_j = annihilator(V' + Z_{l+1-j}), and the reflected
     index map kappa~(j) = k + 1 - kappa(l + 1 - j).
     """
-    if s.dualized:
-        raise DomainError("conjugation expects strict data")
     m = s.source_type.ambient
     k = s.source_type.length
     ell = len(s.kappa)
@@ -506,7 +497,7 @@ def se_compose(a: StandardExtensionData, b: StandardExtensionData) -> StandardEx
         raise DomainError("target type of the first map must equal the source type of the second")
     if not a.dualized:
         return _strict_compose(a, b, b.dualized)
-    return _strict_compose(a, _dual_conjugate(replace(b, dualized=False)), not b.dualized)
+    return _strict_compose(a, _dual_conjugate(b), not b.dualized)
 
 
 def sample_images(

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .diagembed import graph_pullback, is_linear_graph
-from .egraph import CLOSED_INDEX_LIMIT, GRAPH_SIZE_LIMIT, EGraph, partition_edges
+from .egraph import CLOSED_INDEX_LIMIT, EGraph, partition_edges
 from .errors import (
     DomainError,
     Record,
@@ -63,9 +63,10 @@ CERTIFICATE_STEP_LIMIT = 1_000
 # the first walk.  Only cycles the period rule allows are counted, and the
 # largest searches tried at this limit take about 0.25 s.
 _SEARCH_LIMIT = 250_000
-# The most bounding edges, the sum of d_n - 1 over the levels, that one
-# realization may build: about 0.07 s in-process, 0.7 s for a cold
-# `exhaust --gft`, and 1 MB of report.
+# The most edges that one realization may build, t straight ones per level
+# for a presentation of length t plus the sum of d_n - 1 over the levels:
+# about 0.07 s in-process, 0.7 s for a cold `exhaust --gft`, and 1 MB of
+# report, for 10 levels over 9973^inf.
 REALIZATION_EDGE_LIMIT = 100_000
 
 
@@ -296,7 +297,7 @@ def canonical_exhaustion(
         kappa = tuple(range(1, source.length + 1))
         if values[n] not in seen:
             kappa = kappa[: entry - 1] + (entry - 1,) + kappa[entry - 1 :]
-        line = RatSubspace.span_ints(n + 1, [(0,) * n + (1,)])
+        line = RatSubspace.basis_span(n + 1, 1 << n)
         chain = (RatSubspace.zero(n + 1),) * (entry - 1) + (line,) * (len(kappa) + 1 - entry)
         unit = tuple(tuple(int(r == c) for c in range(n)) for r in range(n + 1))
         out.append((source, StandardExtensionData(source, unit, 1, chain, kappa)))
@@ -325,7 +326,7 @@ def build_realization_sn_graph(
     gft: GeneralizedFlagType,
     sn: SupernaturalNumber,
     spec: ExhaustionSpec,
-    levels: int = 8,
+    levels: int,
 ) -> Realization:
     """Realize a generalized flag type with finitely many finite quotients
     as a chained-graph exhaustion over the given supernatural number.
@@ -339,9 +340,11 @@ def build_realization_sn_graph(
     the graph is valid and its target type is the next level's, since
     colour c >= 2 has closed index t from its target vertex on, so each
     such colour adds one full block of s_n to the quotient it targets.
-    Before any level is built, each d_n is held to `GRAPH_SIZE_LIMIT` and
-    the sum of d_n - 1 to `REALIZATION_EDGE_LIMIT` (ScaleError above
-    either), both read off the cycle.
+    Before any level is built, every edge of the levels, t straight ones
+    per level for t the length of the presentation plus the sum of
+    d_n - 1, is counted off the cycle and held to `REALIZATION_EDGE_LIMIT`
+    (ScaleError above it), so a d_n beyond `GRAPH_SIZE_LIMIT`, which
+    `EGraph` refuses, costs at most that budget.
     """
     if levels < 1:
         raise DomainError(f"a realization needs levels >= 1, got {levels}")
@@ -364,14 +367,11 @@ def build_realization_sn_graph(
             f"first exhaustion term {spec.s1} is too small; need at least {needed}"
         )
     cycle = spec.cycle
-    wide = next((d for d in cycle[:levels] if d > GRAPH_SIZE_LIMIT), None)
-    if wide is not None:
-        raise ScaleError(f"step ratio {wide} exceeds the graph colour limit {GRAPH_SIZE_LIMIT}")
     whole, part = divmod(levels, len(cycle))
-    bounding = whole * sum(d - 1 for d in cycle) + sum(d - 1 for d in cycle[:part])
-    if bounding > REALIZATION_EDGE_LIMIT:
+    total = levels * t + whole * sum(d - 1 for d in cycle) + sum(d - 1 for d in cycle[:part])
+    if total > REALIZATION_EDGE_LIMIT:
         raise ScaleError(
-            f"{levels} levels need {bounding} bounding edges; realizations are limited to {REALIZATION_EDGE_LIMIT}"
+            f"{levels} levels need {total} edges; realizations are limited to {REALIZATION_EDGE_LIMIT}"
         )
     quotients = [1 if v is INF else int(v) for v in ordered]
     quotients[inf_positions[-1] - 1] += spec.s1 - needed

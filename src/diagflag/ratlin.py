@@ -374,17 +374,11 @@ class RatSubspace(Record):
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
-        # `coordinate(ambient, 0)` and its error, one call shorter.
-        if ambient < 0:
-            raise DomainError("coordinate subspace dimension out of range")
-        return cls.basis_span(ambient, 0)
+        return cls.coordinate(ambient, 0)
 
     @classmethod
     def full(cls, ambient: int) -> "RatSubspace":
-        # `coordinate(ambient, ambient)` and its error, one call shorter.
-        if ambient < 0:
-            raise DomainError("coordinate subspace dimension out of range")
-        return cls.basis_span(ambient, (1 << ambient) - 1)
+        return cls.coordinate(ambient, ambient)
 
     @classmethod
     def coordinate(cls, ambient: int, k: int) -> "RatSubspace":

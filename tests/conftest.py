@@ -22,7 +22,7 @@ from diagflag.egraph import (
     require_valid,
     validate_egraph,
 )
-from diagflag.errors import DomainError, replace
+from diagflag.errors import DomainError, Record
 from diagflag.flagcore import (
     Classification,
     FlagType,
@@ -55,6 +55,14 @@ from diagflag.indlimit import (
 )
 from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, matvec, pivots, rref
 from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, _divisors_up_to, step_ratio, validate_exhaustion
+
+
+def replace(obj: Record, **changes) -> Record:
+    """A copy of `obj` with the given fields changed, built through the
+    constructor, so `__post_init__` runs again."""
+    values = [changes.pop(n) if n in changes else getattr(obj, n) for n in obj._fields]
+    return type(obj)(*values, **changes)
+
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,
 # hence neither linear nor a standard extension.  Encodes

@@ -703,11 +703,15 @@ def test_realization_refuses_a_step_ratio_beyond_the_colour_cap(capsys, tmp_path
     ])
     assert time.monotonic() - started < 1.0
     assert code == 1
-    assert "exceeds the graph colour limit" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "",
+        "input error: 2 levels need 4611686018427387904 edges; realizations are limited to 100000\n",
+    )
 
 
 def test_realization_refuses_more_bounding_edges_than_its_cap_at_once(capsys, tmp_path):
-    # 20 levels over 9973^inf would build 20 * 9972 = 199,440 bounding edges.
+    # 20 levels over 9973^inf would build 20 * 2 straight and
+    # 20 * 9972 = 199,440 bounding edges.
     argv = [
         "exhaust",
         "--sn", write(tmp_path, "sn.json", {"factors": {"9973": "inf"}}),
@@ -719,11 +723,28 @@ def test_realization_refuses_more_bounding_edges_than_its_cap_at_once(capsys, tm
     assert time.monotonic() - started < 1.0
     assert capsys.readouterr() == (
         "",
-        "input error: 20 levels need 199440 bounding edges; realizations are limited to 100000\n",
+        "input error: 20 levels need 199480 edges; realizations are limited to 100000\n",
     )
     assert main([*argv, "--levels", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["realization"]["sn_graph"]["levels"]) == 1
+
+
+def test_realization_counts_the_straight_edges_of_a_long_presentation(tmp_path):
+    """A presentation of 10,000 quotients builds 10,000 straight edges per
+    level, so 100 levels over 2^inf, 1,000,100 edges, are refused before
+    any level is built, in a cold process."""
+    gft = {"finite_quotients": [1] * 9999, "tail": None, "infinite_quotients": True, "ordered": [1] * 9999 + ["inf"]}
+    done, seconds = run_cold(
+        "exhaust",
+        "--sn", write(tmp_path, "sn.json", {"factors": {"2": "inf"}}),
+        "--spec", write(tmp_path, "spec.json", {"s1": 16384, "cycle": [2]}),
+        "--gft", write(tmp_path, "gft.json", gft),
+        "--levels", "100",
+    )
+    assert seconds < 2.0
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "input error: 100 levels need 1000100 edges; realizations are limited to 100000\n"
 
 
 def test_validate_egraph_rejects_a_huge_graph_at_once(capsys, tmp_path):

@@ -22,6 +22,7 @@ from conftest import (
     reference_greedy_numbering,
     reference_periodic,
     reference_verify_certificate,
+    replace,
     small_graphs,
     unplaced_after,
 )
@@ -35,7 +36,7 @@ from diagflag.diagembed import (
 )
 from diagflag import indlimit
 from diagflag.egraph import EGraph, SurjectionAlpha, build_from_alpha, partition_edges, validate_egraph
-from diagflag.errors import DomainError, InternalCheckError, ScaleError, replace
+from diagflag.errors import DomainError, InternalCheckError, ScaleError
 from diagflag.flagcore import (
     FlagType,
     StandardExtensionData,
@@ -398,15 +399,15 @@ def test_realization_first_levels_classify_strict():
 def test_realization_preconditions():
     gft_tail = GeneralizedFlagType((), GeometricTail(1, 2), True)
     with pytest.raises(DomainError):
-        build_realization_sn_graph(gft_tail, SN2, ExhaustionSpec(2, (2,)))
+        build_realization_sn_graph(gft_tail, SN2, ExhaustionSpec(2, (2,)), levels=8)
     gft_unordered = GeneralizedFlagType((1,), None, True)
     with pytest.raises(DomainError):
-        build_realization_sn_graph(gft_unordered, SN2, ExhaustionSpec(2, (2,)))
+        build_realization_sn_graph(gft_unordered, SN2, ExhaustionSpec(2, (2,)), levels=8)
     gft = GeneralizedFlagType((1, 2), None, True, ordered_presentation=(1, 2, INF))
     with pytest.raises(DomainError):
-        build_realization_sn_graph(gft, SN2, ExhaustionSpec(2, (2,)))  # s1 too small
+        build_realization_sn_graph(gft, SN2, ExhaustionSpec(2, (2,)), levels=8)  # s1 too small
     with pytest.raises(DomainError):
-        build_realization_sn_graph(gft, SN2, ExhaustionSpec(3, (2,)))  # not an exhaustion
+        build_realization_sn_graph(gft, SN2, ExhaustionSpec(3, (2,)), levels=8)  # not an exhaustion
 
 
 def test_realization_over_mixed_supernatural():
@@ -545,18 +546,19 @@ def test_realization_levels_follow_the_evaluation_formula():
 
 
 def test_realization_limits_are_read_off_the_cycle(monkeypatch):
-    """Along (2, 3, 4), the bounding edges of 1 .. 7 levels, whole cycles
-    and a part, are counted exactly: a limit of that count builds them,
-    one less refuses them and names the count."""
+    """Along (2, 3, 4), every edge of 1 .. 7 levels, whole cycles and a
+    part, is counted exactly, the two straight ones of each level and its
+    bounding ones: a limit of that count builds them, one less refuses
+    them and names the count."""
     gft = GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF))
     spec = ExhaustionSpec(6, (2, 3, 4))
     for levels in range(1, 8):
-        edges = sum(spec.cycle[n % 3] - 1 for n in range(levels))
+        edges = sum(2 + spec.cycle[n % 3] - 1 for n in range(levels))
         monkeypatch.setattr(indlimit, "REALIZATION_EDGE_LIMIT", edges)
         real = build_realization_sn_graph(gft, SN23, spec, levels=levels)
-        assert sum(g.d - 1 for g in real.sn_graph.prefix) == edges
+        assert sum(len(g.edges) for g in real.sn_graph.prefix) == edges
         monkeypatch.setattr(indlimit, "REALIZATION_EDGE_LIMIT", edges - 1)
-        with pytest.raises(ScaleError, match=f"^{levels} levels need {edges} bounding edges; "):
+        with pytest.raises(ScaleError, match=f"^{levels} levels need {edges} edges; "):
             build_realization_sn_graph(gft, SN23, spec, levels=levels)
 
 
@@ -567,18 +569,19 @@ def test_realization_refuses_a_billion_levels_at_once():
         build_realization_sn_graph(gft, SN2, ExhaustionSpec(2, (2,)), levels=10**9)
     assert time.monotonic() - started < 1.0
     assert str(info.value) == (
-        "1000000000 levels need 1000000000 bounding edges; realizations are limited to 100000"
+        "1000000000 levels need 3000000000 edges; realizations are limited to 100000"
     )
 
 
 def test_realization_refuses_only_the_step_ratios_its_levels_reach():
     """Along (2, 10007) over 2^inf 10007^inf, one level has d = 2; the
-    second has d = 10007, beyond the colour limit."""
+    second has d = 10007, beyond the colour limit, and within the edge
+    limit, so the graph constructor refuses it."""
     gft = GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF))
     sn = SupernaturalNumber.from_factors({2: INF, 10007: INF})
     spec = ExhaustionSpec(2, (2, 10007))
     assert [g.d for g in build_realization_sn_graph(gft, sn, spec, levels=1).sn_graph.prefix] == [2]
-    with pytest.raises(ScaleError, match="^step ratio 10007 exceeds the graph colour limit 10000$"):
+    with pytest.raises(ScaleError, match="^vertex and colour counts are limited to 10000; got q=2, p=2, d=10007$"):
         build_realization_sn_graph(gft, sn, spec, levels=2)
 
 

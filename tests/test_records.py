@@ -6,6 +6,7 @@ import importlib
 import pkgutil
 
 import pytest
+from conftest import replace
 
 import diagflag
 from diagflag.diagembed import (
@@ -15,7 +16,7 @@ from diagflag.diagembed import (
     picard_pullback,
 )
 from diagflag.egraph import EGraph, SurjectionAlpha, build_from_alpha
-from diagflag.errors import DomainError, Record, ValidationReport, replace
+from diagflag.errors import DomainError, Record, ValidationReport
 from diagflag.flagcore import Classification, FlagType
 from diagflag.indlimit import (
     ConstantTail,
