@@ -200,11 +200,13 @@ def constant_spaces(emb: DiagonalEmbedding) -> tuple[RatSubspace, ...]:
     The intersection at position j is the direct sum of the full blocks c
     whose closed index is q, i.e. whose bounding edge arrives at or above
     r_j: the closed formula of `evaluate` on the members full at q and
-    zero below it.
+    zero below it.  The full block is built only if some member holds it,
+    so the work is bounded by the target type's entries, n times the sum
+    of its dimensions, of which a full block alone holds at least m^2.
     """
     q, m = emb.graph.q, emb.m
-    full, zero = RatSubspace.full(m), RatSubspace.zero(m)
-    return _block_sums(emb.graph, m, lambda i: full if i == q else zero)
+    zero = RatSubspace.zero(m)
+    return _block_sums(emb.graph, m, lambda i: RatSubspace.full(m) if i == q else zero)
 
 
 def unipotent_inclusion(g: EGraph) -> bool:

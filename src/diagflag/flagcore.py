@@ -59,7 +59,7 @@ import random
 import threading
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     DomainError,
@@ -139,11 +139,16 @@ class FlagType(Record):
 
 
 def check_flag_type(flag: Flag, ft: FlagType) -> None:
-    """DomainError unless `flag` has type `ft`, compared field by field; a
-    flag whose ambient no flag type allows is reported as such."""
+    """DomainError unless `flag` has type `ft`, compared field by field."""
     if flag.ambient != ft.ambient or flag.dims != ft.dims:
-        FlagType(flag.ambient, flag.dims)  # DomainError for such an ambient
-        raise DomainError("flag does not match the source type")
+        refuse_mismatched_flag(flag.ambient)
+
+
+def refuse_mismatched_flag(ambient: int) -> NoReturn:
+    """The DomainError for a flag in Q^ambient of the wrong type; an ambient
+    no flag type allows is reported as such."""
+    FlagType(ambient, ())
+    raise DomainError("flag does not match the source type")
 
 
 def coordinate_flag(ft: FlagType) -> Flag:
@@ -498,17 +503,6 @@ def se_compose(a: StandardExtensionData, b: StandardExtensionData) -> StandardEx
     if not a.dualized:
         return _strict_compose(a, b, b.dualized)
     return _strict_compose(a, _dual_conjugate(b), not b.dualized)
-
-
-def sample_images(
-    evaluate: Callable[[Flag], Flag], source_type: FlagType, seed: int = 0
-) -> Iterator[Flag]:
-    """Deterministic unbounded stream of image flags: the coordinate flag
-    first, then images of seeded random flags."""
-    rng = random.Random(f"diagflag-sample-{seed}")
-    yield evaluate(coordinate_flag(source_type))
-    while True:
-        yield evaluate(random_flag(source_type, rng))
 
 
 def _settle(

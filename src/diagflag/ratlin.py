@@ -393,11 +393,12 @@ class RatSubspace(Record):
     def basis_span(cls, ambient: int, mask: int) -> "RatSubspace":
         """Span of the e_i whose bit i is set in `mask`, for 0 <= mask <
         2^ambient, trusted; identity rows in index order are canonical, so
-        no check runs.  Subspaces are immutable, so one instance per
-        (ambient, mask) serves every call."""
+        no check runs.  Only the bits of `mask` are visited, so the zero
+        subspace costs nothing whatever the ambient.  Subspaces are
+        immutable, so one instance per (ambient, mask) serves every call."""
         return cls(
             ambient,
-            tuple((0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient) if mask >> i & 1),
+            tuple((0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(mask.bit_length()) if mask >> i & 1),
         )
 
     @property

@@ -361,6 +361,16 @@ def reference_random_flag(ft, rng):
     return Flag(ft.ambient, tuple(RatSubspace.span_ints(ft.ambient, cols[:d]) for d in ft.dims))
 
 
+def sample_images(evaluate, source_type, seed=0):
+    """Deterministic unbounded stream of image flags for
+    `support_and_constants`: the coordinate flag first, then images of
+    seeded random flags."""
+    rng = random.Random(f"diagflag-sample-{seed}")
+    yield evaluate(coordinate_flag(source_type))
+    while True:
+        yield evaluate(random_flag(source_type, rng))
+
+
 def reference_dual_sampling(evaluate, source_type, seed):
     """Reference: the classifier's duality-pass sampling as intersections of
     dual images, `support_and_constants` over duality . `evaluate` on the

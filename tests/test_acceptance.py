@@ -19,6 +19,7 @@ from conftest import (
     random_egraph,
     random_embedding,
     reference_verify_certificate,
+    sample_images,
     threaded_pullback_additivity,
 )
 
@@ -40,10 +41,10 @@ from diagflag.egraph import (
 )
 from diagflag.flagcore import (
     FlagType,
+    _support,
     classify_bruteforce,
     level_flag,
     random_flag,
-    sample_images,
     support_and_constants,
 )
 from diagflag.indlimit import (
@@ -187,6 +188,8 @@ def test_criterion_06_constant_spaces_sampled_vs_closed():
         closed = constant_spaces(emb)
         sampled, support = support_and_constants(sample_images(emb.evaluate, emb.source_type, seed=17))
         assert tuple(sampled) == tuple(closed)
+        # `constants` prints the support read off the closed form.
+        assert support == _support(closed, emb.target_type.dims)
         for j in support:
             assert closed[j - 1].dim < emb.target_type.dims[j - 1]
     elapsed = time.monotonic() - started

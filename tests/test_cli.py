@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagflag
-from diagflag import diagembed, indlimit
+from diagflag import diagembed, flagcore, indlimit
 from diagflag.cli import main, selftest_digest
 from diagflag.egraph import GRAPH_SIZE_LIMIT
-from diagflag.errors import ValidationReport
 
 MIXED_GRAPH_OBJ = {
     "q": 3,
@@ -214,29 +213,9 @@ def test_an_oracle_disagreement_exits_2_with_its_report(capsys, monkeypatch):
     assert len(report["unipotent_disagreements"]) == parabolic > 0
 
 
-def _negated(fn):
-    return lambda *args: not fn(*args)
-
-
 # One argv builder per internal check of the CLI, with the attribute the
 # check compares against and a wrong stand-in built from the original.
 INTERNAL_CHECKS = {
-    "classify": (
-        lambda t: ["classify", "--alpha", "1,2,2,3", "--m", "2"],
-        diagembed, "is_standard_extension_graph", _negated,
-    ),
-    "constants": (
-        lambda t: ["constants", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--source-ambient", "3"],
-        diagembed, "constant_spaces", lambda fn: lambda emb: fn(emb)[::-1],
-    ),
-    "factor": (
-        lambda t: ["factor", "--graph", write(t, "g.json", LINEAR_GRAPH)],
-        indlimit, "factor_pullback_additivity", _negated,
-    ),
-    "exhaust --gft": (
-        lambda t: ["exhaust", *_sn_spec(t), "--gft", write(t, "gft.json", GFT_LINE_THEN_REST)],
-        indlimit, "validate_sn_graph", lambda fn: lambda *args, **kw: ValidationReport(("wrong",)),
-    ),
     "oracle (closed formula)": (
         lambda t: ["oracle", "--n-max", "4", "--d", "2"],
         diagembed.DiagonalEmbedding, "evaluate", lambda fn: lambda emb, f: reversed_flag(fn(emb, f)),
@@ -256,6 +235,45 @@ def test_a_failed_internal_check_exits_2(capsys, tmp_path, monkeypatch, check):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal check failed:"), captured.err
+
+
+# One argv builder per command that runs one route, with a cross-check of
+# that route that only the tests run: criterion 05 (the graph criterion
+# against the classifier), criterion 06 (sampled against closed-form
+# constants), the factor additivity sweep and the chain validation beyond
+# the levels built.
+SECOND_ROUTES = {
+    "classify": (
+        lambda t: ["classify", "--alpha", "1,2,2,3", "--m", "2"],
+        diagembed, "is_standard_extension_graph",
+    ),
+    "constants": (
+        lambda t: ["constants", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--source-ambient", "3"],
+        flagcore, "support_and_constants",
+    ),
+    "factor": (
+        lambda t: ["factor", "--graph", write(t, "g.json", LINEAR_GRAPH)],
+        indlimit, "factor_pullback_additivity",
+    ),
+    "exhaust --gft": (
+        lambda t: ["exhaust", *_sn_spec(t), "--gft", write(t, "gft.json", GFT_LINE_THEN_REST)],
+        indlimit, "validate_sn_graph",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(SECOND_ROUTES))
+def test_a_command_runs_no_second_route(capsys, tmp_path, monkeypatch, command):
+    argv, owner, name = SECOND_ROUTES[command]
+    argv = argv(tmp_path)
+    code, expected = run(capsys, *argv)
+    assert code == 0 and expected
+
+    def second_route(*args, **kwargs):
+        raise AssertionError(f"{command} ran {name}")
+
+    monkeypatch.setattr(owner, name, second_route)
+    assert run(capsys, *argv) == (0, expected)
 
 
 LONG_TOKEN = "1" + "0" * 5000
@@ -896,6 +914,14 @@ def test_a_result_beyond_the_printing_limit_is_an_input_error(capsys, tmp_path):
         ({"ambient": 0, "chain": []}, "ambient dimension must be positive"),
         ({"ambient": 2, "chain": []}, "flag does not match the source type"),
         ({"ambient": 3, "chain": [[["1", "0", "0"]]]}, "flag does not match the source type"),
+        # An ambient or member count that cannot match is named before any
+        # member is read.
+        ({"ambient": 0, "chain": [[["1"]]]}, "ambient dimension must be positive"),
+        ({"ambient": 3, "chain": [[["1", "0"]]]}, "flag does not match the source type"),
+        ({"ambient": 2, "chain": [[["1", "0"]], [["x", "1"]]]}, "flag does not match the source type"),
+        # Otherwise the members are read first.
+        ({"ambient": 2, "chain": [[["x", "1"]]]}, "bad flag document: Invalid literal for Fraction: 'x'"),
+        ({"ambient": 2, "chain": [[["1", "0"], ["0", "1"]]]}, "flag members must be proper and nonzero"),
     ],
 )
 def test_embed_names_a_flag_of_the_wrong_type(capsys, tmp_path, flag, message):
@@ -903,6 +929,20 @@ def test_embed_names_a_flag_of_the_wrong_type(capsys, tmp_path, flag, message):
     assert main(["embed", "--alpha", "1,2,2,3", "--m", "2", "--flag", flag]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
+def test_embed_refuses_a_flag_of_the_wrong_shape_before_reducing_it(tmp_path):
+    """One member of 39 rows of 40 random 300-digit entries in Q^40 (474
+    KB) cannot have the type FlagType(40, ()) of eighty 1s at block size
+    40; a cold process refuses it without the elimination, which takes
+    tens of seconds."""
+    rng = random.Random(35)
+    rows = [[str(rng.randrange(10**299, 10**300)) for _ in range(40)] for _ in range(39)]
+    flag = write(tmp_path, "flag.json", {"ambient": 40, "chain": [rows]})
+    done, seconds = run_cold("embed", "--alpha", ",".join(["1"] * 80), "--m", "40", "--flag", flag)
+    assert seconds < 2.0
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "input error: flag does not match the source type\n"
 
 
 def test_block_size_zero_is_named_by_embed_as_by_restrict(capsys, tmp_path):
@@ -971,6 +1011,8 @@ def test_restrict_runs_a_long_chain_in_linear_time(capsys):
 SPREAD_GRAPH = {"q": 2, "p": 3, "d": 2, "edges": [[1, 1, 1], [2, 3, 1], [2, 2, 2]]}
 # q = p = 2, d = 1: the identity embedding of a line.
 LINE_GRAPH = {"q": 2, "p": 2, "d": 1, "edges": [[1, 1, 1], [2, 2, 1]]}
+# q = p = d = 1: flags with no members on either side.
+POINT_GRAPH = {"q": 1, "p": 1, "d": 1, "edges": [[1, 1, 1]]}
 
 
 def _refused_at_once(capsys, argv, message):
@@ -1000,16 +1042,35 @@ def test_embed_refuses_an_image_beyond_its_entry_limit_at_once(capsys, tmp_path)
     assert [len(member) for member in doc["image"]["chain"]] == [1, 701]
 
 
-def test_constants_refuses_a_target_beyond_its_sampling_limit_at_once(capsys, tmp_path):
-    graph = write(tmp_path, "graph.json", LINE_GRAPH)
-    for m in ("17", "200", "3000"):
-        _refused_at_once(
-            capsys,
-            ["constants", "--graph", graph, "--source-ambient", m],
-            f"constant-space sampling is limited to target dimension 16; got {m}",
-        )
-    code, doc = run_json(capsys, "constants", "--graph", graph, "--source-ambient", "16")
-    assert code == 0 and doc["dims"] == [0]
+def test_constants_refuses_an_image_beyond_its_entry_limit_at_once(capsys, tmp_path):
+    """`constants` shares `embed`'s entry limit.  Through the spreading
+    graph, the type of one line in Q^m has target dimensions (1, m + 1) in
+    Q^(2m), 2m(m + 2) entries: 999,696 at m = 706 and 1,002,526 at 707.
+    Its second constant space is a full block."""
+    spread = write(tmp_path, "spread.json", SPREAD_GRAPH)
+    _refused_at_once(
+        capsys,
+        ["constants", "--graph", spread, "--source-ambient", "707"],
+        "constants is limited to images of 1000000 entries; got 1002526",
+    )
+    code, doc = run_json(capsys, "constants", "--graph", spread, "--source-ambient", "706")
+    assert code == 0 and doc["dims"] == [0, 706] and doc["support"] == [1, 2]
+    assert len(doc["constants"][1]) == 706
+
+
+@pytest.mark.parametrize(
+    "graph, ambient, dims",
+    [(LINE_GRAPH, "6000", [0]), (LINE_GRAPH, "1000000", [0]), (POINT_GRAPH, str(10**18), [])],
+    ids=["line-6000", "line-1000000", "point-10**18"],
+)
+def test_constants_builds_no_block_its_image_lacks(capsys, tmp_path, graph, ambient, dims):
+    """No constant space of the line (target dimension 1) or of a point
+    target (none) holds a full block, so none is built, however large the
+    ambient."""
+    started = time.monotonic()
+    code, doc = run_json(capsys, "constants", "--graph", write(tmp_path, "g.json", graph), "--source-ambient", ambient)
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and doc["dims"] == dims and doc["support"] == [1] * len(dims)
 
 
 def test_classify_refuses_a_large_target_before_building_a_flag(capsys, tmp_path):

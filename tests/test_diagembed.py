@@ -15,6 +15,7 @@ from conftest import (
     is_linear,
     random_embedding,
     reversed_flag,
+    sample_images,
     small_graphs,
 )
 
@@ -51,7 +52,6 @@ from diagflag.flagcore import (
     coordinate_flag,
     level_flag,
     random_flag,
-    sample_images,
     support_and_constants,
 )
 from diagflag.ratlin import Flag, RatSubspace, is_rref, stabilizer_oracle

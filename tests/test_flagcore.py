@@ -22,6 +22,7 @@ from conftest import (
     reference_sample_stream,
     reference_strict_eval,
     replace,
+    sample_images,
     solve_unique,
 )
 from hypothesis import assume, given, settings
@@ -41,7 +42,6 @@ from diagflag.flagcore import (
     level_dims,
     level_flag,
     random_flag,
-    sample_images,
     se_compose,
     se_eval,
     support_and_constants,

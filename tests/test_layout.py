@@ -9,9 +9,9 @@ that overrides one of a standard-library base (`_CliParser.error`) counts
 as used.
 
 An exported name closes no loophole: the exports that nothing in `src/`
-or `perfbench/` references must be exactly the three library operations
-offered only to users, `decompose_sn_graph`, `equivariance_check` and
-`verify_refutation`.
+or `perfbench/` references must be exactly the four library operations
+offered only to users, `decompose_sn_graph`, `equivariance_check`,
+`validate_sn_graph` and `verify_refutation`.
 
 The names that pass only because `perfbench` names them are `ratlin.rref`,
 `nullspace`, `is_rref` and `matvec`, which the benchmark's tracer rebinds,
@@ -110,9 +110,17 @@ def exports_nothing_calls() -> set[str]:
 def test_exports_nothing_calls_are_library_operations():
     """An export with no caller in the program must be an operation the
     library offers its users: the equivariance cross-check, the paper's
-    direct-product decomposition and the refutation checker.  Anything
-    else exported and uncalled is test-only code and lives in the tests."""
-    assert exports_nothing_calls() == {"decompose_sn_graph", "equivariance_check", "verify_refutation"}
+    direct-product decomposition, the refutation checker, and the
+    validation of chained graphs that users build (`exhaust --gft` builds
+    its chain by formula and prints it unvalidated; tier-1 validates
+    realizations beyond the levels built).  Anything else exported and
+    uncalled is test-only code and lives in the tests."""
+    assert exports_nothing_calls() == {
+        "decompose_sn_graph",
+        "equivariance_check",
+        "validate_sn_graph",
+        "verify_refutation",
+    }
 
 
 def test_no_code_in_src_is_used_only_by_the_tests():
