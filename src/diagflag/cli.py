@@ -15,6 +15,7 @@ reports are byte-identical given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -302,7 +303,10 @@ def _cmd_dot(args) -> str:
     return egraph.to_dot(g)
 
 
+@functools.cache
 def build_parser() -> _CliParser:
+    """The one parser of the process: building it takes most of an
+    in-process call, and parsing leaves it as it was."""
     parser = _CliParser(prog="diagflag", description=__doc__)
     parser.add_argument("--seed", type=_parse_int, default=0, help="seed for all randomized checks")
     parser.add_argument("--out", help="write the report here instead of stdout")

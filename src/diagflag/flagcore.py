@@ -46,9 +46,11 @@ bounded memo keeps, per (source type, seed), the flags drawn so far and
 the generator that draws the next, and every classification reads them
 by index.  Every embedding-specific step (evaluation, the merges, the eps
 solve and the verification) still runs per call.  The verification's own
-random flags are drawn per call: they are drawn only for candidates that
-pass every collected sample, and memoizing them too would more than
-double what the memo holds.
+random flags are drawn per call: memoizing them too cut the `classify`
+workload's p90 latency by about 20% more, but raised its peak RSS from
+26.3 to 29.0 MiB (+10%), beyond what the benchmark allows.  A
+verification by member containment and an incremental subspace sum were
+also tried, and measured no gain.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .ratlin import (
     Matrix,
     RatSubspace,
     _nested_images,
+    _reduce,
     as_matrix,
     integer_matrix,
     random_entries,
@@ -190,22 +193,27 @@ def random_flag(ft: FlagType, rng: random.Random) -> Flag:
     a random invertible integer matrix g, drawn as `random_invertible_ints`
     draws it.  The image of the span of e_1..e_d is the span of the first d
     columns of g, so each member is reduced from the rows of the one before
-    and its new columns; the whole space, reduced last, is the
-    invertibility test, and a g whose columns lose rank is drawn again."""
+    and its new columns, and a g whose columns lose rank is drawn again.
+    The invertibility test reduces only what the last member leaves of the
+    remaining columns (all of them for a type with no member): the
+    residues vanish at its pivots, so their span meets it trivially, and g
+    has rank n exactly when they have rank n - d_k."""
     n = ft.ambient
     while True:
         entries = random_entries(n * n, rng)
         members = []
         sub = RatSubspace.zero(n)
         done = 0
-        for d in (*ft.dims, n):
+        for d in ft.dims:
             sub = RatSubspace.span_ints(n, sub.int_rows + tuple(entries[j::n] for j in range(done, d)))
             if sub.dim < d:
                 break
             members.append(sub)
             done = d
         else:
-            return Flag._from_nested(n, tuple(members[:-1]))
+            rest = sub.residues(entries[j::n] for j in range(done, n))
+            if len(_reduce(rest, n)) == n - done:
+                return Flag._from_nested(n, tuple(members))
 
 
 def dual_type(ft: FlagType) -> FlagType:
@@ -675,29 +683,60 @@ def _epsilon_candidates(
 ) -> Iterator[tuple[IntRows, int]]:
     """Deterministic stream of candidate eps matrices, each as integer rows
     over a denominator: the echelon basis vectors of the solution space,
-    signed pairs of them, then seeded random combinations.
+    signed pairs of them, then seeded random combinations, each projective
+    class (a matrix up to a nonzero factor) only the first time it comes.
 
     Each basis vector is its canonical integer row over its pivot; all are
-    brought to the lcm of the pivots, so sums run on integers."""
+    brought to the lcm of the pivots, so sums run on integers and every
+    candidate of the stream has that one denominator.  The basis is
+    independent, so two combinations are proportional exactly when their
+    coefficient vectors are: a candidate is keyed by its coefficients over
+    their content, signed so the first nonzero one is positive.  A repeat
+    is dropped after its coefficients are drawn, so every later candidate
+    is the one of the full stream.  A one-dimensional space has one class,
+    so its stream ends after the basis vector.
+
+    Lemma: whether `_recover_strict` accepts a candidate eps depends only
+    on its class.  Proof: for c != 0, c.eps has the column image of eps,
+    so the image test, the test against the last support constant and
+    `_build_z_chain` (which read only the image) agree; every clause of
+    `check()` reads eps through that image, its positive denominator or
+    not at all; and the evaluation that `_verify_witness` compares, with
+    members eps(F_v) + Z_j, maps each F_v to the same span.  So the first
+    accepted candidate of the full stream is the first of its class, and
+    dropping repeats returns the same witness."""
     rows = solutions.int_rows
     leads = [next(x for x in r if x) for r in rows]
     den = lcm(*leads)
     basis = [[x * (den // a) for x in r] for r, a in zip(rows, leads)]
+    d = len(basis)
 
-    def unflatten(vec: Sequence[int]) -> tuple[IntRows, int]:
-        return tuple(tuple(vec[r * m : (r + 1) * m]) for r in range(nw)), den
+    def coefficients() -> Iterator[list[int]]:
+        for i in range(d):
+            yield [int(t == i) for t in range(d)]
+        for i, j in itertools.combinations(range(d), 2):
+            for sign in (1, -1):
+                yield [1 if t == i else sign if t == j else 0 for t in range(d)]
+        if d == 1:
+            return
+        rng = random.Random(f"diagflag-epsilon-{seed}")
+        for _ in range(60):
+            yield [rng.randint(-3, 3) for _ in basis]
 
-    for v in basis:
-        yield unflatten(v)
-    for vi, vj in itertools.combinations(basis, 2):
-        for sign in (1, -1):
-            yield unflatten([a + sign * b for a, b in zip(vi, vj)])
-    rng = random.Random(f"diagflag-epsilon-{seed}")
-    for _ in range(60):
-        coeffs = [rng.randint(-3, 3) for _ in basis]
-        if not any(coeffs):
+    seen = set()
+    for coeffs in coefficients():
+        g = gcd(*coeffs)
+        if not g:
             continue
-        yield unflatten([sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(nw * m)])
+        if next(c for c in coeffs if c) < 0:
+            g = -g
+        key = tuple(c // g for c in coeffs)
+        if key in seen:
+            continue
+        seen.add(key)
+        terms = [(c, v) for c, v in zip(coeffs, basis) if c]
+        vec = [sum(c * v[i] for c, v in terms) for i in range(nw * m)]
+        yield tuple(tuple(vec[r * m : (r + 1) * m]) for r in range(nw)), den
 
 
 def _build_z_chain(
@@ -791,7 +830,10 @@ def _recover_strict(
     The dual images themselves are formed only for the eps solve, when a
     kappa is a candidate.  For k >= 1, None once a deficit exceeds d_k:
     `_kappa_candidates` reads each nonzero deficit as a source member
-    dimension, and deficits never decrease (see `_settle`)."""
+    dimension, and deficits never decrease (see `_settle`).  Each kappa's
+    candidates come one per projective class: acceptance depends only on
+    the class (see `_epsilon_candidates`), so the witness is the one that
+    trying every multiple gives."""
     m = source_type.ambient
     k = source_type.length
     bound = source_type.dims[-1] if k else None
@@ -882,7 +924,10 @@ def classify_bruteforce(
 
     A pass over a source of length k >= 1 ends with no witness once a
     constant's deficit |dim C_j - q_j| exceeds d_k; as no deficit
-    decreases, the result is the one of sampling every window.
+    decreases, the result is the one of sampling every window.  A pass
+    tries each eps candidate once up to a nonzero factor; as scaling eps
+    changes neither its image nor any evaluation, the witness is the one
+    of trying every multiple.
 
     The sample flags of each pass are drawn once per process and kept, at
     most `_SAMPLE_STREAMS` streams with the least recently used dropped,

@@ -29,7 +29,6 @@ from diagflag.flagcore import (
     PicardPullback,
     StandardExtensionData,
     _build_z_chain,
-    _epsilon_candidates,
     _epsilon_solution_space,
     _kappa_candidates,
     _sample_flags,
@@ -410,14 +409,41 @@ def reference_sample_stream(source_type, seed):
         yield random_flag(source_type, rng)
 
 
+def reference_epsilon_candidates(basis, nw, m, seed):
+    """Reference: the full `Fraction` candidate stream `_epsilon_candidates`
+    draws from, projective repeats included: the basis vectors, their
+    signed pairs, then seeded random combinations."""
+
+    def unflatten(vec):
+        return tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(nw))
+
+    for v in basis:
+        yield unflatten(v)
+    for vi, vj in itertools.combinations(basis, 2):
+        for sign in (1, -1):
+            yield unflatten([a + sign * b for a, b in zip(vi, vj)])
+    rng = random.Random(f"diagflag-epsilon-{seed}")
+    for _ in range(60):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
+        if not any(coeffs):
+            continue
+        vec = [
+            sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
+            for i in range(nw * m)
+        ]
+        yield unflatten(vec)
+
+
 def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes=None):
     """Reference: `flagcore._recover_strict` with no deficit bound.  The
     pass's images are those of `evaluate` on the memoized sample flags,
     composed with duality for the dual pass; their constants settle
     whatever their deficits, by `support_and_constants`; then every index
     map `_kappa_candidates` finds is searched for a strict witness of those
-    images, with no shortcut before `check()`.  `passes`, when given, gets
-    each pass's candidates and its largest deficit q_j - dim C_j."""
+    images, over every candidate of `reference_epsilon_candidates` (the
+    stream with its projective repeats), with no shortcut before
+    `check()`.  `passes`, when given, gets each pass's candidates and its
+    largest deficit q_j - dim C_j."""
     samples = []
 
     def target(flag):
@@ -444,13 +470,13 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
         solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
         if not solutions.dim:
             continue
-        for eps, den in _epsilon_candidates(solutions, nw, m, seed):
-            image = RatSubspace.span_ints(nw, zip(*eps))
+        for eps in reference_epsilon_candidates(solutions.rows, nw, m, seed):
+            image = RatSubspace.span(nw, zip(*eps))
             chain = _build_z_chain(kappa, constants, image, k) if image.dim == m else None
             if chain is None:
                 continue
             try:
-                data = StandardExtensionData(source_type, eps, den, chain, kappa).check()
+                data = StandardExtensionData.from_epsilon(source_type, eps, chain, kappa)
             except DomainError:
                 continue
             if _verify_witness(data, target, samples, source_type, seed):

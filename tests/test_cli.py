@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import diagflag
 from diagflag import diagembed, flagcore, indlimit
-from diagflag.cli import main, selftest_digest
+from diagflag.cli import build_parser, main, selftest_digest
 from diagflag.egraph import GRAPH_SIZE_LIMIT
 
 MIXED_GRAPH_OBJ = {
@@ -517,6 +517,41 @@ def test_exhaust_rejects_non_integer_numbers(capsys, tmp_path, sn_doc, spec_doc)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "input error:" in captured.err
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(capsys, tmp_path, mixed_graph_file):
+    """`main` builds its parser once per process.  After calls the parser
+    refuses, calls that fail later and calls with options set, each call
+    gives the exit code and the bytes, on both streams, that a freshly
+    built parser gives."""
+    sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
+    spec = write(tmp_path, "spec.json", {"s1": 2, "cycle": [2]})
+    calls = [
+        ["restrict", "--alpha", "1,2,2,1"],
+        ["restrict", "--alpha", "1,2,2,3", "--m", "2"],
+        ["no-such-command"],
+        ["--seed", "x", "picard", "--graph", mixed_graph_file],
+        ["--seed", "7", "classify", "--alpha", "1,2,2,3", "--m", "2"],
+        ["classify", "--alpha", "1,2,2,3", "--m", "2"],
+        ["exhaust", "--sn", sn, "--spec", spec, "--levels", "-1"],
+        ["exhaust", "--sn", sn, "--spec", spec, "--levels", "3"],
+        ["exhaust", "--sn", sn, "--spec", spec],
+        ["picard", "--graph", str(tmp_path / "missing.json")],
+        ["picard", "--graph", mixed_graph_file],
+    ]
+
+    def answer(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert [answer(argv) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0]
 
 
 def test_out_file(tmp_path, capsys, mixed_graph_file):

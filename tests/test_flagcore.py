@@ -17,6 +17,7 @@ from conftest import (
     is_linear,
     reference_classify,
     reference_dual_sampling,
+    reference_epsilon_candidates,
     reference_level_flag,
     reference_random_flag,
     reference_sample_stream,
@@ -968,7 +969,8 @@ def test_no_deficit_decreases_along_the_sampling(merge):
 
 def test_the_deficit_exit_changes_no_classification(monkeypatch):
     """Every criterion-05 embedding and its duality . evaluate twin: the
-    witness JSON of the reference with no deficit bound.  The exit ends a
+    witness JSON of the reference with no deficit bound, which tries every
+    eps candidate, projective repeats included.  The exit ends a
     pass exactly when a settled deficit exceeds d_k (k >= 1), and never a
     pass whose settled constants yield a kappa."""
     real = flagcore._settle
@@ -1048,41 +1050,68 @@ def test_epsilon_solution_space_matches_the_fraction_echelon():
     assert min(counts.values()) > 10
 
 
-def reference_epsilon_candidates(basis, nw, m, seed):
-    """The Fraction candidate stream the classifier used to draw eps from."""
+def projective_key(eps):
+    """eps flattened and divided by its first nonzero entry: equal for two
+    matrices exactly when one is a nonzero multiple of the other."""
+    flat = [x for row in eps for x in row]
+    lead = next(x for x in flat if x)
+    return tuple(x / lead for x in flat)
 
-    def unflatten(vec):
-        return tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(nw))
 
-    for v in basis:
-        yield unflatten(v)
-    for (i, vi), (j, vj) in itertools.combinations(enumerate(basis), 2):
-        for sign in (1, -1):
-            yield unflatten([a + sign * b for a, b in zip(vi, vj)])
-    rng = random.Random(f"diagflag-epsilon-{seed}")
-    for _ in range(60):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
-        if not any(coeffs):
-            continue
-        vec = [
-            sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
-            for i in range(nw * m)
-        ]
-        yield unflatten(vec)
+def fraction_candidates(solutions, nw, m, seed):
+    return [
+        tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        for rows, den in _epsilon_candidates(solutions, nw, m, seed)
+    ]
 
 
 def test_epsilon_candidates_match_the_fraction_stream():
-    compared = 0
+    """The reference stream with every candidate dropped whose class an
+    earlier one has."""
+    compared = dropped = 0
     for samples, ft, kappa, nw in classifier_systems(random.Random(6), 15):
         solutions = _epsilon_solution_space(samples, ft, kappa, nw)
         for seed in (0, 1):
-            got = [
-                tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-                for rows, den in _epsilon_candidates(solutions, nw, ft.ambient, seed)
-            ]
-            assert got == list(reference_epsilon_candidates(solutions.rows, nw, ft.ambient, seed))
-            compared += bool(got)
-    assert compared >= 40
+            seen = set()
+            first = []
+            for eps in reference_epsilon_candidates(solutions.rows, nw, ft.ambient, seed):
+                key = projective_key(eps)
+                if key in seen:
+                    dropped += 1
+                else:
+                    seen.add(key)
+                    first.append(eps)
+            assert fraction_candidates(solutions, nw, ft.ambient, seed) == first
+            compared += bool(first)
+    assert (compared, dropped) == (94, 1117)
+
+
+def test_epsilon_candidates_try_each_class_once():
+    """On the criterion-05 systems and on random solution spaces of
+    dimension 1 to 4: no candidate is a multiple of an earlier one, and a
+    one-dimensional space yields its basis vector alone."""
+    one_dimensional = 0
+    spaces = [
+        (_epsilon_solution_space(samples, ft, kappa, nw), nw, ft.ambient)
+        for samples, ft, kappa, nw in classifier_systems(random.Random(7), 15)
+    ]
+    rng = random.Random(8)
+    for dim in (1, 2, 3, 4):
+        for _ in range(10):
+            vectors = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)] for _ in range(dim)]
+            spaces.append((RatSubspace.span(6, vectors), 3, 2))
+    for solutions, nw, m in spaces:
+        if not solutions.dim:
+            continue
+        for seed in (0, 1):
+            got = fraction_candidates(solutions, nw, m, seed)
+            keys = [projective_key(eps) for eps in got]
+            assert len(set(keys)) == len(keys)
+            if solutions.dim == 1:
+                row = solutions.rows[0]
+                assert got == [tuple(tuple(row[r * m : (r + 1) * m]) for r in range(nw))]
+                one_dimensional += 1
+    assert one_dimensional == 52
 
 
 # A fixed one-in-25 subset of the criterion-05 set, classified as it is and
@@ -1237,10 +1266,11 @@ def test_classifying_twice_draws_no_new_sample_flags(monkeypatch):
 @pytest.fixture(scope="module")
 def criterion_05_cold():
     """The criterion-05 set classified in order from an empty memo: the
-    witness JSON of each, the memo's size and stream lengths after, and the
-    number of evaluate calls."""
+    witness JSON of each, the memo's size and stream lengths after, the
+    number of evaluate calls and the number of eps candidates yielded."""
     _sample_stream.cache_clear()
     calls = 0
+    candidates = 0
 
     def counted(evaluate):
         def counting(flag):
@@ -1250,23 +1280,31 @@ def criterion_05_cold():
 
         return counting
 
-    results = [
-        classify_bruteforce(counted(DiagonalEmbedding(g, ft).evaluate), ft, seed=0).to_json_obj()
-        for g, ft in criterion_05_instances()
-    ]
+    def counted_candidates(*args):
+        nonlocal candidates
+        for candidate in _epsilon_candidates(*args):
+            candidates += 1
+            yield candidate
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flagcore, "_epsilon_candidates", counted_candidates)
+        results = [
+            classify_bruteforce(counted(DiagonalEmbedding(g, ft).evaluate), ft, seed=0).to_json_obj()
+            for g, ft in criterion_05_instances()
+        ]
     streams = _sample_stream.cache_info().currsize
     # Reading the lengths through the memo adds an empty stream for each key
     # not yet used, but drops none: the memo holds only (source type, seed 0
     # or 1) keys, and there are exactly _SAMPLE_STREAMS of them.
     lengths = {(ft, seed): len(_sample_stream(ft, seed)[0]) for ft in SOURCE_TYPES for seed in (0, 1)}
     assert _sample_stream.cache_info().currsize == _SAMPLE_STREAMS
-    return results, streams, lengths, calls
+    return results, streams, lengths, calls, candidates
 
 
 def test_classifications_do_not_depend_on_the_memo(criterion_05_cold):
     """The set again, in reverse order and from the memo the first run
     left: the same witnesses, and no flag drawn."""
-    results, _, lengths, _ = criterion_05_cold
+    results, _, lengths, _, _ = criterion_05_cold
     warm = [
         classify_bruteforce(DiagonalEmbedding(g, ft).evaluate, ft, seed=0).to_json_obj()
         for g, ft in reversed(criterion_05_instances())
@@ -1279,7 +1317,7 @@ def test_the_memo_stays_within_its_bounds_on_the_criterion_05_set(criterion_05_c
     """Counted, not timed: the streams held, the flags each holds and
     their total, pinned.  Every source type of ambient 2..6 draws at seed
     0; only four of ambient at most 3 reach the dual pass at seed 1."""
-    _, streams, lengths, _ = criterion_05_cold
+    _, streams, lengths, _, _ = criterion_05_cold
     used = {key: n for key, n in lengths.items() if n}
     assert streams <= _SAMPLE_STREAMS
     assert max(used.values()) < SAMPLE_LIMIT
@@ -1292,7 +1330,8 @@ def test_the_classifier_evaluates_a_pinned_number_of_times(criterion_05_cold):
     pass over the mixed graph ends at its second sample, after the
     coordinate image both share: 5 evaluations, where sampling every
     window took 29.  The criterion-05 set takes 14,765, where it took
-    33,146."""
+    33,146, and tries 2,816 eps candidates, where trying each projective
+    class every time it came took 7,310."""
     calls = 0
     mixed = DiagonalEmbedding(MIXED_GRAPH, MIXED_SOURCE).evaluate
 
@@ -1303,4 +1342,4 @@ def test_the_classifier_evaluates_a_pinned_number_of_times(criterion_05_cold):
 
     assert classify_bruteforce(evaluate, MIXED_SOURCE, seed=0).kind == "not_se"
     assert calls == 5
-    assert criterion_05_cold[3] == 14_765
+    assert criterion_05_cold[3:] == (14_765, 2_816)
