@@ -33,6 +33,11 @@ _LEVELS_LIMIT = 1000
 # dimensions, of the image `embed` builds or the constant spaces
 # `constants` prints: about 0.7 s and a 4 MB report.
 _IMAGE_ENTRY_LIMIT = 10**6
+# The most characters the entries of `embed`'s flag document may hold, as
+# JSON numbers or strings: reducing a member costs far more per entry than
+# reading it, most for many short entries, and the worst document at the
+# limit, 100 rows of 100 one-digit entries, reduces in about 0.5 s.
+_FLAG_CHARACTER_LIMIT = 10**4
 
 
 def canonical_json(obj) -> str:
@@ -168,15 +173,37 @@ def _check_image_entries(emb: diagembed.DiagonalEmbedding, command: str) -> None
         raise ScaleError(f"{command} is limited to images of {_IMAGE_ENTRY_LIMIT} entries; got {entries}")
 
 
+def _flag_characters(chain) -> int:
+    """The characters of the entries of a flag document's chain; what is
+    not a list of rows counts nothing, and `Flag.from_json_obj` refuses
+    it."""
+    if not isinstance(chain, list):
+        return 0
+    return sum(
+        len(str(x))
+        for member in chain
+        if isinstance(member, list)
+        for row in member
+        if isinstance(row, list)
+        for x in row
+    )
+
+
 def _cmd_embed(args) -> dict:
     emb = _load_embedding(args)
     _check_image_entries(emb, "embed")
     doc = _load_json(args.flag)
     ambient, chain = doc.get("ambient"), doc.get("chain")
-    # A flag whose ambient or member count cannot match is refused before
-    # `Flag.from_json_obj` reduces its members.
+    # A flag whose ambient or member count cannot match, or whose entries
+    # are too long or too many, is refused before `Flag.from_json_obj`
+    # reduces its members.
     if is_int(ambient) and isinstance(chain, list) and (ambient, len(chain)) != (emb.m, emb.source_type.length):
         flagcore.refuse_mismatched_flag(ambient)
+    characters = _flag_characters(chain)
+    if characters > _FLAG_CHARACTER_LIMIT:
+        raise ScaleError(
+            f"flag documents are limited to {_FLAG_CHARACTER_LIMIT} characters of entries; got {characters}"
+        )
     image = emb.evaluate(Flag.from_json_obj(doc))
     return {
         "verdict": "ok",

@@ -44,13 +44,17 @@ The classifier's sample flags depend only on the source type and the
 seed, never on the embedding, so they are drawn once per process: a
 bounded memo keeps, per (source type, seed), the flags drawn so far and
 the generator that draws the next, and every classification reads them
-by index.  Every embedding-specific step (evaluation, the merges, the eps
-solve and the verification) still runs per call.  The verification's own
-random flags are drawn per call: memoizing them too cut the `classify`
-workload's p90 latency by about 20% more, but raised its peak RSS from
-26.3 to 29.0 MiB (+10%), beyond what the benchmark allows.  A
-verification by member containment and an incremental subspace sum were
-also tried, and measured no gain.
+by index.  The `VERIFY_SAMPLES` flags that verify a witness depend on
+the same pair alone, and a second bounded memo keeps them: on the
+`classify` workload that costs about 6% more peak RSS (26.4 to 28.0
+MiB), within the benchmark's 10% bound.  Every
+embedding-specific step (evaluation, the merges, the eps solve and the
+verification) still runs per call.  The verification compares the
+witness with the embedding on the kept flags and on the collected
+samples the eps solve did not read: on those it read, a witness of the
+images' type evaluates to each image (see `_epsilon_solution_space`).
+A verification by member containment and an incremental subspace sum
+were also tried, and measured no gain.
 """
 
 from __future__ import annotations
@@ -91,11 +95,12 @@ SAMPLE_WINDOW = 12
 SAMPLE_LIMIT = 500
 # The eps constraints are complete once this many samples add no rank.
 STABLE_SAMPLES = 3
-# Fresh random flags a witness must also map right.
+# Random flags, kept per (source type, seed), a witness must also map right.
 VERIFY_SAMPLES = 20
-# The classifier's sampling streams kept in memory: every source type of
-# ambient at most CLASSIFY_SCALE_LIMIT (one per subset of the possible
-# member dimensions), at the strict pass's seed and the dual pass's.
+# The classifier's sampling streams kept in memory, and its sets of
+# verification flags: every source type of ambient at most
+# CLASSIFY_SCALE_LIMIT (one per subset of the possible member
+# dimensions), at the strict pass's seed and the dual pass's.
 _SAMPLE_STREAMS = 2 * (2**CLASSIFY_SCALE_LIMIT - 1)
 # Serializes the draws: a draw appends to a stream that every caller
 # in the process reads.
@@ -629,9 +634,9 @@ def _kappa_candidates(
 
 def _epsilon_solution_space(
     samples: Sequence[tuple[Flag, Flag]], source_type: FlagType, kappa: tuple[int, ...], nw: int
-) -> RatSubspace:
+) -> tuple[RatSubspace, int]:
     """The solutions of the linear constraints eps(F_kappa(j)) <= image_j,
-    eps flattened row by row.
+    eps flattened row by row, and the number of samples read.
 
     The constraints of each sample are spanned together with those before;
     sampling stops once a few consecutive flags add no new rank.  They are
@@ -647,6 +652,21 @@ def _epsilon_solution_space(
     member) block that an earlier sample already gave is skipped, as its
     rows are in the span already.  Rows that lie in the span are dropped
     before the elimination, which then runs only when some row is new.
+
+    Lemma: let eps be a solution whose strict witness, with the chain
+    `_build_z_chain` makes from the constants C_j of these images (the
+    dual images, in the dual pass), passes `check()` and has the images'
+    type.  Then it evaluates to the image of every sample read.  Proof:
+    eps(F_kappa(j)) lies in image_j for every sample read, by its own
+    constraint or, at a later position of its kappa value, by that of
+    the smaller first image member (F_0 = 0 needs none).  Z_j is C_j, or
+    lies in C_j on the k+1 suffix, and C_j, an intersection over every
+    collected sample, lies in image_j.  So eps(F_kappa(j)) + Z_j lies in
+    image_j.  `check()` makes eps injective and Z_j meet its image
+    trivially, so the sum is direct, of dimension d_kappa(j) + dim Z_j:
+    the witness's member dimension, which is dim image_j.  A subspace of
+    image_j of its dimension is image_j.  So `_verify_witness` compares
+    only the samples after these.
     """
     m = source_type.ambient
     width = nw * m
@@ -656,8 +676,9 @@ def _epsilon_solution_space(
             first.setdefault(v, j)
     acc = RatSubspace.zero(width)
     spanned: set[tuple[IntRows, IntRows]] = set()
-    stable = 0
+    stable = read = 0
     for flag, image in samples:
+        read += 1
         rows = []
         for v, j in first.items():
             source, target = flag.member(v).int_rows, image.chain[j]
@@ -673,9 +694,9 @@ def _epsilon_solution_space(
             continue
         acc = RatSubspace.span_ints(width, acc.int_rows + new)
         if acc.dim == width:
-            return RatSubspace.zero(width)
+            return RatSubspace.zero(width), read
         stable = 0
-    return acc.annihilator()
+    return acc.annihilator(), read
 
 
 def _epsilon_candidates(
@@ -768,21 +789,39 @@ def _verify_witness(
     data: StandardExtensionData,
     evaluate: Callable[[Flag], Flag],
     samples: Sequence[tuple[Flag, Flag]],
-    source_type: FlagType,
+    solved: int,
     seed: int,
 ) -> bool:
-    for flag, image in samples:
+    """Whether a checked witness maps every collected sample (flag,
+    evaluate(flag)) and every flag of `_verify_flags` as `evaluate` does.
+
+    A witness of another target type maps no flag right; one of the
+    images' type maps the first `solved` samples, those the eps solve
+    read, right by the lemma of `_epsilon_solution_space`, so only the
+    samples after them are evaluated."""
+    first = samples[0][1]
+    target = data.target_type
+    if (target.ambient, target.dims) != (first.ambient, first.dims):
+        return False
+    for flag, image in samples[solved:]:
         if data.evaluate(flag) != image:
             return False
-    rng = random.Random(f"diagflag-verify-{seed}")
-    for _ in range(VERIFY_SAMPLES):
-        flag = random_flag(source_type, rng)
+    for flag in _verify_flags(data.source_type, seed):
         if data.evaluate(flag) != evaluate(flag):
             return False
     return True
 
 
-# typed: the seeds 1 and True are equal keys but name different streams.
+# typed, here and below: the seeds 1 and True are equal keys but name
+# different streams.
+@functools.lru_cache(maxsize=_SAMPLE_STREAMS, typed=True)
+def _verify_flags(source_type: FlagType, seed: int) -> tuple[Flag, ...]:
+    """The `VERIFY_SAMPLES` flags that verify a witness at (source type,
+    seed): the `random_flag` draws of `Random(f"diagflag-verify-{seed}")`."""
+    rng = random.Random(f"diagflag-verify-{seed}")
+    return tuple(random_flag(source_type, rng) for _ in range(VERIFY_SAMPLES))
+
+
 @functools.lru_cache(maxsize=_SAMPLE_STREAMS, typed=True)
 def _sample_stream(source_type: FlagType, seed: int) -> tuple[list[Flag], random.Random]:
     """The classifier's sampling stream for (source type, seed): the flags
@@ -874,7 +913,7 @@ def _recover_strict(
     if dualized and kappas:
         strict_samples = [(flag, duality(image)) for flag, image in samples]
     for kappa in kappas:
-        solutions = _epsilon_solution_space(strict_samples, source_type, kappa, nw)
+        solutions, solved = _epsilon_solution_space(strict_samples, source_type, kappa, nw)
         if not solutions.dim:
             continue
         z_last_support = constants[support[-1] - 1] if support else None
@@ -895,7 +934,7 @@ def _recover_strict(
                 data = StandardExtensionData(source_type, eps, den, chain, kappa, dualized).check()
             except DomainError:
                 continue
-            if _verify_witness(data, evaluate, samples, source_type, seed):
+            if _verify_witness(data, evaluate, samples, solved, seed):
                 return data
     return None
 
@@ -916,11 +955,11 @@ def classify_bruteforce(
     The search recovers the candidate Z-chain from sampled constant
     spaces, the index map from dimension bookkeeping, and eps from an
     exact linear system; a witness is returned only after its own
-    evaluation agrees with the embedding on every collected and freshly
-    drawn sample.  The first witness in this documented search order is
-    returned: the strict pass at `seed`, then, when it finds none, the
-    pass for duality . embedding at seed + 1.  Target dimension is capped
-    at `CLASSIFY_SCALE_LIMIT`.
+    evaluation agrees with the embedding on every collected sample and
+    every verification flag.  The first witness in this documented
+    search order is returned: the strict pass at `seed`, then, when it
+    finds none, the pass for duality . embedding at seed + 1.  Target
+    dimension is capped at `CLASSIFY_SCALE_LIMIT`.
 
     A pass over a source of length k >= 1 ends with no witness once a
     constant's deficit |dim C_j - q_j| exceeds d_k; as no deficit
@@ -931,8 +970,12 @@ def classify_bruteforce(
 
     The sample flags of each pass are drawn once per process and kept, at
     most `_SAMPLE_STREAMS` streams with the least recently used dropped,
-    so the result is the same whatever was classified before.  The flags
-    that verify a witness are drawn afresh per call.
+    so the result is the same whatever was classified before.  The
+    `VERIFY_SAMPLES` flags that verify a witness are kept the same way,
+    per (source type, seed).  The verification evaluates the witness on
+    them and on the collected samples the eps solve did not read; on
+    those it read, a witness of the images' type evaluates to each image
+    (the proof is in `_epsilon_solution_space`).
     """
     first = evaluate(coordinate_flag(source_type))
     check_classify_scale(first.ambient)

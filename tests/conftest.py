@@ -20,10 +20,12 @@ from diagflag.egraph import (
     build_from_alpha,
     enumerate_valid_graphs,
     require_valid,
+    surjections,
     validate_egraph,
 )
 from diagflag.errors import DomainError, Record
 from diagflag.flagcore import (
+    VERIFY_SAMPLES,
     Classification,
     FlagType,
     PicardPullback,
@@ -32,10 +34,10 @@ from diagflag.flagcore import (
     _epsilon_solution_space,
     _kappa_candidates,
     _sample_flags,
-    _verify_witness,
     check_flag_type,
     coordinate_flag,
     duality,
+    level_flag,
     random_flag,
     support_and_constants,
 )
@@ -52,7 +54,7 @@ from diagflag.indlimit import (
     _walk,
     factor_pullback_additivity,
 )
-from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, matvec, pivots, rref
+from diagflag.ratlin import SPREAD, Flag, RatSubspace, StabilizerResult, matvec, pivots, rref, stabilizer_oracle
 from diagflag.supernat import INF, ExhaustionSpec, SupernaturalNumber, _divisors_up_to, step_ratio, validate_exhaustion
 
 
@@ -434,6 +436,22 @@ def reference_epsilon_candidates(basis, nw, m, seed):
         yield unflatten(vec)
 
 
+def reference_verify_witness(data, evaluate, samples, source_type, seed):
+    """Reference: the full comparison `flagcore._verify_witness` cuts down,
+    the witness against every collected sample, then against `evaluate`
+    on `VERIFY_SAMPLES` flags drawn per call from a fresh
+    `Random(f"diagflag-verify-{seed}")`."""
+    for flag, image in samples:
+        if data.evaluate(flag) != image:
+            return False
+    rng = random.Random(f"diagflag-verify-{seed}")
+    for _ in range(VERIFY_SAMPLES):
+        flag = random_flag(source_type, rng)
+        if data.evaluate(flag) != evaluate(flag):
+            return False
+    return True
+
+
 def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes=None):
     """Reference: `flagcore._recover_strict` with no deficit bound.  The
     pass's images are those of `evaluate` on the memoized sample flags,
@@ -442,8 +460,9 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
     map `_kappa_candidates` finds is searched for a strict witness of those
     images, over every candidate of `reference_epsilon_candidates` (the
     stream with its projective repeats), with no shortcut before
-    `check()`.  `passes`, when given, gets each pass's candidates and its
-    largest deficit q_j - dim C_j."""
+    `check()`, each verified by `reference_verify_witness`.  `passes`,
+    when given, gets each pass's candidates and its largest deficit
+    q_j - dim C_j."""
     samples = []
 
     def target(flag):
@@ -467,7 +486,7 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
         return StandardExtensionData(source_type, eps, 1, (), ())
     for kappa in kappas:
-        solutions = _epsilon_solution_space(samples, source_type, kappa, nw)
+        solutions, _ = _epsilon_solution_space(samples, source_type, kappa, nw)
         if not solutions.dim:
             continue
         for eps in reference_epsilon_candidates(solutions.rows, nw, m, seed):
@@ -479,7 +498,7 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
                 data = StandardExtensionData.from_epsilon(source_type, eps, chain, kappa)
             except DomainError:
                 continue
-            if _verify_witness(data, target, samples, source_type, seed):
+            if reference_verify_witness(data, target, samples, source_type, seed):
                 return data
     return None
 
@@ -909,3 +928,19 @@ def threaded_pullback_additivity(
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@pytest.fixture(scope="session")
+def level_flag_oracles():
+    """Every coordinate flag of a surjective level map with n <= 6, at every
+    block size m = n/d for d dividing n, in that order: (flag, m, a fresh
+    `stabilizer_oracle(flag, m)`, `reference_stabilizer(flag, m)`),
+    computed once for the tests that compare them."""
+    cases = []
+    for n in range(2, 7):
+        for alpha in surjections(n):
+            flag = level_flag(alpha.values)
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    cases.append((flag, n // d, stabilizer_oracle(flag, n // d), reference_stabilizer(flag, n // d)))
+    return cases

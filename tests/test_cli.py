@@ -1077,6 +1077,45 @@ def test_embed_refuses_an_image_beyond_its_entry_limit_at_once(capsys, tmp_path)
     assert [len(member) for member in doc["image"]["chain"]] == [1, 701]
 
 
+@pytest.mark.parametrize(
+    "rows, ambient, digits",
+    [(39, 40, 300), (5_001, 2, 1)],
+    ids=["long_entries", "many_short_rows"],
+)
+def test_embed_refuses_a_flag_beyond_its_character_limit_before_reducing_it(tmp_path, rows, ambient, digits):
+    """A flag of the source type's shape, one member of `rows` random rows
+    in Q^ambient through the identity of a line: 39 rows of 40 300-digit
+    entries (474 KB) took 40.8 s to reduce in-process, and 5,001 rows of
+    two one-digit entries hold 10,002 characters.  A cold process refuses
+    each with one input error."""
+    rng = random.Random(38)
+    entries = [[str(rng.randrange(10 ** (digits - 1), 10**digits)) for _ in range(ambient)] for _ in range(rows)]
+    flag = write(tmp_path, "flag.json", {"ambient": ambient, "chain": [entries]})
+    graph = write(tmp_path, "graph.json", LINE_GRAPH)
+    done, seconds = run_cold(
+        "embed", "--graph", graph, "--source-dims", str(ambient - 1), "--source-ambient", str(ambient), "--flag", flag
+    )
+    assert seconds < 2.0
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"input error: flag documents are limited to 10000 characters of entries; got {rows * ambient * digits}\n"
+    )
+
+
+def test_embed_reads_a_flag_at_its_character_limit(capsys, tmp_path):
+    """5,000 rows [1, 0] span a line in Q^2: 10,000 characters, accepted;
+    one row more is refused at once."""
+    graph = write(tmp_path, "graph.json", LINE_GRAPH)
+
+    def argv(rows):
+        flag = write(tmp_path, f"flag{rows}.json", {"ambient": 2, "chain": [[[1, 0]] * rows]})
+        return ["embed", "--graph", graph, "--source-dims", "1", "--source-ambient", "2", "--flag", flag]
+
+    assert main(argv(5_000)) == 0
+    assert json.loads(capsys.readouterr().out)["image"] == {"ambient": 2, "chain": [[["1", "0"]]]}
+    _refused_at_once(capsys, argv(5_001), "flag documents are limited to 10000 characters of entries; got 10002")
+
+
 def test_constants_refuses_an_image_beyond_its_entry_limit_at_once(capsys, tmp_path):
     """`constants` shares `embed`'s entry limit.  Through the spreading
     graph, the type of one line in Q^m has target dimensions (1, m + 1) in

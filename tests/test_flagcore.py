@@ -33,6 +33,7 @@ from diagflag import flagcore
 from diagflag.errors import DomainError, ScaleError
 from diagflag.flagcore import (
     SAMPLE_LIMIT,
+    VERIFY_SAMPLES,
     FlagType,
     PicardPullback,
     StandardExtensionData,
@@ -53,6 +54,8 @@ from diagflag.flagcore import (
     _SAMPLE_STREAMS,
     _sample_flags,
     _sample_stream,
+    _verify_flags,
+    _verify_witness,
 )
 from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import enumerate_valid_graphs
@@ -766,8 +769,9 @@ def test_se_eval_always_produces_target_type(rng):
 def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_samples=3, counts=None):
     """The incremental Fraction echelon the classifier used to fold its eps
     constraints into, one sample flag at a time, every position and every
-    block constrained.  `counts`, when given, counts the samples that have
-    rows, all of which lie in the span of those before."""
+    block constrained, and the number of samples read.  `counts`, when
+    given, counts the samples that have rows, all of which lie in the span
+    of those before."""
     m = source_type.ambient
     width = nw * m
     echelon, piv = [], []
@@ -785,8 +789,9 @@ def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_sam
         echelon.insert(pos, row)
         piv.insert(pos, lead)
 
-    stable = 0
+    stable = read = 0
     for flag, image in samples:
+        read += 1
         before = len(echelon)
         for j, v in enumerate(kappa, start=1):
             if v == 0:
@@ -795,7 +800,7 @@ def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_sam
                 for u in image.chain[j - 1].annihilator().rows:
                     insert([u[r] * src[c] for r in range(nw) for c in range(m)])
         if len(echelon) == width:
-            return ()
+            return (), read
         if len(echelon) == before:
             if counts is not None and any(kappa):
                 counts["spanned_sample"] += 1
@@ -804,7 +809,7 @@ def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_sam
                 break
         else:
             stable = 0
-    return nullspace(echelon, width)
+    return nullspace(echelon, width), read
 
 
 def criterion_05_instances():
@@ -1003,25 +1008,33 @@ def test_the_deficit_exit_changes_no_classification(monkeypatch):
 
 
 def test_the_classifier_returns_the_witness_it_verified(monkeypatch):
-    """Every criterion-05 duality . evaluate twin, and every fifth
-    embedding as it is: a witness is the very object `_verify_witness`
-    accepted last, dualized or not.  A point target's witness has nothing
-    to be verified on; the strict pass returns it."""
+    """Every criterion-05 embedding and its duality . evaluate twin: a
+    witness is the very object `_verify_witness` accepted last, dualized
+    or not.  A point target's witness has nothing to be verified on; the
+    strict pass returns it.  And the lemma of `_epsilon_solution_space`,
+    by brute force: each witness that reaches `_verify_witness` with the
+    images' target type evaluates to the image of every sample the eps
+    solve read, the samples the verification skips."""
     real = flagcore._verify_witness
     accepted = []
+    verified = {"witnesses": 0, "skipped": 0, "compared": 0}
 
-    def verify(data, *args):
-        ok = real(data, *args)
+    def verify(data, evaluate, samples, solved, seed):
+        if data.target_type == type_of(samples[0][1]):
+            assert all(data.evaluate(flag) == image for flag, image in samples[:solved])
+            verified["witnesses"] += 1
+            verified["skipped"] += solved
+            verified["compared"] += len(samples) - solved
+        ok = real(data, evaluate, samples, solved, seed)
         if ok:
             accepted.append(data)
         return ok
 
     monkeypatch.setattr(flagcore, "_verify_witness", verify)
     counts = {"strict_se": 0, "se_via_dual": 0, "not_se": 0}
-    for i, (g, ft) in enumerate(criterion_05_instances()):
+    for g, ft in criterion_05_instances():
         emb = DiagonalEmbedding(g, ft)
-        evaluates = [lambda f: duality(emb.evaluate(f))] + [emb.evaluate] * (i % 5 == 0)
-        for evaluate in evaluates:
+        for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
             accepted.clear()
             result = classify_bruteforce(evaluate, ft, seed=0)
             counts[result.kind] += 1
@@ -1029,7 +1042,70 @@ def test_the_classifier_returns_the_witness_it_verified(monkeypatch):
                 assert accepted == [] and result.kind == "strict_se"
             elif result.data is not None:
                 assert result.data is accepted[-1]
-    assert counts == {"strict_se": 177, "se_via_dual": 90, "not_se": 1123}
+    assert counts == {"strict_se": 346, "se_via_dual": 90, "not_se": 1880}
+    assert verified == {"witnesses": 420, "skipped": 2_610, "compared": 3_506}
+
+
+def mapped_samples(data, count=6):
+    """The coordinate flag and the first `count` - 1 seed-0 sample flags of
+    the data's source type, each with its image under the data."""
+    ft = data.source_type
+    flags = [coordinate_flag(ft), *itertools.islice(_sample_flags(ft, 0), count - 1)]
+    return [(flag, data.evaluate(flag)) for flag in flags]
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        replace(absorbing_extension((1, 2), 3, 2, k0=1), dualized=True),
+        identity_extension(FlagType(3, (1, 2))),
+        inserting_extension((1, 2), 3, 2, k0=2),
+    ],
+    ids=["other_dims", "other_ambient", "other_length"],
+)
+def test_a_witness_of_another_target_type_is_refused_unevaluated(monkeypatch, witness):
+    """Against the images of an absorbing extension, of type (5, (3, 4)):
+    refused before the embedding or the witness evaluates any flag, while
+    the extension itself, trusting no sample, is accepted after both
+    evaluate every flag they are compared on."""
+    embedding = absorbing_extension((1, 2), 3, 2, k0=1)
+    samples = mapped_samples(embedding)
+    calls = {"embedding": 0, "witness": 0}
+    real = StandardExtensionData.evaluate
+
+    def evaluate(flag):
+        calls["embedding"] += 1
+        return real(embedding, flag)
+
+    def counted(self, flag):
+        calls["witness"] += 1
+        return real(self, flag)
+
+    monkeypatch.setattr(StandardExtensionData, "evaluate", counted)
+    assert witness.target_type != type_of(samples[0][1])
+    assert _verify_witness(witness, evaluate, samples, 0, 0) is False
+    assert calls == {"embedding": 0, "witness": 0}
+    assert _verify_witness(embedding, evaluate, samples, 0, 0) is True
+    assert calls == {"embedding": VERIFY_SAMPLES, "witness": len(samples) + VERIFY_SAMPLES}
+
+
+def test_the_verification_compares_what_the_solve_did_not_read():
+    """A tampered collected sample after those the solve read, or a
+    tampered image of a kept verification flag, is refused; a tampered
+    sample the solve read is trusted, by the lemma."""
+    data = absorbing_extension((1, 2), 3, 2, k0=1)
+    samples = mapped_samples(data)
+    wrong = samples[1][1]
+    assert wrong != samples[-1][1]
+    tampered = samples[:-1] + [(samples[-1][0], wrong)]
+    assert _verify_witness(data, data.evaluate, tampered, len(samples) - 1, 0) is False
+    assert _verify_witness(data, data.evaluate, tampered, len(samples), 0) is True
+    last = _verify_flags(data.source_type, 0)[-1]
+
+    def evaluate(flag):
+        return wrong if flag == last else data.evaluate(flag)
+
+    assert _verify_witness(data, evaluate, samples, len(samples), 0) is False
 
 
 def test_epsilon_solution_space_matches_the_fraction_echelon():
@@ -1042,7 +1118,8 @@ def test_epsilon_solution_space_matches_the_fraction_echelon():
     counts = {"repeated_value": 0, "suffix": 0, "spanned_sample": 0}
     for samples, ft, kappa, nw in classifier_systems(random.Random(5), 30):
         expected = reference_epsilon_solution_space(samples, ft, kappa, nw, counts=counts)
-        assert _epsilon_solution_space(samples, ft, kappa, nw).rows == expected
+        solutions, read = _epsilon_solution_space(samples, ft, kappa, nw)
+        assert (solutions.rows, read) == expected
         compared += 1
         counts["repeated_value"] += any(v == w != 0 for v, w in zip(kappa, kappa[1:]))
         counts["suffix"] += ft.length + 1 in kappa
@@ -1070,7 +1147,7 @@ def test_epsilon_candidates_match_the_fraction_stream():
     earlier one has."""
     compared = dropped = 0
     for samples, ft, kappa, nw in classifier_systems(random.Random(6), 15):
-        solutions = _epsilon_solution_space(samples, ft, kappa, nw)
+        solutions, _ = _epsilon_solution_space(samples, ft, kappa, nw)
         for seed in (0, 1):
             seen = set()
             first = []
@@ -1092,7 +1169,7 @@ def test_epsilon_candidates_try_each_class_once():
     one-dimensional space yields its basis vector alone."""
     one_dimensional = 0
     spaces = [
-        (_epsilon_solution_space(samples, ft, kappa, nw), nw, ft.ambient)
+        (_epsilon_solution_space(samples, ft, kappa, nw)[0], nw, ft.ambient)
         for samples, ft, kappa, nw in classifier_systems(random.Random(7), 15)
     ]
     rng = random.Random(8)
@@ -1162,6 +1239,16 @@ def test_equal_seeds_of_other_types_keep_their_own_streams():
     for seed in (1, True, 1.0):
         got = list(itertools.islice(_sample_flags(ft, seed), 5))
         assert got == list(itertools.islice(reference_sample_stream(ft, seed), 5))
+
+
+@pytest.mark.parametrize("seed", [0, 1, True])
+def test_verification_flags_match_the_per_call_draws(seed):
+    """Every source type of ambient 2..6; 1 and True are equal keys, but
+    their seed strings differ, so the keys are typed."""
+    for ft in SOURCE_TYPES:
+        if ft.ambient > 1:
+            rng = random.Random(f"diagflag-verify-{seed}")
+            assert _verify_flags(ft, seed) == tuple(random_flag(ft, rng) for _ in range(VERIFY_SAMPLES))
 
 
 def test_interleaved_readers_of_one_stream_each_see_the_per_call_draws():
@@ -1234,7 +1321,7 @@ def test_threads_reading_one_stream_each_see_the_per_call_draws():
 def test_classifying_twice_draws_no_new_sample_flags(monkeypatch):
     """A strict extension (one pass, with verification draws) and a mixed
     graph (both passes); the second classification reads every sample
-    flag from the memo and draws the verification flags afresh."""
+    flag and every verification flag from the memos."""
     real = flagcore.random_flag
     streams = []
     drawn = []
@@ -1249,6 +1336,7 @@ def test_classifying_twice_draws_no_new_sample_flags(monkeypatch):
     cases = ((extension.evaluate, extension.source_type, "strict_se"), (mixed.evaluate, MIXED_SOURCE, "not_se"))
     for evaluate, source, kind in cases:
         _sample_stream.cache_clear()
+        _verify_flags.cache_clear()
         streams[:] = [_sample_stream(source, seed) for seed in (0, 1)]
         counts = []
         results = []
@@ -1259,16 +1347,19 @@ def test_classifying_twice_draws_no_new_sample_flags(monkeypatch):
         assert results[0] == results[1] and results[0]["kind"] == kind
         (cold, verify_cold), (warm, verify_warm) = counts
         assert cold == sum(len(flags) for flags, _ in streams) and warm == 0
-        assert verify_warm == verify_cold
-        assert (kind == "strict_se") == (verify_cold > 0) == (not streams[1][0])
+        assert verify_warm == 0
+        assert verify_cold == VERIFY_SAMPLES * (kind == "strict_se")
+        assert (kind == "strict_se") == (not streams[1][0])
 
 
 @pytest.fixture(scope="module")
 def criterion_05_cold():
-    """The criterion-05 set classified in order from an empty memo: the
-    witness JSON of each, the memo's size and stream lengths after, the
-    number of evaluate calls and the number of eps candidates yielded."""
+    """The criterion-05 set classified in order from empty memos: the
+    witness JSON of each, the sample memo's size and stream lengths after,
+    the verification memo's statistics, the number of evaluate calls and
+    the number of eps candidates yielded."""
     _sample_stream.cache_clear()
+    _verify_flags.cache_clear()
     calls = 0
     candidates = 0
 
@@ -1293,18 +1384,19 @@ def criterion_05_cold():
             for g, ft in criterion_05_instances()
         ]
     streams = _sample_stream.cache_info().currsize
+    verify = _verify_flags.cache_info()
     # Reading the lengths through the memo adds an empty stream for each key
     # not yet used, but drops none: the memo holds only (source type, seed 0
     # or 1) keys, and there are exactly _SAMPLE_STREAMS of them.
     lengths = {(ft, seed): len(_sample_stream(ft, seed)[0]) for ft in SOURCE_TYPES for seed in (0, 1)}
     assert _sample_stream.cache_info().currsize == _SAMPLE_STREAMS
-    return results, streams, lengths, calls, candidates
+    return results, streams, lengths, verify, calls, candidates
 
 
 def test_classifications_do_not_depend_on_the_memo(criterion_05_cold):
     """The set again, in reverse order and from the memo the first run
     left: the same witnesses, and no flag drawn."""
-    results, _, lengths, _, _ = criterion_05_cold
+    results, _, lengths, _, _, _ = criterion_05_cold
     warm = [
         classify_bruteforce(DiagonalEmbedding(g, ft).evaluate, ft, seed=0).to_json_obj()
         for g, ft in reversed(criterion_05_instances())
@@ -1316,13 +1408,16 @@ def test_classifications_do_not_depend_on_the_memo(criterion_05_cold):
 def test_the_memo_stays_within_its_bounds_on_the_criterion_05_set(criterion_05_cold):
     """Counted, not timed: the streams held, the flags each holds and
     their total, pinned.  Every source type of ambient 2..6 draws at seed
-    0; only four of ambient at most 3 reach the dual pass at seed 1."""
-    _, streams, lengths, _, _ = criterion_05_cold
+    0; only four of ambient at most 3 reach the dual pass at seed 1.  The
+    verification memo keeps one set of `VERIFY_SAMPLES` flags per (source
+    type, seed) that verifies a witness, read again on every later one."""
+    _, streams, lengths, verify, _, _ = criterion_05_cold
     used = {key: n for key, n in lengths.items() if n}
     assert streams <= _SAMPLE_STREAMS
     assert max(used.values()) < SAMPLE_LIMIT
     assert (streams, len(used), sum(used.values()), max(used.values())) == (66, 66, 953, 17)
     assert sorted(ft.ambient for ft, seed in used if seed == 1) == [2, 3, 3, 3]
+    assert (verify.currsize, verify.hits, verify.maxsize) == (59, 151, _SAMPLE_STREAMS)
 
 
 def test_the_classifier_evaluates_a_pinned_number_of_times(criterion_05_cold):
@@ -1342,4 +1437,4 @@ def test_the_classifier_evaluates_a_pinned_number_of_times(criterion_05_cold):
 
     assert classify_bruteforce(evaluate, MIXED_SOURCE, seed=0).kind == "not_se"
     assert calls == 5
-    assert criterion_05_cold[3:] == (14_765, 2_816)
+    assert criterion_05_cold[4:] == (14_765, 2_816)

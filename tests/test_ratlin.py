@@ -16,7 +16,6 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagflag.egraph import surjections
 from diagflag.errors import DomainError
 from diagflag.flagcore import level_flag
 from diagflag.ratlin import (
@@ -537,11 +536,12 @@ def test_stabilizer_root_spaces_are_the_coordinate_lines_it_contains(rng):
     assert checked_roots > 50
 
 
-def assert_oracles_match_references(flag, m):
-    """Both oracles agree with the dense references in `conftest`; returns
-    whether the stabilizer was parabolic."""
-    res = stabilizer_oracle(flag, m)
-    ref, parabolic, block_size = reference_stabilizer(flag, m)
+def assert_oracles_match_references(flag, res, reference):
+    """Both oracles agree with the dense references in `conftest`: `res` is
+    `stabilizer_oracle`'s result for the flag and `reference` the
+    `reference_stabilizer` one.  Returns whether the stabilizer was
+    parabolic."""
+    ref, parabolic, block_size = reference
     assert res == ref
     assert (res.is_parabolic, res.block_size) == (parabolic, block_size)
     if res.is_parabolic:
@@ -550,15 +550,13 @@ def assert_oracles_match_references(flag, m):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_oracles_match_dense_references_on_every_level_flag(n):
+def test_oracles_match_dense_references_on_every_level_flag(n, level_flag_oracles):
     """Every coordinate flag of a surjective level map with n <= 6, at every
     block count d dividing n."""
     parabolic = 0
-    for alpha in surjections(n):
-        flag = level_flag(alpha.values)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                parabolic += assert_oracles_match_references(flag, n // d)
+    for flag, _, res, reference in level_flag_oracles:
+        if flag.ambient == n:
+            parabolic += assert_oracles_match_references(flag, res, reference)
     assert parabolic > 0
 
 
@@ -575,34 +573,34 @@ def test_oracles_match_dense_references_on_conjugated_flags():
         m = n // d
         flag = level_flag([rng.randint(1, 4) for _ in range(n)])
         for g in (block_diagonal(random_invertible_ints(m, rng), d), random_invertible_ints(n, rng)):
-            parabolic += assert_oracles_match_references(flag.apply(g), m)
+            conjugate = flag.apply(g)
+            parabolic += assert_oracles_match_references(
+                conjugate, stabilizer_oracle(conjugate, m), reference_stabilizer(conjugate, m)
+            )
     assert parabolic > 20
 
 
-def test_a_shared_memo_changes_no_stabilizer():
+def test_a_shared_memo_changes_no_stabilizer(level_flag_oracles):
     """One memo across every level flag with n <= 6 at every block size,
     seeded conjugated flags, and the empty chain at three block sizes:
     each result equals a fresh call, and a sample equals the dense
     reference.  The empty chain has the empty system at every m, so a key
-    without m would hand back the m = 2 algebra at m = 3."""
+    without m would hand back the m = 2 algebra at m = 3.  The level flags'
+    fresh calls and references are the shared fixture's."""
     rng = random.Random(20261019)
-    cases = []
-    for n in range(2, 7):
-        for alpha in surjections(n):
-            flag = level_flag(alpha.values)
-            cases += [(flag, n // d) for d in range(1, n + 1) if n % d == 0]
+    cases = [(flag, m, res, reference) for flag, m, res, reference in level_flag_oracles]
     for _ in range(200):
         n = rng.choice((2, 3, 4, 4, 6, 6, 6))
         d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
         flag = level_flag([rng.randint(1, 4) for _ in range(n)])
-        cases.append((flag.apply(block_diagonal(random_invertible_ints(n // d, rng), d)), n // d))
-    cases += [(Flag(6, ()), m) for m in (2, 3, 6)]
+        cases.append((flag.apply(block_diagonal(random_invertible_ints(n // d, rng), d)), n // d, None, None))
+    cases += [(Flag(6, ()), m, None, None) for m in (2, 3, 6)]
     memo = {}
-    for i, (flag, m) in enumerate(cases):
+    for i, (flag, m, fresh, reference) in enumerate(cases):
         res = stabilizer_oracle(flag, m, memo)
-        assert res == stabilizer_oracle(flag, m)
+        assert res == (stabilizer_oracle(flag, m) if fresh is None else fresh)
         if i % 50 == 0 or flag.chain == ():
-            ref, parabolic, block_size = reference_stabilizer(flag, m)
+            ref, parabolic, block_size = reference_stabilizer(flag, m) if reference is None else reference
             assert res == ref
             assert (res.is_parabolic, res.block_size) == (parabolic, block_size)
     assert len(memo) < len(cases)
