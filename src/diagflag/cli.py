@@ -174,9 +174,9 @@ def _check_image_entries(emb: diagembed.DiagonalEmbedding, command: str) -> None
 
 
 def _flag_characters(chain) -> int:
-    """The characters of the entries of a flag document's chain; what is
-    not a list of rows counts nothing, and `Flag.from_json_obj` refuses
-    it."""
+    """The characters of the entries of a flag document's chain.  Only the
+    entries of member and row arrays count: `Flag.from_json_obj` refuses a
+    chain with any other member or row before it reduces a member."""
     if not isinstance(chain, list):
         return 0
     return sum(

@@ -35,7 +35,7 @@ from .egraph import (
     require_valid,
     surjections,
 )
-from .errors import DomainError, InternalCheckError, Record, ScaleError, strict_int
+from .errors import DomainError, InternalCheckError, Record, ScaleError, reading, strict_int, strict_list
 from .flagcore import FlagType, PicardPullback, check_flag_type, level_flag, random_flag
 from .ratlin import (
     Flag,
@@ -101,14 +101,12 @@ class DiagonalEmbedding(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DiagonalEmbedding":
-        try:
+        with reading("embedding"):
             if "alpha" in obj:
                 m = strict_int(obj["m"], "m")
-                return embedding_from_alpha(SurjectionAlpha.of(obj["alpha"]), m)
+                return embedding_from_alpha(SurjectionAlpha.of(strict_list(obj["alpha"], "alpha")), m)
             graph = EGraph.from_json_obj(obj["graph"])
             source = FlagType.from_json_obj(obj["source_type"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad embedding document: {exc}") from exc
         return cls(graph, source)
 
 

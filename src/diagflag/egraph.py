@@ -27,7 +27,7 @@ from itertools import accumulate, combinations, product
 from operator import le
 from typing import Iterator, Sequence
 
-from .errors import DomainError, Record, ScaleError, ValidationReport, strict_int
+from .errors import DomainError, Record, ScaleError, ValidationReport, reading, strict_int, strict_list
 from .flagcore import FlagType, level_dims
 
 Edge = tuple[int, int, int]  # (left, right, colour), all 1-based
@@ -150,17 +150,13 @@ class EGraph(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EGraph":
-        try:
+        with reading("graph"):
             edges = frozenset(
-                tuple(strict_int(x, "an edge entry") for x in (i, j, c))
-                for i, j, c in obj["edges"]
+                tuple(strict_int(x, "an edge entry") for x in strict_list(e, "an edge"))
+                for e in strict_list(obj["edges"], "edges")
             )
             q, p, d = (strict_int(obj[k], k) for k in ("q", "p", "d"))
             return cls(q, p, d, edges)
-        except ScaleError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad graph document: {exc}") from exc
 
 
 def validate_egraph(g: EGraph) -> ValidationReport:

@@ -1,8 +1,9 @@
 """Exceptions, the immutable value base `Record`, the violation report
-type and the strict integer and boolean checks shared across the library."""
+type, and the strict checks and the document reader the library shares."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -144,3 +145,23 @@ def strict_bool(x, what: str) -> bool:
     if type(x) is not bool:
         raise DomainError(f"{what} must be a boolean, got {x!r}")
     return x
+
+
+def strict_list(x, what: str) -> list:
+    """x itself when it is a JSON array; DomainError naming `what` otherwise:
+    a string or an object is never read as one, so `"12"` is not `[1, 2]`."""
+    if type(x) is not list:
+        raise DomainError(f"{what} must be an array, not {type(x).__name__}")
+    return x
+
+
+@contextmanager
+def reading(kind: str):
+    """Read a `kind` document: a KeyError, TypeError, ValueError or AttributeError
+    inside becomes DomainError("bad {kind} document: ..."); a ScaleError passes unchanged."""
+    try:
+        yield
+    except ScaleError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"bad {kind} document: {exc}") from exc

@@ -72,8 +72,10 @@ from .errors import (
     InternalCheckError,
     Record,
     ScaleError,
+    reading,
     strict_bool,
     strict_int,
+    strict_list,
 )
 from .ratlin import (
     Flag,
@@ -137,13 +139,11 @@ class FlagType(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FlagType":
-        try:
+        with reading("flag-type"):
             return cls(
                 strict_int(obj["ambient"], "ambient"),
-                tuple(strict_int(d, "a member dimension") for d in obj["dims"]),
+                tuple(strict_int(d, "a member dimension") for d in strict_list(obj["dims"], "dims")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad flag-type document: {exc}") from exc
 
 
 def check_flag_type(flag: Flag, ft: FlagType) -> None:
@@ -418,18 +418,16 @@ class StandardExtensionData(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "StandardExtensionData":
-        try:
+        with reading("standard-extension"):
             source = FlagType(
                 strict_int(obj["source_ambient"], "source_ambient"),
-                tuple(strict_int(d, "a source dimension") for d in obj["source_dims"]),
+                tuple(strict_int(d, "a source dimension") for d in strict_list(obj["source_dims"], "source_dims")),
             )
-            epsilon = as_matrix(obj["epsilon"])
+            epsilon = as_matrix(strict_list(r, "an epsilon row") for r in strict_list(obj["epsilon"], "epsilon"))
             nw = len(epsilon)
-            chain = tuple(RatSubspace.from_json_obj(nw, z) for z in obj["z_chain"])
-            kappa = tuple(strict_int(v, "a kappa value") for v in obj["kappa"])
+            chain = tuple(RatSubspace.from_json_obj(nw, z) for z in strict_list(obj["z_chain"], "z_chain"))
+            kappa = tuple(strict_int(v, "a kappa value") for v in strict_list(obj["kappa"], "kappa"))
             dualized = strict_bool(obj.get("dualized", False), "dualized")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad standard-extension document: {exc}") from exc
         return cls.from_epsilon(source, epsilon, chain, kappa, dualized)
 
 

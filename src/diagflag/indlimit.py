@@ -38,8 +38,10 @@ from .errors import (
     ScaleError,
     ValidationReport,
     is_int,
+    reading,
     strict_bool,
     strict_int,
+    strict_list,
 )
 from .flagcore import FlagType, StandardExtensionData, level_dims
 from .ratlin import RatSubspace
@@ -153,35 +155,28 @@ class GeneralizedFlagType(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeneralizedFlagType":
-        try:
+        with reading("generalized-flag-type"):
             tail_obj = obj.get("tail")
             tail: Tail | None
             if tail_obj is None:
                 tail = None
             elif tail_obj["kind"] == "geometric":
-                tail = GeometricTail(
-                    strict_int(tail_obj["base"], "base"), strict_int(tail_obj["ratio"], "ratio")
-                )
+                tail = GeometricTail(strict_int(tail_obj["base"], "base"), strict_int(tail_obj["ratio"], "ratio"))
             elif tail_obj["kind"] == "constant":
                 tail = ConstantTail(strict_int(tail_obj["value"], "value"))
             else:
                 raise DomainError(f"unknown tail kind {tail_obj['kind']!r}")
             ordered = obj.get("ordered")
-            ordered_t = (
-                None
-                if ordered is None
-                else tuple(INF if d == "inf" else strict_int(d, "a quotient") for d in ordered)
-            )
+            if ordered is not None:
+                ordered = strict_list(ordered, "ordered")
+                ordered = tuple(INF if d == "inf" else strict_int(d, "a quotient") for d in ordered)
+            quotients = strict_list(obj["finite_quotients"], "finite_quotients")
             return cls(
-                finite_quotients=tuple(
-                    strict_int(d, "a quotient") for d in obj["finite_quotients"]
-                ),
+                finite_quotients=tuple(strict_int(d, "a quotient") for d in quotients),
                 tail=tail,
                 has_infinite_quotients=strict_bool(obj["infinite_quotients"], "infinite_quotients"),
-                ordered_presentation=ordered_t,
+                ordered_presentation=ordered,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad generalized-flag-type document: {exc}") from exc
 
 
 class SnGraph(Record):
@@ -224,12 +219,10 @@ class SnGraph(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SnGraph":
-        try:
+        with reading("chained-graph"):
             spec = ExhaustionSpec.from_json_obj(obj["spec"])
-            prefix = tuple(EGraph.from_json_obj(g) for g in obj["levels"])
+            prefix = tuple(EGraph.from_json_obj(g) for g in strict_list(obj["levels"], "levels"))
             period = obj.get("period")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad chained-graph document: {exc}") from exc
         return cls(spec, prefix, None if period is None else strict_int(period, "period"))
 
 

@@ -76,7 +76,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, InternalCheckError, Record, strict_int
+from .errors import DomainError, InternalCheckError, Record, reading, strict_int, strict_list
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -515,8 +515,9 @@ class RatSubspace(Record):
 
     @classmethod
     def from_json_obj(cls, ambient: int, obj: list) -> "RatSubspace":
-        """The span of any generating set of exact rationals."""
-        return cls.span(ambient, obj)
+        """The span of any generating set of exact rationals, an array of
+        row arrays."""
+        return cls.span(ambient, _rows(obj))
 
 
 class Flag(Record):
@@ -592,14 +593,17 @@ class Flag(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Flag":
-        try:
+        with reading("flag"):
             ambient = strict_int(obj["ambient"], "ambient")
-            chain = tuple(
-                RatSubspace.from_json_obj(ambient, rows) for rows in obj["chain"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad flag document: {exc}") from exc
+            # The shape of the whole chain is checked before any member is reduced.
+            members = [_rows(rows) for rows in strict_list(obj["chain"], "chain")]
+            chain = tuple(RatSubspace.span(ambient, rows) for rows in members)
         return cls(ambient, chain)
+
+
+def _rows(obj) -> list:
+    """A subspace of a document: an array of row arrays."""
+    return [strict_list(row, "a row") for row in strict_list(obj, "a member")]
 
 
 def block_diagonal(m: Matrix, blocks: int) -> Matrix:

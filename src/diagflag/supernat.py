@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from typing import Iterator, Mapping
 
-from .errors import DomainError, Record, ScaleError, ValidationReport, is_int
+from .errors import DomainError, Record, ScaleError, ValidationReport, is_int, reading, strict_list
 
 INF = math.inf
 
@@ -162,12 +162,10 @@ class SupernaturalNumber(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SupernaturalNumber":
-        try:
+        with reading("supernatural-number"):
             mapping = {
                 _prime_key(p): (INF if a == "inf" else a) for p, a in obj["factors"].items()
             }
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise DomainError(f"bad supernatural-number document: {exc}") from exc
         return cls.from_factors(mapping)
 
 
@@ -218,10 +216,8 @@ class ExhaustionSpec(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExhaustionSpec":
-        try:
-            return cls(obj["s1"], tuple(obj["cycle"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad exhaustion document: {exc}") from exc
+        with reading("exhaustion"):
+            return cls(obj["s1"], tuple(strict_list(obj["cycle"], "cycle")))
 
 
 def step_ratio(spec: ExhaustionSpec, n: int) -> int:

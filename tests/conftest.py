@@ -1,6 +1,7 @@
 """Shared reference objects for the test suite."""
 
 import collections
+import copy
 import functools
 import heapq
 import itertools
@@ -63,6 +64,24 @@ def replace(obj: Record, **changes) -> Record:
     constructor, so `__post_init__` runs again."""
     values = [changes.pop(n) if n in changes else getattr(obj, n) for n in obj._fields]
     return type(obj)(*values, **changes)
+
+
+def replaced_at(doc, path: tuple, value):
+    """A deep copy of the JSON document `doc` with the value at `path`, a
+    sequence of keys and indices, replaced by `value`."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+# A string or an object where a document wants an array: each iterates, so
+# a reader that only iterates takes `""` for an empty list and `"12"` for
+# the row [1, 2].
+NOT_ARRAYS = pytest.mark.parametrize("value", ["", "12", {}], ids=["empty_string", "digit_string", "object"])
 
 
 # Mixed-colour reference graph: two colours, ordinary edges of both colours,

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import reversed_flag
+from conftest import NOT_ARRAYS, replaced_at, reversed_flag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ import diagflag
 from diagflag import diagembed, flagcore, indlimit
 from diagflag.cli import build_parser, main, selftest_digest
 from diagflag.egraph import GRAPH_SIZE_LIMIT
+from diagflag.errors import DomainError, InternalCheckError, ScaleError, reading, strict_list
 
 MIXED_GRAPH_OBJ = {
     "q": 3,
@@ -1102,6 +1103,23 @@ def test_embed_refuses_a_flag_beyond_its_character_limit_before_reducing_it(tmp_
     )
 
 
+def test_embed_refuses_digit_string_rows_before_reducing_them(tmp_path):
+    """199 rows of 200 one-digit entries, each row written as one string:
+    39,800 characters, four times the limit, none of them in a row array.
+    Read as lists of digits, such rows were counted as nothing and then
+    reduced, for seconds; a cold process refuses the document at once."""
+    rng = random.Random(39)
+    rows = ["".join(str(rng.randrange(10)) for _ in range(200)) for _ in range(199)]
+    flag = write(tmp_path, "flag.json", {"ambient": 200, "chain": [rows]})
+    graph = write(tmp_path, "graph.json", LINE_GRAPH)
+    done, seconds = run_cold(
+        "embed", "--graph", graph, "--source-dims", "199", "--source-ambient", "200", "--flag", flag
+    )
+    assert seconds < 1.0
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "input error: bad flag document: a row must be an array, not str\n"
+
+
 def test_embed_reads_a_flag_at_its_character_limit(capsys, tmp_path):
     """5,000 rows [1, 0] span a line in Q^2: 10,000 characters, accepted;
     one row more is refused at once."""
@@ -1273,23 +1291,129 @@ DOCUMENT_COMMANDS = {
 }
 
 
+# The command that reads each document, with the reference documents of
+# its other options.
+READING_COMMAND = {
+    "graph": "validate-egraph",
+    "embedding": "classify",
+    "flag": "embed",
+    "gft": "admissible",
+    "sn": "admissible",
+    "spec": "exhaust",
+}
+
+# Each reference document with array fields, as (option, document, the
+# paths of its array fields); `dims` sits in an embedding given by its
+# graph and source type.
+ARRAY_DOCUMENTS = {
+    "graph": ("graph", MIXED_GRAPH_OBJ, [("edges",), ("edges", 0)]),
+    "alpha_embedding": ("embedding", REFERENCE_DOCS["embedding"], [("alpha",)]),
+    "graph_embedding": (
+        "embedding",
+        {"graph": LINE_GRAPH, "source_type": {"ambient": 2, "dims": [1]}},
+        [("source_type", "dims"), ("graph", "edges")],
+    ),
+    "flag": ("flag", REFERENCE_DOCS["flag"], [("chain",), ("chain", 0), ("chain", 0, 0)]),
+    "gft": ("gft", GFT_LINE_THEN_REST, [("finite_quotients",), ("ordered",)]),
+    "spec": ("spec", REFERENCE_DOCS["spec"], [("cycle",)]),
+}
+
+
+def _run_reading(tmp_path, option, doc):
+    """`main` on the command that reads `option`, given `doc` there and the
+    reference documents elsewhere: (exit code, stdout, stderr)."""
+    command = READING_COMMAND[option]
+    argv = [command]
+    for name in DOCUMENT_COMMANDS[command]:
+        argv += [f"--{name}", write(tmp_path, f"{name}.json", doc if name == option else REFERENCE_DOCS[name])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("label", sorted(ARRAY_DOCUMENTS))
+def test_the_documents_with_array_fields_are_read(tmp_path, label):
+    option, doc, _ = ARRAY_DOCUMENTS[label]
+    code, out, err = _run_reading(tmp_path, option, doc)
+    assert (code, err) == (0, "") and json.loads(out)["command"] == READING_COMMAND[option]
+
+
+@NOT_ARRAYS
+@pytest.mark.parametrize(
+    "label, path",
+    [(label, path) for label, (_, _, paths) in ARRAY_DOCUMENTS.items() for path in paths],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_a_string_or_an_object_for_an_array_is_one_input_error(tmp_path, label, path, value):
+    option, doc, _ = ARRAY_DOCUMENTS[label]
+    code, out, err = _run_reading(tmp_path, option, replaced_at(doc, path, value))
+    lines = err.splitlines()
+    assert (code, out) == (1, "")
+    assert len(lines) == 1 and lines[0].startswith("input error: bad "), err
+    assert lines[0].endswith(f" must be an array, not {type(value).__name__}"), err
+
+
+def test_reading_turns_each_fault_of_a_document_into_one_domain_error():
+    for fault in (KeyError("q"), TypeError("t"), ValueError("v"), AttributeError("a"), DomainError("d")):
+        with pytest.raises(DomainError) as caught:
+            with reading("graph"):
+                raise fault
+        assert type(caught.value) is DomainError and caught.value.__cause__ is fault
+        assert str(caught.value) == f"bad graph document: {fault}"
+
+
+def test_reading_passes_a_scale_error_and_any_other_fault_unchanged():
+    for fault in (ScaleError("past a limit"), InternalCheckError("i"), RecursionError("r")):
+        with pytest.raises(type(fault)) as caught:
+            with reading("graph"):
+                raise fault
+        assert caught.value is fault
+
+
+def test_strict_list_takes_a_json_array_only():
+    rows = [[1, 2]]
+    assert strict_list(rows, "rows") is rows
+    for value in ("", "12", {}, (1, 2), None, 3):
+        name = type(value).__name__
+        with pytest.raises(DomainError, match=f"^rows must be an array, not {name}$"):
+            strict_list(value, "rows")
+
+
+def test_an_embedding_document_past_the_graph_size_limit_names_the_limit(capsys, tmp_path):
+    """An alpha of 10,001 values at m = 1 builds a graph past
+    GRAPH_SIZE_LIMIT: the embedding reader lets the ScaleError through as
+    it is, as every reader does, so the refusal names the limit."""
+    doc = {"alpha": list(range(1, GRAPH_SIZE_LIMIT + 2)), "m": 1}
+    message = f"vertex and colour counts are limited to {GRAPH_SIZE_LIMIT}; got q=1, p=10001, d=10001"
+    with pytest.raises(ScaleError) as caught:
+        diagembed.DiagonalEmbedding.from_json_obj(doc)
+    assert type(caught.value) is ScaleError and str(caught.value) == message
+    _refused_at_once(capsys, ["classify", "--embedding", write(tmp_path, "emb.json", doc)], message)
+
+
 @st.composite
-def malformed_documents(draw):
-    """A reference document with one field replaced, dropped or added, any
-    JSON value at all, or bytes that are not JSON."""
-    kind = draw(st.sampled_from(sorted(REFERENCE_DOCS)))
-    shape = draw(st.sampled_from(("mutate", "value", "bytes")))
+def malformed_documents(draw, kinds):
+    """One of the documents `kinds`: a reference document with one field
+    replaced, dropped or added, or with an array field replaced; any JSON
+    value at all; or bytes that are not JSON.  Also whether an array field
+    was replaced by something that is not an array, which must be refused
+    (`ordered` may be null, which leaves it out)."""
+    kind = draw(st.sampled_from(kinds))
+    shape = draw(st.sampled_from(("mutate", "array", "value", "bytes")))
     if shape == "bytes":
-        return kind, draw(st.binary(max_size=24))
+        return kind, draw(st.binary(max_size=24)), False
     if shape == "value":
-        return kind, json.dumps(draw(json_values)).encode()
+        return kind, json.dumps(draw(json_values)).encode(), False
     doc = dict(REFERENCE_DOCS[kind])
-    key = draw(st.sampled_from(sorted(doc) + ["extra"]))
-    if draw(st.booleans()):
+    arrays = sorted(k for k, v in doc.items() if isinstance(v, list))
+    key = draw(st.sampled_from(arrays if shape == "array" and arrays else sorted(doc) + ["extra"]))
+    if shape == "mutate" and draw(st.booleans()):
         doc.pop(key, None)
-    else:
-        doc[key] = draw(json_values)
-    return kind, json.dumps(doc).encode()
+        return kind, json.dumps(doc).encode(), False
+    value = doc[key] = draw(json_values)
+    not_an_array = isinstance(REFERENCE_DOCS[kind].get(key), list) and not isinstance(value, list)
+    return kind, json.dumps(doc).encode(), not_an_array and not (key == "ordered" and value is None)
 
 
 non_canonical_keys = st.one_of(
@@ -1319,10 +1443,16 @@ def test_fuzzed_prime_keys_are_one_input_error(tmp_path_factory, command, bad):
     assert len(lines) == 1 and lines[0].startswith("input error:"), err.getvalue()
 
 
-@given(st.sampled_from(sorted(DOCUMENT_COMMANDS)), malformed_documents())
+@given(
+    st.sampled_from(sorted(DOCUMENT_COMMANDS)).flatmap(
+        lambda command: st.tuples(st.just(command), malformed_documents(DOCUMENT_COMMANDS[command]))
+    )
+)
 @settings(max_examples=200, deadline=None)
-def test_fuzzed_documents_never_escape_main(tmp_path_factory, command, fuzzed):
-    kind, content = fuzzed
+def test_fuzzed_documents_never_escape_main(tmp_path_factory, case):
+    """Every malformed document a command reads exits 0, 1 or 2 within
+    5 s, and exits 1 when an array field holds anything but an array."""
+    command, (kind, content, must_refuse) = case
     folder = tmp_path_factory.mktemp("fuzz")
     argv = [command]
     for option in DOCUMENT_COMMANDS[command]:
@@ -1335,5 +1465,5 @@ def test_fuzzed_documents_never_escape_main(tmp_path_factory, command, fuzzed):
     started = time.monotonic()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    assert code in (0, 1, 2)
+    assert code in ((1,) if must_refuse else (0, 1, 2))
     assert time.monotonic() - started < 5.0

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
+    NOT_ARRAYS,
     is_linear,
     reference_classify,
     reference_dual_sampling,
@@ -23,6 +24,7 @@ from conftest import (
     reference_sample_stream,
     reference_strict_eval,
     replace,
+    replaced_at,
     sample_images,
     solve_unique,
 )
@@ -746,6 +748,33 @@ def test_classification_json():
     assert obj["kind"] == "strict_se"
     restored = StandardExtensionData.from_json_obj(obj["data"])
     assert restored == result.data
+
+
+SE_DOCUMENT = {
+    "source_ambient": 2,
+    "source_dims": [1],
+    "epsilon": [["1", "0"], ["0", "1"], ["0", "0"]],
+    "z_chain": [[["0", "0", "1"]]],
+    "kappa": [1],
+    "dualized": False,
+}
+
+
+def test_the_se_document_is_read():
+    se = StandardExtensionData.from_json_obj(SE_DOCUMENT)
+    assert (se.target_ambient, se.kappa, len(se.z_chain)) == (3, (1,), 1)
+
+
+@NOT_ARRAYS
+@pytest.mark.parametrize(
+    "path",
+    [("source_dims",), ("epsilon",), ("epsilon", 0), ("z_chain",), ("z_chain", 0), ("z_chain", 0, 0), ("kappa",)],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_an_se_document_takes_no_string_or_object_for_an_array(path, value):
+    message = f"^bad standard-extension document: .* must be an array, not {type(value).__name__}$"
+    with pytest.raises(DomainError, match=message):
+        StandardExtensionData.from_json_obj(replaced_at(SE_DOCUMENT, path, value))
 
 
 def test_se_json_roundtrip(rng):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     MIXED_GRAPH,
+    NOT_ARRAYS,
     PRODUCT_LEVEL_GRAPH,
     clause_numberings,
     forced_prefix,
@@ -23,6 +24,7 @@ from conftest import (
     reference_periodic,
     reference_verify_certificate,
     replace,
+    replaced_at,
     small_graphs,
     unplaced_after,
 )
@@ -152,6 +154,20 @@ def test_sn_graph_validation_catches_mismatches():
 def test_sn_graph_json_roundtrip():
     sg = SnGraph(ExhaustionSpec(4, (2,)), (PRODUCT_LEVEL_GRAPH,), period=1)
     assert SnGraph.from_json_obj(sg.to_json_obj()) == sg
+
+
+@NOT_ARRAYS
+@pytest.mark.parametrize(
+    "path, kind",
+    [(("levels",), "chained-graph"), (("levels", 0, "edges"), "graph"), (("spec", "cycle"), "exhaustion")],
+    ids=["levels", "edges", "cycle"],
+)
+def test_a_chained_graph_document_takes_no_string_or_object_for_an_array(path, kind, value):
+    doc = SnGraph(ExhaustionSpec(4, (2,)), (PRODUCT_LEVEL_GRAPH,), period=1).to_json_obj()
+    nested = "" if kind == "chained-graph" else f"bad {kind} document: "
+    message = f"^bad chained-graph document: {nested}{path[-1]} must be an array, not {type(value).__name__}$"
+    with pytest.raises(DomainError, match=message):
+        SnGraph.from_json_obj(replaced_at(doc, path, value))
 
 
 # --- canonical exhaustions ---------------------------------------------------

@@ -17,6 +17,12 @@ The names that pass only because `perfbench` names them are `ratlin.rref`,
 `nullspace`, `is_rref` and `matvec`, which the benchmark's tracer rebinds,
 so they move to `tests/conftest.py` only with a change to the benchmark,
 and `egraph.enumerate_valid_graphs`, which its workloads call.
+
+Documents are read by one rule, `errors.reading`: every `from_json_obj`
+reads its document's fields (`obj[...]`, `obj.get`, ...) only inside a
+`with reading(...)` block, or reads no field and only hands its document
+on in one `return`; and no module but `errors` turns a KeyError,
+TypeError or ValueError into a "bad ... document" DomainError of its own.
 """
 
 import ast
@@ -74,8 +80,12 @@ def definitions(trees: dict[str, ast.Module]):
                         yield f"{module}.{node.name}.{item.name}", item.name, item, module, node.name
 
 
+def source_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def unused_definitions() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = source_trees()
     references = sum((_referenced(tree) for tree in trees.values()), collections.Counter())
     exported = set().union(*(_exported(tree) for tree in trees.values()))
     outside = (ROOT / "pyproject.toml").read_text() + "".join(
@@ -97,7 +107,7 @@ def exports_nothing_calls() -> set[str]:
     """The names `__all__` exports that no module of `src/` but the package
     init references (outside their own definitions) and no `perfbench/*.py`
     file names."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = source_trees()
     exported = _exported(trees.pop("__init__"))
     references = sum((_referenced(tree) for tree in trees.values()), collections.Counter())
     for _, name, node, _, cls in definitions(trees):
@@ -105,6 +115,101 @@ def exports_nothing_calls() -> set[str]:
             references[name] -= _referenced(node)[name]
     bench = "".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
     return {name for name in exported if references[name] <= 0} - set(re.findall(r"\w+", bench))
+
+
+def _is_reading(expr: ast.expr) -> bool:
+    func = expr.func if isinstance(expr, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "reading") or (
+        isinstance(func, ast.Attribute) and func.attr == "reading"
+    )
+
+
+def readers_outside_reading(trees: dict[str, ast.Module]) -> list[str]:
+    """Each `from_json_obj` that reads a field of its document outside
+    `with reading(...)`, or reads none and does more than return."""
+    found = []
+    for label, name, node, _, _ in definitions(trees):
+        if name != "from_json_obj":
+            continue
+        document = node.args.args[-1].arg
+        inside = {
+            id(n)
+            for w in ast.walk(node)
+            if isinstance(w, ast.With) and any(_is_reading(item.context_expr) for item in w.items)
+            for stmt in w.body
+            for n in ast.walk(stmt)
+        }
+        reads = [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Subscript, ast.Attribute))
+            and isinstance(n.value, ast.Name)
+            and n.value.id == document
+        ]
+        body = [s for s in node.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        delegates = len(body) == 1 and isinstance(body[0], ast.Return)
+        if any(id(n) not in inside for n in reads) or not (reads or delegates):
+            found.append(label)
+    return found
+
+
+def document_rewrappers(trees: dict[str, ast.Module]) -> list[str]:
+    """Each `except` outside `errors` that catches a KeyError, TypeError or
+    ValueError and raises a "bad ... document" error of its own."""
+    found = []
+    for module, tree in trees.items():
+        if module == "errors":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            raised = " ".join(ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Raise))
+            if caught & {"KeyError", "TypeError", "ValueError"} and re.search(r"bad .*document", raised):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_every_reader_reads_inside_errors_reading():
+    trees = source_trees()
+    readers = [label for label, name, *_ in definitions(trees) if name == "from_json_obj"]
+    assert len(readers) == 10  # the nine document readers and RatSubspace's rows
+    assert readers_outside_reading(trees) == []
+
+
+def test_no_module_but_errors_wraps_a_document_fault():
+    assert document_rewrappers(source_trees()) == []
+
+
+def test_the_reader_scans_see_a_hand_written_rule():
+    """The hand-written rule each reader used to restate is seen by both
+    scans, and so is a field read before `reading`; a reader inside
+    `reading` and one that only delegates pass."""
+    tree = ast.parse(
+        "class Old:\n"
+        "    def from_json_obj(cls, obj):\n"
+        "        try:\n"
+        "            return cls(obj['q'])\n"
+        "        except (KeyError, TypeError, ValueError) as exc:\n"
+        "            raise DomainError(f'bad graph document: {exc}') from exc\n"
+        "class Early:\n"
+        "    def from_json_obj(cls, obj):\n"
+        "        q = obj.get('q')\n"
+        "        with reading('graph'):\n"
+        "            return cls(q)\n"
+        "class New:\n"
+        "    def from_json_obj(cls, obj):\n"
+        "        with errors.reading('graph'):\n"
+        "            return cls(strict_list(obj['q'], 'q'))\n"
+        "class Rows:\n"
+        "    def from_json_obj(cls, ambient, obj):\n"
+        "        '''Delegates.'''\n"
+        "        return cls.span(ambient, _rows(obj))\n"
+    )
+    trees = {"module": tree}
+    assert readers_outside_reading(trees) == ["module.Old.from_json_obj", "module.Early.from_json_obj"]
+    assert document_rewrappers(trees) == ["module:5"]
+    assert document_rewrappers({"errors": tree}) == []
 
 
 def test_exports_nothing_calls_are_library_operations():
