@@ -173,20 +173,15 @@ def _check_image_entries(emb: diagembed.DiagonalEmbedding, command: str) -> None
         raise ScaleError(f"{command} is limited to images of {_IMAGE_ENTRY_LIMIT} entries; got {entries}")
 
 
-def _flag_characters(chain) -> int:
-    """The characters of the entries of a flag document's chain.  Only the
-    entries of member and row arrays count: `Flag.from_json_obj` refuses a
-    chain with any other member or row before it reduces a member."""
-    if not isinstance(chain, list):
-        return 0
-    return sum(
-        len(str(x))
-        for member in chain
-        if isinstance(member, list)
-        for row in member
-        if isinstance(row, list)
-        for x in row
-    )
+def _limit_characters(members: list) -> None:
+    """ScaleError when the entries of a flag document's member rows, as
+    the reader's shape check returns them, hold more than
+    `_FLAG_CHARACTER_LIMIT` characters."""
+    characters = sum(len(str(x)) for member in members for row in member for x in row)
+    if characters > _FLAG_CHARACTER_LIMIT:
+        raise ScaleError(
+            f"flag documents are limited to {_FLAG_CHARACTER_LIMIT} characters of entries; got {characters}"
+        )
 
 
 def _cmd_embed(args) -> dict:
@@ -199,12 +194,7 @@ def _cmd_embed(args) -> dict:
     # reduces its members.
     if is_int(ambient) and isinstance(chain, list) and (ambient, len(chain)) != (emb.m, emb.source_type.length):
         flagcore.refuse_mismatched_flag(ambient)
-    characters = _flag_characters(chain)
-    if characters > _FLAG_CHARACTER_LIMIT:
-        raise ScaleError(
-            f"flag documents are limited to {_FLAG_CHARACTER_LIMIT} characters of entries; got {characters}"
-        )
-    image = emb.evaluate(Flag.from_json_obj(doc))
+    image = emb.evaluate(Flag.from_json_obj(doc, vet=_limit_characters))
     return {
         "verdict": "ok",
         "target_type": emb.target_type.to_json_obj(),

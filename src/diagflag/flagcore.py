@@ -49,18 +49,20 @@ the same pair alone, and a second bounded memo keeps them: on the
 `classify` workload that costs about 6% more peak RSS (26.4 to 28.0
 MiB), within the benchmark's 10% bound.  Every
 embedding-specific step (evaluation, the merges, the eps solve and the
-verification) still runs per call.  The verification compares the
-witness with the embedding on the kept flags and on the collected
+verification) still runs per call.  The verification tests the witness
+against the embedding's images of the kept flags and of the collected
 samples the eps solve did not read: on those it read, a witness of the
 images' type evaluates to each image (see `_epsilon_solution_space`).
-A verification by member containment and an incremental subspace sum
-were also tried, and measured no gain.
+It never evaluates the witness: each row new to its chains is tested
+once, by containment in the image (see `_containment_test`).  The dual
+pass forms no dual image: its eps solve reads the original members.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import threading
 from fractions import Fraction
@@ -82,7 +84,9 @@ from .ratlin import (
     IntRows,
     Matrix,
     RatSubspace,
+    _kernel_basis,
     _nested_images,
+    _new_images,
     _reduce,
     as_matrix,
     integer_matrix,
@@ -631,15 +635,21 @@ def _kappa_candidates(
 
 
 def _epsilon_solution_space(
-    samples: Sequence[tuple[Flag, Flag]], source_type: FlagType, kappa: tuple[int, ...], nw: int
+    samples: Sequence[tuple[Flag, Flag]],
+    source_type: FlagType,
+    kappa: tuple[int, ...],
+    nw: int,
+    dualized: bool = False,
 ) -> tuple[RatSubspace, int]:
     """The solutions of the linear constraints eps(F_kappa(j)) <= image_j,
-    eps flattened row by row, and the number of samples read.
+    eps flattened row by row, and the number of samples read; with
+    `dualized`, image_j is member j of the dual of each sample's image.
 
     The constraints of each sample are spanned together with those before;
-    sampling stops once a few consecutive flags add no new rank.  They are
-    built from canonical integer rows, each a nonzero multiple of the
-    rational constraint, so their span is the same.
+    sampling stops once a few consecutive flags add no new rank.  Only
+    their span is read, so the rows u spanning annihilator(image_j) are
+    the unreduced `_kernel_basis` of the member, or, dualized, the rows
+    of original member l - 1 - j (0-based): no dual image is formed.
 
     Three shortcuts leave the span after every sample as it would be with
     every constraint, so the stopping sample and the solutions are the
@@ -648,11 +658,12 @@ def _epsilon_solution_space(
     annihilator the largest, and its constraints span those of the later
     positions with the same source member.  A (source member, image
     member) block that an earlier sample already gave is skipped, as its
-    rows are in the span already.  Rows that lie in the span are dropped
+    rows are in the span already (keyed on the member read, which its
+    annihilator determines).  Rows that lie in the span are dropped
     before the elimination, which then runs only when some row is new.
 
     Lemma: let eps be a solution whose strict witness, with the chain
-    `_build_z_chain` makes from the constants C_j of these images (the
+    `_build_z_chain` makes from the constants C_j of these images (of the
     dual images, in the dual pass), passes `check()` and has the images'
     type.  Then it evaluates to the image of every sample read.  Proof:
     eps(F_kappa(j)) lies in image_j for every sample read, by its own
@@ -668,10 +679,8 @@ def _epsilon_solution_space(
     """
     m = source_type.ambient
     width = nw * m
-    first: dict[int, int] = {}
-    for j, v in enumerate(kappa):
-        if v:
-            first.setdefault(v, j)
+    last = len(kappa) - 1
+    first = {v: kappa.index(v) for v in kappa if v}
     acc = RatSubspace.zero(width)
     spanned: set[tuple[IntRows, IntRows]] = set()
     stable = read = 0
@@ -679,11 +688,12 @@ def _epsilon_solution_space(
         read += 1
         rows = []
         for v, j in first.items():
-            source, target = flag.member(v).int_rows, image.chain[j]
-            if (source, target.int_rows) in spanned:
+            source, target = flag.member(v).int_rows, image.chain[last - j if dualized else j].int_rows
+            if (source, target) in spanned:
                 continue
-            spanned.add((source, target.int_rows))
-            rows += [[x * y for x in u for y in src] for u in target.annihilator().int_rows for src in source]
+            spanned.add((source, target))
+            ann = target if dualized else _kernel_basis(target, nw)
+            rows += [[x * y for x in u for y in src] for u in ann for src in source]
         new = tuple(acc.residues(rows))
         if not new:
             stable += 1
@@ -720,10 +730,10 @@ def _epsilon_candidates(
     so the image test, the test against the last support constant and
     `_build_z_chain` (which read only the image) agree; every clause of
     `check()` reads eps through that image, its positive denominator or
-    not at all; and the evaluation that `_verify_witness` compares, with
-    members eps(F_v) + Z_j, maps each F_v to the same span.  So the first
-    accepted candidate of the full stream is the first of its class, and
-    dropping repeats returns the same witness."""
+    not at all; and `_verify_witness` tests images of rows under eps,
+    which c.eps scales by c.  So the first accepted candidate of the full
+    stream is the first of its class, and dropping repeats returns the
+    same witness."""
     rows = solutions.int_rows
     leads = [next(x for x in r if x) for r in rows]
     den = lcm(*leads)
@@ -783,6 +793,40 @@ def _build_z_chain(
     return tuple(chain)
 
 
+def _containment_test(data: StandardExtensionData) -> Callable[[Flag, Flag], bool]:
+    """Whether checked data evaluates a source flag to an image, decided
+    without evaluating it.  An image not of the target type is refused.
+    Proof of the rest: `check()` makes eps injective and each W_j =
+    eps(F_kappa(j)) + Z_j a direct sum, of the type's dimension, which E_j
+    has, so W_j <= E_j makes W_j = E_j.  Both chains are nested, so each
+    row is tested once, at its first position: the rows of the picked F_v
+    at pivots new to them, mapped through eps, at the first position of v,
+    and those of Z_j new to the Z-chain, found once, at j.  Dualized data
+    evaluates to the annihilators of the W_j mirrored, so the same rows
+    must be orthogonal to E_{l-1-j} (0-based), of the same dimension."""
+    target = data.target_type
+    kappa, last, dualized = data.kappa, len(data.kappa) - 1, data.dualized
+    first = {v: kappa.index(v) for v in kappa if v}
+    z_rows = list(_new_images(data.z_chain, RatSubspace.full(target.ambient).int_rows, target.ambient))
+
+    def maps(flag: Flag, image: Flag) -> bool:
+        if image.ambient != target.ambient or image.dims != target.dims:
+            return False
+        rows = [list(z) for z in z_rows]
+        picked = _new_images([flag.member(v) for v in first], data.int_epsilon, flag.ambient)
+        for j, new in zip(first.values(), picked):
+            rows[j] += new
+        for j, w in enumerate(rows):
+            if not dualized:
+                if not image.chain[j]._spans(w):
+                    return False
+            elif any(sum(map(operator.mul, u, x)) for u in image.chain[last - j].int_rows for x in w):
+                return False
+        return True
+
+    return maps
+
+
 def _verify_witness(
     data: StandardExtensionData,
     evaluate: Callable[[Flag], Flag],
@@ -791,23 +835,15 @@ def _verify_witness(
     seed: int,
 ) -> bool:
     """Whether a checked witness maps every collected sample (flag,
-    evaluate(flag)) and every flag of `_verify_flags` as `evaluate` does.
-
-    A witness of another target type maps no flag right; one of the
-    images' type maps the first `solved` samples, those the eps solve
-    read, right by the lemma of `_epsilon_solution_space`, so only the
-    samples after them are evaluated."""
-    first = samples[0][1]
-    target = data.target_type
-    if (target.ambient, target.dims) != (first.ambient, first.dims):
+    evaluate(flag)) and every flag of `_verify_flags` as `evaluate` does,
+    by `_containment_test`.  One of the images' type maps the first
+    `solved` samples, those the eps solve read, right by the lemma of
+    `_epsilon_solution_space`, so only the samples after them are
+    compared."""
+    maps = _containment_test(data)
+    if not all(maps(flag, image) for flag, image in samples[solved:]):
         return False
-    for flag, image in samples[solved:]:
-        if data.evaluate(flag) != image:
-            return False
-    for flag in _verify_flags(data.source_type, seed):
-        if data.evaluate(flag) != evaluate(flag):
-            return False
-    return True
+    return all(maps(flag, evaluate(flag)) for flag in _verify_flags(data.source_type, seed))
 
 
 # typed, here and below: the seeds 1 and True are equal keys but name
@@ -864,13 +900,15 @@ def _recover_strict(
     annihilator of the sum, which changes exactly when the sum does.  So
     the annihilators of the settled sums, reversed, are the dual images'
     constants, and sum j carries the deficit of dual member l + 1 - j.
-    The dual images themselves are formed only for the eps solve, when a
-    kappa is a candidate.  For k >= 1, None once a deficit exceeds d_k:
-    `_kappa_candidates` reads each nonzero deficit as a source member
-    dimension, and deficits never decrease (see `_settle`).  Each kappa's
-    candidates come one per projective class: acceptance depends only on
-    the class (see `_epsilon_candidates`), so the witness is the one that
-    trying every multiple gives."""
+    No dual image is formed: the eps solve reads the annihilator of dual
+    member j, which is original member l + 1 - j, and the verification
+    tests a dualized witness against the original images.  For k >= 1,
+    None once a deficit exceeds d_k: `_kappa_candidates` reads each
+    nonzero deficit as a source member dimension, and deficits never
+    decrease (see `_settle`).  Each kappa's candidates come one per
+    projective class: acceptance depends only on the class (see
+    `_epsilon_candidates`), so the witness is the one that trying every
+    multiple gives."""
     m = source_type.ambient
     k = source_type.length
     bound = source_type.dims[-1] if k else None
@@ -906,12 +944,8 @@ def _recover_strict(
             return None
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
         return StandardExtensionData(source_type, eps, 1, (), (), dualized)
-    kappas = _kappa_candidates(source_type, target_dims, constants, support)
-    strict_samples = samples
-    if dualized and kappas:
-        strict_samples = [(flag, duality(image)) for flag, image in samples]
-    for kappa in kappas:
-        solutions, solved = _epsilon_solution_space(strict_samples, source_type, kappa, nw)
+    for kappa in _kappa_candidates(source_type, target_dims, constants, support):
+        solutions, solved = _epsilon_solution_space(samples, source_type, kappa, nw, dualized)
         if not solutions.dim:
             continue
         z_last_support = constants[support[-1] - 1] if support else None
@@ -970,8 +1004,9 @@ def classify_bruteforce(
     most `_SAMPLE_STREAMS` streams with the least recently used dropped,
     so the result is the same whatever was classified before.  The
     `VERIFY_SAMPLES` flags that verify a witness are kept the same way,
-    per (source type, seed).  The verification evaluates the witness on
-    them and on the collected samples the eps solve did not read; on
+    per (source type, seed).  The verification tests the witness, by
+    containment (see `_containment_test`), against the embedding's images
+    of them and of the collected samples the eps solve did not read; on
     those it read, a witness of the images' type evaluates to each image
     (the proof is in `_epsilon_solution_space`).
     """

@@ -20,7 +20,8 @@ once when at most one nonzero row is left.  What `_reduce` returns is
 canonical; `_kernel_basis`, the free-column kernel basis, and
 `_member_constraints` are only spanning sets, and `_kernel` is the
 canonical kernel, `_reduce` of that basis.  `_nested_images` maps a
-nested chain in one pass, each member's new pivot rows once, and reduces
+nested chain in one pass, each member's new pivot rows once (the walk of
+`_new_images`, which the classifier's verification shares), and reduces
 each image from the one before; `Flag.apply`, `RatSubspace.apply` (a
 one-member chain) and the strict evaluations of `flagcore` take it.
 `RatSubspace(ambient, int_rows)` trusts that its integer rows are
@@ -74,7 +75,7 @@ import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError, Record, reading, strict_int, strict_list
 
@@ -286,18 +287,15 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
-def _nested_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> list["RatSubspace"]:
-    """The images of nested subspaces of Q^width, in order, under the
-    integer matrix m with `width` columns.  Nested subspaces have nested
-    pivot sets, and a member's rows at pivots new to the chain span it with
-    the member before, so only they are mapped, through the nonzero entries
-    of each column of m; each image is `_reduce` of the one before and
-    their images."""
+def _new_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> Iterator[list[list[int]]]:
+    """For nested subspaces of Q^width, in order, the images under the
+    integer matrix m with `width` columns of each one's rows at pivots new
+    to the chain.  Nested subspaces have nested pivot sets, so these rows
+    span the member with the member before; each is mapped through the
+    nonzero entries of each column of m."""
     size = len(m)
     columns = [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(width)]
     seen: set[int] = set()
-    image: IntRows = ()
-    out = []
     for sub in chain:
         new = []
         for v in sub.int_rows:
@@ -313,6 +311,17 @@ def _nested_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> li
                     for i, a in columns[j]:
                         w[i] += a * x
             new.append(w)
+        yield new
+
+
+def _nested_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> list["RatSubspace"]:
+    """The images of nested subspaces of Q^width, in order, under the
+    integer matrix m with `width` columns: each is `_reduce` of the one
+    before and the images `_new_images` gives."""
+    size = len(m)
+    image: IntRows = ()
+    out = []
+    for new in _new_images(chain, m, width):
         if new:
             image = _reduce([*image, *new], size)
         out.append(RatSubspace(size, image))
@@ -592,11 +601,15 @@ class Flag(Record):
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Flag":
+    def from_json_obj(cls, obj: dict, *, vet: Callable[[list], None] | None = None) -> "Flag":
+        """The flag of a document.  The shape of the whole chain is checked
+        before any member is reduced; `vet`, when given, then sees the
+        member row arrays, and may refuse them."""
         with reading("flag"):
             ambient = strict_int(obj["ambient"], "ambient")
-            # The shape of the whole chain is checked before any member is reduced.
             members = [_rows(rows) for rows in strict_list(obj["chain"], "chain")]
+            if vet is not None:
+                vet(members)
             chain = tuple(RatSubspace.span(ambient, rows) for rows in members)
         return cls(ambient, chain)
 

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import pytest
 
+from diagflag import flagcore
 from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import (
     Edge,
@@ -26,13 +27,13 @@ from diagflag.egraph import (
 )
 from diagflag.errors import DomainError, Record
 from diagflag.flagcore import (
+    STABLE_SAMPLES,
     VERIFY_SAMPLES,
     Classification,
     FlagType,
     PicardPullback,
     StandardExtensionData,
     _build_z_chain,
-    _epsilon_solution_space,
     _kappa_candidates,
     _sample_flags,
     check_flag_type,
@@ -455,6 +456,46 @@ def reference_epsilon_candidates(basis, nw, m, seed):
         yield unflatten(vec)
 
 
+def reference_epsilon_solution_space(samples, source_type, kappa, nw, dualized=False):
+    """Reference: the classifier's eps solve on the dual images, as it ran
+    before it read the original members: with `dualized`, each sample's
+    image is replaced by its dual; each kappa value is constrained at its
+    first position by the canonical `annihilator()` rows of that image
+    member, a (source member, image member) block is spanned once, and
+    only rows not yet in the span are eliminated.  The solutions and the
+    number of samples read."""
+    if dualized:
+        samples = [(flag, duality(image)) for flag, image in samples]
+    width = nw * source_type.ambient
+    first = {}
+    for j, v in enumerate(kappa):
+        if v:
+            first.setdefault(v, j)
+    acc = RatSubspace.zero(width)
+    spanned = set()
+    stable = read = 0
+    for flag, image in samples:
+        read += 1
+        rows = []
+        for v, j in first.items():
+            source, target = flag.member(v).int_rows, image.chain[j]
+            if (source, target.int_rows) in spanned:
+                continue
+            spanned.add((source, target.int_rows))
+            rows += [[x * y for x in u for y in src] for u in target.annihilator().int_rows for src in source]
+        new = tuple(acc.residues(rows))
+        if not new:
+            stable += 1
+            if stable >= STABLE_SAMPLES:
+                break
+            continue
+        acc = RatSubspace.span_ints(width, acc.int_rows + new)
+        if acc.dim == width:
+            return RatSubspace.zero(width), read
+        stable = 0
+    return acc.annihilator(), read
+
+
 def reference_verify_witness(data, evaluate, samples, source_type, seed):
     """Reference: the full comparison `flagcore._verify_witness` cuts down,
     the witness against every collected sample, then against `evaluate`
@@ -505,7 +546,7 @@ def reference_recover_strict(evaluate, source_type, seed, dualized=False, passes
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
         return StandardExtensionData(source_type, eps, 1, (), ())
     for kappa in kappas:
-        solutions, _ = _epsilon_solution_space(samples, source_type, kappa, nw)
+        solutions, _ = reference_epsilon_solution_space(samples, source_type, kappa, nw)
         if not solutions.dim:
             continue
         for eps in reference_epsilon_candidates(solutions.rows, nw, m, seed):
@@ -530,6 +571,67 @@ def reference_classify(evaluate, source_type, seed=0, passes=None):
         if data is not None:
             return Classification(replace(data, dualized=dualized))
     return Classification(None)
+
+
+def criterion_05_instances():
+    """The criterion-05 set in its order: every valid graph with d*m <= 6
+    times every source type."""
+    return [
+        (g, FlagType(m, dims))
+        for d in range(1, 4)
+        for m in range(2, 7)
+        if d * m <= 6
+        for q in range(1, m + 1)
+        for p in range(1, q * d + 1)
+        for g in enumerate_valid_graphs(q, p, d)
+        for dims in itertools.combinations(range(1, m), q - 1)
+    ]
+
+
+# One classification of `criterion_05_classified`: the source type, the
+# evaluate classified, the `Classification`, whether each pass's `_settle`
+# ended early, and each `_verify_witness` and `_epsilon_solution_space`
+# call with its arguments and its answer.
+Classified = collections.namedtuple("Classified", "source_type evaluate result exits verifications solves")
+
+
+@pytest.fixture(scope="session")
+def criterion_05_classified():
+    """Every criterion-05 embedding and its duality . evaluate twin,
+    classified once per session at seed 0, in order, with the classifier's
+    settles, verifications and eps solves recorded (see `Classified`)."""
+    exits, verifications, solves = [], [], []
+
+    def settle(*args):
+        settled = real_settle(*args)
+        exits.append(settled is None)
+        return settled
+
+    def verify(data, evaluate, samples, solved, seed):
+        ok = real_verify(data, evaluate, samples, solved, seed)
+        verifications.append((data, evaluate, tuple(samples), solved, seed, ok))
+        return ok
+
+    def solve(samples, source_type, kappa, nw, dualized=False):
+        got = real_solve(samples, source_type, kappa, nw, dualized)
+        solves.append((tuple(samples), source_type, kappa, nw, dualized, got))
+        return got
+
+    real_settle, real_verify, real_solve = flagcore._settle, flagcore._verify_witness, flagcore._epsilon_solution_space
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flagcore, "_settle", settle)
+        patch.setattr(flagcore, "_verify_witness", verify)
+        patch.setattr(flagcore, "_epsilon_solution_space", solve)
+        for g, ft in criterion_05_instances():
+            emb = DiagonalEmbedding(g, ft)
+            for evaluate in (emb.evaluate, lambda f, emb=emb: duality(emb.evaluate(f))):
+                result = flagcore.classify_bruteforce(evaluate, ft, seed=0)
+                out.append(Classified(ft, evaluate, result, tuple(exits), tuple(verifications), tuple(solves)))
+                exits.clear()
+                verifications.clear()
+                solves.clear()
+    return tuple(out)
 
 
 def reference_level_flag(keys):

@@ -15,10 +15,12 @@ from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
     NOT_ARRAYS,
+    criterion_05_instances,
     is_linear,
     reference_classify,
     reference_dual_sampling,
     reference_epsilon_candidates,
+    reference_epsilon_solution_space,
     reference_level_flag,
     reference_random_flag,
     reference_sample_stream,
@@ -60,7 +62,6 @@ from diagflag.flagcore import (
     _verify_witness,
 )
 from diagflag.diagembed import DiagonalEmbedding
-from diagflag.egraph import enumerate_valid_graphs
 from diagflag.ratlin import Flag, RatSubspace, nullspace, random_invertible_ints
 
 
@@ -795,7 +796,7 @@ def test_se_eval_always_produces_target_type(rng):
         assert type_of(image) == se.target_type
 
 
-def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_samples=3, counts=None):
+def reference_fraction_echelon(samples, source_type, kappa, nw, stable_samples=3, counts=None):
     """The incremental Fraction echelon the classifier used to fold its eps
     constraints into, one sample flag at a time, every position and every
     block constrained, and the number of samples read.  `counts`, when
@@ -839,21 +840,6 @@ def reference_epsilon_solution_space(samples, source_type, kappa, nw, stable_sam
         else:
             stable = 0
     return nullspace(echelon, width), read
-
-
-def criterion_05_instances():
-    """The criterion-05 set in its order: every valid graph with d*m <= 6
-    times every source type."""
-    return [
-        (g, FlagType(m, dims))
-        for d in range(1, 4)
-        for m in range(2, 7)
-        if d * m <= 6
-        for q in range(1, m + 1)
-        for p in range(1, q * d + 1)
-        for g in enumerate_valid_graphs(q, p, d)
-        for dims in itertools.combinations(range(1, m), q - 1)
-    ]
 
 
 def sampled_systems(g, ft, rng, draws=12):
@@ -1001,42 +987,30 @@ def test_no_deficit_decreases_along_the_sampling(merge):
     assert grown > 300
 
 
-def test_the_deficit_exit_changes_no_classification(monkeypatch):
+def test_the_deficit_exit_changes_no_classification(criterion_05_classified):
     """Every criterion-05 embedding and its duality . evaluate twin: the
     witness JSON of the reference with no deficit bound, which tries every
     eps candidate, projective repeats included.  The exit ends a
     pass exactly when a settled deficit exceeds d_k (k >= 1), and never a
     pass whose settled constants yield a kappa."""
-    real = flagcore._settle
-    exits = []
-
-    def settle(*args):
-        settled = real(*args)
-        exits.append(settled is None)
-        return settled
-
-    monkeypatch.setattr(flagcore, "_settle", settle)
     counts = {"passes": 0, "exits": 0, "with_kappa": 0, "se_via_dual": 0}
-    for g, ft in criterion_05_instances():
-        emb = DiagonalEmbedding(g, ft)
-        for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
-            exits.clear()
-            got = classify_bruteforce(evaluate, ft, seed=0).to_json_obj()
-            ended = exits[:]
-            passes = []
-            assert got == reference_classify(evaluate, ft, 0, passes).to_json_obj()
-            assert len(ended) == len(passes)
-            for exited, (kappas, deficit) in zip(ended, passes):
-                assert exited == (ft.length > 0 and deficit > ft.dims[-1])
-                assert not (exited and kappas)
-                counts["with_kappa"] += bool(kappas)
-            counts["passes"] += len(passes)
-            counts["exits"] += sum(ended)
-            counts["se_via_dual"] += got["kind"] == "se_via_dual"
+    for item in criterion_05_classified:
+        ft = item.source_type
+        got = item.result.to_json_obj()
+        passes = []
+        assert got == reference_classify(item.evaluate, ft, 0, passes).to_json_obj()
+        assert len(item.exits) == len(passes)
+        for exited, (kappas, deficit) in zip(item.exits, passes):
+            assert exited == (ft.length > 0 and deficit > ft.dims[-1])
+            assert not (exited and kappas)
+            counts["with_kappa"] += bool(kappas)
+        counts["passes"] += len(passes)
+        counts["exits"] += sum(item.exits)
+        counts["se_via_dual"] += got["kind"] == "se_via_dual"
     assert counts == {"passes": 4286, "exits": 3090, "with_kappa": 698, "se_via_dual": 90}
 
 
-def test_the_classifier_returns_the_witness_it_verified(monkeypatch):
+def test_the_classifier_returns_the_witness_it_verified(criterion_05_classified):
     """Every criterion-05 embedding and its duality . evaluate twin: a
     witness is the very object `_verify_witness` accepted last, dualized
     or not.  A point target's witness has nothing to be verified on; the
@@ -1044,35 +1018,81 @@ def test_the_classifier_returns_the_witness_it_verified(monkeypatch):
     by brute force: each witness that reaches `_verify_witness` with the
     images' target type evaluates to the image of every sample the eps
     solve read, the samples the verification skips."""
-    real = flagcore._verify_witness
-    accepted = []
-    verified = {"witnesses": 0, "skipped": 0, "compared": 0}
-
-    def verify(data, evaluate, samples, solved, seed):
-        if data.target_type == type_of(samples[0][1]):
-            assert all(data.evaluate(flag) == image for flag, image in samples[:solved])
-            verified["witnesses"] += 1
-            verified["skipped"] += solved
-            verified["compared"] += len(samples) - solved
-        ok = real(data, evaluate, samples, solved, seed)
-        if ok:
-            accepted.append(data)
-        return ok
-
-    monkeypatch.setattr(flagcore, "_verify_witness", verify)
     counts = {"strict_se": 0, "se_via_dual": 0, "not_se": 0}
-    for g, ft in criterion_05_instances():
-        emb = DiagonalEmbedding(g, ft)
-        for evaluate in (emb.evaluate, lambda f: duality(emb.evaluate(f))):
-            accepted.clear()
-            result = classify_bruteforce(evaluate, ft, seed=0)
-            counts[result.kind] += 1
-            if result.data is not None and not result.data.kappa:
-                assert accepted == [] and result.kind == "strict_se"
-            elif result.data is not None:
-                assert result.data is accepted[-1]
+    verified = {"witnesses": 0, "skipped": 0, "compared": 0}
+    for item in criterion_05_classified:
+        for data, _, samples, solved, _, _ in item.verifications:
+            if data.target_type == type_of(samples[0][1]):
+                assert all(data.evaluate(flag) == image for flag, image in samples[:solved])
+                verified["witnesses"] += 1
+                verified["skipped"] += solved
+                verified["compared"] += len(samples) - solved
+        result = item.result
+        counts[result.kind] += 1
+        accepted = [data for data, *_, ok in item.verifications if ok]
+        if result.data is not None and not result.data.kappa:
+            assert accepted == [] and result.kind == "strict_se"
+        elif result.data is not None:
+            assert result.data is accepted[-1]
     assert counts == {"strict_se": 346, "se_via_dual": 90, "not_se": 1880}
     assert verified == {"witnesses": 420, "skipped": 2_610, "compared": 3_506}
+
+
+def other_member(image, j, rng):
+    """`image` with member j replaced by another subspace of its dimension
+    between its neighbours, so the result is still a flag."""
+    n, want = image.ambient, image.chain[j].dim
+    below = image.member(j).int_rows
+    above = image.member(j + 2).int_rows
+    while True:
+        combos = []
+        for _ in range(want - len(below)):
+            coeffs = [rng.randint(-2, 2) for _ in above]
+            combos.append(tuple(sum(c * r[i] for c, r in zip(coeffs, above)) for i in range(n)))
+        member = RatSubspace.span_ints(n, below + tuple(combos))
+        if member.dim == want and member != image.chain[j]:
+            return Flag(n, image.chain[:j] + (member,) + image.chain[j + 1 :])
+
+
+def test_the_containment_test_answers_as_the_evaluation(criterion_05_classified):
+    """Every witness verified on the criterion-05 set and its duality
+    twins: on each collected sample and each kept flag, `_containment_test`
+    answers what comparing the witness's evaluation with the image
+    answers; so it does on images with one member replaced by another
+    subspace of its dimension, in another ambient, or of another type."""
+    rng = random.Random(40)
+    counts = {"witnesses": 0, "dualized": 0, "compared": 0, "tampered": 0}
+    for item in criterion_05_classified:
+        for data, evaluate, samples, _, seed, _ in item.verifications:
+            maps = flagcore._containment_test(data)
+            pairs = [*samples, *((flag, evaluate(flag)) for flag in _verify_flags(data.source_type, seed))]
+            for flag, image in pairs:
+                assert maps(flag, image) == (data.evaluate(flag) == image)
+            flag, image = pairs[-1]
+            nw, dims = image.ambient, image.dims
+            tampered = [other_member(image, j, rng) for j in range(len(dims))]
+            tampered.append(coordinate_flag(FlagType(nw + 1, dims)))
+            tampered.append(coordinate_flag(FlagType(nw, dims[:-1])))
+            for wrong in tampered:
+                assert maps(flag, wrong) is False and data.evaluate(flag) != wrong
+            counts["witnesses"] += 1
+            counts["dualized"] += data.dualized
+            counts["compared"] += len(pairs)
+            counts["tampered"] += len(tampered)
+    assert counts == {"witnesses": 420, "dualized": 90, "compared": 6_116 + 420 * VERIFY_SAMPLES, "tampered": 1_730}
+
+
+def test_the_dual_solve_matches_the_solve_on_dual_images(criterion_05_classified):
+    """Every eps solve of both passes on the criterion-05 set and its
+    duality twins: the solutions and the samples read are those of the
+    solve on the dual images with their canonical annihilator rows, which
+    the dual pass no longer forms."""
+    counts = {False: 0, True: 0}
+    for item in criterion_05_classified:
+        for samples, ft, kappa, nw, dualized, got in item.solves:
+            assert got == reference_epsilon_solution_space(samples, ft, kappa, nw, dualized)
+            counts[dualized] += 1
+    assert counts == {False: 483, True: 215}
 
 
 def mapped_samples(data, count=6):
@@ -1095,8 +1115,9 @@ def mapped_samples(data, count=6):
 def test_a_witness_of_another_target_type_is_refused_unevaluated(monkeypatch, witness):
     """Against the images of an absorbing extension, of type (5, (3, 4)):
     refused before the embedding or the witness evaluates any flag, while
-    the extension itself, trusting no sample, is accepted after both
-    evaluate every flag they are compared on."""
+    the extension itself, trusting no sample, is accepted after the
+    embedding evaluates every kept flag; the witness, tested by
+    containment, evaluates none."""
     embedding = absorbing_extension((1, 2), 3, 2, k0=1)
     samples = mapped_samples(embedding)
     calls = {"embedding": 0, "witness": 0}
@@ -1115,7 +1136,7 @@ def test_a_witness_of_another_target_type_is_refused_unevaluated(monkeypatch, wi
     assert _verify_witness(witness, evaluate, samples, 0, 0) is False
     assert calls == {"embedding": 0, "witness": 0}
     assert _verify_witness(embedding, evaluate, samples, 0, 0) is True
-    assert calls == {"embedding": VERIFY_SAMPLES, "witness": len(samples) + VERIFY_SAMPLES}
+    assert calls == {"embedding": VERIFY_SAMPLES, "witness": 0}
 
 
 def test_the_verification_compares_what_the_solve_did_not_read():
@@ -1146,7 +1167,7 @@ def test_epsilon_solution_space_matches_the_fraction_echelon():
     compared = 0
     counts = {"repeated_value": 0, "suffix": 0, "spanned_sample": 0}
     for samples, ft, kappa, nw in classifier_systems(random.Random(5), 30):
-        expected = reference_epsilon_solution_space(samples, ft, kappa, nw, counts=counts)
+        expected = reference_fraction_echelon(samples, ft, kappa, nw, counts=counts)
         solutions, read = _epsilon_solution_space(samples, ft, kappa, nw)
         assert (solutions.rows, read) == expected
         compared += 1
