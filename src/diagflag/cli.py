@@ -33,11 +33,6 @@ _LEVELS_LIMIT = 1000
 # dimensions, of the image `embed` builds or the constant spaces
 # `constants` prints: about 0.7 s and a 4 MB report.
 _IMAGE_ENTRY_LIMIT = 10**6
-# The most characters the entries of `embed`'s flag document may hold, as
-# JSON numbers or strings: reducing a member costs far more per entry than
-# reading it, most for many short entries, and the worst document at the
-# limit, 100 rows of 100 one-digit entries, reduces in about 0.5 s.
-_FLAG_CHARACTER_LIMIT = 10**4
 
 
 def canonical_json(obj) -> str:
@@ -173,17 +168,6 @@ def _check_image_entries(emb: diagembed.DiagonalEmbedding, command: str) -> None
         raise ScaleError(f"{command} is limited to images of {_IMAGE_ENTRY_LIMIT} entries; got {entries}")
 
 
-def _limit_characters(members: list) -> None:
-    """ScaleError when the entries of a flag document's member rows, as
-    the reader's shape check returns them, hold more than
-    `_FLAG_CHARACTER_LIMIT` characters."""
-    characters = sum(len(str(x)) for member in members for row in member for x in row)
-    if characters > _FLAG_CHARACTER_LIMIT:
-        raise ScaleError(
-            f"flag documents are limited to {_FLAG_CHARACTER_LIMIT} characters of entries; got {characters}"
-        )
-
-
 def _cmd_embed(args) -> dict:
     emb = _load_embedding(args)
     _check_image_entries(emb, "embed")
@@ -194,7 +178,7 @@ def _cmd_embed(args) -> dict:
     # reduces its members.
     if is_int(ambient) and isinstance(chain, list) and (ambient, len(chain)) != (emb.m, emb.source_type.length):
         flagcore.refuse_mismatched_flag(ambient)
-    image = emb.evaluate(Flag.from_json_obj(doc, vet=_limit_characters))
+    image = emb.evaluate(Flag.from_json_obj(doc))
     return {
         "verdict": "ok",
         "target_type": emb.target_type.to_json_obj(),

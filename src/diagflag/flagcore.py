@@ -639,7 +639,7 @@ def _epsilon_solution_space(
     source_type: FlagType,
     kappa: tuple[int, ...],
     nw: int,
-    dualized: bool = False,
+    dualized: bool,
 ) -> tuple[RatSubspace, int]:
     """The solutions of the linear constraints eps(F_kappa(j)) <= image_j,
     eps flattened row by row, and the number of samples read; with
@@ -836,10 +836,16 @@ def _verify_witness(
 ) -> bool:
     """Whether a checked witness maps every collected sample (flag,
     evaluate(flag)) and every flag of `_verify_flags` as `evaluate` does,
-    by `_containment_test`.  One of the images' type maps the first
-    `solved` samples, those the eps solve read, right by the lemma of
-    `_epsilon_solution_space`, so only the samples after them are
+    by `_containment_test`.
+
+    A witness of another target type than the images' maps no flag right,
+    and is refused before `evaluate` runs; one of the images' type maps
+    the first `solved` samples, those the eps solve read, right by the
+    lemma of `_epsilon_solution_space`, so only the samples after them are
     compared."""
+    first, target = samples[0][1], data.target_type
+    if (target.ambient, target.dims) != (first.ambient, first.dims):
+        return False
     maps = _containment_test(data)
     if not all(maps(flag, image) for flag, image in samples[solved:]):
         return False

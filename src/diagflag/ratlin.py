@@ -75,9 +75,9 @@ import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, InternalCheckError, Record, reading, strict_int, strict_list
+from .errors import DomainError, InternalCheckError, Record, ScaleError, reading, strict_int, strict_list
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -90,6 +90,11 @@ SPREAD = 3
 # The most coordinate subspaces kept, one per (ambient, index set);
 # evaluations and sweeps ask for the same few again and again.
 _COORDINATE_CACHE_SIZE = 1024
+# The most characters the entries of a flag document may hold, as JSON
+# numbers or strings: reducing a member costs far more per entry than
+# reading it, most for many short entries, and the worst document at the
+# limit, 100 rows of 100 one-digit entries, reduces in about 0.5 s.
+_FLAG_CHARACTER_LIMIT = 10**4
 
 
 def to_fraction(x) -> Fraction:
@@ -601,15 +606,18 @@ class Flag(Record):
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict, *, vet: Callable[[list], None] | None = None) -> "Flag":
-        """The flag of a document.  The shape of the whole chain is checked
-        before any member is reduced; `vet`, when given, then sees the
-        member row arrays, and may refuse them."""
+    def from_json_obj(cls, obj: dict) -> "Flag":
+        """The flag of a document.  The shape of the whole chain is checked,
+        and the characters of its entries counted against
+        `_FLAG_CHARACTER_LIMIT`, before any member is reduced."""
         with reading("flag"):
             ambient = strict_int(obj["ambient"], "ambient")
             members = [_rows(rows) for rows in strict_list(obj["chain"], "chain")]
-            if vet is not None:
-                vet(members)
+            characters = sum(len(str(x)) for member in members for row in member for x in row)
+            if characters > _FLAG_CHARACTER_LIMIT:
+                raise ScaleError(
+                    f"flag documents are limited to {_FLAG_CHARACTER_LIMIT} characters of entries; got {characters}"
+                )
             chain = tuple(RatSubspace.span(ambient, rows) for rows in members)
         return cls(ambient, chain)
 

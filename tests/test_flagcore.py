@@ -1114,10 +1114,10 @@ def mapped_samples(data, count=6):
 )
 def test_a_witness_of_another_target_type_is_refused_unevaluated(monkeypatch, witness):
     """Against the images of an absorbing extension, of type (5, (3, 4)):
-    refused before the embedding or the witness evaluates any flag, while
-    the extension itself, trusting no sample, is accepted after the
-    embedding evaluates every kept flag; the witness, tested by
-    containment, evaluates none."""
+    refused before the embedding or the witness evaluates any flag, whether
+    the solve read no sample or all of them, while the extension itself,
+    trusting no sample, is accepted after the embedding evaluates every
+    kept flag; the witness, tested by containment, evaluates none."""
     embedding = absorbing_extension((1, 2), 3, 2, k0=1)
     samples = mapped_samples(embedding)
     calls = {"embedding": 0, "witness": 0}
@@ -1133,7 +1133,8 @@ def test_a_witness_of_another_target_type_is_refused_unevaluated(monkeypatch, wi
 
     monkeypatch.setattr(StandardExtensionData, "evaluate", counted)
     assert witness.target_type != type_of(samples[0][1])
-    assert _verify_witness(witness, evaluate, samples, 0, 0) is False
+    for solved in (0, len(samples)):
+        assert _verify_witness(witness, evaluate, samples, solved, 0) is False
     assert calls == {"embedding": 0, "witness": 0}
     assert _verify_witness(embedding, evaluate, samples, 0, 0) is True
     assert calls == {"embedding": VERIFY_SAMPLES, "witness": 0}
@@ -1168,7 +1169,7 @@ def test_epsilon_solution_space_matches_the_fraction_echelon():
     counts = {"repeated_value": 0, "suffix": 0, "spanned_sample": 0}
     for samples, ft, kappa, nw in classifier_systems(random.Random(5), 30):
         expected = reference_fraction_echelon(samples, ft, kappa, nw, counts=counts)
-        solutions, read = _epsilon_solution_space(samples, ft, kappa, nw)
+        solutions, read = _epsilon_solution_space(samples, ft, kappa, nw, False)
         assert (solutions.rows, read) == expected
         compared += 1
         counts["repeated_value"] += any(v == w != 0 for v, w in zip(kappa, kappa[1:]))
@@ -1197,7 +1198,7 @@ def test_epsilon_candidates_match_the_fraction_stream():
     earlier one has."""
     compared = dropped = 0
     for samples, ft, kappa, nw in classifier_systems(random.Random(6), 15):
-        solutions, _ = _epsilon_solution_space(samples, ft, kappa, nw)
+        solutions, _ = _epsilon_solution_space(samples, ft, kappa, nw, False)
         for seed in (0, 1):
             seen = set()
             first = []
@@ -1219,7 +1220,7 @@ def test_epsilon_candidates_try_each_class_once():
     one-dimensional space yields its basis vector alone."""
     one_dimensional = 0
     spaces = [
-        (_epsilon_solution_space(samples, ft, kappa, nw)[0], nw, ft.ambient)
+        (_epsilon_solution_space(samples, ft, kappa, nw, False)[0], nw, ft.ambient)
         for samples, ft, kappa, nw in classifier_systems(random.Random(7), 15)
     ]
     rng = random.Random(8)
