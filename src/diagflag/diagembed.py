@@ -35,7 +35,7 @@ from .egraph import (
     require_valid,
     surjections,
 )
-from .errors import DomainError, InternalCheckError, Record, ScaleError, reading, strict_int, strict_list
+from .errors import DomainError, InternalCheckError, Record, ScaleError, is_int, reading, strict_int, strict_list
 from .flagcore import FlagType, PicardPullback, check_flag_type, level_flag, random_flag
 from .ratlin import (
     Flag,
@@ -237,6 +237,8 @@ class EquivarianceReport(Record):
 def equivariance_check(emb: DiagonalEmbedding, trials: int, seed: int = 0) -> EquivarianceReport:
     """Evaluate(g . F) must equal diag(g, ..., g) . evaluate(F) for random
     invertible integer matrices g and random flags F."""
+    if not is_int(trials, 1):
+        raise DomainError(f"trials must be a positive integer, got {trials!r}")
     rng = random.Random(f"diagflag-equivariance-{seed}")
     failures = []
     for t in range(trials):

@@ -84,6 +84,7 @@ from .ratlin import (
     IntRows,
     Matrix,
     RatSubspace,
+    _integer_columns,
     _kernel_basis,
     _nested_images,
     _new_images,
@@ -447,7 +448,7 @@ def _extended(
     distinct members it picks form a chain, mapped by one `_nested_images`
     pass."""
     picked = dict.fromkeys(kappa)
-    images = dict(zip(picked, _nested_images([member(v) for v in picked], eps, width)))
+    images = dict(zip(picked, _nested_images([member(v) for v in picked], _integer_columns(eps, width), len(eps))))
     return tuple(images[v] + z for v, z in zip(kappa, z_chain))
 
 
@@ -807,13 +808,14 @@ def _containment_test(data: StandardExtensionData) -> Callable[[Flag, Flag], boo
     target = data.target_type
     kappa, last, dualized = data.kappa, len(data.kappa) - 1, data.dualized
     first = {v: kappa.index(v) for v in kappa if v}
-    z_rows = list(_new_images(data.z_chain, RatSubspace.full(target.ambient).int_rows, target.ambient))
+    z_rows = list(_new_images(data.z_chain, [[(j, 1)] for j in range(target.ambient)], target.ambient))
+    eps = _integer_columns(data.int_epsilon, data.source_type.ambient)
 
     def maps(flag: Flag, image: Flag) -> bool:
         if image.ambient != target.ambient or image.dims != target.dims:
             return False
         rows = [list(z) for z in z_rows]
-        picked = _new_images([flag.member(v) for v in first], data.int_epsilon, flag.ambient)
+        picked = _new_images([flag.member(v) for v in first], eps, target.ambient)
         for j, new in zip(first.values(), picked):
             rows[j] += new
         for j, w in enumerate(rows):

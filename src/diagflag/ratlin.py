@@ -32,14 +32,15 @@ exact rationals.  `basis_span(ambient, mask)` returns one shared
 immutable subspace per (ambient, index set), the span of the e_i whose
 bit i is set in the mask, from one cache of bounded size; `zero`, `full`,
 `coordinate` and the level flags of `flagcore` all take theirs from it.
-`to_fraction` refuses exponent notation, whose expansion no input size
-bounds.
+`to_fraction` reads a string only in ASCII, as `str(Fraction)` writes
+it, and refuses exponent notation, whose expansion no input size bounds.
 
 The scaling rule lives here alone, in `_scaled`: `integer_matrix` turns
 a rational matrix into integer rows over one positive denominator in
 lowest terms (`rref`, `nullspace` and `span` reduce those rows), and
-callers that already hold integers use `RatSubspace.span_ints` and
-`_nested_images`, which take integer rows as they are.
+`_read_columns` reads the matrix of `Flag.apply` and `RatSubspace.apply`
+once, each entry scaled once and kept, if nonzero, in its column's (row,
+value) list.  Integer callers use `span_ints` and `_integer_columns`.
 
 Likewise `Flag(ambient, chain)` and `Flag.from_json_obj` test that each
 member contains the one before.  Flags nested by construction go through
@@ -72,6 +73,7 @@ takes that result and builds only the nonzero generator images.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
@@ -82,6 +84,8 @@ from .errors import DomainError, InternalCheckError, Record, ScaleError, reading
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 IntRows = tuple[tuple[int, ...], ...]
+# The nonzero entries of each column of an integer matrix, as (row, value).
+_Columns = list[list[tuple[int, int]]]
 
 _ZERO = Fraction(0)
 # Entries of random invertible matrices lie in [-SPREAD, SPREAD]; each is
@@ -100,20 +104,22 @@ _FLAG_CHARACTER_LIMIT = 10**4
 def to_fraction(x) -> Fraction:
     """An int, a Fraction or a decimal or `p/q` string as a Fraction.
 
-    Exponent notation is refused: `Fraction("1e3000000")` builds 10**3000000
-    before anything can bound it."""
+    A string is read only in ASCII digits, with no sign but `-`, as
+    `str(Fraction)` writes it.  Exponent notation is refused:
+    `Fraction("1e3000000")` builds 10**3000000 before anything can bound
+    it.  Every refusal of `Fraction()` is a DomainError, which quotes at
+    most 60 characters of the entry."""
     if type(x) is int:
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        raise DomainError(f"exponent notation is not accepted: {x[:40]!r}")
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    text = isinstance(x, str) and re.fullmatch(r"-?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)", x)
+    if text or isinstance(x, int) and not isinstance(x, bool):
         try:
             return Fraction(x)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):
             pass
-    raise DomainError(f"cannot interpret {x!r} as an exact rational")
+    raise DomainError(f"cannot interpret {x!r:.60} as an exact rational")
 
 
 def as_matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -125,24 +131,51 @@ def _scaled(entries: Iterable) -> tuple[list[int], int]:
     lcm: the one scaling rule.  The result is in lowest terms, since some
     entry carries the full power of each prime dividing the lcm.  An int is
     kept as it is; any other entry, a `Fraction` subclass included, is read
-    as its (numerator, denominator), and only those denominators count."""
-    ratios = [x if type(x) is int else to_fraction(x).as_integer_ratio() for x in entries]
-    scale = lcm(*[r[1] for r in ratios if type(r) is not int])
-    if scale == 1:
-        return [r if type(r) is int else r[0] for r in ratios], 1
-    return [r * scale if type(r) is int else r[0] * (scale // r[1]) for r in ratios], scale
+    as its (numerator, denominator), a `Fraction` with no `to_fraction`
+    call, and only the denominators above 1 enter the lcm."""
+    out, denominators = [], []
+    for x in entries:
+        if type(x) is not int:
+            x, d = (x if isinstance(x, Fraction) else to_fraction(x)).as_integer_ratio()
+            if d != 1:
+                x = (x, d)
+                denominators.append(d)
+        out.append(x)
+    if not denominators:
+        return out, 1
+    scale = lcm(*denominators)
+    return [x * scale if type(x) is int else x[0] * (scale // x[1]) for x in out], scale
+
+
+def _scaled_matrix(rows: Iterable[Iterable], width: int) -> tuple[list[int], int, int]:
+    """`_scaled` of a matrix's entries, row after row, and its number of
+    rows; every row's width is checked before any entry is read."""
+    rows = [tuple(r) for r in rows]
+    for r in rows:
+        if len(r) != width:
+            raise DomainError(f"row width {len(r)} != ambient {width}")
+    flat, scale = _scaled([x for r in rows for x in r])
+    return flat, scale, len(rows)
 
 
 def integer_matrix(rows: Iterable[Iterable], width: int) -> tuple[IntRows, int]:
     """An exact rational matrix as integer rows over one positive
     denominator, in lowest terms (the gcd of all entries and the
     denominator is 1), so equal matrices give equal pairs."""
-    rows = [tuple(r) for r in rows]
-    for r in rows:
-        if len(r) != width:
-            raise DomainError(f"row width {len(r)} != ambient {width}")
-    flat, den = _scaled(x for r in rows for x in r)
-    return tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(len(rows))), den
+    flat, den, count = _scaled_matrix(rows, width)
+    return tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(count)), den
+
+
+def _integer_columns(m: IntRows, width: int) -> _Columns:
+    """Each column of the integer matrix m as its nonzero (row, value) pairs."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(width)]
+
+
+def _read_columns(rows: Iterable[Iterable], width: int) -> tuple[_Columns, int]:
+    """`_integer_columns` of an exact rational matrix scaled to integers, and
+    its number of rows, read in one `_scaled_matrix` pass."""
+    flat, _, count = _scaled_matrix(rows, width)
+    return [[(i, a) for i, a in enumerate(flat[j::width]) if a] for j in range(width)], count
 
 
 def _reduce(rows: Iterable[Sequence[int]], width: int) -> IntRows:
@@ -292,14 +325,12 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum((row[j] * x for j, x in support), _ZERO) for row in m)
 
 
-def _new_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> Iterator[list[list[int]]]:
-    """For nested subspaces of Q^width, in order, the images under the
-    integer matrix m with `width` columns of each one's rows at pivots new
-    to the chain.  Nested subspaces have nested pivot sets, so these rows
-    span the member with the member before; each is mapped through the
-    nonzero entries of each column of m."""
-    size = len(m)
-    columns = [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(width)]
+def _new_images(chain: Iterable["RatSubspace"], columns: _Columns, size: int) -> Iterator[list[list[int]]]:
+    """For nested subspaces, in order, the images under the integer matrix
+    with `size` rows and these columns of each one's rows at pivots new to
+    the chain.  Nested subspaces have nested pivot sets, so these rows span
+    the member with the member before; each is mapped through the nonzero
+    entries of each column."""
     seen: set[int] = set()
     for sub in chain:
         new = []
@@ -319,14 +350,13 @@ def _new_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> Itera
         yield new
 
 
-def _nested_images(chain: Iterable["RatSubspace"], m: IntRows, width: int) -> list["RatSubspace"]:
-    """The images of nested subspaces of Q^width, in order, under the
-    integer matrix m with `width` columns: each is `_reduce` of the one
-    before and the images `_new_images` gives."""
-    size = len(m)
+def _nested_images(chain: Iterable["RatSubspace"], columns: _Columns, size: int) -> list["RatSubspace"]:
+    """The images of nested subspaces, in order, under the integer matrix
+    with `size` rows and these columns: each is `_reduce` of the one before
+    and the images `_new_images` gives."""
     image: IntRows = ()
     out = []
-    for new in _new_images(chain, m, width):
+    for new in _new_images(chain, columns, size):
         if new:
             image = _reduce([*image, *new], size)
         out.append(RatSubspace(size, image))
@@ -500,10 +530,10 @@ class RatSubspace(Record):
 
     def apply(self, m: Matrix) -> "RatSubspace":
         """Image under the linear map with matrix m (columns act on
-        coordinates): the one-member chain of `_nested_images`, with all of
-        m scaled to integers by one factor, which leaves the image as it
-        is."""
-        return _nested_images((self,), integer_matrix(m, self.ambient)[0], self.ambient)[0]
+        coordinates): the one-member chain of `_nested_images`, with m read
+        once by `_read_columns`, scaled to integers by one factor, which
+        leaves the image as it is."""
+        return _nested_images((self,), *_read_columns(m, self.ambient))[0]
 
     def coordinate_complement(self, within: "RatSubspace | None" = None) -> "RatSubspace":
         """Deterministic complement spanned by standard basis vectors where
@@ -586,11 +616,11 @@ class Flag(Record):
         return self.chain[i - 1]
 
     def apply(self, m: Matrix) -> "Flag":
-        """Image flag, with m scaled to integers once and the chain mapped
-        by one `_nested_images` pass; a linear image keeps inclusions, and
-        a matrix that collapses the chain fails the dimension checks."""
-        ints = integer_matrix(m, self.ambient)[0]
-        return Flag._from_nested(len(ints), tuple(_nested_images(self.chain, ints, self.ambient)))
+        """Image flag, with m read once by `_read_columns` and the chain
+        mapped by one `_nested_images` pass; a linear image keeps
+        inclusions, and a collapsed chain fails the dimension checks."""
+        columns, size = _read_columns(m, self.ambient)
+        return Flag._from_nested(size, tuple(_nested_images(self.chain, columns, size)))
 
     def dual(self) -> "Flag":
         """The flag of annihilators, in reverse order (duality map);

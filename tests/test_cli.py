@@ -867,6 +867,20 @@ def test_integer_options_take_ascii_integers_only(capsys, tmp_path, option, two)
     _one_input_error(capsys)
 
 
+@pytest.mark.parametrize("two", NOT_ASCII_TWOS)
+def test_flag_entries_take_ascii_rationals_only(capsys, tmp_path, two):
+    """A flag document's string entries read as `str(Fraction)` writes
+    them; the same spellings of 2 are one input error there too."""
+    flag = {"ambient": 2, "chain": [[["1/2", "2"]]]}
+    argv = ["embed", "--alpha", "1,2,2,3", "--m", "2", "--flag", write(tmp_path, "flag.json", flag)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    flag["chain"][0][0][1] = two
+    argv[-1] = write(tmp_path, "flag.json", flag)
+    assert main(argv) == 1
+    _one_input_error(capsys)
+
+
 def test_negative_levels_keep_their_message(capsys, tmp_path):
     assert main(["exhaust", *_sn_spec(tmp_path), "--levels", "-1"]) == 1
     assert capsys.readouterr().err == "input error: --levels must be at least 0, got -1\n"
@@ -956,7 +970,7 @@ def test_a_result_beyond_the_printing_limit_is_an_input_error(capsys, tmp_path):
         ({"ambient": 3, "chain": [[["1", "0"]]]}, "flag does not match the source type"),
         ({"ambient": 2, "chain": [[["1", "0"]], [["x", "1"]]]}, "flag does not match the source type"),
         # Otherwise the members are read first.
-        ({"ambient": 2, "chain": [[["x", "1"]]]}, "bad flag document: Invalid literal for Fraction: 'x'"),
+        ({"ambient": 2, "chain": [[["x", "1"]]]}, "bad flag document: cannot interpret 'x' as an exact rational"),
         ({"ambient": 2, "chain": [[["1", "0"], ["0", "1"]]]}, "flag members must be proper and nonzero"),
     ],
 )

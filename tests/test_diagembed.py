@@ -485,6 +485,14 @@ def test_equivariance_reference_graphs():
     assert equivariance_check(emb2, trials=50, seed=1).ok
 
 
+@pytest.mark.parametrize("trials", [-3, 0, 2.5, True, "5", None])
+def test_equivariance_check_takes_a_positive_trial_count(trials):
+    emb = embedding_from_alpha(SurjectionAlpha.of([1, 2, 2, 3]), 2)
+    with pytest.raises(DomainError, match="^trials must be a positive integer, got "):
+        equivariance_check(emb, trials)
+    assert equivariance_check(emb, 1).to_json_obj() == {"trials": 1, "failures": [], "ok": True}
+
+
 def test_mixed_graph_classifies_not_se():
     from diagflag.flagcore import classify_bruteforce
 

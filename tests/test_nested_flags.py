@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import reference_flag_apply, reference_image
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_flagcore import random_se
+from test_ratlin import Exact
 
 from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import enumerate_valid_graphs
@@ -130,14 +131,22 @@ def int_matrices(rows, cols, entries=st.integers(-2, 2)):
     return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
+def spellings(value: Fraction) -> list:
+    """The ways a matrix entry may give an exact rational: the `Fraction`,
+    a `Fraction` subclass, its string, and an int when it is whole."""
+    forms = [value, Exact(value), str(value)]
+    return forms + [int(value)] if value.denominator == 1 else forms
+
+
 @st.composite
 def flags_with_matrices(draw):
     """A nested flag and a matrix with one column per coordinate: square,
-    rectangular (another number of rows), diag(g, ..., g), or rational.
-    Small integer entries make singular matrices common."""
+    rectangular (another number of rows), diag(g, ..., g), rational, or
+    rational with each entry in one of its `spellings`.  Small integer
+    entries make singular matrices common."""
     flag = draw(nested_flags())
     n = flag.ambient
-    kind = draw(st.sampled_from(("square", "rectangular", "block", "rational")))
+    kind = draw(st.sampled_from(("square", "rectangular", "block", "rational", "spelled")))
     if kind == "square":
         return flag, draw(int_matrices(n, n))
     if kind == "rectangular":
@@ -146,15 +155,25 @@ def flags_with_matrices(draw):
         d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
         return flag, block_diagonal(draw(int_matrices(n // d, n // d)), d)
     fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    if kind == "spelled":
+        fractions = fractions.flatmap(lambda value: st.sampled_from(spellings(value)))
     return flag, draw(st.integers(1, 9).flatmap(lambda r: int_matrices(r, n, fractions)))
 
 
 @given(flags_with_matrices())
+@example(
+    (
+        Flag(3, (RatSubspace.span(3, [[1, 2, 5]]), RatSubspace.span(3, [[1, 0, -1], [0, 1, 3]]))),
+        [[0, Fraction(0), "0"], ["1/2", Exact(2, 3), 0], [Fraction(5, 6), "-3", "1/4"], [1, 0, Exact(-1, 1)]],
+    )
+)
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 def test_flag_apply_matches_the_dense_reference(case):
     """`Flag.apply` and `RatSubspace.apply` against each member mapped and
-    eliminated afresh in `Fraction`s; a matrix that collapses the chain
-    raises the reference's `DomainError`, word for word."""
+    eliminated afresh in `Fraction`s, whatever mix of int 0, `Fraction(0)`,
+    strings, `Fraction` subclasses and denominators the matrix holds; a
+    matrix that collapses the chain raises the reference's `DomainError`,
+    word for word."""
     flag, m = case
     for sub in (RatSubspace.zero(flag.ambient), *flag.chain, RatSubspace.full(flag.ambient)):
         assert sub.apply(m) == reference_image(sub, m)

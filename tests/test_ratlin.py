@@ -208,14 +208,44 @@ def test_scaling_still_refuses_bools_and_exponent_notation():
 
 
 def test_a_row_of_the_wrong_width_is_refused_before_its_entries_are_read():
-    """`rref`, `nullspace` and `span` scale the whole matrix at once, after
-    every row's width is checked: a row of the wrong width with an entry
-    that is no rational gets the width error."""
-    for reduce in (rref, nullspace, lambda rows, width: RatSubspace.span(width, rows)):
-        with pytest.raises(DomainError, match=r"^row width 3 != ambient 2$"):
-            reduce([[1, 0], ["1/0", 1, 2]], 2)
+    """`rref`, `nullspace` and `span` scale the whole matrix at once, and
+    `RatSubspace.apply` and `Flag.apply` read theirs in one pass, after
+    every row's width is checked: a row of the wrong width, before or after
+    an entry that is no rational, gets the width error."""
+    line = RatSubspace.span(2, [[1, 0]])
+    for read in (
+        rref,
+        nullspace,
+        lambda rows, width: RatSubspace.span(width, rows),
+        lambda rows, width: line.apply(rows),
+        lambda rows, width: Flag(width, (line,)).apply(rows),
+    ):
+        for rows in ([[1, 0], ["1/0", 1, 2]], [[1, "x"], [1, 2, 3]]):
+            with pytest.raises(DomainError, match=r"^row width 3 != ambient 2$"):
+                read(rows, 2)
         with pytest.raises(DomainError, match="cannot interpret"):
-            reduce([[1, "1/0"]], 2)
+            read([[1, "1/0"]], 2)
+
+
+def test_rational_strings_are_read_only_as_fractions_write_them():
+    """A string entry is an ASCII integer, `p/q` or decimal with no sign but
+    `-`; every other spelling `Fraction()` takes, and every string it
+    refuses with a `ValueError`, is a `DomainError`."""
+    for text, value in [("1/2", Fraction(1, 2)), ("-3", -3), ("1.5", Fraction(3, 2)), ("0", 0)]:
+        assert to_fraction(text) == value
+    for value in (Fraction(-7, 6), Fraction(5), Fraction(0), Fraction(10**30, 7)):
+        assert to_fraction(str(value)) == value
+    # Past the default limit of 4300 digits, `int()` raises `ValueError`.
+    for bad in ("\u0662", "0_2", " 2", "2 ", "+2", "0x10", "x", "", "1/-2", "1" * 5000):
+        with pytest.raises(DomainError, match="^cannot interpret "):
+            to_fraction(bad)
+    with pytest.raises(DomainError) as raised:
+        to_fraction("1" * 5000)
+    assert str(raised.value) == f"cannot interpret '{'1' * 59} as an exact rational"
+    with pytest.raises(DomainError, match="^cannot interpret '0x10' as an exact rational$"):
+        RatSubspace.span(2, [["1", "0x10"]])
+    with pytest.raises(DomainError, match="^cannot interpret 'x' as an exact rational$"):
+        RatSubspace.span(2, [[1, 0]]).apply([[1, "x"], [0, 1]])
 
 
 def test_nullspace_of_integer_rows_and_edge_shapes():
