@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import re
 import sys
@@ -39,6 +38,21 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _builtin_sha256():
+    """sha256 from the interpreter's builtin module, `_sha2` (3.12+) or
+    `_sha256` (3.10-3.11): `hashlib` gives the same digests but loads
+    OpenSSL, a few ms of every cold process.  `hashlib` serves only where
+    neither module is built."""
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+
+
+_sha256 = _builtin_sha256()
+
+
 def selftest_digest() -> str:
     """Digest of a fixed battery of reference computations; a changed
     digest means the library's arithmetic changed."""
@@ -56,7 +70,8 @@ def selftest_digest() -> str:
             supernat.divides_sn(6, supernat.SupernaturalNumber.from_factors({2: supernat.INF})),
         ],
     }
-    return hashlib.sha256(canonical_json(battery).encode()).hexdigest()[:16]
+    return _sha256(canonical_json(battery).encode()).hexdigest()[:16]
+
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -304,83 +319,91 @@ def _cmd_dot(args) -> str:
     return egraph.to_dot(g)
 
 
-@functools.cache
-def build_parser() -> _CliParser:
-    """The one parser of the process: building it takes most of an
-    in-process call, and parsing leaves it as it was."""
-    parser = _CliParser(prog="diagflag", description=__doc__)
-    parser.add_argument("--seed", type=_parse_int, default=0, help="seed for all randomized checks")
-    parser.add_argument("--out", help="write the report here instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _embedding_options(p) -> None:
+    p.add_argument("--embedding", help="embedding JSON ({alpha,m} or {graph,source_type})")
+    p.add_argument("--alpha", help="comma-separated level map values")
+    p.add_argument("--m", type=_parse_int, help="block size")
+    p.add_argument("--graph", help="graph JSON file")
+    p.add_argument("--source-dims", dest="source_dims", help="comma-separated source member dims ('-' for none)")
+    p.add_argument("--source-ambient", dest="source_ambient", type=_parse_int, help="source ambient dimension")
 
-    def add_embedding_flags(p) -> None:
-        p.add_argument("--embedding", help="embedding JSON ({alpha,m} or {graph,source_type})")
-        p.add_argument("--alpha", help="comma-separated level map values")
-        p.add_argument("--m", type=_parse_int, help="block size")
-        p.add_argument("--graph", help="graph JSON file")
-        p.add_argument("--source-dims", dest="source_dims", help="comma-separated source member dims ('-' for none)")
-        p.add_argument("--source-ambient", dest="source_ambient", type=_parse_int, help="source ambient dimension")
 
-    p = sub.add_parser("validate-egraph", help="check the structural clauses of a graph")
+def _graph_option(p) -> None:
     p.add_argument("--graph", required=True)
-    p.set_defaults(fn=_cmd_validate_egraph)
 
-    p = sub.add_parser("restrict", help="parabolicity analysis of a diagonal restriction")
+
+def _restrict_options(p) -> None:
     p.add_argument("--alpha", required=True)
     p.add_argument("--m", type=_parse_int, required=True)
-    p.set_defaults(fn=_cmd_restrict)
 
-    p = sub.add_parser("embed", help="evaluate an embedding on a flag")
-    add_embedding_flags(p)
+
+def _embed_options(p) -> None:
+    _embedding_options(p)
     p.add_argument("--flag", required=True)
-    p.set_defaults(fn=_cmd_embed)
 
-    p = sub.add_parser("picard", help="pullback matrix on Picard generators")
-    add_embedding_flags(p)
-    p.set_defaults(fn=_cmd_picard)
 
-    p = sub.add_parser("classify", help="standard-extension recognition by brute force")
-    add_embedding_flags(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("constants", help="constant spaces of an embedding and their support")
-    add_embedding_flags(p)
-    p.set_defaults(fn=_cmd_constants)
-
-    p = sub.add_parser("admissible", help="decide realizability of a generalized flag type")
+def _admissible_options(p) -> None:
     p.add_argument("--gft", required=True)
     p.add_argument("--sn", required=True)
     p.add_argument("--bound", type=_parse_int, default=64)
-    p.set_defaults(fn=_cmd_admissible)
 
-    p = sub.add_parser("factor", help="split a linear graph into monochromatic factors")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(fn=_cmd_factor)
 
-    p = sub.add_parser("oracle", help="sweep combinatorial verdicts against the exact oracle")
+def _oracle_options(p) -> None:
     p.add_argument("--n-max", dest="n_max", type=_parse_int, required=True)
     p.add_argument("--d", required=True, help="comma-separated block counts")
-    p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("exhaust", help="validate an exhaustion; optionally realize a flag type over it")
+
+def _exhaust_options(p) -> None:
     p.add_argument("--sn", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--gft")
     p.add_argument("--levels", type=_parse_int, default=6)
-    p.set_defaults(fn=_cmd_exhaust)
 
-    p = sub.add_parser("dot", help="deterministic DOT rendering of a graph")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(fn=_cmd_dot)
 
+# Each command's help line, handler and option adder, in `--help` order.
+_COMMANDS = {
+    "validate-egraph": ("check the structural clauses of a graph", _cmd_validate_egraph, _graph_option),
+    "restrict": ("parabolicity analysis of a diagonal restriction", _cmd_restrict, _restrict_options),
+    "embed": ("evaluate an embedding on a flag", _cmd_embed, _embed_options),
+    "picard": ("pullback matrix on Picard generators", _cmd_picard, _embedding_options),
+    "classify": ("standard-extension recognition by brute force", _cmd_classify, _embedding_options),
+    "constants": ("constant spaces of an embedding and their support", _cmd_constants, _embedding_options),
+    "admissible": ("decide realizability of a generalized flag type", _cmd_admissible, _admissible_options),
+    "factor": ("split a linear graph into monochromatic factors", _cmd_factor, _graph_option),
+    "oracle": ("sweep combinatorial verdicts against the exact oracle", _cmd_oracle, _oracle_options),
+    "exhaust": ("validate an exhaustion; optionally realize a flag type over it", _cmd_exhaust, _exhaust_options),
+    "dot": ("deterministic DOT rendering of a graph", _cmd_dot, _graph_option),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> _CliParser:
+    """The global parser: `--seed`, `--out`, the command name and the rest
+    of argv; or, given `command`, that command's own parser.  A process
+    builds each once, and only those it parses with: building one takes
+    most of an in-process call, and parsing leaves it as it was."""
+    if command is not None:
+        help_line, _, add_options = _COMMANDS[command]
+        parser = _CliParser(prog=f"diagflag {command}", description=help_line)
+        add_options(parser)
+        return parser
+    listing = "".join(f"\n  {name:<17}{help_line}" for name, (help_line, _, _) in _COMMANDS.items())
+    parser = _CliParser(prog="diagflag", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+                        epilog="commands (`diagflag COMMAND --help` lists its options):" + listing)
+    parser.add_argument("--seed", type=_parse_int, default=0, help="seed for all randomized checks")
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    # The command name and the rest of argv in one list, matched as a subparser
+    # matches them: a plain positional would take a `--` around the name.
+    parser.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS, help="the command and its options")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        payload = args.fn(args)
+        args = build_parser().parse_args(argv)
+        args.command, *rest = args.command
+        build_parser(args.command).parse_args(rest, namespace=args)
+        payload = _COMMANDS[args.command][1](args)
         exit_code = 0
         if isinstance(payload, str):  # DOT output is emitted verbatim
             text = payload

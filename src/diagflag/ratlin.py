@@ -658,15 +658,15 @@ def _rows(obj) -> list:
 
 
 def block_diagonal(m: Matrix, blocks: int) -> Matrix:
-    """diag(m, ..., m) with `blocks` copies; the zeros are int 0."""
+    """diag(m, ..., m) with `blocks` copies of the square m; the zeros are
+    int 0."""
     size = len(m)
     n = size * blocks
     rows = []
     for b in range(blocks):
-        for i in range(size):
+        for m_row in m:
             row = [0] * n
-            for j in range(size):
-                row[b * size + j] = m[i][j]
+            row[b * size : (b + 1) * size] = m_row
             rows.append(tuple(row))
     return tuple(rows)
 

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagflag
-from diagflag import diagembed, flagcore, indlimit
+from diagflag import cli, diagembed, flagcore, indlimit
 from diagflag.cli import build_parser, main, selftest_digest
 from diagflag.egraph import GRAPH_SIZE_LIMIT
 from diagflag.errors import DomainError, InternalCheckError, ScaleError, reading, strict_list
@@ -61,16 +63,67 @@ def test_restrict_not_parabolic_exits_zero(capsys):
     assert doc["witness"] == [[1, 2], [2, 1]]
 
 
-def test_cold_import_loads_neither_dataclasses_nor_inspect():
-    """Every CLI process pays for what `import diagflag.cli` loads; the
-    value classes generate no code, so neither module is needed."""
-    src = str(Path(diagflag.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import diagflag.cli; "
-        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+SRC = str(Path(diagflag.__file__).resolve().parent.parent)
+# What a CLI process need not load: the value classes generate no code,
+# and the selftest digest takes sha256 from the interpreter's builtin
+# module, so `hashlib` and its OpenSSL `_hashlib` load only on a build
+# without one.
+UNUSED_MODULES = ("dataclasses", "inspect") + (
+    ("hashlib", "_hashlib") if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")) else ()
+)
+
+
+def cold_stdout(code: str) -> str:
+    """The stdout of `code` in a fresh interpreter that imports from src."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
+        capture_output=True,
+        text=True,
     )
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI process pays for what `import diagflag.cli` loads."""
+    code = f"import diagflag.cli\nprint([m for m in {UNUSED_MODULES!r} if m in sys.modules])"
+    assert cold_stdout(code) == "[]\n"
+
+
+def test_a_cold_main_builds_only_the_global_and_its_commands_parser():
+    """A process builds the global parser and the parser of the command it
+    runs, and no other; printing a report loads none of the unused modules."""
+    code = f"""
+import io
+from diagflag import cli
+progs, init = [], cli._CliParser.__init__
+def counted(self, *args, **kwargs):
+    progs.append(kwargs["prog"])
+    init(self, *args, **kwargs)
+cli._CliParser.__init__ = counted
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = cli.main(["--seed", "3", "restrict", "--alpha", "1,2,2,3", "--m", "2"])
+stdout, sys.stdout = sys.stdout, stdout
+pinned = '"selftest_digest":"3f42de50f4ebcd3a"' in stdout.getvalue()
+print(code, progs, pinned, [m for m in {UNUSED_MODULES!r} if m in sys.modules])
+"""
+    assert cold_stdout(code) == "0 ['diagflag', 'diagflag restrict'] True []\n"
+
+
+def test_the_selftest_digest_is_pinned_and_the_same_under_hashlib(monkeypatch):
+    """The sha256 the CLI picked digests as `hashlib.sha256` does, on the
+    battery and on other bytes."""
+    assert selftest_digest() == "3f42de50f4ebcd3a"
+    for data in (b"", b"abc", "diagflag \u00e9".encode(), bytes(range(256)) * 300):
+        assert cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    monkeypatch.setattr(cli, "_sha256", hashlib.sha256)
+    assert selftest_digest() == "3f42de50f4ebcd3a"
+
+
+def test_sha256_falls_back_to_hashlib_without_a_builtin_module(monkeypatch):
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # makes `import name` fail
+    assert cli._builtin_sha256() is hashlib.sha256
 
 
 def test_input_error_exit_code(capsys):
@@ -521,10 +574,10 @@ def test_exhaust_rejects_non_integer_numbers(capsys, tmp_path, sn_doc, spec_doc)
 
 
 def test_the_cached_parser_answers_as_a_fresh_one(capsys, tmp_path, mixed_graph_file):
-    """`main` builds its parser once per process.  After calls the parser
-    refuses, calls that fail later and calls with options set, each call
-    gives the exit code and the bytes, on both streams, that a freshly
-    built parser gives."""
+    """`main` builds the global parser and each command's parser once per
+    process.  After calls the parsers refuse, calls that fail later and
+    calls with options set, each call gives the exit code and the bytes,
+    on both streams, that freshly built parsers give."""
     sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
     spec = write(tmp_path, "spec.json", {"s1": 2, "cycle": [2]})
     calls = [
@@ -551,7 +604,9 @@ def test_the_cached_parser_answers_as_a_fresh_one(capsys, tmp_path, mixed_graph_
         build_parser.cache_clear()
         fresh.append(answer(argv))
     assert [answer(argv) for argv in calls] == fresh
-    assert build_parser.cache_info().misses == 1
+    # The global parser, then one per command parsed: `--seed x` and
+    # `no-such-command` are refused before any command's parser is built.
+    assert build_parser.cache_info().misses == 1 + len({"restrict", "classify", "exhaust", "picard"})
     assert [code for code, _, _ in fresh] == [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0]
 
 
@@ -663,14 +718,13 @@ def test_exhaust_with_a_large_prime_key_is_fast(capsys, tmp_path):
 def run_cold(*argv):
     """`diagflag.cli` with `argv` in a fresh interpreter that imports this
     checkout's package: the finished process and its wall seconds."""
-    src = str(Path(diagflag.__file__).resolve().parent.parent)
     started = time.monotonic()
     done = subprocess.run(
         [sys.executable, "-m", "diagflag.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     return done, time.monotonic() - started
 

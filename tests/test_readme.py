@@ -1,11 +1,17 @@
 """The README's table of resource limits names every module-level limit of
 the library: each `*_LIMIT` and `*_SIZE` constant, and the classifier's
-`_SAMPLE_STREAMS`, with its value."""
+`_SAMPLE_STREAMS`, with its value.  Its CLI examples name every command,
+and each parses."""
 
 import ast
+import builtins
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+
+from diagflag.cli import _COMMANDS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,3 +63,27 @@ def test_the_limits_table_states_each_exact_value():
             assert getattr(importlib.import_module(f"diagflag.{module}"), constant) == value, name
             checked += 1
     assert checked == len(readme_rows()) - 1  # all but PRIME_TEST_LIMIT, stated as ≈ 3.3·10^24
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The argv of each `diagflag ...` line of the README's CLI `sh` block."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("diagflag ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_the_cli_examples_name_every_command_and_parse(monkeypatch):
+    """Each example parses through the global parser and then its command's
+    parser, reading no file; together they name every command."""
+
+    def no_read(*args, **kwargs):
+        raise AssertionError(f"parsing opened {args[0]!r}")
+
+    monkeypatch.setattr(builtins, "open", no_read)
+    commands = set()
+    for argv in readme_cli_lines():
+        args = build_parser().parse_args(argv)
+        command, *rest = args.command
+        build_parser(command).parse_args(rest, namespace=args)
+        commands.add(command)
+    assert commands == set(_COMMANDS)
