@@ -6,9 +6,11 @@ Negative mathematical verdicts (a non-parabolic restriction, an
 inadmissible type) exit 0: the tool distinguishes "the math says no"
 from failure.  Exit 1 marks an input or schema error, exit 2 an internal
 consistency failure: an `oracle` disagreement, or an `InternalCheckError`
-the library raises.  Each command runs one route; the routes that
-cross-check `classify`, `constants`, `factor` and `exhaust --gft` run in
-the tests, not on every call.  All randomness flows from --seed, and
+the library raises.  Each command runs one route (`classify` the exact
+graph route, which samples nothing); the routes that cross-check
+`classify`, `constants`, `factor` and `exhaust --gft` run in the tests,
+not on every call.  An embedding option that the embedding's source does
+not read is an input error.  All randomness flows from --seed, and
 reports are byte-identical given identical inputs and seed.
 """
 
@@ -132,15 +134,27 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
         raise DomainError(_too_many_digits(x)) from None
 
 
+def _refuse_unread(args, *read: str) -> None:
+    """DomainError for an embedding option given that the source `read[0]`,
+    reading the options `read`, would drop."""
+    for name in ("embedding", "alpha", "m", "graph", "source_dims", "source_ambient"):
+        if name not in read and getattr(args, name) is not None:
+            option, source = (f"--{x.replace('_', '-')}" for x in (name, read[0]))
+            raise DomainError(f"{option} cannot be combined with {source}")
+
+
 def _load_embedding(args) -> diagembed.DiagonalEmbedding:
     if args.embedding:
+        _refuse_unread(args, "embedding")
         return diagembed.DiagonalEmbedding.from_json_obj(_load_json(args.embedding))
     if args.alpha:
+        _refuse_unread(args, "alpha", "m")
         if args.m is None:
             raise DomainError("--alpha requires --m")
         alpha = egraph.SurjectionAlpha.of(_parse_csv_ints(args.alpha))
         return diagembed.embedding_from_alpha(alpha, args.m)
     if args.graph:
+        _refuse_unread(args, "graph", "source_dims", "source_ambient")
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
         if not args.source_dims:
             raise DomainError("--graph requires --source-dims and --source-ambient")
@@ -203,6 +217,7 @@ def _cmd_embed(args) -> dict:
 
 def _cmd_picard(args) -> dict:
     if args.graph and not args.source_dims:
+        _refuse_unread(args, "graph")
         g = egraph.require_valid(egraph.EGraph.from_json_obj(_load_json(args.graph)))
     else:
         g = _load_embedding(args).graph
@@ -218,7 +233,7 @@ def _cmd_picard(args) -> dict:
 def _cmd_classify(args) -> dict:
     emb = _load_embedding(args)
     flagcore.check_classify_scale(emb.n)
-    result = flagcore.classify_bruteforce(emb.evaluate, emb.source_type, seed=args.seed)
+    result = diagembed.classify(emb, seed=args.seed)
     return {"verdict": result.kind, "witness": result.to_json_obj()["data"]}
 
 
@@ -227,6 +242,7 @@ def _cmd_constants(args) -> dict:
     type; when only a graph is given, use the type with members of every
     dimension 1..q-1 in Q^max(q, 2), or in Q^(--source-ambient)."""
     if args.graph and not args.source_dims:
+        _refuse_unread(args, "graph", "source_ambient")
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
         ambient = max(g.q, 2) if args.source_ambient is None else args.source_ambient
         emb = diagembed.DiagonalEmbedding(g, flagcore.FlagType(ambient, tuple(range(1, g.q))))
@@ -366,7 +382,7 @@ _COMMANDS = {
     "restrict": ("parabolicity analysis of a diagonal restriction", _cmd_restrict, _restrict_options),
     "embed": ("evaluate an embedding on a flag", _cmd_embed, _embed_options),
     "picard": ("pullback matrix on Picard generators", _cmd_picard, _embedding_options),
-    "classify": ("standard-extension recognition by brute force", _cmd_classify, _embedding_options),
+    "classify": ("standard-extension recognition from the graph", _cmd_classify, _embedding_options),
     "constants": ("constant spaces of an embedding and their support", _cmd_constants, _embedding_options),
     "admissible": ("decide realizability of a generalized flag type", _cmd_admissible, _admissible_options),
     "factor": ("split a linear graph into monochromatic factors", _cmd_factor, _graph_option),

@@ -10,7 +10,9 @@ is the independent reference the tests compare `evaluate` against.
 
 The module also computes the induced matrix on Picard generators (from the
 graph alone, `graph_pullback`), the combinatorial linearity and
-standard-extension criteria, the closed-form chain of constant spaces, the
+standard-extension criteria, the closed-form chain of constant spaces,
+classification from the graph (`classify`: the brute force's candidate
+search on exact constants and eps solutions, sampling nothing), the
 unipotent-radical inclusion test on the graph (`unipotent_inclusion(g)`),
 and the exhaustive sweep that compares every combinatorial verdict against
 the exact oracle, with one restriction analysis and one stabilizer per
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .egraph import (
     EGraph,
@@ -36,7 +38,7 @@ from .egraph import (
     surjections,
 )
 from .errors import DomainError, InternalCheckError, Record, ScaleError, is_int, reading, strict_int, strict_list
-from .flagcore import FlagType, PicardPullback, check_flag_type, level_flag, random_flag
+from .flagcore import Classification, FlagType, PicardPullback, _first_witness, check_flag_type, level_flag, random_flag
 from .ratlin import (
     Flag,
     RatSubspace,
@@ -205,6 +207,68 @@ def constant_spaces(emb: DiagonalEmbedding) -> tuple[RatSubspace, ...]:
     q, m = emb.graph.q, emb.m
     zero = RatSubspace.zero(m)
     return _block_sums(emb.graph, m, lambda i: RatSubspace.full(m) if i == q else zero)
+
+
+def _epsilon_space(columns: Sequence[tuple[int, ...]], kappa: tuple[int, ...], q: int, m: int) -> RatSubspace:
+    """The eps mapping F_kappa(j) into member j of every image, flattened
+    row by row as `flagcore._epsilon_solution_space` does, from each
+    colour's closed-index column.  Lemma: reading only the i_j of column c
+    with kappa_j >= 1, block c of eps is zero if some i_j < kappa_j, else a
+    scalar if some i_j < q, else free.  Proof: the block A must map F_a into
+    F_b for every F (a = kappa_j, b = i_j, F_0 = 0, F_q = Q^m).  If b < a,
+    the choices of F_b in F_a meet in 0, so A = 0.  If a <= b < q, those
+    containing F_a meet in F_a, so A keeps every d_a-space, so every line,
+    and is a scalar.  The rows are canonical, in pivot order."""
+    width = len(columns) * m * m
+    rows = []
+    for c, column in enumerate(columns):
+        read = [(v, i) for v, i in zip(kappa, column) if v]
+        if any(i < v for v, i in read):
+            continue
+        at = c * m * m
+        if any(i < q for _, i in read):
+            rows.append(tuple(int(0 <= t - at < m * m and (t - at) % (m + 1) == 0) for t in range(width)))
+        else:
+            rows += [(0,) * t + (1,) + (0,) * (width - 1 - t) for t in range(at, at + m * m)]
+    return RatSubspace(width, tuple(rows))
+
+
+def classify(emb: DiagonalEmbedding, seed: int = 0) -> Classification:
+    """The classification of a graph embedding from its graph: the brute
+    force's strict pass on exact constants and eps solutions, accepting a
+    checked witness of the target type.  Nothing is sampled or verified.
+
+    A witness is correct: eps maps each F_kappa(j) into member j of every
+    image (`_epsilon_space`), Z_j lies in C_j and so in member j, and
+    `check()` makes the sum direct, of member j's dimension.  For k >= 1:
+    (i) if emb is a strict extension S, the witness is the unit inclusion
+    of a block c.  A varying member eps(F_a) + Z_j of S depends on F_a
+    alone, so the r blocks of its row with an index in 1..k all have
+    index a; intersecting and summing over all F give Z_j <= C_j and
+    r*m + dim C_j <= m + dim Z_j, so r = 1, Z_j = C_j, and eps is a
+    scalar on that block c and 0 on the row's zero blocks.  A later
+    varying row's block has index 0 in an earlier one (it is below q, and
+    only c varies there), so all rows vary on c, `_kappa_candidates` finds
+    S's kappa, and c's scalar passes `check()`, after basis vectors of
+    rank 1 < m.  (ii) If emb = duality . S, emb is strict, so no dual pass
+    is needed.  Member j of duality . emb sums the ann(F_b) of the mirrored
+    row, so as in (i) a block A of eps has A(U) = ann(U) for dim U = d_a,
+    so A(L) <= ann(U) for every such U holding a line L: so d_a = 1 (else
+    A = 0), and m - 1 = dim ann(L) <= 1.
+    There ann(F_i) = J F_(2-i) for a rotation J, so diag(J)^-1 S is the
+    embedding of the mirrored table (rows reversed, i -> 2 - i).  By (i) a
+    table is strict exactly when its varying rows form one run, all
+    varying on one block only (whose unit inclusion is then a witness),
+    and the mirror keeps this.  (iii) For k = 0 the first kappa accepts
+    any injective eps into C_1: a basis vector (m = 1) or signed pair
+    (m = 2) of the stream, but for m >= 3 only a random one, where a dual
+    pass is not proved idle; the tests pin it."""
+    target, columns = emb.target_type, tuple(zip(*emb.graph.closed_indices))
+
+    def solve(kappa):
+        return _epsilon_space(columns, kappa, emb.graph.q, emb.m), lambda data: data.target_type == target
+
+    return Classification(_first_witness(emb.source_type, emb.n, constant_spaces(emb), target.dims, seed, False, solve))
 
 
 def unipotent_inclusion(g: EGraph) -> bool:

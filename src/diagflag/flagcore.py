@@ -8,7 +8,10 @@ V_{k+1} = V); optionally the result is composed with the duality map that
 replaces each member by the annihilator of its mirror.  This module
 evaluates and composes such data, computes constant spaces of arbitrary
 evaluable embeddings by stabilized sampling, and recognizes standard
-extensions at small scale by exhaustive recovery of a witness.
+extensions at small scale by exhaustive recovery of a witness: the
+generic brute force for any evaluate callable.  A graph embedding is
+classified from its graph by `diagembed.classify`, which runs the same
+candidate search, `_first_witness`, on exact constants and solutions.
 
 eps is stored as integer rows over one denominator, like the bases of
 `RatSubspace`: evaluation, composition, the duality conjugation and the
@@ -40,22 +43,10 @@ for a source of length k >= 1 reads each nonzero settled deficit as a
 source member dimension (the dual pass's deficits are its constants' at
 mirrored positions), so a deficit above d_k rules every one out.
 
-The classifier's sample flags depend only on the source type and the
-seed, never on the embedding, so they are drawn once per process: a
-bounded memo keeps, per (source type, seed), the flags drawn so far and
-the generator that draws the next, and every classification reads them
-by index.  The `VERIFY_SAMPLES` flags that verify a witness depend on
-the same pair alone, and a second bounded memo keeps them: on the
-`classify` workload that costs about 6% more peak RSS (26.4 to 28.0
-MiB), within the benchmark's 10% bound.  Every
-embedding-specific step (evaluation, the merges, the eps solve and the
-verification) still runs per call.  The verification tests the witness
-against the embedding's images of the kept flags and of the collected
-samples the eps solve did not read: on those it read, a witness of the
-images' type evaluates to each image (see `_epsilon_solution_space`).
-It never evaluates the witness: each row new to its chains is tested
-once, by containment in the image (see `_containment_test`).  The dual
-pass forms no dual image: its eps solve reads the original members.
+The brute force's sample flags, and the flags that verify a witness,
+depend only on the source type and the seed, so two bounded memos keep
+them per process (see `classify_bruteforce`); every embedding-specific
+step runs per call.
 """
 
 from __future__ import annotations
@@ -726,15 +717,15 @@ def _epsilon_candidates(
     is the one of the full stream.  A one-dimensional space has one class,
     so its stream ends after the basis vector.
 
-    Lemma: whether `_recover_strict` accepts a candidate eps depends only
+    Lemma: whether `_first_witness` accepts a candidate eps depends only
     on its class.  Proof: for c != 0, c.eps has the column image of eps,
     so the image test, the test against the last support constant and
     `_build_z_chain` (which read only the image) agree; every clause of
     `check()` reads eps through that image, its positive denominator or
-    not at all; and `_verify_witness` tests images of rows under eps,
-    which c.eps scales by c.  So the first accepted candidate of the full
-    stream is the first of its class, and dropping repeats returns the
-    same witness."""
+    not at all; `_verify_witness` tests images of rows under eps, which
+    c.eps scales by c; and the graph route's test reads no eps.  So the
+    first accepted candidate of the full stream is the first of its class,
+    and dropping repeats returns the same witness."""
     rows = solutions.int_rows
     leads = [next(x for x in r if x) for r in rows]
     den = lcm(*leads)
@@ -913,13 +904,9 @@ def _recover_strict(
     tests a dualized witness against the original images.  For k >= 1,
     None once a deficit exceeds d_k: `_kappa_candidates` reads each
     nonzero deficit as a source member dimension, and deficits never
-    decrease (see `_settle`).  Each kappa's candidates come one per
-    projective class: acceptance depends only on the class (see
-    `_epsilon_candidates`), so the witness is the one that trying every
-    multiple gives."""
-    m = source_type.ambient
-    k = source_type.length
-    bound = source_type.dims[-1] if k else None
+    decrease (see `_settle`).  The candidate search is `_first_witness`'s,
+    with `_verify_witness` as its test."""
+    bound = source_type.dims[-1] if source_type.length else None
     samples: list[tuple[Flag, Flag]] = []
 
     def image_stream() -> Iterator[Flag]:
@@ -941,8 +928,26 @@ def _recover_strict(
     if dualized:
         constants = [s.annihilator() for s in reversed(constants)]
         target_dims = tuple(c.ambient - d for c, d in zip(constants, reversed(target_dims)))
-    support = _support(constants, target_dims)
     nw = first.ambient
+
+    def solve(kappa):
+        solutions, solved = _epsilon_solution_space(samples, source_type, kappa, nw, dualized)
+        return solutions, lambda data: _verify_witness(data, evaluate, samples, solved, seed)
+
+    return _first_witness(source_type, nw, constants, target_dims, seed, dualized, solve)
+
+
+def _first_witness(
+    source_type: FlagType, nw: int, constants: Sequence[RatSubspace], target_dims: tuple[int, ...],
+    seed: int, dualized: bool, solve: Callable[[tuple[int, ...]], tuple[RatSubspace, Callable]],
+) -> StandardExtensionData | None:
+    """The first candidate witness for images in Q^nw with these member
+    dimensions and constants, over each kappa of `_kappa_candidates`, that
+    passes `check()` and the test `solve(kappa)` gives with kappa's eps
+    solutions.  Candidates come one per projective class: acceptance
+    depends only on the class (see `_epsilon_candidates`)."""
+    m = source_type.ambient
+    k = source_type.length
     if len(target_dims) == 0:
         # Point target: witnessed by any injective eps, provided the source
         # is a point too (kappa must attain every member index).  The
@@ -952,8 +957,9 @@ def _recover_strict(
             return None
         eps = tuple(tuple(int(r == c) for c in range(m)) for r in range(nw))
         return StandardExtensionData(source_type, eps, 1, (), (), dualized)
+    support = _support(constants, target_dims)
     for kappa in _kappa_candidates(source_type, target_dims, constants, support):
-        solutions, solved = _epsilon_solution_space(samples, source_type, kappa, nw, dualized)
+        solutions, accept = solve(kappa)
         if not solutions.dim:
             continue
         z_last_support = constants[support[-1] - 1] if support else None
@@ -974,7 +980,7 @@ def _recover_strict(
                 data = StandardExtensionData(source_type, eps, den, chain, kappa, dualized).check()
             except DomainError:
                 continue
-            if _verify_witness(data, evaluate, samples, solved, seed):
+            if accept(data):
                 return data
     return None
 
@@ -1011,12 +1017,8 @@ def classify_bruteforce(
     The sample flags of each pass are drawn once per process and kept, at
     most `_SAMPLE_STREAMS` streams with the least recently used dropped,
     so the result is the same whatever was classified before.  The
-    `VERIFY_SAMPLES` flags that verify a witness are kept the same way,
-    per (source type, seed).  The verification tests the witness, by
-    containment (see `_containment_test`), against the embedding's images
-    of them and of the collected samples the eps solve did not read; on
-    those it read, a witness of the images' type evaluates to each image
-    (the proof is in `_epsilon_solution_space`).
+    `VERIFY_SAMPLES` flags that verify a witness (see `_verify_witness`)
+    are kept the same way, per (source type, seed).
     """
     first = evaluate(coordinate_flag(source_type))
     check_classify_scale(first.ambient)

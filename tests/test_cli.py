@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -11,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import NOT_ARRAYS, replaced_at, reversed_flag
+from conftest import NOT_ARRAYS, criterion_05_instances, replaced_at, reversed_flag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -291,43 +292,110 @@ def test_a_failed_internal_check_exits_2(capsys, tmp_path, monkeypatch, check):
     assert len(lines) == 1 and lines[0].startswith("internal check failed:"), captured.err
 
 
-# One argv builder per command that runs one route, with a cross-check of
-# that route that only the tests run: criterion 05 (the graph criterion
-# against the classifier), criterion 06 (sampled against closed-form
-# constants), the factor additivity sweep and the chain validation beyond
-# the levels built.
+# One argv builder per command that runs one route, with the names of a
+# cross-check of that route that only the tests run: the brute-force
+# classifier and its sampling (criterion 05 and the graph route's tests),
+# criterion 06 (sampled against closed-form constants), the factor
+# additivity sweep and the chain validation beyond the levels built.
 SECOND_ROUTES = {
     "classify": (
         lambda t: ["classify", "--alpha", "1,2,2,3", "--m", "2"],
-        diagembed, "is_standard_extension_graph",
+        flagcore, ("classify_bruteforce", "_settle", "random_flag"),
     ),
     "constants": (
         lambda t: ["constants", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--source-ambient", "3"],
-        flagcore, "support_and_constants",
+        flagcore, ("support_and_constants",),
     ),
     "factor": (
         lambda t: ["factor", "--graph", write(t, "g.json", LINEAR_GRAPH)],
-        indlimit, "factor_pullback_additivity",
+        indlimit, ("factor_pullback_additivity",),
     ),
     "exhaust --gft": (
         lambda t: ["exhaust", *_sn_spec(t), "--gft", write(t, "gft.json", GFT_LINE_THEN_REST)],
-        indlimit, "validate_sn_graph",
+        indlimit, ("validate_sn_graph",),
     ),
 }
 
 
+def refuse_second_routes(monkeypatch, owner, names):
+    for name in names:
+        def second_route(*args, name=name, **kwargs):
+            raise AssertionError(f"ran {name}")
+
+        monkeypatch.setattr(owner, name, second_route)
+
+
 @pytest.mark.parametrize("command", list(SECOND_ROUTES))
 def test_a_command_runs_no_second_route(capsys, tmp_path, monkeypatch, command):
-    argv, owner, name = SECOND_ROUTES[command]
+    argv, owner, names = SECOND_ROUTES[command]
     argv = argv(tmp_path)
     code, expected = run(capsys, *argv)
     assert code == 0 and expected
-
-    def second_route(*args, **kwargs):
-        raise AssertionError(f"{command} ran {name}")
-
-    monkeypatch.setattr(owner, name, second_route)
+    refuse_second_routes(monkeypatch, owner, names)
     assert run(capsys, *argv) == (0, expected)
+
+
+def test_classify_reports_the_brute_force_witness_without_sampling(capsys, tmp_path, monkeypatch):
+    """Every tenth criterion-05 embedding at two seeds, point targets and
+    point sources among them: with the brute force and its sampling
+    refused, `classify` reports the witness of `classify_bruteforce`."""
+    cases = []
+    for g, ft in criterion_05_instances()[::10]:
+        path = write(tmp_path, f"e{len(cases)}.json", {"graph": g.to_json_obj(), "source_type": ft.to_json_obj()})
+        for seed in (0, 3):
+            expected = flagcore.classify_bruteforce(diagembed.DiagonalEmbedding(g, ft).evaluate, ft, seed)
+            cases.append((["--seed", str(seed), "classify", "--embedding", path], expected.to_json_obj()))
+    refuse_second_routes(monkeypatch, flagcore, SECOND_ROUTES["classify"][2])
+    kinds = collections.Counter()
+    for argv, expected in cases:
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and (doc["verdict"], doc["witness"]) == (expected["kind"], expected["data"])
+        kinds[doc["verdict"]] += 1
+    assert kinds == {"not_se": 170, "strict_se": 62}
+
+
+# One argv builder per embedding source given an option it does not read.
+UNREAD_OPTIONS = {
+    "classify --embedding --alpha --m": (
+        lambda t: ["classify", "--embedding", write(t, "e.json", {"alpha": [1, 2, 2, 3], "m": 2}),
+                   "--alpha", "1,1,1,2,2,2", "--m", "3"],
+        "--alpha cannot be combined with --embedding",
+    ),
+    "classify --embedding --m": (
+        lambda t: ["classify", "--embedding", write(t, "e.json", {"alpha": [1, 2, 2, 3], "m": 2}), "--m", "5"],
+        "--m cannot be combined with --embedding",
+    ),
+    "classify --alpha --source-ambient": (
+        lambda t: ["classify", "--alpha", "1,2,2,3", "--m", "2", "--source-ambient", "3"],
+        "--source-ambient cannot be combined with --alpha",
+    ),
+    "embed --graph --m": (
+        lambda t: ["embed", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--source-dims", "1,2",
+                   "--source-ambient", "3", "--m", "2", "--flag", "unread.json"],
+        "--m cannot be combined with --graph",
+    ),
+    "picard --graph --alpha --m": (
+        lambda t: ["picard", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--alpha", "1,2", "--m", "1"],
+        "--alpha cannot be combined with --graph",
+    ),
+    "picard --graph --source-ambient": (
+        lambda t: ["picard", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--source-ambient", "3"],
+        "--source-ambient cannot be combined with --graph",
+    ),
+    "constants --graph --alpha --m": (
+        lambda t: ["constants", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--alpha", "1,2", "--m", "7"],
+        "--alpha cannot be combined with --graph",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_OPTIONS))
+def test_an_option_its_source_does_not_read_is_refused(capsys, tmp_path, case):
+    argv, message = UNREAD_OPTIONS[case]
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 LONG_TOKEN = "1" + "0" * 5000

@@ -33,7 +33,8 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diagflag import flagcore
+from diagflag import diagembed, flagcore
+from diagflag.cli import canonical_json
 from diagflag.errors import DomainError, ScaleError
 from diagflag.flagcore import (
     SAMPLE_LIMIT,
@@ -1093,6 +1094,43 @@ def test_the_dual_solve_matches_the_solve_on_dual_images(criterion_05_classified
             assert got == reference_epsilon_solution_space(samples, ft, kappa, nw, dualized)
             counts[dualized] += 1
     assert counts == {False: 483, True: 215}
+
+
+def test_the_graph_route_gives_the_recorded_classification(criterion_05_classified):
+    """Every criterion-05 embedding (not its duality twin): the graph
+    route's classification JSON is the brute force's recorded one, byte
+    for byte.  As `diagembed.classify` proves for k >= 1, each strict
+    witness is the unit inclusion of one colour block."""
+    kinds = {"strict_se": 0, "not_se": 0}
+    unit_inclusions = 0
+    for item in criterion_05_classified[::2]:
+        emb = item.evaluate.__self__
+        got = diagembed.classify(emb, seed=0)
+        assert canonical_json(got.to_json_obj()) == canonical_json(item.result.to_json_obj())
+        kinds[got.kind] += 1
+        if got.data is not None and emb.source_type.length:
+            m, rows = emb.m, got.data.int_epsilon
+            c = next(r for r, row in enumerate(rows) if any(row)) // m
+            assert got.data.denominator == 1
+            assert rows == tuple(tuple(int(r == c * m + i) for i in range(m)) for r in range(emb.n))
+            unit_inclusions += 1
+    assert kinds == {"strict_se": 218, "not_se": 940}
+    assert unit_inclusions == 194
+
+
+def test_the_lemma_space_is_every_strict_solve_of_a_graph_embedding(criterion_05_classified):
+    """Every eps solve of the brute force's strict pass on a criterion-05
+    embedding, from sampled flags: its solutions are the space the lemma
+    of `diagembed._epsilon_space` reads off the graph."""
+    solves = 0
+    for item in criterion_05_classified[::2]:
+        emb = item.evaluate.__self__
+        columns = tuple(zip(*emb.graph.closed_indices))
+        for _, _, kappa, _, dualized, (solutions, _) in item.solves:
+            if not dualized:
+                assert solutions == diagembed._epsilon_space(columns, kappa, emb.graph.q, emb.m)
+                solves += 1
+    assert solves == 274
 
 
 def mapped_samples(data, count=6):
