@@ -10,8 +10,9 @@ the library raises.  Each command runs one route (`classify` the exact
 graph route, which samples nothing); the routes that cross-check
 `classify`, `constants`, `factor` and `exhaust --gft` run in the tests,
 not on every call.  An embedding option that the embedding's source does
-not read is an input error.  All randomness flows from --seed, and
-reports are byte-identical given identical inputs and seed.
+not read is an input error, and so is any option given twice.  All
+randomness flows from --seed, and reports are byte-identical given
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -76,7 +77,24 @@ def selftest_digest() -> str:
 
 
 
+class _Once(argparse.Action):
+    """Store an option's value, refusing a second occurrence, which argparse
+    would let silently replace the first.  The options seen are kept on the
+    namespace, which the global parser and the command's parser share."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise DomainError(f"{self.option_strings[0]} given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _CliParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.register("action", None, _Once)  # every option added without an action
+
     def error(self, message: str):  # argparse defaults to exit code 2
         raise DomainError(message)
 

@@ -346,9 +346,9 @@ class SweepReport(Record):
 
 # The most work `oracle_sweep` takes on, in the units of `sweep_work`.  It
 # admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about
-# 2.5 s in-process on a 2-vCPU Xeon VM) and every n = 7 block count but 1
-# (block counts 2..7: 113,787, about 2.8 s); n = 7 at d = 1 is 2,500,799
-# (about 39 s) and every n = 8 term is at least 545,835.
+# 2.2 s in-process on a 2-vCPU Xeon VM) and every n = 7 block count but 1
+# (block counts 2..7: 113,787, about 1.8 s); n = 7 at d = 1 is 2,500,799
+# (about 30 s) and every n = 8 term is at least 545,835.
 SWEEP_WORK_LIMIT = 300_000
 
 
@@ -387,7 +387,8 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
     uni_agree = 0
     uni_bad: list[dict] = []
     eval_checks = 0
-    # One memo per sweep: cases share members and whole constraint systems.
+    # One memo per sweep: cases share members, whole constraint systems and
+    # the nilradical oracle's descent tests.
     memo: dict = {}
     for n in range(2, n_max + 1):
         for d in d_list:
@@ -407,7 +408,7 @@ def oracle_sweep(n_max: int, d_set: Iterable[int]) -> SweepReport:
                 if not combinatorial:
                     continue
                 uni_comb = unipotent_inclusion(result.graph)
-                uni_oracle = nilradical_inclusion_oracle(flag, oracle)
+                uni_oracle = nilradical_inclusion_oracle(flag, oracle, memo)
                 if uni_comb == uni_oracle:
                     uni_agree += 1
                 else:

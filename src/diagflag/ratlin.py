@@ -66,8 +66,11 @@ caller owns, which keeps each member's rows (`_member_constraints`) and
 each solved system (`_solve_stabilizer`), so that a sweep, whose cases
 share few members and fewer systems, builds and solves each once;
 nothing is cached at module level, and no result changes.
-The nilradical oracle `nilradical_inclusion_oracle(flag, stabilizer)`
-takes that result and builds only the nonzero generator images.
+The nilradical oracle `nilradical_inclusion_oracle(flag, stabilizer,
+memo)` takes that result and the same dict, which keeps the verdict of
+each member's descent test x F_t <= F_{t-1} under a "descent" key, so a
+sweep decides each distinct test once; on a miss it builds only the
+nonzero generator images and runs one span test.
 """
 
 from __future__ import annotations
@@ -703,6 +706,13 @@ class StabilizerResult(Record):
             (i, j) in roots or (j, i) in roots for i in range(1, m + 1) for j in range(i + 1, m + 1)
         )
 
+    @cached_property
+    def nil_q(self) -> tuple[tuple[int, int], ...]:
+        """The root spaces E_ij whose opposite E_ji is absent, sorted: for a
+        parabolic q they span its nilradical."""
+        roots = self.root_spaces
+        return tuple(sorted((i, j) for (i, j) in roots if (j, i) not in roots))
+
 
 def _by_block(row: Sequence[int], m: int, step: int) -> dict[int, list[tuple[int, int]]]:
     """The nonzero entries of a row of width d*m, grouped by block: block k
@@ -771,12 +781,14 @@ def stabilizer_oracle(flag: Flag, m: int, memo: dict | None = None) -> Stabilize
     rows, in first-seen order.  `memo`, a dict the caller owns, keeps the
     work of earlier calls: each member's rows under ("member", m, its
     integer rows) and each result under ("system", m, the constraint
-    tuple).  The tags keep the two apart, as a member of Q^(m*m) and a
-    system can be the same tuple, and m is in both keys because the empty
-    chain has the empty system at every block size.  A result is a
-    function of its key alone, and the union of the members' rows in chain
-    order is the first-seen order of the rows built afresh, so a memo
-    changes no result.  Without one, a fresh dict serves the one call.
+    tuple); `nilradical_inclusion_oracle` keeps its "descent" verdicts
+    in the same dict.  The tags keep the kinds apart, as a member of
+    Q^(m*m) and a system can be the same tuple, and m is in both keys
+    here because the empty chain has the empty system at every block
+    size.  A result is a function of its key alone, and the union of the
+    members' rows in chain order is the first-seen order of the rows built
+    afresh, so a memo changes no result.  Without one, a fresh dict serves
+    the one call.
     """
     n = flag.ambient
     if m < 1 or n % m != 0:
@@ -798,37 +810,51 @@ def stabilizer_oracle(flag: Flag, m: int, memo: dict | None = None) -> Stabilize
     return result
 
 
-def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult) -> bool:
+def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult, memo: dict | None = None) -> bool:
     """Whether the nilradical of the diagonal stabilizer q sits inside the
     nilradical of the full stabilizer p of the flag.
 
     `stabilizer` is `stabilizer_oracle(flag, m)`, which must report q
     parabolic; q is then the sum of the torus and its root spaces, and
-    nil(q) is spanned by the E_ij with E_ji absent.  Each generator is
-    embedded block-diagonally and tested against the strict-descent
-    condition x F_t <= F_{t-1}, with one span test per member F_t for the
-    nonzero images of its rows under every generator.
+    nil(q) is spanned by `stabilizer.nil_q`, the E_ij with E_ji absent.
+    Each generator is embedded block-diagonally and tested against the
+    strict-descent condition x F_t <= F_{t-1}, with one span test per
+    member F_t for the nonzero images of its rows under every generator.
+    `memo`, a dict the caller owns (the one `stabilizer_oracle` takes),
+    keeps each member's verdict under ("descent", m, ambient, nil_q, the
+    integer rows of F_t and of F_{t-1}).  The rest of the key fixes m and
+    the ambient: the roots of a parabolic q form a total preorder on
+    1..m, so a nonempty nil_q names every index up to m and an empty one
+    makes every test hold, and F_t is never zero, so its rows have width
+    n.  Both stay in the key so that it names its test without that
+    argument.  A verdict is a function of its key alone, so a memo
+    changes no result; without one, a fresh dict serves the one call.
     """
     m = stabilizer.block_size
     if not stabilizer.is_parabolic:
         raise DomainError("stabilizer is not parabolic; nilradical comparison undefined")
     if stabilizer.dimension != m + len(stabilizer.root_spaces):
         raise InternalCheckError("parabolic stabilizer is not torus-decomposable")
+    if memo is None:
+        memo = {}
     n = flag.ambient
-    roots = stabilizer.root_spaces
-    nil_q = [(i, j) for (i, j) in sorted(roots) if (j, i) not in roots]
+    nil_q = stabilizer.nil_q
     members = [flag.member(t) for t in range(len(flag.chain) + 2)]
     for t in range(1, len(members)):
-        # A zero image lies in every span, so only nonzero ones are built.
-        images = []
-        for (i, j) in nil_q:
-            a, b = i - 1, j - 1
-            for v in members[t].int_rows:
-                column = v[b::m]
-                if any(column):
-                    image = [0] * n
-                    image[a::m] = column
-                    images.append(image)
-        if not members[t - 1]._spans(images):
+        key = ("descent", m, n, nil_q, members[t].int_rows, members[t - 1].int_rows)
+        holds = memo.get(key)
+        if holds is None:
+            # A zero image lies in every span, so only nonzero ones are built.
+            images = []
+            for (i, j) in nil_q:
+                a, b = i - 1, j - 1
+                for v in members[t].int_rows:
+                    column = v[b::m]
+                    if any(column):
+                        image = [0] * n
+                        image[a::m] = column
+                        images.append(image)
+            holds = memo[key] = members[t - 1]._spans(images)
+        if not holds:
             return False
     return True

@@ -106,3 +106,28 @@ def test_the_flagmaps_workload_items_pass_their_checks(tmp_path):
         assert len(items) == 20
         for item in items:
             item.check(item.run())
+
+
+def test_the_oracle_workload_items_pass_their_checks(tmp_path):
+    """The one item of a round of the tiny `oracle` workload and its traced
+    item, for seeds 1 and 2, run in-process and checked by the workload's
+    own check: the sweep's verdicts agree, and it times one draw from the
+    rebound `diagembed.surjections` per case.  A memo that changed a
+    verdict, or a case drawn twice, fails here before the benchmark runs."""
+    workloads = load_bench(WORKLOADS)
+
+    class Ticks:
+        count = 0
+
+        def tick(self):
+            self.count += 1
+
+    reports = set()
+    for seed in (1, 2):
+        workload = workloads.Oracle(seed, tmp_path, True, False)
+        for item in next(workload.rounds()) + workload.traced_items():
+            workload.probe = Ticks()
+            report = item.run()
+            reports.add(item.check(report))
+            assert workload.probe.count == len(item.cases()) == report.cases > 0
+    assert len(reports) == 3  # the round's sweep and the traced sweep at each block count

@@ -398,6 +398,30 @@ def test_an_option_its_source_does_not_read_is_refused(capsys, tmp_path, case):
     assert captured.err == f"input error: {message}\n"
 
 
+def test_an_option_given_twice_is_refused(capsys, tmp_path, monkeypatch):
+    """Every option of every command, and the global `--seed` and `--out`,
+    given twice, even with the same value, is one input error before any
+    document is read or any report written; argparse alone would keep the
+    last value, so `--d 2 --d 3` would sweep block count 3 alone.  An
+    abbreviation is named by its option."""
+    monkeypatch.chdir(tmp_path)
+    cases = [(["--seed", "1", "--seed", "1", "dot", "--graph", "g.json"], "--seed"),
+             (["--out", "a", "--out", "b", "dot", "--graph", "g.json"], "--out"),
+             (["oracle", "--n-max", "3", "--d", "2", "--d", "3"], "--d"),
+             (["oracle", "--n-max", "3", "--n", "4", "--d", "2"], "--n-max")]
+    for command in cli._COMMANDS:
+        for action in build_parser(command)._actions:
+            if action.dest != "help":
+                option = action.option_strings[0]
+                cases.append(([command, option, "1", option, "1"], option))
+    assert len(cases) == 43
+    for argv, option in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: {option} given twice\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 LONG_TOKEN = "1" + "0" * 5000
 TOO_LONG = "has 5001 digits, beyond the limit of"
 # One argv builder per boundary input, with what its message must say.

@@ -1118,6 +1118,30 @@ def test_the_graph_route_gives_the_recorded_classification(criterion_05_classifi
     assert unit_inclusions == 194
 
 
+def test_the_graph_route_agrees_on_point_sources_at_fifty_seeds():
+    """The 7 criterion-05 embeddings of a point source (q = 1) with
+    m >= 3, at seeds 0-49: the graph route's classification JSON is the
+    brute force's.  There `diagembed.classify` finds its witness only
+    among the seeded random eps combinations, and the brute force's dual
+    pass, which the graph route skips, is not proved idle; this pins the
+    agreement over more seeds, it does not prove it.  The sample and
+    verification memos are cleared before and after, so the streams of
+    fifty seeds leave no trace."""
+    points = [(g, ft) for g, ft in criterion_05_instances() if ft.length == 0 and ft.ambient >= 3]
+    assert len(points) == 7
+    _sample_stream.cache_clear()
+    _verify_flags.cache_clear()
+    try:
+        for g, ft in points:
+            emb = DiagonalEmbedding(g, ft)
+            for seed in range(50):
+                got = canonical_json(diagembed.classify(emb, seed).to_json_obj())
+                assert got == canonical_json(flagcore.classify_bruteforce(emb.evaluate, ft, seed).to_json_obj())
+    finally:
+        _sample_stream.cache_clear()
+        _verify_flags.cache_clear()
+
+
 def test_the_lemma_space_is_every_strict_solve_of_a_graph_embedding(criterion_05_classified):
     """Every eps solve of the brute force's strict pass on a criterion-05
     embedding, from sampled flags: its solutions are the space the lemma

@@ -16,6 +16,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagflag import diagembed
 from diagflag.errors import DomainError
 from diagflag.flagcore import level_flag
 from diagflag.ratlin import (
@@ -635,6 +636,54 @@ def test_a_shared_memo_changes_no_stabilizer(level_flag_oracles):
             assert (res.is_parabolic, res.block_size) == (parabolic, block_size)
     assert len(memo) < len(cases)
     assert [stabilizer_oracle(Flag(6, ()), m, memo).dimension for m in (2, 3, 6)] == [4, 9, 36]
+
+
+def test_a_shared_memo_changes_no_nilradical_verdict(level_flag_oracles, monkeypatch):
+    """One memo across every parabolic level flag with n <= 6 at every
+    block size and seeded conjugated flags: each verdict equals a
+    memo-free call, and a sample equals the reference.  The level flags'
+    fresh results and references are the shared fixture's.  The rest of
+    each key fixes its m and its ambient, so dropping either would hand no
+    test another's verdict: the roots of a parabolic q form a total
+    preorder on 1..m, so a nonempty nil_q names every index up to m and an
+    empty one makes every test hold, and F_t, never zero, has rows of
+    width n.  `oracle_sweep(6, {2, 3})`, whose memo both oracles share,
+    decides 1,099 distinct descent tests for its 3,047 nilradical calls."""
+    rng = random.Random(20261021)
+    cases = [(flag, m, res, reference[0]) for flag, m, res, reference in level_flag_oracles if res.is_parabolic]
+    for _ in range(200):
+        n = rng.choice((2, 3, 4, 4, 6, 6, 6))
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        flag = level_flag([rng.randint(1, 4) for _ in range(n)])
+        flag = flag.apply(block_diagonal(random_invertible_ints(n // d, rng), d))
+        res = stabilizer_oracle(flag, n // d)
+        if res.is_parabolic:
+            cases.append((flag, n // d, res, None))
+    memo = {}
+    verdicts = set()
+    for i, (flag, m, res, reference) in enumerate(cases):
+        got = nilradical_inclusion_oracle(flag, res, memo)
+        assert got == nilradical_inclusion_oracle(flag, res)
+        if i % 25 == 0:
+            assert got == reference_nilradical_inclusion(flag, reference or reference_stabilizer(flag, m)[0])
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    descents = {key: holds for key, holds in memo.items() if key[0] == "descent"}
+    assert descents
+    for (_, m, n, nil_q, rows, _), holds in descents.items():
+        assert max(max(pair) for pair in nil_q) == m if nil_q else holds
+        assert {len(row) for row in rows} == {n}
+
+    memos = []
+
+    def kept(flag, stabilizer, memo):
+        memos.append(memo)
+        return nilradical_inclusion_oracle(flag, stabilizer, memo)
+
+    monkeypatch.setattr(diagembed, "nilradical_inclusion_oracle", kept)
+    assert diagembed.oracle_sweep(6, {2, 3}).unipotent_agreements == len(memos) == 3047
+    assert all(memo is memos[0] for memo in memos)
+    assert sum(key[0] == "descent" for key in memos[0]) == 1099
 
 
 def test_nilradical_inclusion_cases():
