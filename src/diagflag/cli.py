@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import re
 import sys
@@ -472,7 +473,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """The process entry point: `main` on sys.argv, then exit with its code.
+
+    Once the report is written the heap is frozen, so the collections that
+    interpreter shutdown runs scan none of it: about 13,500 tracked objects,
+    2-3 ms a pass on a 2-vCPU VM, in memory the OS is about to reclaim.
+    That is safe: shutdown still runs atexit and flushes stdout before it
+    tears down the modules, `--out` is closed by its `with` block, and no
+    library object needs a cycle collected at exit.  `main` leaves the
+    collector alone, so in-process callers keep a normal one."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

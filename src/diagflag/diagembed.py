@@ -347,8 +347,8 @@ class SweepReport(Record):
 # The most work `oracle_sweep` takes on, in the units of `sweep_work`.  It
 # admits every sweep with n_max <= 6 (block counts 1..6: 249,936, about
 # 2.2 s in-process on a 2-vCPU Xeon VM) and every n = 7 block count but 1
-# (block counts 2..7: 113,787, about 1.8 s); n = 7 at d = 1 is 2,500,799
-# (about 30 s) and every n = 8 term is at least 545,835.
+# (block counts 2..7: 113,787, about 2.3 s); n = 7 at d = 1 is 2,500,799
+# (about 29 s) and every n = 8 term is at least 545,835.
 SWEEP_WORK_LIMIT = 300_000
 
 

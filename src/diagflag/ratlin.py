@@ -64,13 +64,14 @@ columns that are zero in every constraint depend only on their span.
 `stabilizer_oracle(flag, m, memo)` takes an optional dict that the
 caller owns, which keeps each member's rows (`_member_constraints`) and
 each solved system (`_solve_stabilizer`), so that a sweep, whose cases
-share few members and fewer systems, builds and solves each once;
+share few members and fewer systems, builds and solves each once (at
+m = n, where no two flags share a system, it keeps the rows alone);
 nothing is cached at module level, and no result changes.
 The nilradical oracle `nilradical_inclusion_oracle(flag, stabilizer,
 memo)` takes that result and the same dict, which keeps the verdict of
-each member's descent test x F_t <= F_{t-1} under a "descent" key, so a
-sweep decides each distinct test once; on a miss it builds only the
-nonzero generator images and runs one span test.
+each member's descent test x F_t <= F_{t-1} under a "descent" key (none
+at m = n), so a sweep decides each distinct test once; on a miss it
+builds only the nonzero generator images and runs one span test.
 """
 
 from __future__ import annotations
@@ -789,6 +790,16 @@ def stabilizer_oracle(flag: Flag, m: int, memo: dict | None = None) -> Stabilize
     members' rows in chain order is the first-seen order of the rows built
     afresh, so a memo changes no result.  Without one, a fresh dict serves
     the one call.
+
+    At m = n (a sweep's block count 1) the memo keeps the members' rows,
+    which distinct flags share, and no system.  There q is the flag's own
+    stabilizer in gl(n), a parabolic subalgebra whose invariant subspaces
+    are exactly the flag's members, so q determines the flag: no two
+    distinct flags in Q^n share a system at m = n, and a sweep meets each
+    level flag once.  Only a later case in a larger ambient at the same
+    block size could reuse one, three times in `oracle_sweep(6, {1, 2,
+    3})`.  Keeping them put the tracemalloc peak of `oracle_sweep(6, {1})`
+    at 55.6 MiB, against 0.7 MiB.
     """
     n = flag.ambient
     if m < 1 or n % m != 0:
@@ -803,6 +814,8 @@ def stabilizer_oracle(flag: Flag, m: int, memo: dict | None = None) -> Stabilize
             member_rows = memo[key] = _member_constraints(member.int_rows, m)
         rows.update(dict.fromkeys(member_rows))
     constraints = tuple(rows)
+    if m == n:  # q determines the flag: no other flag in Q^n shares it
+        return _solve_stabilizer(constraints, m)
     key = ("system", m, constraints)
     result = memo.get(key)
     if result is None:
@@ -829,15 +842,18 @@ def nilradical_inclusion_oracle(flag: Flag, stabilizer: StabilizerResult, memo: 
     n.  Both stay in the key so that it names its test without that
     argument.  A verdict is a function of its key alone, so a memo
     changes no result; without one, a fresh dict serves the one call.
+    At m = n the memo keeps no verdict: nil_q there is the nilradical of
+    the flag's own parabolic, which determines the flag, so no two distinct
+    flags share a test (see `stabilizer_oracle`).
     """
     m = stabilizer.block_size
     if not stabilizer.is_parabolic:
         raise DomainError("stabilizer is not parabolic; nilradical comparison undefined")
     if stabilizer.dimension != m + len(stabilizer.root_spaces):
         raise InternalCheckError("parabolic stabilizer is not torus-decomposable")
-    if memo is None:
-        memo = {}
     n = flag.ambient
+    if memo is None or m == n:  # at m = n no other flag shares a test
+        memo = {}
     nil_q = stabilizer.nil_q
     members = [flag.member(t) for t in range(len(flag.chain) + 2)]
     for t in range(1, len(members)):

@@ -92,6 +92,28 @@ def test_the_cli_workload_commands_pass_their_checks(tmp_path, monkeypatch):
             item.check(item.run())
 
 
+def test_the_cli_workload_commands_pass_their_checks_cold(tmp_path, monkeypatch):
+    """Each of the tiny `cli` workload's 14 commands at seed 1, run as the
+    benchmark runs it, in a cold `python -m diagflag.cli` process that
+    exits through `cli.console_main`, and checked by the workload's own
+    check: no traceback, its exit code and verdict.  `finish` then runs
+    each command in-process and compares its stdout with the cold one, byte
+    for byte.  The processes import the package from this checkout, with
+    stdout block-buffered as a pipe's is by default, so a process that
+    exits without flushing it fails."""
+    workloads = load_bench(WORKLOADS)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", str(Path(workloads.cli.__file__).resolve().parent.parent))
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    workload = workloads.Cli(1, tmp_path, True, False)
+    items = next(workload.rounds())
+    assert len(items) == 14
+    for item in items:
+        item.check(item.run())
+    assert sorted(workload.process_counts) == list(range(14))
+    assert workload.finish() == []
+
+
 def test_the_flagmaps_workload_items_pass_their_checks(tmp_path):
     """Each item of one round of the tiny `flagmaps` workload, for seeds 1
     and 2, run in-process and checked by the workload's own check:

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -109,6 +110,50 @@ pinned = '"selftest_digest":"3f42de50f4ebcd3a"' in stdout.getvalue()
 print(code, progs, pinned, [m for m in {UNUSED_MODULES!r} if m in sys.modules])
 """
     assert cold_stdout(code) == "0 ['diagflag', 'diagflag restrict'] True []\n"
+
+
+RESTRICT = ["--seed", "3", "restrict", "--alpha", "1,2,2,3", "--m", "2"]
+
+
+def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    """Only the process entry `console_main` freezes the heap: `main`, for
+    a report, an input error and an `--out` run, leaves the frozen count
+    and the collector's switch as they were."""
+    for argv, expected in ((RESTRICT, 0), (RESTRICT[:-1], 1), (["--out", str(tmp_path / "r.json"), *RESTRICT], 0)):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(argv) == expected
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+    capsys.readouterr()
+
+
+def cold_console_main(*argv):
+    """`cli.console_main` with `argv` in a fresh interpreter that imports
+    from src; an exit hook reports on stderr whether the heap was frozen."""
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r})\n"
+        "import atexit, gc\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
+        "from diagflag.cli import console_main\n"
+        "console_main()"
+    )
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code, *argv], capture_output=True, timeout=60)
+
+
+def test_a_cold_console_main_exits_with_mains_code_and_bytes(tmp_path, capsys):
+    """A process exits with `main`'s code, 0 or 1, and writes the bytes
+    that `main` writes in-process, to stdout and to `--out`, after it has
+    frozen its heap."""
+    for argv, expected in ((RESTRICT, 0), (["oracle", "--n-max", "4", "--d", "2"], 0), (RESTRICT[:-1], 1)):
+        assert main(argv) == expected
+        out, err = capsys.readouterr()
+        done = cold_console_main(*argv)
+        assert done.returncode == expected
+        assert (done.stdout, done.stderr) == (out.encode(), f"{err}frozen True\n".encode())
+    assert main(["--out", str(tmp_path / "in.json"), *RESTRICT]) == 0
+    done = cold_console_main("--out", str(tmp_path / "cold.json"), *RESTRICT)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"frozen True\n")
+    assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "in.json").read_bytes()
+    assert b'"verdict":"Parabolic"' in (tmp_path / "cold.json").read_bytes()
 
 
 def test_the_selftest_digest_is_pinned_and_the_same_under_hashlib(monkeypatch):

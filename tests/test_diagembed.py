@@ -1,6 +1,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from functools import cached_property
 
@@ -508,6 +509,44 @@ def test_oracle_sweep_small():
     assert report.evaluation_checks > 0
     with pytest.raises(DomainError, match="sweeps need 2 <= n_max <= 8, got 1"):
         oracle_sweep(1, {2})  # the sweep starts at n = 2
+
+
+def test_a_block_count_1_sweep_keeps_only_member_rows(monkeypatch):
+    """At block count 1 the stabilizer of a level flag is the flag's own
+    parabolic, which determines the flag, so no two cases share a system or
+    a descent test: the sweep's memo keeps the members' rows alone, and the
+    report is the one a memo of every entry gave.  Keeping the rest put the
+    tracemalloc peak of a second `oracle_sweep(6, {1})` at 55.6 MiB (0.7
+    MiB without), and of `oracle_sweep(5, {1})` at 3.8 MiB (0.45 MiB);
+    tracing the n_max 6 sweep takes seven times as long as running it, so
+    the peak is pinned at n_max 5."""
+    memos = []
+
+    def kept(flag, m, memo):
+        memos.append(memo)
+        return ratlin.stabilizer_oracle(flag, m, memo)
+
+    monkeypatch.setattr(diagembed, "stabilizer_oracle", kept)
+    report = oracle_sweep(6, {1})
+    assert report.to_json_obj() == {
+        "cases": 5315,
+        "parabolic_agreements": 5315,
+        "parabolic_disagreements": [],
+        "unipotent_agreements": 5315,
+        "unipotent_disagreements": [],
+        "evaluation_checks": 5310,
+        "ok": True,
+    }
+    assert len(memos) == 5315 and all(memo is memos[0] for memo in memos)
+    assert {key[0] for key in memos[0]} == {"member"}
+    oracle_sweep(5, {1})  # the level flags' cached members are built before tracing
+    tracemalloc.start()
+    try:
+        assert oracle_sweep(5, {1}).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_sweep_work_counts_level_maps_times_stabilizer_unknowns():
