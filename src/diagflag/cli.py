@@ -1,28 +1,24 @@
 """Batch command-line front end: JSON in, one JSON report out.
 
-Every subcommand reads schema-validated JSON documents, runs one library
-operation, and prints a single JSON report with a ``verdict`` field.
-Negative mathematical verdicts (a non-parabolic restriction, an
-inadmissible type) exit 0: the tool distinguishes "the math says no"
-from failure.  Exit 1 marks an input or schema error, exit 2 an internal
-consistency failure: an `oracle` disagreement, or an `InternalCheckError`
-the library raises.  Each command runs one route (`classify` the exact
-graph route, which samples nothing); the routes that cross-check
-`classify`, `constants`, `factor` and `exhaust --gft` run in the tests,
-not on every call.  An embedding option that the embedding's source does
-not read is an input error, and so is any option given twice.  All
-randomness flows from --seed, and reports are byte-identical given
-identical inputs and seed.
+Each command reads schema-validated JSON documents, runs one library
+operation by one route (the routes that cross-check it run in the tests)
+and prints one JSON report with a `verdict` field.  Exit 0 covers negative
+verdicts too (a non-parabolic restriction, an inadmissible type); exit 1
+marks an input or schema error, exit 2 an internal consistency failure (an
+`oracle` disagreement or an `InternalCheckError`).  One small parser reads
+argv from the command table as argparse would, without loading it: each
+option takes one value, next or after `=`, and may be cut to a unique
+prefix.  An option given twice, or one that the embedding's source does not
+read, is an input error.  All randomness flows from --seed, and reports are
+byte-identical given identical inputs and seed.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
-import re
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import diagembed, egraph, flagcore, indlimit, supernat
@@ -78,28 +74,6 @@ def selftest_digest() -> str:
 
 
 
-class _Once(argparse.Action):
-    """Store an option's value, refusing a second occurrence, which argparse
-    would let silently replace the first.  The options seen are kept on the
-    namespace, which the global parser and the command's parser share."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        given = vars(namespace).setdefault("_given", set())
-        if self.dest in given:
-            raise DomainError(f"{self.option_strings[0]} given twice")
-        given.add(self.dest)
-        setattr(namespace, self.dest, values)
-
-
-class _CliParser(argparse.ArgumentParser):
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.register("action", None, _Once)  # every option added without an action
-
-    def error(self, message: str):  # argparse defaults to exit code 2
-        raise DomainError(message)
-
-
 def _load_json(path: str) -> dict:
     """The JSON object in `path`; every document kind is an object."""
     try:
@@ -122,19 +96,21 @@ def _write(path: str, text: str) -> None:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
-# An integer option or token is ASCII decimal: `int()` would also read
-# Unicode digits, underscores and surrounding spaces.
-_DECIMAL = re.compile("-?[0-9]+")
+# An integer option or token is ASCII decimal, `-?[0-9]+`: `int()` would
+# also read Unicode digits, underscores and surrounding spaces.
+def _is_decimal(token: str) -> bool:
+    return token.isascii() and token.removeprefix("-").isdigit()
 
 
-def _parse_int(text: str) -> int:
-    """The argparse type of the single-integer options."""
-    if not _DECIMAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+def _parse_int(text: str, option: str) -> int:
+    """The value of the single-integer option `option`: ASCII decimal digits,
+    with an optional minus sign, within the interpreter's digit limit."""
+    if not _is_decimal(text):
+        raise DomainError(f"argument {option}: expected an integer, got {text!r}")
     try:
         return int(text)
     except ValueError:  # past the interpreter's digit limit
-        raise argparse.ArgumentTypeError(_too_many_digits(text)) from None
+        raise DomainError(f"argument {option}: {_too_many_digits(text)}") from None
 
 
 def _too_many_digits(token: str) -> str:
@@ -144,7 +120,7 @@ def _too_many_digits(token: str) -> str:
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
     tokens = text.split(",")
-    if not all(_DECIMAL.fullmatch(x) for x in tokens):
+    if not all(_is_decimal(x) for x in tokens):
         raise DomainError(f"expected comma-separated integers, got {text!r}")
     try:
         return tuple(int(x) for x in tokens)
@@ -156,24 +132,23 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
 def _refuse_unread(args, *read: str) -> None:
     """DomainError for an embedding option given that the source `read[0]`,
     reading the options `read`, would drop."""
-    for name in ("embedding", "alpha", "m", "graph", "source_dims", "source_ambient"):
-        if name not in read and getattr(args, name) is not None:
-            option, source = (f"--{x.replace('_', '-')}" for x in (name, read[0]))
-            raise DomainError(f"{option} cannot be combined with {source}")
+    for flag in _EMBEDDING_OPTIONS:
+        if flag not in read and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise DomainError(f"{flag} cannot be combined with {read[0]}")
 
 
 def _load_embedding(args) -> diagembed.DiagonalEmbedding:
     if args.embedding:
-        _refuse_unread(args, "embedding")
+        _refuse_unread(args, "--embedding")
         return diagembed.DiagonalEmbedding.from_json_obj(_load_json(args.embedding))
     if args.alpha:
-        _refuse_unread(args, "alpha", "m")
+        _refuse_unread(args, "--alpha", "--m")
         if args.m is None:
             raise DomainError("--alpha requires --m")
         alpha = egraph.SurjectionAlpha.of(_parse_csv_ints(args.alpha))
         return diagembed.embedding_from_alpha(alpha, args.m)
     if args.graph:
-        _refuse_unread(args, "graph", "source_dims", "source_ambient")
+        _refuse_unread(args, "--graph", "--source-dims", "--source-ambient")
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
         if not args.source_dims:
             raise DomainError("--graph requires --source-dims and --source-ambient")
@@ -188,20 +163,14 @@ def _load_embedding(args) -> diagembed.DiagonalEmbedding:
 def _cmd_validate_egraph(args) -> dict:
     g = egraph.EGraph.from_json_obj(_load_json(args.graph))
     report = egraph.validate_egraph(g)
-    return {
-        "verdict": "valid" if report.ok else "invalid",
-        "violations": list(report.violations),
-    }
+    return {"verdict": "valid" if report.ok else "invalid", "violations": list(report.violations)}
 
 
 def _cmd_restrict(args) -> dict:
     alpha = egraph.SurjectionAlpha.of(_parse_csv_ints(args.alpha))
     result = egraph.build_from_alpha(alpha, args.m)
     if isinstance(result, egraph.NotParabolic):
-        return {
-            "verdict": "NotParabolic",
-            "witness": [list(result.witness[0]), list(result.witness[1])],
-        }
+        return {"verdict": "NotParabolic", "witness": [list(result.witness[0]), list(result.witness[1])]}
     return {
         "verdict": "Parabolic",
         "flag_type": None if result.flag_type is None else result.flag_type.to_json_obj(),
@@ -227,16 +196,12 @@ def _cmd_embed(args) -> dict:
     if is_int(ambient) and isinstance(chain, list) and (ambient, len(chain)) != (emb.m, emb.source_type.length):
         flagcore.refuse_mismatched_flag(ambient)
     image = emb.evaluate(Flag.from_json_obj(doc))
-    return {
-        "verdict": "ok",
-        "target_type": emb.target_type.to_json_obj(),
-        "image": image.to_json_obj(),
-    }
+    return {"verdict": "ok", "target_type": emb.target_type.to_json_obj(), "image": image.to_json_obj()}
 
 
 def _cmd_picard(args) -> dict:
     if args.graph and not args.source_dims:
-        _refuse_unread(args, "graph")
+        _refuse_unread(args, "--graph")
         g = egraph.require_valid(egraph.EGraph.from_json_obj(_load_json(args.graph)))
     else:
         g = _load_embedding(args).graph
@@ -261,7 +226,7 @@ def _cmd_constants(args) -> dict:
     type; when only a graph is given, use the type with members of every
     dimension 1..q-1 in Q^max(q, 2), or in Q^(--source-ambient)."""
     if args.graph and not args.source_dims:
-        _refuse_unread(args, "graph", "source_ambient")
+        _refuse_unread(args, "--graph", "--source-ambient")
         g = egraph.EGraph.from_json_obj(_load_json(args.graph))
         ambient = max(g.q, 2) if args.source_ambient is None else args.source_ambient
         emb = diagembed.DiagonalEmbedding(g, flagcore.FlagType(ambient, tuple(range(1, g.q))))
@@ -285,11 +250,7 @@ def _cmd_admissible(args) -> dict:
         return {"verdict": "Admissible", "certificate": result.certificate.to_json_obj()}
     if isinstance(result, indlimit.NotAdmissible):
         return {"verdict": "NotAdmissible", "proof": result.proof.to_json_obj()}
-    return {
-        "verdict": "Unknown",
-        "reason": result.reason,
-        "candidates_searched": result.candidates_searched,
-    }
+    return {"verdict": "Unknown", "reason": result.reason, "candidates_searched": result.candidates_searched}
 
 
 def _cmd_factor(args) -> dict:
@@ -312,10 +273,7 @@ def _cmd_factor(args) -> dict:
 def _cmd_oracle(args) -> dict:
     d_set = set(_parse_csv_ints(args.d))
     report = diagembed.oracle_sweep(args.n_max, d_set)
-    out = {
-        "verdict": "agree" if report.ok else "disagree",
-        "report": report.to_json_obj(),
-    }
+    out = {"verdict": "agree" if report.ok else "disagree", "report": report.to_json_obj()}
     if not report.ok:  # a combinatorial/oracle mismatch is an internal failure
         out["_exit"] = 2
     return out
@@ -354,104 +312,135 @@ def _cmd_dot(args) -> str:
     return egraph.to_dot(g)
 
 
-def _embedding_options(p) -> None:
-    p.add_argument("--embedding", help="embedding JSON ({alpha,m} or {graph,source_type})")
-    p.add_argument("--alpha", help="comma-separated level map values")
-    p.add_argument("--m", type=_parse_int, help="block size")
-    p.add_argument("--graph", help="graph JSON file")
-    p.add_argument("--source-dims", dest="source_dims", help="comma-separated source member dims ('-' for none)")
-    p.add_argument("--source-ambient", dest="source_ambient", type=_parse_int, help="source ambient dimension")
+# An option's type (`int` or `str`), whether it is required, and its default.
+_TEXT, _INT, _REQUIRED, _INT_REQUIRED = (str, False, None), (int, False, None), (str, True, None), (int, True, None)
+_GLOBAL_OPTIONS = {"--seed": (int, False, 0), "--out": _TEXT}
+_EMBEDDING_OPTIONS = {"--embedding": _TEXT, "--alpha": _TEXT, "--m": _INT, "--graph": _TEXT, "--source-dims": _TEXT,
+                      "--source-ambient": _INT}
+_GRAPH_OPTION = {"--graph": _REQUIRED}
 
-
-def _graph_option(p) -> None:
-    p.add_argument("--graph", required=True)
-
-
-def _restrict_options(p) -> None:
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--m", type=_parse_int, required=True)
-
-
-def _embed_options(p) -> None:
-    _embedding_options(p)
-    p.add_argument("--flag", required=True)
-
-
-def _admissible_options(p) -> None:
-    p.add_argument("--gft", required=True)
-    p.add_argument("--sn", required=True)
-    p.add_argument("--bound", type=_parse_int, default=64)
-
-
-def _oracle_options(p) -> None:
-    p.add_argument("--n-max", dest="n_max", type=_parse_int, required=True)
-    p.add_argument("--d", required=True, help="comma-separated block counts")
-
-
-def _exhaust_options(p) -> None:
-    p.add_argument("--sn", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--gft")
-    p.add_argument("--levels", type=_parse_int, default=6)
-
-
-# Each command's help line, handler and option adder, in `--help` order.
+# Each command's help line, handler and options, in `--help` order.
 _COMMANDS = {
-    "validate-egraph": ("check the structural clauses of a graph", _cmd_validate_egraph, _graph_option),
-    "restrict": ("parabolicity analysis of a diagonal restriction", _cmd_restrict, _restrict_options),
-    "embed": ("evaluate an embedding on a flag", _cmd_embed, _embed_options),
-    "picard": ("pullback matrix on Picard generators", _cmd_picard, _embedding_options),
-    "classify": ("standard-extension recognition from the graph", _cmd_classify, _embedding_options),
-    "constants": ("constant spaces of an embedding and their support", _cmd_constants, _embedding_options),
-    "admissible": ("decide realizability of a generalized flag type", _cmd_admissible, _admissible_options),
-    "factor": ("split a linear graph into monochromatic factors", _cmd_factor, _graph_option),
-    "oracle": ("sweep combinatorial verdicts against the exact oracle", _cmd_oracle, _oracle_options),
-    "exhaust": ("validate an exhaustion; optionally realize a flag type over it", _cmd_exhaust, _exhaust_options),
-    "dot": ("deterministic DOT rendering of a graph", _cmd_dot, _graph_option),
+    "validate-egraph": ("check the structural clauses of a graph", _cmd_validate_egraph, _GRAPH_OPTION),
+    "restrict": ("parabolicity analysis of a diagonal restriction", _cmd_restrict,
+                 {"--alpha": _REQUIRED, "--m": _INT_REQUIRED}),
+    "embed": ("evaluate an embedding on a flag", _cmd_embed, {**_EMBEDDING_OPTIONS, "--flag": _REQUIRED}),
+    "picard": ("pullback matrix on Picard generators", _cmd_picard, _EMBEDDING_OPTIONS),
+    "classify": ("standard-extension recognition from the graph", _cmd_classify, _EMBEDDING_OPTIONS),
+    "constants": ("constant spaces of an embedding and their support", _cmd_constants, _EMBEDDING_OPTIONS),
+    "admissible": ("decide realizability of a generalized flag type", _cmd_admissible,
+                   {"--gft": _REQUIRED, "--sn": _REQUIRED, "--bound": (int, False, 64)}),
+    "factor": ("split a linear graph into monochromatic factors", _cmd_factor, _GRAPH_OPTION),
+    "oracle": ("sweep combinatorial verdicts against the exact oracle", _cmd_oracle,
+               {"--n-max": _INT_REQUIRED, "--d": _REQUIRED}),
+    "exhaust": ("validate an exhaustion; optionally realize a flag type over it", _cmd_exhaust,
+                {"--sn": _REQUIRED, "--spec": _REQUIRED, "--gft": _TEXT, "--levels": (int, False, 6)}),
+    "dot": ("deterministic DOT rendering of a graph", _cmd_dot, _GRAPH_OPTION),
 }
+_HELP = ("-h", "--help")
 
 
-@functools.cache
-def build_parser(command: str | None = None) -> _CliParser:
-    """The global parser: `--seed`, `--out`, the command name and the rest
-    of argv; or, given `command`, that command's own parser.  A process
-    builds each once, and only those it parses with: building one takes
-    most of an in-process call, and parsing leaves it as it was."""
-    if command is not None:
-        help_line, _, add_options = _COMMANDS[command]
-        parser = _CliParser(prog=f"diagflag {command}", description=help_line)
-        add_options(parser)
-        return parser
-    listing = "".join(f"\n  {name:<17}{help_line}" for name, (help_line, _, _) in _COMMANDS.items())
-    parser = _CliParser(prog="diagflag", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
-                        epilog="commands (`diagflag COMMAND --help` lists its options):" + listing)
-    parser.add_argument("--seed", type=_parse_int, default=0, help="seed for all randomized checks")
-    parser.add_argument("--out", help="write the report here instead of stdout")
-    # The command name and the rest of argv in one list, matched as a subparser
-    # matches them: a plain positional would take a `--` around the name.
-    parser.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS, help="the command and its options")
-    return parser
+def _classify(flags, token: str):
+    """`token` as argparse reads it: None for a value, else the flag it names
+    by a unique prefix ("" for none, or `--`) and its text after `=` or `-h`."""
+    if token == "--":
+        return "", None
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, text = token.partition("=")
+    if token in flags or eq and name in flags:
+        return name, text if eq else None
+    long = token[1] == "-"
+    matches = [f for f in flags if (f.startswith(name) if long else f == token[:2])]
+    if len(matches) > 1:
+        raise DomainError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], (text if eq else None) if long else token[2:]
+    # A negative number is a value: argparse's `^-\d+$|^-\d*\.\d+$`, read
+    # without compiling a pattern in every process.
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    negative = fraction.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return None if negative or " " in token else ("", None)
+
+
+def _read_options(options: dict, tokens: list, values: dict, take_command: bool = False):
+    """Put in `values` each option of `options` by name, from `tokens` or its
+    default, and return the tokens after the command name (the first value)
+    if `take_command`; None at -h/--help.  Errors come in argparse's order."""
+    cut = tokens.index("--") + 1 if "--" in tokens else len(tokens)  # a token after `--` is a value
+    kinds = [_classify((*_HELP, *options), t) for t in tokens[:cut]] + [None] * (len(tokens) - cut)
+    given, extras, i = {}, [], 0
+    while i < len(tokens):
+        (token, kind), i = (tokens[i], kinds[i]), i + 1
+        if kind is None and take_command:
+            if token not in _COMMANDS:
+                raise DomainError(f"argument command: invalid choice: {token!r} (choose from {', '.join(_COMMANDS)})")
+            values["command"] = token
+            break
+        flag, text = kind or ("", None)
+        if flag in _HELP:  # `-hh` is `-h -h`
+            if text is None or flag == "-h" and text and not text.strip("h"):
+                return None
+            raise DomainError(f"argument -h/--help: ignored explicit argument {text!r}")
+        if not flag:
+            extras.append(token)
+            continue
+        if text is None:
+            if i == len(tokens) or kinds[i] is not None:
+                raise DomainError(f"argument {flag}: expected one argument")
+            text, i = tokens[i], i + 1
+        value = _parse_int(text, flag) if options[flag][0] is int else text
+        if flag in given:
+            raise DomainError(f"{flag} given twice")
+        given[flag] = value
+    missing = [f for f, (_, required, _) in options.items() if required and f not in given]
+    if missing or take_command and "command" not in values:
+        raise DomainError(f"the following arguments are required: {', '.join(missing or ['command'])}")
+    if extras:
+        raise DomainError(f"unrecognized arguments: {' '.join(extras)}")
+    values.update((f[2:].replace("-", "_"), given.get(f, default)) for f, (_, _, default) in options.items())
+    return tokens[i:]
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace | str:
+    """The options of `argv` by name, and `command`; or the help text, if
+    -h/--help comes first."""
+    values = {}
+    if (rest := _read_options(_GLOBAL_OPTIONS, list(argv), values, take_command=True)) is None:
+        return _help()
+    if _read_options(_COMMANDS[values["command"]][2], rest, values) is None:
+        return _help(values["command"])
+    return SimpleNamespace(**values)
+
+
+def _help(command: str | None = None) -> str:
+    """The global options and the commands, or one command's options."""
+    about, _, options = _COMMANDS[command] if command else (__doc__, None, _GLOBAL_OPTIONS)
+    lines = [f"usage: diagflag {command or '[--seed N] [--out FILE] COMMAND'} [--OPTION VALUE]...\n\n{about.strip()}\n",
+             "options:\n  -h, --help"]
+    for flag, (kind, required, default) in options.items():
+        note = " (required)" if required else "" if default is None else f" (default {default})"
+        lines.append(f"  {flag} {'N' if kind is int else 'VALUE'}{note}")
+    if not command:
+        lines += ["\ncommands (`diagflag COMMAND --help` lists its options):"]
+        lines += [f"  {name:<17}{line}" for name, (line, _, _) in _COMMANDS.items()]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        args.command, *rest = args.command
-        build_parser(args.command).parse_args(rest, namespace=args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h or --help
+            sys.stdout.write(args)
+            return 0
         payload = _COMMANDS[args.command][1](args)
         exit_code = 0
         if isinstance(payload, str):  # DOT output is emitted verbatim
             text = payload
         else:
             exit_code = payload.pop("_exit", 0)
-            report = {
-                "schema_version": SCHEMA_VERSION,
-                "selftest_digest": selftest_digest(),
-                "command": args.command,
-                "seed": args.seed,
-                **payload,
-            }
-            text = canonical_json(report)
+            text = canonical_json({"schema_version": SCHEMA_VERSION, "selftest_digest": selftest_digest(),
+                                   "command": args.command, "seed": args.seed, **payload})
         if args.out:
             _write(args.out, text)
         else:
@@ -475,13 +464,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 def console_main() -> None:
     """The process entry point: `main` on sys.argv, then exit with its code.
 
-    Once the report is written the heap is frozen, so the collections that
-    interpreter shutdown runs scan none of it: about 13,500 tracked objects,
-    2-3 ms a pass on a 2-vCPU VM, in memory the OS is about to reclaim.
-    That is safe: shutdown still runs atexit and flushes stdout before it
-    tears down the modules, `--out` is closed by its `with` block, and no
-    library object needs a cycle collected at exit.  `main` leaves the
-    collector alone, so in-process callers keep a normal one."""
+    Once the report is written the heap is frozen, so the collections of
+    interpreter shutdown scan none of it (about 13,500 objects, 2-3 ms a
+    pass on a 2-vCPU VM).  That is safe: shutdown still runs atexit and
+    flushes stdout, `--out` is closed by its `with` block, and no library
+    object needs a cycle collected at exit.  `main` leaves the collector
+    alone, so in-process callers keep a normal one."""
     code = main()
     gc.freeze()
     raise SystemExit(code)

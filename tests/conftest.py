@@ -1,11 +1,15 @@
 """Shared reference objects for the test suite."""
 
+import argparse
 import collections
+import contextlib
 import copy
 import functools
 import heapq
+import io
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
@@ -1065,3 +1069,144 @@ def level_flag_oracles():
                 if n % d == 0:
                     cases.append((flag, n // d, stabilizer_oracle(flag, n // d), reference_stabilizer(flag, n // d)))
     return cases
+
+
+# -- the CLI's argparse parser, as it was before the table parser -------------
+#
+# `reference_parse` reads an argv as `cli.main` once did: a global parser
+# with `--seed`, `--out` and the command with the rest of argv, then that
+# command's own parser on the rest.  Every option is stored once; a second
+# occurrence is refused.
+
+
+class ReferenceHelp(Exception):
+    """-h/--help: argparse printed the help of `prog` and would exit 0."""
+
+
+class _Once(argparse.Action):
+    """Store an option's value, refusing a second occurrence, which argparse
+    would let silently replace the first.  The options seen are kept on the
+    namespace, which the global parser and the command's parser share."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise DomainError(f"{self.option_strings[0]} given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _CliParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.register("action", None, _Once)  # every option added without an action
+
+    def error(self, message: str):  # argparse defaults to exit code 2
+        raise DomainError(message)
+
+    def exit(self, status=0, message=None):  # only -h/--help exits
+        raise ReferenceHelp(self.prog)
+
+
+_REFERENCE_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _reference_int(text: str) -> int:
+    """The argparse type of the single-integer options."""
+    if not _REFERENCE_DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise argparse.ArgumentTypeError("too many digits") from None
+
+
+def _embedding_options(p) -> None:
+    p.add_argument("--embedding")
+    p.add_argument("--alpha")
+    p.add_argument("--m", type=_reference_int)
+    p.add_argument("--graph")
+    p.add_argument("--source-dims", dest="source_dims")
+    p.add_argument("--source-ambient", dest="source_ambient", type=_reference_int)
+
+
+def _graph_option(p) -> None:
+    p.add_argument("--graph", required=True)
+
+
+def _restrict_options(p) -> None:
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--m", type=_reference_int, required=True)
+
+
+def _embed_options(p) -> None:
+    _embedding_options(p)
+    p.add_argument("--flag", required=True)
+
+
+def _admissible_options(p) -> None:
+    p.add_argument("--gft", required=True)
+    p.add_argument("--sn", required=True)
+    p.add_argument("--bound", type=_reference_int, default=64)
+
+
+def _oracle_options(p) -> None:
+    p.add_argument("--n-max", dest="n_max", type=_reference_int, required=True)
+    p.add_argument("--d", required=True)
+
+
+def _exhaust_options(p) -> None:
+    p.add_argument("--sn", required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--gft")
+    p.add_argument("--levels", type=_reference_int, default=6)
+
+
+REFERENCE_OPTION_ADDERS = {
+    "validate-egraph": _graph_option,
+    "restrict": _restrict_options,
+    "embed": _embed_options,
+    "picard": _embedding_options,
+    "classify": _embedding_options,
+    "constants": _embedding_options,
+    "admissible": _admissible_options,
+    "factor": _graph_option,
+    "oracle": _oracle_options,
+    "exhaust": _exhaust_options,
+    "dot": _graph_option,
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> _CliParser:
+    """The global parser: `--seed`, `--out`, the command name and the rest
+    of argv; or, given `command`, that command's own parser.  Parsing leaves
+    a parser as it was, so each is built once."""
+    if command is not None:
+        parser = _CliParser(prog=f"diagflag {command}")
+        REFERENCE_OPTION_ADDERS[command](parser)
+        return parser
+    parser = _CliParser(prog="diagflag")
+    parser.add_argument("--seed", type=_reference_int, default=0)
+    parser.add_argument("--out")
+    # The command name and the rest of argv in one list, matched as a subparser
+    # matches them: a plain positional would take a `--` around the name.
+    parser.add_argument("command", nargs=argparse.PARSER, choices=REFERENCE_OPTION_ADDERS)
+    return parser
+
+
+def reference_parse(argv: Sequence[str]):
+    """The options argparse read from `argv`, by name, with `command`; or
+    ("help", command or None) where it printed a help and would exit 0.
+    DomainError where it refused `argv`."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = build_parser().parse_args(argv)
+            args.command, *rest = args.command
+            build_parser(args.command).parse_args(rest, namespace=args)
+    except ReferenceHelp as exc:
+        prog = str(exc).split()
+        return "help", prog[1] if len(prog) > 1 else None
+    values = vars(args)
+    values.pop("_given", None)
+    return values

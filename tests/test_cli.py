@@ -13,13 +13,14 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import NOT_ARRAYS, criterion_05_instances, replaced_at, reversed_flag
+from conftest import NOT_ARRAYS, criterion_05_instances, reference_parse, replaced_at, reversed_flag
+from test_bench_layers import WORKLOADS, load_bench
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagflag
 from diagflag import cli, diagembed, flagcore, indlimit
-from diagflag.cli import build_parser, main, selftest_digest
+from diagflag.cli import main, selftest_digest
 from diagflag.egraph import GRAPH_SIZE_LIMIT
 from diagflag.errors import DomainError, InternalCheckError, ScaleError, reading, strict_list
 
@@ -66,11 +67,11 @@ def test_restrict_not_parabolic_exits_zero(capsys):
 
 
 SRC = str(Path(diagflag.__file__).resolve().parent.parent)
-# What a CLI process need not load: the value classes generate no code,
-# and the selftest digest takes sha256 from the interpreter's builtin
-# module, so `hashlib` and its OpenSSL `_hashlib` load only on a build
-# without one.
-UNUSED_MODULES = ("dataclasses", "inspect") + (
+# What a CLI process need not load: argv is read by the table parser, the
+# value classes generate no code, and the selftest digest takes sha256 from
+# the interpreter's builtin module, so `hashlib` and its OpenSSL `_hashlib`
+# load only on a build without one.
+UNUSED_MODULES = ("argparse", "gettext", "dataclasses", "inspect") + (
     ("hashlib", "_hashlib") if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")) else ()
 )
 
@@ -87,29 +88,25 @@ def cold_stdout(code: str) -> str:
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
-    """Every CLI process pays for what `import diagflag.cli` loads."""
+    """Every CLI process pays for what `import diagflag.cli` loads: none of
+    the unused modules, `argparse` and `gettext` among them."""
     code = f"import diagflag.cli\nprint([m for m in {UNUSED_MODULES!r} if m in sys.modules])"
     assert cold_stdout(code) == "[]\n"
 
 
-def test_a_cold_main_builds_only_the_global_and_its_commands_parser():
-    """A process builds the global parser and the parser of the command it
-    runs, and no other; printing a report loads none of the unused modules."""
+def test_a_cold_restrict_run_prints_the_pinned_digest_and_loads_no_unused_module():
+    """A process that reads its argv and prints a report loads none of the
+    unused modules, argparse and gettext among them."""
     code = f"""
 import io
 from diagflag import cli
-progs, init = [], cli._CliParser.__init__
-def counted(self, *args, **kwargs):
-    progs.append(kwargs["prog"])
-    init(self, *args, **kwargs)
-cli._CliParser.__init__ = counted
 stdout, sys.stdout = sys.stdout, io.StringIO()
 code = cli.main(["--seed", "3", "restrict", "--alpha", "1,2,2,3", "--m", "2"])
 stdout, sys.stdout = sys.stdout, stdout
 pinned = '"selftest_digest":"3f42de50f4ebcd3a"' in stdout.getvalue()
-print(code, progs, pinned, [m for m in {UNUSED_MODULES!r} if m in sys.modules])
+print(code, pinned, [m for m in {UNUSED_MODULES!r} if m in sys.modules])
 """
-    assert cold_stdout(code) == "0 ['diagflag', 'diagflag restrict'] True []\n"
+    assert cold_stdout(code) == "0 True []\n"
 
 
 RESTRICT = ["--seed", "3", "restrict", "--alpha", "1,2,2,3", "--m", "2"]
@@ -446,19 +443,16 @@ def test_an_option_its_source_does_not_read_is_refused(capsys, tmp_path, case):
 def test_an_option_given_twice_is_refused(capsys, tmp_path, monkeypatch):
     """Every option of every command, and the global `--seed` and `--out`,
     given twice, even with the same value, is one input error before any
-    document is read or any report written; argparse alone would keep the
-    last value, so `--d 2 --d 3` would sweep block count 3 alone.  An
-    abbreviation is named by its option."""
+    document is read or any report written, so `--d 2 --d 3` does not sweep
+    block count 3 alone.  An abbreviation is named by its option."""
     monkeypatch.chdir(tmp_path)
     cases = [(["--seed", "1", "--seed", "1", "dot", "--graph", "g.json"], "--seed"),
              (["--out", "a", "--out", "b", "dot", "--graph", "g.json"], "--out"),
              (["oracle", "--n-max", "3", "--d", "2", "--d", "3"], "--d"),
              (["oracle", "--n-max", "3", "--n", "4", "--d", "2"], "--n-max")]
-    for command in cli._COMMANDS:
-        for action in build_parser(command)._actions:
-            if action.dest != "help":
-                option = action.option_strings[0]
-                cases.append(([command, option, "1", option, "1"], option))
+    for command, (_, _, options) in cli._COMMANDS.items():
+        for option in options:
+            cases.append(([command, option, "1", option, "1"], option))
     assert len(cases) == 43
     for argv, option in cases:
         assert main(argv) == 1, argv
@@ -710,11 +704,66 @@ def test_exhaust_rejects_non_integer_numbers(capsys, tmp_path, sn_doc, spec_doc)
     assert "input error:" in captured.err
 
 
-def test_the_cached_parser_answers_as_a_fresh_one(capsys, tmp_path, mixed_graph_file):
-    """`main` builds the global parser and each command's parser once per
-    process.  After calls the parsers refuse, calls that fail later and
-    calls with options set, each call gives the exit code and the bytes,
-    on both streams, that freshly built parsers give."""
+def table_parse(argv):
+    """What `cli._parse_args` reads from `argv`, in `reference_parse`'s terms."""
+    result = cli._parse_args(argv)
+    if isinstance(result, str):
+        return "help", next(c for c in (None, *cli._COMMANDS) if cli._help(c) == result)
+    return vars(result)
+
+
+def parse_outcome(parse, argv):
+    try:
+        return parse(argv)
+    except DomainError:
+        return "refused"
+
+
+# Tokens inserted at every place of a base argv: help in its spellings,
+# `--`, values that start with `-`, unknown and ambiguous options, the `=`
+# form, abbreviations, global options and command names.
+PARSE_INSERTS = (
+    "--", "-", "", "x", "x y", "-1", "-1.5", "-x", "-x y", "--x y", "-1=2", "-=", "---",
+    "-h", "--help", "--h", "--he", "-hh", "-hx", "-h=h", "-h=", "--help=x",
+    "--bogus", "--bogus=1", "--=x", "--seed", "--seed=2", "--se=-2", "--out=", "--o=o.json", "--out=--", "--m=--",
+    "--s", "--so", "--source", "--n", "--n=-5", "--m", "--m=-2", "--m=", "--a=1,2", "--g=g.json", "--levels=-1",
+    "--d", "--gft", "restrict", "oracle", "bogus",
+)
+PARSE_PAIRS = (("--seed", "5"), ("--m", "3"), ("--m", "-3"), ("--d", "2"), ("--out", "o.json"), ("--out", "-"),
+               ("--graph", "g.json"), ("--n", "-5"), ("--levels", "-1"), ("--out", "--seed"), ("--", "--help"))
+PARSE_REPLACEMENTS = ("-5", "-.5", "-5\n", "-\u0663", "-\u0663.\u0663", "-", "--", "-x", "--x", "", "x")
+
+
+def argv_corpus(bases):
+    """Each base argv; each with one token dropped or replaced, each option
+    cut to every prefix of at least three characters, and each option
+    joined to its value by `=`; and the first base of each command with one
+    token, or one option and its value, inserted at every place."""
+    corpus, commands = {()}, set()
+    for base in map(tuple, bases):
+        corpus.add(base)
+        for k, token in enumerate(base):
+            corpus.add(base[:k] + base[k + 1:])
+            corpus.update(base[:k] + (new,) + base[k + 1:] for new in PARSE_REPLACEMENTS)
+            if token.startswith("--"):
+                corpus.update(base[:k] + (token[:n],) + base[k + 1:] for n in range(3, len(token)))
+                corpus.add(base[:k] + (f"{token}={''.join(base[k + 1:k + 2])}",) + base[k + 2:])
+        command = next((token for token in base if token in cli._COMMANDS), None)
+        if command not in commands:
+            commands.add(command)
+            for k in range(len(base) + 1):
+                corpus.update(base[:k] + (token,) + base[k:] for token in PARSE_INSERTS)
+                corpus.update(base[:k] + pair + base[k:] for pair in PARSE_PAIRS)
+    return sorted(corpus)
+
+
+def test_the_table_parser_reads_argv_as_the_argparse_reference(tmp_path, monkeypatch, capsys, mixed_graph_file):
+    """`cli._parse_args` refuses exactly the argvs that the argparse parser
+    `cli.main` once used refuses (`reference_parse`), prints the same help
+    for the rest, and reads the same values from the others, over argvs
+    around every command line of the `cli` workload's mix and the calls
+    below.  Those calls, run twice through `main`, give their exit codes and
+    the same bytes on both streams both times."""
     sn = write(tmp_path, "sn.json", {"factors": {"2": "inf"}})
     spec = write(tmp_path, "spec.json", {"s1": 2, "cycle": [2]})
     calls = [
@@ -736,15 +785,58 @@ def test_the_cached_parser_answers_as_a_fresh_one(capsys, tmp_path, mixed_graph_
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    fresh = []
-    for argv in calls:
-        build_parser.cache_clear()
-        fresh.append(answer(argv))
-    assert [answer(argv) for argv in calls] == fresh
-    # The global parser, then one per command parsed: `--seed x` and
-    # `no-such-command` are refused before any command's parser is built.
-    assert build_parser.cache_info().misses == 1 + len({"restrict", "classify", "exhaust", "picard"})
-    assert [code for code, _, _ in fresh] == [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0]
+    first = [answer(argv) for argv in calls]
+    assert [answer(argv) for argv in calls] == first
+    assert [code for code, _, _ in first] == [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0]
+    monkeypatch.chdir(tmp_path)
+    mix = [argv for argv, _, _ in load_bench(WORKLOADS).Cli(1, tmp_path, True, False).commands]
+    assert len(mix) == 14
+    more = [["--out", "r.json", "picard", "--graph", "g.json", "--source-dims", "1,2", "--source-ambient", "3"],
+            ["embed", "--embedding", "e.json", "--flag", "f.json"], ["constants", "--graph", "g.json"]]
+    corpus = argv_corpus(sorted(mix + calls + more, key=len))  # the shortest base of a command first
+    assert len(corpus) > 4000
+    outcomes = collections.Counter()
+    for argv in corpus:
+        expected, got = parse_outcome(reference_parse, argv), parse_outcome(table_parse, argv)
+        if got != expected and any(token.endswith("=--") for token in argv):
+            # argparse drops the `--` of `--OPTION=--` and stores [], on which
+            # most commands raised a traceback; the table parser reads `--`,
+            # which an integer option refuses.
+            outcomes["argparse []"] += 1
+            assert got == "refused" or got == {k: "--" if v == [] else v for k, v in expected.items()}, argv
+            continue
+        assert got == expected, argv
+        outcomes[expected if isinstance(expected, str) else expected[0] if isinstance(expected, tuple) else "read"] += 1
+    assert min(outcomes["refused"], outcomes["help"], outcomes["read"]) > 100 and outcomes["argparse []"], outcomes
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["--help"], None), (["-h", "restrict"], None), (["--bogus", "--help"], None), (["restrict", "-h"], "restrict"),
+    (["--seed", "1", "oracle", "--he"], "oracle"), (["picard", "--alpha", "1,2", "-hh", "--bogus"], "picard"),
+])
+def test_help_is_printed_and_main_returns_zero(capsys, argv, command):
+    """-h/--help, before or after the command, prints the help to stdout
+    and `main` returns 0 rather than exiting; options and tokens after it
+    are not read.  The global help lists every command with its help line,
+    a command's help each of its options."""
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == cli._help(command)
+    if command is None:
+        for name, (line, _, _) in cli._COMMANDS.items():
+            assert f"  {name:<17}{line}\n" in out
+    else:
+        assert all(f"  {option} " in out for option in cli._COMMANDS[command][2])
+
+
+def test_a_cold_process_prints_the_help_and_exits_zero(capsys):
+    """The process entry exits 0 with the bytes that `main` prints."""
+    for argv in (["--help"], ["exhaust", "-h"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        done = cold_console_main(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.encode(), b"frozen True\n")
 
 
 def test_out_file(tmp_path, capsys, mixed_graph_file):

@@ -4,9 +4,7 @@ Every top-level function and class of `src/diagflag/*.py`, and every
 method that is not a dunder, must count as used by the program: it is
 referenced by name elsewhere in `src/` (a name, an attribute or an import
 alias; docstrings and comments do not count), `__all__` exports it,
-`pyproject.toml` names it, or a `perfbench/*.py` file names it.  A method
-that overrides one of a standard-library base (`_CliParser.error`) counts
-as used.
+`pyproject.toml` names it, or a `perfbench/*.py` file names it.
 
 An exported name closes no loophole: the exports that nothing in `src/`
 or `perfbench/` references must be exactly the four library operations
@@ -27,7 +25,6 @@ TypeError or ValueError into a "bad ... document" DomainError of its own.
 
 import ast
 import collections
-import importlib
 import re
 from pathlib import Path
 
@@ -58,13 +55,6 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-def _overrides_a_stdlib_base(module: str, cls: str, name: str) -> bool:
-    live = getattr(importlib.import_module(f"diagflag.{module}"), cls)
-    return any(
-        name in vars(base) for base in live.__mro__[1:] if not base.__module__.startswith("diagflag")
-    )
-
-
 def definitions(trees: dict[str, ast.Module]):
     """(label, name, node, module, class) for each top-level function or
     class and each non-dunder method."""
@@ -93,11 +83,9 @@ def unused_definitions() -> list[str]:
     )
     named_outside = set(re.findall(r"\w+", outside))
     unused = []
-    for label, name, node, module, cls in definitions(trees):
+    for label, name, node, _, _ in definitions(trees):
         elsewhere = references[name] - _referenced(node)[name]
         if elsewhere > 0 or name in exported or name in named_outside:
-            continue
-        if cls is not None and _overrides_a_stdlib_base(module, cls, name):
             continue
         unused.append(label)
     return unused

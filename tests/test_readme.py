@@ -11,7 +11,7 @@ import shlex
 from pathlib import Path
 
 
-from diagflag.cli import _COMMANDS, build_parser
+from diagflag.cli import _COMMANDS, _parse_args
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,17 +73,12 @@ def readme_cli_lines() -> list[list[str]]:
 
 
 def test_the_cli_examples_name_every_command_and_parse(monkeypatch):
-    """Each example parses through the global parser and then its command's
-    parser, reading no file; together they name every command."""
+    """Each example parses through the CLI's parser, reading no file;
+    together they name every command."""
 
     def no_read(*args, **kwargs):
         raise AssertionError(f"parsing opened {args[0]!r}")
 
     monkeypatch.setattr(builtins, "open", no_read)
-    commands = set()
-    for argv in readme_cli_lines():
-        args = build_parser().parse_args(argv)
-        command, *rest = args.command
-        build_parser(command).parse_args(rest, namespace=args)
-        commands.add(command)
+    commands = {_parse_args(argv).command for argv in readme_cli_lines()}
     assert commands == set(_COMMANDS)
