@@ -30,7 +30,8 @@ SCHEMA_VERSION = "3"
 _LEVELS_LIMIT = 1000
 # The most entries, target ambient times the sum of the target member
 # dimensions, of the image `embed` builds or the constant spaces
-# `constants` prints: about 0.7 s and a 4 MB report.
+# `constants` prints (about 0.7 s and a 4 MB report), and with eps's
+# target ambient times m more, of the witness `classify` prints.
 _IMAGE_ENTRY_LIMIT = 10**6
 
 
@@ -179,10 +180,14 @@ def _cmd_restrict(args) -> dict:
     }
 
 
-def _check_image_entries(emb: diagembed.DiagonalEmbedding, command: str) -> None:
-    entries = emb.n * sum(emb.target_type.dims)
+def _check_image_entries(emb: diagembed.DiagonalEmbedding, command: str, witness: bool = False) -> None:
+    """ScaleError past `_IMAGE_ENTRY_LIMIT` entries: the image's, n times the
+    sum of the target member dimensions, and with `witness` eps's n*m too
+    (a point source's image has no entries, but its eps has)."""
+    entries = emb.n * (sum(emb.target_type.dims) + witness * emb.m)
     if entries > _IMAGE_ENTRY_LIMIT:
-        raise ScaleError(f"{command} is limited to images of {_IMAGE_ENTRY_LIMIT} entries; got {entries}")
+        noun = "witnesses" if witness else "images"
+        raise ScaleError(f"{command} is limited to {noun} of {_IMAGE_ENTRY_LIMIT} entries; got {entries}")
 
 
 def _cmd_embed(args) -> dict:
@@ -216,8 +221,8 @@ def _cmd_picard(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     emb = _load_embedding(args)
-    flagcore.check_classify_scale(emb.n)
-    result = diagembed.classify(emb, seed=args.seed)
+    _check_image_entries(emb, "classify", witness=True)
+    result = diagembed.classify(emb)
     return {"verdict": result.kind, "witness": result.to_json_obj()["data"]}
 
 

@@ -11,13 +11,13 @@ is the independent reference the tests compare `evaluate` against.
 The module also computes the induced matrix on Picard generators (from the
 graph alone, `graph_pullback`), the combinatorial linearity and
 standard-extension criteria, the closed-form chain of constant spaces,
-classification from the graph (`classify`: the brute force's candidate
-search on exact constants and eps solutions, sampling nothing), the
-unipotent-radical inclusion test on the graph (`unipotent_inclusion(g)`),
-and the exhaustive sweep that compares every combinatorial verdict against
-the exact oracle, with one restriction analysis and one stabilizer per
-case.  The coordinate flags it compares are flagcore's `level_flag` of the
-level values and of the block-level tuples.
+classification in closed form (`classify`: the criterion is the verdict,
+and one colour's block gives the witness), the unipotent-radical inclusion
+test on the graph (`unipotent_inclusion(g)`), and the exhaustive sweep that
+compares every combinatorial verdict against the exact oracle, with one
+restriction analysis and one stabilizer per case.  The coordinate flags it
+compares are flagcore's `level_flag` of the level values and of the
+block-level tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .egraph import (
     EGraph,
@@ -38,7 +38,7 @@ from .egraph import (
     surjections,
 )
 from .errors import DomainError, InternalCheckError, Record, ScaleError, is_int, reading, strict_int, strict_list
-from .flagcore import Classification, FlagType, PicardPullback, _first_witness, check_flag_type, level_flag, random_flag
+from .flagcore import Classification, FlagType, PicardPullback, StandardExtensionData, check_flag_type, level_flag, random_flag
 from .ratlin import (
     Flag,
     RatSubspace,
@@ -187,8 +187,8 @@ def is_linear_graph(g: EGraph) -> bool:
 
 
 def is_standard_extension_graph(g: EGraph) -> bool:
-    """All ordinary edges of one colour (then the embedding is a strict
-    standard extension)."""
+    """All ordinary edges of one colour: exactly when the embedding is a
+    standard extension, and then a strict one (proofs in `classify`)."""
     _, ordinary = partition_edges(g)
     colours = {c for (_, _, c) in ordinary}
     return len(colours) <= 1
@@ -209,66 +209,62 @@ def constant_spaces(emb: DiagonalEmbedding) -> tuple[RatSubspace, ...]:
     return _block_sums(emb.graph, m, lambda i: RatSubspace.full(m) if i == q else zero)
 
 
-def _epsilon_space(columns: Sequence[tuple[int, ...]], kappa: tuple[int, ...], q: int, m: int) -> RatSubspace:
-    """The eps mapping F_kappa(j) into member j of every image, flattened
-    row by row as `flagcore._epsilon_solution_space` does, from each
-    colour's closed-index column.  Lemma: reading only the i_j of column c
-    with kappa_j >= 1, block c of eps is zero if some i_j < kappa_j, else a
-    scalar if some i_j < q, else free.  Proof: the block A must map F_a into
-    F_b for every F (a = kappa_j, b = i_j, F_0 = 0, F_q = Q^m).  If b < a,
-    the choices of F_b in F_a meet in 0, so A = 0.  If a <= b < q, those
-    containing F_a meet in F_a, so A keeps every d_a-space, so every line,
-    and is a scalar.  The rows are canonical, in pivot order."""
-    width = len(columns) * m * m
-    rows = []
-    for c, column in enumerate(columns):
-        read = [(v, i) for v, i in zip(kappa, column) if v]
-        if any(i < v for v, i in read):
-            continue
-        at = c * m * m
-        if any(i < q for _, i in read):
-            rows.append(tuple(int(0 <= t - at < m * m and (t - at) % (m + 1) == 0) for t in range(width)))
-        else:
-            rows += [(0,) * t + (1,) + (0,) * (width - 1 - t) for t in range(at, at + m * m)]
-    return RatSubspace(width, tuple(rows))
+def classify(emb: DiagonalEmbedding) -> Classification:
+    """Classification in closed form from the graph: `not_se` when the
+    ordinary edges have two colours; else the strict witness with eps the
+    unit inclusion of block c, for c their colour (for a point source,
+    q = 1, the least colour at r_1), kappa column c of `closed_indices`,
+    and Z_j the blocks of C_j but c.  Nothing is sampled or searched.
 
-
-def classify(emb: DiagonalEmbedding, seed: int = 0) -> Classification:
-    """The classification of a graph embedding from its graph: the brute
-    force's strict pass on exact constants and eps solutions, accepting a
-    checked witness of the target type.  Nothing is sampled or verified.
-
-    A witness is correct: eps maps each F_kappa(j) into member j of every
-    image (`_epsilon_space`), Z_j lies in C_j and so in member j, and
-    `check()` makes the sum direct, of member j's dimension.  For k >= 1:
-    (i) if emb is a strict extension S, the witness is the unit inclusion
-    of a block c.  A varying member eps(F_a) + Z_j of S depends on F_a
-    alone, so the r blocks of its row with an index in 1..k all have
-    index a; intersecting and summing over all F give Z_j <= C_j and
-    r*m + dim C_j <= m + dim Z_j, so r = 1, Z_j = C_j, and eps is a
-    scalar on that block c and 0 on the row's zero blocks.  A later
-    varying row's block has index 0 in an earlier one (it is below q, and
-    only c varies there), so all rows vary on c, `_kappa_candidates` finds
-    S's kappa, and c's scalar passes `check()`, after basis vectors of
-    rank 1 < m.  (ii) If emb = duality . S, emb is strict, so no dual pass
-    is needed.  Member j of duality . emb sums the ann(F_b) of the mirrored
-    row, so as in (i) a block A of eps has A(U) = ann(U) for dim U = d_a,
-    so A(L) <= ann(U) for every such U holding a line L: so d_a = 1 (else
-    A = 0), and m - 1 = dim ann(L) <= 1.
-    There ann(F_i) = J F_(2-i) for a rotation J, so diag(J)^-1 S is the
-    embedding of the mirrored table (rows reversed, i -> 2 - i).  By (i) a
-    table is strict exactly when its varying rows form one run, all
-    varying on one block only (whose unit inclusion is then a witness),
-    and the mirror keeps this.  (iii) For k = 0 the first kappa accepts
-    any injective eps into C_1: a basis vector (m = 1) or signed pair
-    (m = 2) of the stream, but for m >= 3 only a random one, where a dual
-    pass is not proved idle; the tests pin it."""
-    target, columns = emb.target_type, tuple(zip(*emb.graph.closed_indices))
-
-    def solve(kappa):
-        return _epsilon_space(columns, kappa, emb.graph.q, emb.m), lambda data: data.target_type == target
-
-    return Classification(_first_witness(emb.source_type, emb.n, constant_spaces(emb), target.dims, seed, False, solve))
+    Member j of the image of F sums, over colours c, F_i in block c for
+    i = i_jc, the closed index (F_0 = 0, F_q = V = Q^m); C_j sums the
+    blocks with i = q.  An entry with 0 < i < q varies, and colour c has
+    an ordinary edge (i, j, c), i < q, exactly when its column varies, as
+    the edge gives i_jc = i.  (i) The witness is correct.  Only column c
+    varies, and each l_i, i <= k, meets an edge, of colour c, so kappa
+    attains 1..k and the other blocks of member j are 0 or full.  Where
+    kappa_j <= k, block c is not in C_j, so Z_j = C_j and member j is
+    eps(F_kappa_j) + Z_j; elsewhere block c is in C_j, and member j is
+    C_j = eps(V) + Z_j.  So the witness evaluates as emb does, and
+    `check()` passes.  (ii) The criterion is the verdict: a strict witness
+    (eps, Z, kappa) of emb makes it hold.  Let row j vary, so a = kappa_j
+    lies in 1..k.  Intersecting member j over all F gives Z_j <= C_j;
+    summing, r*m + dim C_j <= m + dim Z_j for r varying colours, so r = 1.
+    Let rows j < j' vary on c != c'.  Then i_jc' = 0 (at most i_j'c' < q,
+    and not varying), so eps(F_a), in member j, has no block c' part for
+    any F, nor has eps, nor Z_j' <= C_j'; but block c' of member j' is
+    F_i_j'c' != 0.  (iii) No dualized witness is missed.  Let duality .
+    emb = S be strict, and k >= 1 (k = 0 meets the criterion).  Member j
+    of S sums the ann(F_b) of the mirrored row, so as in (ii) one block A
+    of eps varies, and A(F_a) = ann(F_b) for every F.  For a line L, the
+    F_b of the flags with L <= F_a span V, so A(L) = 0, unless a = b and
+    d_a = 1; then A(L) = ann(L) makes m = 2, k = 1.  There ann(F_i) =
+    J F_(2-i) for a rotation J, so diag(J)^-1 S is the strict embedding of
+    the mirrored table (rows reversed, i -> 2 - i), and (ii) on it gives
+    the criterion, which the mirror keeps.  (iv) For k >= 1, and k = 0
+    with m <= 2, the witness is the brute force's first accepted candidate
+    on exact constants and eps solutions, so its JSON is the same.  The
+    first kappa, read off the support, is column c: 0 before the varying
+    rows, k + 1 after (all ones for k = 0).  `_build_z_chain` keeps C_j
+    where kappa_j <= k, and after adds to Z_(j-1) the unit rows of C_j
+    outside it and block c.  A block A of an eps solution maps F_a into
+    F_b for every F (a = kappa_j >= 1, b = i_jc): A is 0 if b < a, as the
+    F_b in F_a meet in 0; a scalar if a <= b < q, as the F_b holding a
+    line meet in it; else free.  So block c is a scalar for k >= 1, and
+    every other echelon basis row a matrix unit, of rank 1 < m; for k = 0
+    the basis is the matrix units of C_1's blocks, c's first.  The stream
+    tries basis rows, then signed pairs in order: its first injective eps
+    is c's scalar (k >= 1), c's unit (m = 1) or c's two diagonal units
+    (m = 2), the unit inclusion.  For m >= 3 a random one comes first."""
+    g, m, n = emb.graph, emb.m, emb.n
+    if not is_standard_extension_graph(g):
+        return Classification(None)
+    c = min(c for (i, j, c) in g.edges if i < g.q or (g.q == 1 and j == 1)) - 1
+    kappa = tuple(row[c] for row in g.closed_indices)
+    eps = tuple(tuple(int(r == c * m + s) for s in range(m)) for r in range(n))
+    block = slice(c * m, (c + 1) * m)
+    chain = tuple(RatSubspace(n, tuple(r for r in z.int_rows if not any(r[block]))) for z in constant_spaces(emb))
+    return Classification(StandardExtensionData(emb.source_type, eps, 1, chain, kappa).check())
 
 
 def unipotent_inclusion(g: EGraph) -> bool:

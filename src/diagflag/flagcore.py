@@ -9,9 +9,9 @@ replaces each member by the annihilator of its mirror.  This module
 evaluates and composes such data, computes constant spaces of arbitrary
 evaluable embeddings by stabilized sampling, and recognizes standard
 extensions at small scale by exhaustive recovery of a witness: the
-generic brute force for any evaluate callable.  A graph embedding is
-classified from its graph by `diagembed.classify`, which runs the same
-candidate search, `_first_witness`, on exact constants and solutions.
+generic brute force for any evaluate callable.  `diagembed.classify`
+classifies a graph embedding from its graph in closed form, with no
+search; the tests compare it with this one.
 
 eps is stored as integer rows over one denominator, like the bases of
 `RatSubspace`: evaluation, composition, the duality conjugation and the
@@ -406,7 +406,8 @@ class StandardExtensionData(Record):
         return {
             "source_dims": list(self.source_type.dims),
             "source_ambient": self.source_type.ambient,
-            "epsilon": [[str(x) for x in row] for row in self.epsilon],
+            # Over denominator 1, an entry's text is the integer's.
+            "epsilon": [[str(x) for x in row] for row in (self.epsilon if self.denominator > 1 else self.int_epsilon)],
             "z_chain": [z.to_json_obj() for z in self.z_chain],
             "kappa": list(self.kappa),
             "dualized": self.dualized,
@@ -717,15 +718,15 @@ def _epsilon_candidates(
     is the one of the full stream.  A one-dimensional space has one class,
     so its stream ends after the basis vector.
 
-    Lemma: whether `_first_witness` accepts a candidate eps depends only
+    Lemma: whether `_recover_strict` accepts a candidate eps depends only
     on its class.  Proof: for c != 0, c.eps has the column image of eps,
     so the image test, the test against the last support constant and
     `_build_z_chain` (which read only the image) agree; every clause of
     `check()` reads eps through that image, its positive denominator or
-    not at all; `_verify_witness` tests images of rows under eps, which
-    c.eps scales by c; and the graph route's test reads no eps.  So the
-    first accepted candidate of the full stream is the first of its class,
-    and dropping repeats returns the same witness."""
+    not at all; and `_verify_witness` tests images of rows under eps,
+    which c.eps scales by c.  So the first accepted candidate of the full
+    stream is the first of its class, and dropping repeats returns the
+    same witness."""
     rows = solutions.int_rows
     leads = [next(x for x in r if x) for r in rows]
     den = lcm(*leads)
@@ -904,8 +905,11 @@ def _recover_strict(
     tests a dualized witness against the original images.  For k >= 1,
     None once a deficit exceeds d_k: `_kappa_candidates` reads each
     nonzero deficit as a source member dimension, and deficits never
-    decrease (see `_settle`).  The candidate search is `_first_witness`'s,
-    with `_verify_witness` as its test."""
+    decrease (see `_settle`).  The search then tries each kappa of
+    `_kappa_candidates` and each eps of `_epsilon_candidates` in order, and
+    returns the first candidate that passes `check()` and
+    `_verify_witness`.  Acceptance depends only on a candidate's class, so
+    one per class is tried."""
     bound = source_type.dims[-1] if source_type.length else None
     samples: list[tuple[Flag, Flag]] = []
 
@@ -928,27 +932,8 @@ def _recover_strict(
     if dualized:
         constants = [s.annihilator() for s in reversed(constants)]
         target_dims = tuple(c.ambient - d for c, d in zip(constants, reversed(target_dims)))
-    nw = first.ambient
-
-    def solve(kappa):
-        solutions, solved = _epsilon_solution_space(samples, source_type, kappa, nw, dualized)
-        return solutions, lambda data: _verify_witness(data, evaluate, samples, solved, seed)
-
-    return _first_witness(source_type, nw, constants, target_dims, seed, dualized, solve)
-
-
-def _first_witness(
-    source_type: FlagType, nw: int, constants: Sequence[RatSubspace], target_dims: tuple[int, ...],
-    seed: int, dualized: bool, solve: Callable[[tuple[int, ...]], tuple[RatSubspace, Callable]],
-) -> StandardExtensionData | None:
-    """The first candidate witness for images in Q^nw with these member
-    dimensions and constants, over each kappa of `_kappa_candidates`, that
-    passes `check()` and the test `solve(kappa)` gives with kappa's eps
-    solutions.  Candidates come one per projective class: acceptance
-    depends only on the class (see `_epsilon_candidates`)."""
-    m = source_type.ambient
-    k = source_type.length
-    if len(target_dims) == 0:
+    nw, m, k = first.ambient, source_type.ambient, source_type.length
+    if not target_dims:
         # Point target: witnessed by any injective eps, provided the source
         # is a point too (kappa must attain every member index).  The
         # strict pass decides a point target by the same test first, so
@@ -959,7 +944,7 @@ def _first_witness(
         return StandardExtensionData(source_type, eps, 1, (), (), dualized)
     support = _support(constants, target_dims)
     for kappa in _kappa_candidates(source_type, target_dims, constants, support):
-        solutions, accept = solve(kappa)
+        solutions, solved = _epsilon_solution_space(samples, source_type, kappa, nw, dualized)
         if not solutions.dim:
             continue
         z_last_support = constants[support[-1] - 1] if support else None
@@ -980,15 +965,9 @@ def _first_witness(
                 data = StandardExtensionData(source_type, eps, den, chain, kappa, dualized).check()
             except DomainError:
                 continue
-            if accept(data):
+            if _verify_witness(data, evaluate, samples, solved, seed):
                 return data
     return None
-
-
-def check_classify_scale(target_ambient: int) -> None:
-    """ScaleError when the target is too large for `classify_bruteforce`."""
-    if target_ambient > CLASSIFY_SCALE_LIMIT:
-        raise ScaleError(f"classification is limited to target dimension {CLASSIFY_SCALE_LIMIT}; got {target_ambient}")
 
 
 def classify_bruteforce(
@@ -1021,7 +1000,8 @@ def classify_bruteforce(
     are kept the same way, per (source type, seed).
     """
     first = evaluate(coordinate_flag(source_type))
-    check_classify_scale(first.ambient)
+    if first.ambient > CLASSIFY_SCALE_LIMIT:
+        raise ScaleError(f"classification is limited to target dimension {CLASSIFY_SCALE_LIMIT}; got {first.ambient}")
     strict = _recover_strict(evaluate, source_type, seed, first)
     if strict is not None:
         return Classification(strict)

@@ -17,6 +17,7 @@ from typing import Sequence
 import pytest
 
 from diagflag import flagcore
+from diagflag.cli import canonical_json
 from diagflag.diagembed import DiagonalEmbedding
 from diagflag.egraph import (
     Edge,
@@ -577,19 +578,35 @@ def reference_classify(evaluate, source_type, seed=0, passes=None):
     return Classification(None)
 
 
-def criterion_05_instances():
+def criterion_05_instances(products=range(7)):
     """The criterion-05 set in its order: every valid graph with d*m <= 6
-    times every source type."""
+    times every source type.  `products` names other d*m values to take
+    instead (m >= 2, d*m <= 8), in the same order."""
     return [
         (g, FlagType(m, dims))
-        for d in range(1, 4)
-        for m in range(2, 7)
-        if d * m <= 6
+        for d in range(1, 5)
+        for m in range(2, 9)
+        if d * m in products
         for q in range(1, m + 1)
         for p in range(1, q * d + 1)
         for g in enumerate_valid_graphs(q, p, d)
         for dims in itertools.combinations(range(1, m), q - 1)
     ]
+
+
+def agrees_with_brute_force(emb, got, expected, samples=()):
+    """Whether the graph route's classification `got` of `emb` is the brute
+    force's, `expected`: its JSON, byte for byte, except on a point source
+    with m >= 3, whose brute-force witness is the first injective one of
+    the seeded random eps combinations (`diagembed.classify`, (iv)).  There
+    the kinds must agree, and `got`'s witness must map the source's one
+    flag and every (flag, image) of `samples` as `emb.evaluate` does, by
+    `_containment_test`."""
+    if emb.source_type.length or emb.m < 3:
+        return canonical_json(got.to_json_obj()) == canonical_json(expected.to_json_obj())
+    flag = coordinate_flag(emb.source_type)
+    maps = flagcore._containment_test(got.data)
+    return got.kind == expected.kind and all(maps(f, image) for f, image in [(flag, emb.evaluate(flag)), *samples])
 
 
 # One classification of `criterion_05_classified`: the source type, the

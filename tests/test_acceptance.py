@@ -196,8 +196,9 @@ def test_criterion_06_constant_spaces_sampled_vs_closed():
     report(6, "constant spaces: sampling window 12 meets closed form, 50 graphs", elapsed)
 
 
-def test_criterion_07_realization_constructor():
-    started = time.monotonic()
+def criterion_07_realizations():
+    """The criterion-07 realizations, 6 levels each: 5 flag types x 3
+    supernatural numbers, as (gft, sn, realization)."""
     gfts = [
         GeneralizedFlagType((1,), None, True, ordered_presentation=(1, INF)),
         GeneralizedFlagType((), None, True, ordered_presentation=(INF,)),
@@ -216,20 +217,48 @@ def test_criterion_07_realization_constructor():
         )
         for sn in sns:
             spec = default_exhaustion_spec(sn, min_s1=needed)
-            realization = build_realization_sn_graph(gft, sn, spec, levels=6)
-            assert len(realization.sn_graph.prefix) >= 6
-            assert validate_sn_graph(realization.sn_graph, upto=6).ok
-            for level_graph in realization.sn_graph.prefix:
-                assert validate_egraph(level_graph).ok
-                assert is_standard_extension_graph(level_graph)
-            finals = realization.level_quotients[-1]
-            for position, value in enumerate(gft.ordered_presentation):
-                if value is not INF:
-                    assert all(q[position] == value for q in realization.level_quotients)
-                else:
-                    assert finals[position] > realization.level_quotients[0][position]
+            yield gft, sn, build_realization_sn_graph(gft, sn, spec, levels=6)
+
+
+def test_criterion_07_realization_constructor():
+    started = time.monotonic()
+    for gft, sn, realization in criterion_07_realizations():
+        assert len(realization.sn_graph.prefix) >= 6
+        assert validate_sn_graph(realization.sn_graph, upto=6).ok
+        for level_graph in realization.sn_graph.prefix:
+            assert validate_egraph(level_graph).ok
+            assert is_standard_extension_graph(level_graph)
+        finals = realization.level_quotients[-1]
+        for position, value in enumerate(gft.ordered_presentation):
+            if value is not INF:
+                assert all(q[position] == value for q in realization.level_quotients)
+            else:
+                assert finals[position] > realization.level_quotients[0][position]
     elapsed = time.monotonic() - started
     report(7, "realizations: 5 flag types x 3 supernatural numbers, 6 levels", elapsed)
+
+
+def test_criterion_07_levels_classify_as_strict_extensions(tmp_path, capsys):
+    """Every level of the criterion-07 realizations, as an embedding of its
+    level type: CLI `classify` answers `strict_se` at full size for the 56
+    whose witness is within its entry limit, up to n = 1,296, and refuses
+    the other 34 with one input error."""
+    counts = {"strict_se": 0, "refused": 0}
+    largest = 0
+    for _, _, realization in criterion_07_realizations():
+        types = realization.level_types
+        for n, g in enumerate(realization.sn_graph.prefix):
+            path = tmp_path / "level.json"
+            path.write_text(json.dumps(DiagonalEmbedding(g, types[n]).to_json_obj()))
+            code = cli_main(["classify", "--embedding", str(path)])
+            captured = capsys.readouterr()
+            if code == 0:
+                counts[json.loads(captured.out)["verdict"]] += 1
+                largest = max(largest, types[n + 1].ambient)
+            else:
+                assert code == 1 and "classify is limited to witnesses" in captured.err
+                counts["refused"] += 1
+    assert counts == {"strict_se": 56, "refused": 34} and largest == 1_296
 
 
 def test_criterion_08_admissibility_fixtures():

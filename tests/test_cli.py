@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import NOT_ARRAYS, criterion_05_instances, reference_parse, replaced_at, reversed_flag
+from conftest import NOT_ARRAYS, agrees_with_brute_force, criterion_05_instances, reference_parse, replaced_at, reversed_flag
 from test_bench_layers import WORKLOADS, load_bench
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,13 +336,14 @@ def test_a_failed_internal_check_exits_2(capsys, tmp_path, monkeypatch, check):
 
 # One argv builder per command that runs one route, with the names of a
 # cross-check of that route that only the tests run: the brute-force
-# classifier and its sampling (criterion 05 and the graph route's tests),
+# classifier, its sampling and its candidate search (criterion 05 and the
+# graph route's tests),
 # criterion 06 (sampled against closed-form constants), the factor
 # additivity sweep and the chain validation beyond the levels built.
 SECOND_ROUTES = {
     "classify": (
         lambda t: ["classify", "--alpha", "1,2,2,3", "--m", "2"],
-        flagcore, ("classify_bruteforce", "_settle", "random_flag"),
+        flagcore, ("classify_bruteforce", "_settle", "random_flag", "_kappa_candidates", "_epsilon_candidates"),
     ),
     "constants": (
         lambda t: ["constants", "--graph", write(t, "g.json", MIXED_GRAPH_OBJ), "--source-ambient", "3"],
@@ -379,21 +380,25 @@ def test_a_command_runs_no_second_route(capsys, tmp_path, monkeypatch, command):
 
 def test_classify_reports_the_brute_force_witness_without_sampling(capsys, tmp_path, monkeypatch):
     """Every tenth criterion-05 embedding at two seeds, point targets and
-    point sources among them: with the brute force and its sampling
-    refused, `classify` reports the witness of `classify_bruteforce`."""
+    point sources among them: with the brute force, its sampling and its
+    candidate search refused, `classify` reports the classification of
+    `classify_bruteforce` (`agrees_with_brute_force`: a point source with
+    m >= 3 gets the proved witness at every seed, and the brute force one
+    from its seeded stream)."""
     cases = []
     for g, ft in criterion_05_instances()[::10]:
-        path = write(tmp_path, f"e{len(cases)}.json", {"graph": g.to_json_obj(), "source_type": ft.to_json_obj()})
+        emb = diagembed.DiagonalEmbedding(g, ft)
+        path = write(tmp_path, f"e{len(cases)}.json", emb.to_json_obj())
         for seed in (0, 3):
-            expected = flagcore.classify_bruteforce(diagembed.DiagonalEmbedding(g, ft).evaluate, ft, seed)
-            cases.append((["--seed", str(seed), "classify", "--embedding", path], expected.to_json_obj()))
+            cases.append((emb, seed, path, flagcore.classify_bruteforce(emb.evaluate, ft, seed)))
     refuse_second_routes(monkeypatch, flagcore, SECOND_ROUTES["classify"][2])
     kinds = collections.Counter()
-    for argv, expected in cases:
-        code, doc = run_json(capsys, *argv)
-        assert code == 0 and (doc["verdict"], doc["witness"]) == (expected["kind"], expected["data"])
-        kinds[doc["verdict"]] += 1
-    assert kinds == {"not_se": 170, "strict_se": 62}
+    for emb, seed, path, expected in cases:
+        code, doc = run_json(capsys, "--seed", str(seed), "classify", "--embedding", path)
+        data = doc["witness"] and flagcore.StandardExtensionData.from_json_obj(doc["witness"])
+        assert code == 0 and agrees_with_brute_force(emb, flagcore.Classification(data), expected)
+        kinds[doc["verdict"], doc["witness"] == expected.to_json_obj()["data"]] += 1
+    assert kinds == {("not_se", True): 170, ("strict_se", True): 60, ("strict_se", False): 2}
 
 
 # One argv builder per embedding source given an option it does not read.
@@ -1463,20 +1468,35 @@ def test_constants_builds_no_block_its_image_lacks(capsys, tmp_path, graph, ambi
 
 
 def test_classify_refuses_a_large_target_before_building_a_flag(capsys, tmp_path):
-    graph = write(tmp_path, "graph.json", LINE_GRAPH)
+    """`classify` shares `embed`'s entry limit, counted on the witness it
+    prints: eps adds n*m entries to the image's.  Through the spreading
+    graph, the type of one line in Q^m gives n = 2m and target dimensions
+    (1, m + 1), 4m(m + 1) entries: 998,000 at m = 499, the largest
+    accepted, and 1,002,000 at m = 500, the smallest refused.  A point
+    source has no image entries, but its eps has n*m."""
+    line = write(tmp_path, "line.json", LINE_GRAPH)
     _refused_at_once(
         capsys,
-        ["classify", "--graph", graph, "--source-ambient", "3000", "--source-dims", "2999"],
-        "classification is limited to target dimension 6; got 3000",
+        ["classify", "--graph", line, "--source-ambient", "3000", "--source-dims", "2999"],
+        "classify is limited to witnesses of 1000000 entries; got 17997000",
     )
     spread = write(tmp_path, "spread.json", SPREAD_GRAPH)
+    for m, entries in ((500, 1_002_000), (10**9, 4 * 10**9 * (10**9 + 1))):
+        _refused_at_once(
+            capsys,
+            ["classify", "--graph", spread, "--source-ambient", str(m), "--source-dims", "1"],
+            f"classify is limited to witnesses of 1000000 entries; got {entries}",
+        )
+    point = write(tmp_path, "point.json", {"graph": POINT_GRAPH, "source_type": {"ambient": 10**18, "dims": []}})
     _refused_at_once(
         capsys,
-        ["classify", "--graph", spread, "--source-ambient", "4", "--source-dims", "1"],
-        "classification is limited to target dimension 6; got 8",
+        ["classify", "--embedding", point],
+        f"classify is limited to witnesses of 1000000 entries; got {10**36}",
     )
+    code, doc = run_json(capsys, "classify", "--graph", spread, "--source-ambient", "4", "--source-dims", "1")
+    assert code == 0 and doc["verdict"] == "strict_se" and len(doc["witness"]["epsilon"]) == 8
     # picard needs only the graph and stays uncapped.
-    code, doc = run_json(capsys, "picard", "--graph", graph, "--source-ambient", "3000", "--source-dims", "2999")
+    code, doc = run_json(capsys, "picard", "--graph", line, "--source-ambient", "3000", "--source-dims", "2999")
     assert code == 0 and doc["matrix"] == [[1]]
 
 

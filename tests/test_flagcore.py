@@ -1,4 +1,5 @@
 import bisect
+import collections
 import functools
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ from conftest import (
     MIXED_GRAPH,
     MIXED_SOURCE,
     NOT_ARRAYS,
+    agrees_with_brute_force,
     criterion_05_instances,
     is_linear,
     reference_classify,
@@ -1096,65 +1098,84 @@ def test_the_dual_solve_matches_the_solve_on_dual_images(criterion_05_classified
     assert counts == {False: 483, True: 215}
 
 
+def unit_inclusion(n, m, c):
+    """The integer rows of eps, in Q^n from Q^m, onto block c."""
+    return tuple(tuple(int(r == c * m + i) for i in range(m)) for r in range(n))
+
+
 def test_the_graph_route_gives_the_recorded_classification(criterion_05_classified):
     """Every criterion-05 embedding (not its duality twin): the graph
-    route's classification JSON is the brute force's recorded one, byte
-    for byte.  As `diagembed.classify` proves for k >= 1, each strict
-    witness is the unit inclusion of one colour block."""
+    route's verdict is the brute force's recorded one, and so is its
+    classification JSON, byte for byte, but on the point sources with
+    m >= 3 (`agrees_with_brute_force`, on the recorded samples).  As
+    `diagembed.classify` proves, each strict witness is the unit inclusion
+    of one colour block, over denominator 1, with that colour's
+    closed-index column as kappa."""
     kinds = {"strict_se": 0, "not_se": 0}
-    unit_inclusions = 0
+    changed = []
     for item in criterion_05_classified[::2]:
         emb = item.evaluate.__self__
-        got = diagembed.classify(emb, seed=0)
-        assert canonical_json(got.to_json_obj()) == canonical_json(item.result.to_json_obj())
+        got = diagembed.classify(emb)
+        samples = [pair for _, _, recorded, *_ in item.verifications for pair in recorded]
+        assert agrees_with_brute_force(emb, got, item.result, samples)
         kinds[got.kind] += 1
-        if got.data is not None and emb.source_type.length:
-            m, rows = emb.m, got.data.int_epsilon
-            c = next(r for r, row in enumerate(rows) if any(row)) // m
-            assert got.data.denominator == 1
-            assert rows == tuple(tuple(int(r == c * m + i) for i in range(m)) for r in range(emb.n))
-            unit_inclusions += 1
+        if canonical_json(got.to_json_obj()) != canonical_json(item.result.to_json_obj()):
+            changed.append((emb.source_type, emb.graph.p))
+        if got.data is not None:
+            rows = got.data.int_epsilon
+            c = next(r for r, row in enumerate(rows) if any(row)) // emb.m
+            assert got.data.denominator == 1 and rows == unit_inclusion(emb.n, emb.m, c)
+            assert got.data.kappa == tuple(row[c] for row in emb.graph.closed_indices)
     assert kinds == {"strict_se": 218, "not_se": 940}
-    assert unit_inclusions == 194
+    assert changed == [(FlagType(3, ()), 2)] * 2
 
 
-def test_the_graph_route_agrees_on_point_sources_at_fifty_seeds():
-    """The 7 criterion-05 embeddings of a point source (q = 1) with
-    m >= 3, at seeds 0-49: the graph route's classification JSON is the
-    brute force's.  There `diagembed.classify` finds its witness only
-    among the seeded random eps combinations, and the brute force's dual
-    pass, which the graph route skips, is not proved idle; this pins the
-    agreement over more seeds, it does not prove it.  The sample and
+def test_each_point_source_gets_the_proved_witness():
+    """Every criterion-05 point source (q = 1): the witness is the unit
+    inclusion of the least colour at r_1, kappa all ones, and it maps the
+    source's one flag as the embedding does (`_containment_test`).  The
+    brute force classifies the 7 with m >= 3 `strict_se` at seeds 0-49 as
+    well, its witness drawn from the seeded eps stream.  The sample and
     verification memos are cleared before and after, so the streams of
     fifty seeds leave no trace."""
-    points = [(g, ft) for g, ft in criterion_05_instances() if ft.length == 0 and ft.ambient >= 3]
-    assert len(points) == 7
+    points = [DiagonalEmbedding(g, ft) for g, ft in criterion_05_instances() if ft.length == 0]
+    assert len(points) == 24
+    for emb in points:
+        data = diagembed.classify(emb).data
+        c = min(c for (_, j, c) in emb.graph.edges if j == 1) - 1
+        assert data.int_epsilon == unit_inclusion(emb.n, emb.m, c) and data.kappa == (1,) * (emb.graph.p - 1)
+        flag = coordinate_flag(emb.source_type)
+        assert flagcore._containment_test(data)(flag, emb.evaluate(flag))
     _sample_stream.cache_clear()
     _verify_flags.cache_clear()
     try:
-        for g, ft in points:
-            emb = DiagonalEmbedding(g, ft)
-            for seed in range(50):
-                got = canonical_json(diagembed.classify(emb, seed).to_json_obj())
-                assert got == canonical_json(flagcore.classify_bruteforce(emb.evaluate, ft, seed).to_json_obj())
+        kinds = collections.Counter(
+            flagcore.classify_bruteforce(emb.evaluate, emb.source_type, seed).kind
+            for emb in points
+            if emb.m >= 3
+            for seed in range(50)
+        )
     finally:
         _sample_stream.cache_clear()
         _verify_flags.cache_clear()
+    assert kinds == {"strict_se": 350}
 
 
-def test_the_lemma_space_is_every_strict_solve_of_a_graph_embedding(criterion_05_classified):
-    """Every eps solve of the brute force's strict pass on a criterion-05
-    embedding, from sampled flags: its solutions are the space the lemma
-    of `diagembed._epsilon_space` reads off the graph."""
-    solves = 0
-    for item in criterion_05_classified[::2]:
-        emb = item.evaluate.__self__
-        columns = tuple(zip(*emb.graph.closed_indices))
-        for _, _, kappa, _, dualized, (solutions, _) in item.solves:
-            if not dualized:
-                assert solutions == diagembed._epsilon_space(columns, kappa, emb.graph.q, emb.m)
-                solves += 1
-    assert solves == 274
+def test_the_graph_route_agrees_with_the_brute_force_on_a_sample_of_dm_7_and_8(monkeypatch):
+    """A seeded sample of 1,000 of the 50,594 embeddings with d*m in {7, 8}
+    (1,292 of them strict), past the brute force's cap, which is raised to
+    8 here: the graph route agrees with `classify_bruteforce` at seed 0
+    (`agrees_with_brute_force`)."""
+    monkeypatch.setattr(flagcore, "CLASSIFY_SCALE_LIMIT", 8)
+    instances = criterion_05_instances(products=(7, 8))
+    assert len(instances) == 50_594
+    kinds = collections.Counter()
+    for g, ft in random.Random(47).sample(instances, 1_000):
+        emb = DiagonalEmbedding(g, ft)
+        got = diagembed.classify(emb)
+        assert agrees_with_brute_force(emb, got, flagcore.classify_bruteforce(emb.evaluate, ft, 0))
+        kinds[got.kind] += 1
+    assert kinds == {"strict_se": 26, "not_se": 974}
 
 
 def mapped_samples(data, count=6):
